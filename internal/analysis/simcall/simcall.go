@@ -46,10 +46,11 @@ var blocking = map[string]map[string]map[string]bool{
 		"Semaphore": {"Acquire": true},
 		"WaitGroup": {"Wait": true},
 		"Cond":      {"Wait": true, "WaitTimeout": true},
-		"Resource":  {"Use": true, "Reserve": true},
+		"Resource":  {"Use": true},
+		"Queue":     {"Pop": true, "PopAll": true, "PopAllUntil": true},
 	},
 	"vclock": {
-		"Parker":       {"Park": true, "ParkTimeout": true},
+		"Parker":       {"Park": true, "ParkTimeout": true, "ParkUntil": true},
 		"Clock":        {"Sleep": true},
 		"VirtualClock": {"Sleep": true},
 		"RealClock":    {"Sleep": true},

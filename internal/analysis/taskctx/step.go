@@ -1,0 +1,139 @@
+package taskctx
+
+import (
+	"go/ast"
+	"go/types"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/simcall"
+)
+
+// stepTakers names, by package base and function name, the calls whose
+// func-typed arguments run as clock callbacks or service steps: on the
+// goroutine advancing the virtual clock (or on one that just released a
+// core), with virtual time held still until they return.
+var stepTakers = map[string]map[string]bool{
+	"vclock":  {"NewEvent": true},
+	"tasking": {"Spawn": true, "After": true, "WaitFor": true, "acquireFn": true},
+	"core":    {"Start": true, "After": true},
+}
+
+// stepChecker finds the functions a package hands to the step takers and
+// reports blocking operations reachable from them inside the package.
+type stepChecker struct {
+	pass  *analysis.Pass
+	decls map[*types.Func]*ast.FuncDecl // the package's function bodies
+	vals  map[*types.Var][]ast.Expr     // function values assigned to variables and fields
+	seen  map[any]bool                  // bodies scanned and variables resolved
+}
+
+// checkSteps applies the no-block rule to every step the package registers.
+func checkSteps(pass *analysis.Pass) {
+	c := &stepChecker{
+		pass:  pass,
+		decls: map[*types.Func]*ast.FuncDecl{},
+		vals:  map[*types.Var][]ast.Expr{},
+		seen:  map[any]bool{},
+	}
+	var takers []*ast.CallExpr
+	pass.Inspect(func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if fn, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok && n.Body != nil {
+				c.decls[fn] = n
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					c.bind(lhs, n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i, name := range n.Names {
+					c.bind(name, n.Values[i])
+				}
+			}
+		case *ast.KeyValueExpr:
+			c.bind(n.Key, n.Value)
+		case *ast.CallExpr:
+			fn := simcall.Callee(pass.TypesInfo, n)
+			if fn != nil && fn.Pkg() != nil && stepTakers[pkgBase(fn.Pkg().Path())][fn.Name()] {
+				takers = append(takers, n)
+			}
+		}
+		return true
+	})
+	for _, call := range takers {
+		for _, arg := range call.Args {
+			if _, ok := pass.TypesInfo.TypeOf(arg).Underlying().(*types.Signature); ok {
+				c.step(arg)
+			}
+		}
+	}
+}
+
+// bind records rhs as a value of the variable or field lhs names.
+func (c *stepChecker) bind(lhs, rhs ast.Expr) {
+	if v, ok := c.object(lhs).(*types.Var); ok {
+		c.vals[v] = append(c.vals[v], rhs)
+	}
+}
+
+// object resolves an identifier or selector to what it names.
+func (c *stepChecker) object(e ast.Expr) types.Object {
+	info := c.pass.TypesInfo
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.Defs[e]; obj != nil {
+			return obj
+		}
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		if sel := info.Selections[e]; sel != nil {
+			return sel.Obj()
+		}
+		return info.Uses[e.Sel]
+	}
+	return nil
+}
+
+// step scans the function a step expression denotes: a literal, a function
+// or method value of this package, or a variable or field holding one.
+func (c *stepChecker) step(e ast.Expr) {
+	if fl, ok := ast.Unparen(e).(*ast.FuncLit); ok {
+		c.scan(fl.Body)
+		return
+	}
+	switch obj := c.object(e).(type) {
+	case *types.Func:
+		if fd := c.decls[obj]; fd != nil {
+			c.scan(fd.Body)
+		}
+	case *types.Var:
+		if !c.seen[obj] {
+			c.seen[obj] = true
+			for _, v := range c.vals[obj] {
+				c.step(v)
+			}
+		}
+	}
+}
+
+// scan reports the blocking operations of one body and follows its calls
+// into the package's other functions.
+func (c *stepChecker) scan(body *ast.BlockStmt) {
+	if c.seen[body] {
+		return
+	}
+	c.seen[body] = true
+	scanBlocking(c.pass, body, func(pos ast.Node, what string) {
+		c.pass.Reportf(pos.Pos(),
+			"%s in a service step or clock callback: it runs with virtual time held still and must not block; arm an event, or move the blocking work onto a Clock.Go goroutine",
+			what)
+	}, func(fn *types.Func) {
+		if fd := c.decls[fn]; fd != nil {
+			c.scan(fd.Body)
+		}
+	})
+}

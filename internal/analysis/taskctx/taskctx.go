@@ -1,5 +1,5 @@
 // Package taskctx defines the tagalint analyzer that enforces task-context
-// discipline on the task-aware communication libraries. Two rules:
+// discipline on the task-aware communication libraries. Three rules:
 //
 //  1. A tagaspi/tampi operation must be issued on behalf of a real task —
 //     passing a nil *tasking.Task dereferences nil inside Events() at
@@ -9,6 +9,11 @@
 //     it may only register asynchronous events (NotifyIwait and friends).
 //     Blocking there — a channel op, Task.WaitFor/Yield, or any simulator
 //     wait — stalls dependency release for the whole rank.
+//  3. A clock callback (vclock.Clock.NewEvent) or service step (the
+//     functions handed to tasking.Service and core.Service) runs on the
+//     goroutine that is advancing the virtual clock, which holds the
+//     advance lock. Blocking there — directly or in a function of the same
+//     package it calls — hangs the run with no deadlock report (step.go).
 package taskctx
 
 import (
@@ -21,11 +26,12 @@ import (
 )
 
 // Analyzer flags nil *tasking.Task arguments to task-aware operations and
-// blocking calls inside onready callbacks.
+// blocking calls inside onready callbacks, clock callbacks and service steps.
 var Analyzer = &analysis.Analyzer{
 	Name: "taskctx",
 	Doc: "report nil *tasking.Task arguments to tagaspi/tampi operations " +
-		"and blocking waits issued from onready callbacks",
+		"and blocking waits issued from onready callbacks, clock callbacks " +
+		"and service steps",
 	Run: run,
 }
 
@@ -41,6 +47,7 @@ func run(pass *analysis.Pass) error {
 		}
 		return true
 	})
+	checkSteps(pass)
 	return nil
 }
 
@@ -84,19 +91,30 @@ func onreadyCallback(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
 	return fl
 }
 
-// checkOnready scans an onready body for blocking operations. Nested
-// function literals are skipped: they are values, not code the callback
-// necessarily runs.
+// checkOnready scans an onready body for blocking operations.
 func checkOnready(pass *analysis.Pass, fl *ast.FuncLit) {
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
+	scanBlocking(pass, fl.Body, func(pos ast.Node, what string) {
+		pass.Reportf(pos.Pos(),
+			"%s in an onready callback: onready runs before the task has a core and may only register asynchronous events",
+			what)
+	}, nil)
+}
+
+// scanBlocking walks a function body and reports every operation that can
+// park the calling goroutine; a call to any other function is passed to
+// called, if not nil. Nested function literals are skipped: they are
+// values, not code the body necessarily runs.
+func scanBlocking(pass *analysis.Pass, body *ast.BlockStmt,
+	report func(pos ast.Node, what string), called func(*types.Func)) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			report(pass, n.Pos(), "channel send")
+			report(n, "channel send")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				report(pass, n.Pos(), "channel receive")
+				report(n, "channel receive")
 			}
 		case *ast.SelectStmt:
 			for _, cl := range n.Body.List {
@@ -104,21 +122,17 @@ func checkOnready(pass *analysis.Pass, fl *ast.FuncLit) {
 					return true // non-blocking: has a default case
 				}
 			}
-			report(pass, n.Pos(), "select")
+			report(n, "select")
 		case *ast.CallExpr:
 			fn := simcall.Callee(pass.TypesInfo, n)
 			if simcall.IsBlocking(fn) {
-				report(pass, n.Pos(), simcall.BlockDescription(fn))
+				report(n, simcall.BlockDescription(fn))
+			} else if fn != nil && called != nil {
+				called(fn)
 			}
 		}
 		return true
 	})
-}
-
-func report(pass *analysis.Pass, pos token.Pos, what string) {
-	pass.Reportf(pos,
-		"%s in an onready callback: onready runs before the task has a core and may only register asynchronous events",
-		what)
 }
 
 func isNil(info *types.Info, e ast.Expr) bool {

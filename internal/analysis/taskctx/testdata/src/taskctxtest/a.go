@@ -2,10 +2,13 @@
 package taskctxtest
 
 import (
+	"repro/internal/core"
+	"repro/internal/gaspisim"
 	"repro/internal/mpisim"
 	"repro/internal/tagaspi"
 	"repro/internal/tampi"
 	"repro/internal/tasking"
+	"repro/internal/vclock"
 )
 
 func nilTaskToTagaspi(l *tagaspi.Library) {
@@ -59,4 +62,53 @@ func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, ch chan int) {
 			<-ch // ok: runs on its own goroutine, not in onready
 		})
 	}))
+}
+
+// A clock callback runs on the goroutine advancing the clock.
+func sleepInClockCallback(clk vclock.Clock) {
+	clk.NewEvent(func() {
+		clk.Sleep(10) // want "vclock.Clock.Sleep in a service step or clock callback"
+	})
+}
+
+// poller is shaped like the task-aware libraries: its steps are method
+// values bound to fields once, so arming allocates nothing.
+type poller struct {
+	svc             *core.Service
+	p               *gaspisim.Proc
+	comp            []gaspisim.CompletedRequest
+	drainFn, nextFn func()
+}
+
+func startPoller(rt *tasking.Runtime, p *gaspisim.Proc) *poller {
+	l := &poller{p: p, svc: core.NewService(rt, "fixture", 10)}
+	l.drainFn = l.drain
+	l.nextFn = l.blockingNext
+	l.svc.Start(l.poll)
+	return l
+}
+
+func (l *poller) poll() {
+	l.svc.After(l.p.RequestTestCost(), l.drainFn) // ok: the cost is an armed event
+}
+
+func (l *poller) drain() {
+	l.comp = l.p.RequestTest(0, 8, l.comp[:0]) // ok: never blocks
+	if len(l.comp) == 0 {
+		l.p.Clock().Go(func() {
+			l.p.Wait(0) // ok: blocking work hops onto its own goroutine
+			l.svc.Done(0)
+		})
+		return
+	}
+	l.svc.After(1, l.nextFn)
+}
+
+func (l *poller) blockingNext() {
+	l.flush() // the step itself is clean; what it calls is not
+	l.svc.Done(len(l.comp))
+}
+
+func (l *poller) flush() {
+	l.comp = l.p.RequestWait(0, 8, gaspisim.Block) // want "gaspisim.Proc.RequestWait in a service step or clock callback"
 }

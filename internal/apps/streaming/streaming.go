@@ -15,6 +15,7 @@ package streaming
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/gaspisim"
@@ -74,7 +75,8 @@ type pipe struct {
 	sendSeg *memory.Segment
 	recv    memory.F64
 	send    memory.F64
-	sum     float64 // last stage: checksum accumulator
+	sumMu   sync.Mutex // block tasks of one chunk run on concurrent workers
+	sum     float64    // last stage: checksum accumulator
 }
 
 const (
@@ -162,9 +164,13 @@ func (pi *pipe) computeBlock(c, j int) {
 			pi.send.Set(off+i, gen(c, pi.elemBase(j)+i))
 		}
 	case pi.next < 0:
+		var sum float64
 		for i := 0; i < b; i++ {
-			pi.sum += stageFn(pi.node, pi.recv.At(off+i))
+			sum += stageFn(pi.node, pi.recv.At(off+i))
 		}
+		pi.sumMu.Lock()
+		pi.sum += sum
+		pi.sumMu.Unlock()
 	default:
 		for i := 0; i < b; i++ {
 			pi.send.Set(off+i, stageFn(pi.node, pi.recv.At(off+i)))

@@ -1,0 +1,91 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/tasking"
+)
+
+// raceEnabled is set by race_on_test.go when the race detector is
+// compiled in; allocation-count gates skip under -race.
+var raceEnabled bool
+
+// TestIdlePollPassZeroAlloc is an allocation-regression gate of
+// scripts/ci.sh: a polling pass that retires nothing must allocate
+// nothing. A 256-node TAGASPI job makes two million such passes; when each
+// armed event cost a timer and a closure, the garbage — never collected
+// under the GC goal the application grid sets — tripled the job's peak RSS.
+// Every rank here has one operation pending that cannot complete while the
+// passes are counted, so a pass does its full work: TAMPI books and settles
+// a Testsome over the in-flight set, TAGASPI drains every queue's
+// completion list and scans the notification list.
+func TestIdlePollPassZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	const poll = 5 * time.Microsecond
+	for _, lib := range []string{"tampi", "tagaspi"} {
+		t.Run(lib, func(t *testing.T) {
+			cfg := Config{
+				Nodes: 2, RanksPerNode: 1, CoresPerRank: 2,
+				Profile:     fabric.ProfileOmniPath(),
+				WithTasking: true, WithTAMPI: lib == "tampi", WithTAGASPI: lib == "tagaspi",
+				TAMPIPoll: poll, TAGASPIPoll: poll,
+			}
+			Run(cfg, func(env *Env) {
+				if _, err := env.GASPI.SegmentCreate(0, 64); err != nil {
+					t.Error(err)
+					return
+				}
+				env.MPI.Barrier()
+				peer := 1 - env.Rank
+				buf := make([]byte, 8)
+				// Bind one operation the peer completes only after the
+				// measurement, so the poller has something to check.
+				env.RT.Submit(func(tk *tasking.Task) {
+					if env.TAMPI != nil {
+						env.TAMPI.Iwait(tk, env.MPI.Irecv(buf, peer, 0))
+					} else {
+						env.TAGASPI.NotifyIwait(tk, 0, 1, nil)
+					}
+				})
+				passes := func() int64 {
+					if env.TAMPI != nil {
+						return env.TAMPI.Service().Passes()
+					}
+					return env.TAGASPI.Service().Passes()
+				}
+				if env.Rank == 0 {
+					env.Clk.Sleep(100 * poll) // warm the scratch buffers and pools
+					const runs = 200
+					before := passes()
+					// A Sleep of two polling periods spans at least one
+					// whole pass of each rank's service (a period plus the
+					// pass's own modelled cost), run by this goroutine as
+					// it advances the clock.
+					avg := testing.AllocsPerRun(runs, func() { env.Clk.Sleep(2 * poll) })
+					if n := passes() - before; n < runs {
+						t.Errorf("only %d passes ran during %d measured sleeps", n, runs)
+					}
+					if avg != 0 {
+						t.Errorf("%s: an idle polling pass allocates %.2f objects, want 0", lib, avg)
+					}
+					t.Logf("%s: %.2f allocs per idle pass", lib, avg)
+				} else {
+					env.Clk.Sleep(time.Second) // far past the measurement
+				}
+				if env.TAMPI != nil {
+					env.MPI.Send(buf, peer, 0)
+					return
+				}
+				env.RT.Submit(func(tk *tasking.Task) {
+					if err := env.TAGASPI.Notify(tk, peer, 0, 1, 1, 0); err != nil {
+						t.Error(err)
+					}
+				})
+			})
+		})
+	}
+}

@@ -206,10 +206,10 @@ func Run(cfg Config, main func(*Env)) Result {
 	envs := make([]*Env, n)
 	// Rank environments are built before any main starts, in parallel
 	// batches on a bounded set of host workers: at 10k-rank scale the
-	// per-rank setup (tasking runtime, task-aware libraries) is pure host
-	// work with no modelled time, and doing it inside 10k freshly spawned
-	// rank goroutines serialized badly behind the scheduler. Setup touches
-	// only rank-private state, so batch construction is race-free.
+	// per-rank setup (the tasking runtime) is pure host work with no
+	// modelled time, and doing it inside 10k freshly spawned rank
+	// goroutines serialized badly behind the scheduler. Setup touches only
+	// rank-private state, so batch construction is race-free.
 	forEachRank(n, func(r int) {
 		env := &Env{
 			Rank: fabric.Rank(r), Cfg: cfg, Clk: clk, Fab: fab,
@@ -224,34 +224,40 @@ func Run(cfg Config, main func(*Env)) Result {
 			if cfg.Recorder != nil {
 				env.RT.SetRecorder(cfg.Recorder, r)
 			}
-			if cfg.WithTAMPI {
-				env.TAMPI = tampi.New(env.MPI, env.RT, cfg.TAMPIPoll)
-			}
-			if cfg.WithTAGASPI {
-				env.TAGASPI = tagaspi.New(env.GASPI, env.RT, cfg.TAGASPIPoll)
-				if cfg.Recorder != nil {
-					env.TAGASPI.SetRecorder(cfg.Recorder)
-				}
-			}
 		}
 		envs[r] = env
 	})
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		env := envs[r]
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
-			main(env)
-			if env.RT != nil {
-				env.RT.TaskWait()
+	// The clock learns of every rank main before anything starts, and the
+	// polling services start next, from this goroutine, in rank order and
+	// TAMPI before TAGASPI: no virtual time passes — and the services draw
+	// their first timer sequences in one fixed order — before the whole job
+	// exists.
+	start := vclock.Launch(clk, n)
+	for _, env := range envs {
+		if cfg.WithTAMPI {
+			env.TAMPI = tampi.New(env.MPI, env.RT, cfg.TAMPIPoll)
+		}
+		if cfg.WithTAGASPI {
+			env.TAGASPI = tagaspi.New(env.GASPI, env.RT, cfg.TAGASPIPoll)
+			if cfg.Recorder != nil {
+				env.TAGASPI.SetRecorder(cfg.Recorder)
 			}
-			env.MPI.Barrier()
-			if env.RT != nil {
-				env.RT.Shutdown()
-			}
-		})
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	start(func(r int) {
+		defer wg.Done()
+		env := envs[r]
+		main(env)
+		if env.RT != nil {
+			env.RT.TaskWait()
+		}
+		env.MPI.Barrier()
+		if env.RT != nil {
+			env.RT.Shutdown()
+		}
+	})
 	wg.Wait()
 	res := Result{Elapsed: clk.Now(), Fabric: fab.Stats()}
 	// Teardown mirrors setup: per-rank statistics land in preallocated

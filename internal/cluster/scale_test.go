@@ -16,8 +16,9 @@ import (
 // paper's node count (reduced to one rank per node) with GASPI
 // neighbourhood traffic and pooled tasks must keep the host goroutine
 // count linear in ranks with a small constant — one main per rank plus a
-// bounded worker pool, plus a fixed number of courier shards — and must
-// unwind completely after Run (fabric closed, schedulers shut down). The
+// bounded worker pool, plus a fixed number of courier shards, and nothing
+// for the rank's TAGASPI polling service, which runs on clock events — and
+// must unwind completely after Run (fabric closed, schedulers shut down). The
 // pre-shard substrate (a courier goroutine pair per ordering domain, a
 // goroutine per running task) blows the in-flight budget at this scale,
 // and a leaked courier or worker trips the settle check.
@@ -42,8 +43,8 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 	cfg := Config{
 		Nodes: nodes, RanksPerNode: 1, CoresPerRank: cores,
 		Profile:     fabric.ProfileOmniPath(),
-		WithTasking: true,
-		Seed:        42,
+		WithTasking: true, WithTAGASPI: true,
+		Seed: 42,
 	}
 	const seg = gaspisim.SegmentID(1)
 	res := Run(cfg, func(env *Env) {
@@ -85,11 +86,12 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 		t.Fatalf("fabric carried %d messages, want >= %d", res.Fabric.Messages, 4*nodes*rounds)
 	}
 
-	// In-flight budget: a main goroutine per rank, up to Cores pool workers
-	// plus one in flight per rank, a fixed courier-shard pool (<= 64) and
-	// slack for the test harness itself. Linear in ranks — NOT in ordering
-	// domains (4n of them here) and NOT in submitted tasks.
-	budget := int64(base + nodes*(2+cores) + 192)
+	// In-flight budget: a main goroutine per rank and up to Cores pool
+	// workers (the polling service has no goroutine, and no task body here
+	// blocks, so no replacement worker either), a fixed courier-shard pool
+	// (<= 64) and slack for the test harness itself. Linear in ranks — NOT
+	// in ordering domains (4n of them here) and NOT in submitted tasks.
+	budget := int64(base + nodes*(1+cores) + 192)
 	if p := peak.Load(); p > budget {
 		t.Fatalf("peak goroutine count %d exceeds budget %d (base %d): host substrate no longer bounded", p, budget, base)
 	}

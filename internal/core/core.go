@@ -8,6 +8,8 @@
 //     Each service has its own polling period — the flexibility §V-B adds
 //     over the older global polling-services API — and the period can be
 //     changed at run time (the paper's "future work" dynamic adaptation).
+//     The service is event-driven (tasking.Service): a pass is a chain of
+//     non-blocking steps on clock callback events, not a goroutine loop.
 //
 //   - Pending: a multi-producer staging queue for operation descriptors.
 //     Communication tasks enqueue concurrently; the polling task drains the
@@ -26,13 +28,20 @@ import (
 	"repro/internal/tasking"
 )
 
-// Poller performs one checking pass over a library's pending operations,
-// reporting how many completions it retired.
-type Poller func() int
+// Poller starts one checking pass over a library's pending operations. The
+// pass is made of service steps: it charges modelled time with
+// Service.After, never by blocking (a pass that has to block moves itself
+// onto a Clock.Go goroutine), and ends — in the call itself or in a later
+// step — with exactly one Service.Done.
+type Poller func()
 
 // Service is a transparent polling task bound to one task-aware library.
 type Service struct {
-	rt       *tasking.Runtime
+	rt   *tasking.Runtime
+	name string
+	task *tasking.Service
+	poll Poller
+
 	interval atomic.Int64 // nanoseconds between passes; 0 = dedicated
 	passes   atomic.Int64
 	retired  atomic.Int64
@@ -42,57 +51,95 @@ type Service struct {
 	// within [adaptMin, adaptMax].
 	adaptive           atomic.Bool
 	adaptMin, adaptMax int64
+
+	before time.Duration // start of the pass in progress
+	passFn func()        // s.pass, bound once so that waiting allocates nothing
+
+	// Polling iterations are recorded on a per-service track; metric names
+	// are built once.
+	track                         obs.Track
+	spanName, passCtr, retiredCtr string
 }
 
 // minIdleTick bounds a zero-cost idle polling pass so a dedicated (0µs)
 // poller cannot livelock real time when nothing is in flight.
 const minIdleTick = 200 * time.Nanosecond
 
-// StartService spawns the polling task. interval is the period between
-// passes (§VI: 50–150µs are the paper's tuned values; 0 dedicates the
-// core, polling back-to-back). The service stops when the runtime shuts
-// down.
-func StartService(rt *tasking.Runtime, name string, interval time.Duration, poll Poller) *Service {
-	s := &Service{rt: rt}
+// NewService prepares the polling task of one library. interval is the
+// period between passes (§VI: 50–150µs are the paper's tuned values; 0
+// dedicates the core, polling back-to-back). Nothing runs until Start.
+func NewService(rt *tasking.Runtime, name string, interval time.Duration) *Service {
+	s := &Service{
+		rt: rt, name: name,
+		track:      obs.PollTrack(name),
+		spanName:   "poll:" + name,
+		passCtr:    "poll." + name + ".passes",
+		retiredCtr: "poll." + name + ".retired",
+	}
+	s.passFn = s.pass
 	s.interval.Store(int64(interval))
-	rt.Spawn(func(t *tasking.Task) {
-		clk := rt.Clock()
-		// Polling iterations are recorded on a per-service track; metric
-		// names are built once, outside the hot loop. Idle passes only
-		// bump a counter — a dedicated poller makes millions of them and
-		// spans for each would swamp the trace.
-		rec := rt.Recorder()
-		rank := rt.Rank()
-		track := obs.PollTrack(name)
-		spanName := "poll:" + name
-		passCtr := "poll." + name + ".passes"
-		retiredCtr := "poll." + name + ".retired"
-		for !rt.Stopping() {
-			before := clk.Now()
-			n := poll()
-			s.passes.Add(1)
-			s.retired.Add(int64(n))
-			if rec != nil {
-				rec.Count(passCtr, 1)
-				if n > 0 {
-					rec.Count(retiredCtr, int64(n))
-					rec.Span(rank, track, obs.CatPoll, spanName, before, clk.Now(), int64(n))
-				}
-			}
-			if s.adaptive.Load() {
-				s.adapt(n)
-			}
-			iv := time.Duration(s.interval.Load())
-			if iv > 0 {
-				t.WaitFor(iv)
-			} else if clk.Now() == before {
-				// Dedicated polling with an idle pass of zero modelled
-				// cost: yield briefly so virtual time can advance.
-				t.WaitFor(minIdleTick)
-			}
-		}
-	}, name)
 	return s
+}
+
+// Start spawns the polling task; its first pass may run before Start
+// returns. The service stops when the runtime shuts down.
+func (s *Service) Start(poll Poller) {
+	s.poll = poll
+	s.rt.Spawn(s.name, func(t *tasking.Service) {
+		s.task = t
+		s.pass()
+	})
+}
+
+// pass begins one polling pass; the service holds a core.
+//
+//tagalint:hotpath
+func (s *Service) pass() {
+	if s.rt.Stopping() {
+		s.task.Exit()
+		return
+	}
+	s.before = s.rt.Clock().Now()
+	s.poll()
+}
+
+// After charges d of modelled time to the pass in progress — the service
+// keeps its core — and then runs the pass's next step fn.
+//
+//tagalint:hotpath
+func (s *Service) After(d time.Duration, fn func()) { s.task.After(d, fn) }
+
+// Done ends the pass in progress, which retired n completions, and waits
+// out the polling period before the next one. Idle passes only bump a
+// counter — a dedicated poller makes millions of them and spans for each
+// would swamp the trace.
+//
+//tagalint:hotpath
+func (s *Service) Done(n int) {
+	clk := s.rt.Clock()
+	s.passes.Add(1)
+	s.retired.Add(int64(n))
+	if rec := s.rt.Recorder(); rec != nil {
+		rec.Count(s.passCtr, 1)
+		if n > 0 {
+			rec.Count(s.retiredCtr, int64(n))
+			rec.Span(s.rt.Rank(), s.track, obs.CatPoll, s.spanName, s.before, clk.Now(), int64(n))
+		}
+	}
+	if s.adaptive.Load() {
+		s.adapt(n)
+	}
+	iv := time.Duration(s.interval.Load())
+	switch {
+	case iv > 0:
+		s.task.WaitFor(iv, s.passFn)
+	case clk.Now() == s.before:
+		// Dedicated polling with an idle pass of zero modelled cost:
+		// yield briefly so virtual time can advance.
+		s.task.WaitFor(minIdleTick, s.passFn)
+	default:
+		s.pass()
+	}
 }
 
 // SetInterval changes the polling period for subsequent passes and leaves

@@ -10,6 +10,14 @@ import (
 	"repro/internal/vclock"
 )
 
+// startService starts a service whose passes cost no modelled time and
+// retire what poll returns.
+func startService(rt *tasking.Runtime, name string, interval time.Duration, poll func() int) *Service {
+	s := NewService(rt, name, interval)
+	s.Start(func() { s.Done(poll()) })
+	return s
+}
+
 func TestServicePollsPeriodically(t *testing.T) {
 	clk := vclock.NewVirtual()
 	rt := tasking.New(clk, tasking.Config{Cores: 2})
@@ -18,7 +26,7 @@ func TestServicePollsPeriodically(t *testing.T) {
 	var svc *Service
 	clk.Go(func() {
 		defer wg.Done()
-		svc = StartService(rt, "poll", 10*time.Microsecond, func() int { return 1 })
+		svc = startService(rt, "poll", 10*time.Microsecond, func() int { return 1 })
 		rt.Submit(func(tk *tasking.Task) { tk.Compute(100 * time.Microsecond) })
 		rt.TaskWait()
 		rt.Shutdown()
@@ -42,7 +50,7 @@ func TestServiceDoesNotStarveWorkers(t *testing.T) {
 	wg.Add(1)
 	clk.Go(func() {
 		defer wg.Done()
-		StartService(rt, "dedicated", 0, func() int { return 0 })
+		startService(rt, "dedicated", 0, func() int { return 0 })
 		rt.Submit(func(*tasking.Task) { ran = true })
 		rt.TaskWait()
 		rt.Shutdown()
@@ -60,7 +68,7 @@ func TestServiceSetInterval(t *testing.T) {
 	wg.Add(1)
 	clk.Go(func() {
 		defer wg.Done()
-		svc := StartService(rt, "poll", 100*time.Microsecond, func() int { return 0 })
+		svc := startService(rt, "poll", 100*time.Microsecond, func() int { return 0 })
 		if svc.Interval() != 100*time.Microsecond {
 			t.Errorf("Interval = %v", svc.Interval())
 		}
@@ -84,7 +92,7 @@ func TestServiceStopsOnShutdown(t *testing.T) {
 	var svc *Service
 	clk.Go(func() {
 		defer wg.Done()
-		svc = StartService(rt, "poll", time.Microsecond, func() int { return 0 })
+		svc = startService(rt, "poll", time.Microsecond, func() int { return 0 })
 		rt.Shutdown()
 	})
 	wg.Wait()
@@ -185,7 +193,7 @@ func TestServiceAdaptivePolling(t *testing.T) {
 	clk.Go(func() {
 		defer wg.Done()
 		busy := true
-		svc := StartService(rt, "adaptive", 100*time.Microsecond, func() int {
+		svc := startService(rt, "adaptive", 100*time.Microsecond, func() int {
 			if busy {
 				return 1
 			}

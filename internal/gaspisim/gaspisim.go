@@ -848,16 +848,11 @@ func (p *Proc) notifyWaitSome(seg SegmentID, begin NotificationID, num int,
 // semantics.
 func (p *Proc) RequestWait(queueID, max int, timeout time.Duration) []CompletedRequest {
 	q := p.queueAt(queueID)
-	p.clk.Sleep(p.prof.RDMAOpOverhead / 2) // CPU cost of draining the CQ
+	p.clk.Sleep(p.RequestTestCost())
 	for {
 		q.mu.Lock()
 		if len(q.completed) > 0 {
-			n := len(q.completed)
-			if n > max {
-				n = max
-			}
-			out := append([]CompletedRequest(nil), q.completed[:n]...)
-			q.completed = q.completed[n:]
+			out := q.takeLocked(max, nil)
 			q.mu.Unlock()
 			return out
 		}
@@ -885,6 +880,45 @@ func (p *Proc) RequestWait(queueID, max int, timeout time.Duration) []CompletedR
 			timeout = Test // final pass drains anything that raced in
 		}
 	}
+}
+
+// RequestTestCost is the modelled CPU cost of draining a queue's completion
+// list once, which RequestWait charges its caller and a RequestTest caller
+// charges itself.
+func (p *Proc) RequestTestCost() time.Duration { return p.prof.RDMAOpOverhead / 2 }
+
+// RequestTest is RequestWait with timeout Test for callers that must not
+// block (TAGASPI's event-driven polling service): it appends up to max
+// locally-completed requests to buf, which the caller owns, and charges no
+// time — the caller lets RequestTestCost elapse first.
+//
+//tagalint:hotpath
+func (p *Proc) RequestTest(queueID, max int, buf []CompletedRequest) []CompletedRequest {
+	q := p.queueAt(queueID)
+	q.mu.Lock()
+	buf = q.takeLocked(max, buf)
+	q.mu.Unlock()
+	return buf
+}
+
+// takeLocked moves up to max completed requests to buf. A fully drained
+// list keeps its backing array for the completions to come. Callers hold
+// q.mu.
+//
+//tagalint:hotpath
+func (q *queue) takeLocked(max int, buf []CompletedRequest) []CompletedRequest {
+	n := len(q.completed)
+	if n > max {
+		n = max
+	}
+	buf = append(buf, q.completed[:n]...)
+	if n == len(q.completed) {
+		clear(q.completed)
+		q.completed = q.completed[:0]
+	} else {
+		q.completed = q.completed[n:]
+	}
+	return buf
 }
 
 // Wait blocks until all operations posted to the queue have locally

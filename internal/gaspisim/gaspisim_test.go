@@ -11,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/memory"
 	"repro/internal/vclock"
+	"repro/internal/vsync"
 )
 
 // must fails fast on simulator API errors in rank goroutines, which run
@@ -240,7 +241,11 @@ func TestQueuesAreIndependentResources(t *testing.T) {
 	var oneQ, fourQ time.Duration
 	runPosts := func(p *Proc, queues int) time.Duration {
 		t0 := p.clk.Now()
-		var inner sync.WaitGroup
+		// A clock-aware wait: leaving the clock to block on a host
+		// WaitGroup opens a window, between the last poster's exit and
+		// this goroutine's return, in which nobody is registered and
+		// virtual time runs on to the peer's one-second sleep.
+		inner := vsync.NewWaitGroup(p.clk)
 		for c := 0; c < 4; c++ {
 			c := c
 			inner.Add(1)
@@ -251,9 +256,7 @@ func TestQueuesAreIndependentResources(t *testing.T) {
 				}
 			})
 		}
-		p.clk.Unregister()
 		inner.Wait()
-		p.clk.Register()
 		for q := 0; q < queues; q++ {
 			p.Wait(q)
 		}

@@ -301,17 +301,22 @@ func putInMsg(m *inMsg) {
 	inMsgPool.Put(m)
 }
 
-// charge serves one library call through the THREAD_MULTIPLE lock. The
-// queueing delay it returns from the lock resource is the per-call share of
-// the §VI-C "time inside MPI" blowup; instrumented runs feed it straight
-// into the mpi.lock_wait histogram, and every nonzero wait additionally
-// records an "mpi:lock_wait" span plus a lock-acquire flow edge (wait start
-// → acquire) so the critical-path analysis can blame lock serialization
-// (DESIGN.md §10). The edge id hashes (rank, wait start, wait length) —
-// all virtual quantities, so ids are deterministic across reruns.
+// Booking is one library call booked on the THREAD_MULTIPLE lock whose
+// modelled time the caller has not spent yet: it must let Wait elapse —
+// Sleep, or an armed event — and then settle the call.
+type Booking struct {
+	Wait          time.Duration // modelled time until the call completes
+	start, waited time.Duration // call instant and effective queueing delay
+}
+
+// book reserves one library call of cost base on the THREAD_MULTIPLE lock:
+// prog — the progress engine's pending matching work, serialized ahead of
+// the caller's own call — plus the jittered base. The queueing delay the
+// lock resource reports is the per-call share of the §VI-C "time inside
+// MPI" blowup.
 //
 //tagalint:hotpath
-func (p *Proc) charge(base time.Duration) {
+func (p *Proc) book(base time.Duration) Booking {
 	now := p.clk.Now()
 	p.mu.Lock()
 	d := p.jit.Apply(base)
@@ -322,7 +327,42 @@ func (p *Proc) charge(base time.Duration) {
 	}
 	p.progOld = 0
 	p.mu.Unlock()
-	p.useLock(now, time.Duration(k)*p.prof.MPIMatchCost, d)
+	prog := time.Duration(k) * p.prof.MPIMatchCost
+	start, done := p.libLock.Reserve(prog + d)
+	return Booking{Wait: done - now, start: now, waited: start - now + prog}
+}
+
+// settle records a booked call once its time has elapsed: the effective
+// queueing delay (queueing + prog) feeds the mpi.lock_wait histogram always,
+// and — on a nonzero wait — an "mpi:lock_wait" span plus a lock-acquire flow
+// edge (wait start → acquire) so the critical-path analysis can blame lock
+// serialization (DESIGN.md §10). The edge id hashes (rank, wait start, wait
+// length) — all virtual quantities, so ids are deterministic across reruns.
+//
+//tagalint:hotpath
+func (p *Proc) settle(b Booking) {
+	if p.rec == nil {
+		return
+	}
+	p.rec.Latency("mpi.lock_wait", b.waited)
+	if b.waited > 0 {
+		acq := b.start + b.waited
+		p.rec.Span(int(p.rank), obs.TrackMPI, obs.CatMPI, "mpi:lock_wait",
+			b.start, acq, int64(b.waited))
+		id := obs.FlowID(obs.FlowKindLock, int64(p.rank), int64(b.start), int64(b.waited))
+		p.rec.Flow(int(p.rank), obs.TrackMPI, obs.CatMPI, "flow:lock", 's', b.start, id)
+		p.rec.Flow(int(p.rank), obs.TrackMPI, obs.CatMPI, "flow:lock", 'f', acq, id)
+	}
+}
+
+// charge serves one library call through the THREAD_MULTIPLE lock, blocking
+// the caller for its queueing delay and service time.
+//
+//tagalint:hotpath
+func (p *Proc) charge(base time.Duration) {
+	b := p.book(base)
+	p.clk.Sleep(b.Wait)
+	p.settle(b)
 }
 
 // progressNote records that the progress engine has an incoming message to
@@ -344,32 +384,6 @@ func (p *Proc) progressNote() {
 	}
 	p.progN++
 	p.mu.Unlock()
-}
-
-// useLock occupies the library lock for prog+d of modelled time, where prog
-// is the progress engine's pending matching work serialized ahead of the
-// caller's own call, and records the effective queueing delay (queueing +
-// prog): the mpi.lock_wait histogram always, and — on a nonzero wait — an
-// "mpi:lock_wait" span plus a lock-acquire flow edge (wait start → acquire)
-// so the critical-path analysis can blame lock serialization (DESIGN.md
-// §10). The edge id hashes (rank, wait start, wait length) — all virtual
-// quantities, so ids are deterministic across reruns.
-//
-//tagalint:hotpath
-func (p *Proc) useLock(start, prog, d time.Duration) {
-	waited := p.libLock.Use(prog + d)
-	if p.rec != nil {
-		waited += prog
-		p.rec.Latency("mpi.lock_wait", waited)
-		if waited > 0 {
-			acq := start + waited
-			p.rec.Span(int(p.rank), obs.TrackMPI, obs.CatMPI, "mpi:lock_wait",
-				start, acq, int64(waited))
-			id := obs.FlowID(obs.FlowKindLock, int64(p.rank), int64(start), int64(waited))
-			p.rec.Flow(int(p.rank), obs.TrackMPI, obs.CatMPI, "flow:lock", 's', start, id)
-			p.rec.Flow(int(p.rank), obs.TrackMPI, obs.CatMPI, "flow:lock", 'f', acq, id)
-		}
-	}
 }
 
 // validTag panics on reserved tags (negative values are internal).
@@ -553,8 +567,22 @@ func (p *Proc) Test(r *Request) (bool, Status) {
 // the indices of the completed ones (nil requests are skipped). This is the
 // call TAMPI's polling service uses.
 func (p *Proc) Testsome(reqs []*Request) []int {
-	p.charge(p.prof.MPIOpOverhead)
-	var idx []int
+	b := p.BookTestsome()
+	p.clk.Sleep(b.Wait)
+	return p.FinishTestsome(b, reqs, nil)
+}
+
+// BookTestsome is the first half of Testsome for callers that must not
+// block (TAMPI's event-driven polling service): it books the library call
+// and returns; once Booking.Wait has elapsed, FinishTestsome completes it.
+func (p *Proc) BookTestsome() Booking { return p.book(p.prof.MPIOpOverhead) }
+
+// FinishTestsome is the second half of Testsome: it settles the booked call
+// and appends the indices of the completed requests to idx.
+//
+//tagalint:hotpath
+func (p *Proc) FinishTestsome(b Booking, reqs []*Request, idx []int) []int {
+	p.settle(b)
 	for i, r := range reqs {
 		if r == nil {
 			continue

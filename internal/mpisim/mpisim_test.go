@@ -36,14 +36,11 @@ func withWorld(nodes, rpn int, prof fabric.Profile, fn func(p *Proc)) *fabric.Fa
 	fab := fabric.New(clk, fabric.NewTopology(nodes, rpn), prof)
 	w := NewWorld(fab, 1)
 	var wg sync.WaitGroup
-	for r := 0; r < w.Size(); r++ {
-		p := w.Proc(Rank(r))
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
-			fn(p)
-		})
-	}
+	wg.Add(w.Size())
+	vclock.Launch(clk, w.Size())(func(r int) {
+		defer wg.Done()
+		fn(w.Proc(Rank(r)))
+	})
 	wg.Wait()
 	return fab
 }

@@ -13,7 +13,8 @@
 //     operation tag; a write+notify accounts for two low-level requests.
 //   - A transparent polling task drains each queue's completed requests
 //     with gaspi_request_wait (non-blocking) and decrements the event
-//     counters codified in the returned tags.
+//     counters codified in the returned tags. The task is event-driven
+//     (core.Service): a pass is a chain of steps, one per drained queue.
 //   - Pending notification waits are staged on a multi-producer queue and
 //     drained by the polling task into a private list; each pass checks
 //     arrival with a non-blocking notify-reset, stores the notified value
@@ -66,6 +67,13 @@ type Library struct {
 	outstanding atomic.Int64 // pending notification waits, for observers
 	retries     atomic.Int64 // resubmissions performed
 	gaveup      atomic.Int64 // operations abandoned after maxAttempts
+
+	// State of the polling pass in progress, owned by the service's steps.
+	q       int                         // queue being drained
+	retired int                         // task events retired so far
+	comp    []gaspisim.CompletedRequest // scratch buffer reused by every drain
+	// Step method values, bound once so that arming allocates nothing.
+	drainFn, resubmitFn func()
 }
 
 // notifWait is one pending tagaspi_notify_iwait registration.
@@ -139,7 +147,9 @@ const maxBackoffShift = 10
 // polling task. A non-positive interval dedicates the polling task.
 func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p, rt: rt, maxAttempts: DefaultMaxAttempts, backoff: DefaultRetryBackoff}
-	l.svc = core.StartService(rt, "tagaspi-poll", interval, l.poll)
+	l.drainFn, l.resubmitFn = l.drain, l.resubmit
+	l.svc = core.NewService(rt, "tagaspi-poll", interval)
+	l.svc.Start(l.poll)
 	return l
 }
 
@@ -276,38 +286,77 @@ func (l *Library) NotifyIwaitAll(t *tasking.Task, seg SegmentID,
 	}
 }
 
-// poll is one pass of the transparent polling task (Figure 7): resubmit
-// failed operations whose backoff expired, drain every queue's completed
-// low-level requests, then check the pending notification list.
+// poll starts one pass of the transparent polling task (Figure 7):
+// resubmit failed operations whose backoff expired, drain every queue's
+// completed low-level requests, then check the pending notification list.
 //
 //tagalint:hotpath
-func (l *Library) poll() int {
-	retired := l.resubmitDue()
-	for q := 0; q < l.p.Queues(); q++ {
-		for {
-			comp := l.p.RequestWait(q, maxRequestsPerPass, gaspisim.Test)
-			for _, r := range comp {
-				po := r.Tag.(*pendingOp)
-				if r.OK {
-					po.counter.Decrease(1)
-					retired++
-					po.oks++
-					if po.oks == po.nreq { // fully retired; no completion left
-						putPendingOp(po)
-					}
-					continue
-				}
-				po.fails++
-				if po.fails == po.nreq { // all requests of this attempt failed
-					retired += l.opFailed(po)
-				}
+func (l *Library) poll() {
+	l.q, l.retired = 0, 0
+	if len(l.retryQ) > 0 {
+		// Repairing a queue and reposting block on modelled time, which a
+		// service step must not: this pass continues on its own goroutine.
+		l.p.Clock().Go(l.resubmitFn)
+		return
+	}
+	l.nextQueue()
+}
+
+// resubmit is the blocking step of a fault-path pass.
+func (l *Library) resubmit() {
+	l.retired = l.resubmitDue()
+	l.nextQueue()
+}
+
+// nextQueue charges the CPU cost of draining queue l.q's completion list
+// (the gaspi_request_wait call) and drains it once that time has passed;
+// after the last queue it finishes the pass.
+//
+//tagalint:hotpath
+func (l *Library) nextQueue() {
+	if l.q < l.p.Queues() {
+		l.svc.After(l.p.RequestTestCost(), l.drainFn)
+		return
+	}
+	l.checkNotifications()
+	l.svc.Done(l.retired)
+}
+
+// drain retires the completed low-level requests of queue l.q, at most
+// maxRequestsPerPass per gaspi_request_wait call; a full batch means the
+// queue may hold more and is drained again.
+//
+//tagalint:hotpath
+func (l *Library) drain() {
+	l.comp = l.p.RequestTest(l.q, maxRequestsPerPass, l.comp[:0])
+	for _, r := range l.comp {
+		po := r.Tag.(*pendingOp)
+		if r.OK {
+			po.counter.Decrease(1)
+			l.retired++
+			po.oks++
+			if po.oks == po.nreq { // fully retired; no completion left
+				putPendingOp(po)
 			}
-			if len(comp) < maxRequestsPerPass {
-				break
-			}
+			continue
+		}
+		po.fails++
+		if po.fails == po.nreq { // all requests of this attempt failed
+			l.retired += l.opFailed(po)
 		}
 	}
-	// Drain freshly staged waits into the private list, then scan it.
+	if len(l.comp) < maxRequestsPerPass {
+		l.q++
+	}
+	clear(l.comp) // the scratch buffer must not keep recycled records alive
+	l.nextQueue()
+}
+
+// checkNotifications drains freshly staged waits into the private list,
+// then scans it for notifications that arrived.
+//
+//tagalint:hotpath
+func (l *Library) checkNotifications() {
 	l.waiting = l.pending.Drain(l.waiting)
 	keep := l.waiting[:0]
 	for _, w := range l.waiting {
@@ -317,7 +366,7 @@ func (l *Library) poll() int {
 			}
 			w.counter.Decrease(1)
 			l.outstanding.Add(-1)
-			retired++
+			l.retired++
 			*w = notifWait{}
 			notifWaitPool.Put(w)
 		} else {
@@ -328,7 +377,6 @@ func (l *Library) poll() int {
 		l.waiting[i] = nil
 	}
 	l.waiting = keep
-	return retired
 }
 
 // opFailed handles one fully failed attempt: either schedule a backed-off

@@ -32,6 +32,14 @@ type Library struct {
 	mu       sync.Mutex
 	requests []*mpisim.Request
 	counters []*tasking.EventCounter
+
+	// State of the polling pass in progress, owned by the service's steps.
+	// The slices are scratch buffers reused by every pass.
+	snap    []*mpisim.Request // in-flight set as of the pass start
+	booking mpisim.Booking    // the pass's Testsome call
+	done    []int
+	retire  []*tasking.EventCounter
+	checkFn func() // l.check, bound once so that arming allocates nothing
 }
 
 // DefaultPollInterval is the polling period used when none is configured
@@ -42,7 +50,9 @@ const DefaultPollInterval = 150 * time.Microsecond
 // A non-positive interval dedicates the polling task (poll back-to-back).
 func New(p *mpisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p, rt: rt}
-	l.svc = core.StartService(rt, "tampi-poll", interval, l.poll)
+	l.checkFn = l.check
+	l.svc = core.NewService(rt, "tampi-poll", interval)
+	l.svc.Start(l.poll)
 	return l
 }
 
@@ -81,42 +91,57 @@ func (l *Library) Wait(t *tasking.Task, req *mpisim.Request) {
 	t.Yield(func() { l.p.Wait(req) })
 }
 
-// poll is one pass of the transparent polling task: a single Testsome over
-// the in-flight request set, retiring one task event per completion.
-func (l *Library) poll() int {
+// poll starts one pass of the transparent polling task: a single Testsome
+// over the in-flight request set, booked on the library lock now and
+// checked once the call's modelled time has passed.
+//
+//tagalint:hotpath
+func (l *Library) poll() {
 	l.mu.Lock()
-	reqs := append([]*mpisim.Request(nil), l.requests...)
+	l.snap = append(l.snap[:0], l.requests...)
 	l.mu.Unlock()
-	if len(reqs) == 0 {
-		return 0
+	if len(l.snap) == 0 {
+		l.svc.Done(0)
+		return
 	}
-	done := l.p.Testsome(reqs)
-	if len(done) == 0 {
-		return 0
-	}
-	retire := make([]*tasking.EventCounter, 0, len(done))
-	l.mu.Lock()
-	// Completed requests retain their identity; remove by pointer in case
-	// the set shifted since the snapshot.
-	for _, i := range done {
-		target := reqs[i]
-		for j, r := range l.requests {
-			if r == target {
-				retire = append(retire, l.counters[j])
-				last := len(l.requests) - 1
-				l.requests[j] = l.requests[last]
-				l.counters[j] = l.counters[last]
-				l.requests = l.requests[:last]
-				l.counters = l.counters[:last]
-				break
+	l.booking = l.p.BookTestsome()
+	l.svc.After(l.booking.Wait, l.checkFn)
+}
+
+// check finishes the pass: it retires one task event per request the
+// Testsome found complete.
+//
+//tagalint:hotpath
+func (l *Library) check() {
+	l.done = l.p.FinishTestsome(l.booking, l.snap, l.done[:0])
+	retire := l.retire[:0]
+	if len(l.done) > 0 {
+		l.mu.Lock()
+		// Completed requests retain their identity; remove by pointer in
+		// case the set shifted since the snapshot.
+		for _, i := range l.done {
+			target := l.snap[i]
+			for j, r := range l.requests {
+				if r == target {
+					retire = append(retire, l.counters[j])
+					last := len(l.requests) - 1
+					l.requests[j] = l.requests[last]
+					l.counters[j] = l.counters[last]
+					l.requests = l.requests[:last]
+					l.counters = l.counters[:last]
+					break
+				}
 			}
 		}
+		l.mu.Unlock()
 	}
-	l.mu.Unlock()
-	for _, c := range retire {
+	clear(l.snap) // the scratch buffers must not keep retired requests alive
+	for i, c := range retire {
+		retire[i] = nil
 		c.Decrease(1)
 	}
-	return len(retire)
+	l.retire = retire
+	l.svc.Done(len(retire))
 }
 
 // InFlight reports the number of requests currently bound and pending.

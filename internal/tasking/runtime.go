@@ -13,7 +13,9 @@
 //
 // Each simulated rank owns one Runtime whose worker pool has one slot per
 // core. Running tasks are goroutines holding a core slot; blocking library
-// calls yield the slot, as with the Nanos6 blocking API.
+// calls yield the slot, as with the Nanos6 blocking API. Spawned service
+// tasks hold and yield core slots the same way but have no goroutine: they
+// run as steps on clock callback events (service.go).
 package tasking
 
 import (
@@ -171,29 +173,6 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 	return t
 }
 
-// Spawn starts an independent service task (nanos6_spawn_function): it has
-// no dependencies, does not count towards TaskWait, and is expected to exit
-// once Stopping() reports true. The task-aware libraries spawn their
-// polling tasks this way.
-func (rt *Runtime) Spawn(body Body, label string) *Task {
-	t := &Task{rt: rt, body: body, label: label, spawned: true}
-	t.pre = EventCounter{t: t, pre: true}
-	t.comp = EventCounter{t: t, n: 1}
-	rt.mu.Lock()
-	if rt.stopping {
-		rt.mu.Unlock()
-		panic("tasking: Spawn after Shutdown")
-	}
-	rt.spawnLive++
-	rt.stats.Spawned++
-	rt.seq++
-	t.id = rt.seq
-	t.state = stateQueued
-	rt.mu.Unlock()
-	rt.dispatch(t)
-	return t
-}
-
 // depsSatisfied advances a task whose dependencies are all released:
 // through the onready callback if present, then to the ready queue.
 func (rt *Runtime) depsSatisfied(t *Task) {
@@ -271,9 +250,7 @@ func (rt *Runtime) exec(t *Task, ticket uint64) {
 	if rt.rec != nil {
 		start = rt.clk.Now()
 		t.lane = rt.lanes.acquire()
-		if !t.spawned {
-			rt.rec.Latency("tasking.ready_to_run", start-t.readyAt)
-		}
+		rt.rec.Latency("tasking.ready_to_run", start-t.readyAt)
 	}
 	if t.body != nil {
 		t.body(t)
@@ -657,13 +634,15 @@ func (wp *workerPool) stop() {
 // ticket synchronously (under the event that made it ready) and cores are
 // granted in strict ticket order, which makes scheduling deterministic in
 // virtual time instead of following the host scheduler's interleaving.
+// A ticket waits as a parked goroutine (task bodies, acquire) or as a
+// continuation (event-driven services, acquireFn), both in the one line.
 type coreSched struct {
 	clk       vclock.Clock
 	mu        sync.Mutex
 	free      int
 	nextTkt   uint64
 	nextGrant uint64
-	waiters   map[uint64]vclock.Parker
+	waiters   map[uint64]coreWaiter
 
 	// parkers is a free list of core-wait parking slots. Granting removes
 	// the waiter from the map before the Unpark, so each registration is
@@ -673,8 +652,14 @@ type coreSched struct {
 	parkers []vclock.Parker
 }
 
+// coreWaiter is one waiting ticket: exactly one of p and fn is set.
+type coreWaiter struct {
+	p  vclock.Parker // a goroutine parked in acquire
+	fn func()        // a continuation registered by acquireFn
+}
+
 func newCoreSched(clk vclock.Clock, n int) *coreSched {
-	return &coreSched{clk: clk, free: n, waiters: make(map[uint64]vclock.Parker)}
+	return &coreSched{clk: clk, free: n, waiters: make(map[uint64]coreWaiter)}
 }
 
 // ticket reserves the caller's position in the grant order.
@@ -702,7 +687,7 @@ func (cs *coreSched) acquire(ticket uint64) {
 				p.SetName("core-wait")
 			}
 		}
-		cs.waiters[ticket] = p
+		cs.waiters[ticket] = coreWaiter{p: p}
 		cs.mu.Unlock()
 		p.Park()
 		cs.mu.Lock()
@@ -713,30 +698,53 @@ func (cs *coreSched) acquire(ticket uint64) {
 	delete(cs.waiters, ticket)
 	cs.free--
 	cs.nextGrant++
-	cs.grantLocked()
-	cs.mu.Unlock()
+	cs.grantUnlock()
+}
+
+// acquireFn is acquire for callers that must not block: fn runs, on the
+// goroutine that makes the grant, once a core is free and every earlier
+// ticket has been granted — at once if that is already so.
+//
+//tagalint:hotpath
+func (cs *coreSched) acquireFn(ticket uint64, fn func()) {
+	cs.mu.Lock()
+	cs.waiters[ticket] = coreWaiter{fn: fn}
+	cs.grantUnlock()
 }
 
 // release returns a core and passes it to the next ticket in line.
 func (cs *coreSched) release() {
 	cs.mu.Lock()
 	cs.free++
-	cs.grantLocked()
-	cs.mu.Unlock()
+	cs.grantUnlock()
 }
 
-// grantLocked wakes the holder of the next grantable ticket, if it is
-// already waiting. If it has not arrived yet it will see the free core on
+// grantUnlock hands free cores down the ticket line and releases cs.mu,
+// which the caller holds. A parked goroutine is woken and takes its core
+// itself (continuing the line from acquire); a continuation is granted on
+// the spot and run outside cs.mu, after which the line is looked at again.
+// If the next ticket has not arrived yet it will see the free core on
 // arrival; granting never skips ahead of it. The waiter entry is removed
-// before the Unpark so a second grant attempt (two releases racing one
-// slow waker) cannot Unpark the same registration twice, which is what
-// keeps recycled parkers free of stale pending wakes.
-func (cs *coreSched) grantLocked() {
-	if cs.free <= 0 {
-		return
-	}
-	if p, ok := cs.waiters[cs.nextGrant]; ok {
+// before the Unpark so a second grant attempt cannot Unpark the same
+// registration twice, which keeps recycled parkers free of stale wakes.
+//
+//tagalint:hotpath
+func (cs *coreSched) grantUnlock() {
+	for cs.free > 0 {
+		w, ok := cs.waiters[cs.nextGrant]
+		if !ok {
+			break
+		}
 		delete(cs.waiters, cs.nextGrant)
-		p.Unpark()
+		if w.fn == nil {
+			w.p.Unpark()
+			break
+		}
+		cs.free--
+		cs.nextGrant++
+		cs.mu.Unlock()
+		w.fn()
+		cs.mu.Lock()
 	}
+	cs.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package tasking
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,27 @@ func run(cores int, fn func(clk *vclock.VirtualClock, rt *Runtime)) {
 		fn(clk, rt)
 	})
 	wg.Wait()
+}
+
+// spawnLoop spawns a service that calls step (if not nil) and then waits d,
+// over and over until the runtime stops — the shape of a polling service.
+func spawnLoop(rt *Runtime, label string, d time.Duration, step func()) {
+	var pass func()
+	var svc *Service
+	pass = func() {
+		if rt.Stopping() {
+			svc.Exit()
+			return
+		}
+		if step != nil {
+			step()
+		}
+		svc.WaitFor(d, pass)
+	}
+	rt.Spawn(label, func(s *Service) {
+		svc = s
+		pass()
+	})
 }
 
 func TestSubmitAndTaskWait(t *testing.T) {
@@ -285,12 +307,7 @@ func TestYieldReleasesCore(t *testing.T) {
 func TestSpawnAndShutdown(t *testing.T) {
 	var polls atomic.Int32
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Spawn(func(tk *Task) {
-			for !rt.Stopping() {
-				polls.Add(1)
-				tk.WaitFor(10 * time.Microsecond)
-			}
-		}, "poller")
+		spawnLoop(rt, "poller", 10*time.Microsecond, func() { polls.Add(1) })
 		rt.Submit(func(tk *Task) { tk.Compute(100 * time.Microsecond) })
 		rt.TaskWait()
 		rt.Shutdown()
@@ -302,11 +319,7 @@ func TestSpawnAndShutdown(t *testing.T) {
 
 func TestSpawnDoesNotBlockTaskWait(t *testing.T) {
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Spawn(func(tk *Task) {
-			for !rt.Stopping() {
-				tk.WaitFor(time.Microsecond)
-			}
-		}, "svc")
+		spawnLoop(rt, "svc", time.Microsecond, nil)
 		rt.Submit(func(*Task) {})
 		rt.TaskWait() // must return even though the service still runs
 		rt.Shutdown()
@@ -366,11 +379,7 @@ func TestSubmitAndDispatchOverheads(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Spawn(func(tk *Task) {
-			for !rt.Stopping() {
-				tk.WaitFor(time.Microsecond)
-			}
-		}, "svc")
+		spawnLoop(rt, "svc", time.Microsecond, nil)
 		for i := 0; i < 7; i++ {
 			rt.Submit(func(*Task) {})
 		}
@@ -525,12 +534,7 @@ func BenchmarkDependencyChain(b *testing.B) {
 func TestShutdownIdempotent(t *testing.T) {
 	var polls atomic.Int32
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Spawn(func(tk *Task) {
-			for !rt.Stopping() {
-				polls.Add(1)
-				tk.WaitFor(5 * time.Microsecond)
-			}
-		}, "poller")
+		spawnLoop(rt, "poller", 5*time.Microsecond, func() { polls.Add(1) })
 		for i := 0; i < 8; i++ {
 			rt.Submit(func(tk *Task) { tk.Compute(time.Microsecond) })
 		}
@@ -548,4 +552,53 @@ func TestShutdownIdempotent(t *testing.T) {
 		rt.Shutdown()
 		rt.Shutdown()
 	})
+}
+
+// A service has no goroutine, but it is a task to the core scheduler: after
+// every WaitFor it takes a fresh ticket and waits its turn behind tasks
+// that became ready earlier, and ahead of those that became ready later.
+func TestServiceReacquiresCoreInTicketOrder(t *testing.T) {
+	var passes []time.Duration
+	var cStart, end time.Duration
+	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
+		spawnLoop(rt, "svc", 10*time.Microsecond, func() { passes = append(passes, clk.Now()) })
+		rt.Submit(func(tk *Task) { tk.Compute(15 * time.Microsecond) }) // A: 0–15µs
+		rt.Submit(func(tk *Task) { tk.Compute(15 * time.Microsecond) }) // B: 15–30µs
+		clk.Sleep(12 * time.Microsecond)
+		// The service woke at 10µs and queued behind B; C queues behind it.
+		rt.Submit(func(tk *Task) {
+			cStart = clk.Now()
+			tk.Compute(15 * time.Microsecond)
+		})
+		rt.TaskWait()
+		end = clk.Now()
+		clk.Sleep(12 * time.Microsecond)
+		rt.Shutdown()
+	})
+	// Pass 2 is the 40µs wake-up waiting for C to leave the core at 45µs.
+	want := []time.Duration{0, 30 * time.Microsecond, 45 * time.Microsecond, 55 * time.Microsecond}
+	if !slices.Equal(passes, want) {
+		t.Fatalf("passes at %v, want %v", passes, want)
+	}
+	if cStart != 30*time.Microsecond || end != 45*time.Microsecond {
+		t.Fatalf("task C ran %v–%v, want 30µs–45µs", cStart, end)
+	}
+}
+
+func TestShutdownWaitsForServiceMidWait(t *testing.T) {
+	var end time.Duration
+	var st Stats
+	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
+		spawnLoop(rt, "svc", 100*time.Microsecond, nil)
+		clk.Sleep(time.Microsecond)
+		rt.Shutdown() // the service is asleep until 100µs and exits then
+		end = clk.Now()
+		st = rt.Stats()
+	})
+	if end != 100*time.Microsecond {
+		t.Fatalf("Shutdown returned at %v, want 100µs", end)
+	}
+	if st.Spawned != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
 }

@@ -109,8 +109,9 @@ func (t *Task) Compute(d time.Duration) {
 }
 
 // WaitFor blocks the task for approximately d, yielding its core so other
-// tasks can run — the wait_for_us runtime API of §V-B, used by the
-// task-aware libraries' polling tasks. It returns the time actually slept.
+// tasks can run — the wait_for_us runtime API of §V-B. It returns the time
+// actually slept. (The task-aware libraries' polling tasks wait with the
+// non-blocking Service.WaitFor instead.)
 func (t *Task) WaitFor(d time.Duration) time.Duration {
 	start := t.rt.clk.Now()
 	if t.pooled {

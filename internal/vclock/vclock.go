@@ -16,7 +16,9 @@
 // The only blocking primitive is the Parker, a one-shot parking slot in the
 // style of the Go runtime's gopark/goready. Higher-level primitives (mutex,
 // condition variable, semaphore, served resource) are built on Parkers in
-// package vsync.
+// package vsync. Code that only ever waits for time (the polling services
+// of package core) does not block at all: it arms an Event, a callback timer
+// the advancing goroutine runs — a heap push instead of a goroutine park.
 //
 // # Sharding
 //
@@ -66,6 +68,9 @@ type Clock interface {
 	Go(fn func())
 	// Parker allocates a new parking slot bound to this clock.
 	Parker() Parker
+	// NewEvent allocates a reusable callback timer bound to this clock:
+	// each Event.After arms it once and fn runs when it expires.
+	NewEvent(fn func()) Event
 	// Register adds the calling goroutine to the clock's active set.
 	// It must be paired with Unregister. Go-spawned goroutines are
 	// registered automatically.
@@ -104,6 +109,22 @@ type Parker interface {
 	SetExternal(external bool)
 }
 
+// Event is a reusable callback timer: the event-driven counterpart of a
+// goroutine that loops over Sleep. It is armed at most once at a time; its
+// callback may re-arm it. Under a VirtualClock the callback runs on whichever
+// goroutine is advancing the clock, with virtual time held at the event's
+// deadline, so it must not block — no Sleep, Park, Resource.Use or channel
+// wait: a blocked callback hangs the simulation without a deadlock report
+// (tagalint's taskctx analyzer flags such calls). It may arm events, Unpark
+// parkers and spawn goroutines with Go.
+type Event interface {
+	// After arms the event to fire d from now. The timer sequence is drawn
+	// here, exactly where a Sleep(d) would draw it, so the callback takes
+	// that Sleep's place among same-deadline wakes. A non-positive d fires
+	// at the current instant, after every timer armed earlier for it.
+	After(d time.Duration)
+}
+
 // ---------------------------------------------------------------------------
 // VirtualClock
 // ---------------------------------------------------------------------------
@@ -134,7 +155,11 @@ type clockShard struct {
 	topDL  atomic.Int64
 	topSeq atomic.Uint64
 
-	_ [24]byte // pad to a cache-line multiple against false sharing
+	// waiters counts the goroutines parked on this shard with a timer armed
+	// or on a non-external parker. Written under mu, read by anyWaiter.
+	waiters atomic.Int32
+
+	_ [20]byte // padding against false sharing between adjacent shards
 }
 
 // refreshTopLocked republishes the shard frontier after a heap mutation.
@@ -237,6 +262,25 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 // AllocSeq implements Clock.
 func (c *VirtualClock) AllocSeq() uint64 { return c.seq.Add(1) }
 
+// Launch registers n goroutines with c in one step and returns the function
+// that starts them, each running body(i) and unregistering when it returns.
+// A job launched one Go at a time can see its first goroutines park — and
+// virtual time advance, or a deadlock be reported — before the rest exist.
+// Between the two calls the clock is held at its current instant.
+func Launch(c Clock, n int) (start func(body func(i int))) {
+	for i := 0; i < n; i++ {
+		c.Register()
+	}
+	return func(body func(i int)) {
+		for i := 0; i < n; i++ {
+			go func() {
+				defer c.Unregister()
+				body(i)
+			}()
+		}
+	}
+}
+
 // Parker implements Clock.
 func (c *VirtualClock) Parker() Parker { return c.newParker() }
 
@@ -247,11 +291,12 @@ func (c *VirtualClock) newParker() *vparker {
 	return p
 }
 
-// timer wakes a parker at a deadline.
+// timer wakes a parker, or runs an event callback, at a deadline.
 type timer struct {
 	deadline time.Duration
 	seq      uint64
-	p        *vparker
+	p        *vparker // the goroutine to wake; nil for a callback event
+	fn       func()   // the callback to run; nil for a goroutine timer
 	index    int
 }
 
@@ -281,6 +326,7 @@ func (h *timerHeap) pop() *timer {
 	n := len(old)
 	t := old[0]
 	old.Swap(0, n-1)
+	old[n-1] = nil // the spare capacity must not keep a fired event's closure alive
 	*h = old[:n-1]
 	if n > 1 {
 		h.down(0)
@@ -296,6 +342,7 @@ func (h *timerHeap) remove(t *timer) {
 	i := t.index
 	n := len(*h) - 1
 	h.Swap(i, n)
+	(*h)[n] = nil
 	*h = (*h)[:n]
 	if i < n {
 		h.down(i)
@@ -422,6 +469,10 @@ func (p *vparker) park(t *timer) bool {
 	} else {
 		s.parked[p] = struct{}{}
 	}
+	counted := t != nil || !p.external
+	if counted {
+		s.waiters.Add(1)
+	}
 	p.waiting = true
 	p.woke = false
 	s.mu.Unlock()
@@ -437,13 +488,17 @@ func (p *vparker) park(t *timer) bool {
 		<-p.ch
 		s.mu.Lock()
 	}
-	if t != nil && t.index >= 0 {
+	if t == nil {
+		delete(s.parked, p)
+	} else if t.index >= 0 {
 		// Woken by an Unpark before the timer fired: remove it eagerly
 		// so the struct can be rearmed by the next park.
 		s.timers.remove(t)
 		s.refreshTopLocked()
 	}
-	delete(s.parked, p)
+	if counted {
+		s.waiters.Add(-1)
+	}
 	woke := p.woke
 	s.mu.Unlock()
 	return woke
@@ -490,12 +545,14 @@ func (p *vparker) Unpark() {
 }
 
 // advance runs the virtual-time advance step, serialized by c.adv, and
-// panics outside the locks if the simulation deadlocked.
+// panics if the simulation deadlocked. The unlock is deferred so that this
+// panic, and one raised by an event callback, find c.adv free as they
+// unwind: the deferred Unregister of the goroutine they happen to run on
+// re-enters advance, and would otherwise block forever and swallow them.
 func (c *VirtualClock) advance() {
 	c.adv.Lock()
-	report := c.advanceLocked()
-	c.adv.Unlock()
-	if report != "" {
+	defer c.adv.Unlock()
+	if report := c.advanceLocked(); report != "" {
 		panic(report)
 	}
 }
@@ -508,12 +565,13 @@ func (c *VirtualClock) advance() {
 //
 // While active == 0 no registered goroutine is runnable, so no timer can
 // be pushed or removed concurrently with the scan — every frontier read
-// below is exact. The only concurrent mutator is an Unpark from outside
+// below is exact (an event callback arms its timers between two scans, on
+// this goroutine). The only concurrent mutator is an Unpark from outside
 // the simulation; it increments active before its wakee can run, and the
 // re-check before each fire plus the !waiting guard keep such races from
 // corrupting virtual time. If no timers remain and non-external parkers
 // are parked, the simulation is deadlocked: the report is returned
-// non-empty and the caller must release the lock and panic with it.
+// non-empty and the caller panics with it.
 func (c *VirtualClock) advanceLocked() (deadlock string) {
 	for c.active.Load() == 0 {
 		best := -1
@@ -537,6 +595,28 @@ func (c *VirtualClock) advanceLocked() (deadlock string) {
 		}
 		s := &c.shards[best]
 		s.mu.Lock()
+		if s.timers[0].fn != nil {
+			if !c.anyWaiter() {
+				// Nobody is waiting on virtual time: the simulation was
+				// abandoned with its services still armed. Leave them
+				// in the heap instead of firing them forever.
+				s.mu.Unlock()
+				return ""
+			}
+			t := s.timers.pop()
+			s.refreshTopLocked()
+			if int64(t.deadline) > c.now.Load() {
+				c.now.Store(int64(t.deadline))
+			}
+			// The callback runs here with active held at one: nothing
+			// can advance under it, and an Unpark or Go from inside it
+			// is an ordinary wake from a running goroutine.
+			c.active.Add(1)
+			s.mu.Unlock()
+			t.fn()
+			c.active.Add(-1)
+			continue
+		}
 		t := s.timers.pop()
 		s.refreshTopLocked()
 		p := t.p
@@ -562,6 +642,18 @@ func (c *VirtualClock) advanceLocked() (deadlock string) {
 	return ""
 }
 
+// anyWaiter reports whether any goroutine is parked with a timer or on a
+// non-external parker. Called with adv held during quiescence, when every
+// woken goroutine has already left its park (and its count).
+func (c *VirtualClock) anyWaiter() bool {
+	for i := range c.shards {
+		if c.shards[i].waiters.Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // internalParked counts non-external parkers across all shards. Called
 // with adv held during quiescence, so the per-shard reads are stable.
 func (c *VirtualClock) internalParked() int {
@@ -577,6 +669,44 @@ func (c *VirtualClock) internalParked() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// vevent implements Event against a VirtualClock: a timer with a callback
+// instead of a parker, pinned to one shard like a parker is.
+type vevent struct {
+	timer
+	c     *VirtualClock
+	shard *clockShard
+}
+
+// NewEvent implements Clock.
+func (c *VirtualClock) NewEvent(fn func()) Event {
+	shard := c.shardCtr.Add(1) & (clockShards - 1)
+	e := &vevent{c: c, shard: &c.shards[shard]}
+	e.fn = fn
+	e.index = -1
+	return e
+}
+
+// After implements Event.
+//
+//tagalint:hotpath
+func (e *vevent) After(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	deadline := e.c.Now() + d
+	seq := e.c.seq.Add(1)
+	s := e.shard
+	s.mu.Lock()
+	if e.index >= 0 {
+		s.mu.Unlock()
+		panic("vclock: After on an Event that is already armed")
+	}
+	e.deadline, e.seq = deadline, seq
+	s.timers.push(&e.timer)
+	s.refreshTopLocked()
+	s.mu.Unlock()
 }
 
 func (c *VirtualClock) deadlockReport() string {
@@ -643,6 +773,21 @@ func (c *RealClock) Unregister() {}
 func (c *RealClock) Parker() Parker {
 	return &rparker{ch: make(chan struct{}, 1), clk: c}
 }
+
+// NewEvent implements Clock. A wall-clock event is a time.AfterFunc timer
+// (the runtime's timer heap is the event queue), created stopped so that
+// After only ever Resets it.
+func (c *RealClock) NewEvent(fn func()) Event {
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return revent{t}
+}
+
+// revent implements Event with a time.AfterFunc timer.
+type revent struct{ t *time.Timer }
+
+// After implements Event.
+func (e revent) After(d time.Duration) { e.t.Reset(d) }
 
 // rparker implements Parker with a buffered channel.
 type rparker struct {

@@ -12,17 +12,16 @@ import (
 
 // join runs fns on registered goroutines of c and returns when all finish.
 // The caller is not registered; it blocks on a real WaitGroup while virtual
-// time advances inside the spawned goroutines.
+// time advances inside the spawned goroutines. The goroutines are launched
+// as one group, so none can park — and the clock advance — before the clock
+// knows them all.
 func join(c Clock, fns ...func()) {
 	var wg sync.WaitGroup
-	for _, fn := range fns {
-		fn := fn
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			fn()
-		})
-	}
+	wg.Add(len(fns))
+	Launch(c, len(fns))(func(i int) {
+		defer wg.Done()
+		fns[i]()
+	})
 	wg.Wait()
 }
 

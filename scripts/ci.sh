@@ -37,13 +37,15 @@ else
 fi
 
 # Allocation-regression gates: the courier send path must stay within its
-# committed per-message budget (internal/fabric.CourierAllocBudget) and a
-# nil-Recorder instrumentation site must allocate nothing. Run without
+# committed per-message budget (internal/fabric.CourierAllocBudget), a
+# nil-Recorder instrumentation site must allocate nothing, and neither may
+# an idle pass of the TAMPI and TAGASPI polling services. Run without
 # -race on purpose — race instrumentation inflates allocation counts, so
 # the gates skip themselves under the race build.
-echo "== allocation-regression gates: courier budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc"
+echo "== allocation-regression gates: courier budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc' ./internal/obs
+go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
 
 # Host-time regression gate at scale: one paper-scale Gauss-Seidel point
 # (the Fig. 9 Scale-preset TAGASPI run, 256 nodes / 512 hybrid ranks)
