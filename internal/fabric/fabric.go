@@ -1385,20 +1385,26 @@ func SeedOf(parts ...string) int64 {
 // Jitterer produces deterministic multiplicative jitter for software-cost
 // modelling. Each protocol-layer process owns one (no locking).
 type Jitterer struct {
-	rng *rand.Rand
-	rel float64
+	rng  *rand.Rand // nil until the first draw
+	seed int64
+	rel  float64
 }
 
 // NewJitterer returns a jitterer with relative magnitude rel (0 disables),
-// seeded deterministically.
+// seeded deterministically. The generator (a 607-word state) is built by
+// the first Apply that draws from it: a job creates one jitterer per rank
+// and library, and most of a large job's never draw.
 func NewJitterer(seed int64, rel float64) *Jitterer {
-	return &Jitterer{rng: rand.New(rand.NewSource(seed)), rel: rel}
+	return &Jitterer{seed: seed, rel: rel}
 }
 
 // Apply returns d scaled by a uniform factor in [1-rel, 1+rel].
 func (j *Jitterer) Apply(d time.Duration) time.Duration {
 	if j.rel <= 0 || d <= 0 {
 		return d
+	}
+	if j.rng == nil {
+		j.rng = rand.New(rand.NewSource(j.seed))
 	}
 	return time.Duration(float64(d) * (1 + j.rel*(2*j.rng.Float64()-1)))
 }

