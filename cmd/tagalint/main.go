@@ -15,9 +15,8 @@
 // A pattern that matches no packages is a load error, never a silent
 // clean run.
 //
-// Standalone flags: -list prints the analyzer set; -json and -sarif write
-// the findings to a file (or "-" for stdout) as plain JSON or SARIF 2.1.0
-// for CI ingestion.
+// Standalone flags: -list prints the analyzer set; -json writes the
+// findings to a file (or "-" for stdout) as JSON for CI ingestion.
 //
 // Findings can be silenced per line with a justified directive:
 //
@@ -57,12 +56,11 @@ func main() {
 
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.String("json", "", "write findings as JSON to `file` (\"-\" for stdout)")
-	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to `file` (\"-\" for stdout)")
 	staleMode := flag.String("stale-ignores", "warn",
 		"how to treat //lint:ignore directives that silence nothing: warn, error or off")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tagalint [-list] [-json file] [-sarif file] [-stale-ignores mode] [package pattern ...]\n       (default pattern ./...)\n\nAnalyzers:\n")
+			"usage: tagalint [-list] [-json file] [-stale-ignores mode] [package pattern ...]\n       (default pattern ./...)\n\nAnalyzers:\n")
 		for _, a := range tagalint.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -87,10 +85,10 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vetUnit(args[0]))
 	}
-	os.Exit(standalone(args, *jsonOut, *sarifOut, *staleMode))
+	os.Exit(standalone(args, *jsonOut, *staleMode))
 }
 
-func standalone(patterns []string, jsonOut, sarifOut, staleMode string) int {
+func standalone(patterns []string, jsonOut, staleMode string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -131,21 +129,6 @@ func standalone(patterns []string, jsonOut, sarifOut, staleMode string) int {
 			return 2
 		}
 		if err := writeReport(jsonOut, append(data, '\n')); err != nil {
-			fmt.Fprintln(os.Stderr, "tagalint:", err)
-			return 2
-		}
-	}
-	if sarifOut != "" {
-		root, _, err := analysis.ModuleRoot(cwd)
-		if err != nil {
-			root = cwd
-		}
-		data, err := analysis.SARIF(findings, tagalint.Suite(), root, version)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tagalint:", err)
-			return 2
-		}
-		if err := writeReport(sarifOut, append(data, '\n')); err != nil {
 			fmt.Fprintln(os.Stderr, "tagalint:", err)
 			return 2
 		}

@@ -54,7 +54,6 @@ func main() {
 	cfg := cluster.Config{
 		Nodes: ranks, RanksPerNode: 1, CoresPerRank: 4,
 		Profile:     fabric.ProfileIdeal(),
-		RealTime:    true,
 		WithTasking: true, WithTAMPI: true, WithTAGASPI: true,
 	}
 	cluster.Run(cfg, func(env *cluster.Env) {

@@ -45,7 +45,6 @@ func run(useOnready bool) {
 	cfg := cluster.Config{
 		Nodes: 2, RanksPerNode: 1, CoresPerRank: 4,
 		Profile:     fabric.ProfileIdeal(),
-		RealTime:    true,
 		WithTasking: true, WithTAGASPI: true,
 	}
 	cluster.Run(cfg, func(env *cluster.Env) {

@@ -1,10 +1,10 @@
 // Quickstart: the smallest complete TAGASPI program.
 //
-// Two ranks run on the real clock (the library behaves as an ordinary
-// concurrent Go library). Rank 0 writes a message into rank 1's segment
-// with tagaspi_write_notify from inside a task; rank 1 waits for the
-// notification asynchronously with tagaspi_notify_iwait and a successor
-// task consumes the data — the Figure 3 / Figure 4 flow of the paper.
+// Two ranks run on the virtual clock. Rank 0 writes a message into rank
+// 1's segment with tagaspi_write_notify from inside a task; rank 1 waits
+// for the notification asynchronously with tagaspi_notify_iwait and a
+// successor task consumes the data — the Figure 3 / Figure 4 flow of the
+// paper.
 //
 //	go run ./examples/quickstart
 package main
@@ -17,11 +17,12 @@ import (
 	"repro/internal/tasking"
 )
 
+const greeting = "hello from a one-sided task-aware write"
+
 func main() {
 	cfg := cluster.Config{
 		Nodes: 2, RanksPerNode: 1, CoresPerRank: 4,
 		Profile:     fabric.ProfileIdeal(),
-		RealTime:    true,
 		WithTasking: true, WithTAGASPI: true,
 	}
 	cluster.Run(cfg, func(env *cluster.Env) {
@@ -32,7 +33,7 @@ func main() {
 		}
 		switch env.Rank {
 		case 0:
-			copy(seg.Bytes(), "hello from a one-sided task-aware write")
+			copy(seg.Bytes(), greeting)
 			// The writer task declares the source buffer as an input
 			// dependency: TAGASPI releases it when the write completes
 			// locally, so only successor tasks may reuse it.
@@ -60,7 +61,7 @@ func main() {
 				tasking.WithLabel("wait data"))
 			env.RT.Submit(func(t *tasking.Task) {
 				fmt.Printf("rank 1: notified (value %d): %q\n",
-					notified, string(seg.Bytes()[:40]))
+					notified, string(seg.Bytes()[:len(greeting)]))
 			}, tasking.WithDeps(tasking.In(seg, 0, N), tasking.InVal(&notified)),
 				tasking.WithLabel("process"))
 		}

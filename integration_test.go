@@ -1,7 +1,13 @@
 package repro
 
 import (
+	"context"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/figures"
 )
@@ -75,4 +81,73 @@ func seriesMap(f figures.Figure) map[string][]float64 {
 		m[s.Name] = s.Y
 	}
 	return m
+}
+
+// TestExamples builds and runs the four programs under examples/ — the
+// repository's front door — and compares what they print with the lines
+// below. They run on the virtual clock, so the output is a function of the
+// code; ranks print concurrently, so the order of lines from different
+// ranks is host order and the comparison is on the sorted lines. A panic,
+// a simulated deadlock (the clock panics with a report) or a hang (the
+// timeout) fails the test too.
+func TestExamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs four binaries")
+	}
+	want := map[string][]string{
+		"quickstart": {
+			"rank 0: write completed locally, buffer reusable",
+			`rank 1: notified (value 1): "hello from a one-sided task-aware write"`,
+		},
+		"rma-notify": {
+			"notified 4096-byte transfer, modelled latency per round:",
+			"  MPI  put + flush + send : 11.325µs",
+			"  GASPI write_notify      : 4.057µs",
+			"  ratio                   : 2.79x",
+		},
+		"halo": {
+			"step 0: global residual 4.0000",
+			"step 1: global residual 1.3333",
+			"step 2: global residual 1.3333",
+			"step 3: global residual 1.0370",
+			"final interior of rank 0: 1.148 ... 0.383",
+		},
+		"producer-consumer": {
+			"== Figure 5: extra wait-ack task ==",
+			"  consumer: chunk 1 = 1",
+			"  consumer: chunk 2 = 2",
+			"  consumer: chunk 3 = 3",
+			"  consumer: chunk 4 = 4",
+			"  consumer: chunk 5 = 5",
+			"== Figure 8: onready clause ==",
+			"  consumer: chunk 1 = 1",
+			"  consumer: chunk 2 = 2",
+			"  consumer: chunk 3 = 3",
+			"  consumer: chunk 4 = 4",
+			"  consumer: chunk 5 = 5",
+		},
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	for name, lines := range want {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var stderr strings.Builder
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, name))
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%v (timeout: %v)\nstdout:\n%s\nstderr:\n%s", err, ctx.Err() != nil, out, stderr.String())
+			}
+			got := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+			slices.Sort(got)
+			slices.Sort(lines)
+			if !slices.Equal(got, lines) {
+				t.Errorf("sorted stdout:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(lines, "\n"))
+			}
+		})
+	}
 }

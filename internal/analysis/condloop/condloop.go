@@ -11,7 +11,7 @@
 // An if-guarded Wait runs the protected code with the predicate false,
 // which in this codebase means operating on a completion counter or a
 // queue in a state it is not in — exactly the completion-API misuse the
-// task-aware libraries exist to prevent.
+// task-aware libraries exist to rule out.
 package condloop
 
 import (

@@ -11,8 +11,8 @@
 //
 //   - wall-clock and host-timer calls: time.Now, Sleep, Since, Until,
 //     After, AfterFunc, Tick, NewTicker, NewTimer. Simulator code takes
-//     time from a vclock.Clock; host-side timing belongs in the exempt
-//     packages.
+//     time from a vclock.VirtualClock; host-side timing belongs in the
+//     exempt packages.
 //   - the global math/rand (and math/rand/v2) generator: rand.Int,
 //     rand.Intn, rand.Shuffle, rand.Seed, ... Randomness must flow from
 //     an explicitly seeded rand.New(rand.NewSource(seed)) — see
@@ -37,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: "report wall-clock and unseeded math/rand calls in simulator packages\n\n" +
 		"Modelled results must be a pure function of configuration and seeds; " +
-		"time comes from vclock.Clock and randomness from explicitly seeded " +
+		"time comes from vclock.VirtualClock and randomness from explicitly seeded " +
 		"generators. internal/vclock, internal/exp and cmd/ are exempt.",
 	Run: run,
 }
@@ -74,7 +74,7 @@ func run(pass *analysis.Pass) error {
 			case "time":
 				if bannedTime[fn.Name()] {
 					pass.Reportf(sel.Pos(),
-						"time.%s reads the host clock in a simulator package; take time from a vclock.Clock (or move host timing into internal/exp or cmd/)",
+						"time.%s reads the host clock in a simulator package; take time from a vclock.VirtualClock (or move host timing into internal/exp or cmd/)",
 						fn.Name())
 				}
 			case "math/rand", "math/rand/v2":

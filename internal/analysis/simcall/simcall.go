@@ -51,9 +51,7 @@ var blocking = map[string]map[string]map[string]bool{
 	},
 	"vclock": {
 		"Parker":       {"Park": true, "ParkTimeout": true, "ParkUntil": true},
-		"Clock":        {"Sleep": true},
 		"VirtualClock": {"Sleep": true},
-		"RealClock":    {"Sleep": true},
 	},
 	"tasking": {
 		"Task":    {"WaitFor": true, "Yield": true, "Compute": true},
@@ -65,8 +63,7 @@ var blocking = map[string]map[string]map[string]bool{
 	"mpisim": {
 		"Proc": {
 			"Wait": true, "Waitall": true, "Send": true, "Recv": true,
-			"Barrier": true, "Bcast": true, "Allreduce": true,
-			"AllgatherInt64": true, "Flush": true, "Fence": true,
+			"Barrier": true, "Flush": true, "Fence": true,
 		},
 	},
 	"tampi": {

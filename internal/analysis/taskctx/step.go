@@ -129,7 +129,7 @@ func (c *stepChecker) scan(body *ast.BlockStmt) {
 	c.seen[body] = true
 	scanBlocking(c.pass, body, func(pos ast.Node, what string) {
 		c.pass.Reportf(pos.Pos(),
-			"%s in a service step or clock callback: it runs with virtual time held still and must not block; arm an event, or move the blocking work onto a Clock.Go goroutine",
+			"%s in a service step or clock callback: it runs with virtual time held still and must not block; arm an event, or move the blocking work onto a VirtualClock.Go goroutine",
 			what)
 	}, func(fn *types.Func) {
 		if fd := c.decls[fn]; fd != nil {

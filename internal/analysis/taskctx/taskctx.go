@@ -9,7 +9,7 @@
 //     it may only register asynchronous events (NotifyIwait and friends).
 //     Blocking there — a channel op, Task.WaitFor/Yield, or any simulator
 //     wait — stalls dependency release for the whole rank.
-//  3. A clock callback (vclock.Clock.NewEvent) or service step (the
+//  3. A clock callback (VirtualClock.NewEvent) or service step (the
 //     functions handed to tasking.Service and core.Service) runs on the
 //     goroutine that is advancing the virtual clock, which holds the
 //     advance lock. Blocking there — directly or in a function of the same
@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/simcall"
@@ -103,26 +104,31 @@ func checkOnready(pass *analysis.Pass, fl *ast.FuncLit) {
 // scanBlocking walks a function body and reports every operation that can
 // park the calling goroutine; a call to any other function is passed to
 // called, if not nil. Nested function literals are skipped: they are
-// values, not code the body necessarily runs.
+// values, not code the body necessarily runs. A select with a default
+// clause cannot block, and neither can the send or receive of its cases.
 func scanBlocking(pass *analysis.Pass, body *ast.BlockStmt,
 	report func(pos ast.Node, what string), called func(*types.Func)) {
+	polled := map[ast.Node]bool{} // case operations of selects that have a default
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			report(n, "channel send")
+			if !polled[n] {
+				report(n, "channel send")
+			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if n.Op == token.ARROW && !polled[n] {
 				report(n, "channel receive")
 			}
 		case *ast.SelectStmt:
-			for _, cl := range n.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					return true // non-blocking: has a default case
-				}
+			if !slices.ContainsFunc(n.Body.List, isDefaultClause) {
+				report(n, "select")
+				break
 			}
-			report(n, "select")
+			for _, cl := range n.Body.List {
+				polled[commOp(cl.(*ast.CommClause).Comm)] = true
+			}
 		case *ast.CallExpr:
 			fn := simcall.Callee(pass.TypesInfo, n)
 			if simcall.IsBlocking(fn) {
@@ -133,6 +139,23 @@ func scanBlocking(pass *analysis.Pass, body *ast.BlockStmt,
 		}
 		return true
 	})
+}
+
+func isDefaultClause(cl ast.Stmt) bool { return cl.(*ast.CommClause).Comm == nil }
+
+// commOp returns the send statement or receive expression a select case
+// performs — `ch <- v`, `<-ch`, or the right-hand side of `v := <-ch` — and
+// nil for the default clause.
+func commOp(comm ast.Stmt) ast.Node {
+	switch s := comm.(type) {
+	case *ast.SendStmt:
+		return s
+	case *ast.ExprStmt:
+		return ast.Unparen(s.X)
+	case *ast.AssignStmt:
+		return ast.Unparen(s.Rhs[0])
+	}
+	return nil
 }
 
 func isNil(info *types.Info, e ast.Expr) bool {

@@ -65,9 +65,34 @@ func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, ch chan int) {
 }
 
 // A clock callback runs on the goroutine advancing the clock.
-func sleepInClockCallback(clk vclock.Clock) {
+func sleepInClockCallback(clk *vclock.VirtualClock) {
 	clk.NewEvent(func() {
-		clk.Sleep(10) // want "vclock.Clock.Sleep in a service step or clock callback"
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+	})
+}
+
+// A select with a default clause polls its channels and cannot block;
+// (*vclock.Parker).Unpark wakes its goroutine this way from inside callbacks.
+func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in chan int) {
+	clk.NewEvent(func() {
+		select {
+		case wake <- struct{}{}: // ok
+		default:
+		}
+		select {
+		case v := <-in: // ok
+			in <- v // want "channel send in a service step or clock callback"
+		default:
+		}
+	})
+	clk.NewEvent(func() {
+		wake <- struct{}{} // want "channel send in a service step or clock callback"
+	})
+	clk.NewEvent(func() {
+		select { // want "select in a service step or clock callback"
+		case wake <- struct{}{}: // want "channel send in a service step or clock callback"
+		case <-in: // want "channel receive in a service step or clock callback"
+		}
 	})
 }
 

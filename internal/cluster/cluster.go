@@ -57,9 +57,6 @@ type Config struct {
 	TaskSubmitOverhead   time.Duration
 	TaskDispatchOverhead time.Duration
 
-	// RealTime runs on the wall clock instead of the virtual clock.
-	RealTime bool
-
 	// Faults, when enabled, installs a fault-injection plan on the fabric
 	// (fabric.FaultPlan): latency jitter, transient delivery failures and
 	// link outages, all derived deterministically from Seed. GASPI-class
@@ -91,7 +88,7 @@ const (
 type Env struct {
 	Rank    fabric.Rank
 	Cfg     Config
-	Clk     vclock.Clock
+	Clk     *vclock.VirtualClock
 	Fab     *fabric.Fabric
 	MPI     *mpisim.Proc
 	GASPI   *gaspisim.Proc
@@ -183,12 +180,7 @@ func Run(cfg Config, main func(*Env)) Result {
 		cfg.TAGASPIPoll = tagaspi.DefaultPollInterval
 	}
 
-	var clk vclock.Clock
-	if cfg.RealTime {
-		clk = vclock.NewReal()
-	} else {
-		clk = vclock.NewVirtual()
-	}
+	clk := vclock.NewVirtual()
 	topo := fabric.NewShapedTopology(cfg.Shape, cfg.Nodes, cfg.RanksPerNode)
 	fab := fabric.New(clk, topo, cfg.Profile)
 	if cfg.Faults.Enabled() {
@@ -232,7 +224,7 @@ func Run(cfg Config, main func(*Env)) Result {
 	// TAMPI before TAGASPI: no virtual time passes — and the services draw
 	// their first timer sequences in one fixed order — before the whole job
 	// exists.
-	start := vclock.Launch(clk, n)
+	start := clk.Launch(n)
 	for _, env := range envs {
 		if cfg.WithTAMPI {
 			env.TAMPI = tampi.New(env.MPI, env.RT, cfg.TAMPIPoll)

@@ -31,6 +31,7 @@ package collectives
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/gaspisim"
@@ -50,20 +51,19 @@ import (
 const Seg gaspisim.SegmentID = 0xC0
 
 // Op combines two float64 values during a reduction; it is the simulator's
-// rendering of MPI_Op / gaspi_operation_t, shared with mpisim's built-in
-// collectives. It must be associative over the ring's combine order and
-// identical on every rank.
-type Op = mpisim.ReduceOp
+// rendering of MPI_Op / gaspi_operation_t. It must be associative over the
+// ring's combine order and identical on every rank.
+type Op func(a, b float64) float64
 
 // Reduction operators (MPI_SUM / MPI_MAX / MPI_MIN, gaspi_operation_t's
 // GASPI_OP_SUM / GASPI_OP_MAX / GASPI_OP_MIN).
 var (
 	// Sum adds the two operands (MPI_SUM).
-	Sum = mpisim.OpSum
+	Sum Op = func(a, b float64) float64 { return a + b }
 	// Max keeps the larger operand (MPI_MAX).
-	Max = mpisim.OpMax
+	Max Op = math.Max
 	// Min keeps the smaller operand (MPI_MIN).
-	Min = mpisim.OpMin
+	Min Op = math.Min
 )
 
 // backend discriminates the comm's driving library.
@@ -111,7 +111,7 @@ type Comm struct {
 	queue    int
 	elemCost time.Duration
 	rec      obs.Recorder
-	clk      vclock.Clock
+	clk      *vclock.VirtualClock
 
 	backend backend
 	mpi     *mpisim.Proc

@@ -62,7 +62,7 @@ type Service struct {
 }
 
 // minIdleTick bounds a zero-cost idle polling pass so a dedicated (0µs)
-// poller cannot livelock real time when nothing is in flight.
+// poller cannot spin at one virtual instant when nothing is in flight.
 const minIdleTick = 200 * time.Nanosecond
 
 // NewService prepares the polling task of one library. interval is the

@@ -158,9 +158,8 @@ func ProfileInfiniBand() Profile {
 	}
 }
 
-// ProfileIdeal zeroes all modelled costs. It is the profile for real-clock
-// runs (examples), where the library behaves as a plain concurrent library
-// and modelled delays would otherwise turn into real sleeps.
+// ProfileIdeal zeroes all modelled costs. It is the profile for runs that
+// show ordering and data rather than time (the examples).
 func ProfileIdeal() Profile {
 	return Profile{
 		Name:               "ideal",
@@ -474,7 +473,7 @@ type inEntry struct {
 // goroutine.
 type courierShard struct {
 	in      *vsync.Queue[inEntry]
-	clk     vclock.Clock
+	clk     *vclock.VirtualClock
 	agenda  agendaHeap
 	started bool // courier goroutine spawned (guarded by f.mu)
 }
@@ -502,7 +501,7 @@ type Stats struct {
 
 // Fabric connects the ranks of one simulated cluster.
 type Fabric struct {
-	clk  vclock.Clock
+	clk  *vclock.VirtualClock
 	topo Topology
 	prof Profile
 
@@ -527,7 +526,7 @@ type Fabric struct {
 	closing   bool
 	closed    bool
 	inflight  atomic.Int64
-	closeWait vclock.Parker
+	closeWait *vclock.Parker
 
 	// Fault plane (SetFaultPlan); plan and seed are set before traffic.
 	plan      FaultPlan
@@ -559,7 +558,7 @@ func courierShardsFor(topo Topology) int {
 const maxCourierShards = 64
 
 // New builds a fabric for the given topology and cost profile.
-func New(clk vclock.Clock, topo Topology, prof Profile) *Fabric {
+func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 	n := topo.Ranks()
 	f := &Fabric{
 		clk:   clk,
@@ -610,7 +609,7 @@ func (f *Fabric) Topology() Topology { return f.topo }
 func (f *Fabric) Profile() Profile { return f.prof }
 
 // Clock returns the fabric's time source.
-func (f *Fabric) Clock() vclock.Clock { return f.clk }
+func (f *Fabric) Clock() *vclock.VirtualClock { return f.clk }
 
 // SetRecorder installs the observability recorder. It must be called
 // before any traffic flows; a nil recorder (the default) keeps the fabric
@@ -817,7 +816,7 @@ func (f *Fabric) absorb(items []inEntry) []inEntry {
 // the queues, so the agenda is normally empty here; any residue is driven
 // to completion on a private parker that only ever wakes by deadline.
 func (f *Fabric) drainAgenda(s *courierShard) {
-	var p vclock.Parker
+	var p *vclock.Parker
 	for len(s.agenda) > 0 {
 		ev := s.agenda[0]
 		if ev.when > f.clk.Now() {
@@ -1186,8 +1185,8 @@ func (f *Fabric) delDone(d *dom, now time.Duration) {
 // keep sending (a rendezvous reply, a read response) without panicking,
 // which is what used to strand couriers when ranks exited early — then
 // closes the shard queues and joins the couriers. Close is idempotent and
-// callable from unregistered goroutines under both clocks; messages sent
-// after it returns panic.
+// callable from unregistered goroutines; messages sent after it returns
+// panic.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	if f.closing {
@@ -1199,7 +1198,7 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closing = true
-	var p vclock.Parker
+	var p *vclock.Parker
 	if f.inflight.Load() > 0 {
 		p = f.clk.Parker()
 		p.SetName("fabric-close")

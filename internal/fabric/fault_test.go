@@ -12,7 +12,7 @@ import (
 // faultRun executes body on a fresh 2-node fabric with the given plan and
 // seed, returning the fabric and the modelled finish time.
 func faultRun(t *testing.T, plan FaultPlan, seed int64,
-	register func(*Fabric, vclock.Clock), body func(*Fabric, vclock.Clock)) (*Fabric, time.Duration) {
+	register func(*Fabric, *vclock.VirtualClock), body func(*Fabric, *vclock.VirtualClock)) (*Fabric, time.Duration) {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
@@ -54,10 +54,10 @@ func TestFaultSurfacesViaOnFailed(t *testing.T) {
 	plan := FaultPlan{GASPI: FaultRates{Drop: 1}}
 	var failed, injected, delivered atomic.Int64
 	f, _ := faultRun(t, plan, 7,
-		func(f *Fabric, clk vclock.Clock) {
+		func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Register(1, ClassGASPI, func(m *Message) { delivered.Add(1) })
 		},
-		func(f *Fabric, clk vclock.Clock) {
+		func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Send(&Message{Src: 0, Dst: 1, Class: ClassGASPI, Size: 100,
 				OnInjected: func() { injected.Add(1) },
 				OnFailed:   func() { failed.Add(1) },
@@ -79,13 +79,13 @@ func TestTransparentRetransmitDeliversInOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	var last time.Duration
-	send := func(f *Fabric, clk vclock.Clock) {
+	send := func(f *Fabric, clk *vclock.VirtualClock) {
 		for i := 0; i < n; i++ {
 			f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 64, Payload: i})
 		}
 		clk.Sleep(time.Second)
 	}
-	reg := func(f *Fabric, clk vclock.Clock) {
+	reg := func(f *Fabric, clk *vclock.VirtualClock) {
 		f.Register(1, ClassMPI, func(m *Message) {
 			mu.Lock()
 			order = append(order, m.Payload.(int))
@@ -121,11 +121,11 @@ func TestFaultDeterminism(t *testing.T) {
 	run := func(seed int64) (int64, time.Duration) {
 		var fails atomic.Int64
 		f, end := faultRun(t, plan, seed,
-			func(f *Fabric, clk vclock.Clock) {
+			func(f *Fabric, clk *vclock.VirtualClock) {
 				f.Register(1, ClassMPI, func(m *Message) {})
 				f.Register(1, ClassGASPI, func(m *Message) {})
 			},
-			func(f *Fabric, clk vclock.Clock) {
+			func(f *Fabric, clk *vclock.VirtualClock) {
 				for i := 0; i < 100; i++ {
 					f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 128})
 					f.Send(&Message{Src: 0, Dst: 1, Class: ClassGASPI, Size: 128,
@@ -151,10 +151,10 @@ func TestOutageDelaysDeliveryUntilRecovery(t *testing.T) {
 	plan := FaultPlan{Outages: []Outage{out}, RetransmitDelay: 5 * time.Microsecond}
 	got := make(chan time.Duration, 1)
 	_, _ = faultRun(t, plan, 3,
-		func(f *Fabric, clk vclock.Clock) {
+		func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Register(1, ClassMPI, func(m *Message) { got <- clk.Now() })
 		},
-		func(f *Fabric, clk vclock.Clock) {
+		func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 100})
 			clk.Sleep(time.Second)
 		})
@@ -169,12 +169,12 @@ func TestOutageDelaysDeliveryUntilRecovery(t *testing.T) {
 
 func TestJitterSpikeDelaysFlight(t *testing.T) {
 	plan := FaultPlan{GASPI: FaultRates{Jitter: 1, Spike: 50 * time.Microsecond}}
-	reg := func(got chan time.Duration) func(*Fabric, vclock.Clock) {
-		return func(f *Fabric, clk vclock.Clock) {
+	reg := func(got chan time.Duration) func(*Fabric, *vclock.VirtualClock) {
+		return func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Register(1, ClassGASPI, func(m *Message) { got <- clk.Now() })
 		}
 	}
-	body := func(f *Fabric, clk vclock.Clock) {
+	body := func(f *Fabric, clk *vclock.VirtualClock) {
 		f.Send(&Message{Src: 0, Dst: 1, Class: ClassGASPI, Size: 100})
 		clk.Sleep(time.Second)
 	}

@@ -143,7 +143,7 @@ type Proc struct {
 	world *World
 	rank  Rank
 	fab   *fabric.Fabric
-	clk   vclock.Clock
+	clk   *vclock.VirtualClock
 	prof  fabric.Profile
 	jit   *fabric.Jitterer
 	reg   *memory.Registry
@@ -172,7 +172,7 @@ type segState struct {
 
 type notifWaiter struct {
 	begin, num NotificationID
-	p          vclock.Parker
+	p          *vclock.Parker
 	fired      bool
 }
 
@@ -186,9 +186,9 @@ type queue struct {
 	mu          sync.Mutex
 	completed   []CompletedRequest
 	outstanding int
-	waiters     []vclock.Parker // RequestWait / Wait blockers
-	errored     bool            // QueueError: posts fast-fail until QueueRepair
-	errors      int64           // failed operations observed, for Snapshot
+	waiters     []*vclock.Parker // RequestWait / Wait blockers
+	errored     bool             // QueueError: posts fast-fail until QueueRepair
+	errors      int64            // failed operations observed, for Snapshot
 }
 
 // Rank returns the process rank (gaspi_proc_rank).
@@ -197,7 +197,7 @@ func (p *Proc) Rank() Rank { return p.rank }
 // Clock returns the process's time source (shared by every rank of the
 // job). Task-aware layers use it to schedule retry back-off in modelled
 // time.
-func (p *Proc) Clock() vclock.Clock { return p.clk }
+func (p *Proc) Clock() *vclock.VirtualClock { return p.clk }
 
 // Size returns the world size (gaspi_proc_num).
 func (p *Proc) Size() int { return len(p.world.procs) }

@@ -1,10 +1,6 @@
 package mpisim
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Collectives are implemented over point-to-point messages with reserved
 // negative tags, as real MPI libraries do internally (MPI_Barrier,
@@ -13,13 +9,14 @@ import (
 // keeps successive collectives' internal tags distinct so rounds of
 // adjacent collectives cannot mismatch.
 //
-// The epoch counter is the single reserved-tag allocator of the process:
-// both the built-in collectives below and the internal/collectives layer
-// draw from it through CollectiveEpoch, so two collective implementations
-// coexisting on one Proc can never mint colliding in-flight tags — and
-// neither can ever collide with application point-to-point traffic, whose
-// tags are validated non-negative (validTag) while every collective tag is
-// <= -2.
+// This file holds the reserved-tag allocator, the send/receive primitives
+// on reserved tags, and Barrier; the data-carrying collectives live in
+// internal/collectives, over all three backends. The epoch counter is the
+// single reserved-tag allocator of the process: Barrier and the
+// internal/collectives layer both draw from it through CollectiveEpoch, so
+// their in-flight tags can never collide — and neither can ever collide
+// with application point-to-point traffic, whose tags are validated
+// non-negative (validTag) while every collective tag is <= -2.
 
 // CollectiveRounds is the number of reserved point-to-point tags one
 // collective epoch spans. A collective needing more rounds (a long ring
@@ -51,12 +48,6 @@ func (p *Proc) CollectiveEpoch() int {
 	p.mu.Unlock()
 	return e
 }
-
-// colTag and nextEpoch are the short internal spellings of the exported
-// allocator, kept for the built-in collectives below.
-func colTag(epoch, round int) int { return CollectiveTag(epoch, round) }
-
-func (p *Proc) nextEpoch() int { return p.CollectiveEpoch() }
 
 // CollectiveIsend starts a non-blocking send on a reserved collective tag
 // (one obtained from CollectiveTag). It is the send primitive of the
@@ -94,12 +85,12 @@ func (p *Proc) Barrier() {
 	if n == 1 {
 		return
 	}
-	epoch := p.nextEpoch()
+	epoch := p.CollectiveEpoch()
 	me := int(p.rank)
 	for k, dist := 0, 1; dist < n; k, dist = k+1, dist*2 {
 		to := Rank((me + dist) % n)
 		from := Rank((me - dist + n) % n)
-		tag := colTag(epoch, k)
+		tag := CollectiveTag(epoch, k)
 		sr := p.isend(nil, to, tag)
 		p.recvInternal(nil, from, tag)
 		sr.park()
@@ -113,130 +104,4 @@ func (p *Proc) recvInternal(buf []byte, src Rank, tag int) Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.status
-}
-
-// Bcast distributes root's buf to every rank's buf (binomial tree).
-func (p *Proc) Bcast(buf []byte, root Rank) {
-	p.bcastInternal(buf, root, colTag(p.nextEpoch(), 0))
-}
-
-// lowestSetAbove returns the lowest set bit of vr, or the tree size bound
-// for virtual rank 0.
-func lowestSetAbove(vr, n int) int {
-	if vr == 0 {
-		b := 1
-		for b < n {
-			b <<= 1
-		}
-		return b
-	}
-	return vr & -vr
-}
-
-// ReduceOp combines two float64 values.
-type ReduceOp func(a, b float64) float64
-
-// Reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
-	OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
-)
-
-// Allreduce combines vals element-wise across all ranks with op and returns
-// the reduced vector on every rank (reduce-to-0 + broadcast).
-func (p *Proc) Allreduce(vals []float64, op ReduceOp) []float64 {
-	n := p.Size()
-	out := append([]float64(nil), vals...)
-	if n == 1 {
-		return out
-	}
-	epoch := p.nextEpoch()
-	buf := make([]byte, 8*len(vals))
-	me := int(p.rank)
-	// Binomial-tree reduction to rank 0.
-	for mask, round := 1, 0; mask < n; mask, round = mask<<1, round+1 {
-		tag := colTag(epoch, round)
-		if me&mask != 0 {
-			packF64(buf, out)
-			sr := p.isend(buf, Rank(me&^mask), tag)
-			sr.park()
-			break
-		}
-		if peer := me | mask; peer < n {
-			rb := make([]byte, len(buf))
-			p.recvInternal(rb, Rank(peer), tag)
-			other := unpackF64(rb, len(vals))
-			for i := range out {
-				out[i] = op(out[i], other[i])
-			}
-		}
-	}
-	// Broadcast the result from rank 0.
-	packF64(buf, out)
-	p.bcastInternal(buf, 0, colTag(epoch, 32))
-	return unpackF64(buf, len(vals))
-}
-
-// AllgatherInt64 gathers one int64 per rank, returning the vector indexed
-// by rank on every process.
-func (p *Proc) AllgatherInt64(v int64) []int64 {
-	n := p.Size()
-	vals := make([]float64, n)
-	vals[p.rank] = math.Float64frombits(uint64(v))
-	// Sum works as a gather: only the owner contributes a non-zero slot —
-	// but float bit-patterns don't add safely, so use a select op.
-	res := p.Allreduce(vals, func(a, b float64) float64 {
-		if math.Float64bits(a) != 0 {
-			return a
-		}
-		return b
-	})
-	out := make([]int64, n)
-	for i, f := range res {
-		out[i] = int64(math.Float64bits(f))
-	}
-	return out
-}
-
-// bcastInternal is the binomial broadcast used by Bcast and Allreduce.
-func (p *Proc) bcastInternal(buf []byte, root Rank, tag int) {
-	n := p.Size()
-	if n == 1 {
-		return
-	}
-	vr := (int(p.rank) - int(root) + n) % n
-	if vr != 0 {
-		mask := 1
-		for mask < n {
-			if vr&mask != 0 {
-				parent := Rank(((vr - mask) + int(root) + n) % n)
-				p.recvInternal(buf, parent, tag)
-				break
-			}
-			mask <<= 1
-		}
-	}
-	for mask := lowestSetAbove(vr, n) >> 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child != vr && child < n {
-			dst := Rank((child + int(root)) % n)
-			sr := p.isend(buf, dst, tag)
-			sr.park()
-		}
-	}
-}
-
-func packF64(dst []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
-}
-
-func unpackF64(src []byte, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	return out
 }

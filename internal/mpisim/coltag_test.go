@@ -64,28 +64,47 @@ func TestCollectiveIsendRejectsAppTags(t *testing.T) {
 	})
 }
 
-// TestCollectiveEpochSharedCounter verifies that built-in collectives and
-// external CollectiveEpoch callers draw from one per-process counter:
-// epochs reserved around a Barrier/Allreduce never repeat, which is what
-// keeps layered collective tags (internal/collectives) disjoint from the
-// built-ins' in-flight traffic.
+// ringRound runs one payload-carrying collective round the way
+// internal/collectives does: reserve an epoch, send this rank's id to the
+// right neighbour on the epoch's reserved tag, receive the left neighbour's.
+// It returns the epoch it drew.
+func ringRound(t *testing.T, p *Proc) int {
+	n := p.Size()
+	epoch := p.CollectiveEpoch()
+	tag := CollectiveTag(epoch, 0)
+	left := Rank((int(p.Rank()) - 1 + n) % n)
+	sr := p.CollectiveIsend([]byte{byte(p.Rank())}, Rank((int(p.Rank())+1)%n), tag)
+	got := make([]byte, 1)
+	st := p.CollectiveRecv(got, left, tag)
+	p.Wait(sr)
+	if st.Tag != tag || got[0] != byte(left) {
+		t.Errorf("rank %d: ring round got tag %d payload %d, want tag %d payload %d", p.Rank(), st.Tag, got[0], tag, left)
+	}
+	return epoch
+}
+
+// TestCollectiveEpochSharedCounter verifies that Barrier and external
+// CollectiveEpoch callers (internal/collectives) draw from one per-process
+// counter: epochs reserved around a Barrier never repeat, which is what
+// keeps the layered collectives' tags disjoint from Barrier's in-flight
+// traffic.
 func TestCollectiveEpochSharedCounter(t *testing.T) {
 	withWorld(1, 2, testProfile(), func(p *Proc) {
 		before := p.CollectiveEpoch()
 		p.Barrier()
-		p.Allreduce([]float64{float64(p.Rank() + 1)}, OpSum)
+		round := ringRound(t, p)
 		after := p.CollectiveEpoch()
-		// One epoch for Barrier, one for Allreduce's reduce phase
-		// (its bcast phase reuses round slots of the same epoch).
-		if after-before != 3 {
-			t.Errorf("epoch counter advanced %d across Barrier+Allreduce, want 3", after-before)
+		// One epoch for Barrier, one for the ring round.
+		if round != before+2 || after != before+3 {
+			t.Errorf("epochs before/round/after = %d/%d/%d, want consecutive draws around Barrier's one", before, round, after)
 		}
 	})
 }
 
 // TestAppTrafficImmuneToCollectives interleaves application
 // point-to-point traffic — including a wildcard receive posted before the
-// collectives start — with built-in collective rounds. The wildcard must
+// collectives start — with Barrier and payload-carrying collective rounds,
+// one of which travels from the wildcard's own source. The wildcard must
 // match only the application send: reserved collective tags (<= -2) are
 // outside the AnyTag context (communicator context separation), so no
 // collective round may ever surface in an application receive.
@@ -99,9 +118,8 @@ func TestAppTrafficImmuneToCollectives(t *testing.T) {
 			appReq = p.Irecv(buf, 0, AnyTag)
 		}
 		p.Barrier()
-		sum := p.Allreduce([]float64{float64(p.Rank())}, OpSum)
-		bc := []byte{byte(p.Rank())}
-		p.Bcast(bc, 2)
+		ringRound(t, p)
+		ringRound(t, p)
 		p.Barrier()
 		if p.Rank() == 0 {
 			p.Send([]byte("app!"), 1, 9)
@@ -111,9 +129,6 @@ func TestAppTrafficImmuneToCollectives(t *testing.T) {
 			if st.Tag != 9 || string(buf) != "app!" {
 				t.Errorf("wildcard receive matched tag %d payload %q, want tag 9 %q — collective traffic leaked into the app tag space", st.Tag, buf, "app!")
 			}
-		}
-		if sum[0] != 6 {
-			t.Errorf("allreduce sum = %g, want 6", sum[0])
 		}
 	})
 }

@@ -95,7 +95,7 @@ type Proc struct {
 	world *World
 	rank  Rank
 	fab   *fabric.Fabric
-	clk   vclock.Clock
+	clk   *vclock.VirtualClock
 	prof  fabric.Profile
 
 	// libLock models the MPI_THREAD_MULTIPLE lock: every library call is
@@ -138,7 +138,7 @@ func (p *Proc) Size() int { return len(p.world.procs) }
 
 // Clock returns the process's virtual clock, for layers built on top of
 // the Proc (internal/collectives) that stamp their own trace spans.
-func (p *Proc) Clock() vclock.Clock { return p.clk }
+func (p *Proc) Clock() *vclock.VirtualClock { return p.clk }
 
 // LockStats reports the library-lock resource statistics: Busy+Waited is
 // the modelled total time inside MPI (the §VI-C metric).
@@ -180,7 +180,7 @@ type Request struct {
 	mu      sync.Mutex
 	done    bool
 	status  Status
-	waiters []vclock.Parker
+	waiters []*vclock.Parker
 }
 
 func (r *Request) complete(st Status) {

@@ -37,7 +37,7 @@ func withWorld(nodes, rpn int, prof fabric.Profile, fn func(p *Proc)) *fabric.Fa
 	w := NewWorld(fab, 1)
 	var wg sync.WaitGroup
 	wg.Add(w.Size())
-	vclock.Launch(clk, w.Size())(func(r int) {
+	clk.Launch(w.Size())(func(r int) {
 		defer wg.Done()
 		fn(w.Proc(Rank(r)))
 	})
@@ -266,55 +266,6 @@ func TestBarrierRepeated(t *testing.T) {
 	withWorld(3, 1, testProfile(), func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			p.Barrier()
-		}
-	})
-}
-
-func TestBcastValues(t *testing.T) {
-	for _, root := range []Rank{0, 2} {
-		withWorld(5, 1, testProfile(), func(p *Proc) {
-			buf := make([]byte, 32)
-			if p.Rank() == root {
-				for i := range buf {
-					buf[i] = byte(i + int(root))
-				}
-			}
-			p.Bcast(buf, root)
-			for i := range buf {
-				if buf[i] != byte(i+int(root)) {
-					t.Errorf("rank %d: bcast[%d] = %d", p.Rank(), i, buf[i])
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestAllreduceSumMax(t *testing.T) {
-	const n = 6
-	withWorld(n, 1, testProfile(), func(p *Proc) {
-		me := float64(p.Rank())
-		sum := p.Allreduce([]float64{me, 2 * me}, OpSum)
-		wantA := float64(n*(n-1)) / 2
-		if sum[0] != wantA || sum[1] != 2*wantA {
-			t.Errorf("rank %d: sum = %v", p.Rank(), sum)
-		}
-		max := p.Allreduce([]float64{me}, OpMax)
-		if max[0] != float64(n-1) {
-			t.Errorf("rank %d: max = %v", p.Rank(), max)
-		}
-	})
-}
-
-func TestAllgatherInt64(t *testing.T) {
-	const n = 5
-	withWorld(n, 1, testProfile(), func(p *Proc) {
-		got := p.AllgatherInt64(int64(p.Rank())*100 - 3)
-		for r := 0; r < n; r++ {
-			if got[r] != int64(r)*100-3 {
-				t.Errorf("rank %d: got[%d] = %d", p.Rank(), r, got[r])
-				return
-			}
 		}
 	})
 }

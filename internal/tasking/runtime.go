@@ -50,7 +50,7 @@ type Stats struct {
 
 // Runtime is a per-rank tasking runtime.
 type Runtime struct {
-	clk   vclock.Clock
+	clk   *vclock.VirtualClock
 	cfg   Config
 	cores *coreSched
 	pool  *workerPool
@@ -64,20 +64,20 @@ type Runtime struct {
 	live      int // incomplete regular tasks
 	spawnLive int // incomplete spawned service tasks
 	stopping  bool
-	seq       int64           // task ids for trace correlation
-	twWaiters []vclock.Parker // TaskWait: woken when live hits 0
+	seq       int64            // task ids for trace correlation
+	twWaiters []*vclock.Parker // TaskWait: woken when live hits 0
 	thWaiters []throttleWaiter
-	sdWaiters []vclock.Parker // Shutdown: woken when spawnLive hits 0
+	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
 	stats     Stats
 }
 
 type throttleWaiter struct {
-	p   vclock.Parker
+	p   *vclock.Parker
 	max int
 }
 
 // New builds a runtime with the given core count and overheads.
-func New(clk vclock.Clock, cfg Config) *Runtime {
+func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("tasking: invalid core count %d", cfg.Cores))
 	}
@@ -92,7 +92,7 @@ func New(clk vclock.Clock, cfg Config) *Runtime {
 }
 
 // Clock returns the runtime's time source.
-func (rt *Runtime) Clock() vclock.Clock { return rt.clk }
+func (rt *Runtime) Clock() *vclock.VirtualClock { return rt.clk }
 
 // Cores returns the worker slot count.
 func (rt *Runtime) Cores() int { return rt.cfg.Cores }
@@ -480,13 +480,13 @@ type workerPool struct {
 	rt *Runtime
 
 	mu       sync.Mutex
-	q        []poolItem      // dispatched bodies, ticket order
-	head     int             // index of the next item in q
-	idle     []vclock.Parker // parked workers, one entry each
-	seeking  int             // workers awake and heading for the queue
-	handling int             // workers between claiming an item and finishing its body
-	blocked  int             // handled bodies currently blocked in Yield/WaitFor
-	total    int             // live worker goroutines
+	q        []poolItem       // dispatched bodies, ticket order
+	head     int              // index of the next item in q
+	idle     []*vclock.Parker // parked workers, one entry each
+	seeking  int              // workers awake and heading for the queue
+	handling int              // workers between claiming an item and finishing its body
+	blocked  int              // handled bodies currently blocked in Yield/WaitFor
+	total    int              // live worker goroutines
 	stopped  bool
 	wg       sync.WaitGroup
 }
@@ -555,7 +555,7 @@ func (wp *workerPool) ensureLocked() {
 //tagalint:hotpath
 func (wp *workerPool) worker() {
 	defer wp.wg.Done()
-	var p vclock.Parker
+	var p *vclock.Parker
 	for {
 		wp.mu.Lock()
 		for wp.qlen() == 0 {
@@ -637,7 +637,7 @@ func (wp *workerPool) stop() {
 // A ticket waits as a parked goroutine (task bodies, acquire) or as a
 // continuation (event-driven services, acquireFn), both in the one line.
 type coreSched struct {
-	clk       vclock.Clock
+	clk       *vclock.VirtualClock
 	mu        sync.Mutex
 	free      int
 	nextTkt   uint64
@@ -649,16 +649,16 @@ type coreSched struct {
 	// woken exactly once and a parker leaves acquire with no pending wake —
 	// safe to hand to the next waiting task instead of allocating one per
 	// dispatched task.
-	parkers []vclock.Parker
+	parkers []*vclock.Parker
 }
 
 // coreWaiter is one waiting ticket: exactly one of p and fn is set.
 type coreWaiter struct {
-	p  vclock.Parker // a goroutine parked in acquire
-	fn func()        // a continuation registered by acquireFn
+	p  *vclock.Parker // a goroutine parked in acquire
+	fn func()         // a continuation registered by acquireFn
 }
 
-func newCoreSched(clk vclock.Clock, n int) *coreSched {
+func newCoreSched(clk *vclock.VirtualClock, n int) *coreSched {
 	return &coreSched{clk: clk, free: n, waiters: make(map[uint64]coreWaiter)}
 }
 
@@ -675,7 +675,7 @@ func (cs *coreSched) ticket() uint64 {
 // granted.
 func (cs *coreSched) acquire(ticket uint64) {
 	cs.mu.Lock()
-	var p vclock.Parker
+	var p *vclock.Parker
 	for !(cs.free > 0 && ticket == cs.nextGrant) {
 		if p == nil {
 			if n := len(cs.parkers); n > 0 {

@@ -21,7 +21,7 @@ import (
 type Service struct {
 	rt *Runtime
 	t  *Task
-	ev vclock.Event
+	ev *vclock.Event
 
 	next      func()        // step the armed event runs
 	resume    func()        // step WaitFor continues with once a core is held

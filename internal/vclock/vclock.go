@@ -2,16 +2,17 @@
 //
 // Every component of the stack (fabric, MPI/GASPI models, tasking runtime,
 // task-aware libraries, applications) measures and spends time exclusively
-// through a Clock. Two implementations exist:
+// through one clock, the VirtualClock: a conservative discrete-event engine.
+// Goroutines taking part in a simulation register with the clock; whenever
+// every registered goroutine is parked, the clock jumps to the earliest
+// pending timer. This lets thousands of simulated cores run on a single host
+// while "time" is the modelled time, which is what the figure reproductions
+// report.
 //
-//   - RealClock: delegates to the wall clock. Used by the runnable examples,
-//     where the library behaves as an ordinary concurrent Go library.
-//   - VirtualClock: a conservative discrete-event engine. Goroutines taking
-//     part in a simulation register with the clock; whenever every registered
-//     goroutine is parked, the clock jumps to the earliest pending timer.
-//     This lets thousands of simulated cores run on a single host while
-//     "time" is the modelled time, which is what the figure reproductions
-//     report.
+// No wall clock is offered beside it: everything this repository delivers is
+// modelled time, and a single-threaded event-loop executor (ROADMAP item 2)
+// cannot ride one. The runnable examples use the virtual clock like the
+// figures do.
 //
 // The only blocking primitive is the Parker, a one-shot parking slot in the
 // style of the Go runtime's gopark/goready. Higher-level primitives (mutex,
@@ -43,92 +44,6 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the simulation stack.
-//
-// For a VirtualClock, Sleep and Parker.Park must only be called from
-// goroutines registered with the clock (spawned via Go, or wrapped in
-// Register/Unregister); calling them from an unregistered goroutine would
-// stall virtual time.
-type Clock interface {
-	// Now reports the time elapsed since the clock started.
-	Now() time.Duration
-	// Sleep suspends the caller for d of this clock's time.
-	// Non-positive durations return immediately.
-	Sleep(d time.Duration)
-	// AllocSeq reserves and returns the next timer sequence number without
-	// arming a timer. Event-driven service loops (the fabric's sharded
-	// couriers) stamp each scheduled event with a sequence at creation
-	// time and later park at the event's (deadline, seq) via
-	// Parker.ParkUntil, so the event wakes interleave with ordinary
-	// same-deadline timers exactly as if a dedicated goroutine had armed a
-	// Sleep at the moment the event was scheduled — the property the
-	// simulator's determinism rests on.
-	AllocSeq() uint64
-	// Go spawns fn on a new goroutine registered with the clock.
-	Go(fn func())
-	// Parker allocates a new parking slot bound to this clock.
-	Parker() Parker
-	// NewEvent allocates a reusable callback timer bound to this clock:
-	// each Event.After arms it once and fn runs when it expires.
-	NewEvent(fn func()) Event
-	// Register adds the calling goroutine to the clock's active set.
-	// It must be paired with Unregister. Go-spawned goroutines are
-	// registered automatically.
-	Register()
-	// Unregister removes the calling goroutine from the active set.
-	Unregister()
-}
-
-// Parker is a one-shot parking slot. At most one goroutine may be parked on
-// a Parker at a time. Unpark may be called before Park, in which case the
-// next Park returns immediately (binary-semaphore semantics). Unpark may be
-// called from any goroutine, registered or not.
-type Parker interface {
-	// Park blocks the caller until Unpark is (or already was) called.
-	Park()
-	// ParkTimeout blocks until Unpark or until d elapses.
-	// It reports whether the wake was an Unpark (true) or timeout (false).
-	ParkTimeout(d time.Duration) bool
-	// ParkUntil blocks until Unpark or until the clock reaches deadline,
-	// using the caller-supplied timer sequence (from Clock.AllocSeq) to
-	// order the wake among same-deadline timers. Re-parking with the same
-	// (deadline, seq) after an Unpark wake keeps the pending event's place
-	// in the global wake order. It reports whether the wake was an Unpark.
-	ParkUntil(deadline time.Duration, seq uint64) bool
-	// Unpark wakes the parked goroutine, or primes the slot if none is
-	// parked yet.
-	Unpark()
-	// SetName attaches a diagnostic label reported on simulated deadlock.
-	// It is a no-op for real-clock parkers.
-	SetName(name string)
-	// SetExternal marks the parker as woken by an agent outside the
-	// simulation (e.g. the test driver). External parkers are exempt from
-	// virtual-time deadlock detection: if only external parkers remain,
-	// the clock freezes and waits for the Unpark instead of panicking.
-	// It is a no-op for real-clock parkers.
-	SetExternal(external bool)
-}
-
-// Event is a reusable callback timer: the event-driven counterpart of a
-// goroutine that loops over Sleep. It is armed at most once at a time; its
-// callback may re-arm it. Under a VirtualClock the callback runs on whichever
-// goroutine is advancing the clock, with virtual time held at the event's
-// deadline, so it must not block — no Sleep, Park, Resource.Use or channel
-// wait: a blocked callback hangs the simulation without a deadlock report
-// (tagalint's taskctx analyzer flags such calls). It may arm events, Unpark
-// parkers and spawn goroutines with Go.
-type Event interface {
-	// After arms the event to fire d from now. The timer sequence is drawn
-	// here, exactly where a Sleep(d) would draw it, so the callback takes
-	// that Sleep's place among same-deadline wakes. A non-positive d fires
-	// at the current instant, after every timer armed earlier for it.
-	After(d time.Duration)
-}
-
-// ---------------------------------------------------------------------------
-// VirtualClock
-// ---------------------------------------------------------------------------
-
 // clockShards is the fixed shard count of the parker/timer table. A power
 // of two so shard selection is a mask. 16 balances park-path concurrency
 // (a 256-node sweep parks thousands of goroutines concurrently) against
@@ -145,7 +60,7 @@ const noDeadline = math.MaxInt64
 type clockShard struct {
 	mu     sync.Mutex
 	timers timerHeap
-	parked map[*vparker]struct{} // parked without a timer, for diagnostics
+	parked map[*Parker]struct{} // parked without a timer, for diagnostics
 
 	// topDL/topSeq publish the shard's frontier — the (deadline, seq) of
 	// timers[0], or (noDeadline, 0) when empty — for the advance step's
@@ -182,6 +97,10 @@ func (s *clockShard) refreshTopLocked() {
 // fires it, waking its owner. If the count reaches zero with no pending
 // timers while goroutines remain parked, the simulation has deadlocked and
 // the clock panics with a diagnostic listing the parked goroutines.
+//
+// Sleep and Parker.Park must only be called from goroutines registered with
+// the clock (spawned via Go or Launch, or wrapped in Register/Unregister);
+// calling them from an unregistered goroutine would stall virtual time.
 type VirtualClock struct {
 	now    atomic.Int64  // current virtual time, ns; written only under adv
 	active atomic.Int64  // registered and runnable goroutines
@@ -209,30 +128,31 @@ type VirtualClock struct {
 func NewVirtual() *VirtualClock {
 	c := &VirtualClock{}
 	for i := range c.shards {
-		c.shards[i].parked = make(map[*vparker]struct{})
+		c.shards[i].parked = make(map[*Parker]struct{})
 		c.shards[i].topDL.Store(noDeadline)
 	}
 	return c
 }
 
-// Now implements Clock.
+// Now reports the virtual time elapsed since the clock started.
 func (c *VirtualClock) Now() time.Duration {
 	return time.Duration(c.now.Load())
 }
 
-// Register implements Clock.
+// Register adds the calling goroutine to the clock's active set. It must be
+// paired with Unregister. Go-spawned goroutines are registered automatically.
 func (c *VirtualClock) Register() {
 	c.active.Add(1)
 }
 
-// Unregister implements Clock.
+// Unregister removes the calling goroutine from the active set.
 func (c *VirtualClock) Unregister() {
 	if c.active.Add(-1) == 0 {
 		c.advance()
 	}
 }
 
-// Go implements Clock.
+// Go spawns fn on a new goroutine registered with the clock.
 func (c *VirtualClock) Go(fn func()) {
 	c.Register()
 	go func() {
@@ -241,25 +161,32 @@ func (c *VirtualClock) Go(fn func()) {
 	}()
 }
 
-// Sleep implements Clock. Sleeping parkers and their timers are recycled
+// Sleep suspends the caller for d of virtual time; non-positive durations
+// return immediately. Sleeping parkers and their timers are recycled
 // through a pool: a Sleep can only be woken by its own timer expiry, so
 // after the park returns nothing in the clock references either object.
 func (c *VirtualClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	var p *vparker
+	var p *Parker
 	if v := c.sleepers.Get(); v != nil {
-		p = v.(*vparker)
+		p = v.(*Parker)
 	} else {
-		p = c.newParker()
+		p = c.Parker()
 	}
 	t := p.timerFor(d)
 	p.park(t)
 	c.sleepers.Put(p)
 }
 
-// AllocSeq implements Clock.
+// AllocSeq reserves and returns the next timer sequence number without
+// arming a timer. Event-driven service loops (the fabric's sharded couriers)
+// stamp each scheduled event with a sequence at creation time and later park
+// at the event's (deadline, seq) via Parker.ParkUntil, so the event wakes
+// interleave with ordinary same-deadline timers exactly as if a dedicated
+// goroutine had armed a Sleep at the moment the event was scheduled — the
+// property the simulator's determinism rests on.
 func (c *VirtualClock) AllocSeq() uint64 { return c.seq.Add(1) }
 
 // Launch registers n goroutines with c in one step and returns the function
@@ -267,7 +194,7 @@ func (c *VirtualClock) AllocSeq() uint64 { return c.seq.Add(1) }
 // A job launched one Go at a time can see its first goroutines park — and
 // virtual time advance, or a deadlock be reported — before the rest exist.
 // Between the two calls the clock is held at its current instant.
-func Launch(c Clock, n int) (start func(body func(i int))) {
+func (c *VirtualClock) Launch(n int) (start func(body func(i int))) {
 	for i := 0; i < n; i++ {
 		c.Register()
 	}
@@ -281,12 +208,10 @@ func Launch(c Clock, n int) (start func(body func(i int))) {
 	}
 }
 
-// Parker implements Clock.
-func (c *VirtualClock) Parker() Parker { return c.newParker() }
-
-func (c *VirtualClock) newParker() *vparker {
+// Parker allocates a new parking slot bound to this clock.
+func (c *VirtualClock) Parker() *Parker {
 	shard := c.shardCtr.Add(1) & (clockShards - 1)
-	p := &vparker{c: c, shard: &c.shards[shard], ch: make(chan struct{}, 1)}
+	p := &Parker{c: c, shard: &c.shards[shard], ch: make(chan struct{}, 1)}
 	p.t = &timer{p: p}
 	return p
 }
@@ -295,8 +220,8 @@ func (c *VirtualClock) newParker() *vparker {
 type timer struct {
 	deadline time.Duration
 	seq      uint64
-	p        *vparker // the goroutine to wake; nil for a callback event
-	fn       func()   // the callback to run; nil for a goroutine timer
+	p        *Parker // the goroutine to wake; nil for a callback event
+	fn       func()  // the callback to run; nil for a goroutine timer
 	index    int
 }
 
@@ -381,10 +306,10 @@ func (h timerHeap) down(i int) {
 	}
 }
 
-// vparker implements Parker against a VirtualClock. Each parker is pinned
-// to one shard at creation; all of its mutable state is protected by that
-// shard's mutex.
-type vparker struct {
+// Parker is a one-shot parking slot. At most one goroutine may be parked on
+// a Parker at a time. Each parker is pinned to one shard at creation; all of
+// its mutable state is protected by that shard's mutex.
+type Parker struct {
 	c        *VirtualClock
 	shard    *clockShard
 	ch       chan struct{}
@@ -397,39 +322,49 @@ type vparker struct {
 	name     string
 }
 
-// SetName implements Parker.
-func (p *vparker) SetName(name string) { p.name = name }
+// SetName attaches a diagnostic label reported on simulated deadlock.
+func (p *Parker) SetName(name string) { p.name = name }
 
-// SetExternal implements Parker.
-func (p *vparker) SetExternal(external bool) { p.external = external }
+// SetExternal marks the parker as woken by an agent outside the simulation
+// (e.g. the test driver). External parkers are exempt from virtual-time
+// deadlock detection: if only external parkers remain, the clock freezes and
+// waits for the Unpark instead of panicking.
+func (p *Parker) SetExternal(external bool) { p.external = external }
 
 // timerFor arms the parker's reusable timer for a wake d from now.
 //
 //tagalint:hotpath
-func (p *vparker) timerFor(d time.Duration) *timer {
+func (p *Parker) timerFor(d time.Duration) *timer {
 	t := p.t
 	t.deadline = p.c.Now() + d
 	t.seq = p.c.seq.Add(1)
 	return t
 }
 
-func (p *vparker) Park() { p.park(nil) }
+// Park blocks the caller until Unpark is (or already was) called.
+func (p *Parker) Park() { p.park(nil) }
 
-// ParkUntil arms the reusable timer with an explicit (deadline, seq)
-// identity and parks. The deadline may already be due — the park then
-// wakes once every earlier same-instant timer has fired and every
-// currently-runnable goroutine has parked, which is how event loops wait
-// out a wake cascade without losing their place in the timer order.
+// ParkUntil blocks until Unpark or until the clock reaches deadline, using
+// the caller-supplied timer sequence (from AllocSeq) to order the wake among
+// same-deadline timers; it reports whether the wake was an Unpark.
+// Re-parking with the same (deadline, seq) after an Unpark wake keeps the
+// pending event's place in the global wake order. The deadline may already
+// be due — the park then wakes once every earlier same-instant timer has
+// fired and every currently-runnable goroutine has parked, which is how
+// event loops wait out a wake cascade without losing their place in the
+// timer order.
 //
 //tagalint:hotpath
-func (p *vparker) ParkUntil(deadline time.Duration, seq uint64) bool {
+func (p *Parker) ParkUntil(deadline time.Duration, seq uint64) bool {
 	t := p.t
 	t.deadline = deadline
 	t.seq = seq
 	return p.park(t)
 }
 
-func (p *vparker) ParkTimeout(d time.Duration) bool {
+// ParkTimeout blocks until Unpark or until d elapses. It reports whether
+// the wake was an Unpark (true) or timeout (false).
+func (p *Parker) ParkTimeout(d time.Duration) bool {
 	if d <= 0 {
 		// A non-positive timeout still honours a pending Unpark.
 		s := p.shard
@@ -450,7 +385,7 @@ func (p *vparker) ParkTimeout(d time.Duration) bool {
 // Reports whether the wake was an Unpark.
 //
 //tagalint:hotpath
-func (p *vparker) park(t *timer) bool {
+func (p *Parker) park(t *timer) bool {
 	c := p.c
 	s := p.shard
 	s.mu.Lock()
@@ -504,13 +439,17 @@ func (p *vparker) park(t *timer) bool {
 	return woke
 }
 
-// Unpark wakes the parked goroutine in two phases: phase one claims the
-// wake (waking) and publishes the active-count increment while the parker
-// still observes waiting==true, so the wakee cannot run — and re-park,
-// re-decrementing active — before the increment lands; phase two flips
-// waiting and releases the wakee. A second Unpark racing the window sees
-// waking and degrades to pending, preserving binary-semaphore semantics.
-func (p *vparker) Unpark() {
+// Unpark wakes the parked goroutine, or primes the slot if none is parked
+// yet, in which case the next Park returns immediately (binary-semaphore
+// semantics). It may be called from any goroutine, registered or not.
+//
+// The wake has two phases: phase one claims the wake (waking) and publishes
+// the active-count increment while the parker still observes waiting==true,
+// so the wakee cannot run — and re-park, re-decrementing active — before the
+// increment lands; phase two flips waiting and releases the wakee. A second
+// Unpark racing the window sees waking and degrades to pending, preserving
+// binary-semaphore semantics.
+func (p *Parker) Unpark() {
 	c := p.c
 	s := p.shard
 	s.mu.Lock()
@@ -671,27 +610,37 @@ func (c *VirtualClock) internalParked() int {
 	return n
 }
 
-// vevent implements Event against a VirtualClock: a timer with a callback
-// instead of a parker, pinned to one shard like a parker is.
-type vevent struct {
+// Event is a reusable callback timer: the event-driven counterpart of a
+// goroutine that loops over Sleep. It is armed at most once at a time; its
+// callback may re-arm it. The callback runs on whichever goroutine is
+// advancing the clock, with virtual time held at the event's deadline, so it
+// must not block — no Sleep, Park, Resource.Use or channel wait: a blocked
+// callback hangs the simulation without a deadlock report (tagalint's
+// taskctx analyzer flags such calls). It may arm events, Unpark parkers and
+// spawn goroutines with Go. An Event is pinned to one shard like a parker is.
+type Event struct {
 	timer
 	c     *VirtualClock
 	shard *clockShard
 }
 
-// NewEvent implements Clock.
-func (c *VirtualClock) NewEvent(fn func()) Event {
+// NewEvent allocates a reusable callback timer bound to this clock: each
+// After arms it once and fn runs when it expires.
+func (c *VirtualClock) NewEvent(fn func()) *Event {
 	shard := c.shardCtr.Add(1) & (clockShards - 1)
-	e := &vevent{c: c, shard: &c.shards[shard]}
+	e := &Event{c: c, shard: &c.shards[shard]}
 	e.fn = fn
 	e.index = -1
 	return e
 }
 
-// After implements Event.
+// After arms the event to fire d from now. The timer sequence is drawn
+// here, exactly where a Sleep(d) would draw it, so the callback takes that
+// Sleep's place among same-deadline wakes. A non-positive d fires at the
+// current instant, after every timer armed earlier for it.
 //
 //tagalint:hotpath
-func (e *vevent) After(d time.Duration) {
+func (e *Event) After(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -729,109 +678,3 @@ func (c *VirtualClock) deadlockReport() string {
 	return fmt.Sprintf("vclock: deadlock at t=%v: %d goroutine(s) parked with no pending timers: %v",
 		c.Now(), total, names)
 }
-
-// ---------------------------------------------------------------------------
-// RealClock
-// ---------------------------------------------------------------------------
-
-// RealClock implements Clock against the wall clock. Register/Unregister are
-// no-ops; Go is a plain goroutine spawn.
-type RealClock struct {
-	start time.Time
-	seq   atomic.Uint64
-}
-
-// NewReal returns a wall-clock-backed Clock whose Now starts at zero.
-func NewReal() *RealClock {
-	return &RealClock{start: time.Now()}
-}
-
-// Now implements Clock.
-func (c *RealClock) Now() time.Duration { return time.Since(c.start) }
-
-// Sleep implements Clock.
-func (c *RealClock) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// AllocSeq implements Clock. Wall-clock wakes are ordered by the OS, so
-// the sequence is only a token for the ParkUntil API.
-func (c *RealClock) AllocSeq() uint64 { return c.seq.Add(1) }
-
-// Go implements Clock.
-func (c *RealClock) Go(fn func()) { go fn() }
-
-// Register implements Clock.
-func (c *RealClock) Register() {}
-
-// Unregister implements Clock.
-func (c *RealClock) Unregister() {}
-
-// Parker implements Clock.
-func (c *RealClock) Parker() Parker {
-	return &rparker{ch: make(chan struct{}, 1), clk: c}
-}
-
-// NewEvent implements Clock. A wall-clock event is a time.AfterFunc timer
-// (the runtime's timer heap is the event queue), created stopped so that
-// After only ever Resets it.
-func (c *RealClock) NewEvent(fn func()) Event {
-	t := time.AfterFunc(time.Hour, fn)
-	t.Stop()
-	return revent{t}
-}
-
-// revent implements Event with a time.AfterFunc timer.
-type revent struct{ t *time.Timer }
-
-// After implements Event.
-func (e revent) After(d time.Duration) { e.t.Reset(d) }
-
-// rparker implements Parker with a buffered channel.
-type rparker struct {
-	ch  chan struct{}
-	clk *RealClock
-}
-
-func (p *rparker) Park() { <-p.ch }
-
-// ParkUntil implements Parker; under real time the sequence is ignored and
-// the deadline is a plain timeout.
-func (p *rparker) ParkUntil(deadline time.Duration, seq uint64) bool {
-	_ = seq
-	return p.ParkTimeout(deadline - p.clk.Now())
-}
-
-func (p *rparker) ParkTimeout(d time.Duration) bool {
-	if d <= 0 {
-		select {
-		case <-p.ch:
-			return true
-		default:
-			return false
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-p.ch:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-func (p *rparker) Unpark() {
-	select {
-	case p.ch <- struct{}{}:
-	default:
-	}
-}
-
-// SetName implements Parker (no-op under real time).
-func (p *rparker) SetName(string) {}
-
-// SetExternal implements Parker (no-op under real time).
-func (p *rparker) SetExternal(bool) {}

@@ -15,10 +15,10 @@ import (
 // time advances inside the spawned goroutines. The goroutines are launched
 // as one group, so none can park — and the clock advance — before the clock
 // knows them all.
-func join(c Clock, fns ...func()) {
+func join(c *VirtualClock, fns ...func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(fns))
-	Launch(c, len(fns))(func(i int) {
+	c.Launch(len(fns))(func(i int) {
 		defer wg.Done()
 		fns[i]()
 	})
@@ -334,48 +334,6 @@ func TestQuickTimerOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRealClockBasics(t *testing.T) {
-	c := NewReal()
-	t0 := c.Now()
-	c.Sleep(2 * time.Millisecond)
-	if d := c.Now() - t0; d < 2*time.Millisecond {
-		t.Fatalf("slept only %v", d)
-	}
-	p := c.Parker()
-	p.Unpark()
-	p.Park() // must not block
-	if p.ParkTimeout(time.Millisecond) {
-		t.Fatal("ParkTimeout should time out with no Unpark")
-	}
-	go func() {
-		time.Sleep(time.Millisecond)
-		p.Unpark()
-	}()
-	if !p.ParkTimeout(time.Second) {
-		t.Fatal("ParkTimeout should see the Unpark")
-	}
-	var ran atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	c.Go(func() { defer wg.Done(); ran.Store(true) })
-	wg.Wait()
-	if !ran.Load() {
-		t.Fatal("Go did not run fn")
-	}
-}
-
-func TestRealParkTimeoutZeroConsumesPending(t *testing.T) {
-	c := NewReal()
-	p := c.Parker()
-	if p.ParkTimeout(0) {
-		t.Fatal("no pending unpark: want false")
-	}
-	p.Unpark()
-	if !p.ParkTimeout(0) {
-		t.Fatal("pending unpark: want true")
 	}
 }
 

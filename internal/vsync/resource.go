@@ -22,7 +22,7 @@ import (
 // source of TAMPI's small-block collapse). Package fabric uses Resources
 // for NIC serialization.
 type Resource struct {
-	clk    vclock.Clock
+	clk    *vclock.VirtualClock
 	mu     sync.Mutex
 	freeAt time.Duration
 
@@ -34,7 +34,7 @@ type Resource struct {
 }
 
 // NewResource returns an idle resource bound to clk.
-func NewResource(clk vclock.Clock) *Resource {
+func NewResource(clk *vclock.VirtualClock) *Resource {
 	return &Resource{clk: clk}
 }
 
@@ -120,22 +120,22 @@ func (r *Resource) ResetStats() {
 // single-consumer use (the fabric's per-path courier goroutines).
 // Push never blocks and may be called from any goroutine.
 type Queue[T any] struct {
-	clk    vclock.Clock
+	clk    *vclock.VirtualClock
 	mu     sync.Mutex
 	items  []T
 	closed bool
-	waiter vclock.Parker // consumer parked in Pop/PopAll, if any
+	waiter *vclock.Parker // consumer parked in Pop/PopAll, if any
 
 	// consumerP is the single consumer's reusable parking slot. A queue
 	// wait is woken by exactly one Unpark per registration (Push/Close
 	// claim the waiter field under the lock before unparking), so the
 	// same parker can serve every wait of the consumer's lifetime
 	// instead of allocating one per idle period.
-	consumerP vclock.Parker
+	consumerP *vclock.Parker
 }
 
 // NewQueue returns an open, empty queue bound to clk.
-func NewQueue[T any](clk vclock.Clock) *Queue[T] {
+func NewQueue[T any](clk *vclock.VirtualClock) *Queue[T] {
 	return &Queue[T]{clk: clk}
 }
 
@@ -263,7 +263,7 @@ func (q *Queue[T]) parkConsumerUntilLocked(deadline time.Duration, seq uint64) b
 
 // consumerParkerLocked returns the queue's reusable consumer parker,
 // creating it on first use, and panics on a second concurrent consumer.
-func (q *Queue[T]) consumerParkerLocked() vclock.Parker {
+func (q *Queue[T]) consumerParkerLocked() *vclock.Parker {
 	if q.waiter != nil {
 		q.mu.Unlock()
 		panic("vsync: concurrent Pop on single-consumer Queue")

@@ -1,6 +1,7 @@
-// Package vsync provides synchronization primitives that block through a
-// vclock.Clock rather than the Go runtime, so they work identically under
-// real time and under the virtual-time discrete-event engine.
+// Package vsync provides synchronization primitives that block through the
+// virtual clock's Parkers rather than the Go runtime: a goroutine waiting on
+// one counts as parked, so modelled time can advance past it. Package vclock
+// says why there is one clock and no wall clock beside it.
 //
 // All primitives wake waiters in FIFO order; fairness matters for the
 // contention modelling (package mpisim models the MPI library lock as a
@@ -17,14 +18,14 @@ import (
 // Mutex is a FIFO, clock-aware mutual exclusion lock. The zero value is not
 // usable; construct with NewMutex.
 type Mutex struct {
-	clk     vclock.Clock
+	clk     *vclock.VirtualClock
 	mu      sync.Mutex
 	locked  bool
-	waiters []vclock.Parker
+	waiters []*vclock.Parker
 }
 
 // NewMutex returns an unlocked mutex bound to clk.
-func NewMutex(clk vclock.Clock) *Mutex {
+func NewMutex(clk *vclock.VirtualClock) *Mutex {
 	return &Mutex{clk: clk}
 }
 
@@ -76,13 +77,13 @@ func (m *Mutex) Unlock() {
 // protected by L.
 type Cond struct {
 	L       sync.Locker
-	clk     vclock.Clock
-	waiters []vclock.Parker
+	clk     *vclock.VirtualClock
+	waiters []*vclock.Parker
 }
 
 // NewCond returns a condition variable bound to clk that uses l as its
 // Locker.
-func NewCond(clk vclock.Clock, l sync.Locker) *Cond {
+func NewCond(clk *vclock.VirtualClock, l sync.Locker) *Cond {
 	return &Cond{L: l, clk: clk}
 }
 
@@ -140,14 +141,14 @@ func (c *Cond) Broadcast() {
 // Semaphore is a counted, FIFO, clock-aware semaphore. It backs the
 // per-rank worker pool of the tasking runtime (one permit per core).
 type Semaphore struct {
-	clk     vclock.Clock
+	clk     *vclock.VirtualClock
 	mu      sync.Mutex
 	avail   int
-	waiters []vclock.Parker
+	waiters []*vclock.Parker
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(clk vclock.Clock, n int) *Semaphore {
+func NewSemaphore(clk *vclock.VirtualClock, n int) *Semaphore {
 	return &Semaphore{clk: clk, avail: n}
 }
 
@@ -192,14 +193,14 @@ func (s *Semaphore) Release() {
 
 // WaitGroup is a clock-aware analogue of sync.WaitGroup.
 type WaitGroup struct {
-	clk     vclock.Clock
+	clk     *vclock.VirtualClock
 	mu      sync.Mutex
 	count   int
-	waiters []vclock.Parker
+	waiters []*vclock.Parker
 }
 
 // NewWaitGroup returns an empty WaitGroup bound to clk.
-func NewWaitGroup(clk vclock.Clock) *WaitGroup {
+func NewWaitGroup(clk *vclock.VirtualClock) *WaitGroup {
 	return &WaitGroup{clk: clk}
 }
 
@@ -212,7 +213,7 @@ func (w *WaitGroup) Add(delta int) {
 		w.mu.Unlock()
 		panic("vsync: negative WaitGroup counter")
 	}
-	var wake []vclock.Parker
+	var wake []*vclock.Parker
 	if w.count == 0 {
 		wake = w.waiters
 		w.waiters = nil

@@ -11,15 +11,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// clocks returns both clock implementations so every test runs against each.
-func clocks() map[string]func() vclock.Clock {
-	return map[string]func() vclock.Clock{
-		"virtual": func() vclock.Clock { return vclock.NewVirtual() },
-		"real":    func() vclock.Clock { return vclock.NewReal() },
-	}
-}
-
-func join(c vclock.Clock, fns ...func()) {
+func join(c *vclock.VirtualClock, fns ...func()) {
 	var wg sync.WaitGroup
 	for _, fn := range fns {
 		fn := fn
@@ -33,37 +25,35 @@ func join(c vclock.Clock, fns ...func()) {
 }
 
 func TestMutexExcludes(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			m := NewMutex(c)
-			var inside atomic.Int32
-			var violations atomic.Int32
-			var count int
-			worker := func() {
-				for i := 0; i < 200; i++ {
-					m.Lock()
-					if inside.Add(1) != 1 {
-						violations.Add(1)
-					}
-					count++
-					inside.Add(-1)
-					m.Unlock()
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		m := NewMutex(c)
+		var inside atomic.Int32
+		var violations atomic.Int32
+		var count int
+		worker := func() {
+			for i := 0; i < 200; i++ {
+				m.Lock()
+				if inside.Add(1) != 1 {
+					violations.Add(1)
 				}
+				count++
+				inside.Add(-1)
+				m.Unlock()
 			}
-			join(c, worker, worker, worker, worker)
-			if violations.Load() != 0 {
-				t.Fatalf("%d mutual exclusion violations", violations.Load())
-			}
-			if count != 800 {
-				t.Fatalf("count = %d, want 800", count)
-			}
-		})
-	}
+		}
+		join(c, worker, worker, worker, worker)
+		if violations.Load() != 0 {
+			t.Fatalf("%d mutual exclusion violations", violations.Load())
+		}
+		if count != 800 {
+			t.Fatalf("count = %d, want 800", count)
+		}
+	})
 }
 
 func TestMutexTryLock(t *testing.T) {
-	c := vclock.NewReal()
+	c := vclock.NewVirtual()
 	m := NewMutex(c)
 	if !m.TryLock() {
 		t.Fatal("TryLock on free mutex failed")
@@ -84,7 +74,7 @@ func TestMutexUnlockUnlockedPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMutex(vclock.NewReal()).Unlock()
+	NewMutex(vclock.NewVirtual()).Unlock()
 }
 
 func TestMutexFIFOHandoffVirtual(t *testing.T) {
@@ -117,72 +107,68 @@ func TestMutexFIFOHandoffVirtual(t *testing.T) {
 }
 
 func TestCondSignalWakesOne(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			m := NewMutex(c)
-			cond := NewCond(c, m)
-			ready := 0
-			var woken atomic.Int32
-			waiter := func() {
-				m.Lock()
-				for ready == 0 {
-					cond.Wait()
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		m := NewMutex(c)
+		cond := NewCond(c, m)
+		ready := 0
+		var woken atomic.Int32
+		waiter := func() {
+			m.Lock()
+			for ready == 0 {
+				cond.Wait()
+			}
+			ready--
+			woken.Add(1)
+			m.Unlock()
+		}
+		join(c,
+			waiter, waiter, waiter,
+			func() {
+				for i := 0; i < 3; i++ {
+					c.Sleep(time.Millisecond)
+					m.Lock()
+					ready++
+					cond.Signal()
+					m.Unlock()
 				}
-				ready--
-				woken.Add(1)
-				m.Unlock()
-			}
-			join(c,
-				waiter, waiter, waiter,
-				func() {
-					for i := 0; i < 3; i++ {
-						c.Sleep(time.Millisecond)
-						m.Lock()
-						ready++
-						cond.Signal()
-						m.Unlock()
-					}
-				},
-			)
-			if woken.Load() != 3 {
-				t.Fatalf("woken = %d, want 3", woken.Load())
-			}
-		})
-	}
+			},
+		)
+		if woken.Load() != 3 {
+			t.Fatalf("woken = %d, want 3", woken.Load())
+		}
+	})
 }
 
 func TestCondBroadcast(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			m := NewMutex(c)
-			cond := NewCond(c, m)
-			open := false
-			var through atomic.Int32
-			waiter := func() {
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		m := NewMutex(c)
+		cond := NewCond(c, m)
+		open := false
+		var through atomic.Int32
+		waiter := func() {
+			m.Lock()
+			for !open {
+				cond.Wait()
+			}
+			m.Unlock()
+			through.Add(1)
+		}
+		join(c,
+			waiter, waiter, waiter, waiter,
+			func() {
+				c.Sleep(time.Millisecond)
 				m.Lock()
-				for !open {
-					cond.Wait()
-				}
+				open = true
+				cond.Broadcast()
 				m.Unlock()
-				through.Add(1)
-			}
-			join(c,
-				waiter, waiter, waiter, waiter,
-				func() {
-					c.Sleep(time.Millisecond)
-					m.Lock()
-					open = true
-					cond.Broadcast()
-					m.Unlock()
-				},
-			)
-			if through.Load() != 4 {
-				t.Fatalf("through = %d, want 4", through.Load())
-			}
-		})
-	}
+			},
+		)
+		if through.Load() != 4 {
+			t.Fatalf("through = %d, want 4", through.Load())
+		}
+	})
 }
 
 func TestCondWaitTimeout(t *testing.T) {
@@ -237,35 +223,33 @@ func TestCondWaitTimeoutSignaled(t *testing.T) {
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			s := NewSemaphore(c, 3)
-			var inside, peak atomic.Int32
-			worker := func() {
-				for i := 0; i < 50; i++ {
-					s.Acquire()
-					n := inside.Add(1)
-					for {
-						p := peak.Load()
-						if n <= p || peak.CompareAndSwap(p, n) {
-							break
-						}
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		s := NewSemaphore(c, 3)
+		var inside, peak atomic.Int32
+		worker := func() {
+			for i := 0; i < 50; i++ {
+				s.Acquire()
+				n := inside.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
 					}
-					inside.Add(-1)
-					s.Release()
 				}
+				inside.Add(-1)
+				s.Release()
 			}
-			join(c, worker, worker, worker, worker, worker, worker)
-			if peak.Load() > 3 {
-				t.Fatalf("peak concurrency %d exceeds semaphore limit 3", peak.Load())
-			}
-		})
-	}
+		}
+		join(c, worker, worker, worker, worker, worker, worker)
+		if peak.Load() > 3 {
+			t.Fatalf("peak concurrency %d exceeds semaphore limit 3", peak.Load())
+		}
+	})
 }
 
 func TestSemaphoreTryAcquire(t *testing.T) {
-	c := vclock.NewReal()
+	c := vclock.NewVirtual()
 	s := NewSemaphore(c, 1)
 	if !s.TryAcquire() {
 		t.Fatal("TryAcquire on free semaphore failed")
@@ -280,25 +264,23 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 }
 
 func TestWaitGroup(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			wg := NewWaitGroup(c)
-			var done atomic.Int32
-			wg.Add(3)
-			join(c,
-				func() { c.Sleep(time.Millisecond); done.Add(1); wg.Done() },
-				func() { c.Sleep(2 * time.Millisecond); done.Add(1); wg.Done() },
-				func() { done.Add(1); wg.Done() },
-				func() {
-					wg.Wait()
-					if done.Load() != 3 {
-						t.Errorf("Wait returned with %d done, want 3", done.Load())
-					}
-				},
-			)
-		})
-	}
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		wg := NewWaitGroup(c)
+		var done atomic.Int32
+		wg.Add(3)
+		join(c,
+			func() { c.Sleep(time.Millisecond); done.Add(1); wg.Done() },
+			func() { c.Sleep(2 * time.Millisecond); done.Add(1); wg.Done() },
+			func() { done.Add(1); wg.Done() },
+			func() {
+				wg.Wait()
+				if done.Load() != 3 {
+					t.Errorf("Wait returned with %d done, want 3", done.Load())
+				}
+			},
+		)
+	})
 }
 
 func TestWaitGroupNegativePanics(t *testing.T) {
@@ -307,7 +289,7 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWaitGroup(vclock.NewReal()).Add(-1)
+	NewWaitGroup(vclock.NewVirtual()).Add(-1)
 }
 
 func TestResourceSerializes(t *testing.T) {
@@ -419,39 +401,37 @@ func TestQuickResourceSumProperty(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	for name, mk := range clocks() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			q := NewQueue[int](c)
-			const n = 500
-			var got []int
-			join(c,
-				func() {
-					for i := 0; i < n; i++ {
-						q.Push(i)
-					}
-					q.Close()
-				},
-				func() {
-					for {
-						v, ok := q.Pop()
-						if !ok {
-							return
-						}
-						got = append(got, v)
-					}
-				},
-			)
-			if len(got) != n {
-				t.Fatalf("received %d items, want %d", len(got), n)
-			}
-			for i, v := range got {
-				if v != i {
-					t.Fatalf("got[%d] = %d, want %d", i, v, i)
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.NewVirtual()
+		q := NewQueue[int](c)
+		const n = 500
+		var got []int
+		join(c,
+			func() {
+				for i := 0; i < n; i++ {
+					q.Push(i)
 				}
+				q.Close()
+			},
+			func() {
+				for {
+					v, ok := q.Pop()
+					if !ok {
+						return
+					}
+					got = append(got, v)
+				}
+			},
+		)
+		if len(got) != n {
+			t.Fatalf("received %d items, want %d", len(got), n)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("got[%d] = %d, want %d", i, v, i)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestQueueMultiProducer(t *testing.T) {
@@ -511,7 +491,7 @@ func TestQueuePushAfterClosePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	q := NewQueue[int](vclock.NewReal())
+	q := NewQueue[int](vclock.NewVirtual())
 	q.Close()
 	q.Push(1)
 }
@@ -571,7 +551,7 @@ func TestQuickQueuePerProducerOrder(t *testing.T) {
 }
 
 func BenchmarkMutexUncontended(b *testing.B) {
-	c := vclock.NewReal()
+	c := vclock.NewVirtual()
 	m := NewMutex(c)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
