@@ -18,8 +18,7 @@
 //     an explicitly seeded rand.New(rand.NewSource(seed)) — see
 //     fabric.SeedOf for deriving stable seeds from point identities.
 //
-// Exempt are the packages that exist to touch host time: internal/vclock
-// (implements the clock abstraction over the host clock), internal/exp
+// Exempt are the packages that exist to touch host time: internal/exp
 // (measures host-side run time) and everything under cmd/ (front-ends
 // report host times next to modelled times).
 package detlint
@@ -38,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "report wall-clock and unseeded math/rand calls in simulator packages\n\n" +
 		"Modelled results must be a pure function of configuration and seeds; " +
 		"time comes from vclock.VirtualClock and randomness from explicitly seeded " +
-		"generators. internal/vclock, internal/exp and cmd/ are exempt.",
+		"generators. internal/exp and cmd/ are exempt.",
 	Run: run,
 }
 
@@ -93,8 +92,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // exempt reports whether the package at path is allowed to touch host time
-// and global randomness: internal/vclock, internal/exp, and every package
-// under a cmd/ directory. External test packages share their primary
+// and global randomness: internal/exp and every package under a cmd/
+// directory. External test packages share their primary
 // package's status.
 func exempt(path string) bool {
 	path = strings.TrimSuffix(path, "_test")
@@ -104,9 +103,5 @@ func exempt(path string) bool {
 			return true
 		}
 	}
-	switch segs[len(segs)-1] {
-	case "vclock", "exp":
-		return true
-	}
-	return false
+	return segs[len(segs)-1] == "exp"
 }

@@ -12,7 +12,7 @@ func TestDetlint(t *testing.T) {
 }
 
 // TestDetlintExemptPackages checks the allowlist: a package whose path
-// ends in vclock may read the host clock without findings.
+// ends in exp may read the host clock without findings.
 func TestDetlintExemptPackages(t *testing.T) {
-	analysistest.Run(t, "testdata/src/vclock", detlint.Analyzer)
+	analysistest.Run(t, "testdata/src/exp", detlint.Analyzer)
 }

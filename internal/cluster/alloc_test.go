@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/gaspisim"
 	"repro/internal/tasking"
 )
 
@@ -17,15 +18,19 @@ var raceEnabled bool
 // nothing. A 256-node TAGASPI job makes two million such passes; when each
 // armed event cost a timer and a closure, the garbage — never collected
 // under the GC goal the application grid sets — tripled the job's peak RSS.
-// Every rank here has one operation pending that cannot complete while the
+// Every rank here has 64 operations pending that cannot complete while the
 // passes are counted, so a pass does its full work: TAMPI books and settles
-// a Testsome over the in-flight set, TAGASPI drains every queue's
-// completion list and scans the notification list.
+// a Testsome over the in-flight set, TAGASPI tests every queue's completion
+// list and finds the rank's notification count where its last scan of the
+// 64 waits left it.
 func TestIdlePollPassZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
-	const poll = 5 * time.Microsecond
+	const (
+		poll    = 5 * time.Microsecond
+		pending = 64
+	)
 	for _, lib := range []string{"tampi", "tagaspi"} {
 		t.Run(lib, func(t *testing.T) {
 			cfg := Config{
@@ -41,14 +46,16 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 				}
 				env.MPI.Barrier()
 				peer := 1 - env.Rank
-				buf := make([]byte, 8)
-				// Bind one operation the peer completes only after the
+				buf := make([]byte, 8*pending)
+				// Bind operations the peer completes only after the
 				// measurement, so the poller has something to check.
 				env.RT.Submit(func(tk *tasking.Task) {
-					if env.TAMPI != nil {
-						env.TAMPI.Iwait(tk, env.MPI.Irecv(buf, peer, 0))
-					} else {
-						env.TAGASPI.NotifyIwait(tk, 0, 1, nil)
+					for i := 0; i < pending; i++ {
+						if env.TAMPI != nil {
+							env.TAMPI.Iwait(tk, env.MPI.Irecv(buf[8*i:8*i+8], peer, i))
+						} else {
+							env.TAGASPI.NotifyIwait(tk, 0, gaspisim.NotificationID(i), nil)
+						}
 					}
 				})
 				passes := func() int64 {
@@ -77,12 +84,16 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 					env.Clk.Sleep(time.Second) // far past the measurement
 				}
 				if env.TAMPI != nil {
-					env.MPI.Send(buf, peer, 0)
+					for i := 0; i < pending; i++ {
+						env.MPI.Send(buf[8*i:8*i+8], peer, i)
+					}
 					return
 				}
 				env.RT.Submit(func(tk *tasking.Task) {
-					if err := env.TAGASPI.Notify(tk, peer, 0, 1, 1, 0); err != nil {
-						t.Error(err)
+					for i := 0; i < pending; i++ {
+						if err := env.TAGASPI.Notify(tk, peer, 0, gaspisim.NotificationID(i), 1, 0); err != nil {
+							t.Error(err)
+						}
 					}
 				})
 			})

@@ -261,9 +261,12 @@ func Run(cfg Config, main func(*Env)) Result {
 	}
 	mpiSnaps := make([]obs.Snapshot, n)
 	gaspiSnaps := make([]obs.Snapshot, n)
-	var taskSnaps, tagaspiSnaps []obs.Snapshot
+	var taskSnaps, tampiSnaps, tagaspiSnaps []obs.Snapshot
 	if cfg.WithTasking {
 		taskSnaps = make([]obs.Snapshot, n)
+	}
+	if cfg.WithTAMPI {
+		tampiSnaps = make([]obs.Snapshot, n)
 	}
 	if cfg.WithTAGASPI {
 		tagaspiSnaps = make([]obs.Snapshot, n)
@@ -275,6 +278,9 @@ func Run(cfg Config, main func(*Env)) Result {
 		if envs[r] != nil && envs[r].RT != nil {
 			res.Tasking[r] = envs[r].RT.Stats()
 			taskSnaps[r] = envs[r].RT.Snapshot()
+		}
+		if envs[r] != nil && envs[r].TAMPI != nil {
+			tampiSnaps[r] = envs[r].TAMPI.Snapshot()
 		}
 		if envs[r] != nil && envs[r].TAGASPI != nil {
 			tagaspiSnaps[r] = envs[r].TAGASPI.Snapshot()
@@ -289,6 +295,13 @@ func Run(cfg Config, main func(*Env)) Result {
 		for r := 0; r < n; r++ {
 			if envs[r] != nil && envs[r].RT != nil {
 				res.Snapshots = append(res.Snapshots, taskSnaps[r])
+			}
+		}
+	}
+	if cfg.WithTAMPI {
+		for r := 0; r < n; r++ {
+			if envs[r] != nil && envs[r].TAMPI != nil {
+				res.Snapshots = append(res.Snapshots, tampiSnaps[r])
 			}
 		}
 	}

@@ -44,6 +44,7 @@ type Service struct {
 
 	interval atomic.Int64 // nanoseconds between passes; 0 = dedicated
 	passes   atomic.Int64
+	idle     atomic.Int64 // passes that retired nothing
 	retired  atomic.Int64
 
 	// adaptive mode (the paper's §VIII future work): the period shrinks
@@ -118,6 +119,9 @@ func (s *Service) After(d time.Duration, fn func()) { s.task.After(d, fn) }
 func (s *Service) Done(n int) {
 	clk := s.rt.Clock()
 	s.passes.Add(1)
+	if n == 0 {
+		s.idle.Add(1)
+	}
 	s.retired.Add(int64(n))
 	if rec := s.rt.Recorder(); rec != nil {
 		rec.Count(s.passCtr, 1)
@@ -187,6 +191,9 @@ func (s *Service) Interval() time.Duration { return time.Duration(s.interval.Loa
 // Passes returns the number of completed polling passes.
 func (s *Service) Passes() int64 { return s.passes.Load() }
 
+// IdlePasses returns how many completed passes retired nothing.
+func (s *Service) IdlePasses() int64 { return s.idle.Load() }
+
 // Retired returns the total completions retired by the poller.
 func (s *Service) Retired() int64 { return s.retired.Load() }
 
@@ -194,6 +201,7 @@ func (s *Service) Retired() int64 { return s.retired.Load() }
 // descriptors concurrently; the single polling task drains them into a
 // private list it then owns without further synchronization.
 type Pending[T any] struct {
+	n      atomic.Int32 // len(staged), readable without mu
 	mu     sync.Mutex
 	staged []T
 	pool   [][]T // recycled staging backing arrays
@@ -206,6 +214,7 @@ func (q *Pending[T]) Push(v T) {
 	q.mu.Lock()
 	//lint:ignore hotalloc staged reuses pooled backing arrays recycled by Drain; growth stops once the high-water mark is reached
 	q.staged = append(q.staged, v)
+	q.n.Add(1)
 	q.mu.Unlock()
 }
 
@@ -215,8 +224,12 @@ func (q *Pending[T]) Push(v T) {
 //
 //tagalint:hotpath
 func (q *Pending[T]) Drain(dst []T) []T {
+	if q.n.Load() == 0 {
+		return dst // the idle pass: nothing was staged since the last drain
+	}
 	q.mu.Lock()
 	staged := q.staged
+	q.n.Store(0)
 	if n := len(q.pool); n > 0 {
 		q.staged = q.pool[n-1][:0]
 		q.pool = q.pool[:n-1]
@@ -239,8 +252,4 @@ func (q *Pending[T]) Drain(dst []T) []T {
 }
 
 // Len reports the number of currently staged descriptors.
-func (q *Pending[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.staged)
-}
+func (q *Pending[T]) Len() int { return int(q.n.Load()) }

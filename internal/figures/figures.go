@@ -42,7 +42,7 @@ const (
 	// Gauss–Seidel figures (9, 10) honour it — `figures -scale` selects
 	// exactly those — and the sweep exists to exercise the sharded host
 	// substrate (ARCHITECTURE.md "Sharded host substrate"): bounded worker
-	// pools, sharded couriers and parker shards keep the host goroutine
+	// pools and sharded couriers keep the host goroutine
 	// count flat while rank counts reach the thousands.
 	Scale
 )

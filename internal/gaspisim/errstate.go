@@ -60,6 +60,7 @@ func (q *queue) completeLocalErr(tag any, nreq int, posted bool) {
 	for i := 0; i < nreq; i++ {
 		q.completed = append(q.completed, CompletedRequest{Tag: tag, OK: false})
 	}
+	q.ncompleted.Add(int32(nreq))
 	if posted {
 		q.outstanding -= nreq
 	}

@@ -21,6 +21,7 @@ package gaspisim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fabric"
@@ -155,6 +156,11 @@ type Proc struct {
 	// Sprintf per blocking wait.
 	notifyName, reqwaitName, waitName string
 
+	// notifSets counts the notifications set on this rank, ever. A poller
+	// whose last scan found a slot unset need not look again until the
+	// count moves (NotificationsSet).
+	notifSets atomic.Uint64
+
 	mu      sync.Mutex
 	segs    map[SegmentID]*segState
 	segWait map[SegmentID]chan struct{} // closed by SegmentCreate; see waitSegment
@@ -185,6 +191,7 @@ type queue struct {
 	res         *vsync.Resource
 	mu          sync.Mutex
 	completed   []CompletedRequest
+	ncompleted  atomic.Int32 // len(completed), readable without mu
 	outstanding int
 	waiters     []*vclock.Parker // RequestWait / Wait blockers
 	errored     bool             // QueueError: posts fast-fail until QueueRepair
@@ -491,6 +498,7 @@ func (q *queue) completeLocal(tag any, nreq int) {
 	for i := 0; i < nreq; i++ {
 		q.completed = append(q.completed, CompletedRequest{Tag: tag, OK: true})
 	}
+	q.ncompleted.Add(int32(nreq))
 	q.outstanding -= nreq
 	ws := q.waiters
 	q.waiters = nil
@@ -685,6 +693,7 @@ func (p *Proc) setNotification(seg SegmentID, id NotificationID, val int64, flow
 		panic(fmt.Sprintf("gaspisim: notification for unknown segment %d on rank %d", seg, p.rank))
 	}
 	st.notifs[id] = val
+	p.notifSets.Add(1)
 	if flow != 0 {
 		if st.flows == nil {
 			st.flows = make(map[NotificationID]int64)
@@ -737,6 +746,12 @@ func (p *Proc) NotifyReset(seg SegmentID, id NotificationID) (int64, bool) {
 	}
 	return v, set
 }
+
+// NotificationsSet returns how many notifications have been set on this
+// rank so far. A slot turns from unset to set only together with an
+// increment, so a caller that reads the count, then finds a slot unset, can
+// skip re-checking the slot while the count still reads the same.
+func (p *Proc) NotificationsSet() uint64 { return p.notifSets.Load() }
 
 // NotifyTest reports whether a notification slot is set, without
 // resetting — gaspi_notify_waitsome with GASPI_TEST, minus the reset.
@@ -895,6 +910,9 @@ func (p *Proc) RequestTestCost() time.Duration { return p.prof.RDMAOpOverhead / 
 //tagalint:hotpath
 func (p *Proc) RequestTest(queueID, max int, buf []CompletedRequest) []CompletedRequest {
 	q := p.queueAt(queueID)
+	if q.ncompleted.Load() == 0 {
+		return buf // the idle pass: nothing completed since the last drain
+	}
 	q.mu.Lock()
 	buf = q.takeLocked(max, buf)
 	q.mu.Unlock()
@@ -912,6 +930,7 @@ func (q *queue) takeLocked(max int, buf []CompletedRequest) []CompletedRequest {
 		n = max
 	}
 	buf = append(buf, q.completed[:n]...)
+	q.ncompleted.Add(int32(-n))
 	if n == len(q.completed) {
 		clear(q.completed)
 		q.completed = q.completed[:0]
@@ -949,6 +968,7 @@ func (p *Proc) Drain(queueID int) {
 	q := p.queueAt(queueID)
 	q.mu.Lock()
 	q.completed = nil
+	q.ncompleted.Store(0)
 	q.mu.Unlock()
 }
 

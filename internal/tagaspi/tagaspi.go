@@ -55,6 +55,7 @@ type Library struct {
 
 	pending core.Pending[*notifWait] // staged notification waits (§IV-D)
 	waiting []*notifWait             // the polling task's private list
+	scanned uint64                   // the rank's notification count as of the last scan of waiting
 
 	// Retry policy (DESIGN.md §9): operations that fail — the queue enters
 	// the GASPI error state and their completions come back failed — are
@@ -264,6 +265,12 @@ func (l *Library) NotifyIwait(t *tasking.Task, seg SegmentID, id NotificationID,
 		}
 		return
 	}
+	l.stage(t, seg, id, out)
+}
+
+// stage registers a wait for the polling task. The notification may have
+// arrived since NotifyIwait looked; the pass that drains the wait checks.
+func (l *Library) stage(t *tasking.Task, seg SegmentID, id NotificationID, out *int64) {
 	c := t.Events()
 	c.Increase(1)
 	l.outstanding.Add(1)
@@ -353,11 +360,20 @@ func (l *Library) drain() {
 }
 
 // checkNotifications drains freshly staged waits into the private list,
-// then scans it for notifications that arrived.
+// then scans it for notifications that arrived. The scan is skipped when it
+// cannot find anything: every listed wait was found unset by the last scan,
+// and no notification has been set on this rank since the count that scan
+// read (before it looked, so an arrival racing the scan is seen next pass).
 //
 //tagalint:hotpath
 func (l *Library) checkNotifications() {
+	sets := l.p.NotificationsSet()
+	listed := len(l.waiting)
 	l.waiting = l.pending.Drain(l.waiting)
+	if len(l.waiting) == listed && sets == l.scanned {
+		return
+	}
+	l.scanned = sets
 	keep := l.waiting[:0]
 	for _, w := range l.waiting {
 		if v, ok := l.p.NotifyReset(w.seg, w.id); ok {
@@ -467,6 +483,8 @@ func (l *Library) Snapshot() obs.Snapshot {
 			{Name: "tagaspi_retries", Value: float64(l.retries.Load())},
 			{Name: "tagaspi_gaveup", Value: float64(l.gaveup.Load())},
 			{Name: "tagaspi_pending_notifications", Value: float64(l.outstanding.Load())},
+			{Name: "tagaspi_passes", Value: float64(l.svc.Passes())},
+			{Name: "tagaspi_idle_passes", Value: float64(l.svc.IdlePasses())},
 		},
 	}
 }

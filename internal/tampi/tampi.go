@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpisim"
+	"repro/internal/obs"
 	"repro/internal/tasking"
 )
 
@@ -142,6 +143,19 @@ func (l *Library) check() {
 	}
 	l.retire = retire
 	l.svc.Done(len(retire))
+}
+
+// Snapshot returns the polling service's pass counters in the common
+// observability shape.
+func (l *Library) Snapshot() obs.Snapshot {
+	return obs.Snapshot{
+		Component: "tampi",
+		Rank:      int(l.p.Rank()),
+		Samples: []obs.Sample{
+			{Name: "tampi_passes", Value: float64(l.svc.Passes())},
+			{Name: "tampi_idle_passes", Value: float64(l.svc.IdlePasses())},
+		},
+	}
 }
 
 // InFlight reports the number of requests currently bound and pending.

@@ -21,6 +21,7 @@ package tasking
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -63,7 +64,7 @@ type Runtime struct {
 	reg       *depRegistry
 	live      int // incomplete regular tasks
 	spawnLive int // incomplete spawned service tasks
-	stopping  bool
+	stopping  atomic.Bool
 	seq       int64            // task ids for trace correlation
 	twWaiters []*vclock.Parker // TaskWait: woken when live hits 0
 	thWaiters []throttleWaiter
@@ -151,7 +152,7 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 	t.pre = EventCounter{t: t, pre: true}
 	t.comp = EventCounter{t: t, n: 1} // the body-execution pseudo-event
 	rt.mu.Lock()
-	if rt.stopping {
+	if rt.stopping.Load() {
 		rt.mu.Unlock()
 		panic("tasking: Submit after Shutdown")
 	}
@@ -408,12 +409,9 @@ func (rt *Runtime) Throttle(max int) {
 }
 
 // Stopping reports whether Shutdown has been requested. Spawned service
-// tasks poll it and return when it turns true.
-func (rt *Runtime) Stopping() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stopping
-}
+// tasks poll it, once per pass, and return when it turns true; the flag is
+// written under rt.mu and read here without it.
+func (rt *Runtime) Stopping() bool { return rt.stopping.Load() }
 
 // Shutdown asks spawned service tasks to stop, waits for them to exit, and
 // retires the worker pool. Regular tasks must already be complete
@@ -421,7 +419,7 @@ func (rt *Runtime) Stopping() bool {
 // goroutines — an early-exiting rank and the job teardown may both call it.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
-	rt.stopping = true
+	rt.stopping.Store(true)
 	if rt.spawnLive > 0 {
 		p := rt.clk.Parker()
 		p.SetName("shutdown")
@@ -701,14 +699,16 @@ func (cs *coreSched) acquire(ticket uint64) {
 	cs.grantUnlock()
 }
 
-// acquireFn is acquire for callers that must not block: fn runs, on the
-// goroutine that makes the grant, once a core is free and every earlier
-// ticket has been granted — at once if that is already so.
+// acquireFn is ticket plus acquire for callers that must not block: it
+// draws the next ticket and fn runs, on the goroutine that makes the grant,
+// once a core is free and every earlier ticket has been granted — at once
+// if that is already so.
 //
 //tagalint:hotpath
-func (cs *coreSched) acquireFn(ticket uint64, fn func()) {
+func (cs *coreSched) acquireFn(fn func()) {
 	cs.mu.Lock()
-	cs.waiters[ticket] = coreWaiter{fn: fn}
+	cs.waiters[cs.nextTkt] = coreWaiter{fn: fn}
+	cs.nextTkt++
 	cs.grantUnlock()
 }
 
@@ -730,7 +730,7 @@ func (cs *coreSched) release() {
 //
 //tagalint:hotpath
 func (cs *coreSched) grantUnlock() {
-	for cs.free > 0 {
+	for cs.free > 0 && len(cs.waiters) > 0 {
 		w, ok := cs.waiters[cs.nextGrant]
 		if !ok {
 			break

@@ -39,7 +39,7 @@ func (rt *Runtime) Spawn(label string, run func(*Service)) *Service {
 	t.pre = EventCounter{t: t, pre: true}
 	t.comp = EventCounter{t: t, n: 1}
 	rt.mu.Lock()
-	if rt.stopping {
+	if rt.stopping.Load() {
 		rt.mu.Unlock()
 		panic("tasking: Spawn after Shutdown")
 	}
@@ -63,7 +63,7 @@ func (rt *Runtime) Spawn(label string, run func(*Service)) *Service {
 		}
 		run(s)
 	}
-	rt.cores.acquireFn(rt.cores.ticket(), func() { s.After(rt.cfg.DispatchOverhead, begin) })
+	rt.cores.acquireFn(func() { s.After(rt.cfg.DispatchOverhead, begin) })
 	return s
 }
 
@@ -111,7 +111,7 @@ func (s *Service) WaitFor(d time.Duration, fn func()) {
 
 //tagalint:hotpath
 func (s *Service) reacquire() {
-	s.rt.cores.acquireFn(s.rt.cores.ticket(), s.resumedFn)
+	s.rt.cores.acquireFn(s.resumedFn)
 }
 
 //tagalint:hotpath

@@ -171,7 +171,7 @@ func TestEventsAloneDoNotAdvanceAnAbandonedClock(t *testing.T) {
 }
 
 // A fired event must not stay reachable from the clock: the spare capacity
-// of a shard heap used to keep the last popped timers, which for an event
+// of the timer heap used to keep the last popped timers, which for an event
 // means its callback and everything the callback closes over (a whole
 // finished job, in cluster.Run's case) until the clock itself is collected.
 func TestFiredEventIsNotRetainedByTheClock(t *testing.T) {
@@ -191,6 +191,7 @@ func TestFiredEventIsNotRetainedByTheClock(t *testing.T) {
 		select {
 		case <-collected:
 			return
+		//lint:ignore detlint host-side wait for the garbage collector's finalizer goroutine, not modelled time
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -219,6 +220,7 @@ func TestEventCallbackPanicIsNotSwallowed(t *testing.T) {
 		if r != "boom" {
 			t.Fatalf("recovered %v, want the callback's panic", r)
 		}
+	//lint:ignore detlint host-side hang watchdog: a correct clock propagates the panic at once
 	case <-time.After(5 * time.Second):
 		t.Fatal("the panicking goroutine hung in Unregister")
 	}

@@ -21,73 +21,27 @@
 // of package core) does not block at all: it arms an Event, a callback timer
 // the advancing goroutine runs — a heap push instead of a goroutine park.
 //
-// # Sharding
+// # One lock, one order
 //
-// The parker/timer table is sharded (clockShards fixed power-of-two shards;
-// each parker is pinned to one shard for its lifetime), so the park/unpark
-// hot path of thousands of concurrently-sleeping goroutines contends on a
-// shard mutex and two process-wide atomics (the active count and the timer
-// sequence) instead of one global mutex. The virtual-time advance step
-// merges the shard frontiers deterministically: each shard publishes its
-// earliest (deadline, seq) pair, the advancer scans shards in fixed index
-// order, and the globally smallest (deadline, seq) fires — exactly the
-// order a single heap would produce, because seq is drawn from one
-// process-wide counter. See ARCHITECTURE.md "Sharded host substrate".
+// Everything pending sits behind one mutex: a 4-ary heap whose (deadline,
+// seq) keys are stored inline beside the timer pointer, and a few FIFO lanes
+// for callback events. Virtual time never runs backwards and seq only grows,
+// so events armed with one constant delay d arrive already sorted by
+// (now+d, seq): a lane is a ring per distinct d, pushed at the tail and
+// popped at the head in O(1). A key that would land behind its lane's tail
+// (two goroutines racing between the seq draw and the lock) or finds every
+// lane taken goes to the heap instead. The advance step fires the minimum
+// over the heap top and the lane heads, which is exactly the order a single
+// heap would produce. See DESIGN.md §11.
 package vclock
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// clockShards is the fixed shard count of the parker/timer table. A power
-// of two so shard selection is a mask. 16 balances park-path concurrency
-// (a 256-node sweep parks thousands of goroutines concurrently) against
-// the advance step's frontier scan, which reads one cache line per shard
-// per fired event.
-const clockShards = 16
-
-// noDeadline is the published frontier of a shard with no pending timers.
-const noDeadline = math.MaxInt64
-
-// clockShard is one slice of the parker/timer table. The mutex protects
-// the heap, the parked set and the parker state (pending/waiting/woke) of
-// every parker pinned to the shard.
-type clockShard struct {
-	mu     sync.Mutex
-	timers timerHeap
-	parked map[*Parker]struct{} // parked without a timer, for diagnostics
-
-	// topDL/topSeq publish the shard's frontier — the (deadline, seq) of
-	// timers[0], or (noDeadline, 0) when empty — for the advance step's
-	// lock-free merge scan. Written under mu whenever the heap top
-	// changes; the quiescence argument in advanceLocked explains why the
-	// lock-free reads are exact, not approximate.
-	topDL  atomic.Int64
-	topSeq atomic.Uint64
-
-	// waiters counts the goroutines parked on this shard with a timer armed
-	// or on a non-external parker. Written under mu, read by anyWaiter.
-	waiters atomic.Int32
-
-	_ [20]byte // padding against false sharing between adjacent shards
-}
-
-// refreshTopLocked republishes the shard frontier after a heap mutation.
-// Called with s.mu held.
-func (s *clockShard) refreshTopLocked() {
-	if len(s.timers) == 0 {
-		s.topDL.Store(noDeadline)
-		s.topSeq.Store(0)
-		return
-	}
-	s.topDL.Store(int64(s.timers[0].deadline))
-	s.topSeq.Store(s.timers[0].seq)
-}
 
 // VirtualClock is a discrete-event virtual time source.
 //
@@ -106,19 +60,27 @@ type VirtualClock struct {
 	active atomic.Int64  // registered and runnable goroutines
 	seq    atomic.Uint64 // process-wide timer sequence, breaks deadline ties
 
-	// adv serializes the advance step. Lock order: adv, then shard
-	// mutexes in index order; nothing acquires adv while holding a shard
-	// mutex.
+	// adv serializes the advance step. Lock order: adv, then mu; nothing
+	// acquires adv while holding mu.
 	adv sync.Mutex
 
-	shardCtr atomic.Uint32 // round-robin parker placement
-	shards   [clockShards]clockShard
+	// mu guards every pending timer (heap and lanes), the parked set, the
+	// waiter count and the state (pending/waiting/waking/woke) of every
+	// parker of this clock.
+	mu     sync.Mutex
+	timers timerHeap
+	lanes  [eventLanes]lane
+	parked map[*Parker]struct{} // parked without a timer, for diagnostics
+	// waiters counts the goroutines parked with a timer or on a
+	// non-external parker. A woken goroutine leaves the count as it leaves
+	// park, so during quiescence the count is exact.
+	waiters int
 
 	// sleepers recycles the parker (and its embedded timer) of Sleep
 	// calls. Sleep is the hottest allocation site of the whole simulator
 	// (every modelled delay of every courier, resource and rank main
 	// passes through it), so this pool removes the dominant per-event
-	// garbage. Timers are removed from the shard heap eagerly on wake,
+	// garbage. Timers are removed from the heap eagerly on wake,
 	// so a recycled parker's timer is never still heap-linked.
 	sleepers sync.Pool
 }
@@ -126,12 +88,7 @@ type VirtualClock struct {
 // NewVirtual returns a virtual clock positioned at time zero with no
 // registered goroutines.
 func NewVirtual() *VirtualClock {
-	c := &VirtualClock{}
-	for i := range c.shards {
-		c.shards[i].parked = make(map[*Parker]struct{})
-		c.shards[i].topDL.Store(noDeadline)
-	}
-	return c
+	return &VirtualClock{parked: make(map[*Parker]struct{})}
 }
 
 // Now reports the virtual time elapsed since the clock started.
@@ -210,8 +167,7 @@ func (c *VirtualClock) Launch(n int) (start func(body func(i int))) {
 
 // Parker allocates a new parking slot bound to this clock.
 func (c *VirtualClock) Parker() *Parker {
-	shard := c.shardCtr.Add(1) & (clockShards - 1)
-	p := &Parker{c: c, shard: &c.shards[shard], ch: make(chan struct{}, 1)}
+	p := &Parker{c: c, ch: make(chan struct{}, 1)}
 	p.t = &timer{p: p}
 	return p
 }
@@ -222,96 +178,175 @@ type timer struct {
 	seq      uint64
 	p        *Parker // the goroutine to wake; nil for a callback event
 	fn       func()  // the callback to run; nil for a goroutine timer
-	index    int
+	index    int     // heap position, or unarmed / inLane
 }
 
-type timerHeap []*timer
+const (
+	unarmed = -1 // timer.index of a timer in no queue
+	inLane  = -2 // timer.index of an event queued in a lane
+)
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
+// timerEnt is one queued timer with its order key stored inline, so that
+// ordering two entries loads neither timer.
+type timerEnt struct {
+	deadline time.Duration
+	seq      uint64
+	t        *timer
+}
+
+func (a timerEnt) before(b timerEnt) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+
+// timerHeap is a 4-ary min-heap on (deadline, seq). Each queued timer's
+// index tracks its position, which remove needs.
+type timerHeap []timerEnt
 
 func (h *timerHeap) push(t *timer) {
-	t.index = len(*h)
-	*h = append(*h, t)
-	h.up(t.index)
+	*h = append(*h, timerEnt{})
+	h.up(len(*h)-1, timerEnt{t.deadline, t.seq, t})
 }
 
-func (h *timerHeap) pop() *timer {
+// remove deletes the entry at i: 0 pops the earliest timer; a parker woken
+// by an Unpark removes its own timer eagerly, so that parkers can reuse one
+// timer struct across parks. The vacated slot is zeroed: spare capacity must
+// not keep a fired event's closure alive.
+func (h *timerHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	t := old[0]
-	old.Swap(0, n-1)
-	old[n-1] = nil // the spare capacity must not keep a fired event's closure alive
-	*h = old[:n-1]
-	if n > 1 {
-		h.down(0)
+	n := len(old) - 1
+	old[i].t.index = unarmed
+	last := old[n]
+	old[n] = timerEnt{}
+	*h = old[:n]
+	if i == n {
+		return
 	}
-	t.index = -1
-	return t
+	if i > 0 && last.before(old[(i-1)/4]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
+	}
 }
 
-// remove deletes t (present at t.index) from the heap. Timers are removed
-// eagerly when their parker is woken by an Unpark instead of the timer, so
-// parkers can reuse one timer struct across parks.
-func (h *timerHeap) remove(t *timer) {
-	i := t.index
-	n := len(*h) - 1
-	h.Swap(i, n)
-	(*h)[n] = nil
-	*h = (*h)[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-	t.index = -1
-}
-
-func (h timerHeap) up(i int) {
+// up places e at or above the hole i.
+func (h timerHeap) up(i int, e timerEnt) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.Less(i, parent) {
+		parent := (i - 1) / 4
+		if !e.before(h[parent]) {
 			break
 		}
-		h.Swap(i, parent)
+		h[i] = h[parent]
+		h[i].t.index = i
 		i = parent
+	}
+	h[i] = e
+	e.t.index = i
+}
+
+// down places e at or below the hole i.
+func (h timerHeap) down(i int, e timerEnt) {
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		least := first
+		for j := first + 1; j < min(first+4, len(h)); j++ {
+			if h[j].before(h[least]) {
+				least = j
+			}
+		}
+		if !h[least].before(e) {
+			break
+		}
+		h[i] = h[least]
+		h[i].t.index = i
+		i = least
+	}
+	h[i] = e
+	e.t.index = i
+}
+
+// eventLanes is the number of constant-delay FIFO lanes. The polling
+// services arm their events with three distinct delays (dispatch overhead,
+// request-test cost, polling period); anything beyond the lanes falls back
+// to the heap, which is always correct.
+const eventLanes = 4
+
+// lane queues callback events armed with one delay d. Its entries are in
+// (deadline, seq) order by construction: pushEventLocked appends only keys
+// beyond the tail. Live entries are buf[head:].
+type lane struct {
+	d    time.Duration
+	buf  []timerEnt
+	head int
+}
+
+func (l *lane) empty() bool { return l.head == len(l.buf) }
+
+// push appends e, compacting the ring in place when its popped prefix is at
+// least half of a full buffer, so a lane in steady state never allocates.
+//
+//tagalint:hotpath
+func (l *lane) push(e timerEnt) {
+	if len(l.buf) == cap(l.buf) && l.head > 0 && l.head >= len(l.buf)/2 {
+		n := copy(l.buf, l.buf[l.head:])
+		clear(l.buf[n:])
+		l.buf, l.head = l.buf[:n], 0
+	}
+	//lint:ignore hotalloc the ring grows to the lane's high-water mark and is then compacted in place
+	l.buf = append(l.buf, e)
+	e.t.index = inLane
+}
+
+// pop removes the head entry, zeroing its slot like timerHeap.remove does.
+//
+//tagalint:hotpath
+func (l *lane) pop() {
+	l.buf[l.head].t.index = unarmed
+	l.buf[l.head] = timerEnt{}
+	l.head++
+	if l.empty() {
+		l.buf, l.head = l.buf[:0], 0
 	}
 }
 
-func (h timerHeap) down(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.Less(l, smallest) {
-			smallest = l
+// pushEventLocked queues a callback event armed with delay d: on the lane
+// keyed d (an empty lane is re-keyed) if its key lands beyond that lane's
+// tail, else on the heap. Callers hold c.mu.
+//
+//tagalint:hotpath
+func (c *VirtualClock) pushEventLocked(t *timer, d time.Duration) {
+	e := timerEnt{t.deadline, t.seq, t}
+	var to *lane
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		if !l.empty() && l.d == d {
+			to = l
+			break
 		}
-		if r < n && h.Less(r, smallest) {
-			smallest = r
+		if to == nil && l.empty() {
+			to = l
 		}
-		if smallest == i {
-			return
-		}
-		h.Swap(i, smallest)
-		i = smallest
 	}
+	// A key not beyond the tail would break the lane's order: two arms
+	// raced between the seq draw and the lock.
+	if to == nil || !to.empty() && !to.buf[len(to.buf)-1].before(e) {
+		c.timers.push(t)
+		return
+	}
+	to.d = d
+	to.push(e)
 }
 
 // Parker is a one-shot parking slot. At most one goroutine may be parked on
-// a Parker at a time. Each parker is pinned to one shard at creation; all of
-// its mutable state is protected by that shard's mutex.
+// a Parker at a time. All of its mutable state is protected by the clock's
+// mutex.
 type Parker struct {
 	c        *VirtualClock
-	shard    *clockShard
 	ch       chan struct{}
 	t        *timer // reusable timer (Sleep, ParkTimeout); never heap-linked between parks
 	pending  bool   // Unpark arrived while not parked
@@ -367,15 +402,12 @@ func (p *Parker) ParkUntil(deadline time.Duration, seq uint64) bool {
 func (p *Parker) ParkTimeout(d time.Duration) bool {
 	if d <= 0 {
 		// A non-positive timeout still honours a pending Unpark.
-		s := p.shard
-		s.mu.Lock()
-		if p.pending {
-			p.pending = false
-			s.mu.Unlock()
-			return true
-		}
-		s.mu.Unlock()
-		return false
+		c := p.c
+		c.mu.Lock()
+		woke := p.pending
+		p.pending = false
+		c.mu.Unlock()
+		return woke
 	}
 	return p.park(p.timerFor(d))
 }
@@ -387,55 +419,51 @@ func (p *Parker) ParkTimeout(d time.Duration) bool {
 //tagalint:hotpath
 func (p *Parker) park(t *timer) bool {
 	c := p.c
-	s := p.shard
-	s.mu.Lock()
+	c.mu.Lock()
 	if p.pending {
 		p.pending = false
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return true
 	}
 	if p.waiting {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		panic("vclock: concurrent Park on the same Parker")
 	}
 	if t != nil {
-		s.timers.push(t)
-		s.refreshTopLocked()
+		c.timers.push(t)
 	} else {
-		s.parked[p] = struct{}{}
+		c.parked[p] = struct{}{}
 	}
 	counted := t != nil || !p.external
 	if counted {
-		s.waiters.Add(1)
+		c.waiters++
 	}
 	p.waiting = true
 	p.woke = false
-	s.mu.Unlock()
+	c.mu.Unlock()
 	// The timer (or parked-set entry) is published before the decrement,
-	// so whichever goroutine observes active==0 sees this shard's full
-	// frontier when it scans.
+	// so whichever goroutine observes active==0 finds it queued.
 	if c.active.Add(-1) == 0 {
 		c.advance()
 	}
-	s.mu.Lock()
+	c.mu.Lock()
 	for p.waiting {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		<-p.ch
-		s.mu.Lock()
+		c.mu.Lock()
 	}
 	if t == nil {
-		delete(s.parked, p)
+		delete(c.parked, p)
 	} else if t.index >= 0 {
 		// Woken by an Unpark before the timer fired: remove it eagerly
 		// so the struct can be rearmed by the next park.
-		s.timers.remove(t)
-		s.refreshTopLocked()
+		c.timers.remove(t.index)
 	}
 	if counted {
-		s.waiters.Add(-1)
+		c.waiters--
 	}
 	woke := p.woke
-	s.mu.Unlock()
+	c.mu.Unlock()
 	return woke
 }
 
@@ -451,32 +479,31 @@ func (p *Parker) park(t *timer) bool {
 // binary-semaphore semantics.
 func (p *Parker) Unpark() {
 	c := p.c
-	s := p.shard
-	s.mu.Lock()
+	c.mu.Lock()
 	if !p.waiting || p.waking {
 		p.pending = true
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	p.waking = true
 	first := c.active.Add(1) == 1
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if first {
 		// This wake transitions the clock out of quiescence, so an
-		// advance step may be mid-merge right now. Serialize with it
+		// advance step may be running right now. Serialize with it
 		// before releasing the woken goroutine: otherwise the wakee
-		// could push an earlier timer into a frontier the advancer has
-		// already scanned past. (The advancer re-checks active before
-		// every fire, so it stops; this handshake just makes the wakee
-		// wait for that stop.)
+		// could arm an earlier timer than the one the advancer is about
+		// to fire. (The advancer re-checks active before every fire, so
+		// it stops; this handshake just makes the wakee wait for that
+		// stop.)
 		c.adv.Lock()
 		c.adv.Unlock() // empty critical section on purpose: the lock is a barrier
 	}
-	s.mu.Lock()
+	c.mu.Lock()
 	p.waking = false
 	p.waiting = false
 	p.woke = true
-	s.mu.Unlock()
+	c.mu.Unlock()
 	select {
 	case p.ch <- struct{}{}:
 	default:
@@ -496,118 +523,104 @@ func (c *VirtualClock) advance() {
 	}
 }
 
-// advanceLocked merges the shard frontiers and fires timers while the
-// clock is quiescent (active == 0). Determinism: seq comes from one
-// process-wide counter, so ordering by (deadline, seq) across shards is a
-// total order identical to the single-heap order; the fixed index-order
-// scan makes the merge itself deterministic.
+// advanceLocked fires timers in (deadline, seq) order while the clock is
+// quiescent (active == 0). Determinism: seq comes from one process-wide
+// counter, each lane is sorted by construction and the heap by definition,
+// so the minimum over the heap top and the lane heads is the timer a single
+// heap holding all of them would pop.
 //
 // While active == 0 no registered goroutine is runnable, so no timer can
-// be pushed or removed concurrently with the scan — every frontier read
-// below is exact (an event callback arms its timers between two scans, on
-// this goroutine). The only concurrent mutator is an Unpark from outside
-// the simulation; it increments active before its wakee can run, and the
-// re-check before each fire plus the !waiting guard keep such races from
-// corrupting virtual time. If no timers remain and non-external parkers
-// are parked, the simulation is deadlocked: the report is returned
+// be pushed or removed between two iterations (an event callback arms its
+// timers on this goroutine). The only concurrent mutator is an Unpark from
+// outside the simulation; it increments active before its wakee can run,
+// and the re-check before each fire plus the !waiting guard keep such races
+// from corrupting virtual time. If no timers remain and non-external
+// parkers are parked, the simulation is deadlocked: the report is returned
 // non-empty and the caller panics with it.
 func (c *VirtualClock) advanceLocked() (deadlock string) {
 	for c.active.Load() == 0 {
-		best := -1
-		bestDL := int64(noDeadline)
-		var bestSeq uint64
-		for i := range c.shards {
-			dl := c.shards[i].topDL.Load()
-			if dl == noDeadline {
-				continue
-			}
-			sq := c.shards[i].topSeq.Load()
-			if best == -1 || dl < bestDL || (dl == bestDL && sq < bestSeq) {
-				best, bestDL, bestSeq = i, dl, sq
+		c.mu.Lock()
+		var first timerEnt
+		var from *lane // the lane holding first; nil: the heap
+		if len(c.timers) > 0 {
+			first = c.timers[0]
+		}
+		for i := range c.lanes {
+			l := &c.lanes[i]
+			if !l.empty() && (first.t == nil || l.buf[l.head].before(first)) {
+				first, from = l.buf[l.head], l
 			}
 		}
-		if best == -1 {
-			if c.internalParked() > 0 {
-				return c.deadlockReport()
-			}
-			return "" // clean termination, or frozen awaiting external wakes
+		t := first.t
+		if t == nil {
+			deadlock = c.deadlockLocked()
+			c.mu.Unlock()
+			return deadlock // "": clean termination, or frozen awaiting external wakes
 		}
-		s := &c.shards[best]
-		s.mu.Lock()
-		if s.timers[0].fn != nil {
-			if !c.anyWaiter() {
-				// Nobody is waiting on virtual time: the simulation was
-				// abandoned with its services still armed. Leave them
-				// in the heap instead of firing them forever.
-				s.mu.Unlock()
-				return ""
-			}
-			t := s.timers.pop()
-			s.refreshTopLocked()
-			if int64(t.deadline) > c.now.Load() {
-				c.now.Store(int64(t.deadline))
-			}
-			// The callback runs here with active held at one: nothing
-			// can advance under it, and an Unpark or Go from inside it
-			// is an ordinary wake from a running goroutine.
-			c.active.Add(1)
-			s.mu.Unlock()
-			t.fn()
-			c.active.Add(-1)
-			continue
+		if t.fn != nil && c.waiters == 0 {
+			// Nobody is waiting on virtual time: the simulation was
+			// abandoned with its services still armed. Leave them
+			// queued instead of firing them forever.
+			c.mu.Unlock()
+			return ""
 		}
-		t := s.timers.pop()
-		s.refreshTopLocked()
+		if from != nil {
+			from.pop()
+		} else {
+			c.timers.remove(0)
+		}
 		p := t.p
-		if !p.waiting || p.waking {
-			// A racing external Unpark already woke (or claimed the
-			// wake of) the owner; the timer is moot and must not
-			// advance time.
-			s.mu.Unlock()
+		if p != nil && (!p.waiting || p.waking) {
+			// A racing external Unpark already woke (or claimed the wake
+			// of) the owner; the timer is moot and must not advance time.
+			c.mu.Unlock()
 			continue
 		}
-		if int64(t.deadline) > c.now.Load() {
-			c.now.Store(int64(t.deadline))
+		if int64(first.deadline) > c.now.Load() {
+			c.now.Store(int64(first.deadline))
 		}
-		p.waiting = false
-		p.woke = false
 		c.active.Add(1)
-		select {
-		case p.ch <- struct{}{}:
-		default:
+		if p != nil {
+			p.waiting = false
+			p.woke = false
+			select {
+			case p.ch <- struct{}{}:
+			default:
+			}
+			c.mu.Unlock()
+			continue
 		}
-		s.mu.Unlock()
+		// The callback runs here, outside c.mu, with active held at one:
+		// nothing can advance under it, and an Unpark or Go from inside
+		// it is an ordinary wake from a running goroutine.
+		c.mu.Unlock()
+		t.fn()
+		c.active.Add(-1)
 	}
 	return ""
 }
 
-// anyWaiter reports whether any goroutine is parked with a timer or on a
-// non-external parker. Called with adv held during quiescence, when every
-// woken goroutine has already left its park (and its count).
-func (c *VirtualClock) anyWaiter() bool {
-	for i := range c.shards {
-		if c.shards[i].waiters.Load() != 0 {
-			return true
-		}
+// deadlockLocked returns the deadlock report if any non-external parker is
+// parked, else "". Callers hold c.mu with adv held during quiescence.
+func (c *VirtualClock) deadlockLocked() string {
+	internal := false
+	for p := range c.parked {
+		internal = internal || !p.external
 	}
-	return false
-}
-
-// internalParked counts non-external parkers across all shards. Called
-// with adv held during quiescence, so the per-shard reads are stable.
-func (c *VirtualClock) internalParked() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for p := range s.parked {
-			if !p.external {
-				n++
-			}
-		}
-		s.mu.Unlock()
+	if !internal {
+		return ""
 	}
-	return n
+	names := make([]string, 0, len(c.parked))
+	for p := range c.parked {
+		n := p.name
+		if n == "" {
+			n = "<unnamed>"
+		}
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return fmt.Sprintf("vclock: deadlock at t=%v: %d goroutine(s) parked with no pending timers: %v",
+		c.Now(), len(names), names)
 }
 
 // Event is a reusable callback timer: the event-driven counterpart of a
@@ -617,20 +630,18 @@ func (c *VirtualClock) internalParked() int {
 // must not block — no Sleep, Park, Resource.Use or channel wait: a blocked
 // callback hangs the simulation without a deadlock report (tagalint's
 // taskctx analyzer flags such calls). It may arm events, Unpark parkers and
-// spawn goroutines with Go. An Event is pinned to one shard like a parker is.
+// spawn goroutines with Go.
 type Event struct {
 	timer
-	c     *VirtualClock
-	shard *clockShard
+	c *VirtualClock
 }
 
 // NewEvent allocates a reusable callback timer bound to this clock: each
 // After arms it once and fn runs when it expires.
 func (c *VirtualClock) NewEvent(fn func()) *Event {
-	shard := c.shardCtr.Add(1) & (clockShards - 1)
-	e := &Event{c: c, shard: &c.shards[shard]}
+	e := &Event{c: c}
 	e.fn = fn
-	e.index = -1
+	e.index = unarmed
 	return e
 }
 
@@ -644,37 +655,15 @@ func (e *Event) After(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	deadline := e.c.Now() + d
-	seq := e.c.seq.Add(1)
-	s := e.shard
-	s.mu.Lock()
-	if e.index >= 0 {
-		s.mu.Unlock()
+	c := e.c
+	deadline := c.Now() + d
+	seq := c.seq.Add(1)
+	c.mu.Lock()
+	if e.index != unarmed {
+		c.mu.Unlock()
 		panic("vclock: After on an Event that is already armed")
 	}
 	e.deadline, e.seq = deadline, seq
-	s.timers.push(&e.timer)
-	s.refreshTopLocked()
-	s.mu.Unlock()
-}
-
-func (c *VirtualClock) deadlockReport() string {
-	var names []string
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for p := range s.parked {
-			total++
-			n := p.name
-			if n == "" {
-				n = "<unnamed>"
-			}
-			names = append(names, n)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(names)
-	return fmt.Sprintf("vclock: deadlock at t=%v: %d goroutine(s) parked with no pending timers: %v",
-		c.Now(), total, names)
+	c.pushEventLocked(&e.timer, d)
+	c.mu.Unlock()
 }

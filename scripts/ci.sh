@@ -45,6 +45,15 @@ fi
 echo "== fuzz: mpisim matching engine against the linear-scan reference, 10 s"
 go test -run '^$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/mpisim
 
+# Clock-queue oracle (DESIGN.md §11): FuzzTimerOrder drives one clock with
+# generated programs of callback events (lanes and heap), sleeps, timed
+# parks and early Unparks and requires the fire order and Now() of a sorted
+# (deadline, seq) list. Same arrangement: the corpus ran above, ten seconds
+# on new inputs here, a failing input lands under
+# internal/vclock/testdata/fuzz/.
+echo "== fuzz: vclock timer queue against the sorted (deadline, seq) reference, 10 s"
+go test -run '^$' -fuzz FuzzTimerOrder -fuzztime 10s ./internal/vclock
+
 # Allocation-regression gates: the courier send path must stay within its
 # committed per-message budget (internal/fabric.CourierAllocBudget), a
 # nil-Recorder instrumentation site must allocate nothing, and neither may
