@@ -47,10 +47,10 @@ var blocking = map[string]map[string]map[string]bool{
 		"WaitGroup": {"Wait": true},
 		"Cond":      {"Wait": true, "WaitTimeout": true},
 		"Resource":  {"Use": true},
-		"Queue":     {"Pop": true, "PopAll": true, "PopAllUntil": true},
+		"Queue":     {"Pop": true},
 	},
 	"vclock": {
-		"Parker":       {"Park": true, "ParkTimeout": true, "ParkUntil": true},
+		"Parker":       {"Park": true, "ParkTimeout": true},
 		"VirtualClock": {"Sleep": true},
 	},
 	"tasking": {

@@ -16,6 +16,7 @@ var stepTakers = map[string]map[string]bool{
 	"vclock":  {"NewEvent": true},
 	"tasking": {"Spawn": true, "After": true, "WaitFor": true, "acquireFn": true},
 	"core":    {"Start": true, "After": true},
+	"fabric":  {"Register": true},
 }
 
 // stepChecker finds the functions a package hands to the step takers and

@@ -3,6 +3,7 @@ package taskctxtest
 
 import (
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/gaspisim"
 	"repro/internal/mpisim"
 	"repro/internal/tagaspi"
@@ -94,6 +95,18 @@ func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in 
 		case <-in: // want "channel receive in a service step or clock callback"
 		}
 	})
+}
+
+// A fabric delivery handler is a clock callback as well: Register takes the
+// function the clock will run at each delivery's instant.
+func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Request, got chan int) {
+	f.Register(0, fabric.ClassMPI, func(m *fabric.Message) {
+		got <- m.Size // want "channel send in a service step or clock callback"
+	})
+	h := func(m *fabric.Message) {
+		mpi.Wait(req) // want "mpisim.Proc.Wait in a service step or clock callback"
+	}
+	f.Register(1, fabric.ClassMPI, h)
 }
 
 // poller is shaped like the task-aware libraries: its steps are method

@@ -314,7 +314,7 @@ func Run(cfg Config, main func(*Env)) Result {
 	}
 	fab.Close()
 	if col, ok := cfg.Recorder.(*obs.Collector); ok && col != nil && col.Tracer != nil {
-		// All couriers and pollers have drained (fab.Close, RT.Shutdown), so
+		// The fabric and the pollers have drained (fab.Close, RT.Shutdown), so
 		// the event set is final. Analysis failures (an empty measurement
 		// window, say) leave Blame nil rather than failing the run.
 		if rep, err := critpath.Analyze(col.Tracer.Events()); err == nil {

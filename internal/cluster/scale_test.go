@@ -11,17 +11,16 @@ import (
 	"repro/internal/tasking"
 )
 
-// TestScaleBoundedGoroutines is the 256-node smoke test of the sharded
-// host substrate (ARCHITECTURE.md "Sharded host substrate"): a job at the
+// TestScaleBoundedGoroutines is the 256-node smoke test of the host
+// substrate (ARCHITECTURE.md "Sharded host substrate"): a job at the
 // paper's node count (reduced to one rank per node) with GASPI
 // neighbourhood traffic and pooled tasks must keep the host goroutine
 // count linear in ranks with a small constant — one main per rank plus a
-// bounded worker pool, plus a fixed number of courier shards, and nothing
-// for the rank's TAGASPI polling service, which runs on clock events — and
-// must unwind completely after Run (fabric closed, schedulers shut down). The
-// pre-shard substrate (a courier goroutine pair per ordering domain, a
-// goroutine per running task) blows the in-flight budget at this scale,
-// and a leaked courier or worker trips the settle check.
+// bounded worker pool, and nothing for the fabric or the rank's TAGASPI
+// polling service, which both run on clock events — and must unwind
+// completely after Run (fabric closed, schedulers shut down). A goroutine
+// per ordering domain or per running task blows the in-flight budget at
+// this scale, and a leaked worker trips the settle check.
 func TestScaleBoundedGoroutines(t *testing.T) {
 	const (
 		nodes  = 256
@@ -56,8 +55,8 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 		}
 		env.MPI.Barrier()
 		// Four neighbourhood partners per rank (±1, ±16 with wraparound):
-		// enough distinct ordering domains (4n) that a courier-per-domain
-		// substrate would dwarf the sharded pool's goroutine budget.
+		// enough distinct ordering domains (4n) that a goroutine per
+		// domain would dwarf the budget.
 		dirs := [4]int{1, n - 1, 16, n - 16}
 		for round := 0; round < rounds; round++ {
 			for d, step := range dirs {
@@ -88,16 +87,17 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 
 	// In-flight budget: a main goroutine per rank and up to Cores pool
 	// workers (the polling service has no goroutine, and no task body here
-	// blocks, so no replacement worker either), a fixed courier-shard pool
-	// (<= 64) and slack for the test harness itself. Linear in ranks — NOT
-	// in ordering domains (4n of them here) and NOT in submitted tasks.
-	budget := int64(base + nodes*(1+cores) + 192)
+	// blocks, so no replacement worker either), none for the fabric, and
+	// slack for the test harness itself. Linear in ranks — NOT in ordering
+	// domains (4n of them here) and NOT in submitted tasks.
+	budget := int64(base + nodes*(1+cores) + 32)
+	t.Logf("peak goroutines %d (budget %d, base %d)", peak.Load(), budget, base)
 	if p := peak.Load(); p > budget {
 		t.Fatalf("peak goroutine count %d exceeds budget %d (base %d): host substrate no longer bounded", p, budget, base)
 	}
 
-	// Leak check: everything the job spawned (rank mains, pool workers,
-	// couriers, clock shards) must unwind after Run returns. The job is
+	// Leak check: everything the job spawned (rank mains, pool workers)
+	// must unwind after Run returns. The job is
 	// over, so this settle loop measures the host, not the model.
 	//lint:ignore detlint host-side settle deadline: the simulation has already finished
 	deadline := time.Now().Add(10 * time.Second)
@@ -116,8 +116,8 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 // writes at its neighbour and returns without waiting for delivery, local
 // completion, or the notification. Run's teardown (barrier, scheduler
 // shutdown, fabric Close) must drain the in-flight burst and return
-// without panicking or stranding a courier — the regression that used to
-// bite when a rank exited during an in-flight batch.
+// without panicking or hanging — the regression that used to bite when a
+// rank exited during an in-flight batch.
 func TestEarlyExitTeardown(t *testing.T) {
 	const seg = gaspisim.SegmentID(3)
 	res := Run(Config{

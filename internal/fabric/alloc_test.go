@@ -13,9 +13,12 @@ import (
 var raceEnabled bool
 
 // allocsPerMessage measures host heap allocations per message for a full
-// Send -> inject -> deliver round trip, including every courier-side
-// allocation (AllocsPerRun counts global mallocs, so courier goroutines
-// are included). With instrumented=true the fabric records into a live
+// Send -> inject -> deliver round trip. The fabric cannot be pumped from
+// outside the simulation, so the harness is a registered goroutine that
+// parks on a reusable Parker after each batch: the park advances the clock,
+// every fabric step runs as a callback on this very goroutine, and the
+// handler unparks it on the batch's last delivery. With instrumented=true
+// the fabric records into a live
 // Collector — spans, instants and the flow-stamped causal edges — and the
 // tracer is Reset between measurement rounds so its pre-grown shard
 // buffers are reused instead of growing, which is exactly the steady state
@@ -25,8 +28,8 @@ func allocsPerMessage(t *testing.T, batch int, instrumented bool) float64 {
 }
 
 // allocsPerMessageOn is allocsPerMessage on an arbitrary topology and
-// destination rank, so the multi-hop routed path (per-link Reserve,
-// courier hop events) is measured by the same harness as the flat one.
+// destination rank, so the multi-hop routed path (per-link Reserve, hop
+// events) is measured by the same harness as the flat one.
 func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instrumented bool) float64 {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -36,8 +39,16 @@ func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instru
 		col = &obs.Collector{Tracer: obs.NewTracer(topo.Ranks())}
 		f.SetRecorder(col)
 	}
-	delivered := make(chan struct{}, 4*batch)
-	f.Register(dst, ClassMPI, func(m *Message) { delivered <- struct{}{} })
+	clk.Register()
+	defer clk.Unregister()
+	done := clk.Parker()
+	delivered := 0
+	f.Register(dst, ClassMPI, func(m *Message) {
+		if delivered++; delivered == batch {
+			delivered = 0
+			done.Unpark()
+		}
+	})
 
 	send := func() {
 		if col != nil {
@@ -48,11 +59,9 @@ func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instru
 			m.Src, m.Dst, m.Class, m.Size = 0, dst, ClassMPI, 256
 			f.Send(m)
 		}
-		for i := 0; i < batch; i++ {
-			<-delivered
-		}
+		done.Park()
 	}
-	send() // warm up the path (courier spawn, queue and shard growth)
+	send() // warm up the path (domain setup, FIFO and hop-event growth)
 
 	per := testing.AllocsPerRun(16, send) / float64(batch)
 	f.Close()
@@ -60,18 +69,19 @@ func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instru
 }
 
 // CourierAllocBudget is the committed per-message allocation budget of the
-// uninstrumented courier send path (Send through delivery). Before the
-// allocation diet this path measured ~10.5 allocs/message (a fresh Message
-// per Send, a fresh parker and timer per modelled sleep, per-Pop lock
-// round trips); with pooled messages, pooled sleep timers and batched
-// queue draining it measures 0.00. The budget is 1.0 rather than 0: a GC
+// uninstrumented send path, Send through delivery (the name is from when
+// courier goroutines ran it). Before the allocation diet this path
+// measured ~10.5 allocs/message (a fresh Message per Send, a fresh parker
+// and timer per modelled sleep, per-Pop lock round trips); with pooled
+// messages and reusable per-domain and per-hop clock events it measures
+// 0.00. The budget is 1.0 rather than 0: a GC
 // cycle during the measurement may empty the pools and charge a handful
 // of refills to the run. Raising this number is a performance regression
 // and needs justification.
 const CourierAllocBudget = 1.0
 
 // TestCourierAllocBudget is the allocation-regression gate of scripts/ci.sh:
-// the per-message allocation count of the courier hot path must not exceed
+// the per-message allocation count of the send hot path must not exceed
 // the committed budget.
 func TestCourierAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -101,10 +111,10 @@ func TestCourierAllocBudgetInstrumented(t *testing.T) {
 
 // TestCourierAllocBudgetMultiHop holds the same budget on the routed
 // multi-hop path: a 6-node ring where 0 -> 3 crosses three links, so
-// every message takes three per-link Reserve calls and two courier hop
+// every message takes three per-link Reserve calls and two hop
 // events on top of the flat path. Hop state lives in the pooled Message
-// and hop events reuse the courier's agenda storage, so steady-state
-// allocations must not grow with route length.
+// and hop events are recycled through the fabric's free list, so
+// steady-state allocations must not grow with route length.
 func TestCourierAllocBudgetMultiHop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")

@@ -10,20 +10,22 @@ import (
 )
 
 // TestCloseDrainsEarlyExit is the early-teardown regression test: a rank
-// that fires a burst of messages and exits immediately must not strand a
-// courier or panic the teardown. Close opens a drain window in which
-// in-flight deliveries complete and their handlers may keep sending (the
-// rendezvous-reply pattern of the protocol layers); only after the last
-// accepted message retires do the couriers join. Close is idempotent,
-// including concurrently and after the fabric is fully closed.
+// that fires a burst of messages and exits immediately must not hang or
+// panic the teardown. Close opens a drain window in which in-flight
+// deliveries complete and their handlers may keep sending (the
+// rendezvous-reply pattern of the protocol layers) — with every registered
+// goroutine gone, it is Close's own counted park that lets the pending
+// step events fire; it returns after the last accepted message retires.
+// Close is idempotent, including concurrently and after the fabric is
+// fully closed.
 func TestCloseDrainsEarlyExit(t *testing.T) {
 	const msgs = 64
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
 	var replies atomic.Int64
-	// Rank 1 answers every delivery with a reply sent from the courier's
-	// own delivery callback — exactly what used to strand the teardown
-	// when the sender had already exited.
+	// Rank 1 answers every delivery with a reply sent from the delivery
+	// callback itself — exactly what used to strand the teardown when the
+	// sender had already exited.
 	f.Register(1, ClassMPI, func(m *Message) {
 		f.Send(&Message{Src: 1, Dst: 0, Class: ClassMPI, Size: 8})
 	})
@@ -68,8 +70,8 @@ func TestCloseDrainsEarlyExit(t *testing.T) {
 	f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 1})
 }
 
-// TestCloseNoTraffic closes a fabric that never carried a message — the
-// couriers were never spawned — twice, from an unregistered goroutine.
+// TestCloseNoTraffic closes a fabric that never carried a message, twice,
+// from an unregistered goroutine.
 func TestCloseNoTraffic(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 2), testProfile())
@@ -81,9 +83,10 @@ func TestCloseNoTraffic(t *testing.T) {
 }
 
 // TestCloseZeroCostInline covers the zero-delay path: under an ideal
-// profile deliveries cascade inline inside Send, so nothing is in flight
-// by the time Close runs — it must still be safe while a sender is mid-
-// burst on another goroutine's virtual instant.
+// profile every Send arms an injection event due at once and the rest of
+// the delivery cascades inline inside that callback. The sender exits
+// without ever parking, so all 32 are still armed when Close runs and its
+// counted park is what fires them.
 func TestCloseZeroCostInline(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), ProfileIdeal())

@@ -9,14 +9,13 @@
 //     arrive in posting order (GASPI spec §"queues").
 //
 // Both guarantees are provided per ordering domain — a (source,
-// destination, class, lane) tuple. Domains hash onto a bounded pool of
-// courier shards; each shard's single courier goroutine drains the input
-// queues of many domains and advances their injection/delivery state
-// machines through a per-shard agenda (a (time, seq) min-heap of pending
-// events), so the host goroutine count scales with the shard count, not
-// with the O(ranks²) domain count, while each domain's messages still
-// inject and deliver strictly in arrival order. See ARCHITECTURE.md
-// "Sharded host substrate".
+// destination, class, lane) tuple. The fabric runs no goroutine: every
+// step of a domain's injection and delivery state machines is a callback
+// event on the virtual clock's own (deadline, seq) queue, run by whichever
+// goroutine is advancing the clock, so host goroutines do not grow with
+// the O(ranks²) domain count and each domain's messages still inject and
+// deliver strictly in arrival order. See ARCHITECTURE.md "Fabric on the
+// clock queue".
 //
 // The two Profiles mirror the paper's evaluation systems: Marenostrum4
 // (Intel Omni-Path, where the PSM2-optimised two-sided path is fast and
@@ -194,15 +193,16 @@ type Message struct {
 	Control  bool // control messages skip bandwidth terms (acks, RTS/CTS)
 	Payload  any  // protocol-layer descriptor
 
-	// OnInjected, if non-nil, runs on the courier once the source NIC has
-	// finished injecting the message: the moment of *local completion*
-	// (the source buffer may be reused). Protocol layers snapshot the
-	// payload bytes here.
+	// OnInjected, if non-nil, runs once the source NIC has finished
+	// injecting the message: the moment of *local completion* (the source
+	// buffer may be reused). Protocol layers snapshot the payload bytes
+	// here. Like a Handler it runs as a clock callback and must not block.
 	OnInjected func()
 
-	// OnFailed, if non-nil, runs on the courier when the fault plane
-	// (SetFaultPlan) fails the message's injection: the protocol layer
-	// surfaces the error, as GASPI does through queue error states.
+	// OnFailed, if non-nil, runs (as a clock callback, like OnInjected)
+	// when the fault plane (SetFaultPlan) fails the message's injection:
+	// the protocol layer surfaces the error, as GASPI does through queue
+	// error states.
 	// OnInjected does not run for a failed message and nothing is
 	// delivered. Messages without the hook are instead retransmitted
 	// transparently after the plan's RetransmitDelay, modelling a
@@ -219,14 +219,14 @@ type Message struct {
 	Flow int64
 
 	// enqueued is the Send timestamp, stamped only when a recorder is
-	// installed; the injection courier turns it into the queue-residency
+	// installed; the injection start turns it into the queue-residency
 	// latency sample.
 	enqueued time.Duration
 
 	// Multi-hop flight state (shaped topologies only; see hopStep). The
 	// fields ride on the message because several messages of one domain
 	// pipeline through the route concurrently — per-domain state would
-	// serialize the route. All are courier-owned and zeroed on release.
+	// serialize the route. Only callbacks touch them; zeroed on release.
 	hop      int           // next link index within the domain's route
 	hopSer   time.Duration // per-link serialization occupancy
 	hopLat   time.Duration // per-link propagation latency
@@ -236,9 +236,9 @@ type Message struct {
 }
 
 // msgPool recycles Message structs across every fabric in the process.
-// A message is released exactly once, by the courier that consumed it
-// (deliver after the handler returns, inject after a surfaced fault), so
-// no live reference can outlast the Put.
+// A message is released exactly once, by the step that consumed it
+// (delivery after the handler returns, injection after a surfaced fault),
+// so no live reference can outlast the Put.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewMessage returns a zeroed Message drawn from the fabric's message
@@ -260,11 +260,14 @@ func releaseMessage(m *Message) {
 	msgPool.Put(m)
 }
 
-// Handler consumes delivered messages on the destination rank.
-// It runs on a courier goroutine and must not block on modelled time other
-// than briefly (it may wake parkers, post replies, take short mutexes).
-// The *Message argument is recycled when the handler returns and must not
-// be retained.
+// Handler consumes delivered messages on the destination rank. It runs as
+// a clock callback, on whichever goroutine is advancing the clock, with
+// virtual time held still: it must not block (no Sleep, Park, Resource.Use
+// or channel wait — a blocked handler hangs the run with no deadlock
+// report; tagalint's taskctx analyzer checks the functions handed to
+// Register). It may wake parkers, post replies with Send and take short
+// mutexes. The *Message argument is recycled when the handler returns and
+// must not be retained.
 type Handler func(*Message)
 
 type pathKey struct {
@@ -273,12 +276,12 @@ type pathKey struct {
 	lane     int
 }
 
-// dom is the state of one ordering domain. All fields except the flow
-// sequence are owned by the domain's shard courier (single goroutine);
-// creation happens under f.mu before any traffic reaches the shard.
+// dom is the state of one ordering domain. Send shares only pend and
+// injBusy (under mu) with the callbacks; everything else belongs to the
+// domain's injection chain or its delivery stage, each of which has one
+// step in flight at a time — started by the Send that found the domain
+// idle, carried on by clock callbacks, which the clock runs one at a time.
 type dom struct {
-	key   pathKey
-	shard *courierShard
 	fault *pathFaults // nil: the fault plane cannot touch this domain
 
 	// route is the domain's multi-hop link route (topo.routeOf), nil for
@@ -296,14 +299,23 @@ type dom struct {
 	flowBase uint64
 	flowSeq  atomic.Uint64
 
-	// Injection state machine: pend holds messages awaiting injection in
-	// arrival order; cur is the head-of-line message whose injection is in
-	// progress, with its precomputed costs. injBusy gates the chain so at
-	// most one injection per domain is in flight — the FIFO guarantee.
-	pend    msgFIFO
+	// mu guards pend and injBusy: a sender woken by an OnInjected hook may
+	// Send on this domain while the callback that woke it is still in
+	// injNext. pend holds the messages queued behind the injection in
+	// progress, in arrival order; injBusy gates the chain so at most one
+	// injection per domain is in flight — the FIFO guarantee. An idle
+	// domain's pend is empty.
+	mu      sync.Mutex
+	pend    fifo[*Message]
 	injBusy bool
+
+	// Injection chain: injEv carries its next step (injKind); cur is the
+	// head-of-line message whose injection is in progress, with its
+	// precomputed costs.
+	injEv   *vclock.Event
+	injKind uint8
 	cur     *Message
-	popTs   time.Duration // injection start (the old courier's PopAll time)
+	popTs   time.Duration // injection start
 	lat     time.Duration // one-way latency, including any jitter spike
 	rx      time.Duration // destination reception cost (0 intra-node)
 	inject  time.Duration // source-side port occupancy
@@ -311,9 +323,11 @@ type dom struct {
 	intra   bool
 	attempt int
 
-	// Delivery state machine, pipelined behind injection exactly like the
-	// old courier pair: flights queue behind the one in-flight delivery.
-	flights flightFIFO
+	// Delivery stage, pipelined behind injection: delEv carries its next
+	// step (delKind) and flights queue behind the one delivery in progress.
+	delEv   *vclock.Event
+	delKind uint8
+	flights fifo[flight]
 	delBusy bool
 	curFl   flight
 	delFree time.Duration // completion time of the last delivery
@@ -328,165 +342,73 @@ type flight struct {
 	rx      time.Duration
 }
 
-// msgFIFO is an allocation-reusing FIFO of messages: pops advance a head
-// index instead of reslicing, and the buffer is reset (capacity kept) when
-// it empties, so a steady-state domain queues with no per-message garbage.
-type msgFIFO struct {
-	buf  []*Message
+// fifo is an allocation-reusing FIFO: pops advance a head index instead of
+// reslicing, and the buffer is reset (capacity kept) when it empties, so a
+// steady-state domain queues with no per-message garbage.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
 //tagalint:hotpath
-func (q *msgFIFO) push(m *Message) {
+func (q *fifo[T]) push(v T) {
 	//lint:ignore hotalloc the buffer resets to [:0] on empty and reuses capacity; growth stops at the domain's backlog high-water mark (the dynamic CourierAllocBudget gate holds at 0/message)
-	q.buf = append(q.buf, m)
+	q.buf = append(q.buf, v)
 }
 
 //tagalint:hotpath
-func (q *msgFIFO) pop() *Message {
-	m := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return m
+	return v
 }
 
-func (q *msgFIFO) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-// flightFIFO is msgFIFO for flights.
-type flightFIFO struct {
-	buf  []flight
-	head int
-}
-
-//tagalint:hotpath
-func (q *flightFIFO) push(fl flight) {
-	//lint:ignore hotalloc same amortisation as msgFIFO.push: capacity is kept across the [:0] reset, so steady state appends in place
-	q.buf = append(q.buf, fl)
-}
-
-//tagalint:hotpath
-func (q *flightFIFO) pop() flight {
-	fl := q.buf[q.head]
-	q.buf[q.head] = flight{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return fl
-}
-
-func (q *flightFIFO) len() int { return len(q.buf) - q.head }
-
-// Agenda event kinds: what a shard courier does when a scheduled instant
-// arrives.
+// Step kinds: what a domain does when a scheduled instant arrives. The
+// injection chain's steps come first; at picks the event by that.
 const (
 	evInjDone  = iota // source port charged: local completion, hand to delivery
 	evInjFault        // fault-plane drop charged: surface or schedule retry
 	evInjRetry        // retransmit backoff elapsed: next injection attempt
 	evDelStart        // flight arrived and the domain's delivery turn came
 	evDelDone         // destination port charged: invoke the handler
-	evHop             // routed message reached the entry of its next link
 )
 
-// agEvent is one pending state-machine step of a domain, scheduled on its
-// shard's agenda. evHop events additionally carry the in-route message:
-// hops are per-message state, because several messages of one domain
-// pipeline through the route concurrently; m is nil for every other kind.
-type agEvent struct {
-	when time.Duration
-	seq  uint64 // creation order within the shard, breaks same-instant ties
-	kind uint8
+// hopEv is the clock event of one routed message between two links of its
+// route. Hops are per-message state, because several messages of one
+// domain pipeline through the route concurrently; the events are recycled
+// through the fabric's free list, which only callbacks touch.
+type hopEv struct {
+	f    *Fabric
+	ev   *vclock.Event
 	d    *dom
 	m    *Message
+	next *hopEv // free list link
 }
 
-// agendaHeap is a (when, seq) min-heap of pending events. Same-instant
-// events fire in creation order, a deterministic choice among orders the
-// old courier-per-domain model left to the host scheduler.
-type agendaHeap []agEvent
-
-func (h agendaHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
+// newHopEv allocates a hop event: the cold side of atHop, reached only
+// while the free list is still growing to the in-route high-water mark.
+func (f *Fabric) newHopEv() *hopEv {
+	h := &hopEv{f: f}
+	h.ev = f.clk.NewEvent(h.fire)
+	return h
 }
 
-//tagalint:hotpath
-func (h *agendaHeap) push(ev agEvent) {
-	//lint:ignore hotalloc pops zero the vacated slot and shrink in place, so the heap's backing array stabilises at the shard's in-flight high-water mark
-	*h = append(*h, ev)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.less(i, parent) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-//tagalint:hotpath
-func (h *agendaHeap) pop() agEvent {
-	a := *h
-	n := len(a)
-	ev := a[0]
-	a[0] = a[n-1]
-	a[n-1] = agEvent{}
-	*h = a[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && a.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && a.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		a[i], a[smallest] = a[smallest], a[i]
-		i = smallest
-	}
-	return ev
-}
-
-// inEntry is one queued Send: the message plus its resolved domain.
-type inEntry struct {
-	m *Message
-	d *dom
-}
-
-// courierShard is one slice of the bounded courier pool: an input queue
-// fed by Send and an agenda of scheduled domain events, drained by a
-// single courier goroutine. Everything except the queue is owned by that
-// goroutine.
-type courierShard struct {
-	in      *vsync.Queue[inEntry]
-	clk     *vclock.VirtualClock
-	agenda  agendaHeap
-	started bool // courier goroutine spawned (guarded by f.mu)
-}
-
-// schedule books a future domain step on the shard agenda. The event's
-// wake sequence is drawn from the clock's process-wide counter at this
-// very call — the instant the goroutine-per-domain couriers armed their
-// sleep timers — so same-deadline ties against rank-task timers resolve
-// in the exact order the old model produced.
+// fire runs when the message reaches the entry of its next link.
 //
 //tagalint:hotpath
-func (s *courierShard) schedule(when time.Duration, kind uint8, d *dom, m *Message) {
-	s.agenda.push(agEvent{when: when, seq: s.clk.AllocSeq(), kind: kind, d: d, m: m})
+func (h *hopEv) fire() {
+	f, d, m := h.f, h.d, h.m
+	h.d, h.m = nil, nil
+	h.next, f.hopFree = f.hopFree, h
+	f.hopStep(d, m, f.clk.Now())
 }
 
 // Stats aggregates fabric traffic counters.
@@ -505,24 +427,22 @@ type Fabric struct {
 	topo Topology
 	prof Profile
 
-	nicTx  []*vsync.Resource // per-NODE inter-node injection port
-	nicRx  []*vsync.Resource // per-NODE inter-node reception port
-	shm    []*vsync.Resource // per-rank intra-node copy engine
-	links  []*linkState      // per directed link of a shaped topology (nil: flat)
-	rec    obs.Recorder      // nil: uninstrumented
-	mu     sync.Mutex
-	doms   map[pathKey]*dom
-	shards []*courierShard
-	hands  map[Class][]Handler // per class, indexed by rank
-	wg     sync.WaitGroup
+	nicTx   []*vsync.Resource // per-NODE inter-node injection port
+	nicRx   []*vsync.Resource // per-NODE inter-node reception port
+	shm     []*vsync.Resource // per-rank intra-node copy engine
+	links   []*linkState      // per directed link of a shaped topology (nil: flat)
+	rec     obs.Recorder      // nil: uninstrumented
+	mu      sync.Mutex
+	doms    map[pathKey]*dom
+	hands   map[Class][]Handler // per class, indexed by rank
+	hopFree *hopEv              // recycled hop events; callbacks only
 
 	// Teardown (Close): closing opens the drain window — new Sends from
 	// delivery handlers are still accepted so in-flight protocol chains
 	// (rendezvous CTS/DATA, read responses) can complete; closed marks the
-	// fabric fully drained and torn down, after which Send panics.
-	// inflight counts messages accepted by Send and not yet retired
-	// (handler returned or failure surfaced); Close waits for it to reach
-	// zero before closing the shard queues.
+	// fabric fully drained, after which Send panics. inflight counts
+	// messages accepted by Send and not yet retired (handler returned or
+	// failure surfaced); Close waits for it to reach zero.
 	closing   bool
 	closed    bool
 	inflight  atomic.Int64
@@ -539,24 +459,6 @@ type Fabric struct {
 	faults  atomic.Int64
 }
 
-// courierShardsFor is the size of the courier pool: enough shards to
-// spread the domains of a large cluster across host cores, never more
-// than the hard bound. Power of two, so domain placement is a mask of the
-// domain-key hash.
-func courierShardsFor(topo Topology) int {
-	n := 1
-	for n < topo.Ranks() && n < maxCourierShards {
-		n <<= 1
-	}
-	return n
-}
-
-// maxCourierShards bounds the courier pool. The pool exists to decouple
-// goroutine count from the O(ranks²) domain count; past a few dozen
-// couriers the host cores are saturated and more shards only add idle
-// goroutines.
-const maxCourierShards = 64
-
 // New builds a fabric for the given topology and cost profile.
 func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 	n := topo.Ranks()
@@ -566,10 +468,6 @@ func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 		prof:  prof,
 		doms:  make(map[pathKey]*dom),
 		hands: make(map[Class][]Handler),
-	}
-	f.shards = make([]*courierShard, courierShardsFor(topo))
-	for i := range f.shards {
-		f.shards[i] = &courierShard{in: vsync.NewQueue[inEntry](clk), clk: clk}
 	}
 	f.nicTx = make([]*vsync.Resource, topo.Nodes())
 	f.nicRx = make([]*vsync.Resource, topo.Nodes())
@@ -593,8 +491,8 @@ func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 // linkState is the runtime state of one directed link of a shaped
 // topology: its serialization capacity (an arrival-order serially-served
 // resource, exactly like a NIC port) plus traffic counters. Counters are
-// atomics because the domains crossing one link may live on different
-// courier shards.
+// atomics because LinkSnapshots and Reset read and clear them from outside
+// the callbacks that count.
 type linkState struct {
 	from, to int
 	res      *vsync.Resource
@@ -629,12 +527,21 @@ func (f *Fabric) Register(r Rank, class Class, h Handler) {
 	hs[r] = h
 }
 
-// Send submits a message. It never blocks: the domain's shard courier
-// picks the message up and charges the modelled transfer time. Posting-side
-// software costs (the MPI library lock, the GASPI queue post) are charged
-// by the protocol layers before calling Send. Send takes ownership of m:
-// the fabric recycles the struct after delivery, so the caller must not
-// touch it again.
+// Send submits a message. It never blocks and never runs a handler or a
+// hook: it queues the message on its ordering domain and, when the domain
+// is idle, books the source port and arms the domain's injection event —
+// always armed, even when due at once (a zero-cost profile), so every
+// later step runs as a clock callback, never on the sender's stack.
+// Posting-side software costs (the MPI library lock, the GASPI queue post)
+// are charged by the protocol layers before calling Send. Send takes
+// ownership of m: the fabric recycles the struct after delivery, so the
+// caller must not touch it again.
+//
+// The fabric has no goroutine of its own, so it cannot be pumped from
+// outside the simulation: callback events fire only while some registered
+// goroutine is parked on the clock waiting (vclock's abandoned-clock
+// rule). A caller that Sends and then waits for the delivery must be
+// registered and wait on a Parker or Sleep, not on a host channel.
 //
 //tagalint:pooled transfer
 //tagalint:hotpath
@@ -667,7 +574,20 @@ func (f *Fabric) Send(m *Message) {
 		m.Flow = d.nextFlowID()
 		f.rec.Flow(int(m.Src), obs.TrackFabricTx, obs.CatFabric, "flow:msg", 's', m.enqueued, m.Flow)
 	}
-	d.shard.in.Push(inEntry{m: m, d: d})
+	d.mu.Lock()
+	idle := !d.injBusy
+	if idle {
+		d.injBusy = true
+	} else {
+		d.pend.push(m)
+	}
+	d.mu.Unlock()
+	if idle {
+		now := f.clk.Now()
+		done, kind := f.startInject(d, m, now)
+		d.injKind = kind
+		d.injEv.After(done - now)
+	}
 }
 
 // nextFlowID assigns the next causal-flow edge id of one ordering domain.
@@ -682,28 +602,19 @@ func (d *dom) nextFlowID() int64 {
 	return id
 }
 
-// addDom creates an ordering domain and, if its shard's courier is not yet
-// running, spawns it. It runs with f.mu held, once per (src, dst, class,
-// lane) tuple over the fabric's lifetime: domain setup is the cold side of
-// Send and may allocate.
+// addDom creates an ordering domain with its two reusable clock events. It
+// runs with f.mu held, once per (src, dst, class, lane) tuple over the
+// fabric's lifetime: domain setup is the cold side of Send and may
+// allocate.
 func (f *Fabric) addDom(key pathKey) *dom {
-	shard := f.shards[flowBaseOf(key)&uint64(len(f.shards)-1)]
 	d := &dom{
-		key:      key,
-		shard:    shard,
 		route:    f.topo.routeOf(f.topo.NodeOf(key.src), f.topo.NodeOf(key.dst)),
 		flowBase: flowBaseOf(key),
 	}
 	d.fault = f.faultsFor(key, d.route)
+	d.injEv = f.clk.NewEvent(func() { f.step(d, d.injKind, f.clk.Now()) })
+	d.delEv = f.clk.NewEvent(func() { f.step(d, d.delKind, f.clk.Now()) })
 	f.doms[key] = d
-	if !shard.started {
-		shard.started = true
-		f.wg.Add(1)
-		f.clk.Go(func() {
-			defer f.wg.Done()
-			f.courier(shard)
-		})
-	}
 	return d
 }
 
@@ -745,157 +656,78 @@ func flowBaseOf(key pathKey) uint64 {
 	return h
 }
 
-// courier is one shard's service loop: it drains the shard's input queue,
-// starts the injection chain of idle domains, and fires the agenda events
-// of all the shard's domains in (time, seq) order. Between events it
-// parks on the input queue at the frontier agenda event's exact
-// (deadline, seq) — the timer the old couriers would have been sleeping
-// on — so new traffic wakes it immediately while the event keeps its
-// place in the global same-deadline wake order across re-parks.
-//
-// Timing equivalence with the old courier-pair-per-domain model: every
-// Resource booking and every hook runs at exactly the virtual instant the
-// blocking couriers would have executed it — the agenda replaces sleeping
-// with scheduling, not the cost arithmetic — and every agenda event's
-// wake sequence is drawn at the code point where the old model armed the
-// corresponding timer (ARCHITECTURE.md gives the step-by-step argument).
-//
-//tagalint:hotpath
-func (f *Fabric) courier(s *courierShard) {
-	var buf []inEntry
-	for {
-		var items []inEntry
-		var ok bool
-		if len(s.agenda) == 0 {
-			items, ok = s.in.PopAll(buf)
-		} else {
-			ev := s.agenda[0]
-			items, ok = s.in.PopAllUntil(buf, ev.when, ev.seq)
-		}
-		if !ok {
-			f.drainAgenda(s)
-			return
-		}
-		if len(items) > 0 {
-			// Push wake: fresh injections are booked mid-cascade, exactly
-			// when the old per-domain inject couriers booked theirs. A push
-			// cannot land between our timer's expiry and the queue's locked
-			// re-check — a timer wake means every other registered goroutine
-			// was parked — so absorbing here never reorders past a due event.
-			buf = f.absorb(items)
-			continue
-		}
-		// Timer wake at the agenda frontier: the advance loop fired our
-		// (deadline, seq) as the globally-earliest timer, the same
-		// one-step-per-quiescence-window serialization the old couriers got
-		// from their Sleep calls. Fire exactly one event, then re-park.
-		f.fire(s.agenda.pop())
-	}
-}
-
-// absorb pushes one drained batch of Sends into their domains and starts
-// the injection chain of every idle domain at the current instant. It
-// returns the spent batch for reuse as the queue's push buffer.
-//
-//tagalint:hotpath
-func (f *Fabric) absorb(items []inEntry) []inEntry {
-	now := f.clk.Now()
-	for i, e := range items {
-		e.d.pend.push(e.m)
-		if !e.d.injBusy {
-			e.d.injBusy = true
-			f.startInject(e.d, now)
-		}
-		items[i] = inEntry{} // drop refs before the array becomes the push buffer
-	}
-	return items
-}
-
-// drainAgenda fires whatever the agenda still holds after the input queue
-// closed. Close waits for every accepted message to retire before closing
-// the queues, so the agenda is normally empty here; any residue is driven
-// to completion on a private parker that only ever wakes by deadline.
-func (f *Fabric) drainAgenda(s *courierShard) {
-	var p *vclock.Parker
-	for len(s.agenda) > 0 {
-		ev := s.agenda[0]
-		if ev.when > f.clk.Now() {
-			if p == nil {
-				p = f.clk.Parker()
-				p.SetName("fabric-drain")
-				p.SetExternal(true)
-			}
-			p.ParkUntil(ev.when, ev.seq)
-			continue
-		}
-		f.fire(s.agenda.pop())
-	}
-}
-
-// at runs a domain step at virtual instant when: scheduled on the shard
-// agenda when the instant lies in the future, dispatched inline when it is
-// already due — the zero-delay steps the old couriers ran without arming a
-// timer (their sleeps were guarded `if d > 0`), so no wake sequence is
-// drawn for them and the surrounding cascade keeps its old shape.
+// at runs a domain step at virtual instant when, from inside a callback:
+// armed on the domain's event for that stage when the instant lies in the
+// future, dispatched inline when it is already due — zero-delay steps draw
+// no timer sequence, so the surrounding cascade keeps its shape.
 //
 //tagalint:hotpath
 func (f *Fabric) at(d *dom, when time.Duration, kind uint8) {
-	if when > f.clk.Now() {
-		d.shard.schedule(when, kind, d, nil)
-		return
+	now := f.clk.Now()
+	if when <= now {
+		f.step(d, kind, when)
+	} else if kind < evDelStart {
+		d.injKind = kind
+		d.injEv.After(when - now)
+	} else {
+		d.delKind = kind
+		d.delEv.After(when - now)
 	}
-	f.fire(agEvent{when: when, kind: kind, d: d})
 }
 
 // atHop is at for the per-message hop events of a routed domain: the
-// message rides on the event because several messages pipeline through
+// message rides on its own event because several messages pipeline through
 // the route concurrently.
 //
 //tagalint:hotpath
 func (f *Fabric) atHop(d *dom, m *Message, when time.Duration) {
-	if when > f.clk.Now() {
-		d.shard.schedule(when, evHop, d, m)
+	now := f.clk.Now()
+	if when <= now {
+		f.hopStep(d, m, when)
 		return
 	}
-	f.fire(agEvent{when: when, kind: evHop, d: d, m: m})
+	h := f.hopFree
+	if h == nil {
+		h = f.newHopEv()
+	} else {
+		f.hopFree, h.next = h.next, nil
+	}
+	h.d, h.m = d, m
+	h.ev.After(when - now)
 }
 
-// fire dispatches one agenda event at its scheduled instant.
+// step dispatches one domain step at its scheduled instant.
 //
 //tagalint:hotpath
-func (f *Fabric) fire(ev agEvent) {
-	d := ev.d
-	switch ev.kind {
+func (f *Fabric) step(d *dom, kind uint8, now time.Duration) {
+	switch kind {
 	case evInjDone:
-		f.injDone(d, ev.when)
+		f.injDone(d, now)
 	case evInjFault:
-		f.injFault(d, ev.when)
+		f.injFault(d, now)
 	case evInjRetry:
 		d.attempt++
-		f.injectAttempt(d, ev.when)
+		done, next := f.injectAttempt(d, now)
+		f.at(d, done, next)
 	case evDelStart:
-		done := ev.when
+		done := now
 		if d.curFl.rx > 0 {
 			_, done = f.nicRx[f.topo.NodeOf(d.curFl.m.Dst)].Reserve(d.curFl.rx)
 		}
 		f.at(d, done, evDelDone)
 	case evDelDone:
-		f.delDone(d, ev.when)
-	case evHop:
-		f.hopStep(d, ev.m, ev.when)
+		f.delDone(d, now)
 	}
 }
 
-// startInject begins the injection of the domain's next pending message at
-// virtual instant now: it computes the message's wire costs and runs the
-// first injection attempt. It is the event-driven form of the old inject
-// courier's per-message loop head, so now plays the role the courier's
-// PopAll wake-up time played — the send instant for an idle domain, the
-// previous injection's completion for a backlogged one.
+// startInject begins the injection of m, the domain's next message, at
+// virtual instant now — the send instant for an idle domain, the previous
+// injection's completion for a backlogged one: it computes the message's
+// wire costs and runs the first injection attempt, whose completion step
+// it returns for the caller to arm (Send) or run when due (at).
 //
 //tagalint:hotpath
-func (f *Fabric) startInject(d *dom, now time.Duration) {
-	m := d.pend.pop()
+func (f *Fabric) startInject(d *dom, m *Message, now time.Duration) (done time.Duration, kind uint8) {
 	d.cur = m
 	d.popTs = now
 	if f.rec != nil {
@@ -948,16 +780,16 @@ func (f *Fabric) startInject(d *dom, now time.Duration) {
 		m.hopRx = d.rx
 	}
 	d.attempt = 0
-	f.injectAttempt(d, now)
+	return f.injectAttempt(d, now)
 }
 
 // injectAttempt runs one injection attempt at virtual instant now: the
 // fault-plane decisions (rolled at the attempt instant, before the port is
-// charged, exactly like the old courier loop), then the source-side port
-// booking. The completion event carries the injection forward.
+// charged), then the source-side port booking. It returns the step that
+// carries the injection forward and the instant the port is done.
 //
 //tagalint:hotpath
-func (f *Fabric) injectAttempt(d *dom, now time.Duration) {
+func (f *Fabric) injectAttempt(d *dom, now time.Duration) (done time.Duration, kind uint8) {
 	m := d.cur
 	if pf := d.fault; pf != nil {
 		dropped := pf.outageAt(now)
@@ -968,9 +800,8 @@ func (f *Fabric) injectAttempt(d *dom, now time.Duration) {
 			// Each failed attempt charges the full injection cost — the
 			// port did the work before the loss was detected.
 			f.faults.Add(1)
-			_, done := f.nicTx[f.topo.NodeOf(m.Src)].Reserve(d.inject)
-			f.at(d, done, evInjFault)
-			return
+			_, done = f.nicTx[f.topo.NodeOf(m.Src)].Reserve(d.inject)
+			return done, evInjFault
 		}
 		if pf.jitter > 0 && pf.roll(saltJitter) < pf.jitter {
 			if d.route != nil {
@@ -983,13 +814,12 @@ func (f *Fabric) injectAttempt(d *dom, now time.Duration) {
 			}
 		}
 	}
-	var done time.Duration
 	if d.intra {
 		_, done = f.shm[m.Src].Reserve(d.inject)
 	} else {
 		_, done = f.nicTx[f.topo.NodeOf(m.Src)].Reserve(d.inject)
 	}
-	f.at(d, done, evInjDone)
+	return done, evInjDone
 }
 
 // injFault runs when a failed attempt's port charge completes. A failure
@@ -1025,9 +855,8 @@ func (f *Fabric) injFault(d *dom, now time.Duration) {
 
 // injDone runs at an injection's local-completion instant: the source
 // buffer is reusable, the flight towards the destination starts, and the
-// domain's next pending message (if any) begins injecting — the pipelining
-// the old courier pair provided by running inject and deliver on separate
-// goroutines.
+// domain's next pending message (if any) begins injecting while this one
+// flies.
 //
 //tagalint:hotpath
 func (f *Fabric) injDone(d *dom, now time.Duration) {
@@ -1105,14 +934,21 @@ func (f *Fabric) arrive(d *dom, fl flight) {
 }
 
 // injNext starts the domain's next pending injection, or idles the chain.
+// It is the one place a callback meets Send: an OnInjected or OnFailed hook
+// may already have woken a sender that is posting to this domain.
 //
 //tagalint:hotpath
 func (f *Fabric) injNext(d *dom, now time.Duration) {
-	if d.pend.len() > 0 {
-		f.startInject(d, now)
-	} else {
+	d.mu.Lock()
+	if d.pend.len() == 0 {
 		d.injBusy = false
+		d.mu.Unlock()
+		return
 	}
+	m := d.pend.pop()
+	d.mu.Unlock()
+	done, next := f.startInject(d, m, now)
+	f.at(d, done, next)
 }
 
 // delDone runs at a delivery's completion instant: the destination port
@@ -1180,20 +1016,20 @@ func (f *Fabric) delDone(d *dom, now time.Duration) {
 	}
 }
 
-// Close shuts the fabric down. It first waits for every accepted message
-// to retire — deliveries still in flight complete, and their handlers may
-// keep sending (a rendezvous reply, a read response) without panicking,
-// which is what used to strand couriers when ranks exited early — then
-// closes the shard queues and joins the couriers. Close is idempotent and
-// callable from unregistered goroutines; messages sent after it returns
-// panic.
+// Close shuts the fabric down once every accepted message has retired —
+// deliveries still in flight complete, and their handlers may keep sending
+// (a rendezvous reply, a read response) without panicking. The wait is a
+// counted park on the clock: callback events alone do not advance an
+// abandoned clock, so it is this park that lets the in-flight steps fire
+// when every rank has already exited, and a message that can never retire
+// ends in a deadlock report naming "fabric-close" instead of a hang. Close
+// is idempotent and callable from unregistered goroutines; messages sent
+// after it returns panic.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	if f.closing {
-		// Idempotent re-entry: the first Close tears the fabric down;
-		// nothing here can proceed until it finished if it already
-		// returned (closed is monotonic), and concurrent re-entry during
-		// the drain window simply returns — the fabric is quiescing.
+		// Idempotent re-entry: the first Close drains the fabric; a
+		// concurrent re-entry during the drain window simply returns.
 		f.mu.Unlock()
 		return
 	}
@@ -1202,17 +1038,12 @@ func (f *Fabric) Close() {
 	if f.inflight.Load() > 0 {
 		p = f.clk.Parker()
 		p.SetName("fabric-close")
-		p.SetExternal(true)
 		f.closeWait = p
 	}
 	f.mu.Unlock()
 	if p != nil {
-		// The drain-window park must be registered with the clock even
-		// though Close usually runs on a host goroutine: Park decrements
-		// the clock's active count, and an unbalanced decrement makes
-		// quiescence (active == 0) fire while a courier is still runnable
-		// — the courier's own park then drops the count below zero and
-		// virtual time freezes with the burst still in flight.
+		// Close usually runs on a host goroutine; Park decrements the
+		// clock's active count, so it is registered for the wait.
 		f.clk.Register()
 		p.Park()
 		f.clk.Unregister()
@@ -1220,10 +1051,6 @@ func (f *Fabric) Close() {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
-	for _, s := range f.shards {
-		s.in.Close()
-	}
-	f.wg.Wait()
 }
 
 // Stats returns a snapshot of traffic counters.

@@ -49,8 +49,10 @@ func TestTopologyInvalidPanics(t *testing.T) {
 func TestPointToPointLatencyBandwidth(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
-	got := make(chan time.Duration, 1)
-	f.Register(1, ClassMPI, func(m *Message) { got <- clk.Now() })
+	// Handlers are clock callbacks: they record into plain variables, read
+	// once the goroutine whose park ran them has been joined.
+	var at time.Duration
+	f.Register(1, ClassMPI, func(m *Message) { at = clk.Now() })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	clk.Go(func() {
@@ -60,7 +62,6 @@ func TestPointToPointLatencyBandwidth(t *testing.T) {
 		clk.Sleep(time.Hour) // keep the clock alive until delivery
 	})
 	wg.Wait()
-	at := <-got
 	if want := 3 * time.Microsecond; at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
@@ -69,8 +70,8 @@ func TestPointToPointLatencyBandwidth(t *testing.T) {
 func TestControlMessageSkipsBandwidth(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
-	got := make(chan time.Duration, 1)
-	f.Register(1, ClassMPI, func(m *Message) { got <- clk.Now() })
+	var at time.Duration
+	f.Register(1, ClassMPI, func(m *Message) { at = clk.Now() })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	clk.Go(func() {
@@ -79,7 +80,7 @@ func TestControlMessageSkipsBandwidth(t *testing.T) {
 		clk.Sleep(time.Hour)
 	})
 	wg.Wait()
-	if at := <-got; at != time.Microsecond {
+	if at != time.Microsecond {
 		t.Fatalf("control message delivered at %v, want 1µs (latency only)", at)
 	}
 }
@@ -87,8 +88,8 @@ func TestControlMessageSkipsBandwidth(t *testing.T) {
 func TestIntraNodeUsesIntraParams(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(1, 2), testProfile())
-	got := make(chan time.Duration, 1)
-	f.Register(1, ClassMPI, func(m *Message) { got <- clk.Now() })
+	var at time.Duration
+	f.Register(1, ClassMPI, func(m *Message) { at = clk.Now() })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	clk.Go(func() {
@@ -99,7 +100,7 @@ func TestIntraNodeUsesIntraParams(t *testing.T) {
 		clk.Sleep(time.Hour)
 	})
 	wg.Wait()
-	if at, want := <-got, 1100*time.Nanosecond; at != want {
+	if want := 1100 * time.Nanosecond; at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
 }
@@ -110,10 +111,8 @@ func TestRDMAEmulationPenalty(t *testing.T) {
 	prof.RDMAEmulFactor = 2
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), prof)
-	gaspiAt := make(chan time.Duration, 1)
-	mpiAt := make(chan time.Duration, 1)
-	f.Register(1, ClassGASPI, func(m *Message) { gaspiAt <- clk.Now() })
-	f.Register(1, ClassMPI, func(m *Message) { mpiAt <- clk.Now() })
+	var at time.Duration
+	f.Register(1, ClassGASPI, func(m *Message) { at = clk.Now() })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	clk.Go(func() {
@@ -123,7 +122,7 @@ func TestRDMAEmulationPenalty(t *testing.T) {
 	})
 	wg.Wait()
 	// Emulated RDMA: inject 2000ns (bw halved), flight 2000ns, rx 2000ns.
-	if at, want := <-gaspiAt, 6*time.Microsecond; at != want {
+	if want := 6 * time.Microsecond; at != want {
 		t.Fatalf("emulated RDMA delivered at %v, want %v", at, want)
 	}
 }
@@ -434,14 +433,8 @@ func BenchmarkFabricThroughput(b *testing.B) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
 	var wg sync.WaitGroup
-	delivered := make(chan struct{}, 1)
 	n := 0
-	f.Register(1, ClassMPI, func(m *Message) {
-		n++
-		if n == b.N {
-			delivered <- struct{}{}
-		}
-	})
+	f.Register(1, ClassMPI, func(m *Message) { n++ })
 	wg.Add(1)
 	clk.Go(func() {
 		defer wg.Done()
@@ -451,7 +444,9 @@ func BenchmarkFabricThroughput(b *testing.B) {
 		clk.Sleep(time.Hour)
 	})
 	wg.Wait()
-	<-delivered
+	if n != b.N {
+		b.Fatalf("delivered %d of %d", n, b.N)
+	}
 }
 
 func TestSeedOfStableDistinctPositive(t *testing.T) {

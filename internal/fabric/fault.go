@@ -128,9 +128,9 @@ func (fp FaultPlan) validate() {
 			panic(fmt.Sprintf("fabric: %s fault rates out of [0,1]: %+v", class, r))
 		}
 		if r.Spike < 0 {
-			// A negative spike would subtract flight latency and can hand
-			// the courier agenda an event before the current instant,
-			// violating its time ordering.
+			// A negative spike would subtract flight latency and can put a
+			// delivery step before the current instant, violating time
+			// ordering.
 			panic(fmt.Sprintf("fabric: %s Spike must be >= 0: %v", class, r.Spike))
 		}
 	}
@@ -186,7 +186,7 @@ func (f *Fabric) validateSelectors(plan FaultPlan) {
 }
 
 // pathFaults is the fault state of one ordering domain, owned by the
-// path's injection courier: a single goroutine draws from the decision
+// domain's injection chain: one step at a time draws from the decision
 // stream, so no locking and a host-schedule-independent sequence.
 type pathFaults struct {
 	drop, jitter float64

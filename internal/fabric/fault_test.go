@@ -149,16 +149,15 @@ func TestFaultDeterminism(t *testing.T) {
 func TestOutageDelaysDeliveryUntilRecovery(t *testing.T) {
 	out := Outage{Link: Link{-1, -1}, Start: 0, End: 200 * time.Microsecond}
 	plan := FaultPlan{Outages: []Outage{out}, RetransmitDelay: 5 * time.Microsecond}
-	got := make(chan time.Duration, 1)
+	var at time.Duration
 	_, _ = faultRun(t, plan, 3,
 		func(f *Fabric, clk *vclock.VirtualClock) {
-			f.Register(1, ClassMPI, func(m *Message) { got <- clk.Now() })
+			f.Register(1, ClassMPI, func(m *Message) { at = clk.Now() })
 		},
 		func(f *Fabric, clk *vclock.VirtualClock) {
 			f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 100})
 			clk.Sleep(time.Second)
 		})
-	at := <-got
 	if at < out.End {
 		t.Fatalf("delivered at %v, inside the outage window ending %v", at, out.End)
 	}
@@ -169,20 +168,19 @@ func TestOutageDelaysDeliveryUntilRecovery(t *testing.T) {
 
 func TestJitterSpikeDelaysFlight(t *testing.T) {
 	plan := FaultPlan{GASPI: FaultRates{Jitter: 1, Spike: 50 * time.Microsecond}}
-	reg := func(got chan time.Duration) func(*Fabric, *vclock.VirtualClock) {
+	reg := func(at *time.Duration) func(*Fabric, *vclock.VirtualClock) {
 		return func(f *Fabric, clk *vclock.VirtualClock) {
-			f.Register(1, ClassGASPI, func(m *Message) { got <- clk.Now() })
+			f.Register(1, ClassGASPI, func(m *Message) { *at = clk.Now() })
 		}
 	}
 	body := func(f *Fabric, clk *vclock.VirtualClock) {
 		f.Send(&Message{Src: 0, Dst: 1, Class: ClassGASPI, Size: 100})
 		clk.Sleep(time.Second)
 	}
-	spiked := make(chan time.Duration, 1)
-	clean := make(chan time.Duration, 1)
-	faultRun(t, plan, 5, reg(spiked), body)
-	faultRun(t, FaultPlan{}, 5, reg(clean), body)
-	if d := <-spiked - <-clean; d != plan.GASPI.Spike {
+	var spiked, clean time.Duration
+	faultRun(t, plan, 5, reg(&spiked), body)
+	faultRun(t, FaultPlan{}, 5, reg(&clean), body)
+	if d := spiked - clean; d != plan.GASPI.Spike {
 		t.Fatalf("jitter hit delayed delivery by %v, want exactly %v", d, plan.GASPI.Spike)
 	}
 }
@@ -216,8 +214,8 @@ func TestFaultPlanValidation(t *testing.T) {
 		"rate-above-one": {GASPI: FaultRates{Drop: 1.5}},
 		"empty-outage":   {Outages: []Outage{{Link: Link{-1, -1}, Start: time.Second, End: time.Second}}},
 		// Regression: a negative Spike used to slip through validation and
-		// subtract flight latency, handing the courier agenda an event
-		// before the current instant.
+		// subtract flight latency, scheduling a delivery step before the
+		// current instant.
 		"negative-mpi-spike":   {MPI: FaultRates{Jitter: 0.5, Spike: -time.Microsecond}},
 		"negative-gaspi-spike": {GASPI: FaultRates{Jitter: 1, Spike: -time.Nanosecond}},
 		// Regression: out-of-range Link selectors used to silently match
@@ -287,13 +285,12 @@ func TestInnerLinkOutageSeversCrossingRoutes(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewRingTopology(4, 1), testProfile())
 	f.SetFaultPlan(FaultPlan{Outages: []Outage{out}, RetransmitDelay: 5 * time.Microsecond}, 3)
-	crossed := make(chan time.Duration, 1)
-	clean := make(chan time.Duration, 1)
+	var crossedAt, cleanAt time.Duration
 	f.Register(2, ClassMPI, func(m *Message) {
 		if m.Payload.(int) == 0 {
-			crossed <- clk.Now()
+			crossedAt = clk.Now()
 		} else {
-			clean <- clk.Now()
+			cleanAt = clk.Now()
 		}
 	})
 	var wg sync.WaitGroup
@@ -309,7 +306,6 @@ func TestInnerLinkOutageSeversCrossingRoutes(t *testing.T) {
 		clk.Sleep(time.Second)
 	})
 	wg.Wait()
-	crossedAt, cleanAt := <-crossed, <-clean
 	if crossedAt < out.End {
 		t.Fatalf("route crossing the dead link delivered at %v, inside the outage ending %v",
 			crossedAt, out.End)

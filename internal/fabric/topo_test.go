@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -147,15 +146,20 @@ func runShapedTraffic(t *testing.T, topo Topology) ([]LinkStats, time.Duration) 
 	f := New(clk, topo, ProfileOmniPath())
 	const perSender = 20
 	nodes := topo.Nodes()
-	total := (nodes - 1) * perSender
-	done := make(chan struct{}, total)
-	f.Register(0, ClassMPI, func(m *Message) { done <- struct{}{} })
-	var wg sync.WaitGroup
+	left := (nodes - 1) * perSender
+	// The fabric runs on the clock's callbacks: the driver waits inside the
+	// simulation, on a parker the handler wakes at the last delivery.
+	clk.Register()
+	defer clk.Unregister()
+	done := clk.Parker()
+	f.Register(0, ClassMPI, func(m *Message) {
+		if left--; left == 0 {
+			done.Unpark()
+		}
+	})
 	for s := 1; s < nodes; s++ {
 		s := s
-		wg.Add(1)
 		clk.Go(func() {
-			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				m := NewMessage()
 				m.Src, m.Dst, m.Class, m.Size = Rank(s), 0, ClassMPI, 64<<10
@@ -163,10 +167,7 @@ func runShapedTraffic(t *testing.T, topo Topology) ([]LinkStats, time.Duration) 
 			}
 		})
 	}
-	wg.Wait()
-	for i := 0; i < total; i++ {
-		<-done
-	}
+	done.Park()
 	links := f.LinkSnapshots()
 	end := clk.Now()
 	f.Close()
@@ -228,27 +229,20 @@ func TestMultiHopFIFO(t *testing.T) {
 	const n = 100
 	clk := vclock.NewVirtual()
 	f := New(clk, NewRingTopology(6, 1), ProfileOmniPath())
-	var mu sync.Mutex
 	var order []int
-	done := make(chan struct{})
+	clk.Register()
+	defer clk.Unregister()
+	done := clk.Parker()
 	f.Register(3, ClassMPI, func(m *Message) {
-		mu.Lock()
 		order = append(order, m.Payload.(int))
 		if len(order) == n {
-			close(done)
-		}
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			f.Send(&Message{Src: 0, Dst: 3, Class: ClassMPI, Size: 4 << 10, Payload: i})
+			done.Unpark()
 		}
 	})
-	wg.Wait()
-	<-done
+	for i := 0; i < n; i++ {
+		f.Send(&Message{Src: 0, Dst: 3, Class: ClassMPI, Size: 4 << 10, Payload: i})
+	}
+	done.Park()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d: multi-hop routing broke the domain FIFO", i, v)

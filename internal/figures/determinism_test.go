@@ -8,13 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Regression test for the sharded-courier determinism fix: the onready
-// ablation at 32 producers has same-instant timer ties (poll-task timers
-// against courier agenda events) that only resolve identically when agenda
-// events keep the wake sequence drawn at schedule time across re-parks
-// (Clock.AllocSeq + Parker.ParkUntil). The seed below is one whose tie
-// pattern exposed the divergence; concurrent uninstrumented runs supply the
-// scheduler noise that surfaced it under -race.
+// Regression test for same-instant order: the onready ablation at 32
+// producers has timer ties (poll-task timers against fabric step events)
+// that only resolve identically when every fabric step holds the (deadline,
+// seq) place in the clock queue it drew when it was armed. The seed below is
+// one whose tie pattern exposed a divergence; concurrent uninstrumented runs
+// supply the scheduler noise that surfaced it under -race.
 func TestOnreadyTraceStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism stress skipped in -short")
@@ -49,7 +48,7 @@ func TestOnreadyTraceStability(t *testing.T) {
 			<-done
 		}
 		if !bytes.Equal(ref, b) {
-			t.Fatalf("trace diverged at iteration %d: courier agenda events are not holding their (deadline, seq) place in the wake order", i)
+			t.Fatalf("trace diverged at iteration %d: fabric step events are not holding their (deadline, seq) place in the clock queue", i)
 		}
 	}
 }

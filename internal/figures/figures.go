@@ -40,10 +40,10 @@ const (
 	// out to the paper's 256 nodes (2048 simulated MPI-only ranks per
 	// point) and Fig. 10 at its 128-node evaluation scale. Only the
 	// Gauss–Seidel figures (9, 10) honour it — `figures -scale` selects
-	// exactly those — and the sweep exists to exercise the sharded host
-	// substrate (ARCHITECTURE.md "Sharded host substrate"): bounded worker
-	// pools and sharded couriers keep the host goroutine
-	// count flat while rank counts reach the thousands.
+	// exactly those — and the sweep exists to exercise the host substrate
+	// (ARCHITECTURE.md "Sharded host substrate"): bounded worker pools and
+	// a fabric with no goroutines keep the host goroutine count linear in
+	// ranks while rank counts reach the thousands.
 	Scale
 )
 

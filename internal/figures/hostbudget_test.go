@@ -79,18 +79,18 @@ func TestPerMessageHostBudget(t *testing.T) {
 	t.Logf("scale point: host %v, %d messages, %.0f ns/message (budget %d), peak goroutines %d",
 		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, peak.Load())
 	// The goroutine bound is the cheap half of the gate: linear in ranks
-	// (main + bounded worker pool each) plus the fixed courier-shard pool.
-	// The pre-shard substrate peaked at ~17k goroutines on this point; the
-	// sharded one stays around ~2.6k (512 ranks x main + Cores workers; the
-	// polling service has no goroutine).
+	// (main + bounded worker pool each) plus slack for the harness. A
+	// courier pair per ordering domain peaked at ~17k goroutines on this
+	// point; it now stays at 2,563 (512 ranks x main + Cores workers; the
+	// fabric and the polling services have no goroutine).
 	ranks := cfg.Nodes * cfg.RanksPerNode
-	if gBudget := int64(ranks*(2+cfg.CoresPerRank) + 256); peak.Load() > gBudget {
+	if gBudget := int64(ranks*(1+cfg.CoresPerRank) + 64); peak.Load() > gBudget {
 		t.Fatalf("peak goroutine count %d exceeds budget %d: host substrate no longer bounded",
 			peak.Load(), gBudget)
 	}
 	if per > HostNsPerMessageBudget {
 		t.Fatalf("host time per message %.0f ns exceeds budget %d ns — "+
-			"did a hot path (couriers, worker pool, clock queue, idle poll pass) regress?",
+			"did a hot path (fabric steps, worker pool, clock queue, idle poll pass) regress?",
 			per, HostNsPerMessageBudget)
 	}
 }

@@ -239,8 +239,11 @@ func (p *Proc) SegmentCreate(id SegmentID, size int) (*memory.Segment, error) {
 // order, and real GASPI's gaspi_segment_create is collective, so an app
 // whose target rank creates the segment "now" is correct even if that
 // rank's goroutine has not reached the call yet in host time. The wait
-// costs no modelled time: the blocked courier holds the virtual clock
-// still, so the registration due at this instant still happens at it. A
+// costs no modelled time: the blocked delivery callback holds the virtual
+// clock still, so the registration due at this instant still happens at
+// it. Callbacks run only while every registered goroutine is parked, so
+// the registration can only come from a goroutine this callback already
+// woke (an OnInjected hook, an earlier delivery of the same cascade). A
 // registration that never comes — the app creates the segment at a LATER
 // virtual instant than the write targeting it — is an application bug;
 // the host timeout turns it into a diagnosable panic instead of a hang.
@@ -259,9 +262,11 @@ func (p *Proc) waitSegment(id SegmentID) {
 		p.segWait[id] = ch
 	}
 	p.mu.Unlock()
+	//lint:ignore taskctx a host-side wait inside a delivery callback, on purpose: only a goroutine this callback woke can close ch, it does so without virtual time, and the watchdog arm bounds the wait
 	select {
+	//lint:ignore taskctx the select above
 	case <-ch:
-	//lint:ignore detlint host-side stall watchdog: correct runs never reach this arm, it only converts an app-level ordering bug into a panic
+	//lint:ignore detlint,taskctx host-side stall watchdog: correct runs never reach this arm, it only converts an app-level ordering bug into a panic
 	case <-time.After(10 * time.Second):
 		panic(fmt.Sprintf("gaspisim: delivery to rank %d stalled: segment %d is not registered and no registration arrived at the current virtual instant (segment created after the write targeting it?)", p.rank, id))
 	}
@@ -297,7 +302,7 @@ type gMsg struct {
 
 // gMsgPool recycles protocol message payloads. A message is released
 // exactly once, by the rank that retired it in deliver (its OnInjected
-// hook, if any, ran strictly earlier, on the injection courier), and
+// hook, if any, ran strictly earlier, at local completion), and
 // keeps its data array, so steady-state traffic allocates neither payload
 // structs nor fresh snapshot buffers.
 var gMsgPool = sync.Pool{New: func() any { return new(gMsg) }}
@@ -559,7 +564,7 @@ func (p *Proc) Read(localSeg SegmentID, localOff int, remote Rank,
 
 // deliver is the fabric handler for GASPI traffic. Each payload is
 // retired to the pool after its last field read (its OnInjected hook ran
-// strictly earlier, on the injection courier).
+// strictly earlier, at local completion).
 //
 //tagalint:hotpath
 func (p *Proc) deliver(fm *fabric.Message) {

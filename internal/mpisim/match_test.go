@@ -267,9 +267,9 @@ func TestEagerTruncationPanics(t *testing.T) {
 }
 
 // TestRendezvousTruncationPanics hands the delivery handler the data leg
-// of a rendezvous whose receive buffer is too short. The handler runs on
-// a courier in a real job, where a panic cannot be recovered, so the test
-// calls it directly.
+// of a rendezvous whose receive buffer is too short. The handler runs as
+// a clock callback in a real job, on whichever goroutine advances the
+// clock, where the test cannot recover a panic, so it calls it directly.
 func TestRendezvousTruncationPanics(t *testing.T) {
 	withWorld(2, 1, testProfile(), func(p *Proc) {
 		if p.Rank() != 1 {

@@ -115,15 +115,15 @@ type Proc struct {
 	wins     map[int]*Win
 	colEpoch int // collective-epoch allocator (CollectiveEpoch)
 
-	// Progress-engine bookkeeping (§VI-C, DESIGN.md §10): couriers note
-	// each delivery here instead of taking libLock themselves, and the
+	// Progress-engine bookkeeping (§VI-C, DESIGN.md §10): the delivery
+	// handler notes each delivery here instead of taking libLock, and the
 	// application's next library call charges MPIMatchCost per delivery
 	// that happened strictly before its own virtual instant. The strict
 	// inequality is what keeps runs deterministic: a delivery at the same
 	// instant as an application call is excluded regardless of which
 	// goroutine the host scheduler ran first, and any strictly earlier
 	// delivery has finished its note before the clock could advance (the
-	// courier is not parked mid-deliver). progOld counts deliveries before
+	// handler is a clock callback). progOld counts deliveries before
 	// progTs; progN counts deliveries at exactly progTs. Guarded by mu.
 	progOld int64
 	progN   int64
@@ -357,9 +357,10 @@ func (p *Proc) charge(base time.Duration) {
 }
 
 // progressNote records that the progress engine has an incoming message to
-// match: the courier delivering it must not take the THREAD_MULTIPLE lock
-// itself (the grant order between a courier and an application call landing
-// on the same virtual instant would depend on host scheduling), so it only
+// match: the delivery handler must not take the THREAD_MULTIPLE lock itself
+// (it is a clock callback and cannot wait, and the grant order between it
+// and an application call landing on the same virtual instant would depend
+// on the order they were armed in), so it only
 // counts the delivery and the application's next library call serves the
 // matching work through the lock (§VI-C) — deliveries strictly before the
 // call's instant are charged, same-instant ones deferred to the call after.
@@ -496,7 +497,7 @@ func (p *Proc) consume(m *inMsg, r *Request) {
 	}
 }
 
-// deliver is the fabric handler: it runs on courier goroutines in arrival
+// deliver is the fabric handler: it runs as a clock callback, in arrival
 // order per source.
 //
 //tagalint:hotpath

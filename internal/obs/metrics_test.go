@@ -146,7 +146,7 @@ func TestNonAscendingBoundsPanic(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines (the
-// same way couriers, polling tasks and rank mains record concurrently);
+// same way fabric steps, polling tasks and rank mains record concurrently);
 // run under -race this checks the locking of every instrument.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()

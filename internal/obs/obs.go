@@ -187,7 +187,7 @@ func fnvMix(h, v uint64) uint64 {
 
 // Recorder receives events and measurements from instrumented components.
 // Implementations must be safe for concurrent use from rank mains, task
-// bodies, fabric couriers and polling tasks, and must not block on modelled
+// bodies, fabric steps and polling tasks, and must not block on modelled
 // time. Collector is the standard implementation.
 type Recorder interface {
 	// Span records a completed interval [start, end) on the given rank and

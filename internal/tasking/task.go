@@ -157,7 +157,8 @@ func (t *Task) Yield(f func()) {
 }
 
 // EventCounter counts outstanding external events bound to one task.
-// It is safe to Decrease from any goroutine (couriers, polling tasks).
+// It is safe to Decrease from any goroutine (delivery handlers, polling
+// tasks).
 type EventCounter struct {
 	t   *Task
 	pre bool

@@ -40,12 +40,13 @@ func TestQuickEventAndTimerShareOneOrder(t *testing.T) {
 					c.NewEvent(func() { fired(i) }).After(d)
 					continue
 				}
-				// A goroutine timer armed here and now: the sequence is
-				// drawn by the driver, the park happens whenever the
-				// goroutine gets to run.
-				deadline, seq := c.Now()+d, c.AllocSeq()
+				// A goroutine timer armed here and now: the driver draws
+				// the sequence (the first half of ParkTimeout), the park
+				// happens whenever the goroutine gets to run.
+				p := c.Parker()
+				tm := p.timerFor(d)
 				c.Go(func() {
-					c.Parker().ParkUntil(deadline, seq)
+					p.park(tm)
 					fired(i)
 				})
 			}

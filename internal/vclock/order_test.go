@@ -102,19 +102,18 @@ const (
 	fzMaxOps     = 300 // the reference is a linear scan per fire
 )
 
-// fzHelper is a goroutine parked on a timer that the driver may Unpark.
+// fzHelper is a goroutine in ParkTimeout that the driver may Unpark.
 type fzHelper struct {
-	id      int
-	p       *Parker
-	timeout bool        // ParkTimeout: an Unpark ends it; else ParkUntil: it re-parks
-	done    atomic.Bool // its timer fired, or an Unpark ended it
+	id   int
+	p    *Parker
+	done atomic.Bool // its timer fired, or an Unpark ended it
 }
 
 // FuzzTimerOrder drives one clock from a single driver goroutine with a
 // generated program — callback events with repeated, distinct, random and
 // zero delays, events that re-arm from their own callback, pairs pushed in
 // the swapped order two racing After calls can produce, driver sleeps,
-// ParkTimeout and ParkUntil goroutines and Unparks that wake them early —
+// ParkTimeout goroutines and Unparks that wake them early —
 // and requires the fire order and Now() of a sorted (deadline, seq) list,
 // and nothing left armed at the end.
 //
@@ -167,7 +166,7 @@ func FuzzTimerOrder(f *testing.F) {
 				driver.Park()
 			}
 			for ; len(in) >= 2; in = in[2:] {
-				op, arg := in[0]%9, int(in[1])
+				op, arg := in[0]%8, int(in[1])
 				switch op {
 				case 0:
 					arm(fzFewDelays[arg%len(fzFewDelays)], 0)
@@ -200,41 +199,26 @@ func FuzzTimerOrder(f *testing.F) {
 						c.Sleep(d)
 						ref.fire(id)
 					}
-				case 6, 7:
+				case 6:
 					if len(helpers) == fzMaxHelpers {
 						continue
 					}
-					h := &fzHelper{id: newID(), p: c.Parker(), timeout: op == 6}
+					// ParkTimeout: an early Unpark removes the timer from
+					// the middle of the heap.
+					h := &fzHelper{id: newID(), p: c.Parker()}
 					helpers = append(helpers, h)
 					wg.Add(1)
-					if h.timeout {
-						// ParkTimeout: an early Unpark removes the timer
-						// from the middle of the heap.
-						d := time.Duration(1 + arg%32)
-						c.Go(func() {
-							defer wg.Done()
-							if !h.p.ParkTimeout(d) {
-								ref.fire(h.id)
-							}
-							h.done.Store(true)
-						})
-						settle() // the helper has drawn its sequence and parked
-						ref.arm(h.id, h.p.t.deadline, h.p.t.seq)
-						continue
-					}
-					// ParkUntil at a key drawn here, possibly already due;
-					// after an early Unpark it re-parks at the same key.
-					deadline, seq := c.Now()+time.Duration(arg%8), c.AllocSeq()
-					ref.arm(h.id, deadline, seq)
+					d := time.Duration(1 + arg%32)
 					c.Go(func() {
 						defer wg.Done()
-						for h.p.ParkUntil(deadline, seq) {
+						if !h.p.ParkTimeout(d) {
+							ref.fire(h.id)
 						}
-						ref.fire(h.id)
 						h.done.Store(true)
 					})
-					settle()
-				case 8:
+					settle() // the helper has drawn its sequence and parked
+					ref.arm(h.id, h.p.t.deadline, h.p.t.seq)
+				case 7:
 					if len(helpers) == 0 {
 						continue
 					}
@@ -242,11 +226,9 @@ func FuzzTimerOrder(f *testing.F) {
 					if h.done.Load() {
 						continue
 					}
-					if h.timeout {
-						ref.cancel(h.id)
-					}
+					ref.cancel(h.id)
 					h.p.Unpark()
-					settle() // the helper has left, or parked again at its old key
+					settle() // the helper has left
 				}
 			}
 			// Outlive everything, re-arms included.
@@ -285,7 +267,6 @@ const (
 	fzRaced
 	fzSleep
 	fzTimeout
-	fzUntil
 	fzUnpark
 )
 
@@ -311,7 +292,7 @@ func fzTimerCorpus() [][]byte {
 		service,
 		many,
 		// Zero delays fire at this instant, after what was armed for it.
-		fzOps(fzRandom, 0, fzFew, 0, fzRandom, 0, fzRandom, 2, fzSleep, 2, fzRandom, 0, fzUntil, 0, fzRandom, 0),
+		fzOps(fzRandom, 0, fzFew, 0, fzRandom, 0, fzRandom, 2, fzSleep, 2, fzRandom, 0, fzTimeout, 0, fzRandom, 0),
 		// Random delays land before the tail of whatever lane they key.
 		fzOps(fzRandom, 9, fzRandom, 5, fzSleep, 4, fzRandom, 5, fzRandom, 9, fzRandom, 1, fzSleep, 3, fzRandom, 6),
 		// Re-arming from the callback, against fresh arms of the same delay.
@@ -321,15 +302,15 @@ func fzTimerCorpus() [][]byte {
 		fzOps(fzRaced, 2, fzSleep, 7, fzRaced, 2, fzRearm, 66),
 		// A lane head and the heap top with one deadline: seq decides.
 		fzOps(fzSleep, 1, fzTimeout, 1, fzFew, 0, fzSleep, 3, fzFew, 0, fzTimeout, 1),
-		fzOps(fzFew, 1, fzUntil, 3, fzFew, 1, fzUntil, 3, fzFew, 1, fzSleep, 9),
-		// Early Unparks: a timer leaves the middle of the heap; a ParkUntil re-parks at its key.
+		fzOps(fzFew, 1, fzTimeout, 2, fzFew, 1, fzTimeout, 2, fzFew, 1, fzSleep, 9),
+		// Early Unparks: a timer leaves the middle of the heap; a late one finds its helper gone.
 		fzOps(fzTimeout, 20, fzTimeout, 5, fzTimeout, 30, fzTimeout, 9, fzUnpark, 1, fzSleep, 6, fzUnpark, 0, fzUnpark, 3, fzFew, 2),
-		fzOps(fzUntil, 5, fzUntil, 0, fzUntil, 7, fzUnpark, 0, fzUnpark, 2, fzSleep, 2, fzUnpark, 2, fzUnpark, 0, fzSleep, 4, fzUnpark, 2),
+		fzOps(fzTimeout, 5, fzTimeout, 0, fzTimeout, 7, fzUnpark, 0, fzUnpark, 2, fzSleep, 2, fzUnpark, 2, fzUnpark, 0, fzSleep, 4, fzUnpark, 1),
 		// The timer that replaces an unparked one belongs above the hole: 4-ary heap
 		// 1 | 20 5 30 31 | 25 26 27 28 | 8, remove 25, and 8 must climb over 20.
 		fzOps(fzTimeout, 0, fzTimeout, 19, fzTimeout, 4, fzTimeout, 29, fzTimeout, 30, fzTimeout, 24, fzTimeout, 25,
 			fzTimeout, 26, fzTimeout, 27, fzTimeout, 7, fzUnpark, 5),
 		// Everything at once.
-		slices.Concat(service[:30], fzOps(fzTimeout, 3, fzRaced, 0, fzUntil, 2, fzRearm, 65, fzUnpark, 0, fzMany, 3, fzMany, 4, fzMany, 5, fzUnpark, 1), many[:20]),
+		slices.Concat(service[:30], fzOps(fzTimeout, 3, fzRaced, 0, fzTimeout, 2, fzRearm, 65, fzUnpark, 0, fzMany, 3, fzMany, 4, fzMany, 5, fzUnpark, 1), many[:20]),
 	}
 }

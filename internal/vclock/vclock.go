@@ -18,8 +18,10 @@
 // style of the Go runtime's gopark/goready. Higher-level primitives (mutex,
 // condition variable, semaphore, served resource) are built on Parkers in
 // package vsync. Code that only ever waits for time (the polling services
-// of package core) does not block at all: it arms an Event, a callback timer
-// the advancing goroutine runs — a heap push instead of a goroutine park.
+// of package core, every step of the fabric's state machines) does not block
+// at all: it arms an Event, a callback timer the advancing goroutine runs — a
+// heap push instead of a goroutine park. The clock's (deadline, seq) queue is
+// the simulator's only event queue.
 //
 // # One lock, one order
 //
@@ -78,8 +80,8 @@ type VirtualClock struct {
 
 	// sleepers recycles the parker (and its embedded timer) of Sleep
 	// calls. Sleep is the hottest allocation site of the whole simulator
-	// (every modelled delay of every courier, resource and rank main
-	// passes through it), so this pool removes the dominant per-event
+	// (every modelled delay of every resource and rank main passes
+	// through it), so this pool removes the dominant per-event
 	// garbage. Timers are removed from the heap eagerly on wake,
 	// so a recycled parker's timer is never still heap-linked.
 	sleepers sync.Pool
@@ -136,15 +138,6 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	p.park(t)
 	c.sleepers.Put(p)
 }
-
-// AllocSeq reserves and returns the next timer sequence number without
-// arming a timer. Event-driven service loops (the fabric's sharded couriers)
-// stamp each scheduled event with a sequence at creation time and later park
-// at the event's (deadline, seq) via Parker.ParkUntil, so the event wakes
-// interleave with ordinary same-deadline timers exactly as if a dedicated
-// goroutine had armed a Sleep at the moment the event was scheduled — the
-// property the simulator's determinism rests on.
-func (c *VirtualClock) AllocSeq() uint64 { return c.seq.Add(1) }
 
 // Launch registers n goroutines with c in one step and returns the function
 // that starts them, each running body(i) and unregistering when it returns.
@@ -272,8 +265,9 @@ func (h timerHeap) down(i int, e timerEnt) {
 
 // eventLanes is the number of constant-delay FIFO lanes. The polling
 // services arm their events with three distinct delays (dispatch overhead,
-// request-test cost, polling period); anything beyond the lanes falls back
-// to the heap, which is always correct.
+// request-test cost, polling period); anything beyond the lanes (the
+// fabric's per-message delays) falls back to the heap, which is always
+// correct.
 const eventLanes = 4
 
 // lane queues callback events armed with one delay d. Its entries are in
@@ -378,24 +372,6 @@ func (p *Parker) timerFor(d time.Duration) *timer {
 
 // Park blocks the caller until Unpark is (or already was) called.
 func (p *Parker) Park() { p.park(nil) }
-
-// ParkUntil blocks until Unpark or until the clock reaches deadline, using
-// the caller-supplied timer sequence (from AllocSeq) to order the wake among
-// same-deadline timers; it reports whether the wake was an Unpark.
-// Re-parking with the same (deadline, seq) after an Unpark wake keeps the
-// pending event's place in the global wake order. The deadline may already
-// be due — the park then wakes once every earlier same-instant timer has
-// fired and every currently-runnable goroutine has parked, which is how
-// event loops wait out a wake cascade without losing their place in the
-// timer order.
-//
-//tagalint:hotpath
-func (p *Parker) ParkUntil(deadline time.Duration, seq uint64) bool {
-	t := p.t
-	t.deadline = deadline
-	t.seq = seq
-	return p.park(t)
-}
 
 // ParkTimeout blocks until Unpark or until d elapses. It reports whether
 // the wake was an Unpark (true) or timeout (false).

@@ -116,15 +116,15 @@ func (r *Resource) ResetStats() {
 	r.mu.Unlock()
 }
 
-// Queue is an unbounded FIFO with clock-aware blocking Pop/PopAll, for
-// single-consumer use (the fabric's per-path courier goroutines).
-// Push never blocks and may be called from any goroutine.
+// Queue is an unbounded FIFO with a clock-aware blocking Pop, for
+// single-consumer use. Push never blocks and may be called from any
+// goroutine.
 type Queue[T any] struct {
 	clk    *vclock.VirtualClock
 	mu     sync.Mutex
 	items  []T
 	closed bool
-	waiter *vclock.Parker // consumer parked in Pop/PopAll, if any
+	waiter *vclock.Parker // consumer parked in Pop, if any
 
 	// consumerP is the single consumer's reusable parking slot. A queue
 	// wait is woken by exactly one Unpark per registration (Push/Close
@@ -176,94 +176,10 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// PopAll removes and returns every queued element in arrival order,
-// parking until at least one is available. ok is false if the queue was
-// closed and drained. The returned slice is handed to the caller and buf
-// (typically the slice returned by the previous PopAll, fully processed
-// and cleared of references) becomes the queue's new push buffer, so a
-// steady-state consumer drains the queue with one lock round trip per
-// wakeup and zero allocations.
-func (q *Queue[T]) PopAll(buf []T) (items []T, ok bool) {
-	q.mu.Lock()
-	for {
-		if len(q.items) > 0 {
-			items = q.items
-			q.items = buf[:0]
-			q.mu.Unlock()
-			return items, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		q.parkConsumerLocked()
-		q.mu.Lock()
-	}
-}
-
-// PopAllUntil is PopAll with a wake deadline: it drains every queued
-// element in arrival order, and when the queue is empty parks until the
-// clock reaches deadline with timer sequence seq — exactly as if a timer
-// stamped (deadline, seq) had been armed, so a caller holding a
-// pre-drawn sequence (Clock.AllocSeq) keeps its place in the global
-// same-deadline wake order across re-parks. On deadline expiry it
-// returns an empty batch with ok=true; ok is false only when the queue
-// was closed and drained. The fabric's shard couriers park at their
-// frontier agenda event's (deadline, seq) so event dispatch interleaves
-// with rank-task timers exactly like the per-domain couriers it replaced.
-func (q *Queue[T]) PopAllUntil(buf []T, deadline time.Duration, seq uint64) (items []T, ok bool) {
-	q.mu.Lock()
-	for {
-		if len(q.items) > 0 {
-			items = q.items
-			q.items = buf[:0]
-			q.mu.Unlock()
-			return items, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		if !q.parkConsumerUntilLocked(deadline, seq) {
-			// Deadline reached. One locked re-check picks up a push that
-			// raced the expiry and claimed the waiter slot; otherwise hand
-			// the empty batch back so the caller can fire its event.
-			q.mu.Lock()
-			if len(q.items) > 0 {
-				items = q.items
-				q.items = buf[:0]
-				q.mu.Unlock()
-				return items, true
-			}
-			q.mu.Unlock()
-			return nil, true
-		}
-		q.mu.Lock()
-	}
-}
-
-// parkConsumerUntilLocked is parkConsumerLocked with a wake deadline
-// stamped (deadline, seq). It is entered with q.mu held and returns with
-// it released, reporting whether the wake was a Push/Close (true) rather
-// than the deadline.
-func (q *Queue[T]) parkConsumerUntilLocked(deadline time.Duration, seq uint64) bool {
-	p := q.consumerParkerLocked()
-	q.waiter = p
-	q.mu.Unlock()
-	woke := p.ParkUntil(deadline, seq)
-	if !woke {
-		q.mu.Lock()
-		if q.waiter == p {
-			q.waiter = nil
-		}
-		q.mu.Unlock()
-	}
-	return woke
-}
-
-// consumerParkerLocked returns the queue's reusable consumer parker,
-// creating it on first use, and panics on a second concurrent consumer.
-func (q *Queue[T]) consumerParkerLocked() *vclock.Parker {
+// parkConsumerLocked registers the consumer's reusable parker, creating it
+// on first use, and parks; it panics on a second concurrent consumer. It is
+// entered with q.mu held and returns with it released.
+func (q *Queue[T]) parkConsumerLocked() {
 	if q.waiter != nil {
 		q.mu.Unlock()
 		panic("vsync: concurrent Pop on single-consumer Queue")
@@ -271,20 +187,13 @@ func (q *Queue[T]) consumerParkerLocked() *vclock.Parker {
 	p := q.consumerP
 	if p == nil {
 		p = q.clk.Parker()
-		// A queue consumer is a service loop (e.g. a fabric courier): it
-		// legitimately idles when no work exists, so it must not trip
-		// virtual-time deadlock detection.
+		// A queue consumer is a service loop: it legitimately idles when
+		// no work exists, so it must not trip virtual-time deadlock
+		// detection.
 		p.SetExternal(true)
 		p.SetName("queue-consumer")
 		q.consumerP = p
 	}
-	return p
-}
-
-// parkConsumerLocked registers the consumer's reusable parker and parks.
-// It is entered with q.mu held and returns with it released.
-func (q *Queue[T]) parkConsumerLocked() {
-	p := q.consumerParkerLocked()
 	q.waiter = p
 	q.mu.Unlock()
 	p.Park()

@@ -54,13 +54,14 @@ go test -run '^$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/mpisim
 echo "== fuzz: vclock timer queue against the sorted (deadline, seq) reference, 10 s"
 go test -run '^$' -fuzz FuzzTimerOrder -fuzztime 10s ./internal/vclock
 
-# Allocation-regression gates: the courier send path must stay within its
-# committed per-message budget (internal/fabric.CourierAllocBudget), a
+# Allocation-regression gates: the fabric send path (Send through the
+# clock-event steps to the handler) must stay within its committed
+# per-message budget (internal/fabric.CourierAllocBudget), a
 # nil-Recorder instrumentation site must allocate nothing, and neither may
 # an idle pass of the TAMPI and TAGASPI polling services. Run without
 # -race on purpose — race instrumentation inflates allocation counts, so
 # the gates skip themselves under the race build.
-echo "== allocation-regression gates: courier budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
