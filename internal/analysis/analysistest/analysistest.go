@@ -1,6 +1,8 @@
 // Package analysistest runs an analyzer over a testdata package and
 // checks its diagnostics against // want "regexp" comments, mirroring
-// golang.org/x/tools/go/analysis/analysistest on the local framework.
+// golang.org/x/tools/go/analysis/analysistest on the local framework. It
+// also resolves the packages the analyzers' call tables name (FuncDecls),
+// so each table can be checked against the API it describes.
 //
 // Testdata lives under <pkg>/testdata/src/<name>/ and may import the real
 // repro/internal/... packages: the loader type-checks from source with the
@@ -10,9 +12,12 @@ package analysistest
 
 import (
 	"fmt"
+	"go/importer"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,4 +134,70 @@ func unquote(s string) (string, error) {
 
 func posKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
+}
+
+// FuncDecls type-checks the package a call table names by its last path
+// element — the module package in the one directory of that name, else the
+// standard-library package of that path — and maps each function and method
+// name it declares to the receiver type names declaring it ("" for a
+// package-level function). Test files are left out: a table entry must name
+// API the simulator itself has. l caches the module's dependencies across
+// calls.
+func FuncDecls(l *analysis.Loader, base string) (map[string][]string, error) {
+	pkg, err := tablePackage(l, base)
+	if err != nil {
+		return nil, err
+	}
+	decls := map[string][]string{}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			decls[name] = append(decls[name], "")
+		case *types.TypeName:
+			if named, ok := obj.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i).Name()
+					decls[m] = append(decls[m], name)
+				}
+			}
+		}
+	}
+	return decls, nil
+}
+
+func tablePackage(l *analysis.Loader, base string) (*types.Package, error) {
+	root, modpath, err := analysis.ModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := analysis.ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	dirs = slices.DeleteFunc(dirs, func(d string) bool { return filepath.Base(d) != base })
+	switch len(dirs) {
+	case 0:
+		return importer.ForCompiler(token.NewFileSet(), "source", nil).Import(base)
+	case 1:
+	default:
+		return nil, fmt.Errorf("%d module packages are named %s", len(dirs), base)
+	}
+	files, err := filepath.Glob(filepath.Join(dirs[0], "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	files = slices.DeleteFunc(files, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+	rel, err := filepath.Rel(root, dirs[0])
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.LoadFiles(modpath+"/"+filepath.ToSlash(rel), files)
+	if err != nil {
+		return nil, err
+	}
+	if len(pkg.TypeErrors) > 0 {
+		return nil, pkg.TypeErrors[0]
+	}
+	return pkg.Types, nil
 }

@@ -26,8 +26,8 @@ func valueLiteralIsFine(m *msg) {
 
 //tagalint:hotpath
 func sliceAndMapLiterals() {
-	_ = []int{1, 2, 3}          // want `\[\]int literal in hot path`
-	_ = map[string]int{"a": 1}  // want `map\[string\]int literal in hot path`
+	_ = []int{1, 2, 3}         // want `\[\]int literal in hot path`
+	_ = map[string]int{"a": 1} // want `map\[string\]int literal in hot path`
 }
 
 //tagalint:hotpath

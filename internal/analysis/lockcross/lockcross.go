@@ -4,11 +4,10 @@
 // lock whenever a thread blocks inside the library while holding it; the
 // simulator reproduces that contention deliberately in mpisim, and must
 // never recreate it accidentally anywhere else. A goroutine that parks on
-// the virtual clock — a channel operation, a Cond.Wait, a Task.WaitFor or
-// Yield, or any gaspisim/mpisim wait call — while holding a sync.Mutex or
-// vsync.Mutex stalls every other worker that touches the lock for the
-// whole modelled wait, and under the virtual clock it can deadlock the
-// discrete-event engine outright.
+// the virtual clock — a channel operation, a Task.WaitFor or Yield, or any
+// gaspisim/mpisim wait call — while holding a sync.Mutex stalls every other
+// worker that touches the lock for the whole modelled wait, and under the
+// virtual clock it can deadlock the discrete-event engine outright.
 package lockcross
 
 import (
@@ -23,8 +22,8 @@ import (
 // Analyzer flags blocking operations performed while a mutex is held.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcross",
-	Doc: "report blocking operations (channel ops, cond waits, task yields, " +
-		"simulator waits) performed while holding a sync or vsync lock",
+	Doc: "report blocking operations (channel ops, task yields, simulator " +
+		"waits) performed while holding a sync lock",
 	Run: run,
 }
 
@@ -212,11 +211,7 @@ func (s *scan) expr(e ast.Expr) {
 				s.blockingOp(n, "channel receive")
 			}
 		case *ast.CallExpr:
-			fn := simcall.Callee(s.pass.TypesInfo, n)
-			// Cond waits release their own lock while parked — holding
-			// it at the call is the protocol, not a violation (condloop
-			// checks their loop shape).
-			if simcall.IsBlocking(fn) && !simcall.IsCondWait(fn) {
+			if fn := simcall.Callee(s.pass.TypesInfo, n); simcall.IsBlocking(fn) {
 				s.blockingOp(n, simcall.BlockDescription(fn))
 			}
 		}
@@ -225,9 +220,8 @@ func (s *scan) expr(e ast.Expr) {
 }
 
 // lockOp handles mu.Lock / mu.Unlock (and RLock/RUnlock) calls on tracked
-// lock types, updating the held set. It reports blocking acquisitions
-// performed while another lock is already held, and returns true when the
-// call was a lock operation (so the caller skips the generic expr scan).
+// lock types, updating the held set, and returns true when the call was a
+// lock operation (so the caller skips the generic expr scan).
 func (s *scan) lockOp(call *ast.CallExpr, deferred bool) bool {
 	fn := simcall.Callee(s.pass.TypesInfo, call)
 	if fn == nil || !isLockType(fn) {
@@ -242,11 +236,6 @@ func (s *scan) lockOp(call *ast.CallExpr, deferred bool) bool {
 	case "Lock", "RLock":
 		if deferred {
 			return false // defer mu.Lock() is nonsense; leave to vet
-		}
-		// Acquiring a vsync.Mutex parks on contention; doing so while
-		// already holding a lock is itself a lock-crossing block.
-		if simcall.IsBlocking(fn) {
-			s.blockingOp(call, simcall.BlockDescription(fn))
 		}
 		if _, dup := s.held[key]; !dup {
 			s.order = append(s.order, key)
@@ -284,16 +273,8 @@ func isLockType(fn *types.Func) bool {
 		return false
 	}
 	pkg, name := named.Obj().Pkg(), named.Obj().Name()
-	if pkg == nil {
-		return false
-	}
-	switch pkg.Name() {
-	case "sync":
-		return name == "Mutex" || name == "RWMutex" || name == "Locker"
-	case "vsync":
-		return name == "Mutex"
-	}
-	return false
+	return pkg != nil && pkg.Name() == "sync" &&
+		(name == "Mutex" || name == "RWMutex" || name == "Locker")
 }
 
 // blockingOp reports op if any lock is currently held.

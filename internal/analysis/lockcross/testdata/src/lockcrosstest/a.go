@@ -6,13 +6,11 @@ import (
 	"sync"
 
 	"repro/internal/mpisim"
-	"repro/internal/vsync"
 )
 
 type server struct {
 	mu  sync.Mutex
 	rw  sync.RWMutex
-	vm  *vsync.Mutex
 	ch  chan int
 	val int
 }
@@ -39,13 +37,6 @@ func (s *server) cleanHandoff() {
 func (s *server) mpiWaitWhileLocked(p *mpisim.Proc, req *mpisim.Request) {
 	s.mu.Lock()
 	p.Wait(req) // want "mpisim.Proc.Wait while holding s.mu"
-	s.mu.Unlock()
-}
-
-func (s *server) nestedVsyncLock() {
-	s.mu.Lock()
-	s.vm.Lock() // want "vsync.Mutex.Lock while holding s.mu"
-	s.vm.Unlock()
 	s.mu.Unlock()
 }
 
@@ -121,12 +112,4 @@ func (s *server) blockInsideDoublyNestedClosure() func() {
 		}
 		f()
 	}
-}
-
-func (s *server) condWaitIsTheProtocol(c *sync.Cond) {
-	c.L.Lock()
-	for s.val == 0 {
-		c.Wait() // ok: Wait releases c.L while parked; condloop owns the loop shape
-	}
-	c.L.Unlock()
 }

@@ -82,16 +82,6 @@ func NewCache() *Cache {
 	return &Cache{byDir: map[string]*Info{}}
 }
 
-// FromFiles scans already-parsed files for markers (used for the package
-// under analysis, whose syntax the pass already holds).
-func FromFiles(files []*ast.File) *Info {
-	info := &Info{Types: map[string]bool{}, Funcs: map[string]Kind{}}
-	for _, f := range files {
-		scanFile(f, info)
-	}
-	return info
-}
-
 func scanFile(f *ast.File, info *Info) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {

@@ -42,12 +42,8 @@ func pathBase(path string) string {
 // the "" key.
 var blocking = map[string]map[string]map[string]bool{
 	"vsync": {
-		"Mutex":     {"Lock": true},
-		"Semaphore": {"Acquire": true},
-		"WaitGroup": {"Wait": true},
-		"Cond":      {"Wait": true, "WaitTimeout": true},
-		"Resource":  {"Use": true},
-		"Queue":     {"Pop": true},
+		"Resource": {"Use": true},
+		"Queue":    {"Pop": true},
 	},
 	"vclock": {
 		"Parker":       {"Park": true, "ParkTimeout": true},
@@ -70,7 +66,6 @@ var blocking = map[string]map[string]map[string]bool{
 		"Library": {"Wait": true},
 	},
 	"sync": {
-		"Cond":      {"Wait": true},
 		"WaitGroup": {"Wait": true},
 	},
 	"time": {
@@ -106,22 +101,6 @@ func IsBlocking(fn *types.Func) bool {
 		return false
 	}
 	return byType[recvTypeName(fn)][fn.Name()]
-}
-
-// IsCondWait reports whether fn is a condition-variable wait: Wait or
-// WaitTimeout on sync.Cond or vsync.Cond. Cond waits park the goroutine
-// but atomically release the cond's own lock first, so lockcross must not
-// treat them as blocking under a held lock; condloop enforces their
-// predicate-loop protocol instead.
-func IsCondWait(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Name() != "Wait" && fn.Name() != "WaitTimeout" {
-		return false
-	}
-	pkg := pathBase(fn.Pkg().Path())
-	return (pkg == "sync" || pkg == "vsync") && recvTypeName(fn) == "Cond"
 }
 
 // BlockDescription renders a short human label for a blocking callee.

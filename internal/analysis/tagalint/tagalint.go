@@ -7,7 +7,6 @@ package tagalint
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/condloop"
 	"repro/internal/analysis/detlint"
 	"repro/internal/analysis/doccomment"
 	"repro/internal/analysis/hotalloc"
@@ -20,7 +19,6 @@ import (
 // Suite returns the full tagalint analyzer set in stable order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		condloop.Analyzer,
 		detlint.Analyzer,
 		doccomment.Analyzer,
 		hotalloc.Analyzer,

@@ -75,23 +75,11 @@ func (p Params) fillBoundary(b *block, f int) {
 	}
 }
 
-// faceCell indexes a cell on the plane normal to axis at coordinate w,
-// with (a, c) running over the two tangential axes in ascending order.
-func (p Params) faceCell(v, axis, w, a, c int) int {
-	switch axis {
-	case 0:
-		return p.cellIdx(v, w, a, c)
-	case 1:
-		return p.cellIdx(v, a, w, c)
-	default:
-		return p.cellIdx(v, a, c, w)
-	}
-}
-
 // faceStrides returns the flat-index strides of the w (normal) and (a, c)
-// (tangential) coordinates of a face plane normal to axis, so hot loops can
-// index by increment instead of a faceCell call per cell:
-// faceCell(v, axis, w, a, c) == v*svar + w*ws + a*as + c*cs.
+// (tangential, ascending) coordinates of a face plane normal to axis, so hot
+// loops can index by increment: v*svar + w*ws + a*as + c*cs equals
+// cellIdx(v, w, a, c) for axis 0, cellIdx(v, a, w, c) for axis 1 and
+// cellIdx(v, a, c, w) for axis 2.
 func (p Params) faceStrides(axis int) (ws, as, cs int) {
 	s1, s2, _ := p.stride()
 	switch axis {

@@ -77,12 +77,11 @@ const (
 
 var backendNames = []string{"mpi", "gaspi", "tagaspi"}
 
+// commQueue is the GASPI queue the GASPI-backed comms post on.
+const commQueue = 0
+
 // Option customises a Comm at construction time.
 type Option func(*Comm)
-
-// WithQueue selects the GASPI queue the comm posts on (default 0);
-// ignored by the MPI backend.
-func WithQueue(q int) Option { return func(c *Comm) { c.queue = q } }
 
 // WithRecorder installs the trace recorder collective phases are stamped
 // through: phase spans on obs.TrackColl plus one "flow:coll" causal edge
@@ -108,7 +107,6 @@ type Comm struct {
 	chunkMax int // elems: largest ring chunk (maxElems/n)
 	steps    int // ring staging slots per parity: 2*(n-1)
 
-	queue    int
 	elemCost time.Duration
 	rec      obs.Recorder
 	clk      *vclock.VirtualClock

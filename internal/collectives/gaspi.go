@@ -149,8 +149,8 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op, full bool) {
 		nid := c.ringNid(epoch, g)
 		c.flowStart(c.clk.Now(), stepFlowID(epoch, g, int(right)))
 		must(c.g.WriteNotify(Seg, c.sendOff(), right, Seg, c.ringSlotOff(parity, g),
-			chunkBytes, nid, int64(epoch), c.queue, nil))
-		c.g.Wait(c.queue) // local completion: the send slot is reusable
+			chunkBytes, nid, int64(epoch), commQueue, nil))
+		c.g.Wait(commQueue) // local completion: the send slot is reusable
 
 		c.consumeNotification(nid, epoch)
 		c.flowFinish(c.clk.Now(), stepFlowID(epoch, g, me))
@@ -175,8 +175,8 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op, full bool) {
 	}
 	// Acknowledge to the writer of my staging slots (the left neighbour)
 	// that every slot of this epoch is consumed.
-	must(c.g.Notify(left, Seg, c.ringAckNid(epoch), int64(epoch), c.queue, nil))
-	c.g.Wait(c.queue)
+	must(c.g.Notify(left, Seg, c.ringAckNid(epoch), int64(epoch), commQueue, nil))
+	c.g.Wait(commQueue)
 	c.lastRing[parity] = epoch
 	c.latency(name, c.clk.Now()-opStart)
 }
@@ -205,8 +205,8 @@ func (c *Comm) gaspiBcast(epoch int, buf []float64, root int) {
 		// tell this epoch's parent before blocking on the payload.
 		parent := gaspisim.Rank(mod(treeParent(vr)+root, n))
 		must(c.g.Notify(parent, Seg, c.bcastCreditNid(epoch, treeChildIndex(vr, n)),
-			int64(epoch), c.queue, nil))
-		c.g.Wait(c.queue)
+			int64(epoch), commQueue, nil))
+		c.g.Wait(commQueue)
 		c.consumeNotification(pay, epoch)
 		c.flowFinish(c.clk.Now(), bcastFlowID(epoch, me))
 	}
@@ -215,9 +215,9 @@ func (c *Comm) gaspiBcast(epoch int, buf []float64, root int) {
 		c.consumeNotification(c.bcastCreditNid(epoch, idx), epoch)
 		c.flowStart(c.clk.Now(), bcastFlowID(epoch, dst))
 		must(c.g.WriteNotify(Seg, c.bcastOff(), gaspisim.Rank(dst), Seg, c.bcastOff(),
-			vecBytes, pay, int64(epoch), c.queue, nil))
+			vecBytes, pay, int64(epoch), commQueue, nil))
 	})
-	c.g.Wait(c.queue) // forwards locally complete: the buffer is stable to read
+	c.g.Wait(commQueue) // forwards locally complete: the buffer is stable to read
 	if vr != 0 {
 		copyF64(buf, segB[c.bcastOff():])
 		c.compute(len(buf))

@@ -187,7 +187,7 @@ func (s *taStep) ringRun(t *tasking.Task) {
 		c.flowStart(c.clk.Now(), stepFlowID(s.epoch, s.g, int(right)))
 		must(c.tg.WriteNotify(t, Seg, c.sendOff(), right, Seg,
 			c.ringSlotOff(parity, s.g), chunkBytes,
-			c.ringNid(s.epoch, s.g), int64(s.epoch), c.queue))
+			c.ringNid(s.epoch, s.g), int64(s.epoch), commQueue))
 		return
 	}
 	if s.full {
@@ -201,7 +201,7 @@ func (s *taStep) ringRun(t *tasking.Task) {
 		copy(s.rsOut, c.ownedChunk(s.work))
 	}
 	must(c.tg.Notify(t, gaspisim.Rank(mod(me-1, n)), Seg,
-		c.ringAckNid(s.epoch), int64(s.epoch), c.queue))
+		c.ringAckNid(s.epoch), int64(s.epoch), commQueue))
 }
 
 // taBcast submits the two-task chain of one task-aware broadcast: a
@@ -241,7 +241,7 @@ func (s *taStep) bcastCreditRun(t *tasking.Task) {
 	if vr != 0 {
 		parent := gaspisim.Rank(mod(treeParent(vr)+s.g, c.n))
 		must(c.tg.Notify(t, parent, Seg,
-			c.bcastCreditNid(s.epoch, treeChildIndex(vr, c.n)), int64(s.epoch), c.queue))
+			c.bcastCreditNid(s.epoch, treeChildIndex(vr, c.n)), int64(s.epoch), commQueue))
 	}
 }
 
@@ -285,7 +285,7 @@ func (s *taStep) bcastRun(t *tasking.Task) {
 		dst := mod(child+root, n)
 		c.flowStart(c.clk.Now(), bcastFlowID(s.epoch, dst))
 		must(c.tg.WriteNotify(t, Seg, c.bcastOff(), gaspisim.Rank(dst), Seg,
-			c.bcastOff(), vecBytes, pay, int64(s.epoch), c.queue))
+			c.bcastOff(), vecBytes, pay, int64(s.epoch), commQueue))
 	})
 	if vr != 0 {
 		copyF64(s.in, segB[c.bcastOff():])

@@ -6,8 +6,7 @@
 //     periodically checks pending communication operations, sleeping
 //     between passes with wait_for_us so its core can run other tasks.
 //     Each service has its own polling period — the flexibility §V-B adds
-//     over the older global polling-services API — and the period can be
-//     changed at run time (the paper's "future work" dynamic adaptation).
+//     over the older global polling-services API — fixed when it is made.
 //     The service is event-driven (tasking.Service): a pass is a chain of
 //     non-blocking steps on clock callback events, not a goroutine loop.
 //
@@ -42,16 +41,9 @@ type Service struct {
 	task *tasking.Service
 	poll Poller
 
-	interval atomic.Int64 // nanoseconds between passes; 0 = dedicated
+	interval time.Duration // between passes; 0 = dedicated
 	passes   atomic.Int64
 	idle     atomic.Int64 // passes that retired nothing
-	retired  atomic.Int64
-
-	// adaptive mode (the paper's §VIII future work): the period shrinks
-	// while passes retire work and grows while they come back empty,
-	// within [adaptMin, adaptMax].
-	adaptive           atomic.Bool
-	adaptMin, adaptMax int64
 
 	before time.Duration // start of the pass in progress
 	passFn func()        // s.pass, bound once so that waiting allocates nothing
@@ -71,14 +63,13 @@ const minIdleTick = 200 * time.Nanosecond
 // dedicates the core, polling back-to-back). Nothing runs until Start.
 func NewService(rt *tasking.Runtime, name string, interval time.Duration) *Service {
 	s := &Service{
-		rt: rt, name: name,
+		rt: rt, name: name, interval: interval,
 		track:      obs.PollTrack(name),
 		spanName:   "poll:" + name,
 		passCtr:    "poll." + name + ".passes",
 		retiredCtr: "poll." + name + ".retired",
 	}
 	s.passFn = s.pass
-	s.interval.Store(int64(interval))
 	return s
 }
 
@@ -122,7 +113,6 @@ func (s *Service) Done(n int) {
 	if n == 0 {
 		s.idle.Add(1)
 	}
-	s.retired.Add(int64(n))
 	if rec := s.rt.Recorder(); rec != nil {
 		rec.Count(s.passCtr, 1)
 		if n > 0 {
@@ -130,13 +120,9 @@ func (s *Service) Done(n int) {
 			rec.Span(s.rt.Rank(), s.track, obs.CatPoll, s.spanName, s.before, clk.Now(), int64(n))
 		}
 	}
-	if s.adaptive.Load() {
-		s.adapt(n)
-	}
-	iv := time.Duration(s.interval.Load())
 	switch {
-	case iv > 0:
-		s.task.WaitFor(iv, s.passFn)
+	case s.interval > 0:
+		s.task.WaitFor(s.interval, s.passFn)
 	case clk.Now() == s.before:
 		// Dedicated polling with an idle pass of zero modelled cost:
 		// yield briefly so virtual time can advance.
@@ -146,56 +132,11 @@ func (s *Service) Done(n int) {
 	}
 }
 
-// SetInterval changes the polling period for subsequent passes and leaves
-// adaptive mode.
-func (s *Service) SetInterval(d time.Duration) {
-	s.adaptive.Store(false)
-	s.interval.Store(int64(d))
-}
-
-// SetAdaptive enables dynamic polling-rate adaptation (the paper's §VIII
-// future work): after a pass that retired work the period halves, after an
-// empty pass it grows by a quarter, clamped to [min, max]. The service
-// starts from its current period.
-func (s *Service) SetAdaptive(min, max time.Duration) {
-	if min <= 0 || max < min {
-		panic("core: invalid adaptive polling bounds")
-	}
-	s.adaptMin, s.adaptMax = int64(min), int64(max)
-	s.adaptive.Store(true)
-}
-
-// adapt applies one adaptive-rate step after a pass retiring n completions.
-func (s *Service) adapt(n int) {
-	iv := s.interval.Load()
-	if iv <= 0 {
-		iv = s.adaptMin
-	}
-	if n > 0 {
-		iv /= 2
-	} else {
-		iv += iv / 4
-	}
-	if iv < s.adaptMin {
-		iv = s.adaptMin
-	}
-	if iv > s.adaptMax {
-		iv = s.adaptMax
-	}
-	s.interval.Store(iv)
-}
-
-// Interval returns the current polling period.
-func (s *Service) Interval() time.Duration { return time.Duration(s.interval.Load()) }
-
 // Passes returns the number of completed polling passes.
 func (s *Service) Passes() int64 { return s.passes.Load() }
 
 // IdlePasses returns how many completed passes retired nothing.
 func (s *Service) IdlePasses() int64 { return s.idle.Load() }
-
-// Retired returns the total completions retired by the poller.
-func (s *Service) Retired() int64 { return s.retired.Load() }
 
 // Pending is the staging queue of §IV-D: many communication tasks push
 // descriptors concurrently; the single polling task drains them into a

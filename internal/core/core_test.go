@@ -35,8 +35,8 @@ func TestServicePollsPeriodically(t *testing.T) {
 	if p := svc.Passes(); p < 9 || p > 12 {
 		t.Fatalf("passes = %d, want ~10 over 100µs at 10µs period", p)
 	}
-	if svc.Retired() != svc.Passes() {
-		t.Fatalf("retired = %d, passes = %d", svc.Retired(), svc.Passes())
+	if idle := svc.IdlePasses(); idle != 0 {
+		t.Fatalf("%d of %d passes counted idle, every pass retired one", idle, svc.Passes())
 	}
 }
 
@@ -59,29 +59,6 @@ func TestServiceDoesNotStarveWorkers(t *testing.T) {
 	if !ran {
 		t.Fatal("application task starved by dedicated poller")
 	}
-}
-
-func TestServiceSetInterval(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := tasking.New(clk, tasking.Config{Cores: 2})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		svc := startService(rt, "poll", 100*time.Microsecond, func() int { return 0 })
-		if svc.Interval() != 100*time.Microsecond {
-			t.Errorf("Interval = %v", svc.Interval())
-		}
-		svc.SetInterval(5 * time.Microsecond)
-		rt.Submit(func(tk *tasking.Task) { tk.Compute(200 * time.Microsecond) })
-		rt.TaskWait()
-		rt.Shutdown()
-		// After the first (100µs) sleep, passes come every 5µs: ≥ 20 total.
-		if p := svc.Passes(); p < 20 {
-			t.Errorf("passes = %d after tightening the interval", p)
-		}
-	})
-	wg.Wait()
 }
 
 func TestServiceStopsOnShutdown(t *testing.T) {
@@ -179,65 +156,5 @@ func TestQuickPendingPreservesOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestServiceAdaptivePolling(t *testing.T) {
-	// With work arriving every pass, the adaptive period must collapse to
-	// the minimum; once the work dries up it must relax toward the maximum.
-	clk := vclock.NewVirtual()
-	rt := tasking.New(clk, tasking.Config{Cores: 2})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var busyIv, idleIv time.Duration
-	clk.Go(func() {
-		defer wg.Done()
-		busy := true
-		svc := startService(rt, "adaptive", 100*time.Microsecond, func() int {
-			if busy {
-				return 1
-			}
-			return 0
-		})
-		svc.SetAdaptive(5*time.Microsecond, 400*time.Microsecond)
-		rt.Submit(func(tk *tasking.Task) { tk.Compute(2 * time.Millisecond) })
-		rt.TaskWait()
-		busyIv = svc.Interval()
-		busy = false
-		rt.Submit(func(tk *tasking.Task) { tk.Compute(5 * time.Millisecond) })
-		rt.TaskWait()
-		idleIv = svc.Interval()
-		rt.Shutdown()
-	})
-	wg.Wait()
-	if busyIv != 5*time.Microsecond {
-		t.Fatalf("busy interval = %v, want the 5µs floor", busyIv)
-	}
-	if idleIv != 400*time.Microsecond {
-		t.Fatalf("idle interval = %v, want the 400µs ceiling", idleIv)
-	}
-}
-
-func TestServiceAdaptiveBoundsValidated(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Service{}).SetAdaptive(0, time.Second)
-}
-
-func TestSetIntervalDisablesAdaptive(t *testing.T) {
-	s := &Service{}
-	s.SetAdaptive(time.Microsecond, time.Millisecond)
-	if !s.adaptive.Load() {
-		t.Fatal("adaptive not enabled")
-	}
-	s.SetInterval(50 * time.Microsecond)
-	if s.adaptive.Load() {
-		t.Fatal("SetInterval must leave adaptive mode")
-	}
-	if s.Interval() != 50*time.Microsecond {
-		t.Fatalf("Interval = %v", s.Interval())
 	}
 }

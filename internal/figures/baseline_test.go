@@ -8,13 +8,12 @@ import (
 	"repro/internal/exp"
 )
 
-// TestCommittedBaselineByteIdentical is the byte-identity proof of the
-// sharded-substrate refactor and the regression gate for every future
+// TestCommittedBaselineByteIdentical is the regression gate for every
 // host-side change: regenerating every figure at the Quick preset must
 // reproduce the committed BENCH_figures.json rows exactly, modulo
 // host_ms (the only host-dependent field). Host-execution refactors —
-// courier sharding, worker pooling, parker-table sharding, batched rank
-// setup — must never move a modelled number.
+// fabric steps on the clock queue, worker pooling, batched rank setup —
+// must never move a modelled number.
 func TestCommittedBaselineByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure (seconds of host time)")

@@ -79,9 +79,8 @@ func TestPerMessageHostBudget(t *testing.T) {
 	t.Logf("scale point: host %v, %d messages, %.0f ns/message (budget %d), peak goroutines %d",
 		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, peak.Load())
 	// The goroutine bound is the cheap half of the gate: linear in ranks
-	// (main + bounded worker pool each) plus slack for the harness. A
-	// courier pair per ordering domain peaked at ~17k goroutines on this
-	// point; it now stays at 2,563 (512 ranks x main + Cores workers; the
+	// (main + bounded worker pool each) plus slack for the harness. It
+	// stays at 2,563 on this point (512 ranks x main + Cores workers; the
 	// fabric and the polling services have no goroutine).
 	ranks := cfg.Nodes * cfg.RanksPerNode
 	if gBudget := int64(ranks*(1+cfg.CoresPerRank) + 64); peak.Load() > gBudget {

@@ -167,7 +167,7 @@ func hsPoint(v hsVariant, shape fabric.Shape, nodes, msgs, size int) exp.Point {
 			}
 		},
 		Values: func(job cluster.Result) map[string]float64 {
-			payload := float64((nodes-1)*msgs*size)
+			payload := float64((nodes - 1) * msgs * size)
 			return map[string]float64{name: payload / job.Elapsed.Seconds() / 1e9}
 		},
 	}

@@ -10,8 +10,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// withFaultyWorld is withWorld with a fault plan installed on the fabric
-// and an optional recorder on the world.
+// withFaultyWorld runs fn concurrently as every rank, launched as one group,
+// with a fault plan installed on the fabric (when enabled) and an optional
+// recorder on the world, and waits for all.
 func withFaultyWorld(ranks, queues int, plan fabric.FaultPlan, rec obs.Recorder, fn func(p *Proc)) {
 	clk := vclock.NewVirtual()
 	fab := fabric.New(clk, fabric.NewTopology(ranks, 1), testProfile())
@@ -24,14 +25,11 @@ func withFaultyWorld(ranks, queues int, plan fabric.FaultPlan, rec obs.Recorder,
 		w.SetRecorder(rec)
 	}
 	var wg sync.WaitGroup
-	for r := 0; r < w.Size(); r++ {
-		p := w.Proc(Rank(r))
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
-			fn(p)
-		})
-	}
+	wg.Add(w.Size())
+	clk.Launch(w.Size())(func(r int) {
+		defer wg.Done()
+		fn(w.Proc(Rank(r)))
+	})
 	wg.Wait()
 }
 

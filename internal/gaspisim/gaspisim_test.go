@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/memory"
 	"repro/internal/vclock"
-	"repro/internal/vsync"
 )
 
 // must fails fast on simulator API errors in rank goroutines, which run
@@ -43,19 +43,7 @@ func testProfile() fabric.Profile {
 
 // withWorld runs fn concurrently as every rank and waits for all.
 func withWorld(ranks, queues int, fn func(p *Proc)) {
-	clk := vclock.NewVirtual()
-	fab := fabric.New(clk, fabric.NewTopology(ranks, 1), testProfile())
-	w := NewWorld(fab, queues, 1)
-	var wg sync.WaitGroup
-	for r := 0; r < w.Size(); r++ {
-		p := w.Proc(Rank(r))
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
-			fn(p)
-		})
-	}
-	wg.Wait()
+	withFaultyWorld(ranks, queues, fabric.FaultPlan{}, nil, fn)
 }
 
 func TestWriteNotifyDeliversDataThenNotification(t *testing.T) {
@@ -245,36 +233,36 @@ func TestQueuesAreIndependentResources(t *testing.T) {
 		// WaitGroup opens a window, between the last poster's exit and
 		// this goroutine's return, in which nobody is registered and
 		// virtual time runs on to the peer's one-second sleep.
-		inner := vsync.NewWaitGroup(p.clk)
+		var left atomic.Int32
+		left.Store(4)
+		posted := p.clk.Parker()
 		for c := 0; c < 4; c++ {
-			c := c
-			inner.Add(1)
 			p.clk.Go(func() {
-				defer inner.Done()
 				for i := 0; i < 4; i++ {
 					must(p.Notify(1, 0, NotificationID(c*4+i), 1, c%queues, nil))
 				}
+				if left.Add(-1) == 0 {
+					posted.Unpark()
+				}
 			})
 		}
-		inner.Wait()
+		posted.Park()
 		for q := 0; q < queues; q++ {
 			p.Wait(q)
 		}
 		return p.clk.Now() - t0
 	}
 	wg.Add(2)
-	clk.Go(func() {
+	clk.Launch(2)(func(r int) {
 		defer wg.Done()
-		p := w.Proc(0)
+		p := w.Proc(Rank(r))
 		mustCreate(p, 0, 64)
-		oneQ = runPosts(p, 1)
-		fourQ = runPosts(p, 4)
-	})
-	clk.Go(func() {
-		defer wg.Done()
-		p := w.Proc(1)
-		mustCreate(p, 0, 64)
-		clk.Sleep(time.Second)
+		if r == 0 {
+			oneQ = runPosts(p, 1)
+			fourQ = runPosts(p, 4)
+		} else {
+			clk.Sleep(time.Second)
+		}
 	})
 	wg.Wait()
 	if fourQ >= oneQ {
@@ -437,24 +425,20 @@ func BenchmarkWriteNotify(b *testing.B) {
 	w := NewWorld(fab, 2, 1)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	clk.Go(func() {
-		p := w.Proc(0)
+	clk.Launch(2)(func(r int) {
 		defer wg.Done()
+		p := w.Proc(Rank(r))
 		mustCreate(p, 0, 4096)
 		for i := 0; i < b.N; i++ {
-			must(p.WriteNotify(0, 0, 1, 0, 0, 1024, 0, 1, 0, nil))
-			for got := 0; got < 2; {
-				got += len(p.RequestWait(0, 4, Block))
+			if r == 0 {
+				must(p.WriteNotify(0, 0, 1, 0, 0, 1024, 0, 1, 0, nil))
+				for got := 0; got < 2; {
+					got += len(p.RequestWait(0, 4, Block))
+				}
+			} else {
+				p.NotifyWaitSome(0, 0, 1, Block)
+				p.NotifyReset(0, 0)
 			}
-		}
-	})
-	clk.Go(func() {
-		p := w.Proc(1)
-		defer wg.Done()
-		mustCreate(p, 0, 4096)
-		for i := 0; i < b.N; i++ {
-			p.NotifyWaitSome(0, 0, 1, Block)
-			p.NotifyReset(0, 0)
 		}
 	})
 	wg.Wait()

@@ -11,13 +11,10 @@ import (
 // paper). Windows must be created collectively: every rank calls WinCreate
 // in the same order, so ids match across ranks.
 //
-// The synchronization modes modelled are the two the paper discusses:
-//
-//   - Fence (active): Fence() flushes all outstanding accesses and runs a
-//     barrier — the "parallelism barrier" cost of §III.
-//   - Passive global shared lock: LockAll/UnlockAll plus per-target Flush,
-//     where Flush costs an ack round-trip behind all prior puts, as in the
-//     Belli et al. analysis the paper cites.
+// Windows are always exposed. Completion is per-target Flush, which costs
+// an ack round-trip behind all prior puts (the Belli et al. analysis the
+// paper cites), or Fence, which flushes every target and runs a barrier —
+// the "parallelism barrier" cost of §III.
 type Win struct {
 	p   *Proc
 	id  int
@@ -91,21 +88,6 @@ func (p *Proc) Fence(w *Win) {
 		}
 	}
 	p.Barrier()
-}
-
-// LockAll opens a passive global-shared-lock epoch. In the modelled
-// passive mode all windows are permanently exposed, so this is free; it
-// exists for API fidelity.
-func (p *Proc) LockAll(w *Win) {}
-
-// UnlockAll closes the passive epoch, flushing every target this process
-// might have touched. Callers that know their targets should prefer Flush.
-func (p *Proc) UnlockAll(w *Win) {
-	for r := 0; r < p.Size(); r++ {
-		if Rank(r) != p.rank {
-			p.Flush(w, Rank(r))
-		}
-	}
 }
 
 // deliverRMA handles RMA protocol messages on the target side, retiring

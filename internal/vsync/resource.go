@@ -1,3 +1,13 @@
+// Package vsync provides the clock-aware primitives that model contention:
+// Resource, a serially served resource whose queueing delay emerges in
+// virtual time, and Queue, an unbounded FIFO whose consumer parks on the
+// virtual clock's Parkers rather than the Go runtime, so modelled time can
+// advance past it. Package vclock says why there is one clock and no wall
+// clock beside it.
+//
+// Both serve in arrival order; fairness matters for the contention
+// modelling (package mpisim models the MPI library lock as a served
+// Resource, and queueing order determines the modelled wait times).
 package vsync
 
 import (

@@ -11,286 +11,37 @@ import (
 	"repro/internal/vclock"
 )
 
+// join runs fns as one launched group, so none can park and let virtual
+// time advance before the rest exist, and returns when all have finished.
 func join(c *vclock.VirtualClock, fns ...func()) {
 	var wg sync.WaitGroup
-	for _, fn := range fns {
-		fn := fn
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			fn()
-		})
-	}
+	wg.Add(len(fns))
+	c.Launch(len(fns))(func(i int) {
+		defer wg.Done()
+		fns[i]()
+	})
 	wg.Wait()
 }
 
-func TestMutexExcludes(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		c := vclock.NewVirtual()
-		m := NewMutex(c)
-		var inside atomic.Int32
-		var violations atomic.Int32
-		var count int
-		worker := func() {
-			for i := 0; i < 200; i++ {
-				m.Lock()
-				if inside.Add(1) != 1 {
-					violations.Add(1)
-				}
-				count++
-				inside.Add(-1)
-				m.Unlock()
-			}
-		}
-		join(c, worker, worker, worker, worker)
-		if violations.Load() != 0 {
-			t.Fatalf("%d mutual exclusion violations", violations.Load())
-		}
-		if count != 800 {
-			t.Fatalf("count = %d, want 800", count)
-		}
-	})
+// countdown parks one waiter until n goroutines have called done.
+type countdown struct {
+	left atomic.Int32
+	p    *vclock.Parker
 }
 
-func TestMutexTryLock(t *testing.T) {
-	c := vclock.NewVirtual()
-	m := NewMutex(c)
-	if !m.TryLock() {
-		t.Fatal("TryLock on free mutex failed")
-	}
-	if m.TryLock() {
-		t.Fatal("TryLock on held mutex succeeded")
-	}
-	m.Unlock()
-	if !m.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	m.Unlock()
+func newCountdown(c *vclock.VirtualClock, n int) *countdown {
+	d := &countdown{p: c.Parker()}
+	d.left.Store(int32(n))
+	return d
 }
 
-func TestMutexUnlockUnlockedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMutex(vclock.NewVirtual()).Unlock()
-}
-
-func TestMutexFIFOHandoffVirtual(t *testing.T) {
-	// Under virtual time, waiters must be granted the lock in arrival order.
-	c := vclock.NewVirtual()
-	m := NewMutex(c)
-	var order []int
-	var fns []func()
-	fns = append(fns, func() {
-		m.Lock()
-		//lint:ignore lockcross holding the lock across the sleep is the test: it queues all five waiters so their grant order is observable
-		c.Sleep(10 * time.Millisecond) // let all waiters queue in id order
-		m.Unlock()
-	})
-	for i := 1; i <= 5; i++ {
-		i := i
-		fns = append(fns, func() {
-			c.Sleep(time.Duration(i) * time.Millisecond)
-			m.Lock()
-			order = append(order, i)
-			m.Unlock()
-		})
-	}
-	join(c, fns...)
-	for i, id := range order {
-		if id != i+1 {
-			t.Fatalf("grant order = %v, want 1..5", order)
-		}
+func (d *countdown) done() {
+	if d.left.Add(-1) == 0 {
+		d.p.Unpark()
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		c := vclock.NewVirtual()
-		m := NewMutex(c)
-		cond := NewCond(c, m)
-		ready := 0
-		var woken atomic.Int32
-		waiter := func() {
-			m.Lock()
-			for ready == 0 {
-				cond.Wait()
-			}
-			ready--
-			woken.Add(1)
-			m.Unlock()
-		}
-		join(c,
-			waiter, waiter, waiter,
-			func() {
-				for i := 0; i < 3; i++ {
-					c.Sleep(time.Millisecond)
-					m.Lock()
-					ready++
-					cond.Signal()
-					m.Unlock()
-				}
-			},
-		)
-		if woken.Load() != 3 {
-			t.Fatalf("woken = %d, want 3", woken.Load())
-		}
-	})
-}
-
-func TestCondBroadcast(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		c := vclock.NewVirtual()
-		m := NewMutex(c)
-		cond := NewCond(c, m)
-		open := false
-		var through atomic.Int32
-		waiter := func() {
-			m.Lock()
-			for !open {
-				cond.Wait()
-			}
-			m.Unlock()
-			through.Add(1)
-		}
-		join(c,
-			waiter, waiter, waiter, waiter,
-			func() {
-				c.Sleep(time.Millisecond)
-				m.Lock()
-				open = true
-				cond.Broadcast()
-				m.Unlock()
-			},
-		)
-		if through.Load() != 4 {
-			t.Fatalf("through = %d, want 4", through.Load())
-		}
-	})
-}
-
-func TestCondWaitTimeout(t *testing.T) {
-	c := vclock.NewVirtual()
-	m := NewMutex(c)
-	cond := NewCond(c, m)
-	var timedOut bool
-	var at time.Duration
-	join(c, func() {
-		m.Lock()
-		//lint:ignore condloop this test exercises the timeout path itself; no predicate exists to re-check
-		timedOut = !cond.WaitTimeout(5 * time.Millisecond)
-		at = c.Now()
-		m.Unlock()
-	})
-	if !timedOut {
-		t.Fatal("want timeout")
-	}
-	if at != 5*time.Millisecond {
-		t.Fatalf("timed out at %v, want 5ms", at)
-	}
-	// After a timeout the waiter must no longer consume Signals.
-	join(c, func() {
-		m.Lock()
-		cond.Signal() // must not panic or wake anything
-		m.Unlock()
-	})
-}
-
-func TestCondWaitTimeoutSignaled(t *testing.T) {
-	c := vclock.NewVirtual()
-	m := NewMutex(c)
-	cond := NewCond(c, m)
-	var woke bool
-	join(c,
-		func() {
-			m.Lock()
-			//lint:ignore condloop this test checks the wake-by-Signal return value; no predicate exists to re-check
-			woke = cond.WaitTimeout(time.Hour)
-			m.Unlock()
-		},
-		func() {
-			c.Sleep(time.Millisecond)
-			m.Lock()
-			cond.Signal()
-			m.Unlock()
-		},
-	)
-	if !woke {
-		t.Fatal("want signal, got timeout")
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		c := vclock.NewVirtual()
-		s := NewSemaphore(c, 3)
-		var inside, peak atomic.Int32
-		worker := func() {
-			for i := 0; i < 50; i++ {
-				s.Acquire()
-				n := inside.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				inside.Add(-1)
-				s.Release()
-			}
-		}
-		join(c, worker, worker, worker, worker, worker, worker)
-		if peak.Load() > 3 {
-			t.Fatalf("peak concurrency %d exceeds semaphore limit 3", peak.Load())
-		}
-	})
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	c := vclock.NewVirtual()
-	s := NewSemaphore(c, 1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire on free semaphore failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire on empty semaphore succeeded")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	t.Run("virtual", func(t *testing.T) {
-		c := vclock.NewVirtual()
-		wg := NewWaitGroup(c)
-		var done atomic.Int32
-		wg.Add(3)
-		join(c,
-			func() { c.Sleep(time.Millisecond); done.Add(1); wg.Done() },
-			func() { c.Sleep(2 * time.Millisecond); done.Add(1); wg.Done() },
-			func() { done.Add(1); wg.Done() },
-			func() {
-				wg.Wait()
-				if done.Load() != 3 {
-					t.Errorf("Wait returned with %d done, want 3", done.Load())
-				}
-			},
-		)
-	})
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewWaitGroup(vclock.NewVirtual()).Add(-1)
-}
+func (d *countdown) wait() { d.p.Park() }
 
 func TestResourceSerializes(t *testing.T) {
 	// Three requests of 10ms each arriving together must finish at 10/20/30ms.
@@ -441,13 +192,12 @@ func TestQueueMultiProducer(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		want += i
 	}
-	prodWG := NewWaitGroup(c)
-	prodWG.Add(4)
+	prodWG := newCountdown(c, 4)
 	producers := make([]func(), 4)
 	for p := 0; p < 4; p++ {
 		p := p
 		producers[p] = func() {
-			defer prodWG.Done()
+			defer prodWG.done()
 			for i := p*25 + 1; i <= (p+1)*25; i++ {
 				q.Push(i)
 			}
@@ -455,7 +205,7 @@ func TestQueueMultiProducer(t *testing.T) {
 	}
 	join(c, append(producers,
 		func() {
-			prodWG.Wait()
+			prodWG.wait()
 			q.Close()
 		},
 		func() {
@@ -504,8 +254,7 @@ func TestQuickQueuePerProducerOrder(t *testing.T) {
 		c := vclock.NewVirtual()
 		q := NewQueue[[2]int](c) // [producer, seq]
 		const producers, items = 3, 50
-		prodWG := NewWaitGroup(c)
-		prodWG.Add(producers)
+		prodWG := newCountdown(c, producers)
 		fns := make([]func(), 0, producers+2)
 		delays := make([][]time.Duration, producers)
 		for p := 0; p < producers; p++ {
@@ -517,7 +266,7 @@ func TestQuickQueuePerProducerOrder(t *testing.T) {
 		for p := 0; p < producers; p++ {
 			p := p
 			fns = append(fns, func() {
-				defer prodWG.Done()
+				defer prodWG.done()
 				for i := 0; i < items; i++ {
 					c.Sleep(delays[p][i])
 					q.Push([2]int{p, i})
@@ -525,7 +274,7 @@ func TestQuickQueuePerProducerOrder(t *testing.T) {
 			})
 		}
 		fns = append(fns, func() {
-			prodWG.Wait()
+			prodWG.wait()
 			q.Close()
 		})
 		lastSeq := [producers]int{-1, -1, -1}
@@ -547,16 +296,6 @@ func TestQuickQueuePerProducerOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMutexUncontended(b *testing.B) {
-	c := vclock.NewVirtual()
-	m := NewMutex(c)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Lock()
-		m.Unlock()
 	}
 }
 

@@ -4,10 +4,11 @@
 #   ./scripts/ci.sh          # full gate
 #   CI_SHORT=1 ./scripts/ci.sh   # skip the -race pass (fast local check)
 #
-# The gate is: build everything, run the standard vet analyzers, run the
-# repository's own invariant analyzers (tagalint), then the test suite
-# under the race detector, then a smoke check that an instrumented run
-# produces a valid trace. The simulator is heavily concurrent (one
+# The gate is: build everything, run the standard vet analyzers, require
+# gofmt-clean sources (testdata included), run the repository's own
+# invariant analyzers (tagalint), then the test suite under the race
+# detector, then a smoke check that an instrumented run produces a valid
+# trace. The simulator is heavily concurrent (one
 # goroutine per rank main plus one per running task), so -race is part of
 # the gate, not an optional extra — see EXPERIMENTS.md.
 set -eu
@@ -21,6 +22,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)"
 
 # tagalint: the repository's own analyzers. CI fails on findings AND on
 # stale //lint:ignore directives (a suppression that silences nothing is
