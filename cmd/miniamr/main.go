@@ -60,6 +60,10 @@ func main() {
 		Steps: *steps, RefineEvery: *refineEvery, MaxLevel: *maxLevel,
 		Radius: 0.45,
 	}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	cfg := cluster.Config{Nodes: *nodes, Profile: prof, Seed: 2}
 	switch *variant {
 	case "mpi":

@@ -31,7 +31,7 @@ type Params struct {
 	RefineEvery int    // steps between mesh rebuilds
 	MaxLevel    int    // maximum refinement level
 	Radius      float64
-	Verify      bool // run the real arithmetic
+	Verify      bool // run the real arithmetic and hold the cells (tests); cost is modelled always
 }
 
 // Leaf identifies one octree leaf by level and coordinates in level units.

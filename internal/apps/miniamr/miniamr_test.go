@@ -137,12 +137,14 @@ func TestSerialDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// gatherRun executes one distributed variant and merges all ranks' blocks.
-func gatherRun(t *testing.T, p Params, ranks, cores int, variant string) (map[Leaf][]float64, cluster.Result, time.Duration) {
+// gatherRun executes one distributed variant on the given fabric profile and
+// merges all ranks' blocks; the merged map is nil when every rank returned
+// nil Blocks.
+func gatherRun(t *testing.T, p Params, ranks, cores int, variant string, prof fabric.Profile) (map[Leaf][]float64, cluster.Result, time.Duration) {
 	t.Helper()
 	cfg := cluster.Config{
 		Nodes: ranks, RanksPerNode: 1, CoresPerRank: cores,
-		Profile: fabric.ProfileIdeal(),
+		Profile: prof,
 	}
 	switch variant {
 	case "tampi":
@@ -153,7 +155,7 @@ func gatherRun(t *testing.T, p Params, ranks, cores int, variant string) (map[Le
 	cfg.TAMPIPoll = 5 * time.Microsecond
 	cfg.TAGASPIPoll = 5 * time.Microsecond
 	epochs := p.Epochs(ranks)
-	merged := make(map[Leaf][]float64)
+	var merged map[Leaf][]float64
 	var refine time.Duration
 	var mu sync.Mutex
 	res := cluster.Run(cfg, func(env *cluster.Env) {
@@ -167,6 +169,9 @@ func gatherRun(t *testing.T, p Params, ranks, cores int, variant string) (map[Le
 			out = RunTAGASPI(env, p, epochs)
 		}
 		mu.Lock()
+		if out.Blocks != nil && merged == nil {
+			merged = make(map[Leaf][]float64)
+		}
 		for l, v := range out.Blocks {
 			merged[l] = v
 		}
@@ -197,21 +202,21 @@ func checkAgainstSerial(t *testing.T, got map[Leaf][]float64, p Params) {
 
 func TestMPIOnlyMatchesSerial(t *testing.T) {
 	for _, ranks := range []int{1, 2, 5} {
-		got, _, _ := gatherRun(t, verifyParams, ranks, 1, "mpi")
+		got, _, _ := gatherRun(t, verifyParams, ranks, 1, "mpi", fabric.ProfileIdeal())
 		checkAgainstSerial(t, got, verifyParams)
 	}
 }
 
 func TestTAMPIMatchesSerial(t *testing.T) {
 	for _, ranks := range []int{1, 3} {
-		got, _, _ := gatherRun(t, verifyParams, ranks, 4, "tampi")
+		got, _, _ := gatherRun(t, verifyParams, ranks, 4, "tampi", fabric.ProfileIdeal())
 		checkAgainstSerial(t, got, verifyParams)
 	}
 }
 
 func TestTAGASPIMatchesSerial(t *testing.T) {
 	for _, ranks := range []int{1, 3, 4} {
-		got, _, _ := gatherRun(t, verifyParams, ranks, 4, "tagaspi")
+		got, _, _ := gatherRun(t, verifyParams, ranks, 4, "tagaspi", fabric.ProfileIdeal())
 		checkAgainstSerial(t, got, verifyParams)
 	}
 }
@@ -221,8 +226,55 @@ func TestDeepRefinementMatchesSerial(t *testing.T) {
 	p.MaxLevel = 2
 	p.Cells = 4
 	p.Steps = 4
-	got, _, _ := gatherRun(t, p, 3, 4, "tagaspi")
+	got, _, _ := gatherRun(t, p, 3, 4, "tagaspi", fabric.ProfileIdeal())
 	checkAgainstSerial(t, got, p)
+}
+
+// TestVerifyDoesNotChangeTheModel runs every variant with the real arithmetic
+// and in the timed mode: both must model the same run (same times, traffic
+// and tasks), and the timed mode must hold no cells. It runs on OmniPath
+// because under the ideal profile every cost is zero, so a Sleep or Compute
+// lost with the arithmetic would go unseen.
+//
+// Goroutines released at one virtual instant still run side by side on the
+// host (DESIGN.md §11), so a hybrid run occasionally drifts by a few hundred
+// nanoseconds on unchanged code, mostly under -race. A disagreeing pair is
+// therefore rerun; a lost cost disagrees on every attempt.
+func TestVerifyDoesNotChangeTheModel(t *testing.T) {
+	type model struct {
+		elapsed, refine    time.Duration
+		fabric             fabric.Stats
+		submitted, spawned int64
+	}
+	for _, v := range []struct {
+		variant      string
+		ranks, cores int
+	}{{"mpi", 3, 1}, {"tampi", 3, 4}, {"tagaspi", 3, 4}} {
+		run := func(verify bool) model {
+			p := verifyParams
+			p.Verify = verify
+			blocks, res, refine := gatherRun(t, p, v.ranks, v.cores, v.variant, fabric.ProfileOmniPath())
+			if (blocks != nil) != verify {
+				t.Fatalf("%s Verify=%v: Output.Blocks non-nil = %v", v.variant, verify, blocks != nil)
+			}
+			m := model{elapsed: res.Elapsed, refine: refine, fabric: res.Fabric}
+			for _, s := range res.Tasking {
+				m.submitted += s.Submitted
+				m.spawned += s.Spawned
+			}
+			return m
+		}
+		with, without := run(true), run(false)
+		for attempt := 1; attempt < 3 && with != without; attempt++ {
+			with, without = run(true), run(false)
+		}
+		if with != without {
+			t.Errorf("%s: Verify=true modelled %+v, Verify=false %+v", v.variant, with, without)
+		}
+		if with.elapsed <= 0 || with.fabric.Messages == 0 {
+			t.Errorf("%s: the run modelled nothing: %+v", v.variant, with)
+		}
+	}
 }
 
 func TestRefineTimeMeasured(t *testing.T) {

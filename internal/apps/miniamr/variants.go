@@ -169,9 +169,52 @@ func (a *app) plan(e *Epoch) *plan {
 func (a *app) initialBlocks(pl *plan) {
 	a.blocks = make(map[Leaf]*block, len(pl.owned))
 	for _, l := range pl.owned {
-		b := a.p.newBlock(l)
-		a.p.initBlock(b)
+		b := &block{leaf: l}
+		if a.p.Verify {
+			b = a.p.newBlock(l)
+			a.p.initBlock(b)
+		}
 		a.blocks[l] = b
+	}
+}
+
+// The cell kernels below are the real arithmetic and run only in Verify
+// mode. Otherwise a block holds its leaf alone: nothing reads the cells, and
+// every modelled cost is the caller's Sleep or Compute either way.
+
+// pack writes message m's values from src into the send bytes buf.
+func (a *app) pack(src *block, m Msg, buf []byte) {
+	if a.p.Verify {
+		vals := make([]float64, m.Elems*a.p.Vars)
+		a.p.packMsg(src, m, vals)
+		memory.F64Of(buf).CopyIn(0, vals)
+	}
+}
+
+// unpack places message m's values from the receive bytes buf into dst's
+// halo.
+func (a *app) unpack(dst *block, m Msg, buf []byte) {
+	if a.p.Verify {
+		a.p.unpackMsg(dst, m, memory.F64Of(buf).CopyOut(0, m.Elems*a.p.Vars))
+	}
+}
+
+// copyHalo moves the intra-rank message m from src straight into dst's halo.
+func (a *app) copyHalo(src, dst *block, m Msg) {
+	if a.p.Verify {
+		vals := make([]float64, m.Elems*a.p.Vars)
+		a.p.packMsg(src, m, vals)
+		a.p.unpackMsg(dst, m, vals)
+	}
+}
+
+// advance fills b's neighbour-less faces and runs one stencil step.
+func (a *app) advance(b *block, faces []int) {
+	if a.p.Verify {
+		for _, f := range faces {
+			a.p.fillBoundary(b, f)
+		}
+		a.p.step(b)
 	}
 }
 
@@ -219,9 +262,11 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 			}
 		case tr.From == a.me:
 			buf := make([]byte, nbytes)
-			vals := make([]float64, elems)
-			p.interior(a.blocks[tr.Src], vals)
-			memory.F64Of(buf).CopyIn(0, vals)
+			if p.Verify {
+				vals := make([]float64, elems)
+				p.interior(a.blocks[tr.Src], vals)
+				memory.F64Of(buf).CopyIn(0, vals)
+			}
 			if a.env.RT != nil {
 				a.env.RT.Submit(func(tk *tasking.Task) {
 					a.env.TAMPI.Iwait(tk, mpi.Isend(buf, mpisim.Rank(tr.To), tagOf[tr]))
@@ -243,29 +288,41 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 		oldSet[l] = true
 	}
 	next := make(map[Leaf]*block, len(pl.owned))
-	data := make([]float64, elems)
 	for _, nl := range pl.owned {
-		acc := make([]float64, elems)
-		cnt := make([]int32, elems)
-		for _, ol := range sourcesOf(nl, oldSet) {
-			if b, ok := a.blocks[ol]; ok {
-				p.interior(b, data)
-				p.remapInto(nl, ol, data, acc, cnt)
-			} else if buf, ok := inbound[ol]; ok {
-				p.remapInto(nl, ol, memory.F64Of(buf).CopyOut(0, elems), acc, cnt)
-			} else {
+		srcs := sourcesOf(nl, oldSet)
+		for _, ol := range srcs {
+			if _, ok := a.blocks[ol]; !ok && inbound[ol] == nil {
 				panic(fmt.Sprintf("miniamr: rank %d missing source %v for %v", a.me, ol, nl))
 			}
 		}
-		b := p.newBlock(nl)
-		vals := make([]float64, elems)
-		finishRemap(acc, cnt, vals)
-		p.setInterior(b, vals)
-		next[nl] = b
+		next[nl] = &block{leaf: nl}
+		if p.Verify {
+			next[nl] = a.remap(nl, srcs, inbound)
+		}
 	}
 	a.blocks = next
 	// Modelled remap cost: proportional to the rebuilt local cells.
 	a.env.Clk.Sleep(a.env.CostOf(float64(len(pl.owned)) * float64(elems)))
+}
+
+// remap assembles the cells of new leaf nl from its old sources srcs: this
+// rank's blocks, or the interiors received from their old owners.
+func (a *app) remap(nl Leaf, srcs []Leaf, inbound map[Leaf][]byte) *block {
+	p, elems := a.p, a.p.InteriorElems()
+	acc, cnt := make([]float64, elems), make([]int32, elems)
+	data := make([]float64, elems)
+	for _, ol := range srcs {
+		if b, ok := a.blocks[ol]; ok {
+			p.interior(b, data)
+			p.remapInto(nl, ol, data, acc, cnt)
+		} else {
+			p.remapInto(nl, ol, memory.F64Of(inbound[ol]).CopyOut(0, elems), acc, cnt)
+		}
+	}
+	b := p.newBlock(nl)
+	finishRemap(acc, cnt, acc) // in place: acc is zero wherever cnt is
+	p.setInterior(b, acc)
+	return b
 }
 
 // agree runs the sequential agreement phase of the TAGASPI variant
@@ -358,7 +415,6 @@ func (a *app) output() Output {
 func RunMPIOnly(env *cluster.Env, p Params, epochs []*Epoch) Output {
 	a := newApp(env, p, epochs)
 	mpi := env.MPI
-	tmp := make([]float64, 0)
 	for ei, e := range epochs {
 		pl := a.plan(e)
 		t0 := env.Clk.Now()
@@ -379,44 +435,27 @@ func RunMPIOnly(env *cluster.Env, p Params, epochs []*Epoch) Output {
 			var sendReqs []*mpisim.Request
 			for k, m := range pl.outRemote {
 				buf := mustSlice(a.sendSeg, pl.outOff[k], m.Elems*p.Vars*memory.F64Bytes)
-				vals := grow(&tmp, m.Elems*p.Vars)
-				a.p.packMsg(a.blocks[m.Src], m, vals)
-				memory.F64Of(buf).CopyIn(0, vals)
+				a.pack(a.blocks[m.Src], m, buf)
 				env.Clk.Sleep(env.CostOf(float64(m.Elems*p.Vars) / 2))
 				sendReqs = append(sendReqs, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), e.InIdx[m]))
 			}
 			for _, m := range pl.inLocal {
-				vals := grow(&tmp, m.Elems*p.Vars)
-				a.p.packMsg(a.blocks[m.Src], m, vals)
-				a.p.unpackMsg(a.blocks[m.Dst], m, vals)
+				a.copyHalo(a.blocks[m.Src], a.blocks[m.Dst], m)
 				env.Clk.Sleep(env.CostOf(float64(m.Elems * p.Vars)))
 			}
 			for k, m := range pl.inRemote {
 				mpi.Wait(recvReqs[k])
-				buf := mustSlice(a.recvSeg, pl.inOff[k], m.Elems*p.Vars*memory.F64Bytes)
-				vals := memory.F64Of(buf).CopyOut(0, m.Elems*p.Vars)
-				a.p.unpackMsg(a.blocks[m.Dst], m, vals)
+				a.unpack(a.blocks[m.Dst], m, mustSlice(a.recvSeg, pl.inOff[k], m.Elems*p.Vars*memory.F64Bytes))
 				env.Clk.Sleep(env.CostOf(float64(m.Elems*p.Vars) / 2))
 			}
 			for _, l := range pl.owned {
-				for _, f := range pl.noNbr[l] {
-					a.p.fillBoundary(a.blocks[l], f)
-				}
 				env.Clk.Sleep(env.CostOf(float64(p.InteriorElems())))
-				a.p.step(a.blocks[l])
+				a.advance(a.blocks[l], pl.noNbr[l])
 			}
 			mpi.Waitall(sendReqs)
 		}
 	}
 	return a.output()
-}
-
-// grow resizes a scratch slice.
-func grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
 }
 
 // depKeys are per-epoch dependency bases for the hybrid variants.
@@ -499,11 +538,9 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 		bidx := e.Local[m.Src]
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
-			vals := make([]float64, nv)
 			tk.Compute(env.CostOf(float64(nv) / 2))
-			p.packMsg(src, m, vals)
 			buf := mustSlice(a.sendSeg, pl.outOff[k], nv*memory.F64Bytes)
-			memory.F64Of(buf).CopyIn(0, vals)
+			a.pack(src, m, buf)
 			ta.Iwait(tk, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), e.InIdx[m]))
 		}, tasking.WithDeps(
 			tasking.In(&keys.block, bidx, bidx+1),
@@ -545,11 +582,8 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 		}))
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
-			vals := make([]float64, nv)
 			tk.Compute(env.CostOf(float64(nv) / 2))
-			p.packMsg(src, m, vals)
-			buf := mustSlice(a.sendSeg, pl.outOff[k], nv*memory.F64Bytes)
-			memory.F64Of(buf).CopyIn(0, vals)
+			a.pack(src, m, mustSlice(a.sendSeg, pl.outOff[k], nv*memory.F64Bytes))
 			must(tg.WriteNotify(tk, segSend, pl.outOff[k],
 				gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
 				nv*memory.F64Bytes,
@@ -579,8 +613,7 @@ func (a *app) submitUnpack(pl *plan, keys *depKeys, k int, m Msg, oneSided, last
 	rt.Submit(func(tk *tasking.Task) {
 		nv := m.Elems * p.Vars
 		tk.Compute(env.CostOf(float64(nv) / 2))
-		buf := mustSlice(a.recvSeg, pl.inOff[k], nv*memory.F64Bytes)
-		p.unpackMsg(dst, m, memory.F64Of(buf).CopyOut(0, nv))
+		a.unpack(dst, m, mustSlice(a.recvSeg, pl.inOff[k], nv*memory.F64Bytes))
 		if oneSided && !lastOfEpoch {
 			must(env.TAGASPI.Notify(tk, gaspisim.Rank(e.Owner[m.Src]), segSend,
 				gaspisim.NotificationID(pl.ackID[k]), 1, k%Q))
@@ -602,9 +635,7 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
 			tk.Compute(env.CostOf(float64(nv)))
-			vals := make([]float64, nv)
-			p.packMsg(src, m, vals)
-			p.unpackMsg(dst, m, vals)
+			a.copyHalo(src, dst, m)
 		}, tasking.WithDeps(
 			tasking.In(&keys.block, sidx, sidx+1),
 			tasking.Out(&keys.face, fidx, fidx+1)),
@@ -620,11 +651,8 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 			tasking.In(&keys.face, bidx*6, bidx*6+6),
 		}
 		rt.Submit(func(tk *tasking.Task) {
-			for _, f := range faces {
-				p.fillBoundary(b, f)
-			}
 			tk.Compute(env.CostOf(float64(p.InteriorElems())))
-			p.step(b)
+			a.advance(b, faces)
 		}, tasking.WithDeps(deps...), tasking.WithLabel("stencil"))
 	}
 }

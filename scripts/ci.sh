@@ -104,12 +104,12 @@ grep -q '"host_ms":' "$bench_json"
 # pass additionally drives a two-rank cluster through a hard link outage
 # and TAGASPI's repair-and-retry recovery.
 echo "== fault determinism gate: two seeded -faults runs, byte-identical output"
-go build -o /tmp/ci-heat-bin ./cmd/heat
+go build -o "$tmp/heat" ./cmd/heat
 fault_a="$tmp/heat-faults-a.txt"
 fault_b="$tmp/heat-faults-b.txt"
-/tmp/ci-heat-bin -variant tagaspi -nodes 2 -rows 256 -cols 256 -steps 4 \
+"$tmp/heat" -variant tagaspi -nodes 2 -rows 256 -cols 256 -steps 4 \
     -faults 0.05 -host=false > "$fault_a"
-/tmp/ci-heat-bin -variant tagaspi -nodes 2 -rows 256 -cols 256 -steps 4 \
+"$tmp/heat" -variant tagaspi -nodes 2 -rows 256 -cols 256 -steps 4 \
     -faults 0.05 -host=false > "$fault_b"
 cmp "$fault_a" "$fault_b"
 grep -q "tagaspi retries" "$fault_a"
@@ -124,11 +124,11 @@ go test -race -run TestLinkOutageRecovery ./internal/cluster
 echo "== trace smoke: concurrent instrumented cmd/heat runs + cmd/trace -check"
 trace_tmp="$tmp/heat-trace.json"
 trace_tmp2="$tmp/heat-trace2.json"
-/tmp/ci-heat-bin -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
+"$tmp/heat" -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
     -rows 128 -cols 256 -steps 2 -block 64 \
     -trace "$trace_tmp" -metrics > /dev/null &
 heat_pid=$!
-/tmp/ci-heat-bin -variant tampi -nodes 2 -rpn 1 -cores 2 \
+"$tmp/heat" -variant tampi -nodes 2 -rpn 1 -cores 2 \
     -rows 128 -cols 256 -steps 2 -block 64 \
     -trace "$trace_tmp2" -metrics > /dev/null
 wait "$heat_pid"
@@ -145,10 +145,10 @@ echo "== blame determinism gate: two seeded instrumented runs, byte-identical re
 blame_a="$tmp/heat-blame-a.txt"
 blame_b="$tmp/heat-blame-b.txt"
 blame_t="$tmp/heat-blame-t.txt"
-/tmp/ci-heat-bin -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
+"$tmp/heat" -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
     -rows 128 -cols 256 -steps 2 -block 64 -host=false \
     -blame "$blame_a" > /dev/null
-/tmp/ci-heat-bin -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
+"$tmp/heat" -variant tagaspi -nodes 2 -rpn 1 -cores 2 \
     -rows 128 -cols 256 -steps 2 -block 64 -host=false \
     -trace "$trace_tmp" -blame "$blame_b" > /dev/null
 cmp "$blame_a" "$blame_b"
