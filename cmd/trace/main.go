@@ -5,7 +5,7 @@
 //
 // Example:
 //
-//	heat -variant tagaspi -nodes 2 -trace /tmp/heat.json
+//	app heat -variant tagaspi -nodes 2 -trace /tmp/heat.json
 //	trace /tmp/heat.json             # summary
 //	trace -check /tmp/heat.json      # validate only; exit 0/1
 //	trace -top 20 /tmp/heat.json     # longest spans
@@ -52,10 +52,7 @@ func main() {
 			continue
 		}
 		if *check {
-			// A structurally valid trace can still be incomplete: the tracer
-			// embeds an "obs:events_dropped" warning instant when events were
-			// discarded for out-of-range ranks. Fail on it.
-			if n, dropped := droppedEvents(t); dropped {
+			if n, dropped := t.DroppedEvents(); dropped {
 				fmt.Fprintf(os.Stderr, "trace: %s: %d events were dropped during recording\n", path, n)
 				fail = true
 				continue
@@ -93,19 +90,4 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
-}
-
-// droppedEvents reports whether the trace embeds the tracer's
-// events-dropped warning, and the recorded drop count.
-func droppedEvents(t *obs.TraceFile) (int64, bool) {
-	for _, e := range t.TraceEvents {
-		if e.Ph == "i" && e.Name == "obs:events_dropped" {
-			n := int64(0)
-			if v, ok := e.Args["v"].(float64); ok {
-				n = int64(v)
-			}
-			return n, true
-		}
-	}
-	return 0, false
 }

@@ -75,7 +75,6 @@ func main() {
 
 		residual := make([]byte, 8)
 		for s := 0; s < steps; s++ {
-			s := s
 			par := s % 2
 			nextPar := (s + 1) % 2
 

@@ -57,7 +57,6 @@ func run(useOnready bool) {
 		case 0:
 			var ack int64
 			for i := 0; i < iterations; i++ {
-				i := i
 				if useOnready {
 					// Figure 8: the ack wait rides on the writer task.
 					rt.Submit(func(t *tasking.Task) {

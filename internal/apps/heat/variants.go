@@ -32,6 +32,12 @@ func must(err error) {
 	}
 }
 
+// Run executes variant v of the solver on one rank.
+func Run(v cluster.Variant, env *cluster.Env, p Params) { runs[v](env, p) }
+
+// runs are the variants' rank mains, indexed by variant.
+var runs = [...]func(*cluster.Env, Params) *grid{RunMPIOnly, RunTAMPI, RunTAGASPI}
+
 // RunMPIOnly executes the optimised MPI-only variant (§VI-A): non-blocking
 // primitives with receives issued as early as possible and waits placed
 // only where needed, overlapping computation and communication. The rank
@@ -114,7 +120,6 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 	for t := 0; t < T; t++ {
 		if up {
 			for bj := 0; bj < BJ; bj++ {
-				bj := bj
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(g.rowBytes(0, bj), mpisim.Rank(r-1), 2*bj)
 					ta.Iwait(tk, req)
@@ -124,7 +129,6 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 		}
 		if down && t > 0 {
 			for bj := 0; bj < BJ; bj++ {
-				bj := bj
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(g.rowBytes(g.rp+1, bj), mpisim.Rank(r+1), 2*bj+1)
 					ta.Iwait(tk, req)
@@ -134,7 +138,6 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 		}
 		g.submitComputeTasks(keys, up, down)
 		for bj := 0; bj < BJ; bj++ {
-			bj := bj
 			if up && t < T-1 {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Isend(g.rowBytes(1, bj), mpisim.Rank(r-1), 2*bj+1)
@@ -178,7 +181,6 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 	for t := 0; t < T; t++ {
 		if up {
 			for bj := 0; bj < BJ; bj++ {
-				bj := bj
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(bj), nil)
 				}, tasking.WithDeps(tasking.Out(&keys.top, bj, bj+1)),
@@ -187,7 +189,6 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 		}
 		if down && t > 0 {
 			for bj := 0; bj < BJ; bj++ {
-				bj := bj
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(BJ+bj), nil)
 				}, tasking.WithDeps(tasking.Out(&keys.bot, bj, bj+1)),
@@ -196,7 +197,6 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 		}
 		g.submitComputeTasks(keys, up, down)
 		for bj := 0; bj < BJ; bj++ {
-			bj := bj
 			if up && t < T-1 {
 				// My first row lands in the upper neighbour's bottom halo.
 				rt.Submit(func(tk *tasking.Task) {
@@ -233,7 +233,6 @@ func (g *grid) submitComputeTasks(keys *blockKeys, up, down bool) {
 	rt := g.env.RT
 	for bi := 0; bi < BI; bi++ {
 		for bj := 0; bj < BJ; bj++ {
-			bi, bj := bi, bj
 			idx := bi*BJ + bj
 			deps := []tasking.Dep{tasking.InOut(&keys.blocks, idx, idx+1)}
 			if bi > 0 {

@@ -3,9 +3,11 @@ package miniamr
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/gaspisim"
 	"repro/internal/memory"
 	"repro/internal/mpisim"
@@ -248,7 +250,6 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 	var reqs []*mpisim.Request
 	mpi := a.env.MPI
 	for _, tr := range trs {
-		tr := tr
 		switch {
 		case tr.To == a.me:
 			buf := make([]byte, nbytes)
@@ -410,6 +411,57 @@ func (a *app) output() Output {
 	return out
 }
 
+// Config builds the job description of variant v: the variant's cluster
+// configuration, except that the TAGASPI variant keeps TAMPI for the
+// load-balancing stage (library interoperability, §VI-B).
+func Config(v cluster.Variant, nodes int, prof fabric.Profile, g cluster.Geometry) cluster.Config {
+	cfg := v.Config(nodes, prof, g)
+	if v == cluster.TAGASPI {
+		cfg.WithTAMPI = true
+	}
+	return cfg
+}
+
+// Job is one miniAMR run: the parameters and mesh epochs every rank
+// replays, and the slowest rank's refinement time, which the
+// no-refinement (NR) throughput leaves out.
+type Job struct {
+	p      Params
+	Epochs []*Epoch
+
+	mu        sync.Mutex
+	maxRefine time.Duration
+}
+
+// NewJob prepares a run of p on ranks ranks.
+func NewJob(p Params, ranks int) *Job { return &Job{p: p, Epochs: p.Epochs(ranks)} }
+
+// Run executes variant v on one rank of a cluster built by Config.
+func (j *Job) Run(v cluster.Variant, env *cluster.Env) {
+	out := runs[v](env, j.p, j.Epochs)
+	j.mu.Lock()
+	j.maxRefine = max(j.maxRefine, out.RefineTime)
+	j.mu.Unlock()
+}
+
+// runs are the variants' rank mains, indexed by variant.
+var runs = [...]func(*cluster.Env, Params, []*Epoch) Output{RunMPIOnly, RunTAMPI, RunTAGASPI}
+
+// Throughput returns the finished job's total and NR throughput in
+// GUpdates/s over elapsed modelled time, and the slowest rank's
+// refinement time.
+func (j *Job) Throughput(elapsed time.Duration) (total, nr float64, refine time.Duration) {
+	j.mu.Lock()
+	refine = j.maxRefine
+	j.mu.Unlock()
+	work := Work(j.p, j.Epochs)
+	nrTime := elapsed - refine
+	if nrTime <= 0 {
+		nrTime = elapsed
+	}
+	return work / elapsed.Seconds() / 1e9, work / nrTime.Seconds() / 1e9, refine
+}
+
 // RunMPIOnly executes the MPI-only variant: one core per rank, sequential
 // phases, non-blocking point-to-point halo exchange.
 func RunMPIOnly(env *cluster.Env, p Params, epochs []*Epoch) Output {
@@ -533,7 +585,6 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 	p, env, rt, e := a.p, a.env, a.env.RT, pl.e
 	mpi, ta := env.MPI, env.TAMPI
 	for k, m := range pl.outRemote {
-		k, m := k, m
 		src := a.blocks[m.Src]
 		bidx := e.Local[m.Src]
 		rt.Submit(func(tk *tasking.Task) {
@@ -548,7 +599,6 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 			tasking.WithLabel("pack+send"))
 	}
 	for k, m := range pl.inRemote {
-		k, m := k, m
 		nv := m.Elems * p.Vars
 		rt.Submit(func(tk *tasking.Task) {
 			buf := mustSlice(a.recvSeg, pl.inOff[k], nv*memory.F64Bytes)
@@ -566,7 +616,6 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 	tg := env.TAGASPI
 	Q := env.GASPI.Queues()
 	for k, m := range pl.outRemote {
-		k, m := k, m
 		src := a.blocks[m.Src]
 		bidx := e.Local[m.Src]
 		opts := []tasking.Option{
@@ -591,7 +640,6 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 		}, opts...)
 	}
 	for k, m := range pl.inRemote {
-		k, m := k, m
 		rt.Submit(func(tk *tasking.Task) {
 			tg.NotifyIwait(tk, segRecv, gaspisim.NotificationID(k), nil)
 		}, tasking.WithDeps(tasking.Out(&keys.rslot, k, k+1)),
@@ -629,7 +677,6 @@ func (a *app) submitUnpack(pl *plan, keys *depKeys, k int, m Msg, oneSided, last
 func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 	p, env, rt, e := a.p, a.env, a.env.RT, pl.e
 	for _, m := range pl.inLocal {
-		m := m
 		src, dst := a.blocks[m.Src], a.blocks[m.Dst]
 		sidx, fidx := e.Local[m.Src], e.Local[m.Dst]*6+m.Face
 		rt.Submit(func(tk *tasking.Task) {
@@ -642,7 +689,6 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 			tasking.WithLabel("local halo"))
 	}
 	for _, l := range pl.owned {
-		l := l
 		b := a.blocks[l]
 		bidx := e.Local[l]
 		faces := pl.noNbr[l]

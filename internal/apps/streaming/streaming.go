@@ -190,6 +190,18 @@ func (pi *pipe) blockBytes(seg *memory.Segment, j int) []byte {
 // cost is the modelled compute time of one block.
 func (pi *pipe) cost() float64 { return float64(pi.p.BlockSize) }
 
+// Run executes variant v of the pipeline on one rank.
+func Run(v cluster.Variant, env *cluster.Env, p Params) {
+	switch v {
+	case cluster.MPIOnly:
+		RunMPIOnly(env, p)
+	case cluster.TAMPI:
+		RunTAMPI(env, p)
+	default:
+		RunTAGASPI(env, p)
+	}
+}
+
 // RunMPIOnly executes the optimised MPI-only variant: non-blocking
 // receives posted a chunk ahead, sends waited before buffer reuse.
 func RunMPIOnly(env *cluster.Env, p Params) float64 {
@@ -234,7 +246,6 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 	k := &keys{}
 	for c := 0; c < p.Chunks; c++ {
 		for j := 0; j < pi.nb; j++ {
-			j := j
 			if pi.prev >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(pi.blockBytes(pi.recvSeg, j), mpisim.Rank(pi.prev), j)
@@ -242,7 +253,6 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
 					tasking.WithLabel("recv"))
 			}
-			c := c
 			deps := []tasking.Dep{tasking.Out(&k.send, j, j+1)}
 			if pi.prev >= 0 {
 				deps = append(deps, tasking.In(&k.recv, j, j+1))
@@ -287,7 +297,6 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 
 	for c := 0; c < p.Chunks; c++ {
 		for j := 0; j < pi.nb; j++ {
-			j, c := j, c
 			if pi.prev >= 0 {
 				// wait data: the chunk block landing in our receive buffer.
 				rt.Submit(func(tk *tasking.Task) {

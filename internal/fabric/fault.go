@@ -124,7 +124,9 @@ func (fp FaultPlan) Enabled() bool {
 // validate panics on plans that cannot be simulated faithfully.
 func (fp FaultPlan) validate() {
 	check := func(class string, r FaultRates) {
-		if r.Drop < 0 || r.Drop > 1 || r.Jitter < 0 || r.Jitter > 1 {
+		// Written so NaN fails too: roll() < NaN is never true, so a NaN
+		// rate would enable the plan and inject nothing.
+		if !(r.Drop >= 0 && r.Drop <= 1) || !(r.Jitter >= 0 && r.Jitter <= 1) {
 			panic(fmt.Sprintf("fabric: %s fault rates out of [0,1]: %+v", class, r))
 		}
 		if r.Spike < 0 {

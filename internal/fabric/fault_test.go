@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,7 +213,11 @@ func TestFaultPlanValidation(t *testing.T) {
 	for name, plan := range map[string]FaultPlan{
 		"mpi-total-drop": {MPI: FaultRates{Drop: 1}},
 		"rate-above-one": {GASPI: FaultRates{Drop: 1.5}},
-		"empty-outage":   {Outages: []Outage{{Link: Link{-1, -1}, Start: time.Second, End: time.Second}}},
+		// Regression: NaN rates passed the range check, enabling a plan
+		// that never injected anything.
+		"nan-drop":     {GASPI: FaultRates{Drop: math.NaN()}},
+		"nan-jitter":   {MPI: FaultRates{Jitter: math.NaN(), Spike: time.Microsecond}},
+		"empty-outage": {Outages: []Outage{{Link: Link{-1, -1}, Start: time.Second, End: time.Second}}},
 		// Regression: a negative Spike used to slip through validation and
 		// subtract flight latency, scheduling a delivery step before the
 		// current instant.

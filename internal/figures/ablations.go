@@ -49,14 +49,11 @@ func AblationMPILockBlowup(o Opts) Figure {
 	for _, bs := range blocks {
 		p := streaming.Params{Chunks: chunks, ChunkElems: chunk, BlockSize: bs}
 		sw.Points = append(sw.Points, exp.Point{
-			ID: stPointID(stTAMPI, bs),
+			ID: stPointID(cluster.TAMPI, bs),
 			X:  float64(bs),
-			Cfg: cluster.Config{
-				Nodes: nodes, RanksPerNode: 1, CoresPerRank: coresPerNode,
-				Profile:     fabric.ProfileOmniPath(),
-				WithTasking: true, WithTAMPI: true,
-				TAMPIPoll: 50 * time.Microsecond,
-			},
+			Cfg: cluster.TAMPI.Config(nodes, fabric.ProfileOmniPath(), cluster.Geometry{
+				HybridRanks: 1, HybridCores: coresPerNode, Poll: 50 * time.Microsecond,
+			}),
 			Main: func(env *cluster.Env) { streaming.RunTAMPI(env, p) },
 			Values: func(job cluster.Result) map[string]float64 {
 				return map[string]float64{
@@ -102,24 +99,14 @@ func AblationCritPathBlame(o Opts) Figure {
 		},
 		Series: series,
 	}
-	for _, v := range []gsVariant{gsMPIOnly, gsTAMPI, gsTAGASPI} {
-		v := v
-		cfg := gsConfig(v, nodes, fabric.ProfileOmniPath())
+	for _, v := range cluster.Variants {
+		cfg := v.Config(nodes, fabric.ProfileOmniPath(), gsGeometry)
 		cfg.Recorder = obs.NewCollector(cfg.Nodes * cfg.RanksPerNode)
 		sw.Points = append(sw.Points, exp.Point{
-			ID:  fmt.Sprintf("blame/%s", gsNames[v]),
-			X:   float64(v),
-			Cfg: cfg,
-			Main: func(env *cluster.Env) {
-				switch v {
-				case gsMPIOnly:
-					heat.RunMPIOnly(env, p)
-				case gsTAMPI:
-					heat.RunTAMPI(env, p)
-				case gsTAGASPI:
-					heat.RunTAGASPI(env, p)
-				}
-			},
+			ID:   fmt.Sprintf("blame/%s", v),
+			X:    float64(v),
+			Cfg:  cfg,
+			Main: func(env *cluster.Env) { heat.Run(v, env, p) },
 			Values: func(job cluster.Result) map[string]float64 {
 				vals := make(map[string]float64, len(classes))
 				for _, c := range classes {
@@ -162,20 +149,17 @@ func AblationPollingPeriod(o Opts) Figure {
 	for _, us := range periods {
 		p := streaming.Params{Chunks: chunks, ChunkElems: chunk, BlockSize: bs}
 		sw.Points = append(sw.Points, stPoint(
-			fmt.Sprintf("stream/p%dus", us), stTAGASPI, nodes, 1, p,
+			fmt.Sprintf("stream/p%dus", us), cluster.TAGASPI, nodes, 1, p,
 			fabric.ProfileInfiniBand(), time.Duration(us)*time.Microsecond, float64(us)))
 	}
 	for _, us := range periods {
 		p := gsParams(4, 32, 32, 6)
+		g := gsGeometry
+		g.Poll = time.Duration(us) * time.Microsecond
 		sw.Points = append(sw.Points, exp.Point{
-			ID: fmt.Sprintf("gauss/p%dus", us),
-			X:  float64(us),
-			Cfg: cluster.Config{
-				Nodes: 4, RanksPerNode: hybridRanks, CoresPerRank: coresPerNode / hybridRanks,
-				Profile:     fabric.ProfileInfiniBand(),
-				WithTasking: true, WithTAGASPI: true,
-				TAGASPIPoll: time.Duration(us) * time.Microsecond,
-			},
+			ID:   fmt.Sprintf("gauss/p%dus", us),
+			X:    float64(us),
+			Cfg:  cluster.TAGASPI.Config(4, fabric.ProfileInfiniBand(), g),
 			Main: func(env *cluster.Env) { heat.RunTAGASPI(env, p) },
 			Values: func(job cluster.Result) map[string]float64 {
 				return map[string]float64{"Gauss-Seidel": p.Updates() / job.Elapsed.Seconds() / 1e9}
@@ -329,12 +313,9 @@ func producerConsumerPoint(iters int, useOnready bool) exp.Point {
 	return exp.Point{
 		ID: fmt.Sprintf("%s/i%d", map[bool]string{false: "ackwait", true: "onready"}[useOnready], iters),
 		X:  float64(iters),
-		Cfg: cluster.Config{
-			Nodes: 2, RanksPerNode: 1, CoresPerRank: 2,
-			Profile:     fabric.ProfileInfiniBand(),
-			WithTasking: true, WithTAGASPI: true,
-			TAGASPIPoll: 5 * time.Microsecond,
-		},
+		Cfg: cluster.TAGASPI.Config(2, fabric.ProfileInfiniBand(), cluster.Geometry{
+			HybridRanks: 1, HybridCores: 2, Poll: 5 * time.Microsecond,
+		}),
 		Main: func(env *cluster.Env) {
 			seg, err := env.GASPI.SegmentCreate(0, slots*N)
 			must(err)
@@ -346,7 +327,6 @@ func producerConsumerPoint(iters int, useOnready bool) exp.Point {
 				acks := make([]int64, slots)
 				for i := 0; i < iters; i++ {
 					for j := 0; j < slots; j++ {
-						i, j := i, j
 						lo, hi := j*N, (j+1)*N
 						if useOnready {
 							rt.Submit(func(tk *tasking.Task) {
@@ -379,7 +359,6 @@ func producerConsumerPoint(iters int, useOnready bool) exp.Point {
 				for i := 0; i < iters; i++ {
 					last := i == iters-1
 					for j := 0; j < slots; j++ {
-						j := j
 						lo, hi := j*N, (j+1)*N
 						rt.Submit(func(tk *tasking.Task) {
 							tg.NotifyIwait(tk, 0, dataID(j), &got[j])

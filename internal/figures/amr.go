@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/apps/miniamr"
@@ -10,17 +9,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fabric"
 )
-
-// amrVariant identifies a miniAMR implementation.
-type amrVariant int
-
-const (
-	amrMPIOnly amrVariant = iota
-	amrTAMPI
-	amrTAGASPI
-)
-
-var amrNames = []string{"MPI-Only", "TAMPI", "TAGASPI"}
 
 // amrSeries is the series declaration shared by both miniAMR figures:
 // total and no-refinement (NR) throughput per variant.
@@ -30,72 +18,28 @@ var amrSeries = []string{
 	"TAGASPI", "TAGASPI (NR)",
 }
 
-// amrConfig builds the cluster geometry of one miniAMR variant.
-func amrConfig(v amrVariant, nodes int) cluster.Config {
-	cfg := cluster.Config{
-		Nodes:   nodes,
-		Profile: fabric.ProfileOmniPath(),
-	}
-	switch v {
-	case amrMPIOnly:
-		cfg.RanksPerNode, cfg.CoresPerRank = coresPerNode, 1
-	default:
-		cfg.RanksPerNode = amrHybridRank
-		cfg.CoresPerRank = coresPerNode / amrHybridRank
-		cfg.WithTasking, cfg.WithTAMPI = true, true
-		// Scaled from the paper's 150us optimum (16x smaller input).
-		cfg.TAMPIPoll = 5 * time.Microsecond
-		cfg.TAGASPIPoll = 5 * time.Microsecond
-		if v == amrTAGASPI {
-			cfg.WithTAGASPI = true
-		}
-	}
-	return cfg
+// amrGeometry is the miniAMR layout of the three variants.
+var amrGeometry = cluster.Geometry{
+	MPIRanks:    coresPerNode,
+	HybridRanks: amrHybridRank,
+	HybridCores: coresPerNode / amrHybridRank,
+	// Scaled from the paper's 150us optimum (16x smaller input).
+	Poll: 5 * time.Microsecond,
 }
 
 // amrPoint is one miniAMR run, yielding the variant's total and
-// no-refinement (NR) throughput in GUpdates/s of modelled time. The NR
-// number subtracts the slowest rank's refinement time, captured by the
-// rank mains into point-local state.
-func amrPoint(v amrVariant, nodes int, p miniamr.Params, x float64) exp.Point {
-	cfg := amrConfig(v, nodes)
-	ranks := cfg.Nodes * cfg.RanksPerNode
-	epochs := p.Epochs(ranks)
-	var mu sync.Mutex
-	var maxRefine time.Duration
+// no-refinement (NR) throughput in GUpdates/s of modelled time.
+func amrPoint(v cluster.Variant, nodes int, p miniamr.Params, x float64) exp.Point {
+	cfg := miniamr.Config(v, nodes, fabric.ProfileOmniPath(), amrGeometry)
+	job := miniamr.NewJob(p, cfg.Nodes*cfg.RanksPerNode)
 	return exp.Point{
-		ID:  fmt.Sprintf("%s/n%d/v%d", amrNames[v], nodes, p.Vars),
-		X:   x,
-		Cfg: cfg,
-		Main: func(env *cluster.Env) {
-			var out miniamr.Output
-			switch v {
-			case amrMPIOnly:
-				out = miniamr.RunMPIOnly(env, p, epochs)
-			case amrTAMPI:
-				out = miniamr.RunTAMPI(env, p, epochs)
-			case amrTAGASPI:
-				out = miniamr.RunTAGASPI(env, p, epochs)
-			}
-			mu.Lock()
-			if out.RefineTime > maxRefine {
-				maxRefine = out.RefineTime
-			}
-			mu.Unlock()
-		},
-		Values: func(job cluster.Result) map[string]float64 {
-			mu.Lock()
-			refine := maxRefine
-			mu.Unlock()
-			work := miniamr.Work(p, epochs)
-			nrTime := job.Elapsed - refine
-			if nrTime <= 0 {
-				nrTime = job.Elapsed
-			}
-			return map[string]float64{
-				amrNames[v]:           work / job.Elapsed.Seconds() / 1e9,
-				amrNames[v] + " (NR)": work / nrTime.Seconds() / 1e9,
-			}
+		ID:   fmt.Sprintf("%s/n%d/v%d", v, nodes, p.Vars),
+		X:    x,
+		Cfg:  cfg,
+		Main: func(env *cluster.Env) { job.Run(v, env) },
+		Values: func(res cluster.Result) map[string]float64 {
+			total, nr, _ := job.Throughput(res.Elapsed)
+			return map[string]float64{v.String(): total, v.String() + " (NR)": nr}
 		},
 	}
 }
@@ -137,18 +81,19 @@ func Fig11MiniAMRScaling(o Opts) Figure {
 		},
 		Series: amrSeries,
 	}
-	for v := amrMPIOnly; v <= amrTAGASPI; v++ {
+	for _, v := range cluster.Variants {
 		for _, n := range nodes {
 			sw.Points = append(sw.Points, amrPoint(v, n, p, float64(n)))
 		}
 	}
 	sw.Post = func(f *Figure, raw map[string][]float64, _ []exp.Result) {
-		base := raw[amrNames[amrMPIOnly]][0]
+		base := raw[cluster.MPIOnly.String()][0]
 		f.Series = nil
-		for v := amrMPIOnly; v <= amrTAGASPI; v++ {
+		for _, v := range cluster.Variants {
+			name := v.String()
 			f.Series = append(f.Series,
-				Series{Name: amrNames[v], Y: exp.Speedup(raw[amrNames[v]], base)},
-				Series{Name: amrNames[v] + " (NR)", Y: exp.Speedup(raw[amrNames[v]+" (NR)"], base)})
+				Series{Name: name, Y: exp.Speedup(raw[name], base)},
+				Series{Name: name + " (NR)", Y: exp.Speedup(raw[name+" (NR)"], base)})
 		}
 	}
 	return runSweep(o, sw)
@@ -176,7 +121,7 @@ func Fig12MiniAMRVariables(o Opts) Figure {
 		},
 		Series: amrSeries,
 	}
-	for v := amrMPIOnly; v <= amrTAGASPI; v++ {
+	for _, v := range cluster.Variants {
 		for _, nv := range vars {
 			sw.Points = append(sw.Points, amrPoint(v, nodes, amrParams(nv, steps), float64(nv)))
 		}

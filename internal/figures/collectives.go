@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/collectives"
@@ -21,16 +20,17 @@ const (
 	collIters  = 4    // allreduce rounds per point (amortises warmup)
 )
 
-// collVariant is one collectives backend under measurement.
+// collVariant is one collectives backend under measurement, and the
+// application variant whose job it runs in.
 type collVariant struct {
 	name string
-	ta   bool
+	job  cluster.Variant
 }
 
 var collVariants = []collVariant{
-	{name: "MPI blocking"},
-	{name: "GASPI blocking"},
-	{name: "TAGASPI task-aware", ta: true},
+	{name: "MPI blocking", job: cluster.MPIOnly},
+	{name: "GASPI blocking", job: cluster.MPIOnly},
+	{name: "TAGASPI task-aware", job: cluster.TAGASPI},
 }
 
 // collBlockedSeries names the companion series carrying the critpath
@@ -74,19 +74,8 @@ func FigCollectives(o Opts) Figure {
 		Series: series,
 	}
 	for _, v := range collVariants {
-		v := v
 		for _, nodes := range nodesSweep {
-			nodes := nodes
-			cfg := cluster.Config{
-				Nodes: nodes, RanksPerNode: 1, CoresPerRank: 1,
-				Profile: fabric.ProfileOmniPath(),
-			}
-			if v.ta {
-				cfg.CoresPerRank = 2
-				cfg.WithTasking = true
-				cfg.WithTAGASPI = true
-				cfg.TAGASPIPoll = 5 * time.Microsecond
-			}
+			cfg := v.job.Config(nodes, fabric.ProfileOmniPath(), rankPerNode)
 			cfg.Recorder = obs.NewCollector(nodes)
 			sw.Points = append(sw.Points, exp.Point{
 				ID:  fmt.Sprintf("coll/%s/n%d", v.name, nodes),
@@ -100,7 +89,7 @@ func FigCollectives(o Opts) Figure {
 					var c *collectives.Comm
 					var err error
 					switch {
-					case v.ta:
+					case v.job == cluster.TAGASPI:
 						c, err = collectives.NewTAGASPI(env.TAGASPI, env.RT, collVecLen, opts...)
 					case v.name == "GASPI blocking":
 						c, err = collectives.NewGASPI(env.GASPI, collVecLen, opts...)

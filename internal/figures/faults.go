@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/fabric"
 )
@@ -24,7 +25,7 @@ func AblationFaultInjection(o Opts) Figure {
 		rates = []float64{0, 0.05, 0.2}
 	}
 	prof := fabric.ProfileOmniPath()
-	series := []string{gsNames[gsMPIOnly], gsNames[gsTAGASPI]}
+	variants := []cluster.Variant{cluster.MPIOnly, cluster.TAGASPI}
 	sw := &exp.Sweep{
 		Fig: Figure{
 			ID: "faults", Title: "Gauss-Seidel throughput vs injected fault rate",
@@ -36,12 +37,12 @@ func AblationFaultInjection(o Opts) Figure {
 				"expected shape: MPI-only degrades mildly (retransmits cost only latency); TAGASPI falls faster at high rates (queue repair + backoff) but always completes with bit-exact results",
 			},
 		},
-		Series: series,
+		Series: []string{variants[0].String(), variants[1].String()},
 	}
-	for _, v := range []gsVariant{gsMPIOnly, gsTAGASPI} {
+	for _, v := range variants {
 		for _, r := range rates {
 			p := gsParams(nodes, 64, 64, steps)
-			if v == gsMPIOnly {
+			if v == cluster.MPIOnly {
 				p.BlockRows, p.BlockCols = 0, 256
 			}
 			pt := gsPoint(v, nodes, p, prof, r)

@@ -23,7 +23,9 @@ package figures
 
 import (
 	"sort"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/exp"
 )
 
@@ -122,6 +124,25 @@ const (
 	hybridRanks   = 2 // ranks/node for hybrid Gauss-Seidel (paper: 1/socket)
 	amrHybridRank = 2 // ranks/node for hybrid miniAMR (paper: 4)
 )
+
+// rankPerNode is the layout of the network-bound figures (incast,
+// collectives): one rank per node, and hybrid ranks get a small core pool
+// for their communication tasks. The polling period matches the hybrid
+// Gauss–Seidel figures at this reduced scale.
+var rankPerNode = cluster.Geometry{
+	MPIRanks: 1, HybridRanks: 1, HybridCores: 2,
+	Poll: 5 * time.Microsecond,
+}
+
+// variantSeries is the series declaration of a figure with one value per
+// variant.
+func variantSeries() []string {
+	names := make([]string, len(cluster.Variants))
+	for i, v := range cluster.Variants {
+		names[i] = v.String()
+	}
+	return names
+}
 
 func doubling(max int) []int {
 	var out []int

@@ -10,62 +10,26 @@ import (
 	"repro/internal/fabric"
 )
 
-// gsVariant identifies a Gauss–Seidel implementation.
-type gsVariant int
-
-const (
-	gsMPIOnly gsVariant = iota
-	gsTAMPI
-	gsTAGASPI
-)
-
-var gsNames = []string{"MPI-Only", "TAMPI", "TAGASPI"}
-
-// gsConfig builds the cluster geometry of one Gauss–Seidel variant.
-func gsConfig(v gsVariant, nodes int, prof fabric.Profile) cluster.Config {
-	cfg := cluster.Config{
-		Nodes:   nodes,
-		Profile: prof,
-	}
-	switch v {
-	case gsMPIOnly:
-		cfg.RanksPerNode, cfg.CoresPerRank = coresPerNode, 1
-	default:
-		cfg.RanksPerNode = hybridRanks
-		cfg.CoresPerRank = coresPerNode / hybridRanks
-		cfg.WithTasking = true
-		// The paper tunes 150us on the full-size input; with the ~16x
-		// reduced inputs the tuned period scales down accordingly.
-		cfg.TAMPIPoll = 5 * time.Microsecond
-		cfg.TAGASPIPoll = 5 * time.Microsecond
-		if v == gsTAMPI {
-			cfg.WithTAMPI = true
-		} else {
-			cfg.WithTAGASPI = true
-		}
-	}
-	return cfg
+// gsGeometry is the Gauss–Seidel layout of the three variants.
+var gsGeometry = cluster.Geometry{
+	MPIRanks:    coresPerNode,
+	HybridRanks: hybridRanks,
+	HybridCores: coresPerNode / hybridRanks,
+	// The paper tunes 150us on the full-size input; with the ~16x reduced
+	// inputs the tuned period scales down accordingly.
+	Poll: 5 * time.Microsecond,
 }
 
 // gsPoint is one Gauss–Seidel run, yielding the variant's throughput in
 // GUpdates/s of modelled time.
-func gsPoint(v gsVariant, nodes int, p heat.Params, prof fabric.Profile, x float64) exp.Point {
+func gsPoint(v cluster.Variant, nodes int, p heat.Params, prof fabric.Profile, x float64) exp.Point {
 	return exp.Point{
-		ID:  fmt.Sprintf("%s/n%d/b%dx%d", gsNames[v], nodes, p.BlockRows, p.BlockCols),
-		X:   x,
-		Cfg: gsConfig(v, nodes, prof),
-		Main: func(env *cluster.Env) {
-			switch v {
-			case gsMPIOnly:
-				heat.RunMPIOnly(env, p)
-			case gsTAMPI:
-				heat.RunTAMPI(env, p)
-			case gsTAGASPI:
-				heat.RunTAGASPI(env, p)
-			}
-		},
+		ID:   fmt.Sprintf("%s/n%d/b%dx%d", v, nodes, p.BlockRows, p.BlockCols),
+		X:    x,
+		Cfg:  v.Config(nodes, prof, gsGeometry),
+		Main: func(env *cluster.Env) { heat.Run(v, env, p) },
 		Values: func(job cluster.Result) map[string]float64 {
-			return map[string]float64{gsNames[v]: p.Updates() / job.Elapsed.Seconds() / 1e9}
+			return map[string]float64{v.String(): p.Updates() / job.Elapsed.Seconds() / 1e9}
 		},
 	}
 }
@@ -116,12 +80,12 @@ func Fig09GaussSeidelScaling(o Opts) Figure {
 				"paper result: TAGASPI 1.15x over MPI-only and 1.06x over TAMPI at the largest scale",
 			},
 		},
-		Series: gsNames,
+		Series: variantSeries(),
 	}
 	for _, n := range nodes {
-		for v := gsMPIOnly; v <= gsTAGASPI; v++ {
+		for _, v := range cluster.Variants {
 			pp := pm
-			if v != gsMPIOnly {
+			if v != cluster.MPIOnly {
 				pp = p
 			}
 			sw.Points = append(sw.Points, gsPoint(v, n, pp, prof, float64(n)))
@@ -133,13 +97,13 @@ func Fig09GaussSeidelScaling(o Opts) Figure {
 		sw.Fig.ID = "9-scale"
 	}
 	sw.Post = func(f *Figure, raw map[string][]float64, _ []exp.Result) {
-		base := raw[gsNames[gsMPIOnly]][0]
+		base := raw[cluster.MPIOnly.String()][0]
 		f.Series = nil
-		for v := gsMPIOnly; v <= gsTAGASPI; v++ {
-			thr := raw[gsNames[v]]
+		for _, v := range cluster.Variants {
+			thr := raw[v.String()]
 			f.Series = append(f.Series,
-				Series{Name: gsNames[v] + " speedup", Y: exp.Speedup(thr, base)},
-				Series{Name: gsNames[v] + " eff", Y: exp.Efficiency(thr, f.X)})
+				Series{Name: v.String() + " speedup", Y: exp.Speedup(thr, base)},
+				Series{Name: v.String() + " eff", Y: exp.Efficiency(thr, f.X)})
 		}
 	}
 	return runSweep(o, sw)
@@ -173,15 +137,15 @@ func Fig10GaussSeidelBlocksize(o Opts) Figure {
 				"paper result: TAGASPI wins everywhere; at the smallest block it keeps ~60% of peak vs 41% (MPI-only) and 30% (TAMPI)",
 			},
 		},
-		Series: gsNames,
+		Series: variantSeries(),
 	}
 	if o.Preset == Scale {
 		sw.Fig.ID = "10-scale"
 	}
-	for v := gsMPIOnly; v <= gsTAGASPI; v++ {
+	for _, v := range cluster.Variants {
 		for _, bs := range blocks {
 			p := gsParams(2*nodes, bs, bs, steps) // rp=128: room for 128-blocks
-			if v == gsMPIOnly {
+			if v == cluster.MPIOnly {
 				// The paper's x-axis is the MPI-only columns-per-block.
 				p.BlockRows = 0
 				p.BlockCols = bs

@@ -33,7 +33,7 @@ const HostNsPerMessageBudget = 110_000
 // point at the paper's 256 nodes (512 hybrid ranks, 3 timesteps).
 func scaleGatePoint() (cluster.Config, heat.Params) {
 	p := gsParams(256, 64, 64, 3)
-	return gsConfig(gsTAGASPI, 256, fabric.ProfileOmniPath()), p
+	return cluster.TAGASPI.Config(256, fabric.ProfileOmniPath(), gsGeometry), p
 }
 
 // TestPerMessageHostBudget is the host-time regression gate of

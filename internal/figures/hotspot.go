@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/exp"
@@ -12,47 +11,20 @@ import (
 	"repro/internal/tasking"
 )
 
-// hsVariant identifies an incast implementation.
-type hsVariant int
-
-const (
-	hsMPIOnly hsVariant = iota
-	hsTAMPI
-	hsTAGASPI
-)
-
-var hsNames = []string{"MPI-Only", "TAMPI", "TAGASPI"}
-
 // hsSegIncast is the segment id of the TAGASPI incast buffers.
 const hsSegIncast = 0
 
-// hsPollPeriod matches the hybrid polling period of the Gauss–Seidel
-// figures at this reduced scale.
-const hsPollPeriod = 5 * time.Microsecond
-
-// hsConfig builds the cluster geometry of one incast variant on one
-// topology shape: one rank per node (the incast stresses the network,
-// not the node), hybrid variants get a small core pool for their
-// communication tasks.
-func hsConfig(v hsVariant, shape fabric.Shape, nodes int) cluster.Config {
-	cfg := cluster.Config{
-		Nodes: nodes, RanksPerNode: 1, CoresPerRank: 1,
-		Profile: fabric.ProfileOmniPath(),
-		Shape:   shape,
-	}
-	if v != hsMPIOnly {
-		cfg.CoresPerRank = 2
-		cfg.WithTasking = true
-		cfg.TAMPIPoll = hsPollPeriod
-		cfg.TAGASPIPoll = hsPollPeriod
-		if v == hsTAMPI {
-			cfg.WithTAMPI = true
-		} else {
-			cfg.WithTAGASPI = true
-		}
-	}
+// hsConfig builds the job description of one incast variant on one
+// topology shape: one rank per node, since the incast stresses the
+// network, not the node.
+func hsConfig(v cluster.Variant, shape fabric.Shape, nodes int) cluster.Config {
+	cfg := v.Config(nodes, fabric.ProfileOmniPath(), rankPerNode)
+	cfg.Shape = shape
 	return cfg
 }
+
+// hsMains are the incast rank mains, indexed by variant.
+var hsMains = [...]func(env *cluster.Env, msgs, size int){hsMPIOnlyMain, hsTAMPIMain, hsTAGASPIMain}
 
 // hsMPIOnlyMain runs the two-sided incast: every rank but 0 pushes msgs
 // messages of size bytes at rank 0 with non-blocking sends; rank 0 sinks
@@ -90,7 +62,6 @@ func hsTAMPIMain(env *cluster.Env, msgs, size int) {
 		buf := make([]byte, (P-1)*msgs*size)
 		for k := 0; k < msgs; k++ {
 			for s := 1; s < P; s++ {
-				k, s := k, s
 				rt.Submit(func(tk *tasking.Task) {
 					off := ((s-1)*msgs + k) * size
 					ta.Iwait(tk, mpi.Irecv(buf[off:off+size], mpisim.Rank(s), k))
@@ -100,7 +71,6 @@ func hsTAMPIMain(env *cluster.Env, msgs, size int) {
 	} else {
 		buf := make([]byte, size)
 		for k := 0; k < msgs; k++ {
-			k := k
 			rt.Submit(func(tk *tasking.Task) {
 				ta.Iwait(tk, mpi.Isend(buf, 0, k))
 			}, tasking.WithLabel("send incast"))
@@ -137,7 +107,6 @@ func hsTAGASPIMain(env *cluster.Env, msgs, size int) {
 		}
 	} else {
 		for k := 0; k < msgs; k++ {
-			k := k
 			rt.Submit(func(tk *tasking.Task) {
 				off := ((r-1)*msgs + k) * size
 				must(tg.WriteNotify(tk, hsSegIncast, 0, gaspisim.Rank(0), hsSegIncast,
@@ -150,22 +119,13 @@ func hsTAGASPIMain(env *cluster.Env, msgs, size int) {
 
 // hsPoint is one incast run, yielding the delivered throughput into the
 // hot node in GB/s of modelled time.
-func hsPoint(v hsVariant, shape fabric.Shape, nodes, msgs, size int) exp.Point {
-	name := shape.String() + " " + hsNames[v]
+func hsPoint(v cluster.Variant, shape fabric.Shape, nodes, msgs, size int) exp.Point {
+	name := shape.String() + " " + v.String()
 	return exp.Point{
-		ID:  fmt.Sprintf("hotspot/%s/%s/n%d", shape, hsNames[v], nodes),
-		X:   float64(nodes),
-		Cfg: hsConfig(v, shape, nodes),
-		Main: func(env *cluster.Env) {
-			switch v {
-			case hsMPIOnly:
-				hsMPIOnlyMain(env, msgs, size)
-			case hsTAMPI:
-				hsTAMPIMain(env, msgs, size)
-			case hsTAGASPI:
-				hsTAGASPIMain(env, msgs, size)
-			}
-		},
+		ID:   fmt.Sprintf("hotspot/%s/%s/n%d", shape, v, nodes),
+		X:    float64(nodes),
+		Cfg:  hsConfig(v, shape, nodes),
+		Main: func(env *cluster.Env) { hsMains[v](env, msgs, size) },
 		Values: func(job cluster.Result) map[string]float64 {
 			payload := float64((nodes - 1) * msgs * size)
 			return map[string]float64{name: payload / job.Elapsed.Seconds() / 1e9}
@@ -191,8 +151,8 @@ func FigHotspot(o Opts) Figure {
 	shapes := []fabric.Shape{fabric.ShapeMesh2D, fabric.ShapeFatTree}
 	var series []string
 	for _, sh := range shapes {
-		for v := hsMPIOnly; v <= hsTAGASPI; v++ {
-			series = append(series, sh.String()+" "+hsNames[v])
+		for _, v := range cluster.Variants {
+			series = append(series, sh.String()+" "+v.String())
 		}
 	}
 	sw := &exp.Sweep{
@@ -208,7 +168,7 @@ func FigHotspot(o Opts) Figure {
 		Series: series,
 	}
 	for _, sh := range shapes {
-		for v := hsMPIOnly; v <= hsTAGASPI; v++ {
+		for _, v := range cluster.Variants {
 			for _, n := range nodes {
 				sw.Points = append(sw.Points, hsPoint(v, sh, n, msgs, size))
 			}

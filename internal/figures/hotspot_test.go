@@ -16,7 +16,7 @@ import (
 // show nonzero contention wait — the emergent backpressure the flat model
 // cannot produce.
 func TestHotspotLinkContention(t *testing.T) {
-	cfg := hsConfig(hsMPIOnly, fabric.ShapeMesh2D, 4)
+	cfg := hsConfig(cluster.MPIOnly, fabric.ShapeMesh2D, 4)
 	cfg.Seed = fabric.SeedOf("hotspot-test/mesh/n4")
 	res := cluster.Run(cfg, func(env *cluster.Env) { hsMPIOnlyMain(env, 4, 32<<10) })
 	if len(res.Links) == 0 {
@@ -42,33 +42,24 @@ func TestHotspotLinkContention(t *testing.T) {
 // hotspot determinism gate (which additionally diffs two full JSON
 // regenerations).
 func TestHotspotDeterministic(t *testing.T) {
-	for v := hsMPIOnly; v <= hsTAGASPI; v++ {
+	for _, v := range cluster.Variants {
 		run := func() cluster.Result {
 			cfg := hsConfig(v, fabric.ShapeFatTree, 8)
 			cfg.Seed = fabric.SeedOf("hotspot-test/fattree/n8")
-			return cluster.Run(cfg, func(env *cluster.Env) {
-				switch v {
-				case hsMPIOnly:
-					hsMPIOnlyMain(env, 2, 16<<10)
-				case hsTAMPI:
-					hsTAMPIMain(env, 2, 16<<10)
-				case hsTAGASPI:
-					hsTAGASPIMain(env, 2, 16<<10)
-				}
-			})
+			return cluster.Run(cfg, func(env *cluster.Env) { hsMains[v](env, 2, 16<<10) })
 		}
 		a, b := run(), run()
 		if a.Elapsed != b.Elapsed || a.Fabric.Messages != b.Fabric.Messages {
 			t.Fatalf("%s: reruns diverged: elapsed %v/%v, messages %d/%d",
-				hsNames[v], a.Elapsed, b.Elapsed, a.Fabric.Messages, b.Fabric.Messages)
+				v, a.Elapsed, b.Elapsed, a.Fabric.Messages, b.Fabric.Messages)
 		}
 		if len(a.Links) != len(b.Links) {
-			t.Fatalf("%s: rerun link counts differ: %d vs %d", hsNames[v], len(a.Links), len(b.Links))
+			t.Fatalf("%s: rerun link counts differ: %d vs %d", v, len(a.Links), len(b.Links))
 		}
 		for i := range a.Links {
 			if a.Links[i] != b.Links[i] {
 				t.Fatalf("%s: link %d stats diverged: %+v vs %+v",
-					hsNames[v], i, a.Links[i], b.Links[i])
+					v, i, a.Links[i], b.Links[i])
 			}
 		}
 	}
@@ -89,7 +80,7 @@ func TestMultiHopHostBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("budget point is too noisy for -short")
 	}
-	cfg := hsConfig(hsMPIOnly, fabric.ShapeMesh2D, 16)
+	cfg := hsConfig(cluster.MPIOnly, fabric.ShapeMesh2D, 16)
 	cfg.Seed = fabric.SeedOf("hotspot-budget/mesh/n16")
 	var peak atomic.Int64
 	stop := make(chan struct{})

@@ -10,67 +10,27 @@ import (
 	"repro/internal/fabric"
 )
 
-// stVariant identifies a Streaming implementation.
-type stVariant int
-
-const (
-	stMPIOnly stVariant = iota
-	stTAMPI
-	stTAGASPI
-)
-
-var stNames = []string{"MPI-Only", "TAMPI", "TAGASPI"}
-
 // streamPoll is the polling period for the Streaming figures. The paper
 // tunes 50us on the full-size input; our inputs are ~16x smaller, so the
 // pipeline's time constants shrink accordingly and the tuned period scales
 // with them.
 const streamPoll = 1 * time.Microsecond
 
-// stConfig builds the cluster geometry of one Streaming variant.
-func stConfig(v stVariant, nodes, hybridRPN int, prof fabric.Profile, poll time.Duration) cluster.Config {
-	cfg := cluster.Config{
-		Nodes:   nodes,
-		Profile: prof,
-	}
-	switch v {
-	case stMPIOnly:
-		cfg.RanksPerNode, cfg.CoresPerRank = coresPerNode, 1
-	default:
-		cfg.RanksPerNode = hybridRPN
-		cfg.CoresPerRank = coresPerNode / hybridRPN
-		cfg.WithTasking = true
-		cfg.TAMPIPoll, cfg.TAGASPIPoll = poll, poll
-		if v == stTAMPI {
-			cfg.WithTAMPI = true
-		} else {
-			cfg.WithTAGASPI = true
-		}
-	}
-	return cfg
-}
-
-// stPoint is one Streaming run, yielding the variant's throughput in
-// GElements/s of modelled time. The NIC utilisation notes of Fig. 13 read
-// the per-node port statistics from the result's retained job stats.
-func stPoint(id string, v stVariant, nodes, hybridRPN int, p streaming.Params,
+// stPoint is one Streaming run with hybridRPN ranks per node for the
+// hybrid variants, yielding the variant's throughput in GElements/s of
+// modelled time. The NIC utilisation notes of Fig. 13 read the per-node
+// port statistics from the result's retained job stats.
+func stPoint(id string, v cluster.Variant, nodes, hybridRPN int, p streaming.Params,
 	prof fabric.Profile, poll time.Duration, x float64) exp.Point {
 	return exp.Point{
-		ID:  id,
-		X:   x,
-		Cfg: stConfig(v, nodes, hybridRPN, prof, poll),
-		Main: func(env *cluster.Env) {
-			switch v {
-			case stMPIOnly:
-				streaming.RunMPIOnly(env, p)
-			case stTAMPI:
-				streaming.RunTAMPI(env, p)
-			case stTAGASPI:
-				streaming.RunTAGASPI(env, p)
-			}
-		},
+		ID: id,
+		X:  x,
+		Cfg: v.Config(nodes, prof, cluster.Geometry{
+			MPIRanks: coresPerNode, HybridRanks: hybridRPN, HybridCores: coresPerNode / hybridRPN, Poll: poll,
+		}),
+		Main: func(env *cluster.Env) { streaming.Run(v, env, p) },
 		Values: func(job cluster.Result) map[string]float64 {
-			return map[string]float64{stNames[v]: p.Elements() / job.Elapsed.Seconds() / 1e9}
+			return map[string]float64{v.String(): p.Elements() / job.Elapsed.Seconds() / 1e9}
 		},
 	}
 }
@@ -92,8 +52,8 @@ func nicPeakTx(res cluster.Result) (frac float64, wait time.Duration) {
 }
 
 // stPointID names a Fig. 13 / ablation streaming point.
-func stPointID(v stVariant, bs int) string {
-	return fmt.Sprintf("%s/bs%d", stNames[v], bs)
+func stPointID(v cluster.Variant, bs int) string {
+	return fmt.Sprintf("%s/bs%d", v, bs)
 }
 
 // streamingFigure builds one Fig. 13 panel.
@@ -106,9 +66,9 @@ func streamingFigure(o Opts, id, title string, prof fabric.Profile, nodes, hybri
 			YLabel: "GElements/s",
 			Notes:  notes,
 		},
-		Series: stNames,
+		Series: variantSeries(),
 	}
-	for v := stMPIOnly; v <= stTAGASPI; v++ {
+	for _, v := range cluster.Variants {
 		for _, bs := range blocks {
 			p := streaming.Params{Chunks: chunks, ChunkElems: chunkElems, BlockSize: bs}
 			sw.Points = append(sw.Points,
@@ -117,7 +77,7 @@ func streamingFigure(o Opts, id, title string, prof fabric.Profile, nodes, hybri
 	}
 	lastBS := blocks[len(blocks)-1]
 	sw.Post = func(f *Figure, _ map[string][]float64, rs []exp.Result) {
-		for v := stMPIOnly; v <= stTAGASPI; v++ {
+		for _, v := range cluster.Variants {
 			for _, r := range rs {
 				if r.ID != stPointID(v, lastBS) {
 					continue
@@ -125,7 +85,7 @@ func streamingFigure(o Opts, id, title string, prof fabric.Profile, nodes, hybri
 				frac, wait := nicPeakTx(r.Job)
 				f.Notes = append(f.Notes, fmt.Sprintf(
 					"nic (block %d, %s): peak tx port busy %.1f%%, total tx queueing %v",
-					lastBS, stNames[v], 100*frac, wait))
+					lastBS, v, 100*frac, wait))
 			}
 		}
 	}

@@ -155,8 +155,12 @@ func TestTracerDropsOutOfRangeRanks(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"obs:events_dropped"`) {
-		t.Fatalf("written trace lacks the obs:events_dropped warning:\n%s", buf.String())
+	tf, err := ParseTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, dropped := tf.DroppedEvents(); !dropped || n != 3 {
+		t.Fatalf("DroppedEvents() = %d, %v, want 3, true:\n%s", n, dropped, buf.String())
 	}
 	tr.Reset()
 	if tr.Dropped() != 0 || tr.Clamped() != 0 || tr.Len() != 0 {

@@ -102,6 +102,20 @@ func (t *TraceFile) Validate() error {
 	return nil
 }
 
+// DroppedEvents reports whether the trace embeds the tracer's
+// "obs:events_dropped" warning, and the recorded drop count. A trace that
+// passes Validate is still incomplete when it does: the tracer discarded
+// events for out-of-range ranks.
+func (t *TraceFile) DroppedEvents() (int64, bool) {
+	for _, e := range t.TraceEvents {
+		if e.Ph == "i" && e.Name == "obs:events_dropped" {
+			n, _ := e.Args["v"].(float64)
+			return int64(n), true
+		}
+	}
+	return 0, false
+}
+
 // EventsOf converts a parsed trace document back to the tracer's native
 // event representation, dropping the naming metadata (WriteEvents re-derives
 // it). The tracer serializes timestamps as microseconds with exactly three
