@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/apps/heat"
 	"repro/internal/apps/miniamr"
@@ -28,11 +29,16 @@ func heatApp(fs *flag.FlagSet) (map[string]*int, builder) {
 		}
 		p.BlockCols = p.BlockRows
 		cfg := v.Config(nodes, prof, g)
+		ranks := cfg.Nodes * cfg.RanksPerNode
+		if err := p.Validate(ranks, v != cluster.MPIOnly); err != nil {
+			return job{}, err
+		}
 		// At rate 0 this is the zero plan, under which no fault code runs.
 		cfg.Faults = fabric.FaultPlan{MPI: fabric.FaultRates{Drop: *faults}, GASPI: fabric.FaultRates{Drop: *faults}}
-		report := func(w io.Writer, variant string, res cluster.Result) {
+		strips := make([][]float64, ranks) // Verify only
+		report := func(w io.Writer, variant string, res cluster.Result) error {
 			fmt.Fprintf(w, "variant=%s nodes=%d ranks=%d matrix=%dx%d steps=%d block=%d profile=%s\n",
-				variant, cfg.Nodes, cfg.Nodes*cfg.RanksPerNode, p.Rows, p.Cols, p.Timesteps, p.BlockRows, cfg.Profile.Name)
+				variant, cfg.Nodes, ranks, p.Rows, p.Cols, p.Timesteps, p.BlockRows, cfg.Profile.Name)
 			fmt.Fprintf(w, "modelled time: %v   throughput: %.3f GUpdates/s\n",
 				res.Elapsed, p.Updates()/res.Elapsed.Seconds()/1e9)
 			fmt.Fprintf(w, "fabric: %d messages, %.1f MiB;  MPI time (all ranks): %v\n",
@@ -41,12 +47,37 @@ func heatApp(fs *flag.FlagSet) (map[string]*int, builder) {
 				fmt.Fprintf(w, "faults: %d injected;  gaspi queue errors: %.0f;  tagaspi retries: %.0f, gave up: %.0f\n",
 					res.Fabric.Faults, sum(res, "gaspi_queue_errors"), sum(res, "tagaspi_retries"), sum(res, "tagaspi_gaveup"))
 			}
-			if p.Verify {
-				fmt.Fprintln(w, "verify: arithmetic ran inside the simulation; use the test suite for the bit-exact check")
+			if !p.Verify {
+				return nil
+			}
+			if err := verifyStrips(p, strips); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "verify: %d strips bitwise identical to the serial sweep\n", ranks)
+			return nil
+		}
+		main := func(env *cluster.Env) { strips[env.Rank] = heat.Run(v, env, p) }
+		return job{cfg: cfg, main: main, report: report}, nil
+	}
+}
+
+// verifyStrips compares every rank's strip bit for bit with its rows of
+// heat.Serial, and names the first value that differs.
+func verifyStrips(p heat.Params, strips [][]float64) error {
+	ref := heat.Serial(p)
+	rp := p.Rows / len(strips)
+	for r, got := range strips {
+		want := ref[(1+r*rp)*p.Cols:][:rp*p.Cols]
+		if len(got) != len(want) {
+			return fmt.Errorf("verify: rank %d returned %d values, want %d", r, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("verify: rank %d index %d is %v, the serial sweep has %v", r, i, got[i], want[i])
 			}
 		}
-		return job{cfg: cfg, main: func(env *cluster.Env) { heat.Run(v, env, p) }, report: report}, nil
 	}
+	return nil
 }
 
 // sum adds up the named sample over every component snapshot of res.
@@ -82,7 +113,7 @@ func miniamrApp(fs *flag.FlagSet) (map[string]*int, builder) {
 		}
 		cfg := miniamr.Config(v, nodes, prof, g)
 		amr := miniamr.NewJob(p, cfg.Nodes*cfg.RanksPerNode)
-		report := func(w io.Writer, variant string, res cluster.Result) {
+		report := func(w io.Writer, variant string, res cluster.Result) error {
 			leaves := 0
 			for _, e := range amr.Epochs {
 				leaves = max(leaves, len(e.Leaves))
@@ -94,6 +125,7 @@ func miniamrApp(fs *flag.FlagSet) (map[string]*int, builder) {
 				res.Elapsed, refine, total, nr)
 			fmt.Fprintf(w, "fabric: %d messages;  MPI time (all ranks): %v\n",
 				res.Fabric.Messages, res.TotalMPITime())
+			return nil
 		}
 		return job{cfg: cfg, main: func(env *cluster.Env) { amr.Run(v, env) }, report: report}, nil
 	}
@@ -109,13 +141,17 @@ func streamingApp(fs *flag.FlagSet) (map[string]*int, builder) {
 	sizes := map[string]*int{"chunks": &p.Chunks, "chunk": &p.ChunkElems, "block": &p.BlockSize}
 	return sizes, func(v cluster.Variant, nodes int, prof fabric.Profile, g cluster.Geometry) (job, error) {
 		cfg := v.Config(nodes, prof, g)
-		report := func(w io.Writer, variant string, res cluster.Result) {
+		if err := p.Validate(cfg.RanksPerNode); err != nil {
+			return job{}, err
+		}
+		report := func(w io.Writer, variant string, res cluster.Result) error {
 			fmt.Fprintf(w, "variant=%s nodes=%d chunks=%d chunk=%d block=%d profile=%s\n",
 				variant, cfg.Nodes, p.Chunks, p.ChunkElems, p.BlockSize, cfg.Profile.Name)
 			fmt.Fprintf(w, "modelled time: %v   throughput: %.3f GElements/s\n",
 				res.Elapsed, p.Elements()/res.Elapsed.Seconds()/1e9)
 			fmt.Fprintf(w, "fabric: %d messages;  MPI time (all ranks): %v\n",
 				res.Fabric.Messages, res.TotalMPITime())
+			return nil
 		}
 		return job{cfg: cfg, main: func(env *cluster.Env) { streaming.Run(v, env, p) }, report: report}, nil
 	}

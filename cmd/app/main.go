@@ -104,8 +104,9 @@ type job struct {
 	shared
 	cfg  cluster.Config
 	main func(env *cluster.Env)
-	// report prints the modelled results of the finished run.
-	report func(w io.Writer, variant string, res cluster.Result)
+	// report prints the modelled results of the finished run, and returns
+	// an error if the run's output fails its check.
+	report func(w io.Writer, variant string, res cluster.Result) error
 }
 
 // usageError is a bad command line; the program exits with status 2.
@@ -134,11 +135,11 @@ func run(args []string, stdout io.Writer) error {
 		j.cfg.Recorder = col
 	}
 	res := cluster.Run(j.cfg, j.main)
-	j.report(stdout, j.variant, res)
+	checkErr := j.report(stdout, j.variant, res)
 	if err := j.finish(stdout, col, res); err != nil {
 		return fmt.Errorf("observability output: %w", err)
 	}
-	return nil
+	return checkErr
 }
 
 // parse resolves a command line into a job, or says what is wrong with it.

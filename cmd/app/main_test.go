@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/heat"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -70,6 +73,13 @@ func TestErrorPaths(t *testing.T) {
 		// so the run was silently fault-free.
 		{[]string{"heat", "-faults", "NaN"}, "-faults NaN outside [0,1)"},
 		{[]string{"heat", "-rows"}, "flag needs an argument"},
+		// Regression: geometry the decomposition cannot split panicked
+		// inside a rank goroutine.
+		{[]string{"heat", "-variant", "mpi", "-nodes", "3", "-rows", "1000"}, "heat: 1000 rows not divisible by 24 ranks"},
+		{[]string{"heat", "-rows", "1000"}, "heat: block 64x64 does not divide strip 125x2048"},
+		{[]string{"heat", "-variant", "mpi", "-cols", "1000"}, "heat: block width 64 does not divide 1000 columns"},
+		{[]string{"streaming", "-nodes", "2", "-chunk", "1000", "-block", "64"}, "streaming: share 1000 not divisible by block size 64"},
+		{[]string{"streaming", "-variant", "mpi", "-chunk", "1004"}, "streaming: chunk of 1004 elements not divisible by 8 ranks/node"},
 		{[]string{"streaming", "tagaspi"}, `unexpected argument "tagaspi"`},
 	} {
 		var out bytes.Buffer
@@ -87,6 +97,53 @@ func TestErrorPaths(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%q: printed a report before failing:\n%s", tc.args, out.String())
 		}
+	}
+}
+
+// TestHeatVerify runs each variant with -verify: every rank's strip must
+// match the serial sweep bit for bit.
+func TestHeatVerify(t *testing.T) {
+	for _, tc := range []struct {
+		variant string
+		ranks   int
+	}{{"mpi", 16}, {"tampi", 2}, {"tagaspi", 2}} {
+		var out bytes.Buffer
+		args := []string{"heat", "-variant", tc.variant, "-nodes", "2", "-rpn", "1", "-cores", "2",
+			"-rows", "128", "-cols", "256", "-steps", "3", "-block", "32", "-verify"}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.variant, err, out.String())
+		}
+		want := fmt.Sprintf("verify: %d strips bitwise identical to the serial sweep\n", tc.ranks)
+		if !strings.HasSuffix(out.String(), want) {
+			t.Errorf("%s: report does not end with %q:\n%s", tc.variant, want, out.String())
+		}
+	}
+}
+
+// TestVerifyStripsNamesTheMismatch flips one bit of one rank's strip: the
+// check must fail with exit status 1 and name the rank and index.
+func TestVerifyStripsNamesTheMismatch(t *testing.T) {
+	p := heat.Params{Rows: 8, Cols: 16, Timesteps: 2, Verify: true}
+	ref := heat.Serial(p)
+	strips := make([][]float64, 4)
+	for r := range strips {
+		strips[r] = append([]float64(nil), ref[(1+2*r)*p.Cols:][:2*p.Cols]...)
+	}
+	if err := verifyStrips(p, strips); err != nil {
+		t.Fatalf("serial rows rejected: %v", err)
+	}
+	strips[2][5] = math.Float64frombits(math.Float64bits(strips[2][5]) ^ 1)
+	err := verifyStrips(p, strips)
+	if err == nil || !strings.Contains(err.Error(), "rank 2 index 5") {
+		t.Fatalf("flipped bit reported as %v, want rank 2 index 5", err)
+	}
+	if code := exitCode(err); code != 1 {
+		t.Errorf("exit status %d, want 1", code)
+	}
+	strips[3] = nil
+	strips[2] = append([]float64(nil), ref[5*p.Cols:][:2*p.Cols]...)
+	if err := verifyStrips(p, strips); err == nil || !strings.Contains(err.Error(), "rank 3 returned 0 values") {
+		t.Errorf("missing strip reported as %v", err)
 	}
 }
 

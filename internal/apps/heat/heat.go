@@ -31,9 +31,34 @@ import (
 type Params struct {
 	Rows, Cols int // global interior grid size
 	Timesteps  int
-	BlockRows  int  // task block height (hybrid variants)
-	BlockCols  int  // block width (all variants)
-	Verify     bool // run the real arithmetic (tests); cost is modelled always
+	BlockRows  int // task block height (hybrid variants)
+	BlockCols  int // block width (all variants)
+	// Verify runs the real arithmetic on a full (rp+2)×Cols strip per rank
+	// (tests, the -verify check). Without it a rank holds one block-wide
+	// slot that every send, receive and write reuses; the cost is modelled
+	// the same either way.
+	Verify bool
+}
+
+// Validate checks that ranks ranks (hybrid: in BlockRows×BlockCols task
+// blocks) decompose the grid into equal strips of whole blocks.
+func (p Params) Validate(ranks int, hybrid bool) error {
+	switch {
+	case ranks <= 0:
+		return fmt.Errorf("heat: rank count %d is not positive", ranks)
+	case p.Rows%ranks != 0:
+		return fmt.Errorf("heat: %d rows not divisible by %d ranks", p.Rows, ranks)
+	case p.BlockCols <= 0:
+		return fmt.Errorf("heat: block width %d is not positive", p.BlockCols)
+	case hybrid && p.BlockRows <= 0:
+		return fmt.Errorf("heat: block height %d is not positive", p.BlockRows)
+	case hybrid && (p.Rows/ranks%p.BlockRows != 0 || p.Cols%p.BlockCols != 0):
+		return fmt.Errorf("heat: block %dx%d does not divide strip %dx%d",
+			p.BlockRows, p.BlockCols, p.Rows/ranks, p.Cols)
+	case p.Cols%p.BlockCols != 0:
+		return fmt.Errorf("heat: block width %d does not divide %d columns", p.BlockCols, p.Cols)
+	}
+	return nil
 }
 
 // Updates returns the figure-of-merit element count (updates per run).
@@ -45,7 +70,8 @@ func (p Params) Updates() float64 {
 const boundaryTop = 1.0
 
 // grid is one rank's strip: rp interior rows plus two halo rows, stored in
-// a GASPI segment so one-sided variants can write halos directly.
+// a GASPI segment so one-sided variants can write halos directly. In timed
+// mode the segment is one block-wide slot standing in for every row.
 type grid struct {
 	env    *cluster.Env
 	p      Params
@@ -53,7 +79,7 @@ type grid struct {
 	rank   int
 	rp     int // interior rows owned by this rank
 	seg    *memory.Segment
-	v      memory.F64 // (rp+2) x Cols
+	v      memory.F64 // (rp+2) x Cols; Verify only
 	bi, bj int        // block grid dimensions (hybrid)
 }
 
@@ -63,38 +89,35 @@ const segGrid = 0
 // newGrid allocates and initialises the strip for env's rank.
 func newGrid(env *cluster.Env, p Params, hybrid bool) *grid {
 	ranks := env.Ranks()
-	if p.Rows%ranks != 0 {
-		panic(fmt.Sprintf("heat: %d rows not divisible by %d ranks", p.Rows, ranks))
+	if err := p.Validate(ranks, hybrid); err != nil {
+		panic(err.Error())
 	}
 	g := &grid{env: env, p: p, ranks: ranks, rank: int(env.Rank), rp: p.Rows / ranks}
+	g.bi, g.bj = 1, p.Cols/p.BlockCols
 	if hybrid {
-		if g.rp%p.BlockRows != 0 || p.Cols%p.BlockCols != 0 {
-			panic(fmt.Sprintf("heat: block %dx%d does not divide strip %dx%d",
-				p.BlockRows, p.BlockCols, g.rp, p.Cols))
-		}
-		g.bi, g.bj = g.rp/p.BlockRows, p.Cols/p.BlockCols
-	} else {
-		if p.Cols%p.BlockCols != 0 {
-			panic(fmt.Sprintf("heat: block width %d does not divide %d columns", p.BlockCols, p.Cols))
-		}
-		g.bi, g.bj = 1, p.Cols/p.BlockCols
+		g.bi = g.rp / p.BlockRows
 	}
-	seg, err := env.GASPI.SegmentCreate(segGrid, (g.rp+2)*p.Cols*memory.F64Bytes)
+	size := p.BlockCols
+	if p.Verify {
+		size = (g.rp + 2) * p.Cols
+	}
+	seg, err := env.GASPI.SegmentCreate(segGrid, size*memory.F64Bytes)
 	if err != nil {
 		panic(err)
 	}
 	g.seg = seg
-	v, err := memory.F64View(seg, 0, (g.rp+2)*p.Cols)
+	if !p.Verify {
+		return g
+	}
+	v, err := memory.F64View(seg, 0, size)
 	if err != nil {
 		panic(err)
 	}
 	g.v = v
-	if p.Verify {
-		// Interior starts at zero (segment is zeroed); set the boundary.
-		if g.rank == 0 {
-			for c := 0; c < p.Cols; c++ {
-				v.Set(g.idx(0, c), boundaryTop)
-			}
+	// Interior starts at zero (segment is zeroed); set the boundary.
+	if g.rank == 0 {
+		for c := 0; c < p.Cols; c++ {
+			v.Set(g.idx(0, c), boundaryTop)
 		}
 	}
 	return g
@@ -104,8 +127,17 @@ func newGrid(env *cluster.Env, p Params, hybrid bool) *grid {
 // row rp+1 the bottom halo.
 func (g *grid) idx(r, c int) int { return r*g.p.Cols + c }
 
-// rowOffsetBytes returns the byte offset of (row, col0) in the segment.
+// rowOffsetBytes returns the byte offset of the block-wide run of row r
+// that starts at col0. It panics if the run leaves the (rp+2)×Cols strip;
+// in timed mode every run is the one slot at offset 0.
 func (g *grid) rowOffsetBytes(r, col0 int) int {
+	if r < 0 || r > g.rp+1 || col0 < 0 || col0+g.p.BlockCols > g.p.Cols {
+		panic(fmt.Sprintf("heat: row %d columns [%d,%d) outside the %dx%d strip",
+			r, col0, col0+g.p.BlockCols, g.rp+2, g.p.Cols))
+	}
+	if !g.p.Verify {
+		return 0
+	}
 	return g.idx(r, col0) * memory.F64Bytes
 }
 
@@ -173,8 +205,12 @@ func Serial(p Params) []float64 {
 	return u
 }
 
-// Strip extracts this rank's interior rows as a copy (for verification).
+// Strip extracts this rank's interior rows as a copy (for verification),
+// or returns nil in timed mode, which holds no rows.
 func (g *grid) Strip() []float64 {
+	if !g.p.Verify {
+		return nil
+	}
 	out := make([]float64, g.rp*g.p.Cols)
 	for r := 0; r < g.rp; r++ {
 		for c := 0; c < g.p.Cols; c++ {

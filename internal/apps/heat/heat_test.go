@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/memory"
 )
 
 // gather runs one variant and collects each rank's interior strip.
@@ -151,6 +152,94 @@ func TestTAGASPIFasterWithSmallBlocksThanTAMPI(t *testing.T) {
 	if resG.Elapsed >= resM.Elapsed {
 		t.Fatalf("TAGASPI (%v) not faster than TAMPI (%v) with fine-grained blocks",
 			resG.Elapsed, resM.Elapsed)
+	}
+}
+
+// TestVerifyDoesNotChangeTheModel runs every variant with the real arithmetic
+// and in the timed mode: both must model the same run (same time, traffic
+// and tasks), and the timed mode must hold one block-wide slot and no strip.
+// It runs on OmniPath because under the ideal profile every cost is zero, so
+// a Sleep or Compute lost with the arithmetic would go unseen. A disagreeing
+// pair is rerun, as in miniAMR's test of the same name: a hybrid run
+// occasionally drifts by a few hundred nanoseconds on unchanged code, while a
+// lost cost disagrees on every attempt.
+func TestVerifyDoesNotChangeTheModel(t *testing.T) {
+	type model struct {
+		elapsed            time.Duration
+		fabric             fabric.Stats
+		submitted, spawned int64
+	}
+	for _, v := range []struct {
+		name    string
+		cfg     cluster.Config
+		variant func(*cluster.Env, Params) *grid
+	}{
+		{"mpi", mpiOnlyConfig(4), RunMPIOnly},
+		{"tampi", hybridCfg(4, 4, false), RunTAMPI},
+		{"tagaspi", hybridCfg(4, 4, true), RunTAGASPI},
+	} {
+		v.cfg.Profile = fabric.ProfileOmniPath()
+		run := func(verify bool) model {
+			// Blocks of a few microseconds: a lost Compute must outlast the
+			// polling period that would otherwise absorb it.
+			p := Params{Rows: 256, Cols: 256, Timesteps: 3, BlockRows: 32, BlockCols: 128, Verify: verify}
+			strips, res := gather(v.cfg, p, func(env *cluster.Env, p Params) *grid {
+				g := v.variant(env, p)
+				if n := g.seg.Size(); !verify && n != p.BlockCols*memory.F64Bytes {
+					t.Errorf("%s rank %d: timed-mode segment of %d bytes, want one %d-column block",
+						v.name, env.Rank, n, p.BlockCols)
+				}
+				return g
+			})
+			for r, s := range strips {
+				if (s != nil) != verify {
+					t.Fatalf("%s Verify=%v: rank %d Strip() non-nil = %v", v.name, verify, r, s != nil)
+				}
+			}
+			m := model{elapsed: res.Elapsed, fabric: res.Fabric}
+			for _, s := range res.Tasking {
+				m.submitted += s.Submitted
+				m.spawned += s.Spawned
+			}
+			return m
+		}
+		with, without := run(true), run(false)
+		for attempt := 1; attempt < 3 && with != without; attempt++ {
+			with, without = run(true), run(false)
+		}
+		if with != without {
+			t.Errorf("%s: Verify=true modelled %+v, Verify=false %+v", v.name, with, without)
+		}
+		if with.elapsed <= 0 || with.fabric.Messages == 0 {
+			t.Errorf("%s: the run modelled nothing: %+v", v.name, with)
+		}
+	}
+}
+
+// TestValidate names the geometry a decomposition cannot split.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		p      Params
+		ranks  int
+		hybrid bool
+		want   string
+	}{
+		{Params{Rows: 1000, Cols: 2048, BlockRows: 64, BlockCols: 64}, 24, false,
+			"heat: 1000 rows not divisible by 24 ranks"},
+		{Params{Rows: 64, Cols: 64, BlockCols: 0}, 2, false, "heat: block width 0 is not positive"},
+		{Params{Rows: 64, Cols: 64, BlockRows: 0, BlockCols: 16}, 2, true, "heat: block height 0 is not positive"},
+		{Params{Rows: 64, Cols: 64, BlockRows: 24, BlockCols: 16}, 2, true,
+			"heat: block 24x16 does not divide strip 32x64"},
+		{Params{Rows: 64, Cols: 64, BlockCols: 24}, 2, false, "heat: block width 24 does not divide 64 columns"},
+		{Params{Rows: 64, Cols: 64, BlockCols: 16}, 0, false, "heat: rank count 0 is not positive"},
+	} {
+		err := tc.p.Validate(tc.ranks, tc.hybrid)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v on %d ranks (hybrid %v): error %v, want %q", tc.p, tc.ranks, tc.hybrid, err, tc.want)
+		}
+	}
+	if err := verifyParams.Validate(4, true); err != nil {
+		t.Errorf("valid geometry rejected: %v", err)
 	}
 }
 

@@ -32,8 +32,9 @@ func must(err error) {
 	}
 }
 
-// Run executes variant v of the solver on one rank.
-func Run(v cluster.Variant, env *cluster.Env, p Params) { runs[v](env, p) }
+// Run executes variant v of the solver on one rank and returns the rank's
+// interior strip, nil unless p.Verify.
+func Run(v cluster.Variant, env *cluster.Env, p Params) []float64 { return runs[v](env, p).Strip() }
 
 // runs are the variants' rank mains, indexed by variant.
 var runs = [...]func(*cluster.Env, Params) *grid{RunMPIOnly, RunTAMPI, RunTAGASPI}

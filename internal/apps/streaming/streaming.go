@@ -8,7 +8,8 @@
 //
 // Each process receives from the corresponding rank of the previous node
 // and sends to the one of the next node, with receive and send buffers
-// sized for one full chunk. The communication follows the iterative
+// sized for its share of a chunk (one block-wide slot each unless
+// Params.Verify). The communication follows the iterative
 // producer-consumer pattern of §IV-B, so the TAGASPI variant uses ack
 // notifications waited through the onready clause (§V-A) on writer tasks.
 package streaming
@@ -26,10 +27,32 @@ import (
 
 // Params configures one Streaming run.
 type Params struct {
-	Chunks     int  // chunks pushed through the pipeline
-	ChunkElems int  // elements per chunk per node (split across its ranks)
-	BlockSize  int  // elements per block (granularity)
-	Verify     bool // run the real arithmetic and return checksums
+	Chunks     int // chunks pushed through the pipeline
+	ChunkElems int // elements per chunk per node (split across its ranks)
+	BlockSize  int // elements per block (granularity)
+	// Verify runs the real arithmetic on full-share receive and send
+	// buffers and returns checksums. Without it each buffer is one
+	// block-wide slot that every block's transfer reuses; the cost is
+	// modelled the same either way.
+	Verify bool
+}
+
+// Validate checks that ranksPerNode ranks split a chunk into equal shares
+// of whole blocks.
+func (p Params) Validate(ranksPerNode int) error {
+	switch {
+	case ranksPerNode <= 0:
+		return fmt.Errorf("streaming: ranks per node %d is not positive", ranksPerNode)
+	case p.ChunkElems%ranksPerNode != 0:
+		return fmt.Errorf("streaming: chunk of %d elements not divisible by %d ranks/node",
+			p.ChunkElems, ranksPerNode)
+	case p.BlockSize <= 0:
+		return fmt.Errorf("streaming: block size %d is not positive", p.BlockSize)
+	case p.ChunkElems/ranksPerNode%p.BlockSize != 0:
+		return fmt.Errorf("streaming: share %d not divisible by block size %d",
+			p.ChunkElems/ranksPerNode, p.BlockSize)
+	}
+	return nil
 }
 
 // Elements returns the figure-of-merit element count of a run.
@@ -73,7 +96,7 @@ type pipe struct {
 	next    int // destination rank (-1 for the last stage)
 	recvSeg *memory.Segment
 	sendSeg *memory.Segment
-	recv    memory.F64
+	recv    memory.F64 // Verify only
 	send    memory.F64
 	sumMu   sync.Mutex // block tasks of one chunk run on concurrent workers
 	sum     float64    // last stage: checksum accumulator
@@ -99,15 +122,10 @@ func newPipe(env *cluster.Env, p Params) *pipe {
 		nodes: topo.Nodes(),
 		rpn:   rpn,
 	}
-	if p.ChunkElems%rpn != 0 {
-		panic(fmt.Sprintf("streaming: chunk of %d elements not divisible by %d ranks/node",
-			p.ChunkElems, rpn))
+	if err := p.Validate(rpn); err != nil {
+		panic(err.Error())
 	}
 	pi.share = p.ChunkElems / rpn
-	if pi.share%p.BlockSize != 0 {
-		panic(fmt.Sprintf("streaming: share %d not divisible by block size %d",
-			pi.share, p.BlockSize))
-	}
 	pi.nb = pi.share / p.BlockSize
 	pi.prev, pi.next = -1, -1
 	if pi.node > 0 {
@@ -116,18 +134,24 @@ func newPipe(env *cluster.Env, p Params) *pipe {
 	if pi.node < pi.nodes-1 {
 		pi.next = int(env.Rank) + rpn
 	}
-	bytes := pi.share * memory.F64Bytes
+	size := p.BlockSize
+	if p.Verify {
+		size = pi.share
+	}
 	var err error
-	if pi.recvSeg, err = env.GASPI.SegmentCreate(segRecv, bytes); err != nil {
+	if pi.recvSeg, err = env.GASPI.SegmentCreate(segRecv, size*memory.F64Bytes); err != nil {
 		panic(err)
 	}
-	if pi.sendSeg, err = env.GASPI.SegmentCreate(segSend, bytes); err != nil {
+	if pi.sendSeg, err = env.GASPI.SegmentCreate(segSend, size*memory.F64Bytes); err != nil {
 		panic(err)
 	}
-	if pi.recv, err = memory.F64View(pi.recvSeg, 0, pi.share); err != nil {
+	if !p.Verify {
+		return pi
+	}
+	if pi.recv, err = memory.F64View(pi.recvSeg, 0, size); err != nil {
 		panic(err)
 	}
-	if pi.send, err = memory.F64View(pi.sendSeg, 0, pi.share); err != nil {
+	if pi.send, err = memory.F64View(pi.sendSeg, 0, size); err != nil {
 		panic(err)
 	}
 	return pi
@@ -178,9 +202,22 @@ func (pi *pipe) computeBlock(c, j int) {
 	}
 }
 
-// blockBytes returns the raw bytes of block j of a buffer view.
+// blockOff returns the byte offset of block j in a buffer. It panics if j
+// is not a block of the share; in timed mode every block is the one slot
+// at offset 0.
+func (pi *pipe) blockOff(j int) int {
+	if j < 0 || j >= pi.nb {
+		panic(fmt.Sprintf("streaming: block %d outside the %d-block share", j, pi.nb))
+	}
+	if !pi.p.Verify {
+		return 0
+	}
+	return j * pi.p.BlockSize * memory.F64Bytes
+}
+
+// blockBytes returns the raw bytes of block j of a buffer.
 func (pi *pipe) blockBytes(seg *memory.Segment, j int) []byte {
-	b, err := seg.Slice(j*pi.p.BlockSize*memory.F64Bytes, pi.p.BlockSize*memory.F64Bytes)
+	b, err := seg.Slice(pi.blockOff(j), pi.p.BlockSize*memory.F64Bytes)
 	if err != nil {
 		panic(err)
 	}
@@ -320,8 +357,8 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"))
 			if pi.next >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
-					must(tg.WriteNotify(tk, segSend, j*p.BlockSize*memory.F64Bytes,
-						gaspisim.Rank(pi.next), segRecv, j*p.BlockSize*memory.F64Bytes,
+					off := pi.blockOff(j)
+					must(tg.WriteNotify(tk, segSend, off, gaspisim.Rank(pi.next), segRecv, off,
 						p.BlockSize*memory.F64Bytes, dataNotif(j), int64(c+1), j%Q))
 				}, tasking.WithDeps(tasking.In(&k.send, j, j+1)),
 					tasking.WithOnReady(func(tk *tasking.Task) {

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/gaspisim"
+	"repro/internal/memory"
 )
 
 func idealCfg(nodes, rpn, cores int, tampi, tagaspi bool) cluster.Config {
@@ -102,6 +104,98 @@ func TestTAGASPIChecksumUnderCostedProfile(t *testing.T) {
 	got := runAndSum(cfg, p, "tagaspi")
 	if want := ExpectedChecksum(p, 3); got != want {
 		t.Fatalf("checksum %v, want %v", got, want)
+	}
+}
+
+// TestVerifyDoesNotChangeTheModel runs every variant with the real arithmetic
+// and in the timed mode: both must model the same run (same time, traffic
+// and tasks), and in the timed mode each buffer must be one block-wide slot.
+// It runs on OmniPath because under the ideal profile every cost is zero, so
+// a Sleep or Compute lost with the arithmetic would go unseen. A disagreeing
+// pair is rerun, as in miniAMR's test of the same name: a hybrid run
+// occasionally drifts by a few hundred nanoseconds on unchanged code, while a
+// lost cost disagrees on every attempt.
+func TestVerifyDoesNotChangeTheModel(t *testing.T) {
+	type model struct {
+		elapsed            time.Duration
+		fabric             fabric.Stats
+		submitted, spawned int64
+	}
+	for _, v := range []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"mpi", idealCfg(3, 2, 1, false, false)},
+		{"tampi", idealCfg(3, 2, 4, true, false)},
+		{"tagaspi", idealCfg(3, 2, 4, false, true)},
+	} {
+		v.cfg.Profile = fabric.ProfileOmniPath()
+		run := func(verify bool) model {
+			// Blocks of a few microseconds: a lost Compute must outlast the
+			// polling period that would otherwise absorb it.
+			p := Params{Chunks: 4, ChunkElems: 8192, BlockSize: 2048, Verify: verify}
+			res := cluster.Run(v.cfg, func(env *cluster.Env) {
+				switch v.name {
+				case "mpi":
+					RunMPIOnly(env, p)
+				case "tampi":
+					RunTAMPI(env, p)
+				default:
+					RunTAGASPI(env, p)
+				}
+				want := p.ChunkElems / v.cfg.RanksPerNode
+				if !verify {
+					want = p.BlockSize
+				}
+				for _, id := range []gaspisim.SegmentID{segRecv, segSend} {
+					seg, err := env.GASPI.Segment(id)
+					if err != nil {
+						t.Error(err)
+					} else if seg.Size() != want*memory.F64Bytes {
+						t.Errorf("%s Verify=%v rank %d: segment %d holds %d bytes, want %d elements",
+							v.name, verify, env.Rank, id, seg.Size(), want)
+					}
+				}
+			})
+			m := model{elapsed: res.Elapsed, fabric: res.Fabric}
+			for _, s := range res.Tasking {
+				m.submitted += s.Submitted
+				m.spawned += s.Spawned
+			}
+			return m
+		}
+		with, without := run(true), run(false)
+		for attempt := 1; attempt < 3 && with != without; attempt++ {
+			with, without = run(true), run(false)
+		}
+		if with != without {
+			t.Errorf("%s: Verify=true modelled %+v, Verify=false %+v", v.name, with, without)
+		}
+		if with.elapsed <= 0 || with.fabric.Messages == 0 {
+			t.Errorf("%s: the run modelled nothing: %+v", v.name, with)
+		}
+	}
+}
+
+// TestValidate names the geometry a chunk cannot be split into.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		p    Params
+		rpn  int
+		want string
+	}{
+		{Params{ChunkElems: 1000, BlockSize: 64}, 1, "streaming: share 1000 not divisible by block size 64"},
+		{Params{ChunkElems: 1000, BlockSize: 8}, 3, "streaming: chunk of 1000 elements not divisible by 3 ranks/node"},
+		{Params{ChunkElems: 1024, BlockSize: 0}, 2, "streaming: block size 0 is not positive"},
+		{Params{ChunkElems: 1024, BlockSize: 8}, 0, "streaming: ranks per node 0 is not positive"},
+	} {
+		err := tc.p.Validate(tc.rpn)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v on %d ranks/node: error %v, want %q", tc.p, tc.rpn, err, tc.want)
+		}
+	}
+	if err := verifyParams.Validate(2); err != nil {
+		t.Errorf("valid geometry rejected: %v", err)
 	}
 }
 

@@ -29,6 +29,15 @@ var raceEnabled bool
 // multiplies host time at this rank count.
 const HostNsPerMessageBudget = 110_000
 
+// HostBytesPerMessageBudget is the committed heap budget of the same point:
+// bytes the job allocates (runtime.MemStats.TotalAlloc) divided by fabric
+// messages. The point reads about 1,950 bytes/message with the timed-mode
+// apps holding one block-wide slot per buffer; when every heat rank held its
+// whole (rp+2)×Cols strip it read about 8,360. The budget is 2x the current
+// figure, so it catches app buffers growing with the matrix again, or a
+// per-message allocation that doubles the substrate's churn.
+const HostBytesPerMessageBudget = 4_000
+
 // scaleGatePoint is the gated simulation: the Fig. 9 Scale-preset TAGASPI
 // point at the paper's 256 nodes (512 hybrid ranks, 3 timesteps).
 func scaleGatePoint() (cluster.Config, heat.Params) {
@@ -38,8 +47,8 @@ func scaleGatePoint() (cluster.Config, heat.Params) {
 
 // TestPerMessageHostBudget is the host-time regression gate of
 // scripts/ci.sh, the wall-clock analogue of fabric.CourierAllocBudget: it
-// runs one scale-preset point and fails if host time per fabric message
-// exceeds the committed budget.
+// runs one scale-preset point and fails if host time or heap bytes per
+// fabric message exceed their committed budgets.
 func TestPerMessageHostBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("host wall-clock is inflated by race-detector instrumentation")
@@ -65,19 +74,23 @@ func TestPerMessageHostBudget(t *testing.T) {
 			}
 		}
 	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	//lint:ignore detlint host wall-clock measurement is the point of this gate
 	start := time.Now()
 	res := cluster.Run(cfg, func(env *cluster.Env) { heat.RunTAGASPI(env, p) })
 	//lint:ignore detlint host wall-clock measurement is the point of this gate
 	host := time.Since(start)
+	runtime.ReadMemStats(&after)
 	close(stop)
 	msgs := res.Fabric.Messages
 	if msgs == 0 {
 		t.Fatal("scale point sent no messages")
 	}
 	per := float64(host.Nanoseconds()) / float64(msgs)
-	t.Logf("scale point: host %v, %d messages, %.0f ns/message (budget %d), peak goroutines %d",
-		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, peak.Load())
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
+	t.Logf("scale point: host %v, %d messages, %.0f ns/message (budget %d), %.0f bytes/message (budget %d), peak goroutines %d",
+		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, bytesPer, HostBytesPerMessageBudget, peak.Load())
 	// The goroutine bound is the cheap half of the gate: linear in ranks
 	// (main + bounded worker pool each) plus slack for the harness. It
 	// stays at 2,563 on this point (512 ranks x main + Cores workers; the
@@ -91,5 +104,10 @@ func TestPerMessageHostBudget(t *testing.T) {
 		t.Fatalf("host time per message %.0f ns exceeds budget %d ns — "+
 			"did a hot path (fabric steps, worker pool, clock queue, idle poll pass) regress?",
 			per, HostNsPerMessageBudget)
+	}
+	if bytesPer > HostBytesPerMessageBudget {
+		t.Fatalf("heap allocated per message %.0f bytes exceeds budget %d — "+
+			"does a timed-mode app hold more than one block per buffer again?",
+			bytesPer, HostBytesPerMessageBudget)
 	}
 }

@@ -72,8 +72,9 @@ go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
 
 # Host-time regression gate at scale: one paper-scale Gauss-Seidel point
 # (the Fig. 9 Scale-preset TAGASPI run, 256 nodes / 512 hybrid ranks)
-# must stay inside the committed per-message host-time budget
-# (internal/figures.HostNsPerMessageBudget) and a goroutine budget linear
+# must stay inside the committed per-message host-time and heap budgets
+# (internal/figures.HostNsPerMessageBudget, HostBytesPerMessageBudget) and a
+# goroutine budget linear
 # in ranks — the wall-clock analogue of the alloc gate, also run without
 # -race. The committed BENCH_host.json carries the matching
 # "9-scale"/"10-scale" series (regenerate: go run ./cmd/figures -scale
