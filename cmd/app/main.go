@@ -169,6 +169,11 @@ func parse(args []string) (*job, error) {
 	if err := check(vals, 1, "> 0"); err != nil {
 		return nil, err
 	}
+	if s.poll <= 0 {
+		// cluster.Config reads zero as the library default and a negative
+		// period as a dedicated poller; neither is what -poll says.
+		return nil, fmt.Errorf("-poll must be > 0 (got %v)", s.poll)
+	}
 	v, err := cluster.ParseVariant(s.variant)
 	if err != nil {
 		return nil, err

@@ -73,6 +73,10 @@ func TestErrorPaths(t *testing.T) {
 		// so the run was silently fault-free.
 		{[]string{"heat", "-faults", "NaN"}, "-faults NaN outside [0,1)"},
 		{[]string{"heat", "-rows"}, "flag needs an argument"},
+		// Regression: -poll 0 ran at the 150µs library default and -poll
+		// -1us dedicated the poller, both without a word.
+		{[]string{"heat", "-poll", "0"}, "-poll must be > 0 (got 0s)"},
+		{[]string{"streaming", "-poll", "-1us"}, "-poll must be > 0 (got -1µs)"},
 		// Regression: geometry the decomposition cannot split panicked
 		// inside a rank goroutine.
 		{[]string{"heat", "-variant", "mpi", "-nodes", "3", "-rows", "1000"}, "heat: 1000 rows not divisible by 24 ranks"},

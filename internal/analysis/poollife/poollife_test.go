@@ -17,3 +17,9 @@ func TestPoollife(t *testing.T) {
 func TestPoollifeFabric(t *testing.T) {
 	analysistest.Run(t, "testdata/src/poollifefabric", poollife.Analyzer)
 }
+
+// TestPoollifeMemory: a use of a payload snapshot after its release is
+// diagnosed through the markers on memory.Snapshot and its Release.
+func TestPoollifeMemory(t *testing.T) {
+	analysistest.Run(t, "testdata/src/poollifememory", poollife.Analyzer)
+}

@@ -49,7 +49,9 @@ type Config struct {
 	WithTAMPI   bool // requires WithTasking
 	WithTAGASPI bool // requires WithTasking
 
-	// Polling periods (§V-B / §VI); zero or negative dedicates the poller.
+	// Polling periods (§V-B / §VI). Zero selects the library's default
+	// (tampi/tagaspi.DefaultPollInterval); a negative period dedicates the
+	// poller, which then polls back-to-back.
 	TAMPIPoll   time.Duration
 	TAGASPIPoll time.Duration
 

@@ -59,8 +59,11 @@ type Service struct {
 const minIdleTick = 200 * time.Nanosecond
 
 // NewService prepares the polling task of one library. interval is the
-// period between passes (§VI: 50–150µs are the paper's tuned values; 0
-// dedicates the core, polling back-to-back). Nothing runs until Start.
+// period between passes (§VI: 50–150µs are the paper's tuned values); a
+// non-positive interval dedicates the core, polling back-to-back. A job
+// reaches this through cluster.Config, which replaces a zero period with
+// the library default, so only a negative one dedicates there. Nothing
+// runs until Start.
 func NewService(rt *tasking.Runtime, name string, interval time.Duration) *Service {
 	s := &Service{
 		rt: rt, name: name, interval: interval,

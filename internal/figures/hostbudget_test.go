@@ -107,7 +107,8 @@ func TestPerMessageHostBudget(t *testing.T) {
 	}
 	if bytesPer > HostBytesPerMessageBudget {
 		t.Fatalf("heap allocated per message %.0f bytes exceeds budget %d — "+
-			"does a timed-mode app hold more than one block per buffer again?",
+			"does a timed-mode app hold more than one block per buffer again, or does the "+
+			"substrate (mpisim, gaspisim) copy every payload instead of sharing unchanged ones?",
 			bytesPer, HostBytesPerMessageBudget)
 	}
 }

@@ -150,6 +150,11 @@ type Proc struct {
 	reg   *memory.Registry
 	rec   obs.Recorder // nil: uninstrumented
 
+	// snap is the process's most recent payload snapshot (DESIGN.md §15),
+	// touched only by injection hooks and delivery handlers — clock
+	// callbacks, which the clock runs one at a time.
+	snap memory.SnapshotCache
+
 	queues []*queue
 
 	// Diagnostic parker labels, built once per process instead of one
@@ -286,7 +291,7 @@ type gMsg struct {
 	src       Rank
 	seg       SegmentID
 	off       int
-	data      []byte
+	data      *memory.Snapshot // payload bytes, one reference; nil for notify and read requests
 	size      int
 	notify    bool
 	notifyID  NotificationID
@@ -302,28 +307,24 @@ type gMsg struct {
 
 // gMsgPool recycles protocol message payloads. A message is released
 // exactly once, by the rank that retired it in deliver (its OnInjected
-// hook, if any, ran strictly earlier, at local completion), and
-// keeps its data array, so steady-state traffic allocates neither payload
-// structs nor fresh snapshot buffers.
+// hook, if any, ran strictly earlier, at local completion).
 var gMsgPool = sync.Pool{New: func() any { return new(gMsg) }}
 
-// newGMsg returns a pooled message with every field zero and an empty
-// (capacity-retaining) data buffer.
+// newGMsg returns a pooled message with every field zero.
 //
 //tagalint:hotpath
 func newGMsg() *gMsg { return gMsgPool.Get().(*gMsg) }
 
-// putGMsg zeroes m, keeps its data array for the next snapshot, and
-// returns it to the pool.
+// putGMsg drops m's payload snapshot reference, zeroes m and returns it to
+// the pool.
 //
 //tagalint:pooled release
 //tagalint:hotpath
 func putGMsg(m *gMsg) {
-	data := m.data
-	*m = gMsg{}
-	if data != nil {
-		m.data = data[:0]
+	if m.data != nil {
+		m.data.Release()
 	}
+	*m = gMsg{}
 	gMsgPool.Put(m)
 }
 
@@ -393,7 +394,7 @@ func (p *Proc) Submit(op Operation) error {
 			fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
 			fm.Size, fm.Payload = op.Size, m
 			fm.OnInjected = func() {
-				m.data = append(m.data[:0], buf...)
+				m.data = p.snap.Take(buf)
 				q.completeLocal(op.Tag, nreq)
 				p.recComplete(op.Queue, op.Size, m.postTs)
 			}
@@ -576,11 +577,12 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		if err != nil {
 			panic(fmt.Sprintf("gaspisim: write to rank %d: %v", p.rank, err))
 		}
-		dst, err := seg.Slice(m.off, len(m.data))
+		data := m.data.Bytes()
+		dst, err := seg.Slice(m.off, len(data))
 		if err != nil {
 			panic(fmt.Sprintf("gaspisim: write outside segment: %v", err))
 		}
-		copy(dst, m.data)
+		copy(dst, data)
 		if m.notify {
 			nflow := p.notifyFlowOf(fm, m)
 			p.setNotification(m.seg, m.notifyID, m.notifyVal, nflow)
@@ -608,7 +610,7 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		resp := newGMsg()
 		resp.kind, resp.src = opReadResp, p.rank
 		resp.seg, resp.off, resp.postTs = m.replySeg, m.replyOff, m.postTs
-		resp.data = append(resp.data[:0], src...)
+		resp.data = p.snap.Take(src)
 		resp.replyQ, resp.replyTag = m.replyQ, m.replyTag
 		reqSrc, size := m.src, m.size
 		putGMsg(m)
@@ -622,11 +624,12 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		if err != nil {
 			panic(fmt.Sprintf("gaspisim: read response at rank %d: %v", p.rank, err))
 		}
-		dst, err := seg.Slice(m.off, len(m.data))
+		data := m.data.Bytes()
+		dst, err := seg.Slice(m.off, len(data))
 		if err != nil {
 			panic(fmt.Sprintf("gaspisim: read response outside segment: %v", err))
 		}
-		n := copy(dst, m.data)
+		n := copy(dst, data)
 		replyQ, replyTag, postTs := m.replyQ, m.replyTag, m.postTs
 		putGMsg(m)
 		replyQ.completeLocal(replyTag, 1)

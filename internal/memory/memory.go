@@ -10,6 +10,10 @@
 // Applications that compute on floating-point data keep it inside segments
 // through the F64 view, which provides bounds-checked element access over
 // the raw bytes without unsafe.
+//
+// A Snapshot is the payload of a message in flight: the bytes its send
+// buffer held at local completion, shared between messages that sent the
+// same bytes (snapshot.go).
 package memory
 
 import (

@@ -277,7 +277,7 @@ func TestRendezvousTruncationPanics(t *testing.T) {
 		}
 		m := newInMsg()
 		m.kind, m.src, m.tag = kindRData, 0, 5
-		m.data = make([]byte, 4096)
+		m.data = p.snap.Take(make([]byte, 4096))
 		m.recvBuf, m.recvReq = make([]byte, 2048), &Request{p: p}
 		fm := fabric.NewMessage()
 		fm.Payload = m

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/vclock"
 	"repro/internal/vsync"
@@ -103,6 +104,11 @@ type Proc struct {
 	// MPI" including lock waits.
 	libLock *vsync.Resource
 	rec     obs.Recorder // nil: uninstrumented
+
+	// snap is the process's most recent payload snapshot (DESIGN.md §15),
+	// touched only by injection hooks and delivery handlers — clock
+	// callbacks, which the clock runs one at a time.
+	snap memory.SnapshotCache
 
 	// waitName is the diagnostic parker label of Wait callers, built once
 	// (a per-park Sprintf shows up in the hot path of wait-heavy runs).
@@ -248,7 +254,7 @@ type inMsg struct {
 	kind msgKind
 	src  Rank
 	tag  int
-	data []byte
+	data *memory.Snapshot // payload bytes, one reference; nil for control messages
 	size int
 
 	// Unexpected-queue linkage (match.go), guarded by Proc.mu while queued.
@@ -267,28 +273,24 @@ type inMsg struct {
 // inMsgPool recycles protocol message payloads (MPI Continuations makes
 // the same argument for completion objects: reuse beats per-op
 // allocation). A message is released exactly once, by the consumer that
-// retired it — consume/deliver/deliverRMA after its last field read — and
-// keeps its data array, so steady-state traffic allocates neither payload
-// structs nor fresh snapshot buffers.
+// retired it — consume/deliver/deliverRMA after its last field read.
 var inMsgPool = sync.Pool{New: func() any { return new(inMsg) }}
 
-// newInMsg returns a pooled message with every field zero and an empty
-// (capacity-retaining) data buffer.
+// newInMsg returns a pooled message with every field zero.
 //
 //tagalint:hotpath
 func newInMsg() *inMsg { return inMsgPool.Get().(*inMsg) }
 
-// putInMsg zeroes m, keeps its data array for the next snapshot, and
-// returns it to the pool.
+// putInMsg drops m's payload snapshot reference, zeroes m and returns it
+// to the pool.
 //
 //tagalint:pooled release
 //tagalint:hotpath
 func putInMsg(m *inMsg) {
-	data := m.data
-	*m = inMsg{}
-	if data != nil {
-		m.data = data[:0]
+	if m.data != nil {
+		m.data.Release()
 	}
+	*m = inMsg{}
 	inMsgPool.Put(m)
 }
 
@@ -411,7 +413,7 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 		fm.Src, fm.Dst, fm.Class, fm.Size = p.rank, dst, fabric.ClassMPI, len(buf)
 		fm.Payload = m
 		fm.OnInjected = func() {
-			m.data = append(m.data[:0], buf...)
+			m.data = p.snap.Take(buf)
 			req.complete(Status{Source: p.rank, Tag: tag, Count: len(buf)})
 		}
 		p.fab.Send(fm)
@@ -476,8 +478,9 @@ func (p *Proc) checkFits(n, buflen int, src Rank, tag int) {
 func (p *Proc) consume(m *inMsg, r *Request) {
 	switch m.kind {
 	case kindEager:
-		p.checkFits(len(m.data), len(r.buf), m.src, m.tag)
-		n := copy(r.buf, m.data)
+		data := m.data.Bytes()
+		p.checkFits(len(data), len(r.buf), m.src, m.tag)
+		n := copy(r.buf, data)
 		src, tag := m.src, m.tag
 		putInMsg(m)
 		r.complete(Status{Source: src, Tag: tag, Count: n})
@@ -527,14 +530,15 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		fm.Payload = dm
 		//lint:ignore hotalloc one closure per rendezvous is the protocol's cost, amortised over an EagerThreshold-sized transfer
 		fm.OnInjected = func() {
-			dm.data = append(dm.data[:0], buf...)
+			dm.data = p.snap.Take(buf)
 			sreq.complete(Status{Source: p.rank, Tag: tag, Count: len(buf)})
 		}
 		p.fab.Send(fm)
 
 	case kindRData:
-		p.checkFits(len(m.data), len(m.recvBuf), m.src, m.tag)
-		n := copy(m.recvBuf, m.data)
+		data := m.data.Bytes()
+		p.checkFits(len(data), len(m.recvBuf), m.src, m.tag)
+		n := copy(m.recvBuf, data)
 		src, tag, rreq := m.src, m.tag, m.recvReq
 		putInMsg(m)
 		rreq.complete(Status{Source: src, Tag: tag, Count: n})

@@ -41,11 +41,10 @@ func (p *Proc) Put(w *Win, data []byte, dst Rank, dstOff int) {
 	p.charge(p.prof.MPIOpOverhead)
 	m := newInMsg()
 	m.kind, m.src, m.win, m.off, m.size = kindPut, p.rank, w.id, dstOff, len(data)
-	src := data
 	fm := fabric.NewMessage()
 	fm.Src, fm.Dst, fm.Class, fm.Size = p.rank, dst, fabric.ClassMPI, len(data)
 	fm.Payload = m
-	fm.OnInjected = func() { m.data = append(m.data[:0], src...) }
+	fm.OnInjected = func() { m.data = p.snap.Take(data) }
 	p.fab.Send(fm)
 }
 
@@ -96,11 +95,12 @@ func (p *Proc) deliverRMA(m *inMsg) {
 	switch m.kind {
 	case kindPut:
 		w := p.winByID(m.win)
-		dst, err := w.seg.Slice(m.off, len(m.data))
+		data := m.data.Bytes()
+		dst, err := w.seg.Slice(m.off, len(data))
 		if err != nil {
 			panic(fmt.Sprintf("mpisim: Put outside window: %v", err))
 		}
-		copy(dst, m.data)
+		copy(dst, data)
 		putInMsg(m)
 
 	case kindGetReq:
@@ -111,7 +111,7 @@ func (p *Proc) deliverRMA(m *inMsg) {
 		}
 		resp := newInMsg()
 		resp.kind, resp.src = kindGetResp, p.rank
-		resp.data = append(resp.data[:0], src...)
+		resp.data = p.snap.Take(src)
 		resp.recvBuf, resp.rmaDone = m.recvBuf, m.rmaDone
 		reqSrc, size := m.src, m.size
 		putInMsg(m)
@@ -121,7 +121,7 @@ func (p *Proc) deliverRMA(m *inMsg) {
 		p.fab.Send(fm)
 
 	case kindGetResp:
-		n := copy(m.recvBuf, m.data)
+		n := copy(m.recvBuf, m.data.Bytes())
 		src, done := m.src, m.rmaDone
 		putInMsg(m)
 		done.complete(Status{Source: src, Count: n})

@@ -58,15 +58,25 @@ go test -run '^$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/mpisim
 echo "== fuzz: vclock timer queue against the sorted (deadline, seq) reference, 10 s"
 go test -run '^$' -fuzz FuzzTimerOrder -fuzztime 10s ./internal/vclock
 
+# Payload-snapshot oracle (DESIGN.md §15): FuzzPayloadSnapshot runs
+# generated programs of eager and rendezvous sends, puts and write-notifies
+# over two or three buffers, rewritten only after completion, and requires
+# every receive, window and segment range to hold the buffer's bytes at
+# issue. Failing inputs land under internal/memory/testdata/fuzz/.
+echo "== fuzz: shared payload snapshots against a log of each buffer at issue, 10 s"
+go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
+
 # Allocation-regression gates: the fabric send path (Send through the
 # clock-event steps to the handler) must stay within its committed
 # per-message budget (internal/fabric.CourierAllocBudget), a
 # nil-Recorder instrumentation site must allocate nothing, and neither may
-# an idle pass of the TAMPI and TAGASPI polling services. Run without
-# -race on purpose — race instrumentation inflates allocation counts, so
-# the gates skip themselves under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc"
+# an idle pass of the TAMPI and TAGASPI polling services, and 256 sends of
+# one unchanged buffer must share one payload snapshot in mpisim and
+# gaspisim. Run without -race on purpose — race instrumentation inflates
+# allocation counts, so the gates skip themselves under the race build.
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc + unchanged-buffer snapshots"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
+go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
 
