@@ -232,10 +232,13 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 func (g *grid) submitComputeTasks(keys *blockKeys, up, down bool) {
 	BI, BJ := g.bi, g.bj
 	rt := g.env.RT
+	// One buffer for every task's list: Submit registers the dependencies
+	// and keeps none of the slice.
+	deps := make([]tasking.Dep, 0, 5)
 	for bi := 0; bi < BI; bi++ {
 		for bj := 0; bj < BJ; bj++ {
 			idx := bi*BJ + bj
-			deps := []tasking.Dep{tasking.InOut(&keys.blocks, idx, idx+1)}
+			deps = append(deps[:0], tasking.InOut(&keys.blocks, idx, idx+1))
 			if bi > 0 {
 				deps = append(deps, tasking.In(&keys.blocks, idx-BJ, idx-BJ+1))
 			} else if up {

@@ -618,17 +618,6 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 	for k, m := range pl.outRemote {
 		src := a.blocks[m.Src]
 		bidx := e.Local[m.Src]
-		opts := []tasking.Option{
-			tasking.WithDeps(
-				tasking.In(&keys.block, bidx, bidx+1),
-				tasking.InOut(&keys.sslot, k, k+1)),
-			tasking.WithLabel("pack+write"),
-		}
-		// Wait for the consumer's ack before writing; on the epoch's first
-		// step the seed pre-armed every slot, so the wait is immediate.
-		opts = append(opts, tasking.WithOnReady(func(tk *tasking.Task) {
-			tg.NotifyIwait(tk, segSend, gaspisim.NotificationID(k), nil)
-		}))
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
 			tk.Compute(env.CostOf(float64(nv) / 2))
@@ -637,7 +626,16 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 				gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
 				nv*memory.F64Bytes,
 				gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
-		}, opts...)
+		}, tasking.WithDeps(
+			tasking.In(&keys.block, bidx, bidx+1),
+			tasking.InOut(&keys.sslot, k, k+1)),
+			// Wait for the consumer's ack before writing; on the epoch's
+			// first step the seed pre-armed every slot, so the wait is
+			// immediate.
+			tasking.WithOnReady(func(tk *tasking.Task) {
+				tg.NotifyIwait(tk, segSend, gaspisim.NotificationID(k), nil)
+			}),
+			tasking.WithLabel("pack+write"))
 	}
 	for k, m := range pl.inRemote {
 		rt.Submit(func(tk *tasking.Task) {
@@ -692,13 +690,12 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 		b := a.blocks[l]
 		bidx := e.Local[l]
 		faces := pl.noNbr[l]
-		deps := []tasking.Dep{
-			tasking.InOut(&keys.block, bidx, bidx+1),
-			tasking.In(&keys.face, bidx*6, bidx*6+6),
-		}
 		rt.Submit(func(tk *tasking.Task) {
 			tk.Compute(env.CostOf(float64(p.InteriorElems())))
 			a.advance(b, faces)
-		}, tasking.WithDeps(deps...), tasking.WithLabel("stencil"))
+		}, tasking.WithDeps(
+			tasking.InOut(&keys.block, bidx, bidx+1),
+			tasking.In(&keys.face, bidx*6, bidx*6+6)),
+			tasking.WithLabel("stencil"))
 	}
 }

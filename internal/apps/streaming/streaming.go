@@ -281,6 +281,7 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 	mpi, rt, ta := env.MPI, env.RT, env.TAMPI
 	type keys struct{ recv, send int }
 	k := &keys{}
+	deps := make([]tasking.Dep, 0, 2) // reused: Submit keeps none of the slice
 	for c := 0; c < p.Chunks; c++ {
 		for j := 0; j < pi.nb; j++ {
 			if pi.prev >= 0 {
@@ -290,7 +291,7 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
 					tasking.WithLabel("recv"))
 			}
-			deps := []tasking.Dep{tasking.Out(&k.send, j, j+1)}
+			deps = append(deps[:0], tasking.Out(&k.send, j, j+1))
 			if pi.prev >= 0 {
 				deps = append(deps, tasking.In(&k.recv, j, j+1))
 			}
@@ -321,6 +322,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 	Q := env.GASPI.Queues()
 	type keys struct{ recv, send int }
 	k := &keys{}
+	deps := make([]tasking.Dep, 0, 2) // reused: Submit keeps none of the slice
 
 	// Seed the producer's acks: our receive blocks start out consumable.
 	if pi.prev >= 0 {
@@ -341,7 +343,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
 					tasking.WithLabel("wait data"))
 			}
-			deps := []tasking.Dep{tasking.Out(&k.send, j, j+1)}
+			deps = append(deps[:0], tasking.Out(&k.send, j, j+1))
 			if pi.prev >= 0 {
 				deps = append(deps, tasking.In(&k.recv, j, j+1))
 			}

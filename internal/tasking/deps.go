@@ -123,6 +123,9 @@ func (r *depRegistry) register(t *Task, d Dep) int {
 				addEdge(rd)
 			}
 			iv.writer = t
+			// Zero the old readers before truncating, so the spare
+			// capacity keeps no completed task (and its closures) alive.
+			clear(iv.readers)
 			iv.readers = iv.readers[:0]
 		}
 		return edges

@@ -2,8 +2,12 @@ package tasking
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/vclock"
 )
 
 // edgeSet extracts the distinct (pred, succ) pairs currently recorded.
@@ -214,4 +218,34 @@ func TestQuickRegistryEdgeCountConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestCompletedReaderCollectableAfterWriter(t *testing.T) {
+	// Once a later writer has registered on its region, a completed reader
+	// is unreachable from the registry: the reader list's spare capacity
+	// must not keep it (and its body's closure) alive.
+	collected := make(chan struct{})
+	var keep *Runtime
+	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
+		keep = rt
+		x := new(int)
+		func() {
+			r := rt.Submit(func(*Task) {}, WithDeps(InVal(x)))
+			runtime.SetFinalizer(r, func(*Task) { close(collected) })
+		}()
+		rt.TaskWait()
+		rt.Submit(func(*Task) {}, WithDeps(OutVal(x)))
+		rt.TaskWait()
+	})
+	defer runtime.KeepAlive(keep)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		//lint:ignore detlint host-side wait for the garbage collector's finalizer goroutine, not modelled time
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the completed reader is still reachable after a later writer registered")
 }

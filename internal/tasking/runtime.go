@@ -113,26 +113,39 @@ func (rt *Runtime) Recorder() obs.Recorder { return rt.rec }
 // Rank returns the rank identity set with SetRecorder (zero by default).
 func (rt *Runtime) Rank() int { return rt.rank }
 
-// Option customises one task.
-type Option func(*Task)
-
-// WithDeps attaches region dependencies.
-func WithDeps(deps ...Dep) Option {
-	return func(t *Task) { t.deps = append(t.deps, deps...) }
+// Option customises one task: its region dependencies, its label or its
+// onready callback. It is plain data, read once by Submit.
+type Option struct {
+	deps    []Dep
+	label   string
+	onready func(*Task)
+	kind    optionKind
 }
 
-// WithLabel attaches a diagnostic label.
-func WithLabel(label string) Option {
-	return func(t *Task) { t.label = label }
-}
+type optionKind uint8
+
+const (
+	optDeps optionKind = iota
+	optLabel
+	optOnReady
+)
+
+// WithDeps attaches region dependencies. Submit registers them before it
+// returns and keeps no reference to deps, so the caller may reuse the
+// backing array for the next task. Several WithDeps options register in
+// argument order.
+func WithDeps(deps ...Dep) Option { return Option{kind: optDeps, deps: deps} }
+
+// WithLabel attaches a diagnostic label. If several are given, the last
+// wins.
+func WithLabel(label string) Option { return Option{kind: optLabel, label: label} }
 
 // WithOnReady attaches an onready callback (§V-A): it runs exactly once,
 // after the task's dependencies are satisfied and before its body, outside
 // any task context. It may register events on the task (via Events()) that
-// delay the body's execution until they are fulfilled.
-func WithOnReady(cb func(*Task)) Option {
-	return func(t *Task) { t.onready = cb }
-}
+// delay the body's execution until they are fulfilled. If several are
+// given, the last wins.
+func WithOnReady(cb func(*Task)) Option { return Option{kind: optOnReady, onready: cb} }
 
 // Submit creates a task and registers its dependencies in program order.
 // It returns the task handle; the task runs asynchronously once its
@@ -146,9 +159,6 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 		rt.clk.Sleep(rt.cfg.SubmitOverhead)
 	}
 	t := &Task{rt: rt, body: body}
-	for _, o := range opts {
-		o(t)
-	}
 	t.pre = EventCounter{t: t, pre: true}
 	t.comp = EventCounter{t: t, n: 1} // the body-execution pseudo-event
 	rt.mu.Lock()
@@ -160,8 +170,17 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 	rt.stats.Submitted++
 	rt.seq++
 	t.id = rt.seq
-	for _, d := range t.deps {
-		t.preds += rt.reg.register(t, d)
+	for i := range opts {
+		switch o := &opts[i]; o.kind {
+		case optDeps:
+			for _, d := range o.deps {
+				t.preds += int32(rt.reg.register(t, d))
+			}
+		case optLabel:
+			t.label = o.label
+		case optOnReady:
+			t.onready = o.onready
+		}
 	}
 	satisfied := t.preds == 0
 	rt.mu.Unlock()
@@ -177,12 +196,13 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 // depsSatisfied advances a task whose dependencies are all released:
 // through the onready callback if present, then to the ready queue.
 func (rt *Runtime) depsSatisfied(t *Task) {
-	if t.onready != nil {
+	if cb := t.onready; cb != nil {
+		t.onready = nil
 		rt.mu.Lock()
 		t.state = stateOnready
 		t.pre.n = 1 // guard: the callback itself
 		rt.mu.Unlock()
-		t.onready(t)
+		cb(t)
 		// Releasing the guard schedules the task once (and only once)
 		// every event the callback registered has been fulfilled.
 		t.pre.Decrease(1)
@@ -255,6 +275,7 @@ func (rt *Runtime) exec(t *Task, ticket uint64) {
 	}
 	if t.body != nil {
 		t.body(t)
+		t.body = nil
 	}
 	if rt.rec != nil {
 		rt.rec.Span(rt.rank, obs.TaskTrack(t.lane), obs.CatTask, t.spanName(),
@@ -640,12 +661,17 @@ type coreSched struct {
 	free      int
 	nextTkt   uint64
 	nextGrant uint64
-	waiters   map[uint64]coreWaiter
 
-	// parkers is a free list of core-wait parking slots. Granting removes
-	// the waiter from the map before the Unpark, so each registration is
-	// woken exactly once and a parker leaves acquire with no pending wake —
-	// safe to hand to the next waiting task instead of allocating one per
+	// waiters is a ring over the drawn, ungranted tickets: ticket k waits
+	// in slot k mod len(waiters), and len(waiters) is a power of two that
+	// slot keeps at least nextTkt−nextGrant. A zero slot is a ticket that
+	// ticket() drew and whose acquire has not registered yet.
+	waiters []coreWaiter
+
+	// parkers is a free list of core-wait parking slots. Granting clears
+	// the waiter's slot before the Unpark, so each registration is woken
+	// exactly once and a parker leaves acquire with no pending wake — safe
+	// to hand to the next waiting task instead of allocating one per
 	// dispatched task.
 	parkers []*vclock.Parker
 }
@@ -657,7 +683,7 @@ type coreWaiter struct {
 }
 
 func newCoreSched(clk *vclock.VirtualClock, n int) *coreSched {
-	return &coreSched{clk: clk, free: n, waiters: make(map[uint64]coreWaiter)}
+	return &coreSched{clk: clk, free: n, waiters: make([]coreWaiter, 16)}
 }
 
 // ticket reserves the caller's position in the grant order.
@@ -667,6 +693,26 @@ func (cs *coreSched) ticket() uint64 {
 	cs.nextTkt++
 	cs.mu.Unlock()
 	return t
+}
+
+// slot returns the ring slot of a drawn ticket, first doubling the ring
+// until every drawn, ungranted ticket has a slot of its own. Callers hold
+// cs.mu.
+func (cs *coreSched) slot(ticket uint64) *coreWaiter {
+	if n := cs.nextTkt - cs.nextGrant; n > uint64(len(cs.waiters)) {
+		size := len(cs.waiters)
+		for uint64(size) < n {
+			size *= 2
+		}
+		// Every registered ticket lies within len(waiters) of nextGrant:
+		// it grew the ring that far when it registered.
+		ring := make([]coreWaiter, size)
+		for k := cs.nextGrant; k < cs.nextGrant+uint64(len(cs.waiters)); k++ {
+			ring[k&uint64(size-1)] = cs.waiters[k&uint64(len(cs.waiters)-1)]
+		}
+		cs.waiters = ring
+	}
+	return &cs.waiters[ticket&uint64(len(cs.waiters)-1)]
 }
 
 // acquire blocks until a core is free and every earlier ticket has been
@@ -685,7 +731,7 @@ func (cs *coreSched) acquire(ticket uint64) {
 				p.SetName("core-wait")
 			}
 		}
-		cs.waiters[ticket] = coreWaiter{p: p}
+		*cs.slot(ticket) = coreWaiter{p: p}
 		cs.mu.Unlock()
 		p.Park()
 		cs.mu.Lock()
@@ -693,7 +739,6 @@ func (cs *coreSched) acquire(ticket uint64) {
 	if p != nil {
 		cs.parkers = append(cs.parkers, p)
 	}
-	delete(cs.waiters, ticket)
 	cs.free--
 	cs.nextGrant++
 	cs.grantUnlock()
@@ -707,8 +752,9 @@ func (cs *coreSched) acquire(ticket uint64) {
 //tagalint:hotpath
 func (cs *coreSched) acquireFn(fn func()) {
 	cs.mu.Lock()
-	cs.waiters[cs.nextTkt] = coreWaiter{fn: fn}
+	t := cs.nextTkt
 	cs.nextTkt++
+	*cs.slot(t) = coreWaiter{fn: fn}
 	cs.grantUnlock()
 }
 
@@ -724,18 +770,19 @@ func (cs *coreSched) release() {
 // itself (continuing the line from acquire); a continuation is granted on
 // the spot and run outside cs.mu, after which the line is looked at again.
 // If the next ticket has not arrived yet it will see the free core on
-// arrival; granting never skips ahead of it. The waiter entry is removed
+// arrival; granting never skips ahead of it. The waiter's slot is cleared
 // before the Unpark so a second grant attempt cannot Unpark the same
 // registration twice, which keeps recycled parkers free of stale wakes.
 //
 //tagalint:hotpath
 func (cs *coreSched) grantUnlock() {
-	for cs.free > 0 && len(cs.waiters) > 0 {
-		w, ok := cs.waiters[cs.nextGrant]
-		if !ok {
+	for cs.free > 0 && cs.nextGrant < cs.nextTkt {
+		s := &cs.waiters[cs.nextGrant&uint64(len(cs.waiters)-1)]
+		w := *s
+		if w.p == nil && w.fn == nil {
 			break
 		}
-		delete(cs.waiters, cs.nextGrant)
+		*s = coreWaiter{}
 		if w.fn == nil {
 			w.p.Unpark()
 			break

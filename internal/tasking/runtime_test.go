@@ -585,6 +585,38 @@ func TestServiceReacquiresCoreInTicketOrder(t *testing.T) {
 	}
 }
 
+// Granting follows tickets, not registrations: a ticket drawn but not yet
+// registered holds back every later one, here while 40 later continuations
+// grow the waiter ring past its initial size around the empty head slot,
+// which five earlier grants moved off slot zero.
+func TestCoreGrantsWaitForAnUnregisteredTicket(t *testing.T) {
+	cs := newCoreSched(vclock.NewVirtual(), 1)
+	for i := 0; i < 5; i++ {
+		cs.acquire(cs.ticket())
+		cs.release()
+	}
+	head := cs.ticket()
+	var order []int
+	for i := 1; i <= 40; i++ {
+		cs.acquireFn(func() {
+			order = append(order, i)
+			cs.release()
+		})
+	}
+	if len(order) != 0 {
+		t.Fatalf("continuations %v ran ahead of the unregistered ticket %d", order, head)
+	}
+	cs.acquire(head)
+	cs.release()
+	want := make([]int, 40)
+	for i := range want {
+		want[i] = i + 1
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("grant order %v, want %v", order, want)
+	}
+}
+
 func TestShutdownWaitsForServiceMidWait(t *testing.T) {
 	var end time.Duration
 	var st Stats

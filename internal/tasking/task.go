@@ -42,30 +42,36 @@ func (s state) String() string {
 // API, timed yields, and modelled compute.
 type Body func(t *Task)
 
-// Task is one unit of work with region dependencies.
+// Task is one unit of work with region dependencies. A pending task holds
+// only what its future needs: the body and onready callback until they
+// have run, its successor list and its counters. The dependency list it
+// was submitted with is registered by Submit and not kept (DESIGN.md §16).
+// The record fits the 144-byte allocation size class
+// (TestTaskRecordFitsSizeClass).
 type Task struct {
 	rt      *Runtime
+	body    Body        // nil once it has run
+	onready func(*Task) // nil once it has run
 	label   string
-	body    Body
-	onready func(*Task)
-	deps    []Dep
-	spawned bool
 
 	// Guarded by rt.mu.
-	state state
-	preds int
 	succs []*Task
 	relBy int64 // id of the predecessor whose completion made this task ready
+
+	// Trace identity, used only on instrumented runs. id is assigned under
+	// rt.mu at submission; readyAt is written by markReady before dispatch;
+	// lane (below) is written and read only by the body's goroutine.
+	id      int64
+	readyAt time.Duration
 
 	pre  EventCounter // gates execution (onready-registered events)
 	comp EventCounter // gates completion (external events API)
 
-	// Trace identity, used only on instrumented runs. id is assigned under
-	// rt.mu at submission; readyAt is written by markReady before dispatch;
-	// lane is written and read only by the body's goroutine.
-	id      int64
-	readyAt time.Duration
+	// The small fields, grouped so that together they pack into two words.
+	preds   int32 // unreleased predecessors; guarded by rt.mu
 	lane    int32
+	state   state // guarded by rt.mu
+	spawned bool
 
 	// pooled is true while the body runs on a pool worker; Yield/WaitFor
 	// use it to tell the pool the worker is blocked so a replacement can
@@ -161,8 +167,8 @@ func (t *Task) Yield(f func()) {
 // tasks).
 type EventCounter struct {
 	t   *Task
+	n   int32 // guarded by t.rt.mu
 	pre bool
-	n   int // guarded by t.rt.mu
 }
 
 // Increase registers n new outstanding events. It must be called before
@@ -175,7 +181,7 @@ func (c *EventCounter) Increase(n int) {
 	}
 	rt := c.t.rt
 	rt.mu.Lock()
-	c.n += n
+	c.n += int32(n)
 	rt.mu.Unlock()
 }
 
@@ -188,7 +194,7 @@ func (c *EventCounter) Decrease(n int) {
 	}
 	rt := c.t.rt
 	rt.mu.Lock()
-	c.n -= n
+	c.n -= int32(n)
 	if c.n < 0 {
 		rt.mu.Unlock()
 		panic(fmt.Sprintf("tasking: event counter of task %q went negative", c.t.label))

@@ -15,13 +15,13 @@
 // figures do.
 //
 // The only blocking primitive is the Parker, a one-shot parking slot in the
-// style of the Go runtime's gopark/goready. Higher-level primitives (mutex,
-// condition variable, semaphore, served resource) are built on Parkers in
-// package vsync. Code that only ever waits for time (the polling services
-// of package core, every step of the fabric's state machines) does not block
-// at all: it arms an Event, a callback timer the advancing goroutine runs — a
-// heap push instead of a goroutine park. The clock's (deadline, seq) queue is
-// the simulator's only event queue.
+// style of the Go runtime's gopark/goready. Package vsync builds its two
+// primitives on Parkers: Resource, a served resource, and Queue, a FIFO
+// whose consumer parks. Code that only ever waits for time (the polling
+// services of package core, every step of the fabric's state machines) does
+// not block at all: it arms an Event, a callback timer the advancing
+// goroutine runs — a heap push instead of a goroutine park. The clock's
+// (deadline, seq) queue is the simulator's only event queue.
 //
 // # One lock, one order
 //

@@ -70,13 +70,16 @@ go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
 # clock-event steps to the handler) must stay within its committed
 # per-message budget (internal/fabric.CourierAllocBudget), a
 # nil-Recorder instrumentation site must allocate nothing, and neither may
-# an idle pass of the TAMPI and TAGASPI polling services, and 256 sends of
+# an idle pass of the TAMPI and TAGASPI polling services, 256 sends of
 # one unchanged buffer must share one payload snapshot in mpisim and
-# gaspisim. Run without -race on purpose — race instrumentation inflates
-# allocation counts, so the gates skip themselves under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc + unchanged-buffer snapshots"
+# gaspisim, and a pending task with five dependencies must keep no more
+# heap than internal/tasking.PendingTaskBudget. Run without -race on
+# purpose — race instrumentation inflates allocation counts and heap
+# sizes, so the gates skip themselves under the race build.
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
+go test -run 'TestPendingTaskFootprint' ./internal/tasking
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
 
