@@ -103,6 +103,7 @@ func miniamrApp(fs *flag.FlagSet) (map[string]*int, builder) {
 	fs.IntVar(&p.RefineEvery, "refine", 5, "steps between mesh rebuilds")
 	fs.IntVar(&p.Cells, "cells", 8, "cells per block edge")
 	fs.IntVar(&p.MaxLevel, "maxlevel", 2, "maximum refinement level")
+	fs.BoolVar(&p.Verify, "verify", false, "run real arithmetic and check against the serial reference")
 	sizes := map[string]*int{"vars": &p.Vars, "steps": &p.Steps, "refine": &p.RefineEvery, "cells": &p.Cells}
 	return sizes, func(v cluster.Variant, nodes int, prof fabric.Profile, g cluster.Geometry) (job, error) {
 		if err := check(map[string]int{"maxlevel": p.MaxLevel}, 0, ">= 0"); err != nil {
@@ -125,10 +126,44 @@ func miniamrApp(fs *flag.FlagSet) (map[string]*int, builder) {
 				res.Elapsed, refine, total, nr)
 			fmt.Fprintf(w, "fabric: %d messages;  MPI time (all ranks): %v\n",
 				res.Fabric.Messages, res.TotalMPITime())
+			if !p.Verify {
+				return nil
+			}
+			final := amr.Epochs[len(amr.Epochs)-1]
+			if err := verifyLeaves(p, final, amr.Blocks()); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "verify: %d leaves bitwise identical to the serial reference\n", len(final.Leaves))
 			return nil
 		}
 		return job{cfg: cfg, main: func(env *cluster.Env) { amr.Run(v, env) }, report: report}, nil
 	}
+}
+
+// verifyLeaves compares every final leaf's interior, as returned by the
+// rank that owns it in the final epoch, bit for bit with miniamr.Serial, and
+// names the first value that differs.
+func verifyLeaves(p miniamr.Params, final *miniamr.Epoch, blocks []map[miniamr.Leaf][]float64) error {
+	ref := miniamr.Serial(p)
+	for r, owned := range blocks {
+		if want := len(final.ByRank[r]); len(owned) != want {
+			return fmt.Errorf("verify: rank %d returned %d leaves, it owns %d", r, len(owned), want)
+		}
+	}
+	for _, l := range final.Leaves {
+		r := final.Owner[l]
+		got, ok := blocks[r][l]
+		want := ref[l]
+		if !ok || len(got) != len(want) {
+			return fmt.Errorf("verify: rank %d leaf %+v returned %d values, want %d", r, l, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("verify: rank %d leaf %+v index %d is %v, the serial reference has %v", r, l, i, got[i], want[i])
+			}
+		}
+	}
+	return nil
 }
 
 // streamingApp is the Streaming pipeline benchmark (§VI-C): one pipeline

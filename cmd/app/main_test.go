@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/apps/heat"
+	"repro/internal/apps/miniamr"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -148,6 +149,57 @@ func TestVerifyStripsNamesTheMismatch(t *testing.T) {
 	strips[2] = append([]float64(nil), ref[5*p.Cols:][:2*p.Cols]...)
 	if err := verifyStrips(p, strips); err == nil || !strings.Contains(err.Error(), "rank 3 returned 0 values") {
 		t.Errorf("missing strip reported as %v", err)
+	}
+}
+
+// TestMiniAMRVerify runs each variant with -verify at a geometry of its
+// own: every final leaf must match the serial reference bit for bit.
+func TestMiniAMRVerify(t *testing.T) {
+	for _, variant := range []string{"mpi", "tampi", "tagaspi"} {
+		var out bytes.Buffer
+		args := []string{"miniamr", "-variant", variant, "-nodes", "2", "-rpn", "2", "-cores", "2",
+			"-cells", "4", "-vars", "3", "-steps", "6", "-refine", "3", "-maxlevel", "1", "-verify"}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: %v\n%s", variant, err, out.String())
+		}
+		if !strings.Contains(out.String(), "leaves bitwise identical to the serial reference\n") {
+			t.Errorf("%s: report has no verify line:\n%s", variant, out.String())
+		}
+	}
+}
+
+// TestVerifyLeavesNamesTheMismatch flips one bit of one leaf: the check
+// must fail with exit status 1 and name the rank, the leaf and the index.
+func TestVerifyLeavesNamesTheMismatch(t *testing.T) {
+	p := miniamr.Params{Grid: [3]int{2, 2, 2}, Cells: 4, Vars: 2, Steps: 4, RefineEvery: 2,
+		MaxLevel: 1, Radius: 0.6, Verify: true}
+	const ranks = 3
+	final := p.Epochs(ranks)[1]
+	ref := miniamr.Serial(p)
+	blocks := make([]map[miniamr.Leaf][]float64, ranks)
+	for r := range blocks {
+		blocks[r] = make(map[miniamr.Leaf][]float64)
+		for _, i := range final.ByRank[r] {
+			l := final.Leaves[i]
+			blocks[r][l] = append([]float64(nil), ref[l]...)
+		}
+	}
+	if err := verifyLeaves(p, final, blocks); err != nil {
+		t.Fatalf("serial leaves rejected: %v", err)
+	}
+	l := final.Leaves[final.ByRank[2][1]]
+	blocks[2][l][7] = math.Float64frombits(math.Float64bits(blocks[2][l][7]) ^ 1)
+	err := verifyLeaves(p, final, blocks)
+	want := fmt.Sprintf("rank 2 leaf %+v index 7", l)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("flipped bit reported as %v, want %s", err, want)
+	}
+	if code := exitCode(err); code != 1 {
+		t.Errorf("exit status %d, want 1", code)
+	}
+	delete(blocks[1], final.Leaves[final.ByRank[1][0]])
+	if err := verifyLeaves(p, final, blocks); err == nil || !strings.Contains(err.Error(), "rank 1 returned") {
+		t.Errorf("missing leaf reported as %v", err)
 	}
 }
 

@@ -219,12 +219,14 @@ func sortLeaves(ls []Leaf) {
 }
 
 // Msg describes one halo-exchange message: the sender's leaf, the
-// receiver's leaf and face (the face of dst being filled), and the element
-// count. Sender and receiver derive identical message lists from the mesh.
+// receiver's leaf and face (the face of dst being filled), the element
+// count, and the message's tag. Sender and receiver derive identical
+// message lists from the mesh.
 type Msg struct {
 	Src, Dst Leaf
 	Face     int // face of Dst being filled
 	Elems    int // per variable
+	Tag      int // index in the receiver's Inbound list
 }
 
 // Epoch is the precomputed geometry of one mesh period.
@@ -237,9 +239,10 @@ type Epoch struct {
 	// Inbound[r] lists messages whose Dst is owned by r, canonically
 	// sorted; Outbound[r] those whose Src is owned by r.
 	Inbound, Outbound [][]Msg
-	// InIdx and OutIdx give each message's index within its receiver's
-	// Inbound list and its sender's Outbound list.
-	InIdx, OutIdx map[Msg]int
+	// InBytes[r] and OutBytes[r] are the bytes rank r receives from and
+	// sends to other ranks: the logical sizes of its receive and send
+	// buffers, which hold every remote message at its own offset.
+	InBytes, OutBytes []int
 }
 
 // buildEpoch computes leaves, partition and the message lists of an epoch.
@@ -273,21 +276,27 @@ func (p Params) buildEpoch(epoch, ranks int) *Epoch {
 				}
 				m := Msg{Src: src, Dst: dst, Face: f, Elems: elems}
 				e.Inbound[e.Owner[dst]] = append(e.Inbound[e.Owner[dst]], m)
-				e.Outbound[e.Owner[src]] = append(e.Outbound[e.Owner[src]], m)
 			}
 		}
 	}
-	e.InIdx = make(map[Msg]int)
-	e.OutIdx = make(map[Msg]int)
-	for r := 0; r < ranks; r++ {
-		sortMsgs(e.Inbound[r])
-		sortMsgs(e.Outbound[r])
-		for i, m := range e.Inbound[r] {
-			e.InIdx[m] = i
+	// Tag each message with its place in its receiver's list, then hand
+	// the tagged copy to its sender.
+	e.InBytes = make([]int, ranks)
+	e.OutBytes = make([]int, ranks)
+	for r, in := range e.Inbound {
+		sortMsgs(in)
+		for i := range in {
+			in[i].Tag = i
+			src := e.Owner[in[i].Src]
+			e.Outbound[src] = append(e.Outbound[src], in[i])
+			if src != r {
+				e.InBytes[r] += p.msgBytes(in[i])
+				e.OutBytes[src] += p.msgBytes(in[i])
+			}
 		}
-		for i, m := range e.Outbound[r] {
-			e.OutIdx[m] = i
-		}
+	}
+	for _, out := range e.Outbound {
+		sortMsgs(out)
 	}
 	return e
 }

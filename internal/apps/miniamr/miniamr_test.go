@@ -112,6 +112,76 @@ func TestInboundOutboundConsistent(t *testing.T) {
 		if in != out {
 			t.Fatalf("ranks=%d: %d inbound vs %d outbound", ranks, in, out)
 		}
+		// Every message's tag is its place in its receiver's list, and
+		// its sender holds the same message, tag included.
+		for r := 0; r < ranks; r++ {
+			for i, m := range e.Inbound[r] {
+				if m.Tag != i {
+					t.Fatalf("ranks=%d: Inbound[%d][%d] has Tag %d", ranks, r, i, m.Tag)
+				}
+			}
+			for _, m := range e.Outbound[r] {
+				dst := e.Inbound[e.Owner[m.Dst]]
+				if m.Tag < 0 || m.Tag >= len(dst) || dst[m.Tag] != m {
+					t.Fatalf("ranks=%d: Outbound[%d] entry %+v is not in its receiver's Inbound list", ranks, r, m)
+				}
+			}
+		}
+	}
+}
+
+// TestSlotBoundsInBothModes moves one logical offset of each kind (a
+// received message, a sent message, and the receiver's offset of a sent
+// message) so that its range leaves the logical buffer: timed mode, which
+// keeps one message-wide slot, must panic exactly as Verify does.
+func TestSlotBoundsInBothModes(t *testing.T) {
+	e := verifyParams.buildEpoch(1, 3)
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	for _, site := range []struct {
+		name string
+		call func(a *app, pl *plan)
+	}{
+		{"receive", func(a *app, pl *plan) {
+			pl.inOff[0] = e.InBytes[a.me] - a.p.msgBytes(pl.inRemote[0]) + 1
+			a.recvBytes(pl, 0)
+		}},
+		{"send", func(a *app, pl *plan) {
+			pl.outOff[0] = -1
+			a.sendOff(pl, 0)
+		}},
+		{"remote", func(a *app, pl *plan) {
+			pl.remOff[0] = e.InBytes[e.Owner[pl.outRemote[0].Dst]]
+			a.remoteOff(pl, 0)
+		}},
+	} {
+		var msgs [2]any
+		for i, verify := range []bool{true, false} {
+			a := &app{p: verifyParams, me: 1}
+			a.p.Verify = verify
+			pl := a.plan(e)
+			if len(pl.inRemote) == 0 || len(pl.outRemote) == 0 {
+				t.Fatal("rank 1 exchanges no remote messages")
+			}
+			// In range, Verify keeps the logical offset and timed mode
+			// uses the slot.
+			want := 0
+			if verify {
+				want = pl.outOff[len(pl.outOff)-1]
+			}
+			if got := a.sendOff(pl, len(pl.outOff)-1); got != want {
+				t.Errorf("Verify=%v: send offset %d, want %d", verify, got, want)
+			}
+			if msgs[i] = panicOf(func() { site.call(a, pl) }); msgs[i] == nil {
+				t.Errorf("%s, Verify=%v: an offset outside the logical buffer did not panic", site.name, verify)
+			}
+		}
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: Verify panicked with %v, timed mode with %v", site.name, msgs[0], msgs[1])
+		}
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 )
 
 // Segment ids of the single receive and send buffers (§VI-B: "they have
-// only one memory buffer for sending and another for receiving").
+// only one memory buffer for sending and another for receiving"). Under
+// Verify each holds every remote message of an epoch at its own offset;
+// in timed mode each is one slot as wide as the rank's largest message,
+// standing in for every offset (see slot).
 const (
 	segRecv = 0
 	segSend = 1
@@ -37,6 +40,9 @@ func mustSlice(seg *memory.Segment, off, n int) []byte {
 	must(err)
 	return b
 }
+
+// msgBytes is the packed size of message m: every variable's elements.
+func (p Params) msgBytes(m Msg) int { return m.Elems * p.Vars * memory.F64Bytes }
 
 // migration tags live above the halo-exchange tag space.
 const (
@@ -73,6 +79,9 @@ type app struct {
 	refine time.Duration
 
 	recvSeg, sendSeg *memory.Segment
+	// Timed mode's migration slots, one interior wide, allocated on first
+	// use; Verify gives every transfer its own buffer instead.
+	migSend, migRecv []byte
 }
 
 // plan is the per-epoch communication plan of one rank.
@@ -102,22 +111,19 @@ func newApp(env *cluster.Env, p Params, epochs []*Epoch) *app {
 	a := &app{env: env, p: p, me: int(env.Rank), ranks: env.Ranks(), epochs: epochs}
 	maxIn, maxOut := memory.F64Bytes, memory.F64Bytes // non-zero minimum
 	for _, e := range epochs {
-		in, out := 0, 0
+		if p.Verify {
+			maxIn, maxOut = max(maxIn, e.InBytes[a.me]), max(maxOut, e.OutBytes[a.me])
+			continue
+		}
 		for _, m := range e.Inbound[a.me] {
 			if e.Owner[m.Src] != a.me {
-				in += m.Elems * p.Vars * memory.F64Bytes
+				maxIn = max(maxIn, p.msgBytes(m))
 			}
 		}
 		for _, m := range e.Outbound[a.me] {
 			if e.Owner[m.Dst] != a.me {
-				out += m.Elems * p.Vars * memory.F64Bytes
+				maxOut = max(maxOut, p.msgBytes(m))
 			}
-		}
-		if in > maxIn {
-			maxIn = in
-		}
-		if out > maxOut {
-			maxOut = out
 		}
 	}
 	var err error
@@ -128,6 +134,46 @@ func newApp(env *cluster.Env, p Params, epochs []*Epoch) *app {
 		panic(err)
 	}
 	return a
+}
+
+// slot returns the segment offset of the bytes [off, off+n) of a logical
+// buffer of size bytes, which holds an epoch's remote messages each at its
+// own offset. It panics when the range leaves the logical buffer, in either
+// mode. Verify keeps the logical layout; in timed mode every range is the
+// one slot at offset 0.
+func (a *app) slot(off, n, size int) int {
+	if off < 0 || off+n > size {
+		panic(fmt.Sprintf("miniamr: rank %d: bytes [%d,%d) outside the %d-byte buffer",
+			a.me, off, off+n, size))
+	}
+	if !a.p.Verify {
+		return 0
+	}
+	return off
+}
+
+// recvBytes returns the receive bytes of inbound remote message k.
+func (a *app) recvBytes(pl *plan, k int) []byte {
+	n := a.p.msgBytes(pl.inRemote[k])
+	return mustSlice(a.recvSeg, a.slot(pl.inOff[k], n, pl.e.InBytes[a.me]), n)
+}
+
+// sendOff returns the send-segment offset of outbound remote message k.
+func (a *app) sendOff(pl *plan, k int) int {
+	return a.slot(pl.outOff[k], a.p.msgBytes(pl.outRemote[k]), pl.e.OutBytes[a.me])
+}
+
+// sendBytes returns the send bytes of outbound remote message k.
+func (a *app) sendBytes(pl *plan, k int) []byte {
+	return mustSlice(a.sendSeg, a.sendOff(pl, k), a.p.msgBytes(pl.outRemote[k]))
+}
+
+// remoteOff returns the receiver's segment offset of outbound remote
+// message k, checked against the receiver's logical receive buffer: every
+// rank holds every epoch, so it knows that buffer's size.
+func (a *app) remoteOff(pl *plan, k int) int {
+	m := pl.outRemote[k]
+	return a.slot(pl.remOff[k], a.p.msgBytes(m), pl.e.InBytes[pl.e.Owner[m.Dst]])
 }
 
 func (a *app) plan(e *Epoch) *plan {
@@ -147,7 +193,7 @@ func (a *app) plan(e *Epoch) *plan {
 		pl.inRemote = append(pl.inRemote, m)
 		pl.inOff = append(pl.inOff, off)
 		pl.peersIn[src] = append(pl.peersIn[src], k)
-		off += m.Elems * a.p.Vars * memory.F64Bytes
+		off += a.p.msgBytes(m)
 	}
 	off = 0
 	for _, m := range e.Outbound[a.me] {
@@ -159,7 +205,7 @@ func (a *app) plan(e *Epoch) *plan {
 		pl.outRemote = append(pl.outRemote, m)
 		pl.outOff = append(pl.outOff, off)
 		pl.peersOut[dst] = append(pl.peersOut[dst], k)
-		off += m.Elems * a.p.Vars * memory.F64Bytes
+		off += a.p.msgBytes(m)
 	}
 	pl.remOff = make([]int, len(pl.outRemote))
 	pl.remNotif = make([]int, len(pl.outRemote))
@@ -252,7 +298,7 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 	for _, tr := range trs {
 		switch {
 		case tr.To == a.me:
-			buf := make([]byte, nbytes)
+			buf := a.migBuf(&a.migRecv, nbytes)
 			inbound[tr.Src] = buf
 			if a.env.RT != nil {
 				a.env.RT.Submit(func(tk *tasking.Task) {
@@ -262,7 +308,7 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 				reqs = append(reqs, mpi.Irecv(buf, mpisim.Rank(tr.From), tagOf[tr]))
 			}
 		case tr.From == a.me:
-			buf := make([]byte, nbytes)
+			buf := a.migBuf(&a.migSend, nbytes)
 			if p.Verify {
 				vals := make([]float64, elems)
 				p.interior(a.blocks[tr.Src], vals)
@@ -304,6 +350,19 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 	a.blocks = next
 	// Modelled remap cost: proportional to the rebuilt local cells.
 	a.env.Clk.Sleep(a.env.CostOf(float64(len(pl.owned)) * float64(elems)))
+}
+
+// migBuf returns the buffer of one migration transfer of n bytes: a fresh
+// one under Verify, whose interiors remap reads, and otherwise the rank's
+// one slot, which every transfer of its run reuses.
+func (a *app) migBuf(slot *[]byte, n int) []byte {
+	if a.p.Verify {
+		return make([]byte, n)
+	}
+	if *slot == nil {
+		*slot = make([]byte, n)
+	}
+	return *slot
 }
 
 // remap assembles the cells of new leaf nl from its old sources srcs: this
@@ -423,25 +482,43 @@ func Config(v cluster.Variant, nodes int, prof fabric.Profile, g cluster.Geometr
 }
 
 // Job is one miniAMR run: the parameters and mesh epochs every rank
-// replays, and the slowest rank's refinement time, which the
-// no-refinement (NR) throughput leaves out.
+// replays, the slowest rank's refinement time, which the no-refinement
+// (NR) throughput leaves out, and under Verify each rank's final blocks.
 type Job struct {
 	p      Params
 	Epochs []*Epoch
 
 	mu        sync.Mutex
 	maxRefine time.Duration
+	blocks    []map[Leaf][]float64 // by rank; Verify only
 }
 
 // NewJob prepares a run of p on ranks ranks.
-func NewJob(p Params, ranks int) *Job { return &Job{p: p, Epochs: p.Epochs(ranks)} }
+func NewJob(p Params, ranks int) *Job {
+	j := &Job{p: p, Epochs: p.Epochs(ranks)}
+	if p.Verify {
+		j.blocks = make([]map[Leaf][]float64, ranks)
+	}
+	return j
+}
 
 // Run executes variant v on one rank of a cluster built by Config.
 func (j *Job) Run(v cluster.Variant, env *cluster.Env) {
 	out := runs[v](env, j.p, j.Epochs)
 	j.mu.Lock()
 	j.maxRefine = max(j.maxRefine, out.RefineTime)
+	if j.blocks != nil {
+		j.blocks[env.Rank] = out.Blocks
+	}
 	j.mu.Unlock()
+}
+
+// Blocks returns the finished job's final owned interiors, indexed by
+// rank, or nil unless the job runs with Verify.
+func (j *Job) Blocks() []map[Leaf][]float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.blocks
 }
 
 // runs are the variants' rank mains, indexed by variant.
@@ -481,15 +558,14 @@ func RunMPIOnly(env *cluster.Env, p Params, epochs []*Epoch) Output {
 		recvReqs := make([]*mpisim.Request, len(pl.inRemote))
 		for s := s0; s < s1; s++ {
 			for k, m := range pl.inRemote {
-				buf := mustSlice(a.recvSeg, pl.inOff[k], m.Elems*p.Vars*memory.F64Bytes)
-				recvReqs[k] = mpi.Irecv(buf, mpisim.Rank(e.Owner[m.Src]), e.InIdx[m])
+				recvReqs[k] = mpi.Irecv(a.recvBytes(pl, k), mpisim.Rank(e.Owner[m.Src]), m.Tag)
 			}
 			var sendReqs []*mpisim.Request
 			for k, m := range pl.outRemote {
-				buf := mustSlice(a.sendSeg, pl.outOff[k], m.Elems*p.Vars*memory.F64Bytes)
+				buf := a.sendBytes(pl, k)
 				a.pack(a.blocks[m.Src], m, buf)
 				env.Clk.Sleep(env.CostOf(float64(m.Elems*p.Vars) / 2))
-				sendReqs = append(sendReqs, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), e.InIdx[m]))
+				sendReqs = append(sendReqs, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), m.Tag))
 			}
 			for _, m := range pl.inLocal {
 				a.copyHalo(a.blocks[m.Src], a.blocks[m.Dst], m)
@@ -497,7 +573,7 @@ func RunMPIOnly(env *cluster.Env, p Params, epochs []*Epoch) Output {
 			}
 			for k, m := range pl.inRemote {
 				mpi.Wait(recvReqs[k])
-				a.unpack(a.blocks[m.Dst], m, mustSlice(a.recvSeg, pl.inOff[k], m.Elems*p.Vars*memory.F64Bytes))
+				a.unpack(a.blocks[m.Dst], m, a.recvBytes(pl, k))
 				env.Clk.Sleep(env.CostOf(float64(m.Elems*p.Vars) / 2))
 			}
 			for _, l := range pl.owned {
@@ -590,19 +666,17 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
 			tk.Compute(env.CostOf(float64(nv) / 2))
-			buf := mustSlice(a.sendSeg, pl.outOff[k], nv*memory.F64Bytes)
+			buf := a.sendBytes(pl, k)
 			a.pack(src, m, buf)
-			ta.Iwait(tk, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), e.InIdx[m]))
+			ta.Iwait(tk, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), m.Tag))
 		}, tasking.WithDeps(
 			tasking.In(&keys.block, bidx, bidx+1),
 			tasking.InOut(&keys.sslot, k, k+1)),
 			tasking.WithLabel("pack+send"))
 	}
 	for k, m := range pl.inRemote {
-		nv := m.Elems * p.Vars
 		rt.Submit(func(tk *tasking.Task) {
-			buf := mustSlice(a.recvSeg, pl.inOff[k], nv*memory.F64Bytes)
-			ta.Iwait(tk, mpi.Irecv(buf, mpisim.Rank(e.Owner[m.Src]), e.InIdx[m]))
+			ta.Iwait(tk, mpi.Irecv(a.recvBytes(pl, k), mpisim.Rank(e.Owner[m.Src]), m.Tag))
 		}, tasking.WithDeps(tasking.Out(&keys.rslot, k, k+1)),
 			tasking.WithLabel("recv"))
 		a.submitUnpack(pl, keys, k, m, false, false)
@@ -621,9 +695,9 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
 			tk.Compute(env.CostOf(float64(nv) / 2))
-			a.pack(src, m, mustSlice(a.sendSeg, pl.outOff[k], nv*memory.F64Bytes))
-			must(tg.WriteNotify(tk, segSend, pl.outOff[k],
-				gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
+			a.pack(src, m, a.sendBytes(pl, k))
+			must(tg.WriteNotify(tk, segSend, a.sendOff(pl, k),
+				gaspisim.Rank(e.Owner[m.Dst]), segRecv, a.remoteOff(pl, k),
 				nv*memory.F64Bytes,
 				gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
 		}, tasking.WithDeps(
@@ -659,7 +733,7 @@ func (a *app) submitUnpack(pl *plan, keys *depKeys, k int, m Msg, oneSided, last
 	rt.Submit(func(tk *tasking.Task) {
 		nv := m.Elems * p.Vars
 		tk.Compute(env.CostOf(float64(nv) / 2))
-		a.unpack(dst, m, mustSlice(a.recvSeg, pl.inOff[k], nv*memory.F64Bytes))
+		a.unpack(dst, m, a.recvBytes(pl, k))
 		if oneSided && !lastOfEpoch {
 			must(env.TAGASPI.Notify(tk, gaspisim.Rank(e.Owner[m.Src]), segSend,
 				gaspisim.NotificationID(pl.ackID[k]), 1, k%Q))

@@ -60,3 +60,24 @@ func TestNilHalvesCollectorZeroAlloc(t *testing.T) {
 		t.Fatalf("nil-halves Collector record site allocates %.2f/call, want 0", allocs)
 	}
 }
+
+// TestEventsAllocatesOnce requires Events to copy N recorded events, spread
+// over several rank shards, with one allocation of exactly N events: no
+// growth while the shards are gathered and none in the canonical sort.
+func TestEventsAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	const ranks, n = 4, 1000
+	tr := NewTracer(ranks)
+	for i := 0; i < n; i++ {
+		ts := time.Duration(n-i) * time.Nanosecond // reverse order: the sort has work
+		tr.Instant(i%ranks, TrackMain, CatObs, "e", ts, int64(i))
+	}
+	if evs := tr.Events(); len(evs) != n || cap(evs) != n {
+		t.Fatalf("Events returned len %d cap %d, want %d and %d", len(evs), cap(evs), n, n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tr.Events() }); allocs != 1 {
+		t.Fatalf("Events makes %.1f allocations per call, want 1", allocs)
+	}
+}

@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,14 +142,19 @@ func (t *Tracer) Len() int {
 	return n
 }
 
-// Events returns a copy of all recorded events in canonical order.
+// Events returns a copy of all recorded events in canonical order. It
+// holds every shard's lock while it sizes and fills the copy, so the result
+// is one allocation of exactly the recorded events.
 func (t *Tracer) Events() []Event {
-	var all []Event
+	n := 0
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		all = append(all, s.events...)
-		s.mu.Unlock()
+		t.shards[i].mu.Lock()
+		n += len(t.shards[i].events)
+	}
+	all := make([]Event, 0, n)
+	for i := range t.shards {
+		all = append(all, t.shards[i].events...)
+		t.shards[i].mu.Unlock()
 	}
 	sortEvents(all)
 	return all
@@ -157,32 +164,31 @@ func (t *Tracer) Events() []Event {
 // the remaining fields. The total order over all fields makes serialized
 // traces byte-identical across runs that recorded the same event set,
 // regardless of goroutine interleaving during recording.
-func sortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Dur != b.Dur {
-			return a.Dur < b.Dur
-		}
-		if a.Arg != b.Arg {
-			return a.Arg < b.Arg
-		}
-		if a.Flow != b.Flow {
-			return a.Flow < b.Flow
-		}
-		return a.Ph < b.Ph
-	})
+func sortEvents(evs []Event) { slices.SortFunc(evs, compareEvents) }
+
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.Ts, b.Ts); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Track, b.Track); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Arg, b.Arg); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Flow, b.Flow); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ph, b.Ph)
 }
 
 // Write serializes the trace as Chrome trace_event JSON (the "JSON Array

@@ -68,19 +68,23 @@ go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
 
 # Allocation-regression gates: the fabric send path (Send through the
 # clock-event steps to the handler) must stay within its committed
-# per-message budget (internal/fabric.CourierAllocBudget), a
-# nil-Recorder instrumentation site must allocate nothing, and neither may
-# an idle pass of the TAMPI and TAGASPI polling services, 256 sends of
-# one unchanged buffer must share one payload snapshot in mpisim and
-# gaspisim, and a pending task with five dependencies must keep no more
-# heap than internal/tasking.PendingTaskBudget. Run without -race on
-# purpose — race instrumentation inflates allocation counts and heap
-# sizes, so the gates skip themselves under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint"
+# per-message budget (internal/fabric.CourierAllocBudget); a nil-Recorder
+# instrumentation site and an idle pass of the TAMPI and TAGASPI polling
+# services must allocate nothing; Tracer.Events must copy N events in one
+# allocation of N; 256 sends of one unchanged buffer must share one
+# payload snapshot in mpisim and gaspisim; a pending task with five
+# dependencies must keep no more heap than
+# internal/tasking.PendingTaskBudget; and a timed TAGASPI miniAMR job must
+# allocate no more than internal/apps/miniamr.HeapBytesPerMessageBudget
+# per message. Run without -race on purpose — race instrumentation
+# inflates allocation counts and heap sizes, so the gates skip themselves
+# under the race build.
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + timed miniAMR heap per message"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
-go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc' ./internal/obs
+go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
+go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
 
 # Host-time regression gate at scale: one paper-scale Gauss-Seidel point
