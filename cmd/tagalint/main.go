@@ -1,6 +1,6 @@
 // Command tagalint runs the repository's invariant analyzers (detlint,
-// doccomment, hotalloc, lockcross, poollife, simerr, taskctx) over Go
-// packages. It works in two modes:
+// doccomment, hotalloc, lockcross, simerr, taskctx) over Go packages. It
+// works in two modes:
 //
 // Standalone, over package patterns (the tier-1 gate):
 //

@@ -9,9 +9,9 @@ import (
 
 // TestRepoCleanUnderTagalint is the tier-1 wiring of the lint suite: it
 // runs every tagalint analyzer over the whole module (as `go run
-// ./cmd/tagalint ./...` does) and fails on any finding, so a violation of
-// the simulator's concurrency or completion invariants fails `go test
-// ./...` even when the offending package's own tests pass.
+// ./cmd/tagalint -stale-ignores=error ./...` does) and fails on any finding
+// or stale //lint:ignore, so a broken invariant or a dead suppression fails
+// `go test ./...` even when the offending package's own tests pass.
 func TestRepoCleanUnderTagalint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check; skipped in -short mode")
@@ -33,11 +33,14 @@ func TestRepoCleanUnderTagalint(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	findings, err := analysis.Run(loader.Fset, pkgs, tagalint.Suite())
+	findings, sups, err := analysis.RunWithSuppressions(loader.Fset, pkgs, tagalint.Suite())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+	for _, s := range analysis.Stale(sups) {
+		t.Errorf("stale suppression (silences nothing, remove it): %s", s)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/analysis/doccomment"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockcross"
-	"repro/internal/analysis/poollife"
 	"repro/internal/analysis/simerr"
 	"repro/internal/analysis/taskctx"
 )
@@ -23,7 +22,6 @@ func Suite() []*analysis.Analyzer {
 		doccomment.Analyzer,
 		hotalloc.Analyzer,
 		lockcross.Analyzer,
-		poollife.Analyzer,
 		simerr.Analyzer,
 		taskctx.Analyzer,
 	}

@@ -25,18 +25,17 @@ import (
 // chain: the comm, schedule coordinates and operand views one submitted
 // task needs. Records recycle through stepPool — after a task body hands
 // its record to releaseStep, nothing may touch it again.
-//
-//tagalint:pooled
 type taStep struct {
-	c     *Comm
-	epoch int
-	g     int // ring step index; broadcast tasks store the root here
-	op    Op
-	full  bool
-	prev  int // ring-credit epoch step 0 awaits (-1: none)
-	in    []float64
-	work  []float64
-	rsOut []float64
+	c        *Comm
+	epoch    int
+	g        int // ring step index; broadcast tasks store the root here
+	op       Op
+	full     bool
+	released bool // set by releaseStep, cleared by newStep (DESIGN.md §6)
+	prev     int  // ring-credit epoch step 0 awaits (-1: none)
+	in       []float64
+	work     []float64
+	rsOut    []float64
 	// evVals captures the values of the step's notify_iwait
 	// registrations, checked by the body against the expected epoch —
 	// the task-aware half of consumeNotification's corruption tripwire.
@@ -53,20 +52,31 @@ var stepPool = sync.Pool{New: func() any { return new(taStep) }}
 //tagalint:hotpath
 func newStep(c *Comm, epoch, g int) *taStep {
 	s := stepPool.Get().(*taStep)
-	s.c, s.epoch, s.g, s.prev = c, epoch, g, -1
+	s.c, s.epoch, s.g, s.prev, s.released = c, epoch, g, -1, false
 	return s
 }
 
-// releaseStep zeroes a spent record and returns it to the pool, keeping
-// the value-capture scratch so its capacity survives recycling.
+// releaseStep zeroes a spent record, marks it released and returns it to
+// the pool, keeping the value-capture scratch so its capacity survives
+// recycling. A second release panics.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func releaseStep(s *taStep) {
+	if s.released {
+		panic("collectives: releaseStep of a released taStep")
+	}
 	vals := s.evVals[:0]
-	*s = taStep{}
+	*s = taStep{released: true}
 	s.evVals = vals
 	stepPool.Put(s)
+}
+
+// own panics when s was already released: a step body may run only on a
+// record it still holds.
+func (s *taStep) own() {
+	if s.released {
+		panic("collectives: step body on a released taStep")
+	}
 }
 
 // evSlots returns the step's value-capture array resized to n slots, each
@@ -142,6 +152,7 @@ func (s *taStep) ringOnReady(t *tasking.Task) {
 // step's chunk; the final task closes the phase spans, acknowledges
 // consumption to the left neighbour and lands the reduce-scatter result.
 func (s *taStep) ringRun(t *tasking.Task) {
+	s.own()
 	c := s.c
 	n, me := c.n, c.rank
 	chunk := len(s.work) / n
@@ -235,6 +246,7 @@ func (c *Comm) taBcast(epoch int, buf []float64, root int) {
 // bcastCreditRun is the credit task's body: open the broadcast span and
 // (non-root) grant this epoch's parent the rendezvous credit.
 func (s *taStep) bcastCreditRun(t *tasking.Task) {
+	s.own()
 	c := s.c
 	c.taOpStart = c.clk.Now()
 	vr := mod(c.rank-s.g, c.n)
@@ -267,6 +279,7 @@ func (s *taStep) bcastOnReady(t *tasking.Task) {
 // children, non-roots land the buffer into their vector, and the
 // broadcast span closes.
 func (s *taStep) bcastRun(t *tasking.Task) {
+	s.own()
 	c := s.c
 	n, me, root := c.n, c.rank, s.g
 	vr := mod(me-root, n)

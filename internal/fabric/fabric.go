@@ -183,14 +183,13 @@ func (p Profile) Zero() bool {
 // recycles it through an internal pool. Neither handlers nor hooks may
 // retain the *Message past their return; anything with a longer life
 // belongs in Payload. Allocate with NewMessage to draw from the pool.
-//
-//tagalint:pooled
 type Message struct {
 	Src, Dst Rank
 	Class    Class
 	Lane     int  // ordering lane within (Src,Dst,Class): the GASPI queue id
 	Size     int  // payload bytes, for bandwidth costs
 	Control  bool // control messages skip bandwidth terms (acks, RTS/CTS)
+	released bool // set by releaseMessage, cleared by NewMessage (DESIGN.md §6)
 	Payload  any  // protocol-layer descriptor
 
 	// OnInjected, if non-nil, runs once the source NIC has finished
@@ -248,15 +247,21 @@ var msgPool = sync.Pool{New: func() any { return new(Message) }}
 // only when senders use NewMessage.
 //
 //tagalint:hotpath
-func NewMessage() *Message { return msgPool.Get().(*Message) }
+func NewMessage() *Message {
+	m := msgPool.Get().(*Message)
+	m.released = false
+	return m
+}
 
-// releaseMessage zeroes m (dropping payload and hook references) and
-// returns it to the pool.
+// releaseMessage zeroes m (dropping payload and hook references), marks it
+// released and returns it to the pool. A second release panics.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func releaseMessage(m *Message) {
-	*m = Message{}
+	if m.released {
+		panic("fabric: releaseMessage of a released Message")
+	}
+	*m = Message{released: true}
 	msgPool.Put(m)
 }
 
@@ -543,9 +548,11 @@ func (f *Fabric) Register(r Rank, class Class, h Handler) {
 // rule). A caller that Sends and then waits for the delivery must be
 // registered and wait on a Parker or Sleep, not on a host channel.
 //
-//tagalint:pooled transfer
 //tagalint:hotpath
 func (f *Fabric) Send(m *Message) {
+	if m.released {
+		panic("fabric: Send of a released Message")
+	}
 	if m.Src < 0 || int(m.Src) >= f.topo.Ranks() || m.Dst < 0 || int(m.Dst) >= f.topo.Ranks() {
 		panic(fmt.Sprintf("fabric: message between invalid ranks %d -> %d", m.Src, m.Dst))
 	}

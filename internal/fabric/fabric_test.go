@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/memory/pooltest"
 	"repro/internal/vclock"
 )
 
@@ -311,6 +312,17 @@ func TestSendInvalidRankPanics(t *testing.T) {
 		}
 	}()
 	f.Send(&Message{Src: 0, Dst: 5, Class: ClassMPI})
+}
+
+// TestReleaseMark: a released Message refuses releaseMessage and Send.
+func TestReleaseMark(t *testing.T) {
+	f, m := New(vclock.NewVirtual(), NewTopology(2, 1), testProfile()), NewMessage()
+	releaseMessage(m)
+	pooltest.Panics(t, map[string]func(){
+		"fabric: releaseMessage of a released Message": func() { releaseMessage(m) },
+		"fabric: Send of a released Message":           func() { f.Send(m) },
+	})
+	pooltest.Size[Message](t, 144)
 }
 
 // Property: per-lane FIFO holds for any assignment of messages to lanes.

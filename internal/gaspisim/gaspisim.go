@@ -284,10 +284,9 @@ func (p *Proc) Segment(id SegmentID) (*memory.Segment, error) {
 
 // protocol message payload. Pooled: once a consumer passes it to putGMsg
 // nothing may touch it again.
-//
-//tagalint:pooled
 type gMsg struct {
 	kind      OpType
+	released  bool // set by putGMsg, cleared by newGMsg (DESIGN.md §6)
 	src       Rank
 	seg       SegmentID
 	off       int
@@ -313,18 +312,24 @@ var gMsgPool = sync.Pool{New: func() any { return new(gMsg) }}
 // newGMsg returns a pooled message with every field zero.
 //
 //tagalint:hotpath
-func newGMsg() *gMsg { return gMsgPool.Get().(*gMsg) }
+func newGMsg() *gMsg {
+	m := gMsgPool.Get().(*gMsg)
+	m.released = false
+	return m
+}
 
-// putGMsg drops m's payload snapshot reference, zeroes m and returns it to
-// the pool.
+// putGMsg drops m's payload snapshot reference, zeroes m, marks it
+// released and returns it to the pool. A second release panics.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func putGMsg(m *gMsg) {
+	if m.released {
+		panic("gaspisim: putGMsg of a released gMsg")
+	}
 	if m.data != nil {
 		m.data.Release()
 	}
-	*m = gMsg{}
+	*m = gMsg{released: true}
 	gMsgPool.Put(m)
 }
 
@@ -570,6 +575,9 @@ func (p *Proc) Read(localSeg SegmentID, localOff int, remote Rank,
 //tagalint:hotpath
 func (p *Proc) deliver(fm *fabric.Message) {
 	m := fm.Payload.(*gMsg)
+	if m.released {
+		panic("gaspisim: deliver of a released gMsg")
+	}
 	switch m.kind {
 	case OpWrite, OpWriteNotify:
 		p.waitSegment(m.seg)

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/memory/pooltest"
 )
 
 // raceEnabled is set by race_on_test.go when the race detector is
@@ -16,6 +18,14 @@ var raceEnabled bool
 // shared payload snapshots (DESIGN.md §15), against 5,049 when every
 // message copied the range; the budget is 2x the current figure.
 const UnchangedBufferBytesPerWriteBudget = 1_900
+
+// TestReleaseMark: a released gMsg refuses a second putGMsg.
+func TestReleaseMark(t *testing.T) {
+	m := newGMsg()
+	putGMsg(m)
+	pooltest.Panics(t, map[string]func(){"gaspisim: putGMsg of a released gMsg": func() { putGMsg(m) }})
+	pooltest.Size[gMsg](t, 120)
+}
 
 // TestUnchangedBufferSnapshotsOnce is an allocation gate of scripts/ci.sh:
 // 256 writes of one unchanged 4 KiB range, all posted before the first is

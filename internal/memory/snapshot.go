@@ -13,9 +13,8 @@ import (
 // its last copy out; the sending process's SnapshotCache holds one more
 // while the snapshot is its most recent. Nobody writes the bytes while a
 // reference is held, so messages whose buffers held the same bytes at
-// local completion share one snapshot.
-//
-//tagalint:pooled
+// local completion share one snapshot. A snapshot with no reference left
+// is released: Bytes and Release panic on it (DESIGN.md §6).
 type Snapshot struct {
 	b    []byte
 	refs atomic.Int32 // atomic: a receiving rank's goroutine may release
@@ -27,11 +26,15 @@ type Snapshot struct {
 var snapshotPool = sync.Pool{New: func() any { return new(Snapshot) }}
 
 // Bytes returns the snapshot's content. The caller must not modify it.
-func (s *Snapshot) Bytes() []byte { return s.b }
+func (s *Snapshot) Bytes() []byte {
+	if s.refs.Load() <= 0 {
+		panic("memory: Bytes of a released snapshot")
+	}
+	return s.b
+}
 
 // Release drops one reference; the last one returns s to its pool.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func (s *Snapshot) Release() {
 	switch n := s.refs.Add(-1); {

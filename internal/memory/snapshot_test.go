@@ -2,9 +2,10 @@ package memory
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/memory/pooltest"
 )
 
 // TestTakeSharesOnlyEqualBytes: a take shares the previous snapshot exactly
@@ -48,20 +49,19 @@ func TestSnapshotOutlivesTheCache(t *testing.T) {
 	held.Release()
 }
 
-// TestReleaseTooOftenPanics: a second release of the only message
-// reference is a bug in the caller.
+// TestReleaseTooOftenPanics: once its last reference is gone a snapshot
+// refuses Bytes and a further release (refs == 0 is its release mark), and
+// the record does not grow.
 func TestReleaseTooOftenPanics(t *testing.T) {
 	var c SnapshotCache
 	s := c.Take([]byte("x"))
 	c.Take([]byte("y")).Release() // the cache drops its reference to s
 	s.Release()
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "released more often than taken") {
-			t.Errorf("over-release panicked with %q", msg)
-		}
-	}()
-	//lint:ignore poollife the double release is the point of the test
-	s.Release()
+	pooltest.Panics(t, map[string]func(){
+		"memory: Bytes of a released snapshot":                       func() { s.Bytes() },
+		"memory: snapshot of 1 bytes released more often than taken": func() { s.Release() },
+	})
+	pooltest.Size[Snapshot](t, 32)
 }
 
 // TestConcurrentReleases mirrors the substrate: one goroutine takes

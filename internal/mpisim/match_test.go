@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/memory/pooltest"
 )
 
 // refMatcher is the reference the engine is checked against: MPI's
@@ -245,11 +246,17 @@ func TestReleasedMessageCarriesNoLink(t *testing.T) {
 		t.Fatal("queued message is not linked and stamped")
 	}
 	putInMsg(a)
-	//lint:ignore poollife the released object is inspected on purpose
-	next, seq := a.next, a.seq
-	if next != nil || seq != 0 {
-		t.Fatalf("released message keeps next=%p seq=%d", next, seq)
+	if a.next != nil || a.seq != 0 {
+		t.Fatalf("released message keeps next=%p seq=%d", a.next, a.seq)
 	}
+}
+
+// TestReleaseMark: a released inMsg refuses a second putInMsg.
+func TestReleaseMark(t *testing.T) {
+	m := newInMsg()
+	putInMsg(m)
+	pooltest.Panics(t, map[string]func(){"mpisim: putInMsg of a released inMsg": func() { putInMsg(m) }})
+	pooltest.Size[inMsg](t, 120)
 }
 
 // TestEagerTruncationPanics: an eager message longer than the matched

@@ -248,14 +248,13 @@ const (
 
 // inMsg is a protocol message payload. Pooled: once a consumer passes it
 // to putInMsg nothing may touch it again.
-//
-//tagalint:pooled
 type inMsg struct {
-	kind msgKind
-	src  Rank
-	tag  int
-	data *memory.Snapshot // payload bytes, one reference; nil for control messages
-	size int
+	kind     msgKind
+	released bool // set by putInMsg, cleared by newInMsg (DESIGN.md §6)
+	src      Rank
+	tag      int
+	data     *memory.Snapshot // payload bytes, one reference; nil for control messages
+	size     int
 
 	// Unexpected-queue linkage (match.go), guarded by Proc.mu while queued.
 	seq  uint64
@@ -279,18 +278,24 @@ var inMsgPool = sync.Pool{New: func() any { return new(inMsg) }}
 // newInMsg returns a pooled message with every field zero.
 //
 //tagalint:hotpath
-func newInMsg() *inMsg { return inMsgPool.Get().(*inMsg) }
+func newInMsg() *inMsg {
+	m := inMsgPool.Get().(*inMsg)
+	m.released = false
+	return m
+}
 
-// putInMsg drops m's payload snapshot reference, zeroes m and returns it
-// to the pool.
+// putInMsg drops m's payload snapshot reference, zeroes m, marks it
+// released and returns it to the pool. A second release panics.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func putInMsg(m *inMsg) {
+	if m.released {
+		panic("mpisim: putInMsg of a released inMsg")
+	}
 	if m.data != nil {
 		m.data.Release()
 	}
-	*m = inMsg{}
+	*m = inMsg{released: true}
 	inMsgPool.Put(m)
 }
 
@@ -476,6 +481,9 @@ func (p *Proc) checkFits(n, buflen int, src Rank, tag int) {
 //
 //tagalint:hotpath
 func (p *Proc) consume(m *inMsg, r *Request) {
+	if m.released {
+		panic("mpisim: consume of a released inMsg")
+	}
 	switch m.kind {
 	case kindEager:
 		data := m.data.Bytes()
@@ -507,6 +515,9 @@ func (p *Proc) consume(m *inMsg, r *Request) {
 func (p *Proc) deliver(fm *fabric.Message) {
 	p.progressNote()
 	m := fm.Payload.(*inMsg)
+	if m.released {
+		panic("mpisim: deliver of a released inMsg")
+	}
 	switch m.kind {
 	case kindEager, kindRTS:
 		p.mu.Lock()

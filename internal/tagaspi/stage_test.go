@@ -7,9 +7,23 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/gaspisim"
+	"repro/internal/memory/pooltest"
 	"repro/internal/tasking"
 	"repro/internal/vclock"
 )
+
+// TestReleaseMark: a released pendingOp or notifWait refuses a second release.
+func TestReleaseMark(t *testing.T) {
+	po, w := newPendingOp(), newNotifWait()
+	putPendingOp(po)
+	putNotifWait(w)
+	pooltest.Panics(t, map[string]func(){
+		"tagaspi: putPendingOp of a released pendingOp": func() { putPendingOp(po) },
+		"tagaspi: putNotifWait of a released notifWait": func() { putNotifWait(w) },
+	})
+	pooltest.Size[pendingOp](t, 152)
+	pooltest.Size[notifWait](t, 32)
+}
 
 // A wait staged after its notification arrived — NotifyIwait's arrival check
 // and its staging push are not one step — finds the rank's notification

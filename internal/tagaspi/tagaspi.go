@@ -79,10 +79,11 @@ type Library struct {
 
 // notifWait is one pending tagaspi_notify_iwait registration.
 type notifWait struct {
-	seg     SegmentID
-	id      NotificationID
-	out     *int64
-	counter *tasking.EventCounter
+	seg      SegmentID
+	released bool // set by putNotifWait, cleared by newNotifWait (DESIGN.md §6)
+	id       NotificationID
+	out      *int64
+	counter  *tasking.EventCounter
 }
 
 // pendingOp is the operation tag TAGASPI posts with every submission: the
@@ -95,15 +96,14 @@ type notifWait struct {
 // when the operation is abandoned after its final all-failed attempt. An
 // attempt that fails only partially (the fault plane never produces this)
 // is leaked to the GC rather than double-released.
-//
-//tagalint:pooled
 type pendingOp struct {
 	op       gaspisim.Operation    // as submitted, Tag pointing back at this record
 	counter  *tasking.EventCounter // the task's event counter
 	nreq     int                   // low-level requests per submission (2 for write+notify)
 	oks      int                   // successful completions seen in total
 	fails    int                   // failed completions seen this attempt
-	attempts int                   // failed attempts so far
+	attempts int32                 // failed attempts so far; 32 bits leave room for the mark
+	released bool                  // set by putPendingOp, cleared by newPendingOp (DESIGN.md §6)
 	failAt   time.Duration         // modelled time the current attempt failed
 	dueAt    time.Duration         // modelled time of the next resubmission
 }
@@ -113,18 +113,46 @@ var pendingOpPool = sync.Pool{New: func() any { return new(pendingOp) }}
 // newPendingOp returns a zeroed record from the pool.
 //
 //tagalint:hotpath
-func newPendingOp() *pendingOp { return pendingOpPool.Get().(*pendingOp) }
+func newPendingOp() *pendingOp {
+	po := pendingOpPool.Get().(*pendingOp)
+	po.released = false
+	return po
+}
 
-// putPendingOp zeroes po and returns it to the pool.
+// putPendingOp zeroes po, marks it released and returns it to the pool. A
+// second release panics.
 //
-//tagalint:pooled release
 //tagalint:hotpath
 func putPendingOp(po *pendingOp) {
-	*po = pendingOp{}
+	if po.released {
+		panic("tagaspi: putPendingOp of a released pendingOp")
+	}
+	*po = pendingOp{released: true}
 	pendingOpPool.Put(po)
 }
 
 var notifWaitPool = sync.Pool{New: func() any { return new(notifWait) }}
+
+// newNotifWait returns a zeroed wait from the pool.
+//
+//tagalint:hotpath
+func newNotifWait() *notifWait {
+	w := notifWaitPool.Get().(*notifWait)
+	w.released = false
+	return w
+}
+
+// putNotifWait zeroes w, marks it released and returns it to the pool. A
+// second release panics.
+//
+//tagalint:hotpath
+func putNotifWait(w *notifWait) {
+	if w.released {
+		panic("tagaspi: putNotifWait of a released notifWait")
+	}
+	*w = notifWait{released: true}
+	notifWaitPool.Put(w)
+}
 
 // DefaultPollInterval is the polling period used when none is configured.
 const DefaultPollInterval = 150 * time.Microsecond
@@ -274,7 +302,7 @@ func (l *Library) stage(t *tasking.Task, seg SegmentID, id NotificationID, out *
 	c := t.Events()
 	c.Increase(1)
 	l.outstanding.Add(1)
-	w := notifWaitPool.Get().(*notifWait)
+	w := newNotifWait()
 	w.seg, w.id, w.out, w.counter = seg, id, out, c
 	l.pending.Push(w)
 }
@@ -338,6 +366,9 @@ func (l *Library) drain() {
 	l.comp = l.p.RequestTest(l.q, maxRequestsPerPass, l.comp[:0])
 	for _, r := range l.comp {
 		po := r.Tag.(*pendingOp)
+		if po.released {
+			panic("tagaspi: drain of a released pendingOp")
+		}
 		if r.OK {
 			po.counter.Decrease(1)
 			l.retired++
@@ -376,6 +407,9 @@ func (l *Library) checkNotifications() {
 	l.scanned = sets
 	keep := l.waiting[:0]
 	for _, w := range l.waiting {
+		if w.released {
+			panic("tagaspi: checkNotifications of a released notifWait")
+		}
 		if v, ok := l.p.NotifyReset(w.seg, w.id); ok {
 			if w.out != nil {
 				*w.out = v
@@ -383,8 +417,7 @@ func (l *Library) checkNotifications() {
 			w.counter.Decrease(1)
 			l.outstanding.Add(-1)
 			l.retired++
-			*w = notifWait{}
-			notifWaitPool.Put(w)
+			putNotifWait(w)
 		} else {
 			keep = append(keep, w)
 		}
@@ -402,7 +435,7 @@ func (l *Library) checkNotifications() {
 func (l *Library) opFailed(po *pendingOp) int {
 	po.fails = 0
 	po.attempts++
-	if po.attempts >= l.maxAttempts {
+	if int(po.attempts) >= l.maxAttempts {
 		nreq := po.nreq
 		po.counter.Decrease(nreq)
 		putPendingOp(po) // final attempt fully failed; no completion left
