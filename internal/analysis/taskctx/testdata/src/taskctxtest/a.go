@@ -72,6 +72,23 @@ func sleepInClockCallback(clk *vclock.VirtualClock) {
 	})
 }
 
+// An event the caller owns runs its callback the same way.
+type ownedEvent struct {
+	ev  vclock.Event
+	out chan int
+}
+
+func (o *ownedEvent) fire() {
+	o.out <- 1 // want "channel send in a service step or clock callback"
+}
+
+func blockInOwnedEventCallback(clk *vclock.VirtualClock, o *ownedEvent) {
+	clk.InitEvent(&o.ev, o.fire)
+	clk.InitEvent(new(vclock.Event), func() {
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+	})
+}
+
 // A select with a default clause polls its channels and cannot block;
 // (*vclock.Parker).Unpark wakes its goroutine this way from inside callbacks.
 func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in chan int) {

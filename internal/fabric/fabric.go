@@ -27,7 +27,6 @@ package fabric
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -317,7 +316,7 @@ type dom struct {
 	// Injection chain: injEv carries its next step (injKind); cur is the
 	// head-of-line message whose injection is in progress, with its
 	// precomputed costs.
-	injEv   *vclock.Event
+	injEv   vclock.Event
 	injKind uint8
 	cur     *Message
 	popTs   time.Duration // injection start
@@ -330,7 +329,7 @@ type dom struct {
 
 	// Delivery stage, pipelined behind injection: delEv carries its next
 	// step (delKind) and flights queue behind the one delivery in progress.
-	delEv   *vclock.Event
+	delEv   vclock.Event
 	delKind uint8
 	flights fifo[flight]
 	delBusy bool
@@ -392,7 +391,7 @@ const (
 // through the fabric's free list, which only callbacks touch.
 type hopEv struct {
 	f    *Fabric
-	ev   *vclock.Event
+	ev   vclock.Event
 	d    *dom
 	m    *Message
 	next *hopEv // free list link
@@ -402,7 +401,7 @@ type hopEv struct {
 // while the free list is still growing to the in-route high-water mark.
 func (f *Fabric) newHopEv() *hopEv {
 	h := &hopEv{f: f}
-	h.ev = f.clk.NewEvent(h.fire)
+	f.clk.InitEvent(&h.ev, h.fire)
 	return h
 }
 
@@ -609,18 +608,18 @@ func (d *dom) nextFlowID() int64 {
 	return id
 }
 
-// addDom creates an ordering domain with its two reusable clock events. It
-// runs with f.mu held, once per (src, dst, class, lane) tuple over the
-// fabric's lifetime: domain setup is the cold side of Send and may
-// allocate.
+// addDom creates an ordering domain, which holds its two reusable clock
+// events by value. It runs with f.mu held, once per (src, dst, class, lane)
+// tuple over the fabric's lifetime: domain setup is the cold side of Send
+// and may allocate.
 func (f *Fabric) addDom(key pathKey) *dom {
 	d := &dom{
 		route:    f.topo.routeOf(f.topo.NodeOf(key.src), f.topo.NodeOf(key.dst)),
 		flowBase: flowBaseOf(key),
 	}
 	d.fault = f.faultsFor(key, d.route)
-	d.injEv = f.clk.NewEvent(func() { f.step(d, d.injKind, f.clk.Now()) })
-	d.delEv = f.clk.NewEvent(func() { f.step(d, d.delKind, f.clk.Now()) })
+	f.clk.InitEvent(&d.injEv, func() { f.step(d, d.injKind, f.clk.Now()) })
+	f.clk.InitEvent(&d.delEv, func() { f.step(d, d.delKind, f.clk.Now()) })
 	f.doms[key] = d
 	return d
 }
@@ -1216,19 +1215,21 @@ func SeedOf(parts ...string) int64 {
 }
 
 // Jitterer produces deterministic multiplicative jitter for software-cost
-// modelling. Each protocol-layer process owns one (no locking).
+// modelling. Each protocol-layer process owns one (no locking). Its draws
+// are those of math/rand.New(math/rand.NewSource(seed)).Float64, from a
+// source that is seeded lazily (lfg): a job creates one jitterer per rank
+// and library, most of a large job's draw little or never, and none pays
+// for math/rand's 607-word state up front.
 type Jitterer struct {
-	rng  *rand.Rand // nil until the first draw
-	seed int64
-	rel  float64
+	src lfg
+	rel float64
 }
 
 // NewJitterer returns a jitterer with relative magnitude rel (0 disables),
-// seeded deterministically. The generator (a 607-word state) is built by
-// the first Apply that draws from it: a job creates one jitterer per rank
-// and library, and most of a large job's never draw.
+// seeded deterministically. It builds no generator state: the source keeps
+// only the outputs drawn so far, up to a 607-word history.
 func NewJitterer(seed int64, rel float64) *Jitterer {
-	return &Jitterer{seed: seed, rel: rel}
+	return &Jitterer{src: newLFG(seed), rel: rel}
 }
 
 // Apply returns d scaled by a uniform factor in [1-rel, 1+rel].
@@ -1236,8 +1237,5 @@ func (j *Jitterer) Apply(d time.Duration) time.Duration {
 	if j.rel <= 0 || d <= 0 {
 		return d
 	}
-	if j.rng == nil {
-		j.rng = rand.New(rand.NewSource(j.seed))
-	}
-	return time.Duration(float64(d) * (1 + j.rel*(2*j.rng.Float64()-1)))
+	return time.Duration(float64(d) * (1 + j.rel*(2*j.src.Float64()-1)))
 }

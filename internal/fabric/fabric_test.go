@@ -394,14 +394,14 @@ func TestJitterer(t *testing.T) {
 	}
 }
 
-// TestJittererSeedsLazily: the generator is built by the first draw, not by
-// the constructor, and the draws are those of a generator seeded up front —
-// a job makes one jitterer per rank and library and most never draw.
+// TestJittererSeedsLazily: the constructor builds no generator state, and
+// the draws are those of a math/rand generator seeded up front — a job
+// makes one jitterer per rank and library and most never draw.
 func TestJittererSeedsLazily(t *testing.T) {
 	const seed, rel = 42, 0.25
 	j := NewJitterer(seed, rel)
-	if j.Apply(0) != 0 || j.rng != nil {
-		t.Fatal("a jitterer that has not drawn yet already holds a generator")
+	if j.Apply(0) != 0 || j.src.out != nil {
+		t.Fatal("a jitterer that has not drawn yet already holds generator state")
 	}
 	eager := rand.New(rand.NewSource(seed))
 	for i := 0; i < 1000; i++ {
@@ -415,8 +415,8 @@ func TestJittererSeedsLazily(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		j0.Apply(time.Microsecond)
 	}
-	if j0.rng != nil {
-		t.Fatal("a jitterer of magnitude 0 allocated a generator")
+	if j0.src.out != nil {
+		t.Fatal("a jitterer of magnitude 0 drew from its source")
 	}
 }
 

@@ -10,7 +10,8 @@ package fabric
 //   - GASPI-model rank jitter:  worldSeed + rank*104729   (GASPIJitterSeed)
 //   - fault plane:              seed ^ SeedOf("fault-plane") (FaultPlaneSeed)
 //
-// The jitter streams feed math/rand generators (Jitterer); the fault plane
+// The jitter streams feed Jitterers, whose lazily seeded source (lfg.go)
+// draws math/rand's lagged-Fibonacci sequence for the seed; the fault plane
 // feeds counter-mode splitmix64 streams further salted per ordering domain
 // (fault.go), so even a base-seed collision with a jitter stream would
 // produce unrelated sequences. The two jitter strides are distinct primes

@@ -1,6 +1,9 @@
 package tasking
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // AccessMode is the access a task declares on a region, as in the OmpSs-2
 // depend clause.
@@ -74,10 +77,10 @@ type depRegistry struct {
 	objs map[any]*objectDeps
 
 	// scratch is the spare interval buffer of the slow path in register:
-	// the rebuilt list is written into scratch and swapped with the
-	// object's old backing array, so repeated range splits recycle two
-	// arrays instead of growing a fresh one per call. Guarded by the
-	// runtime lock like everything else here.
+	// the overlapped run is rebuilt into scratch and spliced into the
+	// object's list, so repeated range splits reuse one buffer instead of
+	// growing a fresh one per call. Guarded by the runtime lock like
+	// everything else here.
 	scratch []interval
 }
 
@@ -106,13 +109,19 @@ func (r *depRegistry) register(t *Task, d Dep) int {
 	}
 
 	lo, hi := d.Lo, d.Hi
+	i := searchIvs(od.ivs, lo)
+	if i == len(od.ivs) {
+		// Past the last interval (or the object's first access): nothing
+		// precedes the range, which is a first access appended in place.
+		od.ivs = append(od.ivs, r.fresh(t, d.Mode, lo, hi))
+		return edges
+	}
 
 	// Fast path: the range coincides with one existing interval, as in
 	// repeated per-slot dependencies (the dominant pattern in applications
 	// that re-register the same block/slot ranges every iteration). The
 	// interval is updated in place with no slice surgery.
-	if i := searchIvs(od.ivs, lo); i < len(od.ivs) && od.ivs[i].lo == lo && od.ivs[i].hi == hi {
-		iv := &od.ivs[i]
+	if iv := &od.ivs[i]; iv.lo == lo && iv.hi == hi {
 		switch d.Mode {
 		case AccessIn:
 			addEdge(iv.writer)
@@ -131,15 +140,14 @@ func (r *depRegistry) register(t *Task, d Dep) int {
 		return edges
 	}
 
+	// Slow path: rebuild the run od.ivs[i:j] that the range overlaps, with
+	// the gaps between, into scratch, and splice it in place of the run.
+	// The intervals before and after the run stay where they are.
 	out := r.scratch[:0]
-	i := 0
-	// Keep intervals entirely before the new range.
-	for ; i < len(od.ivs) && od.ivs[i].hi <= lo; i++ {
-		out = append(out, od.ivs[i])
-	}
 	cursor := lo
-	for ; i < len(od.ivs) && od.ivs[i].lo < hi; i++ {
-		iv := od.ivs[i]
+	j := i
+	for ; j < len(od.ivs) && od.ivs[j].lo < hi; j++ {
+		iv := od.ivs[j]
 		if cursor < iv.lo {
 			// Gap [cursor, iv.lo): first access to this sub-range.
 			out = append(out, r.fresh(t, d.Mode, cursor, iv.lo))
@@ -178,14 +186,11 @@ func (r *depRegistry) register(t *Task, d Dep) int {
 	if cursor < hi {
 		out = append(out, r.fresh(t, d.Mode, cursor, hi))
 	}
-	// Remaining intervals after the new range.
-	out = append(out, od.ivs[i:]...)
-	// Swap: the object's old array (task pointers zeroed) becomes the next
-	// slow path's scratch.
-	old := od.ivs
-	clear(old)
-	r.scratch = old[:0]
-	od.ivs = out
+	// Replace zeroes the slots a shrinking splice vacates; scratch is
+	// zeroed too, so neither array keeps a replaced interval's tasks alive.
+	od.ivs = slices.Replace(od.ivs, i, j, out...)
+	clear(out)
+	r.scratch = out[:0]
 	return edges
 }
 

@@ -141,8 +141,7 @@ func TestQuickRegistryMatchesNaiveModel(t *testing.T) {
 		base := new(int)
 
 		// Naive model: per element, last writer and readers-since-write.
-		var writer [size]*Task
-		var readers [size][]*Task
+		ref := newSlotRef(size)
 		naive := make(map[[2]*Task]bool)
 
 		tasks := make([]*Task, k)
@@ -153,25 +152,8 @@ func TestQuickRegistryMatchesNaiveModel(t *testing.T) {
 			hi := lo + 1 + rng.Intn(size-lo)
 			mode := AccessMode(rng.Intn(3))
 			reg.register(tk, Dep{Mode: mode, Base: base, Lo: lo, Hi: hi})
-			for e := lo; e < hi; e++ {
-				switch mode {
-				case AccessIn:
-					if writer[e] != nil && writer[e] != tk {
-						naive[[2]*Task{writer[e], tk}] = true
-					}
-					readers[e] = append(readers[e], tk)
-				default:
-					if writer[e] != nil && writer[e] != tk {
-						naive[[2]*Task{writer[e], tk}] = true
-					}
-					for _, r := range readers[e] {
-						if r != tk {
-							naive[[2]*Task{r, tk}] = true
-						}
-					}
-					writer[e] = tk
-					readers[e] = nil
-				}
+			for p := range ref.register(tk, mode, lo, hi) {
+				naive[[2]*Task{p, tk}] = true
 			}
 		}
 		got := edgeSet(tasks)
@@ -248,4 +230,108 @@ func TestCompletedReaderCollectableAfterWriter(t *testing.T) {
 		}
 	}
 	t.Fatal("the completed reader is still reachable after a later writer registered")
+}
+
+// slotRef is the per-slot reference for the interval registry: every
+// integer slot holds its last writer and the readers since.
+type slotRef struct {
+	writer  []*Task
+	readers [][]*Task
+}
+
+func newSlotRef(size int) *slotRef {
+	return &slotRef{writer: make([]*Task, size), readers: make([][]*Task, size)}
+}
+
+// register applies t's access to each slot of [lo, hi) and returns the
+// distinct predecessors it gains, skipping t itself and completed tasks.
+func (s *slotRef) register(t *Task, m AccessMode, lo, hi int) map[*Task]bool {
+	preds := map[*Task]bool{}
+	add := func(p *Task) {
+		if p != nil && p != t && p.state != stateCompleted {
+			preds[p] = true
+		}
+	}
+	for e := lo; e < hi; e++ {
+		add(s.writer[e])
+		if m == AccessIn {
+			s.readers[e] = append(s.readers[e], t)
+			continue
+		}
+		for _, rd := range s.readers[e] {
+			add(rd)
+		}
+		s.writer[e], s.readers[e] = t, nil
+	}
+	return preds
+}
+
+// Property: every registration links the new task behind exactly the
+// predecessors of the per-slot reference, its return value counts the
+// successor entries it appended, and the object's intervals stay sorted,
+// disjoint and non-empty. Accesses mix random ranges, appends past the
+// last interval, exact repeats of an earlier range, and predecessors that
+// complete between registrations.
+func TestQuickRegistryMatchesSlotReference(t *testing.T) {
+	const size = 96
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		reg := newDepRegistry()
+		base := new(int)
+		ref := newSlotRef(size)
+		var tasks []*Task
+		var ranges [][2]int
+		end := 0
+		for k := int(n%96) + 2; k > 0; k-- {
+			var lo, hi int
+			switch c := rng.Intn(4); {
+			case c == 0 && end < size:
+				lo, hi = end, end+1+rng.Intn(min(8, size-end))
+			case c == 1 && len(ranges) > 0:
+				r := ranges[rng.Intn(len(ranges))]
+				lo, hi = r[0], r[1]
+			default:
+				lo = rng.Intn(size)
+				hi = lo + 1 + rng.Intn(min(24, size-lo))
+			}
+			end = max(end, hi)
+			ranges = append(ranges, [2]int{lo, hi})
+			mode := AccessMode(rng.Intn(3))
+			if len(tasks) > 0 && rng.Intn(5) == 0 {
+				tasks[rng.Intn(len(tasks))].state = stateCompleted
+			}
+			tk := &Task{}
+			want := ref.register(tk, mode, lo, hi)
+			got := reg.register(tk, Dep{Mode: mode, Base: base, Lo: lo, Hi: hi})
+			seen := map[*Task]bool{}
+			appended := 0
+			for _, p := range tasks {
+				for _, s := range p.succs {
+					if s == tk {
+						seen[p] = true
+						appended++
+					}
+				}
+			}
+			if appended != got || len(seen) != len(want) {
+				return false
+			}
+			for p := range want {
+				if !seen[p] {
+					return false
+				}
+			}
+			ivs := reg.objs[base].ivs
+			for i, iv := range ivs {
+				if iv.lo >= iv.hi || i > 0 && ivs[i-1].hi > iv.lo {
+					return false
+				}
+			}
+			tasks = append(tasks, tk)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -21,7 +21,7 @@ import (
 type Service struct {
 	rt *Runtime
 	t  *Task
-	ev *vclock.Event
+	ev vclock.Event
 
 	next      func()        // step the armed event runs
 	resume    func()        // step WaitFor continues with once a core is held
@@ -51,7 +51,7 @@ func (rt *Runtime) Spawn(label string, run func(*Service)) *Service {
 	rt.mu.Unlock()
 
 	s := &Service{rt: rt, t: t}
-	s.ev = rt.clk.NewEvent(s.fire)
+	rt.clk.InitEvent(&s.ev, s.fire)
 	s.reacquireFn, s.resumedFn = s.reacquire, s.resumed
 	begin := func() {
 		rt.mu.Lock()

@@ -132,6 +132,31 @@ func TestEventArmedTwicePanics(t *testing.T) {
 	ev.After(time.Microsecond)
 }
 
+// An Event held by value in the caller's record fires like an allocated
+// one, and re-initialising it while armed panics.
+func TestInitEventCallerOwned(t *testing.T) {
+	c := NewVirtual()
+	var rec struct {
+		ev    Event
+		fired time.Duration
+	}
+	c.InitEvent(&rec.ev, func() { rec.fired = c.Now() })
+	join(c, func() {
+		rec.ev.After(4 * time.Microsecond)
+		c.Sleep(5 * time.Microsecond)
+	})
+	if rec.fired != 4*time.Microsecond {
+		t.Errorf("caller-owned event fired at %v, want 4µs", rec.fired)
+	}
+	rec.ev.After(time.Microsecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InitEvent on an armed event did not panic")
+		}
+	}()
+	c.InitEvent(&rec.ev, func() {})
+}
+
 // A clock whose goroutines have all left must stop, even with callback
 // events still re-arming themselves: nobody is there to see them fire. (A
 // service that ticked on its own goroutine kept such a clock — and a host

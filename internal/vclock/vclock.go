@@ -615,10 +615,21 @@ type Event struct {
 // NewEvent allocates a reusable callback timer bound to this clock: each
 // After arms it once and fn runs when it expires.
 func (c *VirtualClock) NewEvent(fn func()) *Event {
-	e := &Event{c: c}
+	e := new(Event)
+	c.InitEvent(e, fn)
+	return e
+}
+
+// InitEvent binds a caller-owned Event to this clock with callback fn, as
+// NewEvent does for one it allocates: a record that owns its events can
+// hold them by value. Initialising an armed event panics.
+func (c *VirtualClock) InitEvent(e *Event, fn func()) {
+	if e.c != nil && e.index != unarmed {
+		panic("vclock: InitEvent on an Event that is armed")
+	}
+	*e = Event{c: c}
 	e.fn = fn
 	e.index = unarmed
-	return e
 }
 
 // After arms the event to fire d from now. The timer sequence is drawn

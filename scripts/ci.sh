@@ -66,6 +66,13 @@ go test -run '^$' -fuzz FuzzTimerOrder -fuzztime 10s ./internal/vclock
 echo "== fuzz: shared payload snapshots against a log of each buffer at issue, 10 s"
 go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
 
+# Jitter-source oracle (DESIGN.md §8): FuzzJitterSequence draws generated
+# counts from the lazily seeded jitter source (internal/fabric/lfg.go) and
+# from math/rand for generated seeds, and requires every Uint64 and Float64
+# draw to be equal. Failing inputs land under internal/fabric/testdata/fuzz/.
+echo "== fuzz: lazily seeded jitter source against math/rand, 10 s"
+go test -run '^$' -fuzz FuzzJitterSequence -fuzztime 10s ./internal/fabric
+
 # Allocation-regression gates: the fabric send path (Send through the
 # clock-event steps to the handler) must stay within its committed
 # per-message budget (internal/fabric.CourierAllocBudget); a nil-Recorder
@@ -74,13 +81,14 @@ go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
 # allocation of N; 256 sends of one unchanged buffer must share one
 # payload snapshot in mpisim and gaspisim; a pending task with five
 # dependencies must keep no more heap than
-# internal/tasking.PendingTaskBudget; and a timed TAGASPI miniAMR job must
+# internal/tasking.PendingTaskBudget; a jitterer after 100 draws must keep
+# no more than internal/fabric.JitterStateBudget; and a timed TAGASPI miniAMR job must
 # allocate no more than internal/apps/miniamr.HeapBytesPerMessageBudget
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + timed miniAMR heap per message"
-go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop' ./internal/fabric
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + timed miniAMR heap per message"
+go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestJitterStateFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
 go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
