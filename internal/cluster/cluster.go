@@ -89,7 +89,7 @@ const (
 // Env is the per-rank environment handed to the rank main.
 type Env struct {
 	Rank    fabric.Rank
-	Cfg     Config
+	Cfg     *Config // the job's one Config, shared by every rank (read-only)
 	Clk     *vclock.VirtualClock
 	Fab     *fabric.Fabric
 	MPI     *mpisim.Proc
@@ -206,7 +206,7 @@ func Run(cfg Config, main func(*Env)) Result {
 	// rank-private state, so batch construction is race-free.
 	forEachRank(n, func(r int) {
 		env := &Env{
-			Rank: fabric.Rank(r), Cfg: cfg, Clk: clk, Fab: fab,
+			Rank: fabric.Rank(r), Cfg: &cfg, Clk: clk, Fab: fab,
 			MPI: mw.Proc(fabric.Rank(r)), GASPI: gw.Proc(fabric.Rank(r)),
 		}
 		if cfg.WithTasking {

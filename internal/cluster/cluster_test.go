@@ -66,12 +66,12 @@ func TestRunWithoutTasking(t *testing.T) {
 
 func TestCostOf(t *testing.T) {
 	prof := fabric.ProfileOmniPath()
-	env := &Env{Cfg: Config{Profile: prof}}
+	env := &Env{Cfg: &Config{Profile: prof}}
 	d := env.CostOf(prof.CoreHz) // exactly one second of work
 	if d != time.Second {
 		t.Fatalf("CostOf(CoreHz) = %v, want 1s", d)
 	}
-	env = &Env{Cfg: Config{Profile: fabric.ProfileIdeal()}}
+	env = &Env{Cfg: &Config{Profile: fabric.ProfileIdeal()}}
 	if env.CostOf(1e9) != 0 {
 		t.Fatal("ideal profile must cost zero")
 	}

@@ -280,19 +280,36 @@ type pathKey struct {
 	lane     int
 }
 
-// dom is the state of one ordering domain. Send shares only pend and
-// injBusy (under mu) with the callbacks; everything else belongs to the
-// domain's injection chain or its delivery stage, each of which has one
-// step in flight at a time — started by the Send that found the domain
-// idle, carried on by clock callbacks, which the clock runs one at a time.
+// dom is the state of one ordering domain while it carries traffic. Send
+// shares only pend and injBusy (under mu) and sent (under the fabric's
+// mu) with the callbacks; everything else belongs to the domain's
+// injection chain or its delivery stage, each of which has one step in
+// flight at a time — started by the Send that found the domain idle,
+// carried on by clock callbacks, which the clock runs one at a time.
+//
+// A record lives only while its key has traffic: once every message Send
+// accepted on it has retired and both chains are idle, releaseIdle files
+// it on the fabric's free list and the next new key reuses it (addDom).
+// An idle domain holds no modelled state — its pend and flights are empty
+// and delFree is at or before the current instant — so a key that sends
+// again behaves exactly as it would on a record kept since its last
+// message.
 type dom struct {
+	key   pathKey
 	fault *pathFaults // nil: the fault plane cannot touch this domain
 
 	// route is the domain's multi-hop link route (topo.routeOf), nil for
-	// flat topologies and intra-node traffic. It never changes after
-	// addDom: routing is deterministic, so per-link statistics are a pure
-	// function of the workload.
+	// flat topologies and intra-node traffic. It is a function of the key,
+	// set by addDom: routing is deterministic, so per-link statistics are a
+	// pure function of the workload.
 	route []uint16
+
+	// sent counts the messages Send accepted on the domain (under the
+	// fabric's mu); retired counts those delivered or surfaced as failed
+	// (callbacks only). The domain is released only when they are equal.
+	sent    uint64
+	retired uint64
+	next    *dom // free-list link, under the fabric's mu
 
 	// Flow-id assignment for causal tracing: ids are flowBase (an FNV-1a
 	// hash of the ordering-domain key, spreading domains across the id
@@ -335,7 +352,7 @@ type dom struct {
 	delBusy bool
 	curFl   flight
 	delFree time.Duration // completion time of the last delivery
-	h       Handler       // destination handler, cached on first delivery
+	h       Handler       // destination handler, cached (addDom, or the first delivery)
 }
 
 // flight is a message past local completion with its computed arrival time
@@ -437,7 +454,8 @@ type Fabric struct {
 	links   []*linkState      // per directed link of a shaped topology (nil: flat)
 	rec     obs.Recorder      // nil: uninstrumented
 	mu      sync.Mutex
-	doms    map[pathKey]*dom
+	doms    map[pathKey]*dom    // domains carrying traffic
+	domFree *dom                // released domain records (releaseIdle)
 	hands   map[Class][]Handler // per class, indexed by rank
 	hopFree *hopEv              // recycled hop events; callbacks only
 
@@ -573,7 +591,9 @@ func (f *Fabric) Send(m *Message) {
 	}
 	// The accept is recorded while f.mu is held, so Close — which flips
 	// closing under the same lock before waiting — either sees this
-	// message in flight or happened entirely before it.
+	// message in flight or happened entirely before it, and releaseIdle
+	// either sees it counted on d or ran before the lookup.
+	d.sent++
 	f.inflight.Add(1)
 	f.mu.Unlock()
 	if f.rec != nil {
@@ -608,20 +628,70 @@ func (d *dom) nextFlowID() int64 {
 	return id
 }
 
-// addDom creates an ordering domain, which holds its two reusable clock
-// events by value. It runs with f.mu held, once per (src, dst, class, lane)
-// tuple over the fabric's lifetime: domain setup is the cold side of Send
-// and may allocate.
+// addDom opens the ordering domain of a key with no domain carrying
+// traffic. It runs with f.mu held, whenever a key sends after being idle:
+// it takes a released record from the free list — its two clock events
+// are held by value and unarmed, its FIFOs keep their capacity — or
+// allocates one while the free list is still growing to the job's
+// high-water mark of concurrently busy domains. Every field that derives
+// from the key is recomputed, the destination handler included — looked
+// up here under the lock Send already holds, so a reused record's first
+// delivery does not take it again.
 func (f *Fabric) addDom(key pathKey) *dom {
-	d := &dom{
-		route:    f.topo.routeOf(f.topo.NodeOf(key.src), f.topo.NodeOf(key.dst)),
-		flowBase: flowBaseOf(key),
+	d := f.domFree
+	if d != nil {
+		f.domFree, d.next = d.next, nil
+	} else {
+		d = new(dom)
+		f.clk.InitEvent(&d.injEv, func() { f.step(d, d.injKind, f.clk.Now()) })
+		f.clk.InitEvent(&d.delEv, func() { f.step(d, d.delKind, f.clk.Now()) })
 	}
+	d.key = key
+	d.route = f.topo.routeOf(f.topo.NodeOf(key.src), f.topo.NodeOf(key.dst))
+	d.flowBase = flowBaseOf(key)
 	d.fault = f.faultsFor(key, d.route)
-	f.clk.InitEvent(&d.injEv, func() { f.step(d, d.injKind, f.clk.Now()) })
-	f.clk.InitEvent(&d.delEv, func() { f.step(d, d.delKind, f.clk.Now()) })
+	d.delFree = 0
+	d.h = f.handlerOf(key.class, key.dst)
 	f.doms[key] = d
 	return d
+}
+
+// handlerOf returns rank r's handler for class, nil while none is
+// registered. It runs with f.mu held.
+func (f *Fabric) handlerOf(class Class, r Rank) Handler {
+	if hs := f.hands[class]; hs != nil {
+		return hs[r]
+	}
+	return nil
+}
+
+// releaseIdle returns d to the free list if it carries no traffic: every
+// message Send accepted on it has retired and neither its injection chain
+// nor its delivery stage is busy. It runs at the two idle transitions
+// (injNext with nothing pending, delDone with no flight queued), from a
+// callback, and d must not be touched after it returns. Two kinds of
+// domain hold state that belongs to the key and are never released: a
+// fault-plane stream, whose draw counter is per domain (DESIGN.md §9), and
+// any domain while a recorder is installed, since flow ids are flowBase
+// plus a per-domain sequence.
+//
+// The check runs under f.mu, where Send counts each message on its
+// domain: a Send that counted before the check keeps the domain, and one
+// that looks the key up after it opens a fresh record. sent == retired
+// also means every counted Send has finished its injBusy section, so
+// injBusy is read here without d.mu.
+//
+//tagalint:hotpath
+func (f *Fabric) releaseIdle(d *dom) {
+	if d.fault != nil || f.rec != nil {
+		return
+	}
+	f.mu.Lock()
+	if d.sent == d.retired && !d.injBusy && !d.delBusy {
+		delete(f.doms, d.key)
+		d.next, f.domFree = f.domFree, d
+	}
+	f.mu.Unlock()
 }
 
 // retire marks one accepted message fully processed (delivered or its
@@ -849,6 +919,7 @@ func (f *Fabric) injFault(d *dom, now time.Duration) {
 		m.OnFailed()
 		d.cur = nil
 		releaseMessage(m)
+		d.retired++
 		f.retire()
 		f.injNext(d, now)
 		return
@@ -939,7 +1010,8 @@ func (f *Fabric) arrive(d *dom, fl flight) {
 	f.at(d, start, evDelStart)
 }
 
-// injNext starts the domain's next pending injection, or idles the chain.
+// injNext starts the domain's next pending injection, or idles the chain
+// and, if the delivery stage is idle too, offers the domain for release.
 // It is the one place a callback meets Send: an OnInjected or OnFailed hook
 // may already have woken a sender that is posting to this domain.
 //
@@ -949,6 +1021,9 @@ func (f *Fabric) injNext(d *dom, now time.Duration) {
 	if d.pend.len() == 0 {
 		d.injBusy = false
 		d.mu.Unlock()
+		if !d.delBusy {
+			f.releaseIdle(d)
+		}
 		return
 	}
 	m := d.pend.pop()
@@ -958,10 +1033,13 @@ func (f *Fabric) injNext(d *dom, now time.Duration) {
 }
 
 // delDone runs at a delivery's completion instant: the destination port
-// charge is over and the rank's handler consumes the message. The domain's
-// (destination, class) never changes and Register precedes traffic, so the
-// handler is looked up once and cached on the domain instead of taking the
-// fabric lock per message.
+// charge is over and the rank's handler consumes the message. A record's
+// (destination, class) does not change while it carries traffic, so its
+// handler is cached: addDom looks it up, and only a rank that registers
+// after the send that opened the record is looked up here, once.
+// With no flight queued behind it the delivery stage idles and the domain
+// is offered for release — unless its injection chain is still busy, as
+// when a zero-cost delivery runs inline inside injDone.
 //
 //tagalint:hotpath
 func (f *Fabric) delDone(d *dom, now time.Duration) {
@@ -969,11 +1047,8 @@ func (f *Fabric) delDone(d *dom, now time.Duration) {
 	d.curFl = flight{}
 	if d.h == nil {
 		f.mu.Lock()
-		hs := f.hands[m.Class]
+		d.h = f.handlerOf(m.Class, m.Dst)
 		f.mu.Unlock()
-		if hs != nil {
-			d.h = hs[m.Dst]
-		}
 		if d.h == nil {
 			panic(fmt.Sprintf("fabric: no handler for class %d on rank %d", m.Class, m.Dst))
 		}
@@ -1007,6 +1082,7 @@ func (f *Fabric) delDone(d *dom, now time.Duration) {
 	}
 	d.h(m)
 	releaseMessage(m)
+	d.retired++
 	f.retire()
 	d.delFree = now
 	if d.flights.len() > 0 {
@@ -1017,9 +1093,10 @@ func (f *Fabric) delDone(d *dom, now time.Duration) {
 			start = now
 		}
 		f.at(d, start, evDelStart)
-	} else {
-		d.delBusy = false
+		return
 	}
+	d.delBusy = false
+	f.releaseIdle(d)
 }
 
 // Close shuts the fabric down once every accepted message has retired —
