@@ -62,9 +62,6 @@ var blocking = map[string]map[string]map[string]bool{
 			"Barrier": true, "Flush": true, "Fence": true,
 		},
 	},
-	"tampi": {
-		"Library": {"Wait": true},
-	},
 	"sync": {
 		"WaitGroup": {"Wait": true},
 	},

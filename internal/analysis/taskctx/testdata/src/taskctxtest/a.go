@@ -59,7 +59,7 @@ func blockingInBodyIsFine(rt *tasking.Runtime, mpi *mpisim.Proc, req *mpisim.Req
 
 func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, ch chan int) {
 	rt.Submit(func(t *tasking.Task) {}, tasking.WithOnReady(func(t *tasking.Task) {
-		t.Runtime().Clock().Go(func() {
+		rt.Clock().Go(func() {
 			<-ch // ok: runs on its own goroutine, not in onready
 		})
 	}))

@@ -58,11 +58,17 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 						}
 					}
 				})
-				passes := func() int64 {
+				passes := func() float64 {
+					snap, name := env.TAGASPI.Snapshot, "tagaspi_passes"
 					if env.TAMPI != nil {
-						return env.TAMPI.Service().Passes()
+						snap, name = env.TAMPI.Snapshot, "tampi_passes"
 					}
-					return env.TAGASPI.Service().Passes()
+					for _, smp := range snap().Samples {
+						if smp.Name == name {
+							return smp.Value
+						}
+					}
+					return 0
 				}
 				if env.Rank == 0 {
 					env.Clk.Sleep(100 * poll) // warm the scratch buffers and pools
@@ -74,7 +80,7 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 					// it advances the clock.
 					avg := testing.AllocsPerRun(runs, func() { env.Clk.Sleep(2 * poll) })
 					if n := passes() - before; n < runs {
-						t.Errorf("only %d passes ran during %d measured sleeps", n, runs)
+						t.Errorf("only %g passes ran during %d measured sleeps", n, runs)
 					}
 					if avg != 0 {
 						t.Errorf("%s: an idle polling pass allocates %.2f objects, want 0", lib, avg)

@@ -1,12 +1,11 @@
-// Package collectives implements the collective operations of the
-// simulated cluster — ring allreduce (gaspi_allreduce / MPI_Allreduce),
-// binomial-tree broadcast (MPI_Bcast) and ring reduce-scatter
-// (MPI_Reduce_scatter_block) — over all three communication backends:
+// Package collectives implements the ring allreduce of the simulated
+// cluster (gaspi_allreduce / MPI_Allreduce) over all three communication
+// backends:
 //
 //   - blocking MPI: point-to-point rounds on reserved collective tags
 //     drawn from the mpisim process-wide epoch allocator
-//     (mpisim.CollectiveEpoch / mpisim.CollectiveTag), generalising the
-//     ad-hoc binomial helpers mpisim ships (Barrier, Bcast, Allreduce);
+//     (mpisim.CollectiveEpoch / mpisim.CollectiveTag), the allocator
+//     mpisim's own Barrier draws from;
 //   - blocking GASPI: a segment-based ring where every phase step is one
 //     gaspi_write_notify into the peer's staging slot, awaited with
 //     gaspi_notify_waitsome (parking the rank);
@@ -20,9 +19,8 @@
 // (schedule.go), so a given reduction combines values in the same order
 // everywhere and results are bit-identical across backends — the
 // cross-backend equivalence contract DESIGN.md §12 documents, along with
-// the epoch/tag namespace rules and the flow control — ring consumption
-// acks and broadcast rendezvous credits — that makes staging-slot reuse
-// safe.
+// the epoch/tag namespace rules and the ring consumption acks that make
+// staging-slot reuse safe.
 //
 // Every rank must issue the same collective sequence on a Comm (the MPI
 // ordering requirement); epochs, notification ids and reserved tags are
@@ -105,7 +103,7 @@ type Comm struct {
 	rank, n  int
 	maxElems int // largest vector any collective on this comm may carry
 	chunkMax int // elems: largest ring chunk (maxElems/n)
-	steps    int // ring staging slots per parity: 2*(n-1)
+	steps    int // ring steps per allreduce and staging slots per parity: 2*(n-1)
 
 	elemCost time.Duration
 	rec      obs.Recorder
@@ -141,23 +139,21 @@ type Comm struct {
 	// through the collective segment instead).
 	sendBuf []byte
 	recvBuf []byte
-	// work is the full-length working vector of reduce-scatter calls.
-	work []float64
 }
 
 // NewMPI builds the blocking-MPI communicator: collectives run as
 // point-to-point rounds on reserved tags drawn from p's collective epoch
 // allocator, so they can never collide with application tags (>= 0) nor
-// with mpisim's own Barrier/Bcast/Allreduce epochs. maxElems bounds the
-// vector length of any collective issued on the comm.
+// with the epochs of mpisim's own Barrier, the one collective mpisim
+// implements. maxElems bounds the vector length of any allreduce issued
+// on the comm.
 func NewMPI(p *mpisim.Proc, maxElems int, opts ...Option) *Comm {
 	c := newComm(int(p.Rank()), p.Size(), maxElems)
 	c.backend = backMPI
 	c.mpi = p
 	c.clk = p.Clock()
 	c.sendBuf = make([]byte, c.chunkMax*memory.F64Bytes)
-	c.recvBuf = make([]byte, max(c.chunkMax, maxElems)*memory.F64Bytes)
-	c.work = make([]float64, maxElems)
+	c.recvBuf = make([]byte, c.chunkMax*memory.F64Bytes)
 	for _, o := range opts {
 		o(c)
 	}
@@ -175,8 +171,7 @@ func NewGASPI(p *gaspisim.Proc, maxElems int, opts ...Option) (*Comm, error) {
 	c.backend = backGASPI
 	c.g = p
 	c.clk = p.Clock()
-	c.work = make([]float64, maxElems)
-	seg, err := p.SegmentCreate(Seg, segSize(c.n, c.maxElems, c.chunkMax, c.steps))
+	seg, err := p.SegmentCreate(Seg, segSize(c.chunkMax, c.steps))
 	if err != nil {
 		return nil, fmt.Errorf("collectives: reserved segment %d: %w", Seg, err)
 	}
@@ -225,13 +220,6 @@ func newComm(rank, n, maxElems int) *Comm {
 	return c
 }
 
-// Rank returns the comm's rank within the world, as gaspi_proc_rank /
-// MPI_Comm_rank report it.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size (gaspi_proc_num / MPI_Comm_size).
-func (c *Comm) Size() int { return c.n }
-
 // Allreduce element-wise reduces in across all ranks with op and leaves
 // the full reduced vector in out on every rank (MPI_Allreduce /
 // gaspi_allreduce), via ring reduce-scatter followed by ring allgather —
@@ -253,80 +241,12 @@ func (c *Comm) Allreduce(in, out []float64, op Op) {
 	switch c.backend {
 	case backMPI:
 		copy(out, in)
-		c.mpiRing(epoch, out, op, true)
+		c.mpiRing(epoch, out, op)
 	case backGASPI:
 		copy(out, in)
-		c.gaspiRing(epoch, out, op, true)
+		c.gaspiRing(epoch, out, op)
 	default:
-		c.taRing(epoch, in, out, nil, op, true)
-	}
-}
-
-// ReduceScatter element-wise reduces in across all ranks with op and
-// scatters the result by chunks: out receives this rank's owned chunk —
-// chunk index (rank+1) mod n of the reduced vector, len(in)/n elements —
-// as MPI_Reduce_scatter_block does with the ring ownership rotated by
-// one (the chunk a ring reduce-scatter naturally finishes on each rank).
-// Same length restrictions as Allreduce; out must hold len(in)/n
-// elements. Task-aware: submitted only — in must stay unmodified and out
-// unread until the chain runs (Drain or successor tasks on the comm).
-func (c *Comm) ReduceScatter(in, out []float64, op Op) {
-	if c.n == 1 {
-		if len(out) != len(in) {
-			panic("collectives: reduce-scatter out must hold len(in)/n elements")
-		}
-		c.nextEpoch()
-		copy(out, in)
-		return
-	}
-	chunk := len(in) / c.n
-	if len(out) != chunk {
-		panic("collectives: reduce-scatter out must hold len(in)/n elements")
-	}
-	c.checkVec(in, in)
-	epoch := c.nextEpoch()
-	switch c.backend {
-	case backMPI:
-		copy(c.work[:len(in)], in)
-		c.mpiRing(epoch, c.work[:len(in)], op, false)
-		copy(out, c.ownedChunk(c.work[:len(in)]))
-	case backGASPI:
-		copy(c.work[:len(in)], in)
-		c.gaspiRing(epoch, c.work[:len(in)], op, false)
-		copy(out, c.ownedChunk(c.work[:len(in)]))
-	default:
-		c.taRing(epoch, in, c.work[:len(in)], out, op, false)
-	}
-}
-
-// Broadcast distributes root's buf to every rank's buf (MPI_Bcast) down a
-// binomial tree rooted there: ceil(log2 n) forwarding levels, each one a
-// gaspi_write_notify (one-sided backends) or a reserved-tag send (MPI).
-// On the one-sided backends a parent writes a child's payload only after
-// that child's rendezvous credit for this epoch, which is what makes the
-// single broadcast staging buffer reusable across epochs — including
-// back-to-back broadcasts from different roots (DESIGN.md §12). len(buf)
-// must not exceed maxElems. Task-aware: submitted only — root's buf must
-// stay unmodified and receivers' buf unread until the chain runs (Drain
-// or successor tasks on the comm).
-func (c *Comm) Broadcast(buf []float64, root int) {
-	if len(buf) == 0 || len(buf) > c.maxElems {
-		panic(fmt.Sprintf("collectives: broadcast length %d outside (0,%d]", len(buf), c.maxElems))
-	}
-	if root < 0 || root >= c.n {
-		panic(fmt.Sprintf("collectives: broadcast root %d outside [0,%d)", root, c.n))
-	}
-	epoch := c.nextEpoch()
-	if c.n == 1 {
-		return
-	}
-	switch c.backend {
-	case backMPI:
-		c.mpiBcast(epoch, buf, root)
-	case backGASPI:
-		c.gaspiBcast(epoch, buf, root)
-	default:
-		c.taBcast(epoch, buf, root)
+		c.taRing(epoch, in, out, op)
 	}
 }
 
@@ -359,14 +279,6 @@ func (c *Comm) nextEpoch() int {
 	e := c.epoch
 	c.epoch++
 	return e
-}
-
-// ownedChunk returns this rank's reduce-scatter result chunk within the
-// full working vector: chunk (rank+1) mod n, where the ring finishes.
-func (c *Comm) ownedChunk(vec []float64) []float64 {
-	chunk := len(vec) / c.n
-	o := mod(c.rank+1, c.n)
-	return vec[o*chunk : (o+1)*chunk]
 }
 
 // compute charges the modelled combine cost of elems elements to the rank
@@ -409,13 +321,6 @@ func (c *Comm) latency(name string, d time.Duration) {
 	if c.rec != nil {
 		c.rec.Latency(name, d)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // must panics on a hard backend error (a failed post outside the fault

@@ -1,11 +1,9 @@
 // The blocking one-sided backend: every ring step is one
 // gaspi_write_notify into the right neighbour's staging slot, awaited
-// with gaspi_notify_waitsome (parking the rank main); the broadcast walks
-// the binomial tree the same way. Staging-slot reuse across epochs is
-// made safe by explicit flow control (gaspi_notify), not by timing: ring
-// writers hold same-parity epochs until the consumer's ack, and a
-// broadcast parent holds each child's payload write until that child's
-// rendezvous credit proves its buffer free — see DESIGN.md §12.
+// with gaspi_notify_waitsome (parking the rank main). Staging-slot reuse
+// across epochs is made safe by explicit flow control (gaspi_notify), not
+// by timing: ring writers hold same-parity epochs until the consumer's
+// ack — see DESIGN.md §12.
 
 package collectives
 
@@ -20,14 +18,12 @@ import (
 // collectively-agreed maxElems):
 //
 //	[0, 2*steps*chunkMax*8)  ring staging: per parity, one slot per step
-//	[bcastOff, +maxElems*8)  broadcast payload buffer (ack-protected)
 //	[sendOff, +chunkMax*8)   local send slot (packed outgoing chunk)
 
-// segSize returns the reserved segment's byte size for a world of n
-// ranks: parity-doubled ring staging, the broadcast buffer and the local
-// send slot.
-func segSize(n, maxElems, chunkMax, steps int) int {
-	return (2*steps+1)*chunkMax*memory.F64Bytes + maxElems*memory.F64Bytes
+// segSize returns the reserved segment's byte size: parity-doubled ring
+// staging and the local send slot.
+func segSize(chunkMax, steps int) int {
+	return (2*steps + 1) * chunkMax * memory.F64Bytes
 }
 
 // ringSlotOff returns the staging offset of ring step g under the given
@@ -38,26 +34,17 @@ func (c *Comm) ringSlotOff(parity, g int) int {
 	return (parity*c.steps + g) * c.chunkMax * memory.F64Bytes
 }
 
-// bcastOff returns the broadcast payload buffer's offset.
-//
-//tagalint:hotpath
-func (c *Comm) bcastOff() int {
-	return 2 * c.steps * c.chunkMax * memory.F64Bytes
-}
-
 // sendOff returns the local send slot's offset.
 //
 //tagalint:hotpath
 func (c *Comm) sendOff() int {
-	return c.bcastOff() + c.maxElems*memory.F64Bytes
+	return 2 * c.steps * c.chunkMax * memory.F64Bytes
 }
 
 // Notification-id namespace: each collective epoch owns a stride of
 // steps+1 consecutive ids; within an epoch, ring arrivals use +g and the
-// ring consumption ack +steps, while broadcast epochs (which never mint
-// ring ids) use +0 for the payload and +1+childIndex for the per-child
-// rendezvous credits. Ids are never reused across epochs, so a laggard's
-// stale notification can never alias a newer one.
+// ring consumption ack +steps. Ids are never reused across epochs, so a
+// laggard's stale notification can never alias a newer one.
 
 // nidStride returns the per-epoch notification-id stride.
 //
@@ -76,27 +63,6 @@ func (c *Comm) ringNid(epoch, g int) gaspisim.NotificationID {
 //tagalint:hotpath
 func (c *Comm) ringAckNid(epoch int) gaspisim.NotificationID {
 	return gaspisim.NotificationID(epoch*c.nidStride() + c.steps)
-}
-
-// bcastPayloadNid returns the broadcast payload arrival id of epoch e.
-//
-//tagalint:hotpath
-func (c *Comm) bcastPayloadNid(epoch int) gaspisim.NotificationID {
-	return gaspisim.NotificationID(epoch * c.nidStride())
-}
-
-// bcastCreditNid returns the rendezvous-credit id a parent awaits from
-// its idx-th child in epoch e before writing that child's payload.
-//
-//tagalint:hotpath
-func (c *Comm) bcastCreditNid(epoch, idx int) gaspisim.NotificationID {
-	return gaspisim.NotificationID(epoch*c.nidStride() + 1 + idx)
-}
-
-// bcastFlowID derives the causal-edge id of a broadcast payload hop into
-// dst (the ring steps use stepFlowID; 1<<20 keeps the step spaces apart).
-func bcastFlowID(epoch, dst int) int64 {
-	return stepFlowID(epoch, 1<<20, dst)
 }
 
 // consumeNotification awaits and resets one notification, validating the
@@ -122,18 +88,11 @@ func (c *Comm) waitRingCredit(epoch int) {
 	}
 }
 
-// gaspiRing runs the ring schedule of one blocking one-sided collective:
-// reduce-scatter alone (full=false) or reduce-scatter + allgather
-// (full=true), over the working vector out.
-func (c *Comm) gaspiRing(epoch int, out []float64, op Op, full bool) {
+// gaspiRing runs the ring schedule of one blocking one-sided allreduce —
+// reduce-scatter then allgather — over the working vector out.
+func (c *Comm) gaspiRing(epoch int, out []float64, op Op) {
 	n, me := c.n, c.rank
 	chunk := len(out) / n
-	steps := n - 1
-	name := "coll.reduce_scatter"
-	if full {
-		steps = 2 * (n - 1)
-		name = "coll.allreduce"
-	}
 	right := gaspisim.Rank(mod(me+1, n))
 	left := gaspisim.Rank(mod(me-1, n))
 	parity := epoch & 1
@@ -143,7 +102,7 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op, full bool) {
 	c.waitRingCredit(epoch)
 	opStart := c.clk.Now()
 	phaseStart := opStart
-	for g := 0; g < steps; g++ {
+	for g := 0; g < c.steps; g++ {
 		sc := ringSendChunk(me, n, g)
 		packF64(segB[c.sendOff():], out[sc*chunk:(sc+1)*chunk])
 		nid := c.ringNid(epoch, g)
@@ -163,65 +122,16 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op, full bool) {
 			copyF64(dst, slot)
 		}
 		c.compute(chunk)
-		if full && g == n-2 {
+		if g == n-2 {
 			c.span("coll:reduce_scatter", phaseStart, c.clk.Now(), int64(epoch))
 			phaseStart = c.clk.Now()
 		}
 	}
-	if full {
-		c.span("coll:allgather", phaseStart, c.clk.Now(), int64(epoch))
-	} else {
-		c.span("coll:reduce_scatter", phaseStart, c.clk.Now(), int64(epoch))
-	}
+	c.span("coll:allgather", phaseStart, c.clk.Now(), int64(epoch))
 	// Acknowledge to the writer of my staging slots (the left neighbour)
 	// that every slot of this epoch is consumed.
 	must(c.g.Notify(left, Seg, c.ringAckNid(epoch), int64(epoch), commQueue, nil))
 	c.g.Wait(commQueue)
 	c.lastRing[parity] = epoch
-	c.latency(name, c.clk.Now()-opStart)
-}
-
-// gaspiBcast runs the binomial-tree broadcast of one blocking one-sided
-// collective. Buffer reuse is made safe by a per-edge rendezvous: a
-// non-root rank's first action in an epoch is a credit gaspi_notify to
-// that epoch's tree parent, and a parent never write_notifies the
-// payload to a child before consuming that child's credit. Entering the
-// epoch proves (per-rank program order) the child consumed every earlier
-// broadcast payload — whichever tree delivered it — so the credit, unlike
-// any acknowledgement scheme tied to the *previous* epoch's tree, stays
-// sound when successive roots differ (DESIGN.md §12).
-func (c *Comm) gaspiBcast(epoch int, buf []float64, root int) {
-	n, me := c.n, c.rank
-	vr := mod(me-root, n)
-	vecBytes := len(buf) * memory.F64Bytes
-	segB := c.seg.Bytes()
-	pay := c.bcastPayloadNid(epoch)
-	start := c.clk.Now()
-
-	if vr == 0 {
-		packF64(segB[c.bcastOff():], buf)
-	} else {
-		// Rendezvous: the buffer is free (all prior payloads consumed),
-		// tell this epoch's parent before blocking on the payload.
-		parent := gaspisim.Rank(mod(treeParent(vr)+root, n))
-		must(c.g.Notify(parent, Seg, c.bcastCreditNid(epoch, treeChildIndex(vr, n)),
-			int64(epoch), commQueue, nil))
-		c.g.Wait(commQueue)
-		c.consumeNotification(pay, epoch)
-		c.flowFinish(c.clk.Now(), bcastFlowID(epoch, me))
-	}
-	treeChildren(vr, n, func(idx, child int) {
-		dst := mod(child+root, n)
-		c.consumeNotification(c.bcastCreditNid(epoch, idx), epoch)
-		c.flowStart(c.clk.Now(), bcastFlowID(epoch, dst))
-		must(c.g.WriteNotify(Seg, c.bcastOff(), gaspisim.Rank(dst), Seg, c.bcastOff(),
-			vecBytes, pay, int64(epoch), commQueue, nil))
-	})
-	c.g.Wait(commQueue) // forwards locally complete: the buffer is stable to read
-	if vr != 0 {
-		copyF64(buf, segB[c.bcastOff():])
-		c.compute(len(buf))
-	}
-	c.span("coll:bcast", start, c.clk.Now(), int64(epoch))
-	c.latency("coll.bcast", c.clk.Now()-start)
+	c.latency("coll.allreduce", c.clk.Now()-opStart)
 }

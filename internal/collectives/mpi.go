@@ -1,4 +1,4 @@
-// The blocking-MPI backend: the shared ring/tree schedule run as
+// The blocking-MPI backend: the shared ring schedule run as
 // point-to-point rounds on reserved collective tags. Tags come from the
 // mpisim process-wide epoch allocator, so these collectives can never
 // collide with application tags (>= 0) nor with mpisim's own built-in
@@ -41,20 +41,13 @@ func (s *mpiTagSeq) next() int {
 	return t
 }
 
-// mpiRing runs the ring schedule of one blocking-MPI collective:
-// reduce-scatter alone (full=false) or reduce-scatter + allgather
-// (full=true), over the working vector out. Each step is an eager
-// isend of the outgoing chunk to the right neighbour plus a parking
-// receive from the left, on the step's reserved tag.
-func (c *Comm) mpiRing(epoch int, out []float64, op Op, full bool) {
+// mpiRing runs the ring schedule of one blocking-MPI allreduce —
+// reduce-scatter then allgather — over the working vector out. Each step
+// is an eager isend of the outgoing chunk to the right neighbour plus a
+// parking receive from the left, on the step's reserved tag.
+func (c *Comm) mpiRing(epoch int, out []float64, op Op) {
 	n, me := c.n, c.rank
 	chunk := len(out) / n
-	steps := n - 1
-	name := "coll.reduce_scatter"
-	if full {
-		steps = 2 * (n - 1)
-		name = "coll.allreduce"
-	}
 	right := mpisim.Rank(mod(me+1, n))
 	left := mpisim.Rank(mod(me-1, n))
 	chunkBytes := chunk * memory.F64Bytes
@@ -62,7 +55,7 @@ func (c *Comm) mpiRing(epoch int, out []float64, op Op, full bool) {
 
 	opStart := c.clk.Now()
 	phaseStart := opStart
-	for g := 0; g < steps; g++ {
+	for g := 0; g < c.steps; g++ {
 		tag := seq.next()
 		sc := ringSendChunk(me, n, g)
 		packF64(c.sendBuf, out[sc*chunk:(sc+1)*chunk])
@@ -79,49 +72,11 @@ func (c *Comm) mpiRing(epoch int, out []float64, op Op, full bool) {
 		}
 		c.compute(chunk)
 		c.mpi.Wait(sr) // the send buffer is repacked next step
-		if full && g == n-2 {
+		if g == n-2 {
 			c.span("coll:reduce_scatter", phaseStart, c.clk.Now(), int64(epoch))
 			phaseStart = c.clk.Now()
 		}
 	}
-	if full {
-		c.span("coll:allgather", phaseStart, c.clk.Now(), int64(epoch))
-	} else {
-		c.span("coll:reduce_scatter", phaseStart, c.clk.Now(), int64(epoch))
-	}
-	c.latency(name, c.clk.Now()-opStart)
-}
-
-// mpiBcast runs the binomial-tree broadcast of one blocking-MPI
-// collective: receive from the tree parent, forward to each child
-// (farthest subtree first), all on this epoch's reserved tag — source
-// matching disambiguates the levels.
-func (c *Comm) mpiBcast(epoch int, buf []float64, root int) {
-	n, me := c.n, c.rank
-	vr := mod(me-root, n)
-	vecBytes := len(buf) * memory.F64Bytes
-	seq := newTagSeq(c.mpi)
-	tag := seq.next()
-	start := c.clk.Now()
-
-	if vr == 0 {
-		packF64(c.recvBuf, buf)
-	} else {
-		parent := mpisim.Rank(mod(treeParent(vr)+root, n))
-		c.mpi.CollectiveRecv(c.recvBuf[:vecBytes], parent, tag)
-		c.flowFinish(c.clk.Now(), bcastFlowID(epoch, me))
-	}
-	var reqs []*mpisim.Request
-	treeChildren(vr, n, func(_, child int) {
-		dst := mod(child+root, n)
-		c.flowStart(c.clk.Now(), bcastFlowID(epoch, dst))
-		reqs = append(reqs, c.mpi.CollectiveIsend(c.recvBuf[:vecBytes], mpisim.Rank(dst), tag))
-	})
-	if vr != 0 {
-		copyF64(buf, c.recvBuf)
-		c.compute(len(buf))
-	}
-	c.mpi.Waitall(reqs)
-	c.span("coll:bcast", start, c.clk.Now(), int64(epoch))
-	c.latency("coll.bcast", c.clk.Now()-start)
+	c.span("coll:allgather", phaseStart, c.clk.Now(), int64(epoch))
+	c.latency("coll.allreduce", c.clk.Now()-opStart)
 }

@@ -1,9 +1,8 @@
-// The communication schedule shared by every backend. Ring collectives
-// move chunks rightward (rank r sends to r+1, receives from r-1); the
-// broadcast walks a binomial tree. Because all three backends derive
-// their sends, receives and combine order from these functions alone, a
-// reduction combines values in the same order everywhere — the
-// cross-backend bit-identity contract of DESIGN.md §12.
+// The communication schedule shared by every backend. The ring moves
+// chunks rightward (rank r sends to r+1, receives from r-1). Because all
+// three backends derive their sends, receives and combine order from
+// these functions alone, a reduction combines values in the same order
+// everywhere — the cross-backend bit-identity contract of DESIGN.md §12.
 
 package collectives
 
@@ -42,59 +41,6 @@ func ringSendChunk(me, n, g int) int {
 //tagalint:hotpath
 func ringRecvChunk(me, n, g int) int {
 	return ringSendChunk(mod(me-1, n), n, g)
-}
-
-// treeParent returns the binomial-tree parent of virtual rank vr > 0
-// (clear the lowest set bit).
-//
-//tagalint:hotpath
-func treeParent(vr int) int { return vr &^ (vr & -vr) }
-
-// treeTop returns the smallest power of two bounding the subtree of
-// virtual rank vr in a tree of n ranks: the mask just above vr's lowest
-// set bit (for vr 0, the full tree bound).
-//
-//tagalint:hotpath
-func treeTop(vr, n int) int {
-	if vr == 0 {
-		b := 1
-		for b < n {
-			b <<= 1
-		}
-		return b
-	}
-	return vr & -vr
-}
-
-// treeChildren calls fn for each child of virtual rank vr in a tree of n
-// ranks, farthest subtree first (descending mask) — the forwarding order
-// that pipelines the deepest subtree earliest. The callback index is the
-// child's position in this enumeration, the namespace broadcast
-// acknowledgements are keyed by.
-func treeChildren(vr, n int, fn func(idx, child int)) {
-	idx := 0
-	for mask := treeTop(vr, n) >> 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child != vr && child < n {
-			fn(idx, child)
-			idx++
-		}
-	}
-}
-
-// treeChildIndex returns virtual rank vr's position within its parent's
-// child enumeration (treeChildren order), for addressing its ack slot.
-func treeChildIndex(vr, n int) int {
-	found := -1
-	treeChildren(treeParent(vr), n, func(i, child int) {
-		if child == vr {
-			found = i
-		}
-	})
-	if found < 0 {
-		panic("collectives: rank is not a child of its tree parent")
-	}
-	return found
 }
 
 // packF64 serialises vals little-endian into dst (8 bytes per element),

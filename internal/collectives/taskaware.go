@@ -1,4 +1,4 @@
-// The task-aware TAGASPI backend: the same ring/tree schedule as the
+// The task-aware TAGASPI backend: the same ring schedule as the
 // blocking backends, but every step is a task. A step task's *execution*
 // is gated on its predecessor chunk's arrival through a
 // tagaspi_notify_iwait external event registered in the task's onready
@@ -28,14 +28,12 @@ import (
 type taStep struct {
 	c        *Comm
 	epoch    int
-	g        int // ring step index; broadcast tasks store the root here
+	g        int // ring step index
 	op       Op
-	full     bool
 	released bool // set by releaseStep, cleared by newStep (DESIGN.md §6)
 	prev     int  // ring-credit epoch step 0 awaits (-1: none)
 	in       []float64
 	work     []float64
-	rsOut    []float64
 	// evVals captures the values of the step's notify_iwait
 	// registrations, checked by the body against the expected epoch —
 	// the task-aware half of consumeNotification's corruption tripwire.
@@ -102,24 +100,19 @@ func (s *taStep) checkEvVal(i, epoch int) {
 	}
 }
 
-// taRing submits the task chain of one task-aware ring collective:
-// steps+1 tasks serialised InOut on the comm's key, task g gated on
-// arrival g-1 (task 0 on the previous same-parity ring epoch's
-// consumption ack), the final task acknowledging consumption and copying
-// the reduce-scatter result. The call returns after submission; results
-// materialise when the chain completes.
-func (c *Comm) taRing(epoch int, in, work, rsOut []float64, op Op, full bool) {
-	steps := c.n - 1
-	if full {
-		steps = 2 * (c.n - 1)
-	}
+// taRing submits the task chain of one task-aware allreduce: c.steps+1
+// tasks serialised InOut on the comm's key, task g gated on arrival g-1
+// (task 0 on the previous same-parity ring epoch's consumption ack), the
+// final task acknowledging consumption. The call returns after
+// submission; results materialise when the chain completes.
+func (c *Comm) taRing(epoch int, in, work []float64, op Op) {
 	parity := epoch & 1
 	prev := c.lastRing[parity]
 	c.lastRing[parity] = epoch
-	for g := 0; g <= steps; g++ {
+	for g := 0; g <= c.steps; g++ {
 		s := newStep(c, epoch, g)
-		s.op, s.full = op, full
-		s.in, s.work, s.rsOut = in, work, rsOut
+		s.op = op
+		s.in, s.work = in, work
 		if g == 0 {
 			s.prev = prev
 		}
@@ -149,17 +142,13 @@ func (s *taStep) ringOnReady(t *tasking.Task) {
 
 // ringRun is a ring step task's body: consume the predecessor arrival
 // (already fulfilled — execution was gated on it), combine, and push this
-// step's chunk; the final task closes the phase spans, acknowledges
-// consumption to the left neighbour and lands the reduce-scatter result.
+// step's chunk; the final task closes the phase spans and acknowledges
+// consumption to the left neighbour.
 func (s *taStep) ringRun(t *tasking.Task) {
 	s.own()
 	c := s.c
 	n, me := c.n, c.rank
 	chunk := len(s.work) / n
-	steps := n - 1
-	if s.full {
-		steps = 2 * (n - 1)
-	}
 	parity := s.epoch & 1
 	chunkBytes := chunk * memory.F64Bytes
 	segB := c.seg.Bytes()
@@ -186,12 +175,12 @@ func (s *taStep) ringRun(t *tasking.Task) {
 		if c.elemCost > 0 {
 			t.Compute(c.elemCost * time.Duration(chunk))
 		}
-		if s.full && j == n-2 {
+		if j == n-2 {
 			c.span("coll:reduce_scatter", c.taPhaseStart, c.clk.Now(), int64(s.epoch))
 			c.taPhaseStart = c.clk.Now()
 		}
 	}
-	if s.g < steps {
+	if s.g < c.steps {
 		sc := ringSendChunk(me, n, s.g)
 		right := gaspisim.Rank(mod(me+1, n))
 		packF64(segB[c.sendOff():], s.work[sc*chunk:(sc+1)*chunk])
@@ -201,111 +190,8 @@ func (s *taStep) ringRun(t *tasking.Task) {
 			c.ringNid(s.epoch, s.g), int64(s.epoch), commQueue))
 		return
 	}
-	if s.full {
-		c.span("coll:allgather", c.taPhaseStart, c.clk.Now(), int64(s.epoch))
-		c.latency("coll.allreduce", c.clk.Now()-c.taOpStart)
-	} else {
-		c.span("coll:reduce_scatter", c.taPhaseStart, c.clk.Now(), int64(s.epoch))
-		c.latency("coll.reduce_scatter", c.clk.Now()-c.taOpStart)
-	}
-	if s.rsOut != nil {
-		copy(s.rsOut, c.ownedChunk(s.work))
-	}
+	c.span("coll:allgather", c.taPhaseStart, c.clk.Now(), int64(s.epoch))
+	c.latency("coll.allreduce", c.clk.Now()-c.taOpStart)
 	must(c.tg.Notify(t, gaspisim.Rank(mod(me-1, n)), Seg,
 		c.ringAckNid(s.epoch), int64(s.epoch), commQueue))
-}
-
-// taBcast submits the two-task chain of one task-aware broadcast: a
-// credit task (grants this epoch's tree parent the rendezvous credit —
-// running at all proves, by chain order, that every earlier payload
-// landed in this rank's vector, so the buffer is free) and a payload
-// task (gated on the parent's write_notify arrival plus the direct
-// children's credits; forwards to the subtree and lands the vector) —
-// the same per-edge rendezvous protocol as the blocking backend, safe
-// under root changes between epochs.
-func (c *Comm) taBcast(epoch int, buf []float64, root int) {
-	cred := newStep(c, epoch, root)
-	c.rt.Submit(func(t *tasking.Task) {
-		cred.bcastCreditRun(t)
-		releaseStep(cred)
-	},
-		tasking.WithDeps(tasking.InOutVal(c.key)),
-		tasking.WithLabel("coll:bcast_credit"))
-
-	pay := newStep(c, epoch, root)
-	pay.in = buf
-	c.rt.Submit(func(t *tasking.Task) {
-		pay.bcastRun(t)
-		releaseStep(pay)
-	},
-		tasking.WithDeps(tasking.InOutVal(c.key)),
-		tasking.WithOnReady(pay.bcastOnReady),
-		tasking.WithLabel("coll:bcast"))
-}
-
-// bcastCreditRun is the credit task's body: open the broadcast span and
-// (non-root) grant this epoch's parent the rendezvous credit.
-func (s *taStep) bcastCreditRun(t *tasking.Task) {
-	s.own()
-	c := s.c
-	c.taOpStart = c.clk.Now()
-	vr := mod(c.rank-s.g, c.n)
-	if vr != 0 {
-		parent := gaspisim.Rank(mod(treeParent(vr)+s.g, c.n))
-		must(c.tg.Notify(t, parent, Seg,
-			c.bcastCreditNid(s.epoch, treeChildIndex(vr, c.n)), int64(s.epoch), commQueue))
-	}
-}
-
-// bcastOnReady gates the payload task on the parent's write_notify
-// arrival (non-root) and on every direct child's rendezvous credit, all
-// with value capture for the epoch tripwire.
-func (s *taStep) bcastOnReady(t *tasking.Task) {
-	c := s.c
-	vr := mod(c.rank-s.g, c.n)
-	kids := 0
-	treeChildren(vr, c.n, func(_, _ int) { kids++ })
-	vals := s.evSlots(1 + kids)
-	if vr != 0 {
-		c.tg.NotifyIwait(t, Seg, c.bcastPayloadNid(s.epoch), &vals[0])
-	}
-	treeChildren(vr, c.n, func(idx, _ int) {
-		c.tg.NotifyIwait(t, Seg, c.bcastCreditNid(s.epoch, idx), &vals[1+idx])
-	})
-}
-
-// bcastRun is the payload task's body: root packs its vector into the
-// broadcast buffer, everyone forwards to their (credit-granting) subtree
-// children, non-roots land the buffer into their vector, and the
-// broadcast span closes.
-func (s *taStep) bcastRun(t *tasking.Task) {
-	s.own()
-	c := s.c
-	n, me, root := c.n, c.rank, s.g
-	vr := mod(me-root, n)
-	vecBytes := len(s.in) * memory.F64Bytes
-	segB := c.seg.Bytes()
-	pay := c.bcastPayloadNid(s.epoch)
-
-	if vr == 0 {
-		packF64(segB[c.bcastOff():], s.in)
-	} else {
-		s.checkEvVal(0, s.epoch) // the payload arrival
-		c.flowFinish(c.clk.Now(), bcastFlowID(s.epoch, me))
-	}
-	treeChildren(vr, n, func(idx, child int) {
-		s.checkEvVal(1+idx, s.epoch) // the child's rendezvous credit
-		dst := mod(child+root, n)
-		c.flowStart(c.clk.Now(), bcastFlowID(s.epoch, dst))
-		must(c.tg.WriteNotify(t, Seg, c.bcastOff(), gaspisim.Rank(dst), Seg,
-			c.bcastOff(), vecBytes, pay, int64(s.epoch), commQueue))
-	})
-	if vr != 0 {
-		copyF64(s.in, segB[c.bcastOff():])
-		if c.elemCost > 0 {
-			t.Compute(c.elemCost * time.Duration(len(s.in)))
-		}
-	}
-	c.span("coll:bcast", c.taOpStart, c.clk.Now(), int64(s.epoch))
-	c.latency("coll.bcast", c.clk.Now()-c.taOpStart)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 )
@@ -125,17 +124,4 @@ func (s *Sink) Rows() []Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Row(nil), s.rows...)
-}
-
-// WriteFile writes the accumulated rows as a JSON document to path.
-func (s *Sink) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSON(f, s.Rows()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

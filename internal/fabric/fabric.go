@@ -1146,14 +1146,6 @@ func (f *Fabric) Stats() Stats {
 	}
 }
 
-// NICStats returns the (tx, rx) resource statistics of one rank's node NIC
-// (NICs are per node: all ranks of a node share its injection and
-// reception ports).
-func (f *Fabric) NICStats(r Rank) (tx, rx vsync.ResourceStats) {
-	n := f.topo.NodeOf(r)
-	return f.nicTx[n].Stats(), f.nicRx[n].Stats()
-}
-
 // NICSnapshot is the (tx, rx) port statistics of one node's NIC.
 type NICSnapshot struct {
 	Node   int

@@ -289,8 +289,7 @@ func TestStatsAndClose(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered = %d, want 2", delivered)
 	}
-	tx, _ := f.NICStats(0)
-	if tx.Uses != 2 {
+	if tx := f.nicTx[f.topo.NodeOf(0)].Stats(); tx.Uses != 2 {
 		t.Fatalf("tx uses = %d, want 2", tx.Uses)
 	}
 	f.Close()

@@ -98,17 +98,6 @@ func (t Topology) Vertices() int {
 	return t.verts
 }
 
-// LinkCount returns the number of directed links of a shaped topology
-// (0 for flat).
-func (t Topology) LinkCount() int { return len(t.links) }
-
-// LinkEndpoints returns the (from, to) vertex ids of directed link i, in
-// the canonical link order used by Fabric.LinkSnapshots.
-func (t Topology) LinkEndpoints(i int) (from, to int) {
-	l := t.links[i]
-	return l.from, l.to
-}
-
 // routeOf returns the link-index route from node src to node dst, or nil
 // when the topology is flat or the nodes coincide. The returned slice is
 // shared and must not be mutated.

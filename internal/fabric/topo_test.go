@@ -35,11 +35,11 @@ func TestShapedRoutesWellFormed(t *testing.T) {
 			if verts < nodes {
 				t.Fatalf("%v/%d: Vertices() = %d < nodes", shape, nodes, verts)
 			}
-			for i := 0; i < topo.LinkCount(); i++ {
-				from, to := topo.LinkEndpoints(i)
+			for _, l := range topo.links {
+				from, to := l.from, l.to
 				if from < 0 || from >= verts || to < 0 || to >= verts || from == to {
-					t.Fatalf("%v/%d: link %d endpoints (%d, %d) invalid for %d vertices",
-						shape, nodes, i, from, to, verts)
+					t.Fatalf("%v/%d: link endpoints (%d, %d) invalid for %d vertices",
+						shape, nodes, from, to, verts)
 				}
 			}
 			for src := 0; src < nodes; src++ {
@@ -56,7 +56,7 @@ func TestShapedRoutesWellFormed(t *testing.T) {
 					}
 					at := src
 					for h, li := range r {
-						from, to := topo.LinkEndpoints(int(li))
+						from, to := topo.links[li].from, topo.links[li].to
 						if from != at {
 							t.Fatalf("%v/%d: route %d->%d hop %d starts at %d, expected %d",
 								shape, nodes, src, dst, h, from, at)
@@ -77,8 +77,8 @@ func TestShapedRoutesWellFormed(t *testing.T) {
 // the original single-hop model.
 func TestFlatTopologyHasNoLinks(t *testing.T) {
 	topo := NewShapedTopology(ShapeFlat, 8, 2)
-	if topo.Shape() != ShapeFlat || topo.LinkCount() != 0 {
-		t.Fatalf("flat topology: shape=%v links=%d, want flat/0", topo.Shape(), topo.LinkCount())
+	if topo.Shape() != ShapeFlat || len(topo.links) != 0 {
+		t.Fatalf("flat topology: shape=%v links=%d, want flat/0", topo.Shape(), len(topo.links))
 	}
 	if r := topo.routeOf(0, 5); r != nil {
 		t.Fatalf("flat routeOf(0,5) = %v, want nil", r)
@@ -108,8 +108,8 @@ func TestRingRouteDirection(t *testing.T) {
 	if len(r) != 2 {
 		t.Fatalf("ring 4: 0->2 takes %d hops, want 2", len(r))
 	}
-	if from, to := topo.LinkEndpoints(int(r[0])); from != 0 || to != 1 {
-		t.Errorf("ring 4 tie: first hop is %d->%d, want clockwise 0->1", from, to)
+	if l := topo.links[r[0]]; l.from != 0 || l.to != 1 {
+		t.Errorf("ring 4 tie: first hop is %d->%d, want clockwise 0->1", l.from, l.to)
 	}
 }
 

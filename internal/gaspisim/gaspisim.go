@@ -217,10 +217,6 @@ func (p *Proc) Size() int { return len(p.world.procs) }
 // Queues returns the number of communication queues (gaspi_queue_num).
 func (p *Proc) Queues() int { return len(p.queues) }
 
-// QueueStats returns the post-resource statistics of queue q. An
-// out-of-range queue id panics with GASPI_ERR_INV_QUEUE semantics.
-func (p *Proc) QueueStats(q int) vsync.ResourceStats { return p.queueAt(q).res.Stats() }
-
 // SegmentCreate allocates and registers a zeroed segment
 // (gaspi_segment_create).
 func (p *Proc) SegmentCreate(id SegmentID, size int) (*memory.Segment, error) {
@@ -768,19 +764,6 @@ func (p *Proc) NotifyReset(seg SegmentID, id NotificationID) (int64, bool) {
 // increment, so a caller that reads the count, then finds a slot unset, can
 // skip re-checking the slot while the count still reads the same.
 func (p *Proc) NotificationsSet() uint64 { return p.notifSets.Load() }
-
-// NotifyTest reports whether a notification slot is set, without
-// resetting — gaspi_notify_waitsome with GASPI_TEST, minus the reset.
-func (p *Proc) NotifyTest(seg SegmentID, id NotificationID) (int64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.segs[seg]
-	if !ok {
-		return 0, false
-	}
-	v, set := st.notifs[id]
-	return v, set
-}
 
 // NotifyWaitSome blocks until some notification in [begin, begin+num) is
 // set, returning its id (gaspi_notify_waitsome). With timeout Test it polls

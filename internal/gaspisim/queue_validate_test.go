@@ -19,7 +19,6 @@ func TestInvalidQueueIndexPanics(t *testing.T) {
 	p := w.Proc(0)
 
 	entryPoints := map[string]func(q int){
-		"QueueStats":  func(q int) { p.QueueStats(q) },
 		"RequestWait": func(q int) { p.RequestWait(q, 1, Test) },
 		"Wait":        func(q int) { p.Wait(q) },
 		"Drain":       func(q int) { p.Drain(q) },
@@ -47,7 +46,6 @@ func TestInvalidQueueIndexPanics(t *testing.T) {
 	}
 
 	// In-range ids on the non-blocking entry points keep working.
-	p.QueueStats(1)
 	p.RequestWait(1, 1, Test)
 	p.QueueState(1)
 }

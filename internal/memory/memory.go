@@ -107,17 +107,6 @@ func (r *Registry) Lookup(id SegmentID) (*Segment, error) {
 	return s, nil
 }
 
-// Delete unregisters a segment.
-func (r *Registry) Delete(id SegmentID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.segments[id]; !ok {
-		return fmt.Errorf("memory: segment %d not registered", id)
-	}
-	delete(r.segments, id)
-	return nil
-}
-
 // F64 is a bounds-checked float64 view over a byte region, in little-endian
 // layout (8 bytes per element).
 type F64 struct {
@@ -165,11 +154,6 @@ func (v F64) Fill(x float64) {
 	}
 }
 
-// Sub returns the sub-view of n elements starting at element off.
-func (v F64) Sub(off, n int) F64 {
-	return F64{b: v.b[off*F64Bytes : (off+n)*F64Bytes]}
-}
-
 // CopyIn copies the Go slice src into the view starting at element off.
 func (v F64) CopyIn(off int, src []float64) {
 	for i, x := range src {
@@ -193,15 +177,6 @@ type I64 struct {
 
 // I64Bytes is the byte size of one I64 element.
 const I64Bytes = 8
-
-// I64View wraps a segment sub-range as n int64s.
-func I64View(s *Segment, byteOff, n int) (I64, error) {
-	b, err := s.Slice(byteOff, n*I64Bytes)
-	if err != nil {
-		return I64{}, err
-	}
-	return I64{b: b}, nil
-}
 
 // I64Of wraps an existing byte slice; len(b) must be a multiple of 8.
 func I64Of(b []byte) I64 {

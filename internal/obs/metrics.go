@@ -29,9 +29,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -36,7 +36,7 @@ const (
 	CatNotify Cat = "notify" // notification waits and fulfilments
 	CatPoll   Cat = "poll"   // task-aware polling-task passes
 	CatFabric Cat = "fabric" // wire/NIC activity: injection and delivery
-	CatColl   Cat = "coll"   // collective phases: reduce-scatter/allgather/bcast
+	CatColl   Cat = "coll"   // allreduce phases: reduce-scatter/allgather
 	CatObs    Cat = "obs"    // tracer self-diagnostics: drop/clamp warnings
 )
 
@@ -57,8 +57,8 @@ const (
 	TrackMPI Track = 24
 	// TrackNotify carries notification fulfilments and waits.
 	TrackNotify Track = 30
-	// TrackColl carries collective-phase spans (reduce-scatter, allgather,
-	// broadcast) and per-step collective flow edges.
+	// TrackColl carries allreduce phase spans (reduce-scatter, allgather)
+	// and per-step collective flow edges.
 	TrackColl Track = 31
 	// trackQueueBase starts the per-queue GASPI rows: queue q draws on
 	// QueueTrack(q).

@@ -100,14 +100,6 @@ func (t *Tracer) append(rank int, e Event) {
 	s.mu.Unlock()
 }
 
-// Dropped reports how many events were discarded because their rank was
-// outside the tracer's shard range.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
-
-// Clamped reports how many spans arrived with end < start and were clamped
-// to zero duration.
-func (t *Tracer) Clamped() int64 { return t.clamped.Load() }
-
 // Snapshot implements Snapshotter, surfacing the tracer's health counters.
 func (t *Tracer) Snapshot() Snapshot {
 	return Snapshot{Component: "obs.tracer", Rank: -1, Samples: []Sample{

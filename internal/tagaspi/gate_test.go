@@ -66,21 +66,21 @@ func notifyAt(env *cluster.Env, when time.Duration, val int64) {
 // A notification that lands between two passes is retired by the very next
 // pass; the passes before it, which scanned nothing, were idle.
 func TestGateArrivalBetweenPassesRetiredByNextPass(t *testing.T) {
-	var idle int64
+	var idle float64
 	at, val := gateJob(t, hybridConfig(2),
 		func(env *cluster.Env) { notifyAt(env, 12*time.Microsecond, 42) },
 		func(env *cluster.Env) {
 			env.Clk.Sleep(11 * time.Microsecond)
-			idle = env.TAGASPI.Service().IdlePasses()
-			if n := env.TAGASPI.PendingNotifications(); n != 1 {
-				t.Errorf("%d waits pending before the notification, want 1", n)
+			idle = sample(env.TAGASPI, "tagaspi_idle_passes")
+			if n := sample(env.TAGASPI, "tagaspi_pending_notifications"); n != 1 {
+				t.Errorf("%g waits pending before the notification, want 1", n)
 			}
 		})
 	if at != 15*time.Microsecond || val != 42 {
 		t.Errorf("wait retired at %v with value %d, want 15µs (the first pass after 12µs) and 42", at, val)
 	}
 	if idle < 3 {
-		t.Errorf("%d idle passes in the first 11µs, want the passes at 0, 5 and 10µs", idle)
+		t.Errorf("%g idle passes in the first 11µs, want the passes at 0, 5 and 10µs", idle)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestGateApplicationResetLeavesWaiterPending(t *testing.T) {
 				t.Errorf("application NotifyReset at 13µs = (%d, %v), want (44, true)", v, ok)
 			}
 			env.Clk.Sleep(5 * time.Microsecond)
-			if n := env.TAGASPI.PendingNotifications(); n != 1 {
-				t.Errorf("%d waits pending at 18µs, want 1: the slot was consumed by the application", n)
+			if n := sample(env.TAGASPI, "tagaspi_pending_notifications"); n != 1 {
+				t.Errorf("%g waits pending at 18µs, want 1: the slot was consumed by the application", n)
 			}
 		})
 	if at != 25*time.Microsecond || val != 45 {
@@ -120,19 +120,20 @@ func TestGateRetryPassStillChecksNotifications(t *testing.T) {
 	at, val := gateJob(t, cfg,
 		func(env *cluster.Env) { notifyAt(env, 12*time.Microsecond, 46) },
 		func(env *cluster.Env) {
-			// Attempts at 0, 5, 15 and 35µs: the retry queue is non-empty
-			// from the first failure until the operation is given up.
-			env.TAGASPI.SetRetryPolicy(4, 5*time.Microsecond)
+			// The retry queue is non-empty from the first failure until the
+			// operation is given up. A resubmission by 26µs means the first
+			// attempt failed by 6µs (the default backoff is 20µs), so the
+			// pass at 15µs took the retry path.
 			env.RT.Submit(func(tk *tasking.Task) {
 				must(env.TAGASPI.Notify(tk, 0, 0, 1, 1, 0))
 			})
-			env.Clk.Sleep(14 * time.Microsecond)
-			if r := env.TAGASPI.Retries(); r == 0 {
-				t.Error("no resubmission by 14µs: the passes did not take the retry path")
+			env.Clk.Sleep(26 * time.Microsecond)
+			if r := sample(env.TAGASPI, "tagaspi_retries"); r == 0 {
+				t.Error("no resubmission by 26µs: the passes did not take the retry path")
 			}
 			env.RT.TaskWait()
-			if g := env.TAGASPI.GaveUp(); g != 1 {
-				t.Errorf("GaveUp = %d, want 1", g)
+			if g := sample(env.TAGASPI, "tagaspi_gaveup"); g != 1 {
+				t.Errorf("tagaspi_gaveup = %g, want 1", g)
 			}
 		})
 	if at != 15*time.Microsecond || val != 46 {

@@ -41,12 +41,10 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 			}
 		case 1:
 			vals := make([]int64, ops)
-			outs := make([]*int64, ops)
-			for i := range outs {
-				outs[i] = &vals[i]
-			}
 			env.RT.Submit(func(tk *tasking.Task) {
-				env.TAGASPI.NotifyIwaitAll(tk, 0, 0, ops, outs)
+				for i := range vals {
+					env.TAGASPI.NotifyIwait(tk, 0, tagaspi.NotificationID(i), &vals[i])
+				}
 			}, tasking.WithDeps(tasking.Out(seg, 0, ops*chunk)))
 			env.RT.Submit(func(tk *tasking.Task) {
 				for i := 0; i < ops; i++ {
@@ -68,11 +66,11 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 	for msg := range bad {
 		t.Error(msg)
 	}
-	if got := libs[0].Retries(); got == 0 {
+	if got := sample(libs[0], "tagaspi_retries"); got == 0 {
 		t.Error("Drop=0.5 over 16 operations triggered no retries")
 	}
-	if got := libs[0].GaveUp(); got != 0 {
-		t.Errorf("GaveUp = %d, want 0 (transient faults must not exhaust %d attempts)",
+	if got := sample(libs[0], "tagaspi_gaveup"); got != 0 {
+		t.Errorf("tagaspi_gaveup = %g, want 0 (transient faults must not exhaust %d attempts)",
 			got, tagaspi.DefaultMaxAttempts)
 	}
 	if res.Fabric.Faults == 0 {
@@ -97,7 +95,9 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 
 // When the fault is permanent, the retry budget must run out and the task's
 // events must still be released — the job degrades (the notification never
-// arrives at the peer) instead of deadlocking in TaskWait.
+// arrives at the peer) instead of deadlocking in TaskWait. The default
+// policy submits the operation DefaultMaxAttempts times, backing off
+// DefaultRetryBackoff << (attempt-1) between attempts.
 func TestRetryGivesUpGracefully(t *testing.T) {
 	cfg := hybridConfig(2)
 	cfg.Seed = 1
@@ -108,7 +108,6 @@ func TestRetryGivesUpGracefully(t *testing.T) {
 		defer close(done)
 		cluster.Run(cfg, func(env *cluster.Env) {
 			libs[env.Rank] = env.TAGASPI
-			env.TAGASPI.SetRetryPolicy(3, 5*time.Microsecond)
 			mustSeg(env, 0, 64)
 			if env.Rank != 0 {
 				return // the peer must not wait for a notification that never lands
@@ -124,10 +123,11 @@ func TestRetryGivesUpGracefully(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job deadlocked: give-up did not release the task's events")
 	}
-	if got := libs[0].GaveUp(); got != 1 {
-		t.Errorf("GaveUp = %d, want 1", got)
+	if got := sample(libs[0], "tagaspi_gaveup"); got != 1 {
+		t.Errorf("tagaspi_gaveup = %g, want 1", got)
 	}
-	if got := libs[0].Retries(); got != 2 {
-		t.Errorf("Retries = %d, want 2 (attempts 2 and 3 of a 3-attempt budget)", got)
+	if got, want := sample(libs[0], "tagaspi_retries"), float64(tagaspi.DefaultMaxAttempts-1); got != want {
+		t.Errorf("tagaspi_retries = %g, want %g (attempts 2 to %d of the default budget)",
+			got, want, tagaspi.DefaultMaxAttempts)
 	}
 }

@@ -61,7 +61,7 @@ func TestGateWaitStagedAfterArrivalRetiredByNextPass(t *testing.T) {
 			at = clk.Now()
 		}, tasking.WithDeps(tasking.InVal(&notified)))
 		clk.Sleep(30 * time.Microsecond)
-		if l.PendingNotifications() == 0 {
+		if l.outstanding.Load() == 0 {
 			rt.TaskWait()
 		} else {
 			t.Error("the wait staged at 17µs is still pending at 30µs: the pass that drained it did not scan")

@@ -61,13 +61,11 @@ type Library struct {
 	// the GASPI error state and their completions come back failed — are
 	// repaired and resubmitted with bounded exponential backoff. Only the
 	// polling task touches retryQ and the pendingOp records.
-	retryQ      []*pendingOp
-	maxAttempts int
-	backoff     time.Duration
+	retryQ []*pendingOp
 
 	outstanding atomic.Int64 // pending notification waits, for observers
 	retries     atomic.Int64 // resubmissions performed
-	gaveup      atomic.Int64 // operations abandoned after maxAttempts
+	gaveup      atomic.Int64 // operations abandoned after DefaultMaxAttempts
 
 	// State of the polling pass in progress, owned by the service's steps.
 	q       int                         // queue being drained
@@ -175,7 +173,7 @@ const maxBackoffShift = 10
 // New initialises TAGASPI for one rank (tagaspi_proc_init) and spawns its
 // polling task. A non-positive interval dedicates the polling task.
 func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
-	l := &Library{p: p, rt: rt, maxAttempts: DefaultMaxAttempts, backoff: DefaultRetryBackoff}
+	l := &Library{p: p, rt: rt}
 	l.drainFn, l.resubmitFn = l.drain, l.resubmit
 	l.svc = core.NewService(rt, "tagaspi-poll", interval)
 	l.svc.Start(l.poll)
@@ -185,21 +183,6 @@ func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library
 // SetRecorder installs an observability recorder; nil disables recording.
 // Call before issuing operations.
 func (l *Library) SetRecorder(rec obs.Recorder) { l.rec = rec }
-
-// SetRetryPolicy overrides the retry policy: an operation is submitted at
-// most maxAttempts times, with base << (attempt-1) backoff between
-// attempts. Non-positive arguments keep the current values.
-func (l *Library) SetRetryPolicy(maxAttempts int, base time.Duration) {
-	if maxAttempts > 0 {
-		l.maxAttempts = maxAttempts
-	}
-	if base > 0 {
-		l.backoff = base
-	}
-}
-
-// Service exposes the polling service (interval tuning, statistics).
-func (l *Library) Service() *core.Service { return l.svc }
 
 // Proc returns the underlying GASPI process.
 func (l *Library) Proc() *gaspisim.Proc { return l.p }
@@ -223,20 +206,10 @@ func (l *Library) WriteNotify(t *tasking.Task, localSeg SegmentID, localOff int,
 	}, 2)
 }
 
-// Write issues a task-aware plain write (tagaspi_write).
-func (l *Library) Write(t *tasking.Task, localSeg SegmentID, localOff int,
-	remote Rank, remoteSeg SegmentID, remoteOff, size, queue int) error {
-	return l.submit(t, gaspisim.Operation{
-		Type:     gaspisim.OpWrite,
-		LocalSeg: localSeg, LocalOff: localOff,
-		Remote: remote, RemoteSeg: remoteSeg, RemoteOff: remoteOff, Size: size,
-		Queue: queue,
-	}, 1)
-}
-
-// Read issues a task-aware one-sided read (tagaspi_read): the local range
-// must be declared as an output dependency; successor tasks consume the
-// data once this task completes.
+// Read issues a task-aware one-sided read (tagaspi_read, §IV): the local
+// range must be declared as an output dependency; successor tasks consume
+// the data once this task completes. No figure workload reads; it stays as
+// the paper's §IV read, exercised by TestTaskAwareRead.
 func (l *Library) Read(t *tasking.Task, localSeg SegmentID, localOff int,
 	remote Rank, remoteSeg SegmentID, remoteOff, size, queue int) error {
 	return l.submit(t, gaspisim.Operation{
@@ -305,20 +278,6 @@ func (l *Library) stage(t *tasking.Task, seg SegmentID, id NotificationID, out *
 	w := newNotifWait()
 	w.seg, w.id, w.out, w.counter = seg, id, out, c
 	l.pending.Push(w)
-}
-
-// NotifyIwaitAll asynchronously waits for a consecutive range of
-// notifications [begin, begin+num) (tagaspi_notify_iwaitall). Values are
-// stored through outs[i] when non-nil (len(outs) must be num or zero).
-func (l *Library) NotifyIwaitAll(t *tasking.Task, seg SegmentID,
-	begin NotificationID, num int, outs []*int64) {
-	for i := 0; i < num; i++ {
-		var out *int64
-		if len(outs) > 0 {
-			out = outs[i]
-		}
-		l.NotifyIwait(t, seg, begin+NotificationID(i), out)
-	}
 }
 
 // poll starts one pass of the transparent polling task (Figure 7):
@@ -429,13 +388,14 @@ func (l *Library) checkNotifications() {
 }
 
 // opFailed handles one fully failed attempt: either schedule a backed-off
-// resubmission or, past maxAttempts, abandon the operation and release the
-// task's events so the application degrades instead of deadlocking. Returns
-// the number of task events retired (nonzero only on abandonment).
+// resubmission or, past DefaultMaxAttempts, abandon the operation and
+// release the task's events so the application degrades instead of
+// deadlocking. Returns the number of task events retired (nonzero only on
+// abandonment).
 func (l *Library) opFailed(po *pendingOp) int {
 	po.fails = 0
 	po.attempts++
-	if int(po.attempts) >= l.maxAttempts {
+	if po.attempts >= DefaultMaxAttempts {
 		nreq := po.nreq
 		po.counter.Decrease(nreq)
 		putPendingOp(po) // final attempt fully failed; no completion left
@@ -450,7 +410,7 @@ func (l *Library) opFailed(po *pendingOp) int {
 		shift = maxBackoffShift
 	}
 	po.failAt = l.p.Clock().Now()
-	po.dueAt = po.failAt + l.backoff<<shift
+	po.dueAt = po.failAt + DefaultRetryBackoff<<shift
 	l.retryQ = append(l.retryQ, po)
 	return 0
 }
@@ -493,19 +453,6 @@ func (l *Library) resubmitDue() int {
 	l.retryQ = keep
 	return resubmitted
 }
-
-// PendingNotifications reports how many notification waits are outstanding
-// (staged plus in the poller's private list).
-func (l *Library) PendingNotifications() int {
-	return int(l.outstanding.Load())
-}
-
-// Retries reports how many operation resubmissions this rank performed.
-func (l *Library) Retries() int64 { return l.retries.Load() }
-
-// GaveUp reports how many operations were abandoned after exhausting the
-// retry budget.
-func (l *Library) GaveUp() int64 { return l.gaveup.Load() }
 
 // Snapshot implements obs.Snapshotter with the retry-policy counters.
 func (l *Library) Snapshot() obs.Snapshot {

@@ -5,8 +5,7 @@
 // every bound request has completed.
 //
 // Iwait mirrors TAMPI_Iwait: non-blocking and asynchronous, returning
-// immediately after binding the request. Wait mirrors the blocking TAMPI
-// mode: the task yields its core until the request completes.
+// immediately after binding the request.
 //
 // A transparent polling task (package core) checks the in-flight requests
 // with MPI_Testsome — through the same modelled library lock as the
@@ -57,12 +56,6 @@ func New(p *mpisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	return l
 }
 
-// Service exposes the polling service (for interval tuning and stats).
-func (l *Library) Service() *core.Service { return l.svc }
-
-// Proc returns the underlying MPI process.
-func (l *Library) Proc() *mpisim.Proc { return l.p }
-
 // Iwait binds req to the calling task: the task's completion (and the
 // release of its dependencies) is delayed until the request finalises.
 // It returns immediately — the TAMPI_Iwait semantics. The calling task
@@ -75,21 +68,6 @@ func (l *Library) Iwait(t *tasking.Task, req *mpisim.Request) {
 	l.requests = append(l.requests, req)
 	l.counters = append(l.counters, c)
 	l.mu.Unlock()
-}
-
-// Iwaitall binds every request to the calling task.
-func (l *Library) Iwaitall(t *tasking.Task, reqs ...*mpisim.Request) {
-	for _, r := range reqs {
-		if r != nil {
-			l.Iwait(t, r)
-		}
-	}
-}
-
-// Wait is the blocking TAMPI mode: the task yields its core until the
-// request completes, then continues.
-func (l *Library) Wait(t *tasking.Task, req *mpisim.Request) {
-	t.Yield(func() { l.p.Wait(req) })
 }
 
 // poll starts one pass of the transparent polling task: a single Testsome
@@ -156,11 +134,4 @@ func (l *Library) Snapshot() obs.Snapshot {
 			{Name: "tampi_idle_passes", Value: float64(l.svc.IdlePasses())},
 		},
 	}
-}
-
-// InFlight reports the number of requests currently bound and pending.
-func (l *Library) InFlight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.requests)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
-	"repro/internal/mpisim"
 	"repro/internal/tasking"
 )
 
@@ -53,6 +52,8 @@ func TestIwaitReleasesDepsAfterArrival(t *testing.T) {
 	}
 }
 
+// One task bound to many requests through repeated Iwait calls releases
+// its dependencies only once every request has completed.
 func TestIwaitallBindsMany(t *testing.T) {
 	const n = 16
 	var sum atomic.Int64
@@ -69,12 +70,10 @@ func TestIwaitallBindsMany(t *testing.T) {
 			bufs := make([][]byte, n)
 			flag := new(int)
 			env.RT.Submit(func(tk *tasking.Task) {
-				var reqs []*mpisim.Request
 				for i := 0; i < n; i++ {
 					bufs[i] = make([]byte, 1)
-					reqs = append(reqs, env.MPI.Irecv(bufs[i], 0, i))
+					env.TAMPI.Iwait(tk, env.MPI.Irecv(bufs[i], 0, i))
 				}
-				env.TAMPI.Iwaitall(tk, reqs...)
 			}, tasking.WithDeps(tasking.OutVal(flag)))
 			env.RT.Submit(func(tk *tasking.Task) {
 				for i := 0; i < n; i++ {
@@ -85,36 +84,6 @@ func TestIwaitallBindsMany(t *testing.T) {
 	})
 	if want := int64(n * (n - 1) / 2); sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
-func TestBlockingWaitYieldsCore(t *testing.T) {
-	// Blocking TAMPI mode on a single-core runtime: the waiting task must
-	// not wedge the rank; another task performs the matching send later.
-	var ok atomic.Bool
-	cfg := hybridConfig(2)
-	cfg.CoresPerRank = 1
-	cluster.Run(cfg, func(env *cluster.Env) {
-		switch env.Rank {
-		case 0:
-			env.RT.Submit(func(tk *tasking.Task) {
-				tk.Compute(50 * time.Microsecond)
-				req := env.MPI.Isend([]byte("x"), 1, 0)
-				env.TAMPI.Iwait(tk, req)
-			})
-		case 1:
-			env.RT.Submit(func(tk *tasking.Task) {
-				buf := make([]byte, 1)
-				req := env.MPI.Irecv(buf, 0, 0)
-				env.TAMPI.Wait(tk, req) // blocking mode
-				ok.Store(buf[0] == 'x')
-			})
-			// A second task must be able to run while the first blocks.
-			env.RT.Submit(func(tk *tasking.Task) { tk.Compute(time.Microsecond) })
-		}
-	})
-	if !ok.Load() {
-		t.Fatal("blocking Wait did not deliver the payload")
 	}
 }
 
@@ -156,8 +125,12 @@ func TestPollIntervalAffectsLatency(t *testing.T) {
 	}
 }
 
+// After TaskWait nothing stays bound: the polling passes that follow find
+// an empty in-flight set, so none of them books a Testsome on the library
+// lock, and all of them are idle.
 func TestInFlightDrainsToZero(t *testing.T) {
-	var inflight int
+	var lockUses int64
+	var passes, idle float64
 	cluster.Run(hybridConfig(2), func(env *cluster.Env) {
 		switch env.Rank {
 		case 0:
@@ -171,10 +144,30 @@ func TestInFlightDrainsToZero(t *testing.T) {
 		}
 		env.RT.TaskWait()
 		if env.Rank == 1 {
-			inflight = env.TAMPI.InFlight()
+			uses0 := env.MPI.LockStats().Uses
+			passes0, idle0 := sample(env, "tampi_passes"), sample(env, "tampi_idle_passes")
+			env.Clk.Sleep(10 * 5 * time.Microsecond) // ten polling periods
+			lockUses = env.MPI.LockStats().Uses - uses0
+			passes = sample(env, "tampi_passes") - passes0
+			idle = sample(env, "tampi_idle_passes") - idle0
 		}
 	})
-	if inflight != 0 {
-		t.Fatalf("in-flight = %d after TaskWait", inflight)
+	if passes < 5 {
+		t.Fatalf("only %g polling passes in ten periods after TaskWait", passes)
 	}
+	if lockUses != 0 || idle != passes {
+		t.Fatalf("after TaskWait: %d library-lock uses and %g of %g passes idle, want 0 and all: a request is still in flight",
+			lockUses, idle, passes)
+	}
+}
+
+// sample returns the value of the named sample in the rank's TAMPI
+// snapshot, or 0 if absent.
+func sample(env *cluster.Env, name string) float64 {
+	for _, smp := range env.TAMPI.Snapshot().Samples {
+		if smp.Name == name {
+			return smp.Value
+		}
+	}
+	return 0
 }

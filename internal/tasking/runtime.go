@@ -95,9 +95,6 @@ func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 // Clock returns the runtime's time source.
 func (rt *Runtime) Clock() *vclock.VirtualClock { return rt.clk }
 
-// Cores returns the worker slot count.
-func (rt *Runtime) Cores() int { return rt.cfg.Cores }
-
 // SetRecorder installs the observability recorder and the runtime's rank
 // identity for trace events. It must be called before the first Submit or
 // Spawn; a nil recorder (the default) keeps the runtime uninstrumented.

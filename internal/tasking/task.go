@@ -91,9 +91,6 @@ func (t *Task) spanName() string {
 // Label returns the task's diagnostic label.
 func (t *Task) Label() string { return t.label }
 
-// Runtime returns the owning runtime.
-func (t *Task) Runtime() *Runtime { return t.rt }
-
 // Events returns the event counter appropriate to the calling context:
 // during the onready callback it gates the task's *execution* (§V-A of the
 // paper); from the body it gates the task's *completion and dependency
@@ -138,9 +135,9 @@ func (t *Task) WaitFor(d time.Duration) time.Duration {
 }
 
 // Yield releases the task's core, runs f (which may block on modelled
-// time), and re-acquires a core before returning. It is how blocking
-// library calls (e.g. blocking TAMPI receives) free the core while waiting,
-// like the Nanos6 blocking API.
+// time), and re-acquires a core before returning. It is how a blocking
+// call inside a task body frees the core while waiting, like the Nanos6
+// blocking API.
 func (t *Task) Yield(f func()) {
 	rec := t.rt.rec
 	var start time.Duration
