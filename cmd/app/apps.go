@@ -34,7 +34,7 @@ func heatApp(fs *flag.FlagSet) (map[string]*int, builder) {
 			return job{}, err
 		}
 		// At rate 0 this is the zero plan, under which no fault code runs.
-		cfg.Faults = fabric.FaultPlan{MPI: fabric.FaultRates{Drop: *faults}, GASPI: fabric.FaultRates{Drop: *faults}}
+		cfg.Faults = fabric.FaultPlan{MPIDrop: *faults, GASPIDrop: *faults}
 		strips := make([][]float64, ranks) // Verify only
 		report := func(w io.Writer, variant string, res cluster.Result) error {
 			fmt.Fprintf(w, "variant=%s nodes=%d ranks=%d matrix=%dx%d steps=%d block=%d profile=%s\n",

@@ -224,7 +224,7 @@ func TestDefaultConfigGolden(t *testing.T) {
 		{[]string{"heat", "-faults", "0.05"},
 			cluster.Config{Nodes: 4, RanksPerNode: 2, CoresPerRank: 4, Profile: omni,
 				WithTasking: true, WithTAGASPI: true, TAGASPIPoll: 10 * us, Seed: 1,
-				Faults: fabric.FaultPlan{MPI: fabric.FaultRates{Drop: 0.05}, GASPI: fabric.FaultRates{Drop: 0.05}}}},
+				Faults: fabric.FaultPlan{MPIDrop: 0.05, GASPIDrop: 0.05}}},
 
 		{[]string{"miniamr", "-variant", "mpi"},
 			cluster.Config{Nodes: 4, RanksPerNode: 8, CoresPerRank: 1, Profile: omni, Seed: 2}},

@@ -4,7 +4,7 @@
 // lock whenever a thread blocks inside the library while holding it; the
 // simulator reproduces that contention deliberately in mpisim, and must
 // never recreate it accidentally anywhere else. A goroutine that parks on
-// the virtual clock — a channel operation, a Task.WaitFor or Yield, or any
+// the virtual clock — a channel operation, a Task.WaitFor, or any
 // gaspisim/mpisim wait call — while holding a sync.Mutex stalls every other
 // worker that touches the lock for the whole modelled wait, and under the
 // virtual clock it can deadlock the discrete-event engine outright.

@@ -50,7 +50,7 @@ var blocking = map[string]map[string]map[string]bool{
 		"VirtualClock": {"Sleep": true},
 	},
 	"tasking": {
-		"Task":    {"WaitFor": true, "Yield": true, "Compute": true},
+		"Task":    {"WaitFor": true, "Compute": true},
 		"Runtime": {"TaskWait": true, "Throttle": true, "Shutdown": true},
 	},
 	"gaspisim": {

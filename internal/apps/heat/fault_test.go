@@ -14,10 +14,7 @@ func TestTAGASPIMatchesSerialUnderFaults(t *testing.T) {
 	p := verifyParams
 	cfg := hybridCfg(2, 4, true)
 	cfg.Seed = 3
-	cfg.Faults = fabric.FaultPlan{
-		MPI:   fabric.FaultRates{Drop: 0.3},
-		GASPI: fabric.FaultRates{Drop: 0.3},
-	}
+	cfg.Faults = fabric.FaultPlan{MPIDrop: 0.3, GASPIDrop: 0.3}
 	strips, res := gather(cfg, p, RunTAGASPI)
 	checkAgainstSerial(t, assemble(strips), p)
 	if res.Fabric.Faults == 0 {
@@ -31,7 +28,7 @@ func TestMPIOnlyMatchesSerialUnderFaults(t *testing.T) {
 	p := verifyParams
 	cfg := mpiOnlyConfig(2)
 	cfg.Seed = 3
-	cfg.Faults = fabric.FaultPlan{MPI: fabric.FaultRates{Drop: 0.3}}
+	cfg.Faults = fabric.FaultPlan{MPIDrop: 0.3}
 	strips, res := gather(cfg, p, RunMPIOnly)
 	checkAgainstSerial(t, assemble(strips), p)
 	if res.Fabric.Faults == 0 {

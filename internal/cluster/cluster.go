@@ -60,8 +60,8 @@ type Config struct {
 	TaskDispatchOverhead time.Duration
 
 	// Faults, when enabled, installs a fault-injection plan on the fabric
-	// (fabric.FaultPlan): latency jitter, transient delivery failures and
-	// link outages, all derived deterministically from Seed. GASPI-class
+	// (fabric.FaultPlan): per-class drop rates on inter-node injections,
+	// every drop derived deterministically from Seed. GASPI-class
 	// failures surface through the queue error state and are absorbed by
 	// TAGASPI's retry policy; MPI-class failures retransmit transparently.
 	// The zero value injects nothing and leaves every path untouched.

@@ -9,32 +9,28 @@ import (
 	"repro/internal/tasking"
 )
 
-// TestLinkOutageRecovery drives a two-node hybrid job through a hard link
-// outage: the sender's first write+notify fails (queue error state), the
-// TAGASPI retry policy backs off, repairs the queue and resubmits until the
-// link recovers, and the receiver ends up with intact data. Both fault
-// counters must surface in the job snapshots. Run under -race by the CI
-// fault gate.
-func TestLinkOutageRecovery(t *testing.T) {
+// TestGASPIDropRecovery drives a two-node hybrid job through dropped
+// GASPI messages: each failed write+notify puts the sender's queue in the
+// error state, the TAGASPI retry policy backs off, repairs the queue and
+// resubmits until an attempt lands, and the receiver ends up with intact
+// data. Under this seed the path drops four attempts in a row; the exact
+// counts and finish time pin the repair-and-retry path, and no operation
+// may be given up. Run under -race by the CI fault gate.
+func TestGASPIDropRecovery(t *testing.T) {
 	const n = 256
-	outEnd := 300 * time.Microsecond
 	cfg := cluster.Config{
 		Nodes: 2, RanksPerNode: 1, CoresPerRank: 4,
 		Profile:     fabric.ProfileIdeal(),
 		WithTasking: true, WithTAGASPI: true,
 		TAGASPIPoll: 5 * time.Microsecond,
-		Seed:        7,
-		Faults: fabric.FaultPlan{
-			Outages: []fabric.Outage{{Link: fabric.AnyLink(), Start: 0, End: outEnd}},
-		},
+		Seed:        5,
+		Faults:      fabric.FaultPlan{GASPIDrop: 0.5},
 	}
 	bad := make(chan string, 4)
-	// Collective segment creation: under the zero-latency ideal profile the
-	// t=0 write+notify would otherwise race rank 1's registration within the
-	// same virtual instant. An MPI barrier cannot provide the ordering here —
-	// its messages would retransmit through the outage and defer the write
-	// past the window — so the ranks synchronize on a host channel, which
-	// costs no virtual time and leaves the tested scenario untouched.
+	// Under the zero-latency ideal profile the t=0 write+notify would
+	// otherwise race rank 1's segment registration within the same virtual
+	// instant, so the ranks synchronize on a host channel, which costs no
+	// virtual time and leaves the tested scenario untouched.
 	segReady := make(chan struct{})
 	res := cluster.Run(cfg, func(env *cluster.Env) {
 		seg, err := env.GASPI.SegmentCreate(0, n)
@@ -61,11 +57,11 @@ func TestLinkOutageRecovery(t *testing.T) {
 			}, tasking.WithDeps(tasking.Out(seg, 0, n), tasking.OutVal(&got)))
 			env.RT.Submit(func(tk *tasking.Task) {
 				if got != 42 {
-					bad <- "notification value lost across the outage"
+					bad <- "notification value lost across the drops"
 				}
 				for i, b := range seg.Bytes() {
 					if b != byte(i) {
-						bad <- "payload corrupted across the outage"
+						bad <- "payload corrupted across the drops"
 						return
 					}
 				}
@@ -76,15 +72,14 @@ func TestLinkOutageRecovery(t *testing.T) {
 	for msg := range bad {
 		t.Error(msg)
 	}
-	if res.Elapsed < outEnd {
-		t.Errorf("job finished at %v, inside the outage window ending %v", res.Elapsed, outEnd)
-	}
-	var retries, qerrs, faults float64
+	var retries, gaveup, qerrs, faults float64
 	for _, s := range res.Snapshots {
 		for _, smp := range s.Samples {
 			switch smp.Name {
 			case "tagaspi_retries":
 				retries += smp.Value
+			case "tagaspi_gaveup":
+				gaveup += smp.Value
 			case "gaspi_queue_errors":
 				qerrs += smp.Value
 			case "fabric_faults_injected":
@@ -92,8 +87,11 @@ func TestLinkOutageRecovery(t *testing.T) {
 			}
 		}
 	}
-	if retries == 0 || qerrs == 0 || faults == 0 {
-		t.Errorf("snapshots: tagaspi_retries=%v gaspi_queue_errors=%v fabric_faults_injected=%v, want all nonzero",
-			retries, qerrs, faults)
+	if retries != 4 || gaveup != 0 || qerrs != 4 || faults != 4 {
+		t.Errorf("snapshots: tagaspi_retries=%v tagaspi_gaveup=%v gaspi_queue_errors=%v fabric_faults_injected=%v, want 4, 0, 4, 4",
+			retries, gaveup, qerrs, faults)
+	}
+	if want := 330 * time.Microsecond; res.Elapsed != want {
+		t.Errorf("job finished at %v, want %v", res.Elapsed, want)
 	}
 }

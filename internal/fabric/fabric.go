@@ -55,10 +55,9 @@ type Topology struct {
 	ranksPerNode int
 
 	// Shaped-topology state (nil/zero for flat): the shape tag, the
-	// vertex count including switches, the canonical directed-link table
-	// and the precomputed per-(src,dst) node routes as link indices.
+	// canonical directed-link table and the precomputed per-(src,dst) node
+	// routes as link indices.
 	shape  Shape
-	verts  int
 	links  []topoLink
 	routes [][]uint16
 }
@@ -69,7 +68,7 @@ func NewTopology(nodes, ranksPerNode int) Topology {
 	if nodes <= 0 || ranksPerNode <= 0 {
 		panic(fmt.Sprintf("fabric: invalid topology %d nodes x %d ranks", nodes, ranksPerNode))
 	}
-	return Topology{nodes: nodes, ranksPerNode: ranksPerNode, verts: nodes}
+	return Topology{nodes: nodes, ranksPerNode: ranksPerNode}
 }
 
 // Nodes returns the node count.
@@ -203,7 +202,7 @@ type Message struct {
 	// error states.
 	// OnInjected does not run for a failed message and nothing is
 	// delivered. Messages without the hook are instead retransmitted
-	// transparently after the plan's RetransmitDelay, modelling a
+	// transparently after RetransmitDelay, modelling a
 	// reliable transport that hides faults by paying time (the MPI
 	// contract).
 	OnFailed func()
@@ -229,7 +228,6 @@ type Message struct {
 	hopSer   time.Duration // per-link serialization occupancy
 	hopLat   time.Duration // per-link propagation latency
 	hopRx    time.Duration // destination reception cost after the last hop
-	hopSpike time.Duration // fault-plane jitter spike, applied at the last hop
 	linkWait time.Duration // accumulated link-contention wait along the route
 }
 
@@ -337,10 +335,9 @@ type dom struct {
 	injKind uint8
 	cur     *Message
 	popTs   time.Duration // injection start
-	lat     time.Duration // one-way latency, including any jitter spike
+	lat     time.Duration // one-way latency
 	rx      time.Duration // destination reception cost (0 intra-node)
 	inject  time.Duration // source-side port occupancy
-	spike   time.Duration // jitter spike of the current routed injection
 	intra   bool
 	attempt int
 
@@ -513,8 +510,8 @@ func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 // linkState is the runtime state of one directed link of a shaped
 // topology: its serialization capacity (an arrival-order serially-served
 // resource, exactly like a NIC port) plus traffic counters. Counters are
-// atomics because LinkSnapshots and Reset read and clear them from outside
-// the callbacks that count.
+// atomics because LinkSnapshots reads them from outside the callbacks that
+// count.
 type linkState struct {
 	from, to int
 	res      *vsync.Resource
@@ -649,7 +646,7 @@ func (f *Fabric) addDom(key pathKey) *dom {
 	d.key = key
 	d.route = f.topo.routeOf(f.topo.NodeOf(key.src), f.topo.NodeOf(key.dst))
 	d.flowBase = flowBaseOf(key)
-	d.fault = f.faultsFor(key, d.route)
+	d.fault = f.faultsFor(key)
 	d.delFree = 0
 	d.h = f.handlerOf(key.class, key.dst)
 	f.doms[key] = d
@@ -783,7 +780,7 @@ func (f *Fabric) step(d *dom, kind uint8, now time.Duration) {
 		f.injFault(d, now)
 	case evInjRetry:
 		d.attempt++
-		done, next := f.injectAttempt(d, now)
+		done, next := f.injectAttempt(d)
 		f.at(d, done, next)
 	case evDelStart:
 		done := now
@@ -841,7 +838,6 @@ func (f *Fabric) startInject(d *dom, m *Message, now time.Duration) (done time.D
 	if intra {
 		d.rx = 0 // intra-node copies are charged once, at injection
 	}
-	d.spike = 0
 	if d.route != nil {
 		// Routed domains traverse their link route hop by hop after local
 		// completion: each link serializes the message (full wire time for
@@ -856,39 +852,23 @@ func (f *Fabric) startInject(d *dom, m *Message, now time.Duration) (done time.D
 		m.hopRx = d.rx
 	}
 	d.attempt = 0
-	return f.injectAttempt(d, now)
+	return f.injectAttempt(d)
 }
 
-// injectAttempt runs one injection attempt at virtual instant now: the
-// fault-plane decisions (rolled at the attempt instant, before the port is
+// injectAttempt runs one injection attempt of the domain's current
+// message: the fault-plane drop decision (rolled before the port is
 // charged), then the source-side port booking. It returns the step that
 // carries the injection forward and the instant the port is done.
 //
 //tagalint:hotpath
-func (f *Fabric) injectAttempt(d *dom, now time.Duration) (done time.Duration, kind uint8) {
+func (f *Fabric) injectAttempt(d *dom) (done time.Duration, kind uint8) {
 	m := d.cur
-	if pf := d.fault; pf != nil {
-		dropped := pf.outageAt(now)
-		if !dropped && pf.drop > 0 {
-			dropped = pf.roll(saltDrop) < pf.drop
-		}
-		if dropped {
-			// Each failed attempt charges the full injection cost — the
-			// port did the work before the loss was detected.
-			f.faults.Add(1)
-			_, done = f.nicTx[f.topo.NodeOf(m.Src)].Reserve(d.inject)
-			return done, evInjFault
-		}
-		if pf.jitter > 0 && pf.roll(saltJitter) < pf.jitter {
-			if d.route != nil {
-				// Routed flights apply the spike once, at the last hop —
-				// adding it to the per-hop latency would multiply it by the
-				// route length.
-				d.spike += pf.spike
-			} else {
-				d.lat += pf.spike
-			}
-		}
+	if pf := d.fault; pf != nil && pf.roll() < pf.drop {
+		// Each failed attempt charges the full injection cost — the port
+		// did the work before the loss was detected.
+		f.faults.Add(1)
+		_, done = f.nicTx[f.topo.NodeOf(m.Src)].Reserve(d.inject)
+		return done, evInjFault
 	}
 	if d.intra {
 		_, done = f.shm[m.Src].Reserve(d.inject)
@@ -907,7 +887,6 @@ func (f *Fabric) injectAttempt(d *dom, now time.Duration) (done time.Duration, k
 //tagalint:hotpath
 func (f *Fabric) injFault(d *dom, now time.Duration) {
 	m := d.cur
-	pf := d.fault
 	if f.rec != nil {
 		f.rec.Count("fabric_faults_injected", 1)
 		f.rec.Instant(int(m.Src), obs.TrackFabricTx, obs.CatFabric,
@@ -925,9 +904,9 @@ func (f *Fabric) injFault(d *dom, now time.Duration) {
 		return
 	}
 	if d.attempt >= maxTransparentRetries {
-		panic("fabric: transparent retransmission did not converge (Drop rate 1 on a class with no OnFailed hook?)")
+		panic("fabric: transparent retransmission did not converge (drop rate 1 on a class with no OnFailed hook?)")
 	}
-	f.at(d, now+pf.retrans, evInjRetry)
+	f.at(d, now+RetransmitDelay, evInjRetry)
 }
 
 // injDone runs at an injection's local-completion instant: the source
@@ -950,7 +929,6 @@ func (f *Fabric) injDone(d *dom, now time.Duration) {
 		// Routed flight: the message leaves the NIC and enters the first
 		// link of its route now; hopStep carries it to arrival.
 		m.hop = 0
-		m.hopSpike = d.spike
 		m.linkWait = 0
 		f.hopStep(d, m, now)
 	} else {
@@ -986,7 +964,7 @@ func (f *Fabric) hopStep(d *dom, m *Message, now time.Duration) {
 		f.atHop(d, m, arrival)
 		return
 	}
-	f.arrive(d, flight{m: m, arrival: arrival + m.hopSpike, rx: m.hopRx})
+	f.arrive(d, flight{m: m, arrival: arrival, rx: m.hopRx})
 }
 
 // arrive hands a completed flight to the domain's delivery stage: starts
@@ -1162,8 +1140,8 @@ func (f *Fabric) NICSnapshots() []NICSnapshot {
 }
 
 // LinkStats is the traffic and occupancy statistics of one directed link
-// of a shaped topology: its endpoints (vertex ids, see
-// Topology.Vertices), the messages and bytes that crossed it, and its
+// of a shaped topology: its endpoints (route-vertex ids: nodes first, then
+// any switches), the messages and bytes that crossed it, and its
 // serialization-resource statistics — Waited is the total time messages
 // queued at the link's entry, the emergent backpressure signal.
 type LinkStats struct {
@@ -1223,30 +1201,6 @@ func (f *Fabric) Snapshot() obs.Snapshot {
 		)
 	}
 	return obs.Snapshot{Component: "fabric", Rank: -1, Samples: samples}
-}
-
-// Reset clears the fabric's statistics counters (traffic totals, NIC,
-// intra-node port and per-link statistics), opening a steady-state
-// measurement window.
-// In-flight traffic and port booking state are untouched.
-func (f *Fabric) Reset() {
-	f.msgs.Store(0)
-	f.bytes.Store(0)
-	f.byClass[0].Store(0)
-	f.byClass[1].Store(0)
-	f.faults.Store(0)
-	for i := range f.nicTx {
-		f.nicTx[i].ResetStats()
-		f.nicRx[i].ResetStats()
-	}
-	for i := range f.shm {
-		f.shm[i].ResetStats()
-	}
-	for _, l := range f.links {
-		l.msgs.Store(0)
-		l.bytes.Store(0)
-		l.res.ResetStats()
-	}
 }
 
 // SeedOf derives a deterministic, platform-independent seed from a

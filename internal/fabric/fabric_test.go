@@ -321,7 +321,7 @@ func TestReleaseMark(t *testing.T) {
 		"fabric: releaseMessage of a released Message": func() { releaseMessage(m) },
 		"fabric: Send of a released Message":           func() { f.Send(m) },
 	})
-	pooltest.Size[Message](t, 144)
+	pooltest.Size[Message](t, 136)
 }
 
 // Property: per-lane FIFO holds for any assignment of messages to lanes.

@@ -223,7 +223,7 @@ func TestDomainReuseZeroCostInline(t *testing.T) {
 func TestFaultDomainNeverReleased(t *testing.T) {
 	clk := vclock.NewVirtual()
 	f := New(clk, NewTopology(2, 1), testProfile())
-	f.SetFaultPlan(FaultPlan{GASPI: FaultRates{Drop: 1}}, 7)
+	f.SetFaultPlan(FaultPlan{GASPIDrop: 1}, 7)
 	failed, delivered := 0, 0
 	f.Register(1, ClassGASPI, func(*Message) { t.Error("a dropped GASPI message was delivered") })
 	f.Register(1, ClassMPI, func(*Message) { delivered++ })

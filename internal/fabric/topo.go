@@ -38,7 +38,7 @@ const (
 	// four nodes share a leaf switch, every leaf connects to every spine
 	// switch, and inter-leaf routes pick their spine by destination
 	// (deterministic ECMP). Switches are extra route vertices with ids
-	// above the node ids — see Topology.Vertices.
+	// above the node ids.
 	ShapeFatTree
 )
 
@@ -85,18 +85,6 @@ func NewShapedTopology(shape Shape, nodes, ranksPerNode int) Topology {
 
 // Shape returns the topology's shape.
 func (t Topology) Shape() Shape { return t.shape }
-
-// Vertices returns the number of route vertices: the nodes plus, for
-// shapes with switches (fat-tree), the switch vertices. Link selectors
-// (Link, Outage) address vertices by these ids: nodes are 0..Nodes()-1,
-// fat-tree leaf switches follow at Nodes()..Nodes()+leaves-1 and spine
-// switches after the leaves.
-func (t Topology) Vertices() int {
-	if t.verts == 0 {
-		return t.nodes // flat Topology zero/legacy value
-	}
-	return t.verts
-}
 
 // routeOf returns the link-index route from node src to node dst, or nil
 // when the topology is flat or the nodes coincide. The returned slice is
@@ -145,7 +133,6 @@ func (b *topoBuilder) route(src, dst int, r []uint16) {
 func NewRingTopology(nodes, ranksPerNode int) Topology {
 	t := NewTopology(nodes, ranksPerNode)
 	t.shape = ShapeRing
-	t.verts = nodes
 	if nodes < 2 {
 		return t
 	}
@@ -199,7 +186,6 @@ func meshDims(n int) (rows, cols int) {
 func NewMeshTopology(nodes, ranksPerNode int) Topology {
 	t := NewTopology(nodes, ranksPerNode)
 	t.shape = ShapeMesh2D
-	t.verts = nodes
 	if nodes < 2 {
 		return t
 	}
@@ -260,7 +246,6 @@ func NewFatTreeTopology(nodes, ranksPerNode int) Topology {
 	t := NewTopology(nodes, ranksPerNode)
 	t.shape = ShapeFatTree
 	if nodes < 2 {
-		t.verts = nodes
 		return t
 	}
 	leaves := (nodes + fatTreeLeafArity - 1) / fatTreeLeafArity
@@ -269,7 +254,6 @@ func NewFatTreeTopology(nodes, ranksPerNode int) Topology {
 		spines = 1
 	}
 	leafBase, spineBase := nodes, nodes+leaves
-	t.verts = nodes + leaves + spines
 	t.routes = make([][]uint16, nodes*nodes)
 	b := newTopoBuilder(&t)
 	leafOf := func(n int) int { return leafBase + n/fatTreeLeafArity }

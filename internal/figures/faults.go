@@ -49,10 +49,7 @@ func AblationFaultInjection(o Opts) Figure {
 			// The rate must be part of the ID: point seeds derive from it,
 			// and ids must be unique within the sweep.
 			pt.ID = fmt.Sprintf("%s/f%g", pt.ID, r)
-			pt.Cfg.Faults = fabric.FaultPlan{
-				MPI:   fabric.FaultRates{Drop: r},
-				GASPI: fabric.FaultRates{Drop: r},
-			}
+			pt.Cfg.Faults = fabric.FaultPlan{MPIDrop: r, GASPIDrop: r}
 			sw.Points = append(sw.Points, pt)
 		}
 	}

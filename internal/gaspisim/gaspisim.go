@@ -972,8 +972,8 @@ func (p *Proc) Drain(queueID int) {
 }
 
 // Snapshot returns the per-queue post-resource statistics plus the failed
-// operation total ("gaspi_queue_errors") in the common observability shape
-// (obs.Snapshotter).
+// operation total ("gaspi_queue_errors") in the common observability
+// shape.
 func (p *Proc) Snapshot() obs.Snapshot {
 	s := obs.Snapshot{Component: "gaspi", Rank: int(p.rank)}
 	var errs int64
@@ -991,16 +991,4 @@ func (p *Proc) Snapshot() obs.Snapshot {
 	}
 	s.Samples = append(s.Samples, obs.Sample{Name: "gaspi_queue_errors", Value: float64(errs)})
 	return s
-}
-
-// Reset clears the queue statistics, including the failed-operation
-// counts; queue health is operational state and is left untouched
-// (obs.Snapshotter).
-func (p *Proc) Reset() {
-	for _, q := range p.queues {
-		q.res.ResetStats()
-		q.mu.Lock()
-		q.errors = 0
-		q.mu.Unlock()
-	}
 }

@@ -151,7 +151,7 @@ func (p *Proc) Clock() *vclock.VirtualClock { return p.clk }
 func (p *Proc) LockStats() vsync.ResourceStats { return p.libLock.Stats() }
 
 // Snapshot returns the library-lock statistics in the common observability
-// shape (obs.Snapshotter).
+// shape.
 func (p *Proc) Snapshot() obs.Snapshot {
 	st := p.libLock.Stats()
 	return obs.Snapshot{
@@ -165,9 +165,6 @@ func (p *Proc) Snapshot() obs.Snapshot {
 		},
 	}
 }
-
-// Reset clears the library-lock statistics (obs.Snapshotter).
-func (p *Proc) Reset() { p.libLock.ResetStats() }
 
 // Request is a non-blocking operation handle. A receive's request is also
 // its entry in the matching engine (match.go).

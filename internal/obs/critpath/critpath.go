@@ -132,7 +132,7 @@ func classify(e obs.Event) (prio int, class Class, waitLike bool) {
 		return 4, ClassRetry, false
 	case "notify:wait", "mpi:wait":
 		return 3, ClassNotifyWait, true
-	case "task:wait", "task:yield":
+	case "task:wait":
 		return 2, ClassIdle, true
 	}
 	// Task bodies, mpi:isend/mpi:irecv shells, gaspi post spans, polling

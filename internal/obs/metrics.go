@@ -126,17 +126,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Reset clears the histogram's counts, opening a steady-state measurement
-// window.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.mu.Unlock()
-}
-
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of the
 // recorded samples: the bound of the bucket the quantile falls in (Max for
 // the overflow bucket). It returns 0 for an empty histogram.
@@ -246,23 +235,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset clears every registered metric (counters and gauges to zero,
-// histograms emptied), opening a steady-state measurement window without
-// discarding the instrument set.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.Reset()
-	}
 }
 
 // Write renders every metric as aligned text, sorted by name: counters and

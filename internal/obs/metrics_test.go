@@ -46,11 +46,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if s.Min != 0 || s.Max != 1<<40 {
 		t.Errorf("min/max = %v/%v", s.Min, s.Max)
 	}
-
-	h.Reset()
-	if s := h.Snapshot(); s.N != 0 || s.Sum != 0 || s.Max != 0 {
-		t.Errorf("after Reset: %+v", s)
-	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
@@ -100,24 +95,16 @@ func TestDefaultBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestEmptyHistogramQuantiles pins the empty-histogram contract across the
-// ways a histogram can be empty: freshly created, and emptied by Reset.
-// Every quantile of an empty histogram is 0, including the extremes.
+// TestEmptyHistogramQuantiles pins the empty-histogram contract: every
+// quantile of an empty histogram is 0, including the extremes.
 func TestEmptyHistogramQuantiles(t *testing.T) {
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := NewHistogram(nil).Snapshot().Quantile(q); got != 0 {
 			t.Errorf("fresh histogram Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	h := NewHistogram(nil)
-	h.Observe(time.Millisecond)
-	h.Reset()
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Snapshot().Quantile(q); got != 0 {
-			t.Errorf("after Reset, Quantile(%v) = %v, want 0", q, got)
-		}
-	}
 	// q=0 on a non-empty histogram clamps the rank to the first sample.
+	h := NewHistogram(nil)
 	h.Observe(50)
 	if got := h.Snapshot().Quantile(0); got != 50 {
 		t.Errorf("Quantile(0) of single 50ns sample = %v, want 50ns", got)
@@ -179,13 +166,6 @@ func TestRegistryConcurrent(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Write output missing %q:\n%s", want, out)
 		}
-	}
-	r.Reset()
-	if v := r.Counter("shared.counter").Value(); v != 0 {
-		t.Errorf("counter after Reset = %d", v)
-	}
-	if n := r.Histogram("shared.hist").Snapshot().N; n != 0 {
-		t.Errorf("histogram N after Reset = %d", n)
 	}
 }
 

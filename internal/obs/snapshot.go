@@ -24,14 +24,6 @@ type Snapshot struct {
 	Samples   []Sample
 }
 
-// Snapshotter is implemented by components exposing resettable statistics:
-// Snapshot returns the current counters in the common shape, Reset clears
-// them so a steady-state measurement window can exclude warm-up.
-type Snapshotter interface {
-	Snapshot() Snapshot
-	Reset()
-}
-
 // WriteSnapshots renders snapshots as aligned text, one sample per line.
 func WriteSnapshots(w io.Writer, snaps []Snapshot) {
 	for _, s := range snaps {

@@ -100,7 +100,7 @@ func (t *Tracer) append(rank int, e Event) {
 	s.mu.Unlock()
 }
 
-// Snapshot implements Snapshotter, surfacing the tracer's health counters.
+// Snapshot surfaces the tracer's health counters.
 func (t *Tracer) Snapshot() Snapshot {
 	return Snapshot{Component: "obs.tracer", Rank: -1, Samples: []Sample{
 		{Name: "obs_events_dropped", Value: float64(t.dropped.Load())},
@@ -108,9 +108,9 @@ func (t *Tracer) Snapshot() Snapshot {
 	}}
 }
 
-// Reset implements Snapshotter: it clears the health counters and discards
-// all recorded events, retaining the shard buffers' capacity so a
-// steady-state measurement window starts empty without reallocating.
+// Reset clears the health counters and discards all recorded events,
+// retaining the shard buffers' capacity so the next recording round starts
+// empty without reallocating.
 func (t *Tracer) Reset() {
 	t.dropped.Store(0)
 	t.clamped.Store(0)

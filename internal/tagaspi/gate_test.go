@@ -18,8 +18,9 @@ import (
 
 const gatePoll = 5 * time.Microsecond
 
-// gateJob runs a two-rank job in which rank 1 awaits notification 7 and a
-// successor task records when and with what value the wait was retired.
+// gateJob runs a job in which rank 1 awaits notification 7 and a successor
+// task records when and with what value the wait was retired. Ranks past 1
+// only create their segment.
 func gateJob(t *testing.T, cfg cluster.Config, main0, main1 func(env *cluster.Env)) (at time.Duration, val int64) {
 	t.Helper()
 	done := make(chan struct{})
@@ -39,8 +40,11 @@ func gateJob(t *testing.T, cfg cluster.Config, main0, main1 func(env *cluster.En
 func gateRun(cfg cluster.Config, main0, main1 func(env *cluster.Env), at *time.Duration, val *int64) {
 	cluster.Run(cfg, func(env *cluster.Env) {
 		mustSeg(env, 0, 64)
-		if env.Rank == 0 {
+		switch {
+		case env.Rank == 0:
 			main0(env)
+			return
+		case env.Rank > 1:
 			return
 		}
 		var notified int64
@@ -109,14 +113,15 @@ func TestGateApplicationResetLeavesWaiterPending(t *testing.T) {
 }
 
 // While failed operations await resubmission every pass takes the blocking
-// retry path; it still ends in the full notification check.
+// retry path; it still ends in the full notification check. Two ranks per
+// node keep rank 0's notification to rank 1 on one node, where nothing
+// faults, while everything rank 1 posts to rank 2 on the other node is
+// lost.
 func TestGateRetryPassStillChecksNotifications(t *testing.T) {
 	cfg := hybridConfig(2)
+	cfg.RanksPerNode = 2
 	cfg.Seed = 1
-	cfg.Faults = fabric.FaultPlan{ // everything rank 1 posts to rank 0 is lost
-		GASPI: fabric.FaultRates{Drop: 1},
-		Links: []fabric.Link{{SrcNode: 1, DstNode: 0}},
-	}
+	cfg.Faults = fabric.FaultPlan{GASPIDrop: 1}
 	at, val := gateJob(t, cfg,
 		func(env *cluster.Env) { notifyAt(env, 12*time.Microsecond, 46) },
 		func(env *cluster.Env) {
@@ -125,7 +130,7 @@ func TestGateRetryPassStillChecksNotifications(t *testing.T) {
 			// attempt failed by 6µs (the default backoff is 20µs), so the
 			// pass at 15µs took the retry path.
 			env.RT.Submit(func(tk *tasking.Task) {
-				must(env.TAGASPI.Notify(tk, 0, 0, 1, 1, 0))
+				must(env.TAGASPI.Notify(tk, 2, 0, 1, 1, 0))
 			})
 			env.Clk.Sleep(26 * time.Microsecond)
 			if r := sample(env.TAGASPI, "tagaspi_retries"); r == 0 {

@@ -21,7 +21,7 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 	)
 	cfg := hybridConfig(2)
 	cfg.Seed = 1
-	cfg.Faults = fabric.FaultPlan{GASPI: fabric.FaultRates{Drop: 0.5}}
+	cfg.Faults = fabric.FaultPlan{GASPIDrop: 0.5}
 	libs := make([]*tagaspi.Library, 2)
 	bad := make(chan string, ops+1)
 	res := cluster.Run(cfg, func(env *cluster.Env) {
@@ -101,7 +101,7 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 func TestRetryGivesUpGracefully(t *testing.T) {
 	cfg := hybridConfig(2)
 	cfg.Seed = 1
-	cfg.Faults = fabric.FaultPlan{GASPI: fabric.FaultRates{Drop: 1}}
+	cfg.Faults = fabric.FaultPlan{GASPIDrop: 1}
 	libs := make([]*tagaspi.Library, 2)
 	done := make(chan struct{})
 	go func() {

@@ -396,13 +396,15 @@ func (l *Library) opFailed(po *pendingOp) int {
 	po.fails = 0
 	po.attempts++
 	if po.attempts >= DefaultMaxAttempts {
-		nreq := po.nreq
-		po.counter.Decrease(nreq)
-		putPendingOp(po) // final attempt fully failed; no completion left
+		// Count before releasing the events: a TaskWait the release wakes
+		// must already see the give-up in the snapshot.
 		l.gaveup.Add(1)
 		if l.rec != nil {
 			l.rec.Count("tagaspi_gaveup", 1)
 		}
+		nreq := po.nreq
+		po.counter.Decrease(nreq)
+		putPendingOp(po) // final attempt fully failed; no completion left
 		return nreq
 	}
 	shift := po.attempts - 1
@@ -454,7 +456,8 @@ func (l *Library) resubmitDue() int {
 	return resubmitted
 }
 
-// Snapshot implements obs.Snapshotter with the retry-policy counters.
+// Snapshot returns the retry-policy and polling counters in the common
+// observability shape.
 func (l *Library) Snapshot() obs.Snapshot {
 	return obs.Snapshot{
 		Component: "tagaspi",
@@ -467,11 +470,4 @@ func (l *Library) Snapshot() obs.Snapshot {
 			{Name: "tagaspi_idle_passes", Value: float64(l.svc.IdlePasses())},
 		},
 	}
-}
-
-// Reset clears the retry-policy counters (outstanding notification waits
-// are operational state and survive).
-func (l *Library) Reset() {
-	l.retries.Store(0)
-	l.gaveup.Store(0)
 }

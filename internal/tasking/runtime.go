@@ -457,8 +457,8 @@ func (rt *Runtime) Stats() Stats {
 	return rt.stats
 }
 
-// Snapshot returns the runtime counters in the common observability shape
-// (obs.Snapshotter).
+// Snapshot returns the runtime counters in the common observability
+// shape.
 func (rt *Runtime) Snapshot() obs.Snapshot {
 	s := rt.Stats()
 	return obs.Snapshot{
@@ -472,20 +472,13 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 	}
 }
 
-// Reset clears the runtime counters (obs.Snapshotter).
-func (rt *Runtime) Reset() {
-	rt.mu.Lock()
-	rt.stats = Stats{}
-	rt.mu.Unlock()
-}
-
 // workerPool runs task bodies on a bounded set of reusable goroutines.
 // The per-task-goroutine runtime it replaces spawned one goroutine per
 // dispatched task — at 10k-rank scale, millions of short-lived goroutines
 // whose stacks dominated host time. The pool keeps at most Cores workers
 // actively progressing bodies (matching the modelled core count), parks
 // surplus workers on reusable external parkers, and spawns a compensating
-// worker only when a body blocks in Yield/WaitFor while dispatched work is
+// worker only when a body blocks in WaitFor while dispatched work is
 // waiting — the same trick the Go runtime uses for blocking syscalls.
 //
 // Determinism: the core ticket is drawn and the task enqueued under one
@@ -501,7 +494,7 @@ type workerPool struct {
 	idle     []*vclock.Parker // parked workers, one entry each
 	seeking  int              // workers awake and heading for the queue
 	handling int              // workers between claiming an item and finishing its body
-	blocked  int              // handled bodies currently blocked in Yield/WaitFor
+	blocked  int              // handled bodies currently blocked in WaitFor
 	total    int              // live worker goroutines
 	stopped  bool
 	wg       sync.WaitGroup
@@ -610,7 +603,7 @@ func (wp *workerPool) worker() {
 }
 
 // block records that the calling worker's body is about to block in
-// Yield/WaitFor (releasing its core but keeping its goroutine) and makes
+// WaitFor (releasing its core but keeping its goroutine) and makes
 // sure waiting work still progresses on another worker.
 func (wp *workerPool) block() {
 	wp.mu.Lock()

@@ -289,21 +289,6 @@ func TestWaitForYieldsCore(t *testing.T) {
 	}
 }
 
-func TestYieldReleasesCore(t *testing.T) {
-	var end time.Duration
-	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Submit(func(tk *Task) {
-			tk.Yield(func() { clk.Sleep(5 * time.Microsecond) })
-		})
-		rt.Submit(func(tk *Task) { tk.Compute(5 * time.Microsecond) })
-		rt.TaskWait()
-		end = clk.Now()
-	})
-	if end != 5*time.Microsecond {
-		t.Fatalf("total %v, want 5µs", end)
-	}
-}
-
 func TestSpawnAndShutdown(t *testing.T) {
 	var polls atomic.Int32
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {

@@ -73,9 +73,9 @@ type Task struct {
 	state   state // guarded by rt.mu
 	spawned bool
 
-	// pooled is true while the body runs on a pool worker; Yield/WaitFor
-	// use it to tell the pool the worker is blocked so a replacement can
-	// keep dispatched work moving. Written and read only by the body's
+	// pooled is true while the body runs on a pool worker; WaitFor uses
+	// it to tell the pool the worker is blocked so a replacement can keep
+	// dispatched work moving. Written and read only by the body's
 	// goroutine.
 	pooled bool
 }
@@ -132,31 +132,6 @@ func (t *Task) WaitFor(d time.Duration) time.Duration {
 			start, start+slept, t.id)
 	}
 	return slept
-}
-
-// Yield releases the task's core, runs f (which may block on modelled
-// time), and re-acquires a core before returning. It is how a blocking
-// call inside a task body frees the core while waiting, like the Nanos6
-// blocking API.
-func (t *Task) Yield(f func()) {
-	rec := t.rt.rec
-	var start time.Duration
-	if rec != nil {
-		start = t.rt.clk.Now()
-	}
-	if t.pooled {
-		t.rt.pool.block()
-	}
-	t.rt.cores.release()
-	f()
-	t.rt.cores.acquire(t.rt.cores.ticket())
-	if t.pooled {
-		t.rt.pool.unblock()
-	}
-	if rec != nil {
-		rec.Span(t.rt.rank, obs.TaskTrack(t.lane), obs.CatTask, "task:yield",
-			start, t.rt.clk.Now(), t.id)
-	}
 }
 
 // EventCounter counts outstanding external events bound to one task.

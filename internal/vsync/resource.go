@@ -117,15 +117,6 @@ func (r *Resource) Stats() ResourceStats {
 	return ResourceStats{Uses: r.uses, Busy: r.busy, Waited: r.waited, MaxWait: r.maxWait}
 }
 
-// ResetStats clears the statistics counters without touching the booking
-// state (freeAt), so a steady-state measurement window can exclude warm-up
-// traffic.
-func (r *Resource) ResetStats() {
-	r.mu.Lock()
-	r.uses, r.busy, r.waited, r.maxWait = 0, 0, 0, 0
-	r.mu.Unlock()
-}
-
 // Queue is an unbounded FIFO with a clock-aware blocking Pop, for
 // single-consumer use. Push never blocks and may be called from any
 // goroutine.

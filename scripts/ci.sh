@@ -130,9 +130,9 @@ grep -q '"host_ms":' "$bench_json"
 # without a trace and when re-derived from the trace file) are
 # cmd/app's TestDeterminismGates, also in the test pass above.
 
-# Fault recovery under -race: a two-rank cluster through a hard link
-# outage and TAGASPI's repair-and-retry recovery (DESIGN.md §9).
-echo "== fault recovery under -race: link outage and repair"
-go test -race -run TestLinkOutageRecovery ./internal/cluster
+# Fault recovery under -race: a two-rank cluster through dropped GASPI
+# messages and TAGASPI's repair-and-retry recovery (DESIGN.md §9).
+echo "== fault recovery under -race: GASPI drops and repair"
+go test -race -run TestGASPIDropRecovery ./internal/cluster
 
 echo "ci: OK"
