@@ -4,7 +4,7 @@
 // lock whenever a thread blocks inside the library while holding it; the
 // simulator reproduces that contention deliberately in mpisim, and must
 // never recreate it accidentally anywhere else. A goroutine that parks on
-// the virtual clock — a channel operation, a Task.WaitFor, or any
+// the virtual clock — a channel operation, a Task.Compute, or any
 // gaspisim/mpisim wait call — while holding a sync.Mutex stalls every other
 // worker that touches the lock for the whole modelled wait, and under the
 // virtual clock it can deadlock the discrete-event engine outright.
@@ -22,7 +22,7 @@ import (
 // Analyzer flags blocking operations performed while a mutex is held.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcross",
-	Doc: "report blocking operations (channel ops, task yields, simulator " +
+	Doc: "report blocking operations (channel ops, task waits, simulator " +
 		"waits) performed while holding a sync lock",
 	Run: run,
 }

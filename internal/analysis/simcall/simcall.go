@@ -50,7 +50,7 @@ var blocking = map[string]map[string]map[string]bool{
 		"VirtualClock": {"Sleep": true},
 	},
 	"tasking": {
-		"Task":    {"WaitFor": true, "Compute": true},
+		"Task":    {"Compute": true},
 		"Runtime": {"TaskWait": true, "Throttle": true, "Shutdown": true},
 	},
 	"gaspisim": {

@@ -7,7 +7,7 @@
 //  2. An onready callback (tasking.WithOnReady, §V-A of the paper) runs on
 //     the runtime's dependency-release path before the task owns a core;
 //     it may only register asynchronous events (NotifyIwait and friends).
-//     Blocking there — a channel op, Task.WaitFor, or any simulator
+//     Blocking there — a channel op, Task.Compute, or any simulator
 //     wait — stalls dependency release for the whole rank.
 //  3. A clock callback (VirtualClock.NewEvent or InitEvent), a fabric
 //     delivery handler (Fabric.Register) or a service step (the functions

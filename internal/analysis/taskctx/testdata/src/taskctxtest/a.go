@@ -36,9 +36,9 @@ func blockingWaitInOnready(rt *tasking.Runtime, mpi *mpisim.Proc, req *mpisim.Re
 	}))
 }
 
-func taskWaitInOnready(rt *tasking.Runtime) {
+func computeInOnready(rt *tasking.Runtime) {
 	rt.Submit(func(t *tasking.Task) {}, tasking.WithOnReady(func(t *tasking.Task) {
-		t.WaitFor(10) // want "tasking.Task.WaitFor in an onready callback"
+		t.Compute(10) // want "tasking.Task.Compute in an onready callback"
 	}))
 }
 

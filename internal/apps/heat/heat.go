@@ -179,12 +179,6 @@ func (g *grid) computeBlock(t *tasking.Task, bi, bj int) {
 	g.sweep(1+bi*br, (bi+1)*br, bj*bc, (bj+1)*bc-1)
 }
 
-// Result carries the values needed by verification and figures.
-type Result struct {
-	Params Params
-	Ranks  int
-}
-
 // Serial computes the reference solution on a single grid, returning the
 // full (Rows+2) x Cols matrix including boundary rows. The sweep order is
 // identical to the distributed variants'.

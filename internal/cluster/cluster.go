@@ -33,11 +33,10 @@ type Config struct {
 	RanksPerNode int            // processes per node
 	CoresPerRank int            // cores (worker slots) per process
 	Profile      fabric.Profile // machine cost model
-	Queues       int            // GASPI queues per process (default 4)
 
 	// Shape selects the interconnect topology (fabric.Shape). The zero
 	// value is fabric.ShapeFlat — the original single-hop model with
-	// unchanged results; ring, mesh and fat-tree route every inter-node
+	// unchanged results; mesh and fat-tree route every inter-node
 	// message over shared links with per-link serialization capacity, so
 	// congestion emerges from contention (DESIGN.md §13).
 	Shape fabric.Shape
@@ -55,10 +54,6 @@ type Config struct {
 	TAMPIPoll   time.Duration
 	TAGASPIPoll time.Duration
 
-	// Per-task modelled overheads (Nanos6 creation and scheduling costs).
-	TaskSubmitOverhead   time.Duration
-	TaskDispatchOverhead time.Duration
-
 	// Faults, when enabled, installs a fault-injection plan on the fabric
 	// (fabric.FaultPlan): per-class drop rates on inter-node injections,
 	// every drop derived deterministically from Seed. GASPI-class
@@ -72,19 +67,23 @@ type Config struct {
 	// package obs. A typical caller passes obs.NewCollector(ranks) and
 	// writes its trace and metrics after Run returns. Nil (the default)
 	// keeps every hot path on its uninstrumented single-branch fast path.
-	Recorder obs.Recorder
+	Recorder *obs.Collector
 
 	Seed int64
 }
 
-// DefaultTaskOverheads are applied by Run when a virtual-time hybrid job
-// leaves the overhead fields zero: the sub-microsecond per-task costs of a
-// tuned OmpSs-2 runtime, which drive the small-block tasking overheads the
-// paper observes in Figs. 10 and 12.
+// SubmitOverhead and DispatchOverhead are the per-task modelled costs Run
+// charges on every hybrid job with a nonzero profile: the sub-microsecond
+// creation and scheduling costs of a tuned OmpSs-2 runtime, which drive
+// the small-block tasking overheads the paper observes in Figs. 10 and 12.
+// Under the zero profile tasks cost nothing.
 const (
-	DefaultSubmitOverhead   = 150 * time.Nanosecond
-	DefaultDispatchOverhead = 250 * time.Nanosecond
+	SubmitOverhead   = 150 * time.Nanosecond
+	DispatchOverhead = 250 * time.Nanosecond
 )
+
+// queues is the number of GASPI queues per process.
+const queues = 4
 
 // Env is the per-rank environment handed to the rank main.
 type Env struct {
@@ -135,9 +134,8 @@ type Result struct {
 	// Blame is the critical-path blame report of the run, attributing the
 	// makespan to compute, fabric transit, notify wait, MPI lock wait,
 	// retry backoff and scheduler idle (DESIGN.md §10). It is computed
-	// only on instrumented runs — when Config.Recorder is an
-	// *obs.Collector with a live Tracer — and is nil otherwise, or when
-	// the trace could not be analysed.
+	// only on instrumented runs — when Config.Recorder has a live Tracer —
+	// and is nil otherwise, or when the trace could not be analysed.
 	Blame *critpath.Report
 }
 
@@ -161,19 +159,12 @@ func Run(cfg Config, main func(*Env)) Result {
 	if cfg.CoresPerRank <= 0 {
 		cfg.CoresPerRank = 1
 	}
-	if cfg.Queues <= 0 {
-		cfg.Queues = 4
-	}
 	if (cfg.WithTAMPI || cfg.WithTAGASPI) && !cfg.WithTasking {
 		panic("cluster: task-aware libraries require WithTasking")
 	}
-	if cfg.WithTasking && !cfg.Profile.Zero() {
-		if cfg.TaskSubmitOverhead == 0 {
-			cfg.TaskSubmitOverhead = DefaultSubmitOverhead
-		}
-		if cfg.TaskDispatchOverhead == 0 {
-			cfg.TaskDispatchOverhead = DefaultDispatchOverhead
-		}
+	tcfg := tasking.Config{Cores: cfg.CoresPerRank}
+	if !cfg.Profile.Zero() {
+		tcfg.SubmitOverhead, tcfg.DispatchOverhead = SubmitOverhead, DispatchOverhead
 	}
 	if cfg.TAMPIPoll == 0 {
 		cfg.TAMPIPoll = tampi.DefaultPollInterval
@@ -189,7 +180,7 @@ func Run(cfg Config, main func(*Env)) Result {
 		fab.SetFaultPlan(cfg.Faults, fabric.FaultPlaneSeed(cfg.Seed))
 	}
 	mw := mpisim.NewWorld(fab, cfg.Seed)
-	gw := gaspisim.NewWorld(fab, cfg.Queues, fabric.GASPIWorldSeed(cfg.Seed))
+	gw := gaspisim.NewWorld(fab, queues, fabric.GASPIWorldSeed(cfg.Seed))
 	if cfg.Recorder != nil {
 		fab.SetRecorder(cfg.Recorder)
 		mw.SetRecorder(cfg.Recorder)
@@ -210,11 +201,7 @@ func Run(cfg Config, main func(*Env)) Result {
 			MPI: mw.Proc(fabric.Rank(r)), GASPI: gw.Proc(fabric.Rank(r)),
 		}
 		if cfg.WithTasking {
-			env.RT = tasking.New(clk, tasking.Config{
-				Cores:            cfg.CoresPerRank,
-				SubmitOverhead:   cfg.TaskSubmitOverhead,
-				DispatchOverhead: cfg.TaskDispatchOverhead,
-			})
+			env.RT = tasking.New(clk, tcfg)
 			if cfg.Recorder != nil {
 				env.RT.SetRecorder(cfg.Recorder, r)
 			}
@@ -315,7 +302,7 @@ func Run(cfg Config, main func(*Env)) Result {
 		}
 	}
 	fab.Close()
-	if col, ok := cfg.Recorder.(*obs.Collector); ok && col != nil && col.Tracer != nil {
+	if col := cfg.Recorder; col != nil && col.Tracer != nil {
 		// The fabric and the pollers have drained (fab.Close, RT.Shutdown), so
 		// the event set is final. Analysis failures (an empty measurement
 		// window, say) leave Blame nil rather than failing the run.

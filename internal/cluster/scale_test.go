@@ -86,8 +86,7 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 	}
 
 	// In-flight budget: a main goroutine per rank and up to Cores pool
-	// workers (the polling service has no goroutine, and no task body here
-	// blocks, so no replacement worker either), none for the fabric, and
+	// workers (the polling service has no goroutine), none for the fabric, and
 	// slack for the test harness itself. Linear in ranks — NOT in ordering
 	// domains (4n of them here) and NOT in submitted tasks.
 	budget := int64(base + nodes*(1+cores) + 32)

@@ -86,7 +86,7 @@ type Option func(*Comm)
 // per ring step, so critpath blame can attribute collective time to
 // notify_wait vs mpi_lock_wait per backend. A nil recorder (the default)
 // keeps the comm uninstrumented.
-func WithRecorder(rec obs.Recorder) Option { return func(c *Comm) { c.rec = rec } }
+func WithRecorder(rec *obs.Collector) Option { return func(c *Comm) { c.rec = rec } }
 
 // WithElemCost sets the modelled compute cost per combined element (the
 // local reduction arithmetic). Blocking backends sleep it on the rank
@@ -106,7 +106,7 @@ type Comm struct {
 	steps    int // ring steps per allreduce and staging slots per parity: 2*(n-1)
 
 	elemCost time.Duration
-	rec      obs.Recorder
+	rec      *obs.Collector
 	clk      *vclock.VirtualClock
 
 	backend backend

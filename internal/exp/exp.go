@@ -82,12 +82,9 @@ type Sweep struct {
 
 // Options configures one sweep execution.
 type Options struct {
-	// Workers bounds the host-parallel points: 0 (or negative) means
-	// GOMAXPROCS, 1 restores fully sequential execution. Ignored when
-	// Pool is set.
-	Workers int
-	// Pool, when non-nil, is a worker pool shared with other sweeps so
-	// one global bound covers a whole figure set.
+	// Pool bounds the host-parallel points; sharing one pool between
+	// sweeps puts one global bound on a whole figure set. nil means
+	// NewPool(0).
 	Pool *Pool
 }
 
@@ -116,23 +113,13 @@ func SeedFor(sweepID, pointID string) int64 {
 }
 
 // Execute runs every point and returns their results in point order.
-// Points run concurrently on at most the configured number of host
-// workers; each point is one fully isolated cluster.Run.
+// Points run concurrently on at most the pool's number of host workers;
+// each point is one fully isolated cluster.Run.
 func (s *Sweep) Execute(opt Options) []Result {
 	rs := make([]Result, len(s.Points))
 	pool := opt.Pool
 	if pool == nil {
-		w := opt.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w == 1 || len(s.Points) <= 1 {
-			for i := range s.Points {
-				rs[i] = s.runPoint(i)
-			}
-			return rs
-		}
-		pool = NewPool(w)
+		pool = NewPool(0)
 	}
 	var wg sync.WaitGroup
 	for i := range s.Points {
@@ -201,12 +188,6 @@ func (s *Sweep) Build(rs []Result) Figure {
 		s.Post(&f, raw, rs)
 	}
 	return f
-}
-
-// Run is Execute followed by Build.
-func (s *Sweep) Run(opt Options) (Figure, []Result) {
-	rs := s.Execute(opt)
-	return s.Build(rs), rs
 }
 
 func indexOfX(xs []float64, x float64) int {

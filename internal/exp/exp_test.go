@@ -50,8 +50,13 @@ func testSweep(n int) *Sweep {
 // The engine's core contract: results arrive in point order with seeds
 // derived from ids, and any worker count yields identical results.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
-	seqFig, seq := testSweep(6).Run(Options{Workers: 1})
-	parFig, par := testSweep(6).Run(Options{Workers: 8})
+	run := func(workers int) (Figure, []Result) {
+		sw := testSweep(6)
+		rs := sw.Execute(Options{Pool: NewPool(workers)})
+		return sw.Build(rs), rs
+	}
+	seqFig, seq := run(1)
+	parFig, par := run(8)
 	if len(seq) != 6 || len(par) != 6 {
 		t.Fatalf("result counts: %d vs %d", len(seq), len(par))
 	}
@@ -88,7 +93,7 @@ func TestSharedPoolMatchesPrivateExecution(t *testing.T) {
 		t.Fatalf("pool workers = %d", pool.Workers())
 	}
 	a := testSweep(4).Execute(Options{Pool: pool})
-	b := testSweep(4).Execute(Options{Workers: 1})
+	b := testSweep(4).Execute(Options{Pool: NewPool(1)})
 	for i := range a {
 		if a[i].Modelled != b[i].Modelled || !reflect.DeepEqual(a[i].Values, b[i].Values) {
 			t.Fatalf("point %d differs under shared pool", i)
@@ -112,7 +117,7 @@ func TestSeedForStableAndDistinct(t *testing.T) {
 func TestExplicitSeedIsKept(t *testing.T) {
 	sw := testSweep(1)
 	sw.Points[0].Cfg.Seed = 12345
-	rs := sw.Execute(Options{Workers: 1})
+	rs := sw.Execute(Options{Pool: NewPool(1)})
 	if rs[0].Seed != 12345 {
 		t.Fatalf("explicit seed overridden: %d", rs[0].Seed)
 	}

@@ -13,7 +13,7 @@ import (
 func TestJSONByteIdenticalAcrossParallelRuns(t *testing.T) {
 	render := func() []byte {
 		sw := testSweep(5)
-		rs := sw.Execute(Options{Workers: 4})
+		rs := sw.Execute(Options{Pool: NewPool(4)})
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, RowsOf(sw, rs, false)); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
@@ -28,7 +28,7 @@ func TestJSONByteIdenticalAcrossParallelRuns(t *testing.T) {
 
 func TestJSONDocumentShape(t *testing.T) {
 	sw := testSweep(2)
-	rs := sw.Execute(Options{Workers: 1})
+	rs := sw.Execute(Options{Pool: NewPool(1)})
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, RowsOf(sw, rs, true)); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -71,7 +71,7 @@ func TestJSONDocumentShape(t *testing.T) {
 
 func TestRowsExcludeHostWhenAsked(t *testing.T) {
 	sw := testSweep(1)
-	rs := sw.Execute(Options{Workers: 1})
+	rs := sw.Execute(Options{Pool: NewPool(1)})
 	for _, row := range RowsOf(sw, rs, false) {
 		if row.HostMS != 0 {
 			t.Fatalf("host time leaked into deterministic rows: %+v", row)
@@ -96,7 +96,7 @@ func TestOrderedNamesDeclaredFirstThenSorted(t *testing.T) {
 
 func TestSinkAccumulatesInInsertionOrder(t *testing.T) {
 	sw := testSweep(2)
-	rs := sw.Execute(Options{Workers: 1})
+	rs := sw.Execute(Options{Pool: NewPool(1)})
 	s := &Sink{}
 	s.Add(sw, rs[:1])
 	s.Add(sw, rs[1:])

@@ -110,7 +110,7 @@ func TestCourierAllocBudgetInstrumented(t *testing.T) {
 }
 
 // TestCourierAllocBudgetMultiHop holds the same budget on the routed
-// multi-hop path: a 6-node ring where 0 -> 3 crosses three links, so
+// multi-hop path: a 2x3 mesh where 0 -> 5 crosses three links, so
 // every message takes three per-link Reserve calls and two hop
 // events on top of the flat path. Hop state lives in the pooled Message
 // and hop events are recycled through the fabric's free list, so
@@ -119,16 +119,16 @@ func TestCourierAllocBudgetMultiHop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
-	topo := NewRingTopology(6, 1)
-	if r := topo.routeOf(0, 3); len(r) != 3 {
-		t.Fatalf("ring route 0->3 has %d hops, want 3", len(r))
+	topo := NewMeshTopology(6, 1)
+	if r := topo.routeOf(0, 5); len(r) != 3 {
+		t.Fatalf("mesh route 0->5 has %d hops, want 3", len(r))
 	}
-	per := allocsPerMessageOn(t, topo, 3, 64, false)
+	per := allocsPerMessageOn(t, topo, 5, 64, false)
 	t.Logf("multi-hop courier path: %.2f allocs/message (budget %.1f)", per, CourierAllocBudget)
 	if per > CourierAllocBudget {
 		t.Fatalf("multi-hop send path allocates %.2f/message, budget is %.1f", per, CourierAllocBudget)
 	}
-	per = allocsPerMessageOn(t, topo, 3, 64, true)
+	per = allocsPerMessageOn(t, topo, 5, 64, true)
 	t.Logf("instrumented multi-hop path: %.2f allocs/message (budget %.1f)", per, CourierAllocBudget)
 	if per > CourierAllocBudget {
 		t.Fatalf("instrumented multi-hop path allocates %.2f/message, budget is %.1f", per, CourierAllocBudget)

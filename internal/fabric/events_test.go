@@ -86,14 +86,16 @@ func TestResendFromInjectedHookSameDomain(t *testing.T) {
 	wg.Add(2)
 	bystander := clk.Parker()
 	var done atomic.Bool
-	clk.Go(func() {
+	// Both goroutines are registered before either runs: a bystander that
+	// parked before the sender existed would be reported as a deadlock.
+	clk.Launch(2)(func(i int) {
 		defer wg.Done()
-		for !done.Load() {
-			bystander.Park()
+		if i == 0 {
+			for !done.Load() {
+				bystander.Park()
+			}
+			return
 		}
-	})
-	clk.Go(func() {
-		defer wg.Done()
 		injected := clk.Parker()
 		for i := 0; i < n; i++ {
 			f.Send(&Message{Src: 0, Dst: 1, Class: ClassMPI, Size: 100, Payload: i,

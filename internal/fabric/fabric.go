@@ -449,7 +449,7 @@ type Fabric struct {
 	nicRx   []*vsync.Resource // per-NODE inter-node reception port
 	shm     []*vsync.Resource // per-rank intra-node copy engine
 	links   []*linkState      // per directed link of a shaped topology (nil: flat)
-	rec     obs.Recorder      // nil: uninstrumented
+	rec     *obs.Collector    // nil: uninstrumented
 	mu      sync.Mutex
 	doms    map[pathKey]*dom    // domains carrying traffic
 	domFree *dom                // released domain records (releaseIdle)
@@ -531,7 +531,7 @@ func (f *Fabric) Clock() *vclock.VirtualClock { return f.clk }
 // SetRecorder installs the observability recorder. It must be called
 // before any traffic flows; a nil recorder (the default) keeps the fabric
 // uninstrumented.
-func (f *Fabric) SetRecorder(rec obs.Recorder) { f.rec = rec }
+func (f *Fabric) SetRecorder(rec *obs.Collector) { f.rec = rec }
 
 // Register installs the delivery handler for one rank and class.
 // It must be called before any message of that class reaches the rank.

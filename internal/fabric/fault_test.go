@@ -175,16 +175,16 @@ func TestFaultPlanValidation(t *testing.T) {
 }
 
 // TestRoutedDropRetransmitsInOrder drops MPI injections on a multi-hop
-// ring route: a dropped attempt never enters the route, and transparent
+// mesh route: a dropped attempt never enters the route, and transparent
 // retransmission still delivers every message, in order, after the same
 // flight a clean message takes.
 func TestRoutedDropRetransmitsInOrder(t *testing.T) {
 	const n = 50
 	run := func(plan FaultPlan) (order []int, last time.Duration, faults int64) {
 		clk := vclock.NewVirtual()
-		f := New(clk, NewRingTopology(4, 1), testProfile())
+		f := New(clk, NewMeshTopology(4, 1), testProfile())
 		f.SetFaultPlan(plan, 3)
-		f.Register(2, ClassMPI, func(m *Message) {
+		f.Register(3, ClassMPI, func(m *Message) {
 			order = append(order, m.Payload.(int))
 			last = clk.Now()
 		})
@@ -193,7 +193,7 @@ func TestRoutedDropRetransmitsInOrder(t *testing.T) {
 		clk.Go(func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				f.Send(&Message{Src: 0, Dst: 2, Class: ClassMPI, Size: 100, Payload: i})
+				f.Send(&Message{Src: 0, Dst: 3, Class: ClassMPI, Size: 100, Payload: i})
 			}
 			clk.Sleep(time.Second)
 		})

@@ -2,7 +2,7 @@
 //
 // The flat shape is the original fabric model: every inter-node pair is
 // one hop with private capacity, so congestion cannot emerge between
-// pairs. A shaped topology (ring, 2D mesh, fat-tree) expands each
+// pairs. A shaped topology (2D mesh, fat-tree) expands each
 // (source node, destination node) pair into a deterministic multi-hop
 // route of directed links; each link is a serially-served resource
 // (vsync.Resource) with its own serialization capacity, so messages
@@ -27,9 +27,6 @@ const (
 	// ShapeFlat is the original model: every inter-node pair is one hop
 	// with private capacity and no shared links.
 	ShapeFlat Shape = iota
-	// ShapeRing connects node i to nodes i±1 (mod N) with directed links;
-	// routes take the shorter direction (ties go clockwise).
-	ShapeRing
 	// ShapeMesh2D arranges the nodes in a rows×cols grid (rows is the
 	// largest divisor of N not exceeding √N) with 4-neighbour directed
 	// links and no wraparound; routes use X-then-Y dimension order.
@@ -47,8 +44,6 @@ func (s Shape) String() string {
 	switch s {
 	case ShapeFlat:
 		return "flat"
-	case ShapeRing:
-		return "ring"
 	case ShapeMesh2D:
 		return "mesh"
 	case ShapeFatTree:
@@ -73,8 +68,6 @@ func NewShapedTopology(shape Shape, nodes, ranksPerNode int) Topology {
 	switch shape {
 	case ShapeFlat:
 		return NewTopology(nodes, ranksPerNode)
-	case ShapeRing:
-		return NewRingTopology(nodes, ranksPerNode)
 	case ShapeMesh2D:
 		return NewMeshTopology(nodes, ranksPerNode)
 	case ShapeFatTree:
@@ -125,45 +118,6 @@ func (b *topoBuilder) link(from, to int) uint16 {
 // route stores the src->dst node route.
 func (b *topoBuilder) route(src, dst int, r []uint16) {
 	b.t.routes[src*b.t.nodes+dst] = r
-}
-
-// NewRingTopology builds a ring of nodes: directed links i->(i+1) mod N
-// and i->(i-1) mod N, with routes taking the shorter direction around the
-// ring (distance ties go clockwise, towards increasing node ids).
-func NewRingTopology(nodes, ranksPerNode int) Topology {
-	t := NewTopology(nodes, ranksPerNode)
-	t.shape = ShapeRing
-	if nodes < 2 {
-		return t
-	}
-	t.routes = make([][]uint16, nodes*nodes)
-	b := newTopoBuilder(&t)
-	for i := 0; i < nodes; i++ {
-		b.link(i, (i+1)%nodes)
-	}
-	for i := 0; i < nodes; i++ {
-		b.link(i, (i-1+nodes)%nodes)
-	}
-	for src := 0; src < nodes; src++ {
-		for dst := 0; dst < nodes; dst++ {
-			if src == dst {
-				continue
-			}
-			cw := (dst - src + nodes) % nodes
-			var r []uint16
-			if cw <= nodes-cw {
-				for v := src; v != dst; v = (v + 1) % nodes {
-					r = append(r, b.link(v, (v+1)%nodes))
-				}
-			} else {
-				for v := src; v != dst; v = (v - 1 + nodes) % nodes {
-					r = append(r, b.link(v, (v-1+nodes)%nodes))
-				}
-			}
-			b.route(src, dst, r)
-		}
-	}
-	return t
 }
 
 // meshDims factors N into rows×cols with rows the largest divisor of N

@@ -11,7 +11,6 @@ import (
 func TestShapeString(t *testing.T) {
 	want := map[Shape]string{
 		ShapeFlat:    "flat",
-		ShapeRing:    "ring",
 		ShapeMesh2D:  "mesh",
 		ShapeFatTree: "fattree",
 		Shape(99):    "shape(99)",
@@ -38,7 +37,7 @@ func vertexCount(shape Shape, nodes int) int {
 // where the previous one ended, the route ends at the destination node,
 // and every link endpoint is a valid vertex id.
 func TestShapedRoutesWellFormed(t *testing.T) {
-	for _, shape := range []Shape{ShapeRing, ShapeMesh2D, ShapeFatTree} {
+	for _, shape := range []Shape{ShapeMesh2D, ShapeFatTree} {
 		for _, nodes := range []int{2, 3, 4, 7, 8, 12, 16} {
 			topo := NewShapedTopology(shape, nodes, 2)
 			verts := vertexCount(shape, nodes)
@@ -89,27 +88,6 @@ func TestFlatTopologyHasNoLinks(t *testing.T) {
 	}
 	if r := topo.routeOf(0, 5); r != nil {
 		t.Fatalf("flat routeOf(0,5) = %v, want nil", r)
-	}
-}
-
-func TestRingRouteDirection(t *testing.T) {
-	topo := NewRingTopology(5, 1)
-	hops := func(src, dst int) int { return len(topo.routeOf(src, dst)) }
-	if got := hops(0, 2); got != 2 {
-		t.Errorf("ring 5: 0->2 takes %d hops, want 2 (clockwise)", got)
-	}
-	if got := hops(0, 3); got != 2 {
-		t.Errorf("ring 5: 0->3 takes %d hops, want 2 (counter-clockwise)", got)
-	}
-	// Distance tie on an even ring goes clockwise: 0->2 on a 4-ring must
-	// cross 0->1 then 1->2.
-	topo = NewRingTopology(4, 1)
-	r := topo.routeOf(0, 2)
-	if len(r) != 2 {
-		t.Fatalf("ring 4: 0->2 takes %d hops, want 2", len(r))
-	}
-	if l := topo.links[r[0]]; l.from != 0 || l.to != 1 {
-		t.Errorf("ring 4 tie: first hop is %d->%d, want clockwise 0->1", l.from, l.to)
 	}
 }
 
@@ -183,7 +161,7 @@ func runShapedTraffic(t *testing.T, topo Topology) ([]LinkStats, time.Duration) 
 // pure functions of the topology and link service is arrival-ordered in
 // virtual time, so host scheduling must not leak into the model.
 func TestLinkStatsDeterministic(t *testing.T) {
-	for _, shape := range []Shape{ShapeRing, ShapeMesh2D, ShapeFatTree} {
+	for _, shape := range []Shape{ShapeMesh2D, ShapeFatTree} {
 		a, endA := runShapedTraffic(t, NewShapedTopology(shape, 8, 1))
 		b, endB := runShapedTraffic(t, NewShapedTopology(shape, 8, 1))
 		if endA != endB {
@@ -232,19 +210,19 @@ func TestLinkContentionObserved(t *testing.T) {
 func TestMultiHopFIFO(t *testing.T) {
 	const n = 100
 	clk := vclock.NewVirtual()
-	f := New(clk, NewRingTopology(6, 1), ProfileOmniPath())
+	f := New(clk, NewMeshTopology(6, 1), ProfileOmniPath())
 	var order []int
 	clk.Register()
 	defer clk.Unregister()
 	done := clk.Parker()
-	f.Register(3, ClassMPI, func(m *Message) {
+	f.Register(5, ClassMPI, func(m *Message) {
 		order = append(order, m.Payload.(int))
 		if len(order) == n {
 			done.Unpark()
 		}
 	})
 	for i := 0; i < n; i++ {
-		f.Send(&Message{Src: 0, Dst: 3, Class: ClassMPI, Size: 4 << 10, Payload: i})
+		f.Send(&Message{Src: 0, Dst: 5, Class: ClassMPI, Size: 4 << 10, Payload: i})
 	}
 	done.Park()
 	for i, v := range order {

@@ -39,7 +39,7 @@ func TestCommittedBaselineByteIdentical(t *testing.T) {
 	sink := &exp.Sink{} // IncludeHost false: host_ms stays zero
 	gens := All()
 	for _, id := range IDs() {
-		gens[id](Opts{Preset: Quick, Exec: exp.Options{Workers: 2}, Sink: sink})
+		gens[id](Opts{Preset: Quick, Exec: exp.Options{Pool: exp.NewPool(2)}, Sink: sink})
 	}
 	got := sink.Rows()
 	if len(got) != len(committed.Rows) {

@@ -19,8 +19,8 @@ var fastIDs = []string{"rma", "onready", "lock"}
 func TestParallelFiguresMatchSequential(t *testing.T) {
 	gens := All()
 	for _, id := range fastIDs {
-		seq := gens[id](Opts{Preset: Quick, Exec: exp.Options{Workers: 1}})
-		par := gens[id](Opts{Preset: Quick, Exec: exp.Options{Workers: 8}})
+		seq := gens[id](Opts{Preset: Quick, Exec: exp.Options{Pool: exp.NewPool(1)}})
+		par := gens[id](Opts{Preset: Quick, Exec: exp.Options{Pool: exp.NewPool(8)}})
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("figure %s differs between -seq and -parallel:\n%+v\n%+v", id, seq, par)
 		}
@@ -35,7 +35,7 @@ func TestParallelJSONByteIdentical(t *testing.T) {
 		sink := &exp.Sink{}
 		gens := All()
 		for _, id := range fastIDs {
-			gens[id](Opts{Preset: Quick, Exec: exp.Options{Workers: 8}, Sink: sink})
+			gens[id](Opts{Preset: Quick, Exec: exp.Options{Pool: exp.NewPool(8)}, Sink: sink})
 		}
 		var buf bytes.Buffer
 		if err := exp.WriteJSON(&buf, sink.Rows()); err != nil {

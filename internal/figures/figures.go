@@ -61,7 +61,7 @@ type (
 // The zero value is the Quick preset executed on GOMAXPROCS workers.
 type Opts struct {
 	Preset Preset
-	// Exec bounds the host-parallel experiment points (Workers: 1 is
+	// Exec bounds the host-parallel experiment points (NewPool(1) is
 	// fully sequential; a shared Pool spans several generators).
 	Exec exp.Options
 	// Sink, when non-nil, receives every executed point as structured

@@ -13,7 +13,7 @@ import (
 // withFaultyWorld runs fn concurrently as every rank, launched as one group,
 // with a fault plan installed on the fabric (when enabled) and an optional
 // recorder on the world, and waits for all.
-func withFaultyWorld(ranks, queues int, plan fabric.FaultPlan, rec obs.Recorder, fn func(p *Proc)) {
+func withFaultyWorld(ranks, queues int, plan fabric.FaultPlan, rec *obs.Collector, fn func(p *Proc)) {
 	clk := vclock.NewVirtual()
 	fab := fabric.New(clk, fabric.NewTopology(ranks, 1), testProfile())
 	if plan.Enabled() {

@@ -130,7 +130,7 @@ func (w *World) Proc(r Rank) *Proc { return w.procs[r] }
 // SetRecorder installs the observability recorder on every process. It must
 // be called before any traffic; a nil recorder (the default) keeps the
 // world uninstrumented.
-func (w *World) SetRecorder(rec obs.Recorder) {
+func (w *World) SetRecorder(rec *obs.Collector) {
 	for _, p := range w.procs {
 		p.rec = rec
 	}
@@ -148,7 +148,7 @@ type Proc struct {
 	prof  fabric.Profile
 	jit   *fabric.Jitterer
 	reg   *memory.Registry
-	rec   obs.Recorder // nil: uninstrumented
+	rec   *obs.Collector // nil: uninstrumented
 
 	// snap is the process's most recent payload snapshot (DESIGN.md §15),
 	// touched only by injection hooks and delivery handlers — clock

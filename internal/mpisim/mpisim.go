@@ -85,7 +85,7 @@ func (w *World) Size() int { return len(w.procs) }
 // SetRecorder installs the observability recorder on every process. It must
 // be called before any traffic; a nil recorder (the default) keeps the
 // world uninstrumented.
-func (w *World) SetRecorder(rec obs.Recorder) {
+func (w *World) SetRecorder(rec *obs.Collector) {
 	for _, p := range w.procs {
 		p.rec = rec
 	}
@@ -103,7 +103,7 @@ type Proc struct {
 	// served through it, so its queueing statistics measure "time inside
 	// MPI" including lock waits.
 	libLock *vsync.Resource
-	rec     obs.Recorder // nil: uninstrumented
+	rec     *obs.Collector // nil: uninstrumented
 
 	// snap is the process's most recent payload snapshot (DESIGN.md §15),
 	// touched only by injection hooks and delivery handlers — clock
@@ -204,14 +204,6 @@ func (r *Request) complete(st Status) {
 	for _, w := range ws {
 		w.Unpark()
 	}
-}
-
-// Done reports completion without charging library time (internal use; the
-// public polling APIs are Test/Testsome, which pay for the lock).
-func (r *Request) Done() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
 }
 
 // park blocks the caller until the request completes.
@@ -568,22 +560,14 @@ func (p *Proc) Test(r *Request) (bool, Status) {
 	return r.done, r.status
 }
 
-// Testsome polls a set of requests under a single library call, returning
-// the indices of the completed ones (nil requests are skipped). This is the
-// call TAMPI's polling service uses.
-func (p *Proc) Testsome(reqs []*Request) []int {
-	b := p.BookTestsome()
-	p.clk.Sleep(b.Wait)
-	return p.FinishTestsome(b, reqs, nil)
-}
-
-// BookTestsome is the first half of Testsome for callers that must not
-// block (TAMPI's event-driven polling service): it books the library call
-// and returns; once Booking.Wait has elapsed, FinishTestsome completes it.
+// BookTestsome starts MPI_Testsome, the call TAMPI's event-driven polling
+// service makes over its pending requests: it books the library call and
+// returns without blocking; once Booking.Wait has elapsed, FinishTestsome
+// completes it.
 func (p *Proc) BookTestsome() Booking { return p.book(p.prof.MPIOpOverhead) }
 
-// FinishTestsome is the second half of Testsome: it settles the booked call
-// and appends the indices of the completed requests to idx.
+// FinishTestsome settles a call booked with BookTestsome and appends the
+// indices of the completed requests to idx (nil requests are skipped).
 //
 //tagalint:hotpath
 func (p *Proc) FinishTestsome(b Booking, reqs []*Request, idx []int) []int {

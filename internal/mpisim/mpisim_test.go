@@ -195,8 +195,9 @@ func TestTestAndTestsome(t *testing.T) {
 				t.Error("Test reported done before any send")
 			}
 			for {
-				idx := p.Testsome([]*Request{r0, r1})
-				if len(idx) == 2 {
+				b := p.BookTestsome()
+				p.clk.Sleep(b.Wait)
+				if idx := p.FinishTestsome(b, []*Request{r0, r1}, nil); len(idx) == 2 {
 					break
 				}
 				p.clk.Sleep(time.Microsecond)
@@ -218,7 +219,7 @@ func TestWaitallAndNilRequests(t *testing.T) {
 				p.Irecv(make([]byte, 1), 0, 1),
 			}
 			p.Waitall(rs)
-			if !rs[0].Done() || !rs[2].Done() {
+			if !rs[0].done || !rs[2].done {
 				t.Error("Waitall returned with incomplete requests")
 			}
 		}

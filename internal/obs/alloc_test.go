@@ -11,12 +11,12 @@ import (
 var raceEnabled bool
 
 // recordSite mirrors the shape of every instrumentation site in the
-// simulator: a component holds an optional Recorder and guards each record
+// simulator: a component holds an optional *Collector and guards each record
 // call with one nil check. go:noinline keeps the call shape honest — the
 // compiler must evaluate the arguments exactly as a real site would.
 //
 //go:noinline
-func recordSite(rec Recorder, rank int, now time.Duration) {
+func recordSite(rec *Collector, rank int, now time.Duration) {
 	if rec == nil {
 		return
 	}
@@ -28,14 +28,14 @@ func recordSite(rec Recorder, rank int, now time.Duration) {
 }
 
 // TestNilRecorderZeroAlloc is the allocation-regression gate of
-// scripts/ci.sh for the uninstrumented configuration: with a nil Recorder,
+// scripts/ci.sh for the uninstrumented configuration: with a nil Collector,
 // an instrumentation site must cost one compare-and-jump and zero heap
 // allocations (the package doc's contract).
 func TestNilRecorderZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
-	var rec Recorder // nil: observability disabled
+	var rec *Collector // nil: observability disabled
 	allocs := testing.AllocsPerRun(1000, func() {
 		recordSite(rec, 3, 5*time.Microsecond)
 	})
@@ -52,7 +52,7 @@ func TestNilHalvesCollectorZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
-	var rec Recorder = &Collector{} // both halves nil: records nothing
+	rec := &Collector{} // both halves nil: records nothing
 	allocs := testing.AllocsPerRun(1000, func() {
 		recordSite(rec, 3, 5*time.Microsecond)
 	})

@@ -20,7 +20,7 @@
 // The walk is a backward greedy last-finisher traversal. It starts at the
 // (rank, time) pair achieving the makespan and repeatedly asks "what was
 // this rank doing just before t, and if it was waiting, which causal edge
-// ended the wait?". Flow edges ('s'/'f' pairs, see obs.Recorder.Flow) let
+// ended the wait?". Flow edges ('s'/'f' pairs, see obs.Collector.Flow) let
 // the cursor jump across ranks — from a delivery back to the send that
 // caused it — so the path threads through the whole job, not one rank.
 //

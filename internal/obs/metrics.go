@@ -21,17 +21,6 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value metric.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefaultLatencyBuckets are the fixed histogram bucket upper bounds used
 // for latency distributions: a coarse exponential ladder from sub-NIC
 // overheads (100ns) to stall-scale delays (100ms). A sample lands in the
@@ -172,7 +161,6 @@ func (s HistogramSnapshot) Mean() time.Duration {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -180,7 +168,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -202,23 +189,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram with the default latency buckets,
 // creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -237,20 +207,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Write renders every metric as aligned text, sorted by name: counters and
-// gauges one per line, histograms with count/mean/median/p99/max.
+// Write renders every metric as aligned text, sorted by name: counters one
+// per line, histograms with count/mean/median/p99/max.
 func (r *Registry) Write(w io.Writer) {
 	r.mu.RLock()
 	cnames := sortedKeys(r.counters)
-	gnames := sortedKeys(r.gauges)
 	hnames := sortedKeys(r.hists)
 	counters := make(map[string]int64, len(cnames))
 	for _, n := range cnames {
 		counters[n] = r.counters[n].Value()
-	}
-	gauges := make(map[string]int64, len(gnames))
-	for _, n := range gnames {
-		gauges[n] = r.gauges[n].Value()
 	}
 	hists := make(map[string]HistogramSnapshot, len(hnames))
 	for _, n := range hnames {
@@ -260,9 +225,6 @@ func (r *Registry) Write(w io.Writer) {
 
 	for _, n := range cnames {
 		fmt.Fprintf(w, "counter  %-32s %d\n", n, counters[n])
-	}
-	for _, n := range gnames {
-		fmt.Fprintf(w, "gauge    %-32s %d\n", n, gauges[n])
 	}
 	for _, n := range hnames {
 		s := hists[n]

@@ -1,14 +1,15 @@
 // Package obs is the unified observability layer of the simulator: a
 // low-overhead event tracer producing Chrome trace_event JSON timelines
 // (the stand-in for the Extrae/Paraver traces the paper's evaluation is
-// built on) and a metrics registry of named counters, gauges and
-// fixed-bucket latency histograms.
+// built on) and a metrics registry of named counters and fixed-bucket
+// latency histograms.
 //
 // Every instrumented component (the tasking runtime, the GASPI and MPI
-// models, the task-aware libraries, the fabric) holds an optional Recorder.
-// A nil Recorder disables observability entirely: every instrumentation
-// site is guarded by a single predictable `rec != nil` branch, so the
-// uninstrumented hot paths cost one compare-and-jump and nothing else.
+// models, the task-aware libraries, the fabric) holds an optional
+// *Collector. A nil Collector disables observability entirely: every
+// instrumentation site is guarded by a single predictable `rec != nil`
+// branch, so the uninstrumented hot paths cost one compare-and-jump and
+// nothing else.
 //
 // Timestamps are the simulation's virtual-clock readings (time.Duration
 // since clock start), passed in explicitly by the instrumentation sites.
@@ -185,32 +186,12 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// Recorder receives events and measurements from instrumented components.
-// Implementations must be safe for concurrent use from rank mains, task
-// bodies, fabric steps and polling tasks, and must not block on modelled
-// time. Collector is the standard implementation.
-type Recorder interface {
-	// Span records a completed interval [start, end) on the given rank and
-	// track. arg is an event-specific payload (bytes, a task id, a retired
-	// count) surfaced in the trace viewer.
-	Span(rank int, track Track, cat Cat, name string, start, end time.Duration, arg int64)
-	// Instant records a point event at ts.
-	Instant(rank int, track Track, cat Cat, name string, ts time.Duration, arg int64)
-	// Flow records one endpoint of a causal flow edge at ts: ph 's' starts
-	// the edge, ph 'f' finishes it, and the two endpoints bind through id.
-	// Flow ids must be assigned deterministically from modelled state (see
-	// DESIGN.md §10) so traces stay byte-identical across reruns.
-	Flow(rank int, track Track, cat Cat, name string, ph byte, ts time.Duration, id int64)
-	// Latency adds one duration sample to the named histogram.
-	Latency(name string, d time.Duration)
-	// Count adds delta to the named counter.
-	Count(name string, delta int64)
-}
-
-// Collector is the standard Recorder: an optional Tracer half (timeline
-// events) and an optional Registry half (metrics). Either half may be nil,
-// disabling it; a Collector with both halves nil is valid and records
-// nothing.
+// Collector receives events and measurements from instrumented
+// components: an optional Tracer half (timeline events) and an optional
+// Registry half (metrics). Either half may be nil, disabling it; a
+// Collector with both halves nil is valid and records nothing. Its
+// methods are safe for concurrent use from rank mains, task bodies,
+// fabric steps and polling tasks, and never block on modelled time.
 type Collector struct {
 	Tracer  *Tracer
 	Metrics *Registry
@@ -222,21 +203,26 @@ func NewCollector(ranks int) *Collector {
 	return &Collector{Tracer: NewTracer(ranks), Metrics: NewRegistry()}
 }
 
-// Span implements Recorder.
+// Span records a completed interval [start, end) on the given rank and
+// track. arg is an event-specific payload (bytes, a task id, a retired
+// count) surfaced in the trace viewer.
 func (c *Collector) Span(rank int, track Track, cat Cat, name string, start, end time.Duration, arg int64) {
 	if c.Tracer != nil {
 		c.Tracer.Span(rank, track, cat, name, start, end, arg)
 	}
 }
 
-// Instant implements Recorder.
+// Instant records a point event at ts.
 func (c *Collector) Instant(rank int, track Track, cat Cat, name string, ts time.Duration, arg int64) {
 	if c.Tracer != nil {
 		c.Tracer.Instant(rank, track, cat, name, ts, arg)
 	}
 }
 
-// Flow implements Recorder.
+// Flow records one endpoint of a causal flow edge at ts: ph 's' starts
+// the edge, ph 'f' finishes it, and the two endpoints bind through id.
+// Flow ids must be assigned deterministically from modelled state (see
+// DESIGN.md §10) so traces stay byte-identical across reruns.
 //
 //tagalint:hotpath
 func (c *Collector) Flow(rank int, track Track, cat Cat, name string, ph byte, ts time.Duration, id int64) {
@@ -245,14 +231,14 @@ func (c *Collector) Flow(rank int, track Track, cat Cat, name string, ph byte, t
 	}
 }
 
-// Latency implements Recorder.
+// Latency adds one duration sample to the named histogram.
 func (c *Collector) Latency(name string, d time.Duration) {
 	if c.Metrics != nil {
 		c.Metrics.Histogram(name).Observe(d)
 	}
 }
 
-// Count implements Recorder.
+// Count adds delta to the named counter.
 func (c *Collector) Count(name string, delta int64) {
 	if c.Metrics != nil {
 		c.Metrics.Counter(name).Add(delta)

@@ -51,7 +51,7 @@ type Library struct {
 	p   *gaspisim.Proc
 	rt  *tasking.Runtime
 	svc *core.Service
-	rec obs.Recorder // nil unless instrumented
+	rec *obs.Collector // nil unless instrumented
 
 	pending core.Pending[*notifWait] // staged notification waits (§IV-D)
 	waiting []*notifWait             // the polling task's private list
@@ -182,7 +182,7 @@ func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library
 
 // SetRecorder installs an observability recorder; nil disables recording.
 // Call before issuing operations.
-func (l *Library) SetRecorder(rec obs.Recorder) { l.rec = rec }
+func (l *Library) SetRecorder(rec *obs.Collector) { l.rec = rec }
 
 // Proc returns the underlying GASPI process.
 func (l *Library) Proc() *gaspisim.Proc { return l.p }

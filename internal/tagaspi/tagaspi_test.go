@@ -315,7 +315,7 @@ func TestNotifyIwaitAlreadyArrived(t *testing.T) {
 				// Ensure arrival strictly first.
 				tk.Compute(50 * time.Microsecond)
 				for env.GASPI.NotificationsSet() == 0 {
-					tk.WaitFor(5 * time.Microsecond)
+					tk.Compute(5 * time.Microsecond)
 				}
 				env.TAGASPI.NotifyIwait(tk, 0, 0, &value)
 				if sample(env.TAGASPI, "tagaspi_pending_notifications") != 0 {

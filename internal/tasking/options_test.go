@@ -149,8 +149,8 @@ func TestLastLabelAndOnReadyWin(t *testing.T) {
 		a := rt.Submit(func(*Task) {}, WithLabel("first"), on("first"), WithLabel("last"), on("last"))
 		b := rt.Submit(func(*Task) {}, WithLabel("first"), on("first"), WithLabel(""), WithOnReady(nil))
 		rt.TaskWait()
-		if a.Label() != "last" || b.Label() != "" {
-			t.Errorf("labels %q and %q, want %q and %q", a.Label(), b.Label(), "last", "")
+		if a.label != "last" || b.label != "" {
+			t.Errorf("labels %q and %q, want %q and %q", a.label, b.label, "last", "")
 		}
 	})
 	if !slices.Equal(ran, []string{"last"}) {

@@ -12,10 +12,10 @@
 // use to bind in-flight communication operations to tasks.
 //
 // Each simulated rank owns one Runtime whose worker pool has one slot per
-// core. Running tasks are goroutines holding a core slot; blocking library
-// calls yield the slot, as with the Nanos6 blocking API. Spawned service
-// tasks hold and yield core slots the same way but have no goroutine: they
-// run as steps on clock callback events (service.go).
+// core. Running tasks are goroutines holding a core slot until their body
+// returns. Spawned service tasks hold core slots too but have no
+// goroutine: they run as steps on clock callback events and yield their
+// slot in wait_for_us (Service.WaitFor, service.go).
 package tasking
 
 import (
@@ -56,9 +56,9 @@ type Runtime struct {
 	cores *coreSched
 	pool  *workerPool
 
-	rec   obs.Recorder // nil: uninstrumented
-	rank  int          // rank identity for trace events
-	lanes laneAlloc    // timeline rows for concurrently running bodies
+	rec   *obs.Collector // nil: uninstrumented
+	rank  int            // rank identity for trace events
+	lanes laneAlloc      // timeline rows for concurrently running bodies
 
 	mu        sync.Mutex
 	reg       *depRegistry
@@ -98,14 +98,14 @@ func (rt *Runtime) Clock() *vclock.VirtualClock { return rt.clk }
 // SetRecorder installs the observability recorder and the runtime's rank
 // identity for trace events. It must be called before the first Submit or
 // Spawn; a nil recorder (the default) keeps the runtime uninstrumented.
-func (rt *Runtime) SetRecorder(rec obs.Recorder, rank int) {
+func (rt *Runtime) SetRecorder(rec *obs.Collector, rank int) {
 	rt.rec = rec
 	rt.rank = rank
 }
 
 // Recorder returns the installed recorder (nil when uninstrumented). The
 // task-aware libraries and their polling services inherit it from here.
-func (rt *Runtime) Recorder() obs.Recorder { return rt.rec }
+func (rt *Runtime) Recorder() *obs.Collector { return rt.rec }
 
 // Rank returns the rank identity set with SetRecorder (zero by default).
 func (rt *Runtime) Rank() int { return rt.rank }
@@ -263,7 +263,6 @@ func (rt *Runtime) exec(t *Task, ticket uint64) {
 	rt.mu.Lock()
 	t.state = stateRunning
 	rt.mu.Unlock()
-	t.pooled = true
 	var start time.Duration
 	if rt.rec != nil {
 		start = rt.clk.Now()
@@ -279,7 +278,6 @@ func (rt *Runtime) exec(t *Task, ticket uint64) {
 			start, rt.clk.Now(), t.id)
 		rt.lanes.release(t.lane)
 	}
-	t.pooled = false
 	rt.finishBody(t)
 	rt.cores.release()
 }
@@ -477,9 +475,9 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 // dispatched task — at 10k-rank scale, millions of short-lived goroutines
 // whose stacks dominated host time. The pool keeps at most Cores workers
 // actively progressing bodies (matching the modelled core count), parks
-// surplus workers on reusable external parkers, and spawns a compensating
-// worker only when a body blocks in WaitFor while dispatched work is
-// waiting — the same trick the Go runtime uses for blocking syscalls.
+// surplus workers on reusable external parkers. A body never gives up its
+// core before it returns, so the pool never holds more than Cores workers
+// (TestPoolWorkersBoundedByCores).
 //
 // Determinism: the core ticket is drawn and the task enqueued under one
 // lock, so the queue is in ticket order and workers claim cores through
@@ -494,7 +492,6 @@ type workerPool struct {
 	idle     []*vclock.Parker // parked workers, one entry each
 	seeking  int              // workers awake and heading for the queue
 	handling int              // workers between claiming an item and finishing its body
-	blocked  int              // handled bodies currently blocked in WaitFor
 	total    int              // live worker goroutines
 	stopped  bool
 	wg       sync.WaitGroup
@@ -541,7 +538,7 @@ func (wp *workerPool) popLocked() poolItem {
 // one. Callers hold wp.mu.
 func (wp *workerPool) ensureLocked() {
 	if wp.stopped || wp.qlen() == 0 || wp.seeking > 0 ||
-		wp.handling-wp.blocked >= wp.rt.cfg.Cores {
+		wp.handling >= wp.rt.cfg.Cores {
 		return
 	}
 	wp.seeking++
@@ -581,7 +578,7 @@ func (wp *workerPool) worker() {
 				p.SetExternal(true)
 				p.SetName("task-worker")
 			}
-			//lint:ignore hotalloc the idle list grows to the worker count (bounded by cores + peak blocked bodies), then reuses capacity
+			//lint:ignore hotalloc the idle list grows to the worker count (bounded by cores), then reuses capacity
 			wp.idle = append(wp.idle, p)
 			wp.mu.Unlock()
 			p.Park()
@@ -600,23 +597,6 @@ func (wp *workerPool) worker() {
 		wp.seeking++
 		wp.mu.Unlock()
 	}
-}
-
-// block records that the calling worker's body is about to block in
-// WaitFor (releasing its core but keeping its goroutine) and makes
-// sure waiting work still progresses on another worker.
-func (wp *workerPool) block() {
-	wp.mu.Lock()
-	wp.blocked++
-	wp.ensureLocked()
-	wp.mu.Unlock()
-}
-
-// unblock reverses block once the body has re-acquired a core.
-func (wp *workerPool) unblock() {
-	wp.mu.Lock()
-	wp.blocked--
-	wp.mu.Unlock()
 }
 
 // stop asks every worker to exit: parked workers are woken to see the

@@ -267,25 +267,27 @@ func TestOnReadyEventAlreadyFulfilled(t *testing.T) {
 	}
 }
 
-func TestWaitForYieldsCore(t *testing.T) {
-	// On a single core, a task sleeping in WaitFor must let another task
-	// run; total time is max not sum.
-	var end time.Duration
-	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Submit(func(tk *Task) {
-			slept := tk.WaitFor(10 * time.Microsecond)
-			if slept < 10*time.Microsecond {
-				t.Errorf("WaitFor slept %v, want >= 10µs", slept)
-			}
-		})
-		rt.Submit(func(tk *Task) { tk.Compute(10 * time.Microsecond) })
+func TestPoolWorkersBoundedByCores(t *testing.T) {
+	// A body holds its core until it returns, so 200 ready tasks on four
+	// cores must never need more than four worker goroutines.
+	const cores, tasks = 4, 200
+	peak := 0
+	run(cores, func(clk *vclock.VirtualClock, rt *Runtime) {
+		for i := 0; i < tasks; i++ {
+			rt.Submit(func(tk *Task) {
+				rt.pool.mu.Lock()
+				peak = max(peak, rt.pool.total)
+				rt.pool.mu.Unlock()
+				tk.Compute(time.Microsecond)
+			})
+		}
 		rt.TaskWait()
-		end = clk.Now()
+		rt.pool.mu.Lock()
+		peak = max(peak, rt.pool.total)
+		rt.pool.mu.Unlock()
 	})
-	// The WaitFor task yields; the compute task uses the core in parallel
-	// with the sleep: total 10µs (plus nothing), not 20µs.
-	if end != 10*time.Microsecond {
-		t.Fatalf("total %v, want 10µs (WaitFor must yield its core)", end)
+	if peak > cores {
+		t.Fatalf("pool peaked at %d workers, want <= %d", peak, cores)
 	}
 }
 

@@ -39,7 +39,7 @@ func (s state) String() string {
 }
 
 // Body is a task body. The task handle gives access to the external events
-// API, timed yields, and modelled compute.
+// API and modelled compute.
 type Body func(t *Task)
 
 // Task is one unit of work with region dependencies. A pending task holds
@@ -72,12 +72,6 @@ type Task struct {
 	lane    int32
 	state   state // guarded by rt.mu
 	spawned bool
-
-	// pooled is true while the body runs on a pool worker; WaitFor uses
-	// it to tell the pool the worker is blocked so a replacement can keep
-	// dispatched work moving. Written and read only by the body's
-	// goroutine.
-	pooled bool
 }
 
 // spanName is the label of the task's body span in the timeline.
@@ -87,9 +81,6 @@ func (t *Task) spanName() string {
 	}
 	return "task"
 }
-
-// Label returns the task's diagnostic label.
-func (t *Task) Label() string { return t.label }
 
 // Events returns the event counter appropriate to the calling context:
 // during the onready callback it gates the task's *execution* (§V-A of the
@@ -109,29 +100,6 @@ func (t *Task) Events() *EventCounter {
 // computational work. Under the ideal profile d is zero and this is free.
 func (t *Task) Compute(d time.Duration) {
 	t.rt.clk.Sleep(d)
-}
-
-// WaitFor blocks the task for approximately d, yielding its core so other
-// tasks can run — the wait_for_us runtime API of §V-B. It returns the time
-// actually slept. (The task-aware libraries' polling tasks wait with the
-// non-blocking Service.WaitFor instead.)
-func (t *Task) WaitFor(d time.Duration) time.Duration {
-	start := t.rt.clk.Now()
-	if t.pooled {
-		t.rt.pool.block()
-	}
-	t.rt.cores.release()
-	t.rt.clk.Sleep(d)
-	t.rt.cores.acquire(t.rt.cores.ticket())
-	if t.pooled {
-		t.rt.pool.unblock()
-	}
-	slept := t.rt.clk.Now() - start
-	if rec := t.rt.rec; rec != nil {
-		rec.Span(t.rt.rank, obs.TaskTrack(t.lane), obs.CatTask, "task:wait",
-			start, start+slept, t.id)
-	}
-	return slept
 }
 
 // EventCounter counts outstanding external events bound to one task.

@@ -40,42 +40,30 @@ else
     go test -race ./...
 fi
 
-# Matching-engine oracle (DESIGN.md §14): FuzzMatchOrder drives the
-# per-source matching engine and a linear-scan reference with generated
-# post/arrival sequences and requires the same pairing at every step. The
-# seed corpus already ran inside the test pass above; this step spends ten
-# seconds on new inputs. A failing input is written under
-# internal/mpisim/testdata/fuzz/ — commit it with the fix.
-echo "== fuzz: mpisim matching engine against the linear-scan reference, 10 s"
-go test -run '^$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/mpisim
-
-# Clock-queue oracle (DESIGN.md §11): FuzzTimerOrder drives one clock with
-# generated programs of callback events (lanes and heap), sleeps, timed
-# parks and early Unparks and requires the fire order and Now() of a sorted
-# (deadline, seq) list. Same arrangement: the corpus ran above, ten seconds
-# on new inputs here, a failing input lands under
-# internal/vclock/testdata/fuzz/.
-echo "== fuzz: vclock timer queue against the sorted (deadline, seq) reference, 10 s"
-go test -run '^$' -fuzz FuzzTimerOrder -fuzztime 10s ./internal/vclock
-
-# Payload-snapshot oracle (DESIGN.md §15): FuzzPayloadSnapshot runs
-# generated programs of eager and rendezvous sends, puts and write-notifies
-# over two or three buffers, rewritten only after completion, and requires
-# every receive, window and segment range to hold the buffer's bytes at
-# issue. Failing inputs land under internal/memory/testdata/fuzz/.
-echo "== fuzz: shared payload snapshots against a log of each buffer at issue, 10 s"
-go test -run '^$' -fuzz FuzzPayloadSnapshot -fuzztime 10s ./internal/memory
-
-# Jitter-source oracle (DESIGN.md §8): FuzzJitterSequence draws generated
-# counts from the lazily seeded jitter source (internal/fabric/lfg.go) and
-# from math/rand for generated seeds, and requires every Uint64 and Float64
-# draw to be equal. Failing inputs land under internal/fabric/testdata/fuzz/.
-echo "== fuzz: lazily seeded jitter source against math/rand, 10 s"
-go test -run '^$' -fuzz FuzzJitterSequence -fuzztime 10s ./internal/fabric
+# Fuzz oracles, ten seconds of new inputs each (their seed corpora already
+# ran inside the test pass above). A failing input is written under the
+# package's testdata/fuzz/ directory — commit it with the fix.
+#   FuzzMatchOrder (DESIGN.md §14): the per-source matching engine against
+#     a linear-scan reference over generated post/arrival sequences.
+#   FuzzTimerOrder (DESIGN.md §11): one clock running generated programs of
+#     callback events (lanes and heap), sleeps, timed parks and early
+#     Unparks against a sorted (deadline, seq) list.
+#   FuzzPayloadSnapshot (DESIGN.md §15): eager and rendezvous sends, puts
+#     and write-notifies over buffers rewritten only after completion;
+#     every receive, window and segment range must hold the bytes the
+#     buffer had when the operation was posted.
+#   FuzzJitterSequence (DESIGN.md §8): the lazily seeded jitter source
+#     (internal/fabric/lfg.go) against math/rand, draw for draw.
+for target in FuzzMatchOrder:mpisim FuzzTimerOrder:vclock \
+    FuzzPayloadSnapshot:memory FuzzJitterSequence:fabric; do
+    echo "== fuzz: ${target%%:*} in internal/${target#*:}, 10 s"
+    go test -run '^$' -fuzz "^${target%%:*}\$" -fuzztime 10s "./internal/${target#*:}"
+done
 
 # Allocation-regression gates: the fabric send path (Send through the
-# clock-event steps to the handler) must stay within its committed
-# per-message budget (internal/fabric.CourierAllocBudget); a nil-Recorder
+# clock-event steps to the handler, flat and over a three-hop route of a
+# 2x3 mesh) must stay within its committed
+# per-message budget (internal/fabric.CourierAllocBudget); a nil-Collector
 # instrumentation site and an idle pass of the TAMPI and TAGASPI polling
 # services must allocate nothing; Tracer.Events must copy N events in one
 # allocation of N; 256 sends of one unchanged buffer must share one
@@ -89,7 +77,7 @@ go test -run '^$' -fuzz FuzzJitterSequence -fuzztime 10s ./internal/fabric
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Recorder zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + timed miniAMR heap per message"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + timed miniAMR heap per message"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
