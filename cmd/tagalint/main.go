@@ -1,22 +1,12 @@
 // Command tagalint runs the repository's invariant analyzers (detlint,
-// doccomment, hotalloc, lockcross, simerr, taskctx) over Go packages. It
-// works in two modes:
-//
-// Standalone, over package patterns (the tier-1 gate):
+// doccomment, hotalloc, lockcross, simerr, taskctx) over Go packages
+// matched by patterns (the tier-1 gate):
 //
 //	go run ./cmd/tagalint ./...
 //
-// As a vet tool, driven per-package by the go command:
-//
-//	go vet -vettool=$(go env GOPATH)/bin/tagalint ./...
-//
-// Exit status: 0 clean, 1 findings (standalone) or 2 findings (vet
-// protocol, matching the unitchecker convention), 2 load/type errors.
-// A pattern that matches no packages is a load error, never a silent
-// clean run.
-//
-// Standalone flags: -list prints the analyzer set; -json writes the
-// findings to a file (or "-" for stdout) as JSON for CI ingestion.
+// Exit status: 0 clean, 1 findings, 2 load/type errors. A pattern that
+// matches no packages is a load error, never a silent clean run. -list
+// prints the analyzer set.
 //
 // Findings can be silenced per line with a justified directive:
 //
@@ -29,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,28 +28,13 @@ import (
 	"repro/internal/analysis/tagalint"
 )
 
-const version = "v1.1.0"
-
 func main() {
-	// The go command probes vet tools with -V=full before use.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("tagalint version %s\n", version)
-		return
-	}
-	// It also asks for the tool's flag definitions as JSON (-flags); every
-	// tagalint analyzer is always on, so there are none to report.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.String("json", "", "write findings as JSON to `file` (\"-\" for stdout)")
 	staleMode := flag.String("stale-ignores", "warn",
 		"how to treat //lint:ignore directives that silence nothing: warn, error or off")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tagalint [-list] [-json file] [-stale-ignores mode] [package pattern ...]\n       (default pattern ./...)\n\nAnalyzers:\n")
+			"usage: tagalint [-list] [-stale-ignores mode] [package pattern ...]\n       (default pattern ./...)\n\nAnalyzers:\n")
 		for _, a := range tagalint.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -81,14 +55,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-	os.Exit(standalone(args, *jsonOut, *staleMode))
+	os.Exit(standalone(flag.Args(), *staleMode))
 }
 
-func standalone(patterns []string, jsonOut, staleMode string) int {
+func standalone(patterns []string, staleMode string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -122,18 +92,6 @@ func standalone(patterns []string, jsonOut, staleMode string) int {
 		fmt.Printf("%s\n", f)
 	}
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(findings, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tagalint:", err)
-			return 2
-		}
-		if err := writeReport(jsonOut, append(data, '\n')); err != nil {
-			fmt.Fprintln(os.Stderr, "tagalint:", err)
-			return 2
-		}
-	}
-
 	stale := analysis.Stale(sups)
 	if staleMode != "off" {
 		for _, s := range stale {
@@ -148,77 +106,6 @@ func standalone(patterns []string, jsonOut, staleMode string) int {
 	case staleMode == "error" && len(stale) > 0:
 		fmt.Fprintf(os.Stderr, "tagalint: %d stale suppression(s)\n", len(stale))
 		return 1
-	}
-	return 0
-}
-
-// writeReport writes a machine-readable report to path, "-" meaning stdout.
-func writeReport(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-// vetConfig is the subset of the go command's unit-checker configuration
-// tagalint consumes (cmd/go/internal/work.vetConfig).
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one package as described by a go-vet cfg file.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tagalint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "tagalint:", err)
-		return 2
-	}
-	// tagalint keeps no cross-package facts, but the go command caches
-	// the vetx output if present, so write an empty one.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "tagalint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
-		return 0
-	}
-	loader := analysis.NewLoader()
-	pkg, err := loader.LoadFiles(cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tagalint:", err)
-		return 2
-	}
-	if len(pkg.TypeErrors) > 0 {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "tagalint: %s: %v\n", cfg.ImportPath, terr)
-		}
-		return 2
-	}
-	findings, err := analysis.Run(loader.Fset, []*analysis.Package{pkg}, tagalint.Suite())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tagalint:", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(findings) > 0 {
-		return 2
 	}
 	return 0
 }

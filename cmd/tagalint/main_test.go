@@ -11,10 +11,10 @@ import (
 // holds no Go packages) must exit 2 like any other load error, not 0. A
 // CI gate that typos a path must fail loudly, not pass vacuously.
 func TestStandaloneFailsOnUnmatchedPattern(t *testing.T) {
-	if code := standalone([]string{"./no-such-dir"}, "", "off"); code != 2 {
+	if code := standalone([]string{"./no-such-dir"}, "off"); code != 2 {
 		t.Errorf("standalone(./no-such-dir) = exit %d, want 2", code)
 	}
-	if code := standalone([]string{"./no-such-dir/..."}, "", "off"); code != 2 {
+	if code := standalone([]string{"./no-such-dir/..."}, "off"); code != 2 {
 		t.Errorf("standalone(./no-such-dir/...) = exit %d, want 2", code)
 	}
 }
@@ -39,7 +39,7 @@ func TestStandaloneFailsOnParseError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if code := standalone([]string{"."}, "", "off"); code != 2 {
+	if code := standalone([]string{"."}, "off"); code != 2 {
 		t.Errorf("standalone over an unparseable package = exit %d, want 2", code)
 	}
 }
@@ -50,7 +50,7 @@ func TestStandaloneCleanDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the package from source; skipped in -short mode")
 	}
-	if code := standalone([]string{"."}, "", "error"); code != 0 {
+	if code := standalone([]string{"."}, "error"); code != 0 {
 		t.Errorf("standalone(.) = exit %d, want 0", code)
 	}
 }

@@ -71,7 +71,7 @@ const boundaryTop = 1.0
 
 // grid is one rank's strip: rp interior rows plus two halo rows, stored in
 // a GASPI segment so one-sided variants can write halos directly. In timed
-// mode the segment is one block-wide slot standing in for every row.
+// mode the segment holds one block-wide slot (DESIGN.md §15).
 type grid struct {
 	env    *cluster.Env
 	p      Params
@@ -97,11 +97,11 @@ func newGrid(env *cluster.Env, p Params, hybrid bool) *grid {
 	if hybrid {
 		g.bi = g.rp / p.BlockRows
 	}
-	size := p.BlockCols
+	size, width := (g.rp+2)*p.Cols, p.BlockCols
 	if p.Verify {
-		size = (g.rp + 2) * p.Cols
+		width = size
 	}
-	seg, err := env.GASPI.SegmentCreate(segGrid, size*memory.F64Bytes)
+	seg, err := env.GASPI.SegmentCreateTimed(segGrid, size*memory.F64Bytes, width*memory.F64Bytes)
 	if err != nil {
 		panic(err)
 	}
@@ -126,20 +126,6 @@ func newGrid(env *cluster.Env, p Params, hybrid bool) *grid {
 // idx maps (strip row, col) to the flat index; row 0 is the top halo and
 // row rp+1 the bottom halo.
 func (g *grid) idx(r, c int) int { return r*g.p.Cols + c }
-
-// rowOffsetBytes returns the byte offset of the block-wide run of row r
-// that starts at col0. It panics if the run leaves the (rp+2)×Cols strip;
-// in timed mode every run is the one slot at offset 0.
-func (g *grid) rowOffsetBytes(r, col0 int) int {
-	if r < 0 || r > g.rp+1 || col0 < 0 || col0+g.p.BlockCols > g.p.Cols {
-		panic(fmt.Sprintf("heat: row %d columns [%d,%d) outside the %dx%d strip",
-			r, col0, col0+g.p.BlockCols, g.rp+2, g.p.Cols))
-	}
-	if !g.p.Verify {
-		return 0
-	}
-	return g.idx(r, col0) * memory.F64Bytes
-}
 
 // sweep performs the in-place Gauss–Seidel update over strip rows
 // [r0, r1] and columns [c0, c1] (inclusive bounds, interior coordinates

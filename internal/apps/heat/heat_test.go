@@ -185,7 +185,7 @@ func TestVerifyDoesNotChangeTheModel(t *testing.T) {
 			p := Params{Rows: 256, Cols: 256, Timesteps: 3, BlockRows: 32, BlockCols: 128, Verify: verify}
 			strips, res := gather(v.cfg, p, func(env *cluster.Env, p Params) *grid {
 				g := v.variant(env, p)
-				if n := g.seg.Size(); !verify && n != p.BlockCols*memory.F64Bytes {
+				if n := len(g.seg.Bytes()); !verify && n != p.BlockCols*memory.F64Bytes {
 					t.Errorf("%s rank %d: timed-mode segment of %d bytes, want one %d-column block",
 						v.name, env.Rank, n, p.BlockCols)
 				}

@@ -12,8 +12,7 @@ import (
 // strip row.
 func (g *grid) rowBytes(row, bj int) []byte {
 	bc := g.p.BlockCols
-	off := g.rowOffsetBytes(row, bj*bc)
-	b, err := g.seg.Slice(off, bc*memory.F64Bytes)
+	b, err := g.seg.Slice(g.idx(row, bj*bc)*memory.F64Bytes, bc*memory.F64Bytes)
 	if err != nil {
 		panic(err)
 	}
@@ -201,9 +200,9 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 			if up && t < T-1 {
 				// My first row lands in the upper neighbour's bottom halo.
 				rt.Submit(func(tk *tasking.Task) {
-					must(tg.WriteNotify(tk, segGrid, g.rowOffsetBytes(1, bj*p.BlockCols),
+					must(tg.WriteNotify(tk, segGrid, g.idx(1, bj*p.BlockCols)*memory.F64Bytes,
 						gaspisim.Rank(r-1), segGrid,
-						g.rowOffsetBytes(g.rp+1, bj*p.BlockCols), rowLen,
+						g.idx(g.rp+1, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(BJ+bj), int64(t+1), bj%Q))
 				}, tasking.WithDeps(tasking.In(&keys.blocks, bj, bj+1)),
 					tasking.WithLabel("write top"))
@@ -212,9 +211,9 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 				last := (BI-1)*BJ + bj
 				// My last row lands in the lower neighbour's top halo.
 				rt.Submit(func(tk *tasking.Task) {
-					must(tg.WriteNotify(tk, segGrid, g.rowOffsetBytes(g.rp, bj*p.BlockCols),
+					must(tg.WriteNotify(tk, segGrid, g.idx(g.rp, bj*p.BlockCols)*memory.F64Bytes,
 						gaspisim.Rank(r+1), segGrid,
-						g.rowOffsetBytes(0, bj*p.BlockCols), rowLen,
+						g.idx(0, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(bj), int64(t+1), bj%Q))
 				}, tasking.WithDeps(tasking.In(&keys.blocks, last, last+1)),
 					tasking.WithLabel("write bottom"))

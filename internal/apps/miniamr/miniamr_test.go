@@ -1,6 +1,7 @@
 package miniamr
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/memory"
 )
 
 var verifyParams = Params{
@@ -130,16 +132,21 @@ func TestInboundOutboundConsistent(t *testing.T) {
 	}
 }
 
-// TestSlotBoundsInBothModes moves one logical offset of each kind (a
-// received message, a sent message, and the receiver's offset of a sent
-// message) so that its range leaves the logical buffer: timed mode, which
-// keeps one message-wide slot, must panic exactly as Verify does.
+// TestSlotBoundsInBothModes moves one offset of each kind (a received
+// message, a sent message, and the receiver's offset of a sent message, as
+// the agreement delivers it) so that its range leaves the logical buffer.
+// Over timed segments of one message-wide slot each site must panic
+// exactly as over Verify's full segments.
 func TestSlotBoundsInBothModes(t *testing.T) {
 	e := verifyParams.buildEpoch(1, 3)
-	panicOf := func(f func()) (msg any) {
-		defer func() { msg = recover() }()
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
 		f()
-		return nil
+		return ""
 	}
 	for _, site := range []struct {
 		name string
@@ -151,14 +158,16 @@ func TestSlotBoundsInBothModes(t *testing.T) {
 		}},
 		{"send", func(a *app, pl *plan) {
 			pl.outOff[0] = -1
-			a.sendOff(pl, 0)
+			a.sendBytes(pl, 0)
 		}},
 		{"remote", func(a *app, pl *plan) {
-			pl.remOff[0] = e.InBytes[e.Owner[pl.outRemote[0].Dst]]
-			a.remoteOff(pl, 0)
+			pr := e.Owner[pl.outRemote[0].Dst]
+			rv := memory.I64Of(make([]byte, (2*len(pl.peersOut[pr])+len(pl.peersIn[pr]))*memory.I64Bytes))
+			rv.Set(0, int64(e.InBytes[pr]-a.p.msgBytes(pl.outRemote[0])+1))
+			a.adopt(pl, pr, rv)
 		}},
 	} {
-		var msgs [2]any
+		var msgs [2]string
 		for i, verify := range []bool{true, false} {
 			a := &app{p: verifyParams, me: 1}
 			a.p.Verify = verify
@@ -166,16 +175,25 @@ func TestSlotBoundsInBothModes(t *testing.T) {
 			if len(pl.inRemote) == 0 || len(pl.outRemote) == 0 {
 				t.Fatal("rank 1 exchanges no remote messages")
 			}
-			// In range, Verify keeps the logical offset and timed mode
-			// uses the slot.
-			want := 0
+			// The buffers newApp creates for this one epoch.
+			in, out, inW, outW := e.InBytes[a.me], e.OutBytes[a.me], 0, 0
+			for _, m := range pl.inRemote {
+				inW = max(inW, a.p.msgBytes(m))
+			}
+			for _, m := range pl.outRemote {
+				outW = max(outW, a.p.msgBytes(m))
+			}
 			if verify {
-				want = pl.outOff[len(pl.outOff)-1]
+				inW, outW = in, out
 			}
-			if got := a.sendOff(pl, len(pl.outOff)-1); got != want {
-				t.Errorf("Verify=%v: send offset %d, want %d", verify, got, want)
+			a.recvSeg = memory.NewTimedSegment(segRecv, in, inW)
+			a.sendSeg = memory.NewTimedSegment(segSend, out, outW)
+			// In range, every message's bytes come back at full length.
+			last := len(pl.outRemote) - 1
+			if n := len(a.sendBytes(pl, last)); n != a.p.msgBytes(pl.outRemote[last]) {
+				t.Errorf("Verify=%v: send bytes of message %d: %d", verify, last, n)
 			}
-			if msgs[i] = panicOf(func() { site.call(a, pl) }); msgs[i] == nil {
+			if msgs[i] = panicOf(func() { site.call(a, pl) }); msgs[i] == "" {
 				t.Errorf("%s, Verify=%v: an offset outside the logical buffer did not panic", site.name, verify)
 			}
 		}

@@ -15,10 +15,10 @@ import (
 )
 
 // Segment ids of the single receive and send buffers (§VI-B: "they have
-// only one memory buffer for sending and another for receiving"). Under
-// Verify each holds every remote message of an epoch at its own offset;
-// in timed mode each is one slot as wide as the rank's largest message,
-// standing in for every offset (see slot).
+// only one memory buffer for sending and another for receiving"), which
+// hold every remote message of an epoch at its own offset. In timed mode
+// each is a timed segment of one slot as wide as the rank's largest
+// message (DESIGN.md §15).
 const (
 	segRecv = 0
 	segSend = 1
@@ -109,71 +109,44 @@ func newApp(env *cluster.Env, p Params, epochs []*Epoch) *app {
 		panic(err)
 	}
 	a := &app{env: env, p: p, me: int(env.Rank), ranks: env.Ranks(), epochs: epochs}
-	maxIn, maxOut := memory.F64Bytes, memory.F64Bytes // non-zero minimum
+	// Logical sizes are the largest epoch's buffers; widths are the largest
+	// single remote message, or the whole buffer under Verify.
+	in, out := memory.F64Bytes, memory.F64Bytes // non-zero minimum
+	inW, outW := in, out
 	for _, e := range epochs {
-		if p.Verify {
-			maxIn, maxOut = max(maxIn, e.InBytes[a.me]), max(maxOut, e.OutBytes[a.me])
-			continue
-		}
+		in, out = max(in, e.InBytes[a.me]), max(out, e.OutBytes[a.me])
 		for _, m := range e.Inbound[a.me] {
 			if e.Owner[m.Src] != a.me {
-				maxIn = max(maxIn, p.msgBytes(m))
+				inW = max(inW, p.msgBytes(m))
 			}
 		}
 		for _, m := range e.Outbound[a.me] {
 			if e.Owner[m.Dst] != a.me {
-				maxOut = max(maxOut, p.msgBytes(m))
+				outW = max(outW, p.msgBytes(m))
 			}
 		}
 	}
+	if p.Verify {
+		inW, outW = in, out
+	}
 	var err error
-	if a.recvSeg, err = env.GASPI.SegmentCreate(segRecv, maxIn); err != nil {
+	if a.recvSeg, err = env.GASPI.SegmentCreateTimed(segRecv, in, inW); err != nil {
 		panic(err)
 	}
-	if a.sendSeg, err = env.GASPI.SegmentCreate(segSend, maxOut); err != nil {
+	if a.sendSeg, err = env.GASPI.SegmentCreateTimed(segSend, out, outW); err != nil {
 		panic(err)
 	}
 	return a
 }
 
-// slot returns the segment offset of the bytes [off, off+n) of a logical
-// buffer of size bytes, which holds an epoch's remote messages each at its
-// own offset. It panics when the range leaves the logical buffer, in either
-// mode. Verify keeps the logical layout; in timed mode every range is the
-// one slot at offset 0.
-func (a *app) slot(off, n, size int) int {
-	if off < 0 || off+n > size {
-		panic(fmt.Sprintf("miniamr: rank %d: bytes [%d,%d) outside the %d-byte buffer",
-			a.me, off, off+n, size))
-	}
-	if !a.p.Verify {
-		return 0
-	}
-	return off
-}
-
 // recvBytes returns the receive bytes of inbound remote message k.
 func (a *app) recvBytes(pl *plan, k int) []byte {
-	n := a.p.msgBytes(pl.inRemote[k])
-	return mustSlice(a.recvSeg, a.slot(pl.inOff[k], n, pl.e.InBytes[a.me]), n)
-}
-
-// sendOff returns the send-segment offset of outbound remote message k.
-func (a *app) sendOff(pl *plan, k int) int {
-	return a.slot(pl.outOff[k], a.p.msgBytes(pl.outRemote[k]), pl.e.OutBytes[a.me])
+	return mustSlice(a.recvSeg, pl.inOff[k], a.p.msgBytes(pl.inRemote[k]))
 }
 
 // sendBytes returns the send bytes of outbound remote message k.
 func (a *app) sendBytes(pl *plan, k int) []byte {
-	return mustSlice(a.sendSeg, a.sendOff(pl, k), a.p.msgBytes(pl.outRemote[k]))
-}
-
-// remoteOff returns the receiver's segment offset of outbound remote
-// message k, checked against the receiver's logical receive buffer: every
-// rank holds every epoch, so it knows that buffer's size.
-func (a *app) remoteOff(pl *plan, k int) int {
-	m := pl.outRemote[k]
-	return a.slot(pl.remOff[k], a.p.msgBytes(m), pl.e.InBytes[pl.e.Owner[m.Dst]])
+	return mustSlice(a.sendSeg, pl.outOff[k], a.p.msgBytes(pl.outRemote[k]))
 }
 
 func (a *app) plan(e *Epoch) *plan {
@@ -431,22 +404,31 @@ func (a *app) agree(pl *plan) {
 	}
 	mpi.Waitall(reqs)
 	for _, pr := range peers {
-		ins, outs := pl.peersIn[pr], pl.peersOut[pr]
-		rv := memory.I64Of(recvBufs[pr])
-		i := 0
-		for _, k := range outs {
-			pl.remOff[k] = int(rv.At(i))
-			pl.remNotif[k] = int(rv.At(i + 1))
-			i += 2
-		}
-		for _, k := range ins {
-			pl.ackID[k] = int(rv.At(i))
-			i++
-		}
+		a.adopt(pl, pr, memory.I64Of(recvBufs[pr]))
 	}
 }
 
-// runSteps executes the steps of one epoch with the given per-step driver.
+// adopt records the agreement values peer pr sent. The receive offsets pr
+// assigned are the only offsets that arrive from another rank, so each is
+// checked here against pr's receive buffer of this epoch.
+func (a *app) adopt(pl *plan, pr int, rv memory.I64) {
+	i := 0
+	for _, k := range pl.peersOut[pr] {
+		off, n, size := int(rv.At(i)), a.p.msgBytes(pl.outRemote[k]), pl.e.InBytes[pr]
+		if off < 0 || off+n > size {
+			panic(fmt.Sprintf("miniamr: rank %d: rank %d assigned bytes [%d,%d) outside its %d-byte receive buffer",
+				a.me, pr, off, off+n, size))
+		}
+		pl.remOff[k], pl.remNotif[k] = off, int(rv.At(i+1))
+		i += 2
+	}
+	for _, k := range pl.peersIn[pr] {
+		pl.ackID[k] = int(rv.At(i))
+		i++
+	}
+}
+
+// stepsOf returns the steps [s0, s1) of epoch ei.
 func (a *app) stepsOf(ei int) (s0, s1 int) {
 	s0 = ei * a.p.RefineEvery
 	s1 = s0 + a.p.RefineEvery
@@ -696,8 +678,8 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 			nv := m.Elems * p.Vars
 			tk.Compute(env.CostOf(float64(nv) / 2))
 			a.pack(src, m, a.sendBytes(pl, k))
-			must(tg.WriteNotify(tk, segSend, a.sendOff(pl, k),
-				gaspisim.Rank(e.Owner[m.Dst]), segRecv, a.remoteOff(pl, k),
+			must(tg.WriteNotify(tk, segSend, pl.outOff[k],
+				gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
 				nv*memory.F64Bytes,
 				gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
 		}, tasking.WithDeps(

@@ -8,8 +8,8 @@
 //
 // Each process receives from the corresponding rank of the previous node
 // and sends to the one of the next node, with receive and send buffers
-// sized for its share of a chunk (one block-wide slot each unless
-// Params.Verify). The communication follows the iterative
+// sized for its share of a chunk (timed segments of one block-wide slot
+// unless Params.Verify; DESIGN.md §15). The communication follows the iterative
 // producer-consumer pattern of §IV-B, so the TAGASPI variant uses ack
 // notifications waited through the onready clause (§V-A) on writer tasks.
 package streaming
@@ -134,24 +134,24 @@ func newPipe(env *cluster.Env, p Params) *pipe {
 	if pi.node < pi.nodes-1 {
 		pi.next = int(env.Rank) + rpn
 	}
-	size := p.BlockSize
+	size, width := pi.share*memory.F64Bytes, p.BlockSize*memory.F64Bytes
 	if p.Verify {
-		size = pi.share
+		width = size
 	}
 	var err error
-	if pi.recvSeg, err = env.GASPI.SegmentCreate(segRecv, size*memory.F64Bytes); err != nil {
+	if pi.recvSeg, err = env.GASPI.SegmentCreateTimed(segRecv, size, width); err != nil {
 		panic(err)
 	}
-	if pi.sendSeg, err = env.GASPI.SegmentCreate(segSend, size*memory.F64Bytes); err != nil {
+	if pi.sendSeg, err = env.GASPI.SegmentCreateTimed(segSend, size, width); err != nil {
 		panic(err)
 	}
 	if !p.Verify {
 		return pi
 	}
-	if pi.recv, err = memory.F64View(pi.recvSeg, 0, size); err != nil {
+	if pi.recv, err = memory.F64View(pi.recvSeg, 0, pi.share); err != nil {
 		panic(err)
 	}
-	if pi.send, err = memory.F64View(pi.sendSeg, 0, size); err != nil {
+	if pi.send, err = memory.F64View(pi.sendSeg, 0, pi.share); err != nil {
 		panic(err)
 	}
 	return pi
@@ -202,22 +202,9 @@ func (pi *pipe) computeBlock(c, j int) {
 	}
 }
 
-// blockOff returns the byte offset of block j in a buffer. It panics if j
-// is not a block of the share; in timed mode every block is the one slot
-// at offset 0.
-func (pi *pipe) blockOff(j int) int {
-	if j < 0 || j >= pi.nb {
-		panic(fmt.Sprintf("streaming: block %d outside the %d-block share", j, pi.nb))
-	}
-	if !pi.p.Verify {
-		return 0
-	}
-	return j * pi.p.BlockSize * memory.F64Bytes
-}
-
 // blockBytes returns the raw bytes of block j of a buffer.
 func (pi *pipe) blockBytes(seg *memory.Segment, j int) []byte {
-	b, err := seg.Slice(pi.blockOff(j), pi.p.BlockSize*memory.F64Bytes)
+	b, err := seg.Slice(j*pi.p.BlockSize*memory.F64Bytes, pi.p.BlockSize*memory.F64Bytes)
 	if err != nil {
 		panic(err)
 	}
@@ -359,7 +346,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"))
 			if pi.next >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
-					off := pi.blockOff(j)
+					off := j * p.BlockSize * memory.F64Bytes
 					must(tg.WriteNotify(tk, segSend, off, gaspisim.Rank(pi.next), segRecv, off,
 						p.BlockSize*memory.F64Bytes, dataNotif(j), int64(c+1), j%Q))
 				}, tasking.WithDeps(tasking.In(&k.send, j, j+1)),

@@ -151,9 +151,9 @@ func TestVerifyDoesNotChangeTheModel(t *testing.T) {
 					seg, err := env.GASPI.Segment(id)
 					if err != nil {
 						t.Error(err)
-					} else if seg.Size() != want*memory.F64Bytes {
+					} else if len(seg.Bytes()) != want*memory.F64Bytes {
 						t.Errorf("%s Verify=%v rank %d: segment %d holds %d bytes, want %d elements",
-							v.name, verify, env.Rank, id, seg.Size(), want)
+							v.name, verify, env.Rank, id, len(seg.Bytes()), want)
 					}
 				}
 			})

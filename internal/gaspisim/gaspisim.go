@@ -220,7 +220,14 @@ func (p *Proc) Queues() int { return len(p.queues) }
 // SegmentCreate allocates and registers a zeroed segment
 // (gaspi_segment_create).
 func (p *Proc) SegmentCreate(id SegmentID, size int) (*memory.Segment, error) {
-	seg, err := p.reg.Create(id, size)
+	return p.SegmentCreateTimed(id, size, size)
+}
+
+// SegmentCreateTimed is SegmentCreate for a segment of logical size bytes
+// backed by one width-byte slot (memory.NewTimedSegment). Local and remote
+// offsets are checked against the logical size either way.
+func (p *Proc) SegmentCreateTimed(id SegmentID, size, width int) (*memory.Segment, error) {
+	seg, err := p.reg.Create(id, size, width)
 	if err != nil {
 		return nil, err
 	}

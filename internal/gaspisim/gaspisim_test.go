@@ -354,6 +354,49 @@ func TestSegmentCreateDuplicate(t *testing.T) {
 	})
 }
 
+// TestTimedSegmentTarget checks remote writes against a timed segment: one
+// in range lands in the target's slot, and one past the logical size
+// panics in deliver exactly as it does against a plain segment.
+func TestTimedSegmentTarget(t *testing.T) {
+	const size, width = 256, 16
+	withWorld(2, 1, func(p *Proc) {
+		seg, err := p.SegmentCreateTimed(0, size, width)
+		must(err)
+		switch p.Rank() {
+		case 0:
+			copy(seg.Bytes(), "timed slot write")
+			must(p.WriteNotify(0, 200, 1, 0, 240, width, 0, 1, 0, nil))
+			p.Wait(0)
+		case 1:
+			p.NotifyWaitSome(0, 0, 1, Block)
+			if string(seg.Bytes()) != "timed slot write" {
+				t.Errorf("slot = %q", seg.Bytes())
+			}
+		}
+	})
+
+	w := NewWorld(fabric.New(vclock.NewVirtual(), fabric.NewTopology(2, 1), testProfile()), 1, 1)
+	timed, full := w.Proc(0), w.Proc(1)
+	_, err := timed.SegmentCreateTimed(0, size, width)
+	must(err)
+	_, err = full.SegmentCreate(0, size)
+	must(err)
+	deliverPastEnd := func(p *Proc) (msg any) {
+		defer func() { msg = recover() }()
+		m := newGMsg()
+		m.kind, m.seg, m.off = OpWrite, 0, size-4
+		m.data = p.snap.Take(make([]byte, 8))
+		fm := fabric.NewMessage()
+		fm.Payload = m
+		p.deliver(fm)
+		return nil
+	}
+	tmsg, fmsg := deliverPastEnd(timed), deliverPastEnd(full)
+	if tmsg == nil || tmsg != fmsg {
+		t.Errorf("write past the logical size: timed target panicked with %v, plain target with %v", tmsg, fmsg)
+	}
+}
+
 // Property: for random sequences of write_notify operations spread over
 // queues, every notification eventually arrives with its exact payload
 // written (value = checksum of the data).

@@ -11,6 +11,12 @@
 // through the F64 view, which provides bounds-checked element access over
 // the raw bytes without unsafe.
 //
+// A segment's logical size and its backing store can differ. A timed
+// segment (NewTimedSegment) is addressed by logical offset like any other,
+// but holds one slot that every range reuses: a run that models the cost of
+// its data without computing on it keeps one message's bytes, not the whole
+// buffer's (DESIGN.md §15).
+//
 // A Snapshot is the payload of a message in flight: the bytes its send
 // buffer held at local completion, shared between messages that sent the
 // same bytes (snapshot.go).
@@ -28,35 +34,50 @@ type SegmentID uint8
 
 // Segment is a contiguous registered memory region.
 type Segment struct {
-	id  SegmentID
-	buf []byte
+	id   SegmentID
+	size int    // logical size in bytes
+	buf  []byte // backing store: size bytes, or one slot (NewTimedSegment)
 }
 
 // NewSegment allocates a zeroed segment of size bytes.
-func NewSegment(id SegmentID, size int) *Segment {
-	if size < 0 {
-		panic(fmt.Sprintf("memory: negative segment size %d", size))
+func NewSegment(id SegmentID, size int) *Segment { return NewTimedSegment(id, size, size) }
+
+// NewTimedSegment allocates a segment of logical size bytes backed by one
+// zeroed slot of width bytes: every in-range Slice returns the slot's
+// first n bytes, whatever its offset. A width equal to size is a plain
+// segment. It panics unless 0 ≤ width ≤ size.
+func NewTimedSegment(id SegmentID, size, width int) *Segment {
+	if width < 0 || width > size {
+		panic(fmt.Sprintf("memory: segment %d: width %d outside [0, size %d]", id, width, size))
 	}
-	return &Segment{id: id, buf: make([]byte, size)}
+	return &Segment{id: id, size: size, buf: make([]byte, width)}
 }
 
 // ID returns the segment's identifier.
 func (s *Segment) ID() SegmentID { return s.id }
 
-// Size returns the segment's size in bytes.
-func (s *Segment) Size() int { return len(s.buf) }
+// Size returns the segment's logical size in bytes.
+func (s *Segment) Size() int { return s.size }
 
-// Bytes returns the full backing slice. Mutating it is allowed; it is the
-// segment's memory.
+// Bytes returns the backing store, a timed segment's slot. Mutating it is
+// allowed; it is the segment's memory.
 func (s *Segment) Bytes() []byte { return s.buf }
 
-// Slice returns the sub-slice [off, off+n) or an error if out of range.
+// Slice returns the bytes of the logical range [off, off+n), or an error
+// if the range leaves the segment. A timed segment returns its slot's
+// first n bytes, and an error if n exceeds the slot.
 func (s *Segment) Slice(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(s.buf) {
+	if off < 0 || n < 0 || off+n > s.size {
 		return nil, fmt.Errorf("memory: range [%d,%d) outside segment %d of size %d",
-			off, off+n, s.id, len(s.buf))
+			off, off+n, s.id, s.size)
 	}
-	return s.buf[off : off+n], nil
+	if len(s.buf) == s.size {
+		return s.buf[off : off+n], nil
+	}
+	if n > len(s.buf) {
+		return nil, fmt.Errorf("memory: %d bytes exceed segment %d's %d-byte slot", n, s.id, len(s.buf))
+	}
+	return s.buf[:n], nil
 }
 
 // Copy transfers n bytes from src at srcOff into dst at dstOff.
@@ -84,14 +105,15 @@ func NewRegistry() *Registry {
 	return &Registry{segments: make(map[SegmentID]*Segment)}
 }
 
-// Create allocates and registers a segment. It fails if id is taken.
-func (r *Registry) Create(id SegmentID, size int) (*Segment, error) {
+// Create allocates and registers a segment of logical size bytes backed
+// by width bytes (NewTimedSegment). It fails if id is taken.
+func (r *Registry) Create(id SegmentID, size, width int) (*Segment, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.segments[id]; ok {
 		return nil, fmt.Errorf("memory: segment %d already registered", id)
 	}
-	s := NewSegment(id, size)
+	s := NewTimedSegment(id, size, width)
 	r.segments[id] = s
 	return s, nil
 }

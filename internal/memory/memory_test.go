@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -80,13 +81,87 @@ func TestCopyBetweenSegments(t *testing.T) {
 	}
 }
 
+// TestTimedSegmentMatchesFullSegment pins the timed-segment contract: a
+// timed segment and a plain one of the same logical size reject the same
+// ranges with the same error, the timed one answers every in-range Slice
+// with its one slot, and a range wider than the slot is an error.
+func TestTimedSegmentMatchesFullSegment(t *testing.T) {
+	const size, width = 256, 16
+	timed, full := NewTimedSegment(0, size, width), NewSegment(0, size)
+	if timed.Size() != size || len(timed.Bytes()) != width {
+		t.Fatalf("timed segment: Size %d, %d backing bytes; want %d, %d",
+			timed.Size(), len(timed.Bytes()), size, width)
+	}
+	for _, r := range [][2]int{{-1, 4}, {size - 3, 4}, {size, 1}, {0, size + 1}, {4, -1}} {
+		_, terr := timed.Slice(r[0], r[1])
+		_, ferr := full.Slice(r[0], r[1])
+		if terr == nil || ferr == nil || terr.Error() != ferr.Error() {
+			t.Errorf("Slice(%d,%d): timed error %v, full error %v; want one error for both", r[0], r[1], terr, ferr)
+		}
+	}
+	timed.Bytes()[0] = 7
+	for _, off := range []int{0, 8, 100, size - width} {
+		b, err := timed.Slice(off, width)
+		if err != nil || len(b) != width || &b[0] != &timed.Bytes()[0] {
+			t.Errorf("Slice(%d,%d) = %d bytes, %v; want the slot", off, width, len(b), err)
+		}
+	}
+	if _, err := timed.Slice(0, width+1); err == nil {
+		t.Error("a range wider than the slot must fail")
+	}
+	for _, w := range []int{size + 1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTimedSegment(0, %d, %d) did not panic", size, w)
+				}
+			}()
+			NewTimedSegment(0, size, w)
+		}()
+	}
+	// Copy between two timed segments moves slot to slot.
+	src, dst := NewTimedSegment(1, size, width), NewTimedSegment(2, size, width)
+	copy(src.Bytes(), "sixteen bytes!!!")
+	if err := Copy(dst, 200, src, 64, width); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.Bytes(), src.Bytes()) {
+		t.Errorf("timed Copy: slot holds %q, want %q", dst.Bytes(), src.Bytes())
+	}
+	if err := Copy(dst, size-8, src, 0, width); err == nil {
+		t.Error("a timed Copy past the logical size must fail")
+	}
+}
+
+// raceEnabled is set by race_on_test.go when the race detector is
+// compiled in; its instrumentation allocates, so the heap gate skips.
+var raceEnabled bool
+
+// TestTimedSegmentHoldsOneSlot is the allocation gate of scripts/ci.sh
+// behind the apps' timed mode: a timed segment of 1 GiB logical size must
+// keep only its slot on the heap.
+func TestTimedSegmentHoldsOneSlot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are inflated by race-detector instrumentation")
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewTimedSegment(0, 1<<30, 64)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("NewTimedSegment(0, 1 GiB, 64) allocated %d bytes, want < 1 MiB", grew)
+	}
+	runtime.KeepAlive(s)
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	s, err := r.Create(5, 64)
+	s, err := r.Create(5, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Create(5, 64); err == nil {
+	if _, err := r.Create(5, 64, 64); err == nil {
 		t.Fatal("duplicate Create must fail")
 	}
 	got, err := r.Lookup(5)

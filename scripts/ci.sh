@@ -72,15 +72,18 @@ done
 # internal/tasking.PendingTaskBudget; a jitterer after 100 draws must keep
 # no more than internal/fabric.JitterStateBudget; a 1,024-rank dissemination
 # must release every fabric ordering domain and allocate no more records
-# than internal/fabric.DomainRecordBudget; and a timed TAGASPI miniAMR job must
+# than internal/fabric.DomainRecordBudget; a timed segment of 1 GiB logical
+# size must allocate less than 1 MiB (one slot, the apps' timed mode); and
+# a timed TAGASPI miniAMR job must
 # allocate no more than internal/apps/miniamr.HeapBytesPerMessageBudget
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + timed miniAMR heap per message"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
+go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
 go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
