@@ -13,7 +13,7 @@ import (
 // goroutine advancing the virtual clock (or on one that just released a
 // core), with virtual time held still until they return.
 var stepTakers = map[string]map[string]bool{
-	"vclock":  {"NewEvent": true, "InitEvent": true},
+	"vclock":  {"NewEvent": true, "InitEvent": true, "InitStream": true},
 	"tasking": {"Spawn": true, "After": true, "WaitFor": true, "acquireFn": true},
 	"core":    {"Start": true, "After": true},
 	"fabric":  {"Register": true},

@@ -9,11 +9,13 @@
 //     it may only register asynchronous events (NotifyIwait and friends).
 //     Blocking there — a channel op, Task.Compute, or any simulator
 //     wait — stalls dependency release for the whole rank.
-//  3. A clock callback (VirtualClock.NewEvent or InitEvent), a fabric
-//     delivery handler (Fabric.Register) or a service step (the functions
-//     handed to tasking.Service and core.Service) runs on the goroutine
-//     that is advancing the virtual clock, which holds the advance lock. Blocking there — directly or in a function of the same
-//     package it calls — hangs the run with no deadlock report (step.go).
+//  3. A clock callback (VirtualClock.NewEvent or InitEvent, and the
+//     per-item callback of vclock.InitStream), a fabric delivery handler
+//     (Fabric.Register) or a service step (the functions handed to
+//     tasking.Service and core.Service) runs on the goroutine that is
+//     advancing the virtual clock, which holds the advance lock. Blocking
+//     there — directly or in a function of the same package it calls —
+//     hangs the run with no deadlock report (step.go).
 package taskctx
 
 import (

@@ -89,6 +89,14 @@ func blockInOwnedEventCallback(clk *vclock.VirtualClock, o *ownedEvent) {
 	})
 }
 
+// A stream's callback runs once per item, on the goroutine advancing the
+// clock, like an event's.
+func sleepInStreamCallback(clk *vclock.VirtualClock, s *vclock.Stream[int]) {
+	vclock.InitStream(clk, s, func(n int) {
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+	})
+}
+
 // A select with a default clause polls its channels and cannot block;
 // (*vclock.Parker).Unpark wakes its goroutine this way from inside callbacks.
 func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in chan int) {

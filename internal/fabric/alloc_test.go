@@ -28,8 +28,8 @@ func allocsPerMessage(t *testing.T, batch int, instrumented bool) float64 {
 }
 
 // allocsPerMessageOn is allocsPerMessage on an arbitrary topology and
-// destination rank, so the multi-hop routed path (per-link Reserve, hop
-// events) is measured by the same harness as the flat one.
+// destination rank, so the multi-hop routed path (per-link bookings, link
+// streams) is measured by the same harness as the flat one.
 func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instrumented bool) float64 {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -61,7 +61,7 @@ func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instru
 		}
 		done.Park()
 	}
-	send() // warm up the path (domain setup, FIFO and hop-event growth)
+	send() // warm up the path (domain setup, FIFO and link-stream growth)
 
 	per := testing.AllocsPerRun(16, send) / float64(batch)
 	f.Close()
@@ -73,8 +73,8 @@ func allocsPerMessageOn(t *testing.T, topo Topology, dst Rank, batch int, instru
 // courier goroutines ran it). Before the allocation diet this path
 // measured ~10.5 allocs/message (a fresh Message per Send, a fresh parker
 // and timer per modelled sleep, per-Pop lock round trips); with pooled
-// messages and reusable per-domain and per-hop clock events it measures
-// 0.00. The budget is 1.0 rather than 0: a GC
+// messages, reusable per-domain clock events and per-link streams it
+// measures 0.00. The budget is 1.0 rather than 0: a GC
 // cycle during the measurement may empty the pools and charge a handful
 // of refills to the run. Raising this number is a performance regression
 // and needs justification.
@@ -111,10 +111,11 @@ func TestCourierAllocBudgetInstrumented(t *testing.T) {
 
 // TestCourierAllocBudgetMultiHop holds the same budget on the routed
 // multi-hop path: a 2x3 mesh where 0 -> 5 crosses three links, so
-// every message takes three per-link Reserve calls and two hop
-// events on top of the flat path. Hop state lives in the pooled Message
-// and hop events are recycled through the fabric's free list, so
-// steady-state allocations must not grow with route length.
+// every message takes three link bookings and rides two link streams on
+// top of the flat path. Hop state lives in the pooled Message and each
+// link's stream reuses its buffer (compacting in place, see
+// TestLinkStreamFootprint), so steady-state allocations must not grow
+// with route length.
 func TestCourierAllocBudgetMultiHop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")

@@ -399,36 +399,6 @@ const (
 	evDelDone         // destination port charged: invoke the handler
 )
 
-// hopEv is the clock event of one routed message between two links of its
-// route. Hops are per-message state, because several messages of one
-// domain pipeline through the route concurrently; the events are recycled
-// through the fabric's free list, which only callbacks touch.
-type hopEv struct {
-	f    *Fabric
-	ev   vclock.Event
-	d    *dom
-	m    *Message
-	next *hopEv // free list link
-}
-
-// newHopEv allocates a hop event: the cold side of atHop, reached only
-// while the free list is still growing to the in-route high-water mark.
-func (f *Fabric) newHopEv() *hopEv {
-	h := &hopEv{f: f}
-	f.clk.InitEvent(&h.ev, h.fire)
-	return h
-}
-
-// fire runs when the message reaches the entry of its next link.
-//
-//tagalint:hotpath
-func (h *hopEv) fire() {
-	f, d, m := h.f, h.d, h.m
-	h.d, h.m = nil, nil
-	h.next, f.hopFree = f.hopFree, h
-	f.hopStep(d, m, f.clk.Now())
-}
-
 // Stats aggregates fabric traffic counters.
 type Stats struct {
 	Messages int64
@@ -448,13 +418,12 @@ type Fabric struct {
 	nicTx   []*vsync.Resource // per-NODE inter-node injection port
 	nicRx   []*vsync.Resource // per-NODE inter-node reception port
 	shm     []*vsync.Resource // per-rank intra-node copy engine
-	links   []*linkState      // per directed link of a shaped topology (nil: flat)
+	links   []linkState       // per directed link of a shaped topology (nil: flat)
 	rec     *obs.Collector    // nil: uninstrumented
 	mu      sync.Mutex
 	doms    map[pathKey]*dom    // domains carrying traffic
 	domFree *dom                // released domain records (releaseIdle)
 	hands   map[Class][]Handler // per class, indexed by rank
-	hopFree *hopEv              // recycled hop events; callbacks only
 
 	// Teardown (Close): closing opens the drain window — new Sends from
 	// delivery handlers are still accepted so in-flight protocol chains
@@ -499,24 +468,35 @@ func New(clk *vclock.VirtualClock, topo Topology, prof Profile) *Fabric {
 		f.shm[i] = vsync.NewResource(clk)
 	}
 	if ln := len(topo.links); ln > 0 {
-		f.links = make([]*linkState, ln)
+		f.links = make([]linkState, ln)
+		next := func(h linkHop) { f.hopStep(h.d, h.m, clk.Now()) }
 		for i, l := range topo.links {
-			f.links[i] = &linkState{from: l.from, to: l.to, res: vsync.NewResource(clk)}
+			ls := &f.links[i]
+			ls.from, ls.to = l.from, l.to
+			vclock.InitStream(clk, &ls.out, next)
 		}
 	}
 	return f
 }
 
 // linkState is the runtime state of one directed link of a shaped
-// topology: its serialization capacity (an arrival-order serially-served
-// resource, exactly like a NIC port) plus traffic counters. Counters are
-// atomics because LinkSnapshots reads them from outside the callbacks that
-// count.
+// topology: its serialization capacity (arrival-order serial service, the
+// arithmetic of a NIC port), the bytes that crossed it, and the stream of
+// messages that left it and are propagating to the next link of their
+// route. Only clock callbacks touch a link, and the clock runs them one at
+// a time, so none of it is locked or atomic; LinkSnapshots reads it after
+// the job.
 type linkState struct {
 	from, to int
-	res      *vsync.Resource
-	msgs     atomic.Int64
-	bytes    atomic.Int64
+	srv      vsync.Server
+	bytes    int64
+	out      vclock.Stream[linkHop]
+}
+
+// linkHop is one routed message in flight between two links.
+type linkHop struct {
+	d *dom
+	m *Message
 }
 
 // Topology returns the fabric's topology.
@@ -748,27 +728,6 @@ func (f *Fabric) at(d *dom, when time.Duration, kind uint8) {
 	}
 }
 
-// atHop is at for the per-message hop events of a routed domain: the
-// message rides on its own event because several messages pipeline through
-// the route concurrently.
-//
-//tagalint:hotpath
-func (f *Fabric) atHop(d *dom, m *Message, when time.Duration) {
-	now := f.clk.Now()
-	if when <= now {
-		f.hopStep(d, m, when)
-		return
-	}
-	h := f.hopFree
-	if h == nil {
-		h = f.newHopEv()
-	} else {
-		f.hopFree, h.next = h.next, nil
-	}
-	h.d, h.m = d, m
-	h.ev.After(when - now)
-}
-
 // step dispatches one domain step at its scheduled instant.
 //
 //tagalint:hotpath
@@ -941,30 +900,37 @@ func (f *Fabric) injDone(d *dom, now time.Duration) {
 // serialization capacity in arrival order (waiting behind whatever other
 // domains' traffic holds the link — this is where backpressure and
 // hotspots emerge), charges one hop of propagation latency, and either
-// schedules the next hop or hands the flight to the domain's delivery
-// stage. Per-domain FIFO holds: injections of one domain are serialized,
-// link service is arrival-ordered and every hop adds identical per-message
-// costs, so hop completions of one domain never reorder.
+// pushes the message onto the link's stream towards its next hop (running
+// that hop inline when it is already due) or hands the flight to the
+// domain's delivery stage. Per-domain FIFO holds: injections of one domain
+// are serialized, link service is arrival-ordered and every hop adds
+// identical per-message costs, so hop completions of one domain never
+// reorder. Messages of different classes pay different hop latencies (RDMA
+// emulation), so the streams do see out-of-order pushes.
 //
 //tagalint:hotpath
 func (f *Fabric) hopStep(d *dom, m *Message, now time.Duration) {
-	l := f.links[d.route[m.hop]]
-	start, done := l.res.Reserve(m.hopSer)
-	if wait := start - now; wait > 0 {
-		m.linkWait += wait
-		if f.rec != nil {
-			f.rec.Latency("fabric.link_wait", wait)
+	for {
+		l := &f.links[d.route[m.hop]]
+		start, done := l.srv.Book(now, m.hopSer)
+		if wait := start - now; wait > 0 {
+			m.linkWait += wait
+			if f.rec != nil {
+				f.rec.Latency("fabric.link_wait", wait)
+			}
+		}
+		l.bytes += int64(m.Size)
+		arrival := done + m.hopLat
+		m.hop++
+		if m.hop == len(d.route) {
+			f.arrive(d, flight{m: m, arrival: arrival, rx: m.hopRx})
+			return
+		}
+		if arrival > now {
+			l.out.Push(arrival-now, linkHop{d, m})
+			return
 		}
 	}
-	l.msgs.Add(1)
-	l.bytes.Add(int64(m.Size))
-	arrival := done + m.hopLat
-	m.hop++
-	if m.hop < len(d.route) {
-		f.atHop(d, m, arrival)
-		return
-	}
-	f.arrive(d, flight{m: m, arrival: arrival, rx: m.hopRx})
 }
 
 // arrive hands a completed flight to the domain's delivery stage: starts
@@ -1152,18 +1118,19 @@ type LinkStats struct {
 }
 
 // LinkSnapshots returns the per-link statistics of a shaped topology in
-// canonical link order, or nil for a flat topology.
+// canonical link order, or nil for a flat topology. Link state is written
+// by clock callbacks without a lock, so call it after the job: once the
+// traffic to report has been delivered, from a goroutine that has since
+// been woken (or joined) through the clock, and with no callback running.
 func (f *Fabric) LinkSnapshots() []LinkStats {
 	if f.links == nil {
 		return nil
 	}
 	out := make([]LinkStats, len(f.links))
-	for i, l := range f.links {
-		out[i] = LinkStats{
-			From: l.from, To: l.to,
-			Msgs: l.msgs.Load(), Bytes: l.bytes.Load(),
-			Res: l.res.Stats(),
-		}
+	for i := range f.links {
+		l := &f.links[i]
+		res := l.srv.Stats()
+		out[i] = LinkStats{From: l.from, To: l.to, Msgs: res.Uses, Bytes: l.bytes, Res: res}
 	}
 	return out
 }

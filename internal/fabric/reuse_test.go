@@ -171,7 +171,7 @@ func TestDomainReuseAcrossKeys(t *testing.T) {
 		{1, 1, 2, 20600 * time.Nanosecond},
 	})
 	for _, li := range topo.routeOf(0, 3) {
-		if n := g.f.links[li].msgs.Load(); n != 3 {
+		if n := g.f.links[li].srv.Stats().Uses; n != 3 {
 			t.Errorf("link %d carried %d messages, want the 3 routed ones", li, n)
 		}
 	}

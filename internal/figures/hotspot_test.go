@@ -67,7 +67,7 @@ func TestHotspotDeterministic(t *testing.T) {
 
 // TestMultiHopHostBudget is the multi-hop companion of
 // TestPerMessageHostBudget: a 16-node mesh incast pushes every message
-// through up to six per-link hop events, and host time per message
+// through up to six link hops, and host time per message
 // must stay inside the same committed budget — the per-hop pipeline may
 // not multiply host cost per message. The job takes under 0.1 s, so one
 // timing of it also measures whatever else the host ran in that instant;
@@ -121,6 +121,6 @@ func TestMultiHopHostBudget(t *testing.T) {
 		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, peak.Load())
 	if per > HostNsPerMessageBudget {
 		t.Fatalf("multi-hop host time per message %.0f ns exceeds budget %d ns — "+
-			"did the per-hop event chain regress?", per, HostNsPerMessageBudget)
+			"did the per-hop chain regress?", per, HostNsPerMessageBudget)
 	}
 }

@@ -100,7 +100,16 @@ var (
 const (
 	fzMaxHelpers = 12
 	fzMaxOps     = 300 // the reference is a linear scan per fire
+	fzStreams    = 3
 )
+
+// fzItem is one stream item: a reference id and how many more times the
+// stream's callback pushes it again, d later.
+type fzItem struct {
+	id     int
+	rearms int
+	d      time.Duration
+}
 
 // fzHelper is a goroutine in ParkTimeout that the driver may Unpark.
 type fzHelper struct {
@@ -113,9 +122,11 @@ type fzHelper struct {
 // generated program — callback events with repeated, distinct, random and
 // zero delays, events that re-arm from their own callback, pairs pushed in
 // the swapped order two racing After calls can produce, driver sleeps,
-// ParkTimeout goroutines and Unparks that wake them early —
+// ParkTimeout goroutines and Unparks that wake them early, and stream
+// pushes that extend the tail, land mid-FIFO, land ahead of the head (the
+// re-key) or come from the stream's own callback —
 // and requires the fire order and Now() of a sorted (deadline, seq) list,
-// and nothing left armed at the end.
+// and nothing left armed or queued at the end.
 //
 // Each step leaves every goroutine but the driver parked (settle), so that
 // the program is the only source of order.
@@ -151,6 +162,38 @@ func FuzzTimerOrder(f *testing.F) {
 			ref.arm(id, ev.deadline, ev.seq)
 		}
 
+		// Streams: every push is one reference entry, keyed with the
+		// sequence the push drew (only the pusher is running).
+		var streams [fzStreams]Stream[fzItem]
+		push := func(s *Stream[fzItem], d time.Duration, it fzItem) {
+			s.Push(d, it)
+			ref.arm(it.id, c.Now()+max(d, 0), c.seq.Load())
+		}
+		for i := range streams {
+			s := &streams[i]
+			InitStream(c, s, func(it fzItem) {
+				ref.fire(it.id)
+				if it.rearms > 0 {
+					it.rearms--
+					push(s, it.d, it)
+				}
+			})
+		}
+		// untilTail and untilHead are the delays from now to a stream's
+		// tail and head deadlines, zero for an empty stream.
+		untilTail := func(s *Stream[fzItem]) time.Duration {
+			if s.Len() == 0 {
+				return 0
+			}
+			return s.items[len(s.items)-1].deadline - c.Now()
+		}
+		untilHead := func(s *Stream[fzItem]) time.Duration {
+			if s.Len() == 0 {
+				return 0
+			}
+			return s.items[s.head].deadline - c.Now()
+		}
+
 		join(c, func() {
 			driver := c.Parker()
 			settleID := newID()
@@ -166,7 +209,8 @@ func FuzzTimerOrder(f *testing.F) {
 				driver.Park()
 			}
 			for ; len(in) >= 2; in = in[2:] {
-				op, arg := in[0]%8, int(in[1])
+				op, arg := in[0]%12, int(in[1])
+				s := &streams[arg%fzStreams]
 				switch op {
 				case 0:
 					arm(fzFewDelays[arg%len(fzFewDelays)], 0)
@@ -229,6 +273,26 @@ func FuzzTimerOrder(f *testing.F) {
 					ref.cancel(h.id)
 					h.p.Unpark()
 					settle() // the helper has left
+				case 8:
+					// In order: at or beyond the tail's deadline.
+					push(s, untilTail(s)+time.Duration(arg/fzStreams%8), fzItem{id: newID()})
+				case 9:
+					// Between the head and the tail deadlines: mid-FIFO,
+					// after every queued item of an equal deadline.
+					head, tail := untilHead(s), untilTail(s)
+					push(s, head+(tail-head)*time.Duration(arg/fzStreams%8)/8, fzItem{id: newID()})
+				case 10:
+					// Ahead of the head, when it lies in the future.
+					d := untilHead(s)
+					if d > 0 {
+						d -= 1 + time.Duration(arg/fzStreams)%d
+					}
+					push(s, d, fzItem{id: newID()})
+				case 11:
+					// The callback pushes the item again, possibly ahead of
+					// what is queued behind it.
+					it := fzItem{id: newID(), rearms: 1 + arg/64, d: time.Duration(arg / fzStreams % 8)}
+					push(s, fzFewDelays[arg%len(fzFewDelays)], it)
 				}
 			}
 			// Outlive everything, re-arms included.
@@ -250,6 +314,11 @@ func FuzzTimerOrder(f *testing.F) {
 				t.Errorf("event %d is still armed (index %d)", i, ev.index)
 			}
 		}
+		for i := range streams {
+			if s := &streams[i]; s.Len() != 0 || s.ev.index != unarmed {
+				t.Errorf("stream %d holds %d items, event index %d; want empty and unarmed", i, s.Len(), s.ev.index)
+			}
+		}
 		for _, h := range helpers {
 			if !h.done.Load() {
 				t.Errorf("helper %d never finished", h.id)
@@ -268,6 +337,10 @@ const (
 	fzSleep
 	fzTimeout
 	fzUnpark
+	fzStreamTail
+	fzStreamMid
+	fzStreamAhead
+	fzStreamRearm
 )
 
 func fzOps(ops ...byte) []byte { return ops }
@@ -312,5 +385,21 @@ func fzTimerCorpus() [][]byte {
 			fzTimeout, 26, fzTimeout, 27, fzTimeout, 7, fzUnpark, 5),
 		// Everything at once.
 		slices.Concat(service[:30], fzOps(fzTimeout, 3, fzRaced, 0, fzTimeout, 2, fzRearm, 65, fzUnpark, 0, fzMany, 3, fzMany, 4, fzMany, 5, fzUnpark, 1), many[:20]),
+		// Streams (the argument mod 3 picks one): in-order pushes beside
+		// lane events, then pushes mid-FIFO and ahead of the head.
+		fzOps(fzStreamTail, 0, fzStreamTail, 3, fzFew, 0, fzStreamTail, 6, fzStreamTail, 1, fzSleep, 2,
+			fzStreamTail, 9, fzStreamMid, 12, fzStreamMid, 3, fzStreamAhead, 0, fzStreamAhead, 3, fzSleep, 5, fzStreamAhead, 6),
+		// Ahead of a head that is not the heap top: two timed parks (due
+		// at 2 and 3) sit above three streams headed at 7, and each
+		// stream's re-key to now must sift up past them.
+		fzOps(fzTimeout, 2, fzTimeout, 1, fzStreamTail, 21, fzStreamTail, 22, fzStreamTail, 23, fzStreamTail, 21, fzFew, 2,
+			fzStreamAhead, 18, fzStreamAhead, 19, fzStreamMid, 22, fzStreamAhead, 20, fzSleep, 9, fzStreamAhead, 24),
+		// Pushes from the stream's own callback, against pushes from the
+		// driver: zero delays land ahead of what is queued.
+		fzOps(fzStreamRearm, 192, fzStreamRearm, 3, fzStreamTail, 0, fzStreamRearm, 130, fzStreamAhead, 0,
+			fzSleep, 3, fzStreamRearm, 66, fzStreamTail, 3, fzStreamMid, 0, fzSleep, 9, fzStreamRearm, 129),
+		// Drained, then refilled: the event re-arms from empty.
+		fzOps(fzStreamTail, 0, fzStreamTail, 3, fzSleep, 15, fzStreamTail, 0, fzStreamAhead, 0, fzSleep, 15,
+			fzStreamMid, 0, fzStreamTail, 0, fzStreamAhead, 3, fzSleep, 1, fzStreamTail, 0),
 	}
 }

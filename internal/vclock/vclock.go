@@ -20,21 +20,26 @@
 // whose consumer parks. Code that only ever waits for time (the polling
 // services of package core, every step of the fabric's state machines) does
 // not block at all: it arms an Event, a callback timer the advancing
-// goroutine runs — a heap push instead of a goroutine park. The clock's
-// (deadline, seq) queue is the simulator's only event queue.
+// goroutine runs — a heap push instead of a goroutine park. An owner with a
+// run of such callbacks (a fabric link and the messages propagating off it)
+// pushes them onto a Stream instead, which holds one clock entry for all of
+// them. The clock's (deadline, seq) queue is the simulator's only event
+// queue.
 //
 // # One lock, one order
 //
-// Everything pending sits behind one mutex: a 4-ary heap whose (deadline,
-// seq) keys are stored inline beside the timer pointer, and a few FIFO lanes
-// for callback events. Virtual time never runs backwards and seq only grows,
-// so events armed with one constant delay d arrive already sorted by
-// (now+d, seq): a lane is a ring per distinct d, pushed at the tail and
-// popped at the head in O(1). A key that would land behind its lane's tail
-// (two goroutines racing between the seq draw and the lock) or finds every
-// lane taken goes to the heap instead. The advance step fires the minimum
-// over the heap top and the lane heads, which is exactly the order a single
-// heap would produce. See DESIGN.md §11.
+// Everything the clock pops sits behind one mutex: a 4-ary heap whose
+// (deadline, seq) keys are stored inline beside the timer pointer, and a few
+// FIFO lanes for callback events. Virtual time never runs backwards and seq
+// only grows, so events armed with one constant delay d arrive already
+// sorted by (now+d, seq): a lane is a ring per distinct d, pushed at the
+// tail and popped at the head in O(1). A key that would land behind its
+// lane's tail (two goroutines racing between the seq draw and the lock) or
+// finds every lane taken goes to the heap instead. A stream keeps its items
+// sorted by insertion and its one heap entry keyed to its head. The advance
+// step fires the minimum over the heap top and the lane heads, which is
+// exactly the order a single heap holding every key would produce. See
+// DESIGN.md §11.
 package vclock
 
 import (
@@ -502,8 +507,9 @@ func (c *VirtualClock) advance() {
 // advanceLocked fires timers in (deadline, seq) order while the clock is
 // quiescent (active == 0). Determinism: seq comes from one process-wide
 // counter, each lane is sorted by construction and the heap by definition,
-// so the minimum over the heap top and the lane heads is the timer a single
-// heap holding all of them would pop.
+// and a stream's heap entry carries its smallest key, so the minimum over
+// the heap top and the lane heads is the timer a single heap holding all of
+// them would pop.
 //
 // While active == 0 no registered goroutine is runnable, so no timer can
 // be pushed or removed between two iterations (an event callback arms its

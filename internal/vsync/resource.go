@@ -1,6 +1,7 @@
 // Package vsync provides the clock-aware primitives that model contention:
 // Resource, a serially served resource whose queueing delay emerges in
-// virtual time, and Queue, an unbounded FIFO whose consumer parks on the
+// virtual time (its arithmetic is Server, which holders that need no lock
+// use directly), and Queue, an unbounded FIFO whose consumer parks on the
 // virtual clock's Parkers rather than the Go runtime, so modelled time can
 // advance past it. Package vclock says why there is one clock and no wall
 // clock beside it.
@@ -17,6 +18,37 @@ import (
 	"repro/internal/vclock"
 )
 
+// Server is the queueing arithmetic of a serially served resource: when the
+// next request starts and ends, and the service statistics. It holds no
+// lock and no clock, so its owner serializes the calls. Resource wraps one
+// with a mutex for requests booked from many goroutines; a fabric link,
+// which only clock callbacks touch, holds one directly.
+type Server struct {
+	freeAt time.Duration
+	stats  ResourceStats
+}
+
+// Book serves a request of hold modelled time arriving at now, behind every
+// earlier one: it starts when the server frees up (or at now, if idle) and
+// occupies it until done. A negative hold counts as zero.
+//
+//tagalint:hotpath
+func (s *Server) Book(now, hold time.Duration) (start, done time.Duration) {
+	hold = max(hold, 0)
+	start = max(s.freeAt, now)
+	done = start + hold
+	s.freeAt = done
+	wait := start - now
+	s.stats.Uses++
+	s.stats.Busy += hold
+	s.stats.Waited += wait
+	s.stats.MaxWait = max(s.stats.MaxWait, wait)
+	return start, done
+}
+
+// Stats returns the server's counters.
+func (s *Server) Stats() ResourceStats { return s.stats }
+
 // Resource models a serially-served resource with per-request service
 // times: a lock whose critical sections cost modelled time, a NIC injection
 // port draining at link bandwidth, a DMA engine, and so on.
@@ -32,15 +64,9 @@ import (
 // source of TAMPI's small-block collapse). Package fabric uses Resources
 // for NIC serialization.
 type Resource struct {
-	clk    *vclock.VirtualClock
-	mu     sync.Mutex
-	freeAt time.Duration
-
-	// statistics
-	uses    int64
-	busy    time.Duration
-	waited  time.Duration
-	maxWait time.Duration
+	clk *vclock.VirtualClock
+	mu  sync.Mutex
+	srv Server
 }
 
 // NewResource returns an idle resource bound to clk.
@@ -53,26 +79,10 @@ func NewResource(clk *vclock.VirtualClock) *Resource {
 // caller's own service time). A non-positive hold with an idle resource
 // returns immediately.
 func (r *Resource) Use(hold time.Duration) (waited time.Duration) {
-	if hold < 0 {
-		hold = 0
-	}
 	now := r.clk.Now()
-	r.mu.Lock()
-	start := r.freeAt
-	if start < now {
-		start = now
-	}
-	r.freeAt = start + hold
-	r.uses++
-	r.busy += hold
-	wait := start - now
-	r.waited += wait
-	if wait > r.maxWait {
-		r.maxWait = wait
-	}
-	r.mu.Unlock()
-	r.clk.Sleep(start + hold - now)
-	return wait
+	start, done := r.Reserve(hold)
+	r.clk.Sleep(done - now)
+	return start - now
 }
 
 // Reserve books the resource like Use but returns immediately with the
@@ -80,31 +90,16 @@ func (r *Resource) Use(hold time.Duration) (waited time.Duration) {
 // (e.g. a NIC injecting a message whose local completion the sender does
 // not wait for) use Reserve and sleep elsewhere.
 func (r *Resource) Reserve(hold time.Duration) (start, done time.Duration) {
-	if hold < 0 {
-		hold = 0
-	}
 	now := r.clk.Now()
 	r.mu.Lock()
-	start = r.freeAt
-	if start < now {
-		start = now
-	}
-	done = start + hold
-	r.freeAt = done
-	r.uses++
-	r.busy += hold
-	wait := start - now
-	r.waited += wait
-	if wait > r.maxWait {
-		r.maxWait = wait
-	}
+	start, done = r.srv.Book(now, hold)
 	r.mu.Unlock()
 	return start, done
 }
 
-// ResourceStats is a snapshot of a Resource's counters.
+// ResourceStats is a snapshot of a Resource's (or a Server's) counters.
 type ResourceStats struct {
-	Uses    int64         // completed Use/Reserve calls
+	Uses    int64         // completed Use/Reserve (Server: Book) calls
 	Busy    time.Duration // total modelled service time
 	Waited  time.Duration // total modelled queueing time
 	MaxWait time.Duration // longest single queueing delay
@@ -114,7 +109,7 @@ type ResourceStats struct {
 func (r *Resource) Stats() ResourceStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return ResourceStats{Uses: r.uses, Busy: r.busy, Waited: r.waited, MaxWait: r.maxWait}
+	return r.srv.Stats()
 }
 
 // Queue is an unbounded FIFO with a clock-aware blocking Pop, for

@@ -46,8 +46,9 @@ fi
 #   FuzzMatchOrder (DESIGN.md §14): the per-source matching engine against
 #     a linear-scan reference over generated post/arrival sequences.
 #   FuzzTimerOrder (DESIGN.md §11): one clock running generated programs of
-#     callback events (lanes and heap), sleeps, timed parks and early
-#     Unparks against a sorted (deadline, seq) list.
+#     callback events (lanes and heap), owner streams (in-order, mid-FIFO,
+#     ahead-of-head and self-pushes, drained and refilled), sleeps, timed
+#     parks and early Unparks against a sorted (deadline, seq) list.
 #   FuzzPayloadSnapshot (DESIGN.md §15): eager and rendezvous sends, puts
 #     and write-notifies over buffers rewritten only after completion;
 #     every receive, window and segment range must hold the bytes the
@@ -63,7 +64,9 @@ done
 # Allocation-regression gates: the fabric send path (Send through the
 # clock-event steps to the handler, flat and over a three-hop route of a
 # 2x3 mesh) must stay within its committed
-# per-message budget (internal/fabric.CourierAllocBudget); a nil-Collector
+# per-message budget (internal/fabric.CourierAllocBudget); a mesh link's
+# stream that never drains must stay at its backlog high-water mark, not
+# grow with the message count; a nil-Collector
 # instrumentation site and an idle pass of the TAMPI and TAGASPI polling
 # services must allocate nothing; Tracer.Events must copy N events in one
 # allocation of N; 256 sends of one unchanged buffer must share one
@@ -79,8 +82,8 @@ done
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
-go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
+go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestLinkStreamFootprint|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
 go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
