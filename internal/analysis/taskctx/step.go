@@ -14,8 +14,7 @@ import (
 // core), with virtual time held still until they return.
 var stepTakers = map[string]map[string]bool{
 	"vclock":  {"NewEvent": true, "InitEvent": true, "InitStream": true},
-	"tasking": {"Spawn": true, "After": true, "WaitFor": true, "acquireFn": true},
-	"core":    {"Start": true, "After": true},
+	"tasking": {"Start": true, "After": true, "acquireFn": true},
 	"fabric":  {"Register": true},
 }
 

@@ -12,7 +12,7 @@
 //  3. A clock callback (VirtualClock.NewEvent or InitEvent, and the
 //     per-item callback of vclock.InitStream), a fabric delivery handler
 //     (Fabric.Register) or a service step (the functions handed to
-//     tasking.Service and core.Service) runs on the goroutine that is
+//     tasking.Service's Start and After) runs on the goroutine that is
 //     advancing the virtual clock, which holds the advance lock. Blocking
 //     there — directly or in a function of the same package it calls —
 //     hangs the run with no deadlock report (step.go).

@@ -2,7 +2,6 @@
 package taskctxtest
 
 import (
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gaspisim"
 	"repro/internal/mpisim"
@@ -57,9 +56,9 @@ func blockingInBodyIsFine(rt *tasking.Runtime, mpi *mpisim.Proc, req *mpisim.Req
 	})
 }
 
-func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, ch chan int) {
+func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, clk *vclock.VirtualClock, ch chan int) {
 	rt.Submit(func(t *tasking.Task) {}, tasking.WithOnReady(func(t *tasking.Task) {
-		rt.Clock().Go(func() {
+		clk.Go(func() {
 			<-ch // ok: runs on its own goroutine, not in onready
 		})
 	}))
@@ -134,17 +133,24 @@ func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Reque
 	f.Register(1, fabric.ClassMPI, h)
 }
 
+// The pass a polling service starts is a service step itself.
+func blockingPass(rt *tasking.Runtime, done chan int) {
+	rt.NewService("pass", 10).Start(func() {
+		done <- 1 // want "channel send in a service step or clock callback"
+	})
+}
+
 // poller is shaped like the task-aware libraries: its steps are method
 // values bound to fields once, so arming allocates nothing.
 type poller struct {
-	svc             *core.Service
+	svc             *tasking.Service
 	p               *gaspisim.Proc
 	comp            []gaspisim.CompletedRequest
 	drainFn, nextFn func()
 }
 
 func startPoller(rt *tasking.Runtime, p *gaspisim.Proc) *poller {
-	l := &poller{p: p, svc: core.NewService(rt, "fixture", 10)}
+	l := &poller{p: p, svc: rt.NewService("fixture", 10)}
 	l.drainFn = l.drain
 	l.nextFn = l.blockingNext
 	l.svc.Start(l.poll)

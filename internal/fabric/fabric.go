@@ -220,14 +220,14 @@ type Message struct {
 	// latency sample.
 	enqueued time.Duration
 
-	// Multi-hop flight state (shaped topologies only; see hopStep). The
-	// fields ride on the message because several messages of one domain
-	// pipeline through the route concurrently — per-domain state would
-	// serialize the route. Only callbacks touch them; zeroed on release.
+	// Flight state (see hopStep). The fields ride on the message because
+	// several messages of one domain pipeline through a route concurrently
+	// — per-domain state would serialize the route. Only callbacks touch
+	// them; zeroed on release.
 	hop      int           // next link index within the domain's route
 	hopSer   time.Duration // per-link serialization occupancy
-	hopLat   time.Duration // per-link propagation latency
-	hopRx    time.Duration // destination reception cost after the last hop
+	hopLat   time.Duration // per-hop propagation latency
+	hopRx    time.Duration // destination reception cost (0 intra-node)
 	linkWait time.Duration // accumulated link-contention wait along the route
 }
 
@@ -335,8 +335,6 @@ type dom struct {
 	injKind uint8
 	cur     *Message
 	popTs   time.Duration // injection start
-	lat     time.Duration // one-way latency
-	rx      time.Duration // destination reception cost (0 intra-node)
 	inject  time.Duration // source-side port occupancy
 	intra   bool
 	attempt int
@@ -352,17 +350,18 @@ type dom struct {
 	h       Handler       // destination handler, cached (addDom, or the first delivery)
 }
 
-// flight is a message past local completion with its computed arrival time
-// and reception cost.
+// flight is a message past local completion with its computed arrival
+// time; its reception cost rides on the message (hopRx).
 type flight struct {
 	m       *Message
 	arrival time.Duration
-	rx      time.Duration
 }
 
 // fifo is an allocation-reusing FIFO: pops advance a head index instead of
-// reslicing, and the buffer is reset (capacity kept) when it empties, so a
-// steady-state domain queues with no per-message garbage.
+// reslicing, the buffer is reset (capacity kept) when it empties, and a
+// full buffer whose popped prefix is at least half of it is compacted in
+// place before it grows, so a steady-state domain queues with no
+// per-message garbage even under a backlog that never empties.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -370,7 +369,12 @@ type fifo[T any] struct {
 
 //tagalint:hotpath
 func (q *fifo[T]) push(v T) {
-	//lint:ignore hotalloc the buffer resets to [:0] on empty and reuses capacity; growth stops at the domain's backlog high-water mark (the dynamic CourierAllocBudget gate holds at 0/message)
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	//lint:ignore hotalloc the buffer grows to the domain's backlog high-water mark and is then compacted in place (the dynamic CourierAllocBudget gate holds at 0/message)
 	q.buf = append(q.buf, v)
 }
 
@@ -743,8 +747,8 @@ func (f *Fabric) step(d *dom, kind uint8, now time.Duration) {
 		f.at(d, done, next)
 	case evDelStart:
 		done := now
-		if d.curFl.rx > 0 {
-			_, done = f.nicRx[f.topo.NodeOf(d.curFl.m.Dst)].Reserve(d.curFl.rx)
+		if m := d.curFl.m; m.hopRx > 0 {
+			_, done = f.nicRx[f.topo.NodeOf(m.Dst)].Reserve(m.hopRx)
 		}
 		f.at(d, done, evDelDone)
 	case evDelDone:
@@ -791,24 +795,21 @@ func (f *Fabric) startInject(d *dom, m *Message, now time.Duration) (done time.D
 		inject = f.prof.InjectOverhead / 4
 	}
 	d.intra = intra
-	d.lat = lat
 	d.inject = inject
-	d.rx = wire
-	if intra {
-		d.rx = 0 // intra-node copies are charged once, at injection
+	// The flight's costs: routed domains traverse their link route hop by
+	// hop after local completion, where each link serializes the message
+	// (full wire time for data, a header slot for control packets) and adds
+	// one hop of propagation latency, so a multi-hop path is strictly slower
+	// than the flat single hop and shared links contend. An empty route
+	// (flat fabric, intra-node) is that single hop of latency.
+	m.hopLat = lat
+	m.hopSer = wire
+	if m.Control {
+		m.hopSer = f.prof.InjectOverhead / 4
 	}
-	if d.route != nil {
-		// Routed domains traverse their link route hop by hop after local
-		// completion: each link serializes the message (full wire time for
-		// data, a header slot for control packets) and adds one hop of
-		// propagation latency, so a multi-hop path is strictly slower than
-		// the flat single hop and shared links contend.
-		m.hopLat = lat
-		m.hopSer = wire
-		if m.Control {
-			m.hopSer = f.prof.InjectOverhead / 4
-		}
-		m.hopRx = d.rx
+	m.hopRx = wire
+	if intra {
+		m.hopRx = 0 // intra-node copies are charged once, at injection
 	}
 	d.attempt = 0
 	return f.injectAttempt(d)
@@ -884,33 +885,29 @@ func (f *Fabric) injDone(d *dom, now time.Duration) {
 		f.rec.Span(int(m.Src), obs.TrackFabricTx, obs.CatFabric, "fabric:inject",
 			d.popTs, now, int64(m.Size))
 	}
-	if d.route != nil {
-		// Routed flight: the message leaves the NIC and enters the first
-		// link of its route now; hopStep carries it to arrival.
-		m.hop = 0
-		m.linkWait = 0
-		f.hopStep(d, m, now)
-	} else {
-		f.arrive(d, flight{m: m, arrival: now + d.lat, rx: d.rx})
-	}
+	// The message leaves the NIC and enters its route now, with the zeroed
+	// hop state of a fresh message; hopStep carries it to arrival.
+	f.hopStep(d, m, now)
 	f.injNext(d, now)
 }
 
-// hopStep advances a routed message by one link: it books the link's
+// hopStep advances a message by one link of its route: it books the link's
 // serialization capacity in arrival order (waiting behind whatever other
 // domains' traffic holds the link — this is where backpressure and
 // hotspots emerge), charges one hop of propagation latency, and either
 // pushes the message onto the link's stream towards its next hop (running
 // that hop inline when it is already due) or hands the flight to the
-// domain's delivery stage. Per-domain FIFO holds: injections of one domain
-// are serialized, link service is arrival-ordered and every hop adds
-// identical per-message costs, so hop completions of one domain never
+// domain's delivery stage; a message with an empty route arrives one hop
+// of latency after local completion. Per-domain FIFO holds: injections of
+// one domain are serialized, link service is arrival-ordered and every hop
+// adds identical per-message costs, so hop completions of one domain never
 // reorder. Messages of different classes pay different hop latencies (RDMA
 // emulation), so the streams do see out-of-order pushes.
 //
 //tagalint:hotpath
 func (f *Fabric) hopStep(d *dom, m *Message, now time.Duration) {
-	for {
+	arrival := now + m.hopLat
+	for m.hop < len(d.route) {
 		l := &f.links[d.route[m.hop]]
 		start, done := l.srv.Book(now, m.hopSer)
 		if wait := start - now; wait > 0 {
@@ -920,17 +917,14 @@ func (f *Fabric) hopStep(d *dom, m *Message, now time.Duration) {
 			}
 		}
 		l.bytes += int64(m.Size)
-		arrival := done + m.hopLat
+		arrival = done + m.hopLat
 		m.hop++
-		if m.hop == len(d.route) {
-			f.arrive(d, flight{m: m, arrival: arrival, rx: m.hopRx})
-			return
-		}
-		if arrival > now {
+		if m.hop < len(d.route) && arrival > now {
 			l.out.Push(arrival-now, linkHop{d, m})
 			return
 		}
 	}
+	f.arrive(d, flight{m: m, arrival: arrival})
 }
 
 // arrive hands a completed flight to the domain's delivery stage: starts

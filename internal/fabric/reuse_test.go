@@ -364,6 +364,30 @@ func TestDomainFootprint(t *testing.T) {
 	}
 }
 
+// TestFifoFootprintUnderBacklog: a domain's pend and flights queues hold a
+// backlog that never empties while a busy period runs. Their buffer must
+// stay at a small multiple of that backlog, compacting the popped prefix
+// in place, instead of growing with every message the busy period moves.
+func TestFifoFootprintUnderBacklog(t *testing.T) {
+	const backlog, pairs = 8, 10000
+	var q fifo[int]
+	for i := 0; i < backlog; i++ {
+		q.push(i)
+	}
+	for i := backlog; i < backlog+pairs; i++ {
+		q.push(i)
+		if v := q.pop(); v != i-backlog {
+			t.Fatalf("pop %d returned %d, want %d: the FIFO reordered", i-backlog, v, i-backlog)
+		}
+	}
+	if q.len() != backlog {
+		t.Fatalf("len = %d after balanced push/pop pairs, want %d", q.len(), backlog)
+	}
+	if c := cap(q.buf); c > 4*backlog {
+		t.Fatalf("buffer holds %d slots for a backlog of %d after %d push/pop pairs: it grows with the busy period", c, backlog, pairs)
+	}
+}
+
 // TestConcurrentReleaseAndReuse has every rank send to a rotating peer,
 // two messages per key, each after the previous one was delivered: the
 // handler wakes its sender, whose next Send on the same key races the

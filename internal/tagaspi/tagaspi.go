@@ -14,11 +14,11 @@
 //   - A transparent polling task drains each queue's completed requests
 //     with gaspi_request_wait (non-blocking) and decrements the event
 //     counters codified in the returned tags. The task is event-driven
-//     (core.Service): a pass is a chain of steps, one per drained queue.
-//   - Pending notification waits are staged on a multi-producer queue and
-//     drained by the polling task into a private list; each pass checks
-//     arrival with a non-blocking notify-reset, stores the notified value
-//     through the user's pointer, and fulfils the task event.
+//     (tasking.Service): a pass is a chain of steps, one per drained queue.
+//   - Pending notification waits are staged on a multi-producer queue
+//     (pendingQueue) and drained by the polling task into a private list;
+//     each pass checks arrival with a non-blocking notify-reset, stores the
+//     notified value through the user's pointer, and fulfils the task event.
 //
 // The standard gaspi_wait is obsoleted: TAGASPI checks local completion of
 // task-aware operations internally, so applications only decide which
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gaspisim"
 	"repro/internal/obs"
 	"repro/internal/tasking"
@@ -49,11 +48,10 @@ type (
 // Library is the per-rank TAGASPI instance.
 type Library struct {
 	p   *gaspisim.Proc
-	rt  *tasking.Runtime
-	svc *core.Service
+	svc *tasking.Service
 	rec *obs.Collector // nil unless instrumented
 
-	pending core.Pending[*notifWait] // staged notification waits (§IV-D)
+	pending pendingQueue[*notifWait] // staged notification waits (§IV-D)
 	waiting []*notifWait             // the polling task's private list
 	scanned uint64                   // the rank's notification count as of the last scan of waiting
 
@@ -173,9 +171,9 @@ const maxBackoffShift = 10
 // New initialises TAGASPI for one rank (tagaspi_proc_init) and spawns its
 // polling task. A non-positive interval dedicates the polling task.
 func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
-	l := &Library{p: p, rt: rt}
+	l := &Library{p: p}
 	l.drainFn, l.resubmitFn = l.drain, l.resubmit
-	l.svc = core.NewService(rt, "tagaspi-poll", interval)
+	l.svc = rt.NewService("tagaspi-poll", interval)
 	l.svc.Start(l.poll)
 	return l
 }
@@ -277,7 +275,7 @@ func (l *Library) stage(t *tasking.Task, seg SegmentID, id NotificationID, out *
 	l.outstanding.Add(1)
 	w := newNotifWait()
 	w.seg, w.id, w.out, w.counter = seg, id, out, c
-	l.pending.Push(w)
+	l.pending.push(w)
 }
 
 // poll starts one pass of the transparent polling task (Figure 7):
@@ -359,7 +357,7 @@ func (l *Library) drain() {
 func (l *Library) checkNotifications() {
 	sets := l.p.NotificationsSet()
 	listed := len(l.waiting)
-	l.waiting = l.pending.Drain(l.waiting)
+	l.waiting = l.pending.drain(l.waiting)
 	if len(l.waiting) == listed && sets == l.scanned {
 		return
 	}
@@ -470,4 +468,61 @@ func (l *Library) Snapshot() obs.Snapshot {
 			{Name: "tagaspi_idle_passes", Value: float64(l.svc.IdlePasses())},
 		},
 	}
+}
+
+// pendingQueue is the staging queue of §IV-D: many communication tasks push
+// descriptors concurrently; the single polling task drains them into a
+// private list it then owns without further synchronization, so producer
+// contention never slows the poller (a lock-free MPSC queue plus an
+// intrusive list in the C++ implementation; a mutex-staged slice pair
+// here, with the same drain-to-private-list behaviour).
+type pendingQueue[T any] struct {
+	n      atomic.Int32 // len(staged), readable without mu
+	mu     sync.Mutex
+	staged []T
+	pool   [][]T // recycled staging backing arrays
+}
+
+// push stages one descriptor. Safe for concurrent producers.
+//
+//tagalint:hotpath
+func (q *pendingQueue[T]) push(v T) {
+	q.mu.Lock()
+	//lint:ignore hotalloc staged reuses pooled backing arrays recycled by drain; growth stops once the high-water mark is reached
+	q.staged = append(q.staged, v)
+	q.n.Add(1)
+	q.mu.Unlock()
+}
+
+// drain moves all staged descriptors into dst (appending) and returns the
+// result. The returned slice is owned by the caller: the poller appends
+// drained descriptors to its private working list.
+//
+//tagalint:hotpath
+func (q *pendingQueue[T]) drain(dst []T) []T {
+	if q.n.Load() == 0 {
+		return dst // the idle pass: nothing was staged since the last drain
+	}
+	q.mu.Lock()
+	staged := q.staged
+	q.n.Store(0)
+	if n := len(q.pool); n > 0 {
+		q.staged = q.pool[n-1][:0]
+		q.pool = q.pool[:n-1]
+	} else {
+		q.staged = nil
+	}
+	q.mu.Unlock()
+	dst = append(dst, staged...)
+	if cap(staged) > 0 {
+		var zero T
+		for i := range staged {
+			staged[i] = zero // drop references for the collector
+		}
+		q.mu.Lock()
+		//lint:ignore hotalloc the pool list grows to the number of in-flight staging arrays and then stabilises
+		q.pool = append(q.pool, staged[:0])
+		q.mu.Unlock()
+	}
+	return dst
 }

@@ -7,7 +7,7 @@
 // Iwait mirrors TAMPI_Iwait: non-blocking and asynchronous, returning
 // immediately after binding the request.
 //
-// A transparent polling task (package core) checks the in-flight requests
+// A transparent polling task (tasking.Service) checks the in-flight requests
 // with MPI_Testsome — through the same modelled library lock as the
 // application's Isend/Irecv calls, which is exactly the contention the
 // paper measures in §VI-C.
@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mpisim"
 	"repro/internal/obs"
 	"repro/internal/tasking"
@@ -26,8 +25,7 @@ import (
 // Library is the per-rank TAMPI instance.
 type Library struct {
 	p   *mpisim.Proc
-	rt  *tasking.Runtime
-	svc *core.Service
+	svc *tasking.Service
 
 	mu       sync.Mutex
 	requests []*mpisim.Request
@@ -49,9 +47,9 @@ const DefaultPollInterval = 150 * time.Microsecond
 // New initialises TAMPI for one rank and spawns its polling task.
 // A non-positive interval dedicates the polling task (poll back-to-back).
 func New(p *mpisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
-	l := &Library{p: p, rt: rt}
+	l := &Library{p: p}
 	l.checkFn = l.check
-	l.svc = core.NewService(rt, "tampi-poll", interval)
+	l.svc = rt.NewService("tampi-poll", interval)
 	l.svc.Start(l.poll)
 	return l
 }

@@ -13,9 +13,10 @@
 //
 // Each simulated rank owns one Runtime whose worker pool has one slot per
 // core. Running tasks are goroutines holding a core slot until their body
-// returns. Spawned service tasks hold core slots too but have no
-// goroutine: they run as steps on clock callback events and yield their
-// slot in wait_for_us (Service.WaitFor, service.go).
+// returns. The task-aware libraries' polling services (Service, service.go)
+// are spawned service tasks: they hold core slots too but have no
+// goroutine, run their passes as steps on clock callback events, and yield
+// their slot in wait_for_us between passes.
 package tasking
 
 import (
@@ -62,9 +63,9 @@ type Runtime struct {
 
 	mu        sync.Mutex
 	reg       *depRegistry
-	live      int // incomplete regular tasks
-	spawnLive int // incomplete spawned service tasks
-	stopping  atomic.Bool
+	live      int              // incomplete regular tasks
+	spawnLive int              // incomplete spawned service tasks
+	stopping  atomic.Bool      // set under mu, read per pass without it
 	seq       int64            // task ids for trace correlation
 	twWaiters []*vclock.Parker // TaskWait: woken when live hits 0
 	thWaiters []throttleWaiter
@@ -92,23 +93,13 @@ func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 	return rt
 }
 
-// Clock returns the runtime's time source.
-func (rt *Runtime) Clock() *vclock.VirtualClock { return rt.clk }
-
 // SetRecorder installs the observability recorder and the runtime's rank
-// identity for trace events. It must be called before the first Submit or
-// Spawn; a nil recorder (the default) keeps the runtime uninstrumented.
+// identity for trace events, before the first Submit or Service.Start; a
+// nil recorder (the default) keeps the runtime uninstrumented.
 func (rt *Runtime) SetRecorder(rec *obs.Collector, rank int) {
 	rt.rec = rec
 	rt.rank = rank
 }
-
-// Recorder returns the installed recorder (nil when uninstrumented). The
-// task-aware libraries and their polling services inherit it from here.
-func (rt *Runtime) Recorder() *obs.Collector { return rt.rec }
-
-// Rank returns the rank identity set with SetRecorder (zero by default).
-func (rt *Runtime) Rank() int { return rt.rank }
 
 // Option customises one task: its region dependencies, its label or its
 // onready callback. It is plain data, read once by Submit.
@@ -424,12 +415,7 @@ func (rt *Runtime) Throttle(max int) {
 	p.Park()
 }
 
-// Stopping reports whether Shutdown has been requested. Spawned service
-// tasks poll it, once per pass, and return when it turns true; the flag is
-// written under rt.mu and read here without it.
-func (rt *Runtime) Stopping() bool { return rt.stopping.Load() }
-
-// Shutdown asks spawned service tasks to stop, waits for them to exit, and
+// Shutdown asks polling services to stop, waits for them to exit, and
 // retires the worker pool. Regular tasks must already be complete
 // (TaskWait). Shutdown is idempotent and safe to call from multiple
 // goroutines — an early-exiting rank and the job teardown may both call it.

@@ -26,24 +26,15 @@ func run(cores int, fn func(clk *vclock.VirtualClock, rt *Runtime)) {
 	wg.Wait()
 }
 
-// spawnLoop spawns a service that calls step (if not nil) and then waits d,
-// over and over until the runtime stops — the shape of a polling service.
+// spawnLoop starts a polling service whose passes call step (if not nil)
+// and then wait d, until the runtime stops.
 func spawnLoop(rt *Runtime, label string, d time.Duration, step func()) {
-	var pass func()
-	var svc *Service
-	pass = func() {
-		if rt.Stopping() {
-			svc.Exit()
-			return
-		}
+	svc := rt.NewService(label, d)
+	svc.Start(func() {
 		if step != nil {
 			step()
 		}
-		svc.WaitFor(d, pass)
-	}
-	rt.Spawn(label, func(s *Service) {
-		svc = s
-		pass()
+		svc.Done(0)
 	})
 }
 
@@ -542,7 +533,7 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 // A service has no goroutine, but it is a task to the core scheduler: after
-// every WaitFor it takes a fresh ticket and waits its turn behind tasks
+// every wait between passes it takes a fresh ticket and waits its turn behind tasks
 // that became ready earlier, and ahead of those that became ready later.
 func TestServiceReacquiresCoreInTicketOrder(t *testing.T) {
 	var passes []time.Duration

@@ -18,7 +18,7 @@
 // style of the Go runtime's gopark/goready. Package vsync builds its two
 // primitives on Parkers: Resource, a served resource, and Queue, a FIFO
 // whose consumer parks. Code that only ever waits for time (the polling
-// services of package core, every step of the fabric's state machines) does
+// services of package tasking, every step of the fabric's state machines) does
 // not block at all: it arms an Event, a callback timer the advancing
 // goroutine runs — a heap push instead of a goroutine park. An owner with a
 // run of such callbacks (a fabric link and the messages propagating off it)
