@@ -14,7 +14,7 @@ import (
 // core), with virtual time held still until they return.
 var stepTakers = map[string]map[string]bool{
 	"vclock":  {"NewEvent": true, "InitEvent": true, "InitStream": true},
-	"tasking": {"Start": true, "After": true, "acquireFn": true},
+	"tasking": {"Start": true, "After": true, "acquire": true},
 	"fabric":  {"Register": true},
 }
 
@@ -66,10 +66,24 @@ func checkSteps(pass *analysis.Pass) {
 	})
 	for _, call := range takers {
 		for _, arg := range call.Args {
-			if _, ok := pass.TypesInfo.TypeOf(arg).Underlying().(*types.Signature); ok {
-				c.step(arg)
+			c.stepArg(arg)
+		}
+	}
+}
+
+// stepArg scans a taker's argument: a function, or the function-typed
+// fields of a composite literal (tasking's core waiters).
+func (c *stepChecker) stepArg(arg ast.Expr) {
+	if cl, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
+		for _, elt := range cl.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				c.stepArg(kv.Value)
 			}
 		}
+		return
+	}
+	if _, ok := c.pass.TypesInfo.TypeOf(arg).Underlying().(*types.Signature); ok {
+		c.step(arg)
 	}
 }
 

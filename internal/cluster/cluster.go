@@ -202,9 +202,8 @@ func Run(cfg Config, main func(*Env)) Result {
 		}
 		if cfg.WithTasking {
 			env.RT = tasking.New(clk, tcfg)
-			if cfg.Recorder != nil {
-				env.RT.SetRecorder(cfg.Recorder, r)
-			}
+			// Also uninstrumented: the rank labels the runtime's snapshot.
+			env.RT.SetRecorder(cfg.Recorder, r)
 		}
 		envs[r] = env
 	})

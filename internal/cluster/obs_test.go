@@ -144,3 +144,23 @@ func TestInstrumentedRunCoverage(t *testing.T) {
 		t.Error("gaspi queue snapshots show no posts")
 	}
 }
+
+// TestUninstrumentedSnapshotsCarryRanks: without a Recorder each rank's
+// tasking snapshot still names its own rank.
+func TestUninstrumentedSnapshotsCarryRanks(t *testing.T) {
+	res := Run(Config{
+		Nodes: 2, RanksPerNode: 1, CoresPerRank: 1,
+		Profile:     fabric.ProfileInfiniBand(),
+		WithTasking: true, WithTAGASPI: true,
+		Seed: 7,
+	}, obsScenario)
+	var ranks []int
+	for _, s := range res.Snapshots {
+		if s.Component == "tasking" {
+			ranks = append(ranks, s.Rank)
+		}
+	}
+	if len(ranks) != 2 || ranks[0] != 0 || ranks[1] != 1 {
+		t.Fatalf("tasking snapshot ranks = %v, want [0 1]", ranks)
+	}
+}

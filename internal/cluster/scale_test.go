@@ -14,13 +14,14 @@ import (
 // TestScaleBoundedGoroutines is the 256-node smoke test of the host
 // substrate (ARCHITECTURE.md "Sharded host substrate"): a job at the
 // paper's node count (reduced to one rank per node) with GASPI
-// neighbourhood traffic and pooled tasks must keep the host goroutine
-// count linear in ranks with a small constant — one main per rank plus a
-// bounded worker pool, and nothing for the fabric or the rank's TAGASPI
-// polling service, which both run on clock events — and must unwind
-// completely after Run (fabric closed, schedulers shut down). A goroutine
-// per ordering domain or per running task blows the in-flight budget at
-// this scale, and a leaked worker trips the settle check.
+// neighbourhood traffic and tasks must keep the host goroutine count
+// linear in ranks with a small constant — one main per rank plus at most
+// Cores running bodies, and nothing for waiting tasks, the fabric or the
+// rank's TAGASPI polling service, which both run on clock events — and
+// must unwind completely after Run (fabric closed, schedulers shut down).
+// A goroutine per ordering domain or per submitted task blows the
+// in-flight budget at this scale, and a leaked body trips the settle
+// check.
 func TestScaleBoundedGoroutines(t *testing.T) {
 	const (
 		nodes  = 256
@@ -85,17 +86,17 @@ func TestScaleBoundedGoroutines(t *testing.T) {
 		t.Fatalf("fabric carried %d messages, want >= %d", res.Fabric.Messages, 4*nodes*rounds)
 	}
 
-	// In-flight budget: a main goroutine per rank and up to Cores pool
-	// workers (the polling service has no goroutine), none for the fabric, and
-	// slack for the test harness itself. Linear in ranks — NOT in ordering
-	// domains (4n of them here) and NOT in submitted tasks.
+	// In-flight budget: a main goroutine per rank and up to Cores running
+	// bodies (the polling service has no goroutine), none for the fabric,
+	// and slack for the test harness itself. Linear in ranks — NOT in
+	// ordering domains (4n of them here) and NOT in submitted tasks.
 	budget := int64(base + nodes*(1+cores) + 32)
 	t.Logf("peak goroutines %d (budget %d, base %d)", peak.Load(), budget, base)
 	if p := peak.Load(); p > budget {
 		t.Fatalf("peak goroutine count %d exceeds budget %d (base %d): host substrate no longer bounded", p, budget, base)
 	}
 
-	// Leak check: everything the job spawned (rank mains, pool workers)
+	// Leak check: everything the job spawned (rank mains, task bodies)
 	// must unwind after Run returns. The job is
 	// over, so this settle loop measures the host, not the model.
 	//lint:ignore detlint host-side settle deadline: the simulation has already finished

@@ -15,8 +15,8 @@ import (
 // host-side change: regenerating every figure at the Quick preset must
 // reproduce the committed BENCH_figures.json rows exactly, modulo
 // host_ms (the only host-dependent field). Host-execution refactors —
-// fabric steps on the clock queue, worker pooling, batched rank setup —
-// must never move a modelled number.
+// fabric steps on the clock queue, task starts keyed at the core grant,
+// batched rank setup — must never move a modelled number.
 func TestCommittedBaselineByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure (seconds of host time)")

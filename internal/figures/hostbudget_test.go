@@ -92,9 +92,10 @@ func TestPerMessageHostBudget(t *testing.T) {
 	t.Logf("scale point: host %v, %d messages, %.0f ns/message (budget %d), %.0f bytes/message (budget %d), peak goroutines %d",
 		host.Round(time.Millisecond), msgs, per, HostNsPerMessageBudget, bytesPer, HostBytesPerMessageBudget, peak.Load())
 	// The goroutine bound is the cheap half of the gate: linear in ranks
-	// (main + bounded worker pool each) plus slack for the harness. It
-	// stays at 2,563 on this point (512 ranks x main + Cores workers; the
-	// fabric and the polling services have no goroutine).
+	// (a main and at most Cores running bodies each) plus slack for the
+	// harness. The sampled peak is 569–580 on this point (512 rank mains
+	// and the bodies running at the sample; the fabric and the polling
+	// services have no goroutine, and a task waiting for a core has none).
 	ranks := cfg.Nodes * cfg.RanksPerNode
 	if gBudget := int64(ranks*(1+cfg.CoresPerRank) + 64); peak.Load() > gBudget {
 		t.Fatalf("peak goroutine count %d exceeds budget %d: host substrate no longer bounded",
@@ -102,7 +103,7 @@ func TestPerMessageHostBudget(t *testing.T) {
 	}
 	if per > HostNsPerMessageBudget {
 		t.Fatalf("host time per message %.0f ns exceeds budget %d ns — "+
-			"did a hot path (fabric steps, worker pool, clock queue, idle poll pass) regress?",
+			"did a hot path (fabric steps, task starts, clock queue, idle poll pass) regress?",
 			per, HostNsPerMessageBudget)
 	}
 	if bytesPer > HostBytesPerMessageBudget {

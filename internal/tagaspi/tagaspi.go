@@ -480,7 +480,7 @@ type pendingQueue[T any] struct {
 	n      atomic.Int32 // len(staged), readable without mu
 	mu     sync.Mutex
 	staged []T
-	pool   [][]T // recycled staging backing arrays
+	spare  []T // the array drain last emptied; only drain touches it
 }
 
 // push stages one descriptor. Safe for concurrent producers.
@@ -488,7 +488,7 @@ type pendingQueue[T any] struct {
 //tagalint:hotpath
 func (q *pendingQueue[T]) push(v T) {
 	q.mu.Lock()
-	//lint:ignore hotalloc staged reuses pooled backing arrays recycled by drain; growth stops once the high-water mark is reached
+	//lint:ignore hotalloc staged swaps between two backing arrays with drain; growth stops once the high-water mark is reached
 	q.staged = append(q.staged, v)
 	q.n.Add(1)
 	q.mu.Unlock()
@@ -496,7 +496,9 @@ func (q *pendingQueue[T]) push(v T) {
 
 // drain moves all staged descriptors into dst (appending) and returns the
 // result. The returned slice is owned by the caller: the poller appends
-// drained descriptors to its private working list.
+// drained descriptors to its private working list. Only the poller drains,
+// so the two backing arrays swap: producers stage into the spare while
+// drain copies out of the other, which then becomes the spare.
 //
 //tagalint:hotpath
 func (q *pendingQueue[T]) drain(dst []T) []T {
@@ -505,24 +507,11 @@ func (q *pendingQueue[T]) drain(dst []T) []T {
 	}
 	q.mu.Lock()
 	staged := q.staged
+	q.staged = q.spare
 	q.n.Store(0)
-	if n := len(q.pool); n > 0 {
-		q.staged = q.pool[n-1][:0]
-		q.pool = q.pool[:n-1]
-	} else {
-		q.staged = nil
-	}
 	q.mu.Unlock()
 	dst = append(dst, staged...)
-	if cap(staged) > 0 {
-		var zero T
-		for i := range staged {
-			staged[i] = zero // drop references for the collector
-		}
-		q.mu.Lock()
-		//lint:ignore hotalloc the pool list grows to the number of in-flight staging arrays and then stabilises
-		q.pool = append(q.pool, staged[:0])
-		q.mu.Unlock()
-	}
+	clear(staged) // drop references for the collector
+	q.spare = staged[:0]
 	return dst
 }

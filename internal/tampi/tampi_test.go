@@ -127,7 +127,9 @@ func TestPollIntervalAffectsLatency(t *testing.T) {
 
 // After TaskWait nothing stays bound: the polling passes that follow find
 // an empty in-flight set, so none of them books a Testsome on the library
-// lock, and all of them are idle.
+// lock, and all of them are idle. The baseline is read a nanosecond after
+// TaskWait returns: at its own instant, the pass or the core release that
+// woke it may still be counting a pass on another goroutine.
 func TestInFlightDrainsToZero(t *testing.T) {
 	var lockUses int64
 	var passes, idle float64
@@ -144,6 +146,7 @@ func TestInFlightDrainsToZero(t *testing.T) {
 		}
 		env.RT.TaskWait()
 		if env.Rank == 1 {
+			env.Clk.Sleep(time.Nanosecond)
 			uses0 := env.MPI.LockStats().Uses
 			passes0, idle0 := sample(env, "tampi_passes"), sample(env, "tampi_idle_passes")
 			env.Clk.Sleep(10 * 5 * time.Microsecond) // ten polling periods

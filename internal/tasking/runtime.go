@@ -11,10 +11,11 @@
 // hook the task-aware communication libraries (packages tampi and tagaspi)
 // use to bind in-flight communication operations to tasks.
 //
-// Each simulated rank owns one Runtime whose worker pool has one slot per
-// core. Running tasks are goroutines holding a core slot until their body
+// Each simulated rank owns one Runtime with one core slot per core. A ready
+// task takes a slot in ticket order, pays the dispatch overhead, and runs
+// its body on a goroutine of its own that holds the slot until the body
 // returns. The task-aware libraries' polling services (Service, service.go)
-// are spawned service tasks: they hold core slots too but have no
+// are spawned service tasks: they take core slots the same way but have no
 // goroutine, run their passes as steps on clock callback events, and yield
 // their slot in wait_for_us between passes.
 package tasking
@@ -55,7 +56,12 @@ type Runtime struct {
 	clk   *vclock.VirtualClock
 	cfg   Config
 	cores *coreSched
-	pool  *workerPool
+	// starts holds granted tasks paying DispatchOverhead; it is pushed
+	// only under cores.mu (granted).
+	starts vclock.Stream[*Task]
+	// running counts started task bodies and services until their last
+	// step has run; Shutdown waits for it.
+	running sync.WaitGroup
 
 	rec   *obs.Collector // nil: uninstrumented
 	rank  int            // rank identity for trace events
@@ -83,19 +89,16 @@ func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("tasking: invalid core count %d", cfg.Cores))
 	}
-	rt := &Runtime{
-		clk:   clk,
-		cfg:   cfg,
-		cores: newCoreSched(clk, cfg.Cores),
-		reg:   newDepRegistry(),
-	}
-	rt.pool = &workerPool{rt: rt}
+	rt := &Runtime{clk: clk, cfg: cfg, reg: newDepRegistry()}
+	rt.cores = newCoreSched(cfg.Cores, rt.granted)
+	vclock.InitStream(clk, &rt.starts, rt.start)
 	return rt
 }
 
 // SetRecorder installs the observability recorder and the runtime's rank
-// identity for trace events, before the first Submit or Service.Start; a
-// nil recorder (the default) keeps the runtime uninstrumented.
+// identity for trace events and Snapshot, before the first Submit or
+// Service.Start; a nil recorder (the default) keeps the runtime
+// uninstrumented.
 func (rt *Runtime) SetRecorder(rec *obs.Collector, rank int) {
 	rt.rec = rec
 	rt.rank = rank
@@ -203,8 +206,9 @@ func (rt *Runtime) depsSatisfied(t *Task) {
 }
 
 // markReady records the task's readiness (for the ready-to-run latency and
-// the timeline) and hands it to the worker pool. Callers must not hold
-// rt.mu.
+// the timeline) and queues it for a core. The ticket is drawn here, under
+// the event that made the task ready, so tasks receive cores in readiness
+// order, not in goroutine-scheduling order. Callers must not hold rt.mu.
 func (rt *Runtime) markReady(t *Task) {
 	if rt.rec != nil {
 		t.readyAt = rt.clk.Now()
@@ -214,7 +218,7 @@ func (rt *Runtime) markReady(t *Task) {
 		}
 		rt.rec.Instant(rt.rank, obs.TrackMain, obs.CatTask, "task:ready", t.readyAt, t.id)
 	}
-	rt.dispatch(t)
+	rt.cores.acquire(coreWaiter{t: t})
 }
 
 // recReleaseEdges starts one dependency-release flow edge from completed
@@ -233,24 +237,38 @@ func (rt *Runtime) recReleaseEdges(t *Task, ready []*Task) {
 	}
 }
 
-// dispatch hands a ready task to the worker pool. The core-grant ticket is
-// taken synchronously so that tasks receive cores in readiness order, not
-// in goroutine-scheduling order.
-func (rt *Runtime) dispatch(t *Task) {
-	rt.pool.submit(t)
-}
-
-// exec runs one dispatched task on the calling pool worker: it claims the
-// task's core grant, charges the dispatch overhead, runs the body and
-// completes it — byte for byte the sequence the per-task goroutines of the
-// unsharded runtime executed, so the modelled schedule is unchanged.
+// granted runs on the goroutine that grants t its core, under cs.mu: it
+// keys the dispatch overhead there, as Service.Start keys its own, so the
+// body's start orders among same-instant timers by the grant, not by when
+// a goroutine gets scheduled. The lock serializes the pushes of grants made
+// on goroutines that run at the same time.
 //
 //tagalint:hotpath
-func (rt *Runtime) exec(t *Task, ticket uint64) {
-	rt.cores.acquire(ticket)
-	if rt.cfg.DispatchOverhead > 0 {
-		rt.clk.Sleep(rt.cfg.DispatchOverhead)
+func (rt *Runtime) granted(t *Task) {
+	if d := rt.cfg.DispatchOverhead; d > 0 {
+		rt.starts.Push(d, t)
+		return
 	}
+	rt.start(t)
+}
+
+// start runs a granted task whose dispatch overhead has elapsed: the body
+// gets a goroutine of its own, because a body may block (Compute, Iwait).
+// It registers and spawns by hand: VirtualClock.Go would wrap exec in one
+// more closure allocation per task.
+func (rt *Runtime) start(t *Task) {
+	rt.running.Add(1)
+	rt.clk.Register()
+	go rt.exec(t)
+}
+
+// exec runs one started task on its own registered goroutine: it runs the
+// body, completes it, returns the core and unregisters.
+//
+//tagalint:hotpath
+func (rt *Runtime) exec(t *Task) {
+	defer rt.clk.Unregister()
+	defer rt.running.Done()
 	rt.mu.Lock()
 	t.state = stateRunning
 	rt.mu.Unlock()
@@ -415,8 +433,8 @@ func (rt *Runtime) Throttle(max int) {
 	p.Park()
 }
 
-// Shutdown asks polling services to stop, waits for them to exit, and
-// retires the worker pool. Regular tasks must already be complete
+// Shutdown asks polling services to stop and waits for them and for the
+// task bodies' goroutines to finish. Regular tasks must already be complete
 // (TaskWait). Shutdown is idempotent and safe to call from multiple
 // goroutines — an early-exiting rank and the job teardown may both call it.
 func (rt *Runtime) Shutdown() {
@@ -431,7 +449,10 @@ func (rt *Runtime) Shutdown() {
 	} else {
 		rt.mu.Unlock()
 	}
-	rt.pool.stop()
+	// A body or service outlives the TaskWait or Shutdown its completion
+	// wakes by a few steps (trace records, the core release); the job's
+	// results must not race them.
+	rt.running.Wait()
 }
 
 // Stats returns a snapshot of the runtime counters.
@@ -456,262 +477,59 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 	}
 }
 
-// workerPool runs task bodies on a bounded set of reusable goroutines.
-// The per-task-goroutine runtime it replaces spawned one goroutine per
-// dispatched task — at 10k-rank scale, millions of short-lived goroutines
-// whose stacks dominated host time. The pool keeps at most Cores workers
-// actively progressing bodies (matching the modelled core count), parks
-// surplus workers on reusable external parkers. A body never gives up its
-// core before it returns, so the pool never holds more than Cores workers
-// (TestPoolWorkersBoundedByCores).
-//
-// Determinism: the core ticket is drawn and the task enqueued under one
-// lock, so the queue is in ticket order and workers claim cores through
-// the unchanged coreSched in exactly the order the per-task goroutines
-// did. Which goroutine executes a body has no modelled-time meaning.
-type workerPool struct {
-	rt *Runtime
-
-	mu       sync.Mutex
-	q        []poolItem       // dispatched bodies, ticket order
-	head     int              // index of the next item in q
-	idle     []*vclock.Parker // parked workers, one entry each
-	seeking  int              // workers awake and heading for the queue
-	handling int              // workers between claiming an item and finishing its body
-	total    int              // live worker goroutines
-	stopped  bool
-	wg       sync.WaitGroup
-}
-
-type poolItem struct {
-	t      *Task
-	ticket uint64
-}
-
-// submit enqueues a ready task for the workers. The ticket draw and the
-// enqueue happen under the pool lock so the queue stays in ticket order —
-// a worker never claims a later ticket while an earlier one still waits,
-// which would stall the grant chain.
-//
-//tagalint:hotpath
-func (wp *workerPool) submit(t *Task) {
-	wp.mu.Lock()
-	ticket := wp.rt.cores.ticket()
-	//lint:ignore hotalloc the queue buffer is reset to [:0] when drained, so its capacity is reused across the run
-	wp.q = append(wp.q, poolItem{t: t, ticket: ticket})
-	wp.ensureLocked()
-	wp.mu.Unlock()
-}
-
-// qlen is the number of undispatched items. Callers hold wp.mu.
-func (wp *workerPool) qlen() int { return len(wp.q) - wp.head }
-
-// popLocked removes the next item in ticket order. Callers hold wp.mu.
-func (wp *workerPool) popLocked() poolItem {
-	it := wp.q[wp.head]
-	wp.q[wp.head] = poolItem{}
-	wp.head++
-	if wp.head == len(wp.q) {
-		wp.q = wp.q[:0]
-		wp.head = 0
-	}
-	return it
-}
-
-// ensureLocked keeps the pool live: whenever dispatched work is waiting,
-// fewer than Cores bodies are actively progressing and no worker is
-// already heading for the queue, it wakes an idle worker or spawns a new
-// one. Callers hold wp.mu.
-func (wp *workerPool) ensureLocked() {
-	if wp.stopped || wp.qlen() == 0 || wp.seeking > 0 ||
-		wp.handling >= wp.rt.cfg.Cores {
-		return
-	}
-	wp.seeking++
-	if n := len(wp.idle); n > 0 {
-		p := wp.idle[n-1]
-		wp.idle[n-1] = nil
-		wp.idle = wp.idle[:n-1]
-		p.Unpark()
-		return
-	}
-	wp.total++
-	wp.wg.Add(1)
-	wp.rt.clk.Go(wp.worker)
-}
-
-// worker is the pool goroutine loop: claim the next dispatched task, run
-// it, park when the queue is empty, exit on stop. A worker created by
-// ensureLocked starts in the seeking state.
-//
-//tagalint:hotpath
-func (wp *workerPool) worker() {
-	defer wp.wg.Done()
-	var p *vclock.Parker
-	for {
-		wp.mu.Lock()
-		for wp.qlen() == 0 {
-			wp.seeking--
-			if wp.stopped {
-				wp.total--
-				wp.mu.Unlock()
-				return
-			}
-			if p == nil {
-				p = wp.rt.clk.Parker()
-				// An idle worker legitimately waits for work; it must not
-				// trip virtual-time deadlock detection.
-				p.SetExternal(true)
-				p.SetName("task-worker")
-			}
-			//lint:ignore hotalloc the idle list grows to the worker count (bounded by cores), then reuses capacity
-			wp.idle = append(wp.idle, p)
-			wp.mu.Unlock()
-			p.Park()
-			// Whoever unparked us removed the idle entry and counted us as
-			// seeking again.
-			wp.mu.Lock()
-		}
-		it := wp.popLocked()
-		wp.seeking--
-		wp.handling++
-		wp.ensureLocked()
-		wp.mu.Unlock()
-		wp.rt.exec(it.t, it.ticket)
-		wp.mu.Lock()
-		wp.handling--
-		wp.seeking++
-		wp.mu.Unlock()
-	}
-}
-
-// stop asks every worker to exit: parked workers are woken to see the
-// flag, busy workers exit after their current body. It is idempotent and
-// must only be called once no further dispatches can occur (Shutdown).
-func (wp *workerPool) stop() {
-	wp.mu.Lock()
-	if wp.stopped {
-		wp.mu.Unlock()
-		return
-	}
-	wp.stopped = true
-	idle := wp.idle
-	wp.idle = nil
-	wp.seeking += len(idle)
-	wp.mu.Unlock()
-	for _, p := range idle {
-		p.Unpark()
-	}
-	wp.wg.Wait()
-}
-
-// coreSched grants core slots in readiness order: each ready task draws a
-// ticket synchronously (under the event that made it ready) and cores are
-// granted in strict ticket order, which makes scheduling deterministic in
-// virtual time instead of following the host scheduler's interleaving.
-// A ticket waits as a parked goroutine (task bodies, acquire) or as a
-// continuation (event-driven services, acquireFn), both in the one line.
+// coreSched grants core slots in readiness order: each ready task or
+// service step draws a ticket and registers its waiter in one step, under
+// the event that made it ready, and cores are granted in strict ticket
+// order, which makes scheduling deterministic in virtual time instead of
+// following the host scheduler's interleaving. No waiter blocks: a task
+// is handed to granted, a service step runs as a continuation.
 type coreSched struct {
-	clk       *vclock.VirtualClock
 	mu        sync.Mutex
 	free      int
 	nextTkt   uint64
 	nextGrant uint64
+	granted   func(*Task) // run under mu
 
-	// waiters is a ring over the drawn, ungranted tickets: ticket k waits
-	// in slot k mod len(waiters), and len(waiters) is a power of two that
-	// slot keeps at least nextTkt−nextGrant. A zero slot is a ticket that
-	// ticket() drew and whose acquire has not registered yet.
+	// waiters is a ring over the ungranted tickets: ticket k waits in slot
+	// k mod len(waiters), and len(waiters) is a power of two that acquire
+	// keeps at least nextTkt−nextGrant.
 	waiters []coreWaiter
-
-	// parkers is a free list of core-wait parking slots. Granting clears
-	// the waiter's slot before the Unpark, so each registration is woken
-	// exactly once and a parker leaves acquire with no pending wake — safe
-	// to hand to the next waiting task instead of allocating one per
-	// dispatched task.
-	parkers []*vclock.Parker
 }
 
-// coreWaiter is one waiting ticket: exactly one of p and fn is set.
+// coreWaiter is one waiting ticket: exactly one of t and fn is set.
 type coreWaiter struct {
-	p  *vclock.Parker // a goroutine parked in acquire
-	fn func()         // a continuation registered by acquireFn
+	t  *Task  // a ready task, handed to granted
+	fn func() // a service step, run outside mu
 }
 
-func newCoreSched(clk *vclock.VirtualClock, n int) *coreSched {
-	return &coreSched{clk: clk, free: n, waiters: make([]coreWaiter, 16)}
+func newCoreSched(n int, granted func(*Task)) *coreSched {
+	return &coreSched{free: n, granted: granted, waiters: make([]coreWaiter, 16)}
 }
 
-// ticket reserves the caller's position in the grant order.
-func (cs *coreSched) ticket() uint64 {
-	cs.mu.Lock()
-	t := cs.nextTkt
-	cs.nextTkt++
-	cs.mu.Unlock()
-	return t
-}
-
-// slot returns the ring slot of a drawn ticket, first doubling the ring
-// until every drawn, ungranted ticket has a slot of its own. Callers hold
-// cs.mu.
-func (cs *coreSched) slot(ticket uint64) *coreWaiter {
-	if n := cs.nextTkt - cs.nextGrant; n > uint64(len(cs.waiters)) {
-		size := len(cs.waiters)
-		for uint64(size) < n {
-			size *= 2
-		}
-		// Every registered ticket lies within len(waiters) of nextGrant:
-		// it grew the ring that far when it registered.
-		ring := make([]coreWaiter, size)
-		for k := cs.nextGrant; k < cs.nextGrant+uint64(len(cs.waiters)); k++ {
-			ring[k&uint64(size-1)] = cs.waiters[k&uint64(len(cs.waiters)-1)]
-		}
-		cs.waiters = ring
-	}
-	return &cs.waiters[ticket&uint64(len(cs.waiters)-1)]
-}
-
-// acquire blocks until a core is free and every earlier ticket has been
-// granted.
-func (cs *coreSched) acquire(ticket uint64) {
-	cs.mu.Lock()
-	var p *vclock.Parker
-	for !(cs.free > 0 && ticket == cs.nextGrant) {
-		if p == nil {
-			if n := len(cs.parkers); n > 0 {
-				p = cs.parkers[n-1]
-				cs.parkers[n-1] = nil
-				cs.parkers = cs.parkers[:n-1]
-			} else {
-				p = cs.clk.Parker()
-				p.SetName("core-wait")
-			}
-		}
-		*cs.slot(ticket) = coreWaiter{p: p}
-		cs.mu.Unlock()
-		p.Park()
-		cs.mu.Lock()
-	}
-	if p != nil {
-		cs.parkers = append(cs.parkers, p)
-	}
-	cs.free--
-	cs.nextGrant++
-	cs.grantUnlock()
-}
-
-// acquireFn is ticket plus acquire for callers that must not block: it
-// draws the next ticket and fn runs, on the goroutine that makes the grant,
-// once a core is free and every earlier ticket has been granted — at once
-// if that is already so.
+// acquire draws the next ticket for w and grants it once a core is free
+// and every earlier ticket has been granted — at once, on the calling
+// goroutine, if that is already so. It never blocks.
 //
 //tagalint:hotpath
-func (cs *coreSched) acquireFn(fn func()) {
+func (cs *coreSched) acquire(w coreWaiter) {
 	cs.mu.Lock()
-	t := cs.nextTkt
+	if cs.nextTkt-cs.nextGrant == uint64(len(cs.waiters)) {
+		cs.grow()
+	}
+	cs.waiters[cs.nextTkt&uint64(len(cs.waiters)-1)] = w
 	cs.nextTkt++
-	*cs.slot(t) = coreWaiter{fn: fn}
 	cs.grantUnlock()
+}
+
+// grow doubles the full waiter ring, moving each ungranted ticket to its
+// slot in the larger one. Callers hold cs.mu.
+func (cs *coreSched) grow() {
+	n := uint64(len(cs.waiters))
+	ring := make([]coreWaiter, 2*n)
+	for k := cs.nextGrant; k < cs.nextTkt; k++ {
+		ring[k&(2*n-1)] = cs.waiters[k&(n-1)]
+	}
+	cs.waiters = ring
 }
 
 // release returns a core and passes it to the next ticket in line.
@@ -722,29 +540,21 @@ func (cs *coreSched) release() {
 }
 
 // grantUnlock hands free cores down the ticket line and releases cs.mu,
-// which the caller holds. A parked goroutine is woken and takes its core
-// itself (continuing the line from acquire); a continuation is granted on
-// the spot and run outside cs.mu, after which the line is looked at again.
-// If the next ticket has not arrived yet it will see the free core on
-// arrival; granting never skips ahead of it. The waiter's slot is cleared
-// before the Unpark so a second grant attempt cannot Unpark the same
-// registration twice, which keeps recycled parkers free of stale wakes.
+// which the caller holds. A task is granted under cs.mu; a service step is
+// run outside it, after which the line is looked at again.
 //
 //tagalint:hotpath
 func (cs *coreSched) grantUnlock() {
 	for cs.free > 0 && cs.nextGrant < cs.nextTkt {
 		s := &cs.waiters[cs.nextGrant&uint64(len(cs.waiters)-1)]
 		w := *s
-		if w.p == nil && w.fn == nil {
-			break
-		}
 		*s = coreWaiter{}
-		if w.fn == nil {
-			w.p.Unpark()
-			break
-		}
 		cs.free--
 		cs.nextGrant++
+		if w.t != nil {
+			cs.granted(w.t)
+			continue
+		}
 		cs.mu.Unlock()
 		w.fn()
 		cs.mu.Lock()

@@ -2,6 +2,7 @@ package tasking
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -258,27 +259,71 @@ func TestOnReadyEventAlreadyFulfilled(t *testing.T) {
 	}
 }
 
-func TestPoolWorkersBoundedByCores(t *testing.T) {
-	// A body holds its core until it returns, so 200 ready tasks on four
-	// cores must never need more than four worker goroutines.
+func TestBodiesBoundedByCores(t *testing.T) {
+	// A body holds its core until it returns and gets its goroutine only
+	// with the core, so 200 ready tasks on four cores never run more than
+	// four bodies at once, nor hold a goroutine each while they wait.
 	const cores, tasks = 4, 200
-	peak := 0
-	run(cores, func(clk *vclock.VirtualClock, rt *Runtime) {
-		for i := 0; i < tasks; i++ {
-			rt.Submit(func(tk *Task) {
-				rt.pool.mu.Lock()
-				peak = max(peak, rt.pool.total)
-				rt.pool.mu.Unlock()
-				tk.Compute(time.Microsecond)
-			})
+	for _, overhead := range []time.Duration{0, 250 * time.Nanosecond} {
+		clk := vclock.NewVirtual()
+		rt := New(clk, Config{Cores: cores, DispatchOverhead: overhead})
+		base := runtime.NumGoroutine()
+		var live, peak, peakG atomic.Int64
+		raise := func(m *atomic.Int64, v int64) {
+			for cur := m.Load(); v > cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
+			}
 		}
-		rt.TaskWait()
-		rt.pool.mu.Lock()
-		peak = max(peak, rt.pool.total)
-		rt.pool.mu.Unlock()
-	})
-	if peak > cores {
-		t.Fatalf("pool peaked at %d workers, want <= %d", peak, cores)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		clk.Go(func() {
+			defer wg.Done()
+			for i := 0; i < tasks; i++ {
+				rt.Submit(func(tk *Task) {
+					raise(&peak, live.Add(1))
+					raise(&peakG, int64(runtime.NumGoroutine()-base))
+					tk.Compute(time.Microsecond)
+					live.Add(-1)
+				})
+			}
+			rt.TaskWait()
+			rt.Shutdown()
+		})
+		wg.Wait()
+		if p := peak.Load(); p > cores {
+			t.Fatalf("overhead %v: %d bodies ran at once, want <= %d", overhead, p, cores)
+		}
+		// The main and the running bodies, plus slack for finished
+		// bodies' goroutines the host has not yet retired; a goroutine per
+		// waiting task would reach the task count.
+		if g := peakG.Load(); g > tasks/4 {
+			t.Fatalf("overhead %v: %d goroutines above the base, want <= %d", overhead, g, tasks/4)
+		}
+	}
+}
+
+func TestDispatchOverheadKeyedAtGrant(t *testing.T) {
+	// The dispatch overhead's timer is keyed on the goroutine that grants
+	// the core, when it grants it, as a service's is: a task granted at
+	// once by Submit starts at 250ns ahead of the submitter's own 250ns
+	// sleep, whatever goroutine the host schedules first.
+	for i := 0; i < 50; i++ {
+		clk := vclock.NewVirtual()
+		rt := New(clk, Config{Cores: 1, DispatchOverhead: 250 * time.Nanosecond})
+		var ran atomic.Bool
+		early := false
+		var wg sync.WaitGroup
+		wg.Add(1)
+		clk.Go(func() {
+			defer wg.Done()
+			rt.Submit(func(*Task) { ran.Store(true) })
+			clk.Sleep(250 * time.Nanosecond)
+			early = ran.Load()
+			rt.TaskWait()
+		})
+		wg.Wait()
+		if !early {
+			t.Fatalf("run %d: the submitter woke at 250ns before the body granted ahead of it", i)
+		}
 	}
 }
 
@@ -504,11 +549,11 @@ func BenchmarkDependencyChain(b *testing.B) {
 
 // TestShutdownIdempotent is the early-teardown regression test for the
 // scheduler half of the substrate: Shutdown must be callable repeatedly —
-// with live spawned services, with pooled workers parked idle, and again
-// after the pool has already stopped — without panicking or hanging. A
-// rank that exits early shuts its runtime down while siblings are still
-// mid-job, and teardown paths run once per rank per Run plus once more on
-// defensive cleanup.
+// with live spawned services, with finished bodies' goroutines on their
+// way out, and again after everything has stopped — without panicking or
+// hanging. A rank that exits early shuts its runtime down while siblings
+// are still mid-job, and teardown paths run once per rank per Run plus
+// once more on defensive cleanup.
 func TestShutdownIdempotent(t *testing.T) {
 	var polls atomic.Int32
 	run(2, func(clk *vclock.VirtualClock, rt *Runtime) {
@@ -518,14 +563,14 @@ func TestShutdownIdempotent(t *testing.T) {
 		}
 		rt.TaskWait()
 		rt.Shutdown()
-		rt.Shutdown() // second call: pool already stopped, spawn drained
+		rt.Shutdown() // second call: bodies exited, spawn drained
 		rt.Shutdown()
 	})
 	if polls.Load() == 0 {
 		t.Fatal("poller never ran")
 	}
 	// A fresh runtime that never ran a task must also shut down cleanly
-	// (no worker was ever spawned, the pool has no parked idlers).
+	// (no body goroutine was ever started).
 	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
 		rt.Shutdown()
 		rt.Shutdown()
@@ -563,29 +608,39 @@ func TestServiceReacquiresCoreInTicketOrder(t *testing.T) {
 	}
 }
 
-// Granting follows tickets, not registrations: a ticket drawn but not yet
-// registered holds back every later one, here while 40 later continuations
-// grow the waiter ring past its initial size around the empty head slot,
-// which five earlier grants moved off slot zero.
-func TestCoreGrantsWaitForAnUnregisteredTicket(t *testing.T) {
-	cs := newCoreSched(vclock.NewVirtual(), 1)
+// Grants follow tickets across ring growth: behind a held core, 40 waiters
+// alternating tasks and continuations grow the waiter ring twice past its
+// initial size around a head that five earlier grants moved off slot zero,
+// and are still granted in ticket order.
+func TestCoreGrantsFollowTicketsAcrossRingGrowth(t *testing.T) {
+	var order []int
+	held := false // a granted task holds the core until the test releases it
+	cs := newCoreSched(1, func(tk *Task) {
+		order = append(order, int(tk.id))
+		held = true
+	})
 	for i := 0; i < 5; i++ {
-		cs.acquire(cs.ticket())
+		cs.acquire(coreWaiter{fn: func() {}})
 		cs.release()
 	}
-	head := cs.ticket()
-	var order []int
+	cs.acquire(coreWaiter{fn: func() {}}) // hold the core
 	for i := 1; i <= 40; i++ {
-		cs.acquireFn(func() {
+		if i%2 == 1 {
+			cs.acquire(coreWaiter{t: &Task{id: int64(i)}})
+			continue
+		}
+		cs.acquire(coreWaiter{fn: func() {
 			order = append(order, i)
 			cs.release()
-		})
+		}})
 	}
 	if len(order) != 0 {
-		t.Fatalf("continuations %v ran ahead of the unregistered ticket %d", order, head)
+		t.Fatalf("waiters %v were granted while the core was held", order)
 	}
-	cs.acquire(head)
-	cs.release()
+	for held = true; held; {
+		held = false
+		cs.release()
+	}
 	want := make([]int, 40)
 	for i := range want {
 		want[i] = i + 1

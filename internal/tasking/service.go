@@ -84,6 +84,7 @@ func (s *Service) Start(poll func()) {
 		panic("tasking: service started after Shutdown")
 	}
 	rt.spawnLive++
+	rt.running.Add(1)
 	rt.stats.Spawned++
 	rt.seq++
 	t.id = rt.seq
@@ -101,7 +102,7 @@ func (s *Service) Start(poll func()) {
 		}
 		s.pass()
 	}
-	rt.cores.acquireFn(func() { s.After(rt.cfg.DispatchOverhead, begin) })
+	rt.cores.acquire(coreWaiter{fn: func() { s.After(rt.cfg.DispatchOverhead, begin) }})
 }
 
 // pass begins one polling pass, or ends the service once the runtime is
@@ -186,7 +187,7 @@ func (s *Service) wait(d time.Duration) {
 
 //tagalint:hotpath
 func (s *Service) reacquire() {
-	s.rt.cores.acquireFn(s.resumedFn)
+	s.rt.cores.acquire(coreWaiter{fn: s.resumedFn})
 }
 
 //tagalint:hotpath
@@ -208,6 +209,7 @@ func (s *Service) exit() {
 	}
 	rt.finishBody(s.t)
 	rt.cores.release()
+	rt.running.Done()
 }
 
 // Passes returns the number of completed polling passes.

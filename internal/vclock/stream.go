@@ -12,10 +12,13 @@ import "time"
 // Pushes that keep the key order append at the tail and take no clock lock.
 // A push that sorts before the tail is inserted in key order; one that
 // sorts before the head also re-keys the armed event. A stream is not safe
-// for concurrent use: its owner pushes only from clock callbacks (which the
-// advancing goroutine runs one at a time) or from the one goroutine that is
-// running while every other registered goroutine is parked. The callback
-// obeys Event's rules: it must not block.
+// for concurrent use: its owner serializes the pushes, either by pushing only
+// from clock callbacks (which the advancing goroutine runs one at a time)
+// and from the one goroutine that is running while every other registered
+// goroutine is parked, or by pushing under a lock of its own (the tasking
+// runtime pushes granted tasks under its core scheduler's lock). The stream
+// fires only while every registered goroutine is parked, so no push races
+// it. The callback obeys Event's rules: it must not block.
 type Stream[T any] struct {
 	ev    Event
 	items []streamItem[T] // live items are items[head:], in (deadline, seq) order
