@@ -1,6 +1,6 @@
 // Command tagalint runs the repository's invariant analyzers (detlint,
-// doccomment, hotalloc, lockcross, simerr, taskctx) over Go packages
-// matched by patterns (the tier-1 gate):
+// hotalloc, lockcross, simerr, taskctx) over Go packages matched by
+// patterns (the tier-1 gate):
 //
 //	go run ./cmd/tagalint ./...
 //

@@ -8,7 +8,6 @@ package tagalint
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/detlint"
-	"repro/internal/analysis/doccomment"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockcross"
 	"repro/internal/analysis/simerr"
@@ -19,7 +18,6 @@ import (
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detlint.Analyzer,
-		doccomment.Analyzer,
 		hotalloc.Analyzer,
 		lockcross.Analyzer,
 		simerr.Analyzer,

@@ -13,7 +13,7 @@ import (
 // goroutine advancing the virtual clock (or on one that just released a
 // core), with virtual time held still until they return.
 var stepTakers = map[string]map[string]bool{
-	"vclock":  {"NewEvent": true, "InitEvent": true, "InitStream": true},
+	"vclock":  {"InitEvent": true, "InitStream": true},
 	"tasking": {"Start": true, "After": true, "acquire": true},
 	"fabric":  {"Register": true},
 }

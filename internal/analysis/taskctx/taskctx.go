@@ -9,8 +9,8 @@
 //     it may only register asynchronous events (NotifyIwait and friends).
 //     Blocking there — a channel op, Task.Compute, or any simulator
 //     wait — stalls dependency release for the whole rank.
-//  3. A clock callback (VirtualClock.NewEvent or InitEvent, and the
-//     per-item callback of vclock.InitStream), a fabric delivery handler
+//  3. A clock callback (VirtualClock.InitEvent, and the per-item
+//     callback of vclock.InitStream), a fabric delivery handler
 //     (Fabric.Register) or a service step (the functions handed to
 //     tasking.Service's Start and After) runs on the goroutine that is
 //     advancing the virtual clock, which holds the advance lock. Blocking

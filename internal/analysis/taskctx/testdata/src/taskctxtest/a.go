@@ -66,7 +66,7 @@ func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, clk *vclock.VirtualClock
 
 // A clock callback runs on the goroutine advancing the clock.
 func sleepInClockCallback(clk *vclock.VirtualClock) {
-	clk.NewEvent(func() {
+	clk.InitEvent(new(vclock.Event), func() {
 		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
 	})
 }
@@ -99,7 +99,7 @@ func sleepInStreamCallback(clk *vclock.VirtualClock, s *vclock.Stream[int]) {
 // A select with a default clause polls its channels and cannot block;
 // (*vclock.Parker).Unpark wakes its goroutine this way from inside callbacks.
 func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in chan int) {
-	clk.NewEvent(func() {
+	clk.InitEvent(new(vclock.Event), func() {
 		select {
 		case wake <- struct{}{}: // ok
 		default:
@@ -110,10 +110,10 @@ func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in 
 		default:
 		}
 	})
-	clk.NewEvent(func() {
+	clk.InitEvent(new(vclock.Event), func() {
 		wake <- struct{}{} // want "channel send in a service step or clock callback"
 	})
-	clk.NewEvent(func() {
+	clk.InitEvent(new(vclock.Event), func() {
 		select { // want "select in a service step or clock callback"
 		case wake <- struct{}{}: // want "channel send in a service step or clock callback"
 		case <-in: // want "channel receive in a service step or clock callback"

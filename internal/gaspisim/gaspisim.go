@@ -359,6 +359,29 @@ func (p *Proc) Submit(op Operation) error {
 		return fmt.Errorf("gaspisim: invalid remote rank %d", op.Remote)
 	}
 
+	// Validate per type. A read lands its response in its local range, so
+	// that range is checked here, where the caller gets the error, as a
+	// write's is.
+	carries := op.Type == OpWrite || op.Type == OpWriteNotify // local bytes ride the message
+	var buf []byte
+	switch op.Type {
+	case OpWrite, OpWriteNotify, OpRead:
+		seg, err := p.reg.Lookup(op.LocalSeg)
+		if err != nil {
+			return err
+		}
+		if buf, err = seg.Slice(op.LocalOff, op.Size); err != nil {
+			return err
+		}
+	case OpNotify:
+	default:
+		return fmt.Errorf("gaspisim: unknown operation type %d", op.Type)
+	}
+	nreq := 1
+	if op.Type == OpWriteNotify {
+		nreq = 2 // write + notify, as GPI-2 chains two ibverbs requests
+	}
+
 	// A queue in the error state refuses posts until repaired
 	// (gaspi_queue_purge): fail the operation locally, without touching
 	// the fabric, so the caller's completion accounting observes the same
@@ -368,92 +391,45 @@ func (p *Proc) Submit(op Operation) error {
 	errored := q.errored
 	q.mu.Unlock()
 	if errored {
-		nreq := 1
-		if op.Type == OpWriteNotify {
-			nreq = 2
-		}
 		q.completeLocalErr(op.Tag, nreq, false)
 		return nil
 	}
 
-	switch op.Type {
-	case OpWrite, OpWriteNotify:
-		src, err := p.reg.Lookup(op.LocalSeg)
-		if err != nil {
-			return err
-		}
-		buf, err := src.Slice(op.LocalOff, op.Size)
-		if err != nil {
-			return err
-		}
-		nreq := 1
-		if op.Type == OpWriteNotify {
-			nreq = 2 // write + notify, as GPI-2 chains two ibverbs requests
-		}
-		m := newGMsg()
-		m.kind, m.src, m.seg, m.off = op.Type, p.rank, op.RemoteSeg, op.RemoteOff
-		m.size, m.notify = op.Size, op.Type == OpWriteNotify
-		m.notifyID, m.notifyVal = op.NotifyID, op.NotifyVal
-		q.post(op, func() {
-			if p.rec != nil {
-				m.postTs = p.clk.Now()
-			}
-			fm := fabric.NewMessage()
-			fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
-			fm.Size, fm.Payload = op.Size, m
-			fm.OnInjected = func() {
-				m.data = p.snap.Take(buf)
-				q.completeLocal(op.Tag, nreq)
-				p.recComplete(op.Queue, op.Size, m.postTs)
-			}
-			fm.OnFailed = func() { q.completeLocalErr(op.Tag, nreq, true) }
-			p.fab.Send(fm)
-		}, nreq)
-		return nil
-
-	case OpNotify:
-		m := newGMsg()
-		m.kind, m.src, m.seg = OpNotify, p.rank, op.RemoteSeg
-		m.notify, m.notifyID, m.notifyVal = true, op.NotifyID, op.NotifyVal
-		q.post(op, func() {
-			if p.rec != nil {
-				m.postTs = p.clk.Now()
-			}
-			fm := fabric.NewMessage()
-			fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
-			fm.Control, fm.Payload = true, m
-			fm.OnInjected = func() {
-				q.completeLocal(op.Tag, 1)
-				p.recComplete(op.Queue, 0, m.postTs)
-			}
-			fm.OnFailed = func() { q.completeLocalErr(op.Tag, 1, true) }
-			p.fab.Send(fm)
-		}, 1)
-		return nil
-
-	case OpRead:
-		if _, err := p.reg.Lookup(op.LocalSeg); err != nil {
-			return err
-		}
-		m := newGMsg()
-		m.kind, m.src, m.seg, m.off = OpRead, p.rank, op.RemoteSeg, op.RemoteOff
-		m.size, m.replySeg, m.replyOff = op.Size, op.LocalSeg, op.LocalOff
-		m.replyQ, m.replyTag = q, op.Tag
-		q.post(op, func() {
-			if p.rec != nil {
-				m.postTs = p.clk.Now()
-			}
-			fm := fabric.NewMessage()
-			fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
-			fm.Control, fm.Payload = true, m
-			// The response direction carries no hook: like hardware
-			// read completion, it is retransmitted transparently.
-			fm.OnFailed = func() { q.completeLocalErr(op.Tag, 1, true) }
-			p.fab.Send(fm)
-		}, 1)
-		return nil
+	m := newGMsg()
+	m.kind, m.src, m.seg, m.off, m.size = op.Type, p.rank, op.RemoteSeg, op.RemoteOff, op.Size
+	m.notify = op.Type == OpWriteNotify || op.Type == OpNotify
+	m.notifyID, m.notifyVal = op.NotifyID, op.NotifyVal
+	if op.Type == OpRead {
+		m.replySeg, m.replyOff, m.replyQ, m.replyTag = op.LocalSeg, op.LocalOff, q, op.Tag
 	}
-	return fmt.Errorf("gaspisim: unknown operation type %d", op.Type)
+	q.post(op, func() {
+		if p.rec != nil {
+			m.postTs = p.clk.Now()
+		}
+		fm := fabric.NewMessage()
+		fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
+		fm.Payload = m
+		if carries {
+			fm.Size = op.Size
+		} else {
+			fm.Control = true
+		}
+		// A read completes locally when its response lands (deliver's
+		// opReadResp). The response direction carries no hook: like
+		// hardware read completion, it is retransmitted transparently.
+		if op.Type != OpRead {
+			fm.OnInjected = func() {
+				if carries {
+					m.data = p.snap.Take(buf)
+				}
+				q.completeLocal(op.Tag, nreq)
+				p.recComplete(op.Queue, len(buf), m.postTs) // a notify's buf is nil
+			}
+		}
+		fm.OnFailed = func() { q.completeLocalErr(op.Tag, nreq, true) }
+		p.fab.Send(fm)
+	}, nreq)
+	return nil
 }
 
 // post charges the queue's post resource and runs send, tracking the

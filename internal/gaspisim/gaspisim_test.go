@@ -343,6 +343,29 @@ func TestSubmitValidation(t *testing.T) {
 	})
 }
 
+// TestReadLocalRangeCheckedAtPost: a read whose local range runs past its
+// segment is refused by Submit, as a write's is, and posts nothing. It used
+// to be accepted and panic when the response landed, inside a clock
+// callback.
+func TestReadLocalRangeCheckedAtPost(t *testing.T) {
+	withWorld(2, 1, func(p *Proc) {
+		mustCreate(p, 0, 64)
+		if p.Rank() != 0 {
+			return
+		}
+		before := p.fab.Stats().Messages
+		if err := p.Read(0, 60, 1, 0, 0, 8, 0, "r"); err == nil {
+			t.Fatal("read into bytes past the local segment must fail")
+		}
+		if got := p.fab.Stats().Messages; got != before {
+			t.Errorf("refused read reached the fabric (%d -> %d messages)", before, got)
+		}
+		if n := p.queues[0].outstanding; n != 0 {
+			t.Errorf("refused read left %d outstanding requests", n)
+		}
+	})
+}
+
 func TestSegmentCreateDuplicate(t *testing.T) {
 	withWorld(1, 1, func(p *Proc) {
 		if _, err := p.SegmentCreate(0, 64); err != nil {

@@ -25,10 +25,12 @@ const CollectiveRounds = 64
 
 // CollectiveTag builds the reserved internal tag of (epoch, round), the
 // namespace real MPI libraries hide behind MPI_COMM_WORLD's internal
-// context id. Application tags are >= 0 and AnyTag is -1, so collective
-// tags start at -2. The round must lie in [0, CollectiveRounds): silently
-// folding an out-of-range round into the next epoch's tag space would
-// alias two distinct collectives, so it panics instead.
+// context id. Application tags are >= 0 and collective tags start at -2
+// (-1 is never minted), and a receive matches its tag exactly, so neither
+// kind of traffic can take a message of the other. The round must lie in
+// [0, CollectiveRounds): silently folding an out-of-range round into the
+// next epoch's tag space would alias two distinct collectives, so it
+// panics instead.
 func CollectiveTag(epoch, round int) int {
 	if round < 0 || round >= CollectiveRounds {
 		panic(fmt.Sprintf("mpisim: collective round %d outside [0,%d) — reserve another epoch via CollectiveEpoch", round, CollectiveRounds))

@@ -5,8 +5,7 @@ import (
 )
 
 // TestCollectiveTagNamespace pins the reserved-tag contract: every
-// (epoch, round) tag is <= -2 (below AnyTag and every application tag)
-// and unique across a deep epoch/round grid, so collective traffic can
+// (epoch, round) tag is <= -2 (below every application tag) and unique across a deep epoch/round grid, so collective traffic can
 // never match an application receive or another collective's round.
 func TestCollectiveTagNamespace(t *testing.T) {
 	seen := make(map[int]struct{})
@@ -15,9 +14,6 @@ func TestCollectiveTagNamespace(t *testing.T) {
 			tag := CollectiveTag(epoch, round)
 			if tag > -2 {
 				t.Fatalf("CollectiveTag(%d,%d) = %d, must be <= -2", epoch, round, tag)
-			}
-			if tag == AnyTag {
-				t.Fatalf("CollectiveTag(%d,%d) collides with AnyTag", epoch, round)
 			}
 			if _, dup := seen[tag]; dup {
 				t.Fatalf("CollectiveTag(%d,%d) = %d already minted", epoch, round, tag)
@@ -51,7 +47,7 @@ func TestCollectiveIsendRejectsAppTags(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		for _, tag := range []int{0, 7, AnyTag} {
+		for _, tag := range []int{0, 7, -1} {
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -77,8 +73,8 @@ func ringRound(t *testing.T, p *Proc) int {
 	got := make([]byte, 1)
 	st := p.CollectiveRecv(got, left, tag)
 	p.Wait(sr)
-	if st.Tag != tag || got[0] != byte(left) {
-		t.Errorf("rank %d: ring round got tag %d payload %d, want tag %d payload %d", p.Rank(), st.Tag, got[0], tag, left)
+	if st.Count != 1 || got[0] != byte(left) {
+		t.Errorf("rank %d: ring round got %d bytes, payload %d, want 1 byte, payload %d", p.Rank(), st.Count, got[0], left)
 	}
 	return epoch
 }
@@ -102,20 +98,20 @@ func TestCollectiveEpochSharedCounter(t *testing.T) {
 }
 
 // TestAppTrafficImmuneToCollectives interleaves application
-// point-to-point traffic — including a wildcard receive posted before the
-// collectives start — with Barrier and payload-carrying collective rounds,
-// one of which travels from the wildcard's own source. The wildcard must
-// match only the application send: reserved collective tags (<= -2) are
-// outside the AnyTag context (communicator context separation), so no
-// collective round may ever surface in an application receive.
+// point-to-point traffic — a receive posted before the collectives start —
+// with Barrier and payload-carrying collective rounds, one of which travels
+// from the receive's own source. The receive must match only the
+// application send: a receive takes only its own tag, and reserved
+// collective tags (<= -2) never equal an application tag, so no collective
+// round may ever surface in an application receive.
 func TestAppTrafficImmuneToCollectives(t *testing.T) {
 	withWorld(1, 4, testProfile(), func(p *Proc) {
-		// Post the wildcard receive first so any mis-tagged collective
+		// Post the application receive first so a mis-tagged collective
 		// round would be free to match it.
 		var appReq *Request
 		buf := make([]byte, 4)
 		if p.Rank() == 1 {
-			appReq = p.Irecv(buf, 0, AnyTag)
+			appReq = p.Irecv(buf, 0, 9)
 		}
 		p.Barrier()
 		ringRound(t, p)
@@ -126,8 +122,8 @@ func TestAppTrafficImmuneToCollectives(t *testing.T) {
 		}
 		if p.Rank() == 1 {
 			st := p.Wait(appReq)
-			if st.Tag != 9 || string(buf) != "app!" {
-				t.Errorf("wildcard receive matched tag %d payload %q, want tag 9 %q — collective traffic leaked into the app tag space", st.Tag, buf, "app!")
+			if st.Count != 4 || string(buf) != "app!" {
+				t.Errorf("application receive got %d bytes %q, want %q — collective traffic leaked into the app tag space", st.Count, buf, "app!")
 			}
 		}
 	})

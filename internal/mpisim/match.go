@@ -5,20 +5,16 @@ package mpisim
 // It has no clock, fabric or lock of its own (Proc.mu guards it).
 //
 // MPI pairs a message with the earliest-posted receive it satisfies and a
-// receive with the earliest-arrived message it accepts. Messages of one
-// source never overtake each other, so both orders are kept per source:
-// each source that ever queued anything owns one FIFO of posted receives
-// and one of unexpected messages, and AnySource receives sit in a list of
-// their own. One sequence counter stamps everything queued, which is what
-// decides between a source's list and the AnySource list (arrive) or
-// between the sources (an AnySource post). In-order traffic therefore
-// matches at a list head after a walk of the source slice; only receives
-// or messages of the same source under other tags are stepped over
-// (DESIGN.md §14 has the complexity table).
+// receive with the earliest-arrived message it accepts. Every receive names
+// one source and one tag, and messages of one source never overtake each
+// other, so both orders are kept per source: each source that ever queued
+// anything owns one FIFO of posted receives and one of unexpected
+// messages, and a match only ever looks at one source's pair. In-order
+// traffic therefore matches at a list head after a walk of the source
+// slice; only receives or messages of the same source under other tags are
+// stepped over (DESIGN.md §14 has the complexity table).
 type matcher struct {
 	srcs []srcQueue // in order of first contact
-	any  recvList   // AnySource receives in post order
-	seq  uint64     // stamp of the last queued receive or message
 }
 
 // srcQueue holds what is queued for one source rank.
@@ -103,20 +99,13 @@ func (l *msgList) first(r *Request) (prev, m *inMsg) {
 	return prev, m
 }
 
-// matches reports whether the receive's tag selector accepts a message
-// carrying tag. The source is decided by the list the receive is in.
+// matches reports whether the receive's tag accepts a message carrying
+// tag. The source is decided by the list the receive is in; collective
+// rounds are kept apart from application traffic by their reserved tags
+// alone (CollectiveTag).
 //
 //tagalint:hotpath
-func (r *Request) matches(tag int) bool {
-	if r.tag == AnyTag {
-		// Wildcards live in the application context: reserved collective
-		// tags (<= -2, from CollectiveTag) are never eligible, mirroring
-		// MPI's communicator context separation — an AnyTag receive posted
-		// across a collective must not swallow one of its rounds.
-		return tag >= 0
-	}
-	return r.tag == tag
-}
+func (r *Request) matches(tag int) bool { return r.tag == tag }
 
 // source returns the queues of src, or nil before first contact.
 //
@@ -138,69 +127,35 @@ func (mt *matcher) addSource(src Rank) *srcQueue {
 }
 
 // arrive pairs an incoming eager or RTS message with the earliest-posted
-// receive it satisfies — the first match of its source's list or of the
-// AnySource list, whichever was posted first — and returns that receive
+// receive of its source that it satisfies and returns that receive
 // unlinked. With no match it queues m as unexpected and returns nil.
 //
 //tagalint:hotpath
 func (mt *matcher) arrive(m *inMsg) *Request {
 	q := mt.source(m.src)
-	var sp, sr *Request
-	if q != nil {
-		sp, sr = q.posted.first(m.tag)
-	}
-	ap, ar := mt.any.first(m.tag)
-	switch {
-	case sr != nil && (ar == nil || sr.seq < ar.seq):
-		q.posted.unlink(sp, sr)
-		return sr
-	case ar != nil:
-		mt.any.unlink(ap, ar)
-		return ar
-	}
 	if q == nil {
 		q = mt.addSource(m.src)
+	} else if prev, r := q.posted.first(m.tag); r != nil {
+		q.posted.unlink(prev, r)
+		return r
 	}
-	mt.seq++
-	m.seq = mt.seq
 	q.unexp.push(m)
 	return nil
 }
 
 // post pairs a new receive with the earliest-arrived unexpected message
-// it accepts — for AnySource the earliest among every source's first
-// match — and returns that message unlinked. With no match it queues r
-// and returns nil.
+// of its source that it accepts and returns that message unlinked. With
+// no match it queues r and returns nil.
 //
 //tagalint:hotpath
 func (mt *matcher) post(r *Request) *inMsg {
-	if r.src != AnySource {
-		q := mt.source(r.src)
-		if q == nil {
-			q = mt.addSource(r.src)
-		} else if prev, m := q.unexp.first(r); m != nil {
-			q.unexp.unlink(prev, m)
-			return m
-		}
-		mt.seq++
-		r.seq = mt.seq
-		q.posted.push(r)
-		return nil
+	q := mt.source(r.src)
+	if q == nil {
+		q = mt.addSource(r.src)
+	} else if prev, m := q.unexp.first(r); m != nil {
+		q.unexp.unlink(prev, m)
+		return m
 	}
-	var bq *srcQueue
-	var bp, bm *inMsg
-	for i := range mt.srcs {
-		q := &mt.srcs[i]
-		if prev, m := q.unexp.first(r); m != nil && (bm == nil || m.seq < bm.seq) {
-			bq, bp, bm = q, prev, m
-		}
-	}
-	if bm != nil {
-		bq.unexp.unlink(bp, bm)
-		return bm
-	}
-	mt.seq++
-	r.seq = mt.seq
-	mt.any.push(r)
+	q.posted.push(r)
 	return nil
 }

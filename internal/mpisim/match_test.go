@@ -20,13 +20,7 @@ type refMatcher struct {
 }
 
 func refAccepts(r *Request, src Rank, tag int) bool {
-	if r.src != AnySource && r.src != src {
-		return false
-	}
-	if r.tag == AnyTag {
-		return tag >= 0
-	}
-	return r.tag == tag
+	return r.src == src && r.tag == tag
 }
 
 func (ref *refMatcher) post(r *Request) *inMsg {
@@ -51,54 +45,63 @@ func (ref *refMatcher) arrive(m *inMsg) *Request {
 	return nil
 }
 
-// queued returns everything the engine still holds, each side in sequence
-// order — the order the reference's two slices keep — after checking the
-// lists' own invariants.
-func (mt *matcher) queued(t *testing.T) (recvs []*Request, msgs []*inMsg) {
-	walkRecvs := func(l recvList, src Rank) {
-		var last *Request
-		for r := l.head; r != nil; last, r = r, r.next {
-			if r.src != src || r.seq == 0 || (last != nil && last.seq >= r.seq) {
-				t.Fatalf("receive list of source %d: bad entry src=%d seq=%d", src, r.src, r.seq)
+// grouped returns the reference's leftovers grouped by source in the
+// given order, each group in post or arrival order.
+func (ref *refMatcher) grouped(order []Rank) (recvs []*Request, msgs []*inMsg) {
+	for _, src := range order {
+		for _, r := range ref.recvs {
+			if r.src == src {
+				recvs = append(recvs, r)
 			}
-			recvs = append(recvs, r)
 		}
-		if l.tail != last {
-			t.Fatalf("receive list of source %d: tail is not the last entry", src)
+		for _, m := range ref.msgs {
+			if m.src == src {
+				msgs = append(msgs, m)
+			}
 		}
 	}
-	seen := map[Rank]bool{}
-	for i := range mt.srcs {
-		q := &mt.srcs[i]
-		if seen[q.src] || q.src == AnySource {
-			t.Fatalf("source slice holds %d twice or the wildcard", q.src)
-		}
-		seen[q.src] = true
-		walkRecvs(q.posted, q.src)
-		var last *inMsg
-		for m := q.unexp.head; m != nil; last, m = m, m.next {
-			if m.src != q.src || m.seq == 0 || (last != nil && last.seq >= m.seq) {
-				t.Fatalf("message list of source %d: bad entry src=%d seq=%d", q.src, m.src, m.seq)
-			}
-			msgs = append(msgs, m)
-		}
-		if q.unexp.tail != last {
-			t.Fatalf("message list of source %d: tail is not the last entry", q.src)
-		}
-	}
-	walkRecvs(mt.any, AnySource)
-	slices.SortFunc(recvs, func(a, b *Request) int { return int(a.seq) - int(b.seq) })
-	slices.SortFunc(msgs, func(a, b *inMsg) int { return int(a.seq) - int(b.seq) })
 	return recvs, msgs
 }
 
+// queued returns everything the engine still holds, grouped by source in
+// first-contact order (returned as order) and in FIFO order within a
+// source, after checking the lists' own invariants.
+func (mt *matcher) queued(t *testing.T) (recvs []*Request, msgs []*inMsg, order []Rank) {
+	for i := range mt.srcs {
+		q := &mt.srcs[i]
+		if slices.Contains(order, q.src) {
+			t.Fatalf("source slice holds %d twice", q.src)
+		}
+		order = append(order, q.src)
+		var lastR *Request
+		for r := q.posted.head; r != nil; lastR, r = r, r.next {
+			if r.src != q.src {
+				t.Fatalf("receive list of source %d holds a receive from %d", q.src, r.src)
+			}
+			recvs = append(recvs, r)
+		}
+		if q.posted.tail != lastR {
+			t.Fatalf("receive list of source %d: tail is not the last entry", q.src)
+		}
+		var lastM *inMsg
+		for m := q.unexp.head; m != nil; lastM, m = m, m.next {
+			if m.src != q.src {
+				t.Fatalf("message list of source %d holds a message from %d", q.src, m.src)
+			}
+			msgs = append(msgs, m)
+		}
+		if q.unexp.tail != lastM {
+			t.Fatalf("message list of source %d: tail is not the last entry", q.src)
+		}
+	}
+	return recvs, msgs, order
+}
+
 // Fuzz input: three bytes per operation — post or arrival, an index into
-// fzSrcs, an index into fzTags (each modulo the table length). A message
-// has a real source and a real tag, so an arrival reads a wildcard as the
-// table's first entry.
+// fzSrcs, an index into fzTags (each modulo the table length).
 var (
-	fzSrcs = []Rank{0, 1, 2, 3, AnySource}
-	fzTags = []int{0, 1, 2, 3, -2, -3, AnyTag} // -2, -3: reserved collective tags
+	fzSrcs = []Rank{0, 1, 2, 3}
+	fzTags = []int{0, 1, 2, 3, -2, -3} // -2, -3: reserved collective tags
 )
 
 func fzOp(post bool, src Rank, tag int) []byte {
@@ -110,16 +113,7 @@ func fzOp(post bool, src Rank, tag int) []byte {
 }
 
 func fzDecode(b []byte) (post bool, src Rank, tag int) {
-	post = b[0]&1 == 0
-	src = fzSrcs[int(b[1])%len(fzSrcs)]
-	tag = fzTags[int(b[2])%len(fzTags)]
-	if !post && src == AnySource {
-		src = fzSrcs[0]
-	}
-	if !post && tag == AnyTag {
-		tag = fzTags[0]
-	}
-	return post, src, tag
+	return b[0]&1 == 0, fzSrcs[int(b[1])%len(fzSrcs)], fzTags[int(b[2])%len(fzTags)]
 }
 
 func fzPost(src Rank, tag int) []byte   { return fzOp(true, src, tag) }
@@ -142,19 +136,20 @@ func fzCorpus() [][]byte {
 		slices.Concat(incastPosts, incastArrivals),
 		slices.Concat(oneSource, reversePosts),
 		slices.Concat(reversePosts, oneSource),
-		// AnySource and specific receives either side of a match.
-		slices.Concat(fzPost(AnySource, 0), fzPost(1, 0), fzArrive(1, 0), fzArrive(1, 0), fzArrive(2, 0)),
-		slices.Concat(fzPost(1, 0), fzPost(AnySource, 0), fzArrive(1, 0), fzArrive(2, 0), fzArrive(1, 0)),
-		slices.Concat(fzPost(2, 1), fzPost(AnySource, AnyTag), fzPost(2, AnyTag), fzArrive(2, 0), fzArrive(2, 1), fzArrive(2, 1)),
-		slices.Concat(fzArrive(1, 0), fzArrive(2, 0), fzArrive(1, 1), fzPost(AnySource, 1), fzPost(AnySource, 0), fzPost(2, 0), fzPost(AnySource, AnyTag)),
-		slices.Concat(fzArrive(3, 2), fzArrive(0, 2), fzPost(AnySource, 2), fzPost(AnySource, 2), fzPost(AnySource, 2), fzArrive(1, 2)),
-		// AnyTag across a collective round.
-		slices.Concat(fzPost(1, AnyTag), fzArrive(1, -2), fzArrive(1, 0), fzPost(1, -2)),
-		slices.Concat(fzPost(AnySource, AnyTag), fzPost(1, -3), fzArrive(1, -3), fzArrive(1, -2), fzPost(AnySource, AnyTag), fzArrive(1, 3)),
-		slices.Concat(fzArrive(2, -2), fzArrive(2, 1), fzPost(2, AnyTag), fzPost(AnySource, AnyTag), fzPost(2, -2)),
+		// Two sources' receives either side of a match.
+		slices.Concat(fzPost(2, 0), fzPost(1, 0), fzArrive(1, 0), fzArrive(1, 0), fzArrive(2, 0)),
+		slices.Concat(fzPost(1, 0), fzPost(2, 0), fzArrive(1, 0), fzArrive(2, 0), fzArrive(1, 0)),
+		// One source's tags out of order.
+		slices.Concat(fzPost(2, 1), fzPost(2, 0), fzPost(2, 1), fzArrive(2, 0), fzArrive(2, 1), fzArrive(2, 1)),
+		slices.Concat(fzArrive(1, 0), fzArrive(2, 0), fzArrive(1, 1), fzPost(1, 1), fzPost(1, 0), fzPost(2, 0), fzPost(3, 0)),
+		slices.Concat(fzArrive(3, 2), fzArrive(0, 2), fzPost(0, 2), fzPost(3, 2), fzPost(1, 2), fzArrive(1, 2)),
+		// Collective rounds beside application tags of the same source.
+		slices.Concat(fzPost(1, 0), fzArrive(1, -2), fzArrive(1, 0), fzPost(1, -2)),
+		slices.Concat(fzPost(1, 3), fzPost(1, -3), fzArrive(1, -3), fzArrive(1, -2), fzPost(1, -2), fzArrive(1, 3)),
+		slices.Concat(fzArrive(2, -2), fzArrive(2, 1), fzPost(2, 1), fzPost(2, -3), fzPost(2, -2)),
 		// Repeated (source, tag) pairs.
 		slices.Concat(fzPost(1, 1), fzPost(1, 1), fzPost(1, 1), fzArrive(1, 1), fzArrive(1, 1), fzArrive(1, 1), fzArrive(1, 1), fzPost(1, 1)),
-		slices.Concat(fzArrive(0, 3), fzArrive(0, 3), fzPost(0, 3), fzPost(AnySource, 3), fzPost(0, 3), fzArrive(0, 3)),
+		slices.Concat(fzArrive(0, 3), fzArrive(0, 3), fzPost(0, 3), fzPost(1, 3), fzPost(0, 3), fzArrive(0, 3)),
 	}
 }
 
@@ -190,11 +185,12 @@ func FuzzMatchOrder(f *testing.F) {
 				t.Fatalf("step %d: a matched pair is still linked", step)
 			}
 		}
-		recvs, msgs := mt.queued(t)
-		if !slices.Equal(recvs, ref.recvs) {
+		recvs, msgs, order := mt.queued(t)
+		refRecvs, refMsgs := ref.grouped(order)
+		if !slices.Equal(recvs, refRecvs) || len(refRecvs) != len(ref.recvs) {
 			t.Fatalf("leftover receives differ: engine %d, reference %d", len(recvs), len(ref.recvs))
 		}
-		if !slices.Equal(msgs, ref.msgs) {
+		if !slices.Equal(msgs, refMsgs) || len(refMsgs) != len(ref.msgs) {
 			t.Fatalf("leftover messages differ: engine %d, reference %d", len(msgs), len(ref.msgs))
 		}
 	})
@@ -204,14 +200,14 @@ func fzMsg(m *inMsg) string {
 	if m == nil {
 		return "nothing"
 	}
-	return fmt.Sprintf("message(src %d, tag %d, seq %d)", m.src, m.tag, m.seq)
+	return fmt.Sprintf("message(src %d, tag %d)", m.src, m.tag)
 }
 
 func fzRecv(r *Request) string {
 	if r == nil {
 		return "nothing"
 	}
-	return fmt.Sprintf("receive(src %d, tag %d, seq %d)", r.src, r.tag, r.seq)
+	return fmt.Sprintf("receive(src %d, tag %d)", r.src, r.tag)
 }
 
 // TestFuzzCodecRoundTrips pins the corpus encoding: every operation the
@@ -220,9 +216,6 @@ func TestFuzzCodecRoundTrips(t *testing.T) {
 	for _, post := range []bool{true, false} {
 		for _, src := range fzSrcs {
 			for _, tag := range fzTags {
-				if !post && (src == AnySource || tag == AnyTag) {
-					continue
-				}
 				p, s, g := fzDecode(fzOp(post, src, tag))
 				if p != post || s != src || g != tag {
 					t.Fatalf("op(post %v, src %d, tag %d) decodes to (%v, %d, %d)", post, src, tag, p, s, g)
@@ -242,12 +235,12 @@ func TestReleasedMessageCarriesNoLink(t *testing.T) {
 	b.kind, b.src, b.tag = kindEager, 1, 1
 	mt.arrive(a)
 	mt.arrive(b)
-	if a.next != b || a.seq == 0 {
-		t.Fatal("queued message is not linked and stamped")
+	if a.next != b {
+		t.Fatal("queued message is not linked")
 	}
 	putInMsg(a)
-	if a.next != nil || a.seq != 0 {
-		t.Fatalf("released message keeps next=%p seq=%d", a.next, a.seq)
+	if a.next != nil {
+		t.Fatalf("released message keeps next=%p", a.next)
 	}
 }
 
@@ -256,7 +249,7 @@ func TestReleaseMark(t *testing.T) {
 	m := newInMsg()
 	putInMsg(m)
 	pooltest.Panics(t, map[string]func(){"mpisim: putInMsg of a released inMsg": func() { putInMsg(m) }})
-	pooltest.Size[inMsg](t, 120)
+	pooltest.Size[inMsg](t, 112)
 }
 
 // TestEagerTruncationPanics: an eager message longer than the matched

@@ -33,17 +33,9 @@ import (
 // Rank aliases the fabric rank type.
 type Rank = fabric.Rank
 
-// Wildcards for Irecv matching.
-const (
-	AnySource Rank = -1
-	AnyTag    int  = -1
-)
-
-// Status describes a completed receive.
+// Status describes a completed operation.
 type Status struct {
-	Source Rank
-	Tag    int
-	Count  int // bytes received
+	Count int // bytes received or sent
 }
 
 // World owns the MPI processes of one simulated job.
@@ -177,7 +169,6 @@ type Request struct {
 	// Receive selector and matcher linkage, guarded by Proc.mu while queued.
 	src  Rank
 	tag  int
-	seq  uint64   // matcher stamp; 0 if never queued
 	next *Request // next posted receive of the same list
 
 	mu      sync.Mutex
@@ -246,7 +237,6 @@ type inMsg struct {
 	size     int
 
 	// Unexpected-queue linkage (match.go), guarded by Proc.mu while queued.
-	seq  uint64
 	next *inMsg
 
 	sendReq *Request // rendezvous: the sender-side request (RTS/CTS/RData)
@@ -408,7 +398,7 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 		fm.Payload = m
 		fm.OnInjected = func() {
 			m.data = p.snap.Take(buf)
-			req.complete(Status{Source: p.rank, Tag: tag, Count: len(buf)})
+			req.complete(Status{Count: len(buf)})
 		}
 		p.fab.Send(fm)
 		return req
@@ -424,12 +414,10 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 	return req
 }
 
-// Irecv starts a non-blocking receive into buf from src (or AnySource) with
-// the given tag (or AnyTag). It completes when the data is in buf.
+// Irecv starts a non-blocking receive into buf from src with the given
+// tag. It completes when the data is in buf.
 func (p *Proc) Irecv(buf []byte, src Rank, tag int) *Request {
-	if tag != AnyTag {
-		validTag(tag)
-	}
+	validTag(tag)
 	return p.irecv(buf, src, tag)
 }
 
@@ -478,9 +466,8 @@ func (p *Proc) consume(m *inMsg, r *Request) {
 		data := m.data.Bytes()
 		p.checkFits(len(data), len(r.buf), m.src, m.tag)
 		n := copy(r.buf, data)
-		src, tag := m.src, m.tag
 		putInMsg(m)
-		r.complete(Status{Source: src, Tag: tag, Count: n})
+		r.complete(Status{Count: n})
 	case kindRTS:
 		// Grant the sender a clear-to-send, binding our buffer.
 		cts := newInMsg()
@@ -531,7 +518,7 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		//lint:ignore hotalloc one closure per rendezvous is the protocol's cost, amortised over an EagerThreshold-sized transfer
 		fm.OnInjected = func() {
 			dm.data = p.snap.Take(buf)
-			sreq.complete(Status{Source: p.rank, Tag: tag, Count: len(buf)})
+			sreq.complete(Status{Count: len(buf)})
 		}
 		p.fab.Send(fm)
 
@@ -539,9 +526,9 @@ func (p *Proc) deliver(fm *fabric.Message) {
 		data := m.data.Bytes()
 		p.checkFits(len(data), len(m.recvBuf), m.src, m.tag)
 		n := copy(m.recvBuf, data)
-		src, tag, rreq := m.src, m.tag, m.recvReq
+		rreq := m.recvReq
 		putInMsg(m)
-		rreq.complete(Status{Source: src, Tag: tag, Count: n})
+		rreq.complete(Status{Count: n})
 
 	case kindPut, kindGetReq, kindGetResp, kindFlushReq, kindFlushAck:
 		p.deliverRMA(m)

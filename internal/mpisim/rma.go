@@ -122,9 +122,9 @@ func (p *Proc) deliverRMA(m *inMsg) {
 
 	case kindGetResp:
 		n := copy(m.recvBuf, m.data.Bytes())
-		src, done := m.src, m.rmaDone
+		done := m.rmaDone
 		putInMsg(m)
-		done.complete(Status{Source: src, Count: n})
+		done.complete(Status{Count: n})
 
 	case kindFlushReq:
 		// All prior puts from m.src arrived before this request (per-pair
@@ -139,9 +139,9 @@ func (p *Proc) deliverRMA(m *inMsg) {
 		p.fab.Send(fm)
 
 	case kindFlushAck:
-		src, done := m.src, m.rmaDone
+		done := m.rmaDone
 		putInMsg(m)
-		done.complete(Status{Source: src})
+		done.complete(Status{})
 	}
 }
 

@@ -73,8 +73,7 @@ type Runtime struct {
 	spawnLive int              // incomplete spawned service tasks
 	stopping  atomic.Bool      // set under mu, read per pass without it
 	seq       int64            // task ids for trace correlation
-	twWaiters []*vclock.Parker // TaskWait: woken when live hits 0
-	thWaiters []throttleWaiter
+	thWaiters []throttleWaiter // Throttle and TaskWait: woken when live falls to max
 	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
 	stats     Stats
 }
@@ -327,12 +326,6 @@ func (rt *Runtime) completeLocked(t *Task) (ready []*Task) {
 		}
 	} else {
 		rt.live--
-		if rt.live == 0 {
-			for _, p := range rt.twWaiters {
-				p.Unpark()
-			}
-			rt.twWaiters = nil
-		}
 		if len(rt.thWaiters) > 0 {
 			keep := rt.thWaiters[:0]
 			for _, w := range rt.thWaiters {
@@ -402,24 +395,15 @@ func (la *laneAlloc) release(l int32) {
 }
 
 // TaskWait blocks until every submitted task has completed (dependencies
-// released), like #pragma oss taskwait. It must be called from a non-task
-// goroutine (the rank's main), never from inside a task body.
-func (rt *Runtime) TaskWait() {
-	rt.mu.Lock()
-	if rt.live == 0 {
-		rt.mu.Unlock()
-		return
-	}
-	p := rt.clk.Parker()
-	p.SetName("taskwait")
-	rt.twWaiters = append(rt.twWaiters, p)
-	rt.mu.Unlock()
-	p.Park()
-}
+// released), like #pragma oss taskwait: Throttle(0). It must be called
+// from a non-task goroutine (the rank's main), never from inside a task
+// body.
+func (rt *Runtime) TaskWait() { rt.Throttle(0) }
 
 // Throttle blocks until at most max tasks are incomplete. Rank mains call
 // it between iterations to bound the live task window without introducing
-// a barrier (the Nanos6 throttle).
+// a barrier (the Nanos6 throttle). Its parker is named "taskwait" when max
+// is 0, so a deadlock report says which wait a rank is stuck in.
 func (rt *Runtime) Throttle(max int) {
 	rt.mu.Lock()
 	if rt.live <= max {
@@ -427,7 +411,11 @@ func (rt *Runtime) Throttle(max int) {
 		return
 	}
 	p := rt.clk.Parker()
-	p.SetName("throttle")
+	if max == 0 {
+		p.SetName("taskwait")
+	} else {
+		p.SetName("throttle")
+	}
 	rt.thWaiters = append(rt.thWaiters, throttleWaiter{p: p, max: max})
 	rt.mu.Unlock()
 	p.Park()

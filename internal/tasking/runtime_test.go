@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,21 @@ func TestTaskWaitNoTasks(t *testing.T) {
 	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
 		rt.TaskWait() // must not block
 	})
+}
+
+// TestStuckTaskWaitIsNamed: TaskWait is Throttle(0), and a rank main stuck
+// in it must still read "taskwait" in the clock's deadlock report.
+func TestStuckTaskWaitIsNamed(t *testing.T) {
+	var report any
+	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
+		rt.Submit(func(tk *Task) { tk.Events().Increase(1) }) // never fulfilled
+		clk.Sleep(time.Microsecond)                           // the body returns first
+		defer func() { report = recover() }()
+		rt.TaskWait()
+	})
+	if msg, _ := report.(string); !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "[taskwait]") {
+		t.Fatalf("deadlock report %v does not name taskwait", report)
+	}
 }
 
 func TestDependencySerializationOrder(t *testing.T) {

@@ -11,6 +11,13 @@ import (
 	"time"
 )
 
+// newEvent returns an Event bound to c that runs fn when it fires.
+func newEvent(c *VirtualClock, fn func()) *Event {
+	e := new(Event)
+	c.InitEvent(e, fn)
+	return e
+}
+
 // Property: callback events and goroutine timers share one (deadline, seq)
 // order. A driver arms a random mix of both, one after the other, with
 // deadlines from a small set so that many are equal; the fire order must be
@@ -37,7 +44,7 @@ func TestQuickEventAndTimerShareOneOrder(t *testing.T) {
 				d := time.Duration(rng.Intn(4)+1) * time.Microsecond
 				want[i] = item{i, d}
 				if rng.Intn(2) == 0 {
-					c.NewEvent(func() { fired(i) }).After(d)
+					newEvent(c, func() { fired(i) }).After(d)
 					continue
 				}
 				// A goroutine timer armed here and now: the driver draws
@@ -74,7 +81,7 @@ func TestEventCallbackMayUnparkAndGo(t *testing.T) {
 	var unparkedAt, spawnedDone time.Duration
 	var wg sync.WaitGroup
 	wg.Add(1)
-	ev := c.NewEvent(func() {
+	ev := newEvent(c, func() {
 		p.Unpark()
 		c.Go(func() {
 			defer wg.Done()
@@ -100,7 +107,7 @@ func TestEventRearmsFromItsOwnCallback(t *testing.T) {
 	c := NewVirtual()
 	var fires []time.Duration
 	var ev *Event
-	ev = c.NewEvent(func() {
+	ev = newEvent(c, func() {
 		fires = append(fires, c.Now())
 		if len(fires) < 5 {
 			ev.After(2 * time.Microsecond)
@@ -122,7 +129,7 @@ func TestEventRearmsFromItsOwnCallback(t *testing.T) {
 
 func TestEventArmedTwicePanics(t *testing.T) {
 	c := NewVirtual()
-	ev := c.NewEvent(func() {})
+	ev := newEvent(c, func() {})
 	ev.After(time.Microsecond)
 	defer func() {
 		if recover() == nil {
@@ -165,7 +172,7 @@ func TestEventsAloneDoNotAdvanceAnAbandonedClock(t *testing.T) {
 	c := NewVirtual()
 	var fires atomic.Int64
 	var ev *Event
-	ev = c.NewEvent(func() {
+	ev = newEvent(c, func() {
 		fires.Add(1)
 		ev.After(time.Microsecond)
 	})
@@ -206,7 +213,7 @@ func TestFiredEventIsNotRetainedByTheClock(t *testing.T) {
 	func() {
 		state := new([1 << 16]byte)
 		runtime.SetFinalizer(state, func(*[1 << 16]byte) { close(collected) })
-		ev := c.NewEvent(func() { state[0]++ })
+		ev := newEvent(c, func() { state[0]++ })
 		join(c, func() {
 			ev.After(time.Microsecond)
 			c.Sleep(2 * time.Microsecond)
@@ -230,7 +237,7 @@ func TestFiredEventIsNotRetainedByTheClock(t *testing.T) {
 // advance lock — a hung run instead of a crash with a stack trace.
 func TestEventCallbackPanicIsNotSwallowed(t *testing.T) {
 	c := NewVirtual()
-	c.NewEvent(func() { panic("boom") }).After(time.Microsecond)
+	newEvent(c, func() { panic("boom") }).After(time.Microsecond)
 	done := make(chan any, 1)
 	go func() {
 		c.Register()

@@ -149,7 +149,7 @@ func FuzzTimerOrder(f *testing.F) {
 		arm := func(d time.Duration, rearms int) {
 			id := newID()
 			var ev *Event
-			ev = c.NewEvent(func() {
+			ev = newEvent(c, func() {
 				ref.fire(id)
 				if rearms > 0 {
 					rearms--
@@ -197,7 +197,7 @@ func FuzzTimerOrder(f *testing.F) {
 		join(c, func() {
 			driver := c.Parker()
 			settleID := newID()
-			settleEv := c.NewEvent(func() {
+			settleEv := newEvent(c, func() {
 				ref.fire(settleID)
 				driver.Unpark()
 			})
@@ -224,7 +224,7 @@ func FuzzTimerOrder(f *testing.F) {
 					// Two After calls that drew their sequences in one order
 					// and took the clock lock in the other.
 					d := fzFewDelays[arg%len(fzFewDelays)]
-					a, b := c.NewEvent(nil), c.NewEvent(nil)
+					a, b := newEvent(c, nil), newEvent(c, nil)
 					for _, ev := range []*Event{a, b} {
 						id := newID()
 						ev.fn = func() { ref.fire(id) }

@@ -618,17 +618,9 @@ type Event struct {
 	c *VirtualClock
 }
 
-// NewEvent allocates a reusable callback timer bound to this clock: each
-// After arms it once and fn runs when it expires.
-func (c *VirtualClock) NewEvent(fn func()) *Event {
-	e := new(Event)
-	c.InitEvent(e, fn)
-	return e
-}
-
-// InitEvent binds a caller-owned Event to this clock with callback fn, as
-// NewEvent does for one it allocates: a record that owns its events can
-// hold them by value. Initialising an armed event panics.
+// InitEvent binds a caller-owned Event to this clock with callback fn:
+// each After arms it once and fn runs when it expires. Owners hold their
+// events by value. Initialising an armed event panics.
 func (c *VirtualClock) InitEvent(e *Event, fn func()) {
 	if e.c != nil && e.index != unarmed {
 		panic("vclock: InitEvent on an Event that is armed")

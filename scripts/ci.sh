@@ -34,10 +34,13 @@ go run ./cmd/tagalint -stale-ignores=error ./...
 
 # A race step the known drift cannot mask, run in both modes: the packages
 # where task bodies, core grants and polling services hand work between
-# goroutines, three times each. The full -race pass below is red on
-# ROADMAP item 1's same-instant drift and is skipped under CI_SHORT=1.
-echo "== go test -race -count=3 (tasking, tagaspi, tampi, cluster)"
-go test -race -count=3 ./internal/tasking ./internal/tagaspi ./internal/tampi ./internal/cluster
+# goroutines, and the MPI and GASPI layers whose delivery callbacks and
+# rank goroutines share matching and queue state, three times each. The
+# full -race pass below is red on ROADMAP item 1's same-instant drift and
+# is skipped under CI_SHORT=1.
+echo "== go test -race -count=3 (tasking, tagaspi, tampi, cluster, mpisim, gaspisim)"
+go test -race -count=3 ./internal/tasking ./internal/tagaspi ./internal/tampi ./internal/cluster \
+    ./internal/mpisim ./internal/gaspisim
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
     echo "== go test ./... (CI_SHORT=1: race detector skipped)"
