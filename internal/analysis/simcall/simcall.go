@@ -54,12 +54,21 @@ var blocking = map[string]map[string]map[string]bool{
 		"Runtime": {"TaskWait": true, "Throttle": true, "Shutdown": true},
 	},
 	"gaspisim": {
-		"Proc": {"Wait": true, "Drain": true, "NotifyWaitSome": true, "RequestWait": true},
+		"Proc": {
+			"Wait": true, "Drain": true, "NotifyWaitSome": true, "RequestWait": true,
+			// A post sleeps through the queue's post resource (Book does not).
+			"Submit": true, "Write": true, "WriteNotify": true, "Notify": true, "Read": true,
+			"QueueRepair": true,
+		},
 	},
 	"mpisim": {
+		// Every call but the booking split of Testsome is served through
+		// the THREAD_MULTIPLE lock, a vsync.Resource.
 		"Proc": {
 			"Wait": true, "Waitall": true, "Send": true, "Recv": true,
 			"Barrier": true, "Flush": true, "Fence": true,
+			"Isend": true, "Irecv": true, "Test": true, "Put": true, "Get": true,
+			"CollectiveIsend": true, "CollectiveRecv": true,
 		},
 	},
 	"sync": {

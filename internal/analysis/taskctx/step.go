@@ -9,12 +9,14 @@ import (
 )
 
 // stepTakers names, by package base and function name, the calls whose
-// func-typed arguments run as clock callbacks or service steps: on the
-// goroutine advancing the virtual clock (or on one that just released a
-// core), with virtual time held still until they return.
+// func-typed arguments run as clock callbacks or steps (of a service or of
+// a step task): on the goroutine advancing the virtual clock (or on one
+// that just granted a core), with virtual time held still until they
+// return. A Submit's body is a step too when the options include
+// tasking.NonBlocking (nonBlockingBody).
 var stepTakers = map[string]map[string]bool{
 	"vclock":  {"InitEvent": true, "InitStream": true},
-	"tasking": {"Start": true, "After": true, "acquire": true},
+	"tasking": {"Start": true, "After": true, "Then": true, "acquire": true},
 	"fabric":  {"Register": true},
 }
 
@@ -35,7 +37,7 @@ func checkSteps(pass *analysis.Pass) {
 		vals:  map[*types.Var][]ast.Expr{},
 		seen:  map[any]bool{},
 	}
-	var takers []*ast.CallExpr
+	var takers, bodies []*ast.CallExpr
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
@@ -61,6 +63,9 @@ func checkSteps(pass *analysis.Pass) {
 			if fn != nil && fn.Pkg() != nil && stepTakers[pkgBase(fn.Pkg().Path())][fn.Name()] {
 				takers = append(takers, n)
 			}
+			if nonBlockingBody(pass, fn, n) {
+				bodies = append(bodies, n)
+			}
 		}
 		return true
 	})
@@ -69,6 +74,29 @@ func checkSteps(pass *analysis.Pass) {
 			c.stepArg(arg)
 		}
 	}
+	for _, call := range bodies {
+		c.stepArg(call.Args[0])
+	}
+}
+
+// nonBlockingBody reports whether call is a tasking Submit whose options
+// include a tasking.NonBlocking() call: its body is a step task's first
+// step.
+func nonBlockingBody(pass *analysis.Pass, fn *types.Func, call *ast.CallExpr) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Name() != "Submit" || pkgBase(fn.Pkg().Path()) != "tasking" {
+		return false
+	}
+	for _, arg := range call.Args[1:] {
+		opt, ok := ast.Unparen(arg).(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		if o := simcall.Callee(pass.TypesInfo, opt); o != nil && o.Pkg() != nil &&
+			o.Name() == "NonBlocking" && pkgBase(o.Pkg().Path()) == "tasking" {
+			return true
+		}
+	}
+	return false
 }
 
 // stepArg scans a taker's argument: a function, or the function-typed
@@ -143,7 +171,7 @@ func (c *stepChecker) scan(body *ast.BlockStmt) {
 	c.seen[body] = true
 	scanBlocking(c.pass, body, func(pos ast.Node, what string) {
 		c.pass.Reportf(pos.Pos(),
-			"%s in a service step or clock callback: it runs with virtual time held still and must not block; arm an event, or move the blocking work onto a VirtualClock.Go goroutine",
+			"%s in a step or clock callback: it runs with virtual time held still and must not block; charge time with an armed event (Service.After, Task.Then), or move the blocking work onto a goroutine",
 			what)
 	}, func(fn *types.Func) {
 		if fd := c.decls[fn]; fd != nil {

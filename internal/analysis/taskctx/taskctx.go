@@ -11,11 +11,15 @@
 //     wait — stalls dependency release for the whole rank.
 //  3. A clock callback (VirtualClock.InitEvent, and the per-item
 //     callback of vclock.InitStream), a fabric delivery handler
-//     (Fabric.Register) or a service step (the functions handed to
-//     tasking.Service's Start and After) runs on the goroutine that is
-//     advancing the virtual clock, which holds the advance lock. Blocking
-//     there — directly or in a function of the same package it calls —
-//     hangs the run with no deadlock report (step.go).
+//     (Fabric.Register), a service step (the functions handed to
+//     tasking.Service's Start and After) or a step task's step (the body
+//     of a Submit with tasking.NonBlocking, and the functions handed to
+//     Task.Then) runs on the goroutine that is advancing the virtual
+//     clock, which holds the advance lock, or on one that just granted a
+//     core. Blocking there — directly or in a function of the same package
+//     it calls — hangs the run with no deadlock report (step.go). Compute,
+//     Sleep, Park, Resource.Use, a GASPI post and any MPI call that takes
+//     the THREAD_MULTIPLE lock all block.
 package taskctx
 
 import (
@@ -29,12 +33,12 @@ import (
 )
 
 // Analyzer flags nil *tasking.Task arguments to task-aware operations and
-// blocking calls inside onready callbacks, clock callbacks and service steps.
+// blocking calls inside onready callbacks, clock callbacks and steps.
 var Analyzer = &analysis.Analyzer{
 	Name: "taskctx",
 	Doc: "report nil *tasking.Task arguments to tagaspi/tampi operations " +
 		"and blocking waits issued from onready callbacks, clock callbacks " +
-		"and service steps",
+		"and service or task steps",
 	Run: run,
 }
 

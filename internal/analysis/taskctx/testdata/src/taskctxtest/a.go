@@ -9,6 +9,7 @@ import (
 	"repro/internal/tampi"
 	"repro/internal/tasking"
 	"repro/internal/vclock"
+	"repro/internal/vsync"
 )
 
 func nilTaskToTagaspi(l *tagaspi.Library) {
@@ -67,7 +68,7 @@ func nestedLiteralIsNotTheCallback(rt *tasking.Runtime, clk *vclock.VirtualClock
 // A clock callback runs on the goroutine advancing the clock.
 func sleepInClockCallback(clk *vclock.VirtualClock) {
 	clk.InitEvent(new(vclock.Event), func() {
-		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a step or clock callback"
 	})
 }
 
@@ -78,13 +79,13 @@ type ownedEvent struct {
 }
 
 func (o *ownedEvent) fire() {
-	o.out <- 1 // want "channel send in a service step or clock callback"
+	o.out <- 1 // want "channel send in a step or clock callback"
 }
 
 func blockInOwnedEventCallback(clk *vclock.VirtualClock, o *ownedEvent) {
 	clk.InitEvent(&o.ev, o.fire)
 	clk.InitEvent(new(vclock.Event), func() {
-		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a step or clock callback"
 	})
 }
 
@@ -92,7 +93,7 @@ func blockInOwnedEventCallback(clk *vclock.VirtualClock, o *ownedEvent) {
 // clock, like an event's.
 func sleepInStreamCallback(clk *vclock.VirtualClock, s *vclock.Stream[int]) {
 	vclock.InitStream(clk, s, func(n int) {
-		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a service step or clock callback"
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a step or clock callback"
 	})
 }
 
@@ -106,17 +107,17 @@ func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in 
 		}
 		select {
 		case v := <-in: // ok
-			in <- v // want "channel send in a service step or clock callback"
+			in <- v // want "channel send in a step or clock callback"
 		default:
 		}
 	})
 	clk.InitEvent(new(vclock.Event), func() {
-		wake <- struct{}{} // want "channel send in a service step or clock callback"
+		wake <- struct{}{} // want "channel send in a step or clock callback"
 	})
 	clk.InitEvent(new(vclock.Event), func() {
-		select { // want "select in a service step or clock callback"
-		case wake <- struct{}{}: // want "channel send in a service step or clock callback"
-		case <-in: // want "channel receive in a service step or clock callback"
+		select { // want "select in a step or clock callback"
+		case wake <- struct{}{}: // want "channel send in a step or clock callback"
+		case <-in: // want "channel receive in a step or clock callback"
 		}
 	})
 }
@@ -125,10 +126,10 @@ func channelOpsInClockCallback(clk *vclock.VirtualClock, wake chan struct{}, in 
 // function the clock will run at each delivery's instant.
 func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Request, got chan int) {
 	f.Register(0, fabric.ClassMPI, func(m *fabric.Message) {
-		got <- m.Size // want "channel send in a service step or clock callback"
+		got <- m.Size // want "channel send in a step or clock callback"
 	})
 	h := func(m *fabric.Message) {
-		mpi.Wait(req) // want "mpisim.Proc.Wait in a service step or clock callback"
+		mpi.Wait(req) // want "mpisim.Proc.Wait in a step or clock callback"
 	}
 	f.Register(1, fabric.ClassMPI, h)
 }
@@ -136,7 +137,7 @@ func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Reque
 // The pass a polling service starts is a service step itself.
 func blockingPass(rt *tasking.Runtime, done chan int) {
 	rt.NewService("pass", 10).Start(func() {
-		done <- 1 // want "channel send in a service step or clock callback"
+		done <- 1 // want "channel send in a step or clock callback"
 	})
 }
 
@@ -179,5 +180,28 @@ func (l *poller) blockingNext() {
 }
 
 func (l *poller) flush() {
-	l.comp = l.p.RequestWait(0, 8, gaspisim.Block) // want "gaspisim.Proc.RequestWait in a service step or clock callback"
+	l.comp = l.p.RequestWait(0, 8, gaspisim.Block) // want "gaspisim.Proc.RequestWait in a step or clock callback"
+}
+
+// A step task's body and the steps it names with Then run like service
+// steps: a blocking call there stalls the clock.
+func blockingStepTask(rt *tasking.Runtime, clk *vclock.VirtualClock, res *vsync.Resource,
+	p *gaspisim.Proc, mpi *mpisim.Proc, tg *tagaspi.Library, buf []byte) {
+	rt.Submit(func(t *tasking.Task) {
+		t.Compute(10) // want "tasking.Task.Compute in a step or clock callback"
+	}, tasking.NonBlocking())
+	rt.Submit(func(t *tasking.Task) {
+		clk.Sleep(10) // want "vclock.VirtualClock.Sleep in a step or clock callback"
+		t.Then(10, func() {
+			res.Use(10)                                      // want "vsync.Resource.Use in a step or clock callback"
+			_ = p.Submit(gaspisim.Operation{})               // want "gaspisim.Proc.Submit in a step or clock callback"
+			_ = mpi.Isend(buf, 1, 0)                         // want "mpisim.Proc.Isend in a step or clock callback"
+			clk.Parker().Park()                              // want "vclock.Parker.Park in a step or clock callback"
+			_ = tg.WriteNotify(t, 0, 0, 1, 0, 0, 8, 0, 1, 0) // ok: a step task's post never blocks
+		})
+	}, tasking.WithLabel("steps"), tasking.NonBlocking())
+	rt.Submit(func(t *tasking.Task) {
+		t.Compute(10) // ok: a goroutine body may block
+		mpi.Wait(mpi.Irecv(buf, 1, 0))
+	})
 }

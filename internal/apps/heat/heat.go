@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/memory"
-	"repro/internal/tasking"
 )
 
 // Params configures one Gauss–Seidel run.
@@ -155,14 +154,6 @@ func (g *grid) sweep(r0, r1, c0, c1 int) {
 // blockCost returns the modelled compute time of a rows×cols block sweep.
 func (g *grid) blockCost(rows, cols int) float64 {
 	return float64(rows) * float64(cols)
-}
-
-// computeBlock models and (in verify mode) performs one block update.
-// Block coordinates are in the hybrid block grid.
-func (g *grid) computeBlock(t *tasking.Task, bi, bj int) {
-	br, bc := g.p.BlockRows, g.p.BlockCols
-	t.Compute(g.env.CostOf(g.blockCost(br, bc)))
-	g.sweep(1+bi*br, (bi+1)*br, bj*bc, (bj+1)*bc-1)
 }
 
 // Serial computes the reference solution on a single grid, returning the

@@ -184,7 +184,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(bj), nil)
 				}, tasking.WithDeps(tasking.Out(&keys.top, bj, bj+1)),
-					tasking.WithLabel("wait top"))
+					tasking.WithLabel("wait top"), tasking.NonBlocking())
 			}
 		}
 		if down && t > 0 {
@@ -192,7 +192,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(BJ+bj), nil)
 				}, tasking.WithDeps(tasking.Out(&keys.bot, bj, bj+1)),
-					tasking.WithLabel("wait bottom"))
+					tasking.WithLabel("wait bottom"), tasking.NonBlocking())
 			}
 		}
 		g.submitComputeTasks(keys, up, down)
@@ -205,7 +205,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 						g.idx(g.rp+1, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(BJ+bj), int64(t+1), bj%Q))
 				}, tasking.WithDeps(tasking.In(&keys.blocks, bj, bj+1)),
-					tasking.WithLabel("write top"))
+					tasking.WithLabel("write top"), tasking.NonBlocking())
 			}
 			if down {
 				last := (BI-1)*BJ + bj
@@ -216,7 +216,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 						g.idx(0, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(bj), int64(t+1), bj%Q))
 				}, tasking.WithDeps(tasking.In(&keys.blocks, last, last+1)),
-					tasking.WithLabel("write bottom"))
+					tasking.WithLabel("write bottom"), tasking.NonBlocking())
 			}
 		}
 		rt.Throttle(throttleWindow)
@@ -227,9 +227,11 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 
 // submitComputeTasks creates the block-update tasks of one timestep in
 // wavefront dependency order (Gauss–Seidel: up and left must be new, down
-// and right old).
+// and right old). Each is a step task: the block's modelled cost, then (in
+// verify mode) the sweep.
 func (g *grid) submitComputeTasks(keys *blockKeys, up, down bool) {
 	BI, BJ := g.bi, g.bj
+	br, bc := g.p.BlockRows, g.p.BlockCols
 	rt := g.env.RT
 	// One buffer for every task's list: Submit registers the dependencies
 	// and keeps none of the slice.
@@ -255,8 +257,10 @@ func (g *grid) submitComputeTasks(keys *blockKeys, up, down bool) {
 				deps = append(deps, tasking.In(&keys.blocks, idx+1, idx+2))
 			}
 			rt.Submit(func(tk *tasking.Task) {
-				g.computeBlock(tk, bi, bj)
-			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"))
+				tk.Then(g.env.CostOf(g.blockCost(br, bc)), func() {
+					g.sweep(1+bi*br, (bi+1)*br, bj*bc, (bj+1)*bc-1)
+				})
+			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"), tasking.NonBlocking())
 		}
 	}
 }

@@ -676,12 +676,13 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 		bidx := e.Local[m.Src]
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
-			tk.Compute(env.CostOf(float64(nv) / 2))
-			a.pack(src, m, a.sendBytes(pl, k))
-			must(tg.WriteNotify(tk, segSend, pl.outOff[k],
-				gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
-				nv*memory.F64Bytes,
-				gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
+			tk.Then(env.CostOf(float64(nv)/2), func() {
+				a.pack(src, m, a.sendBytes(pl, k))
+				must(tg.WriteNotify(tk, segSend, pl.outOff[k],
+					gaspisim.Rank(e.Owner[m.Dst]), segRecv, pl.remOff[k],
+					nv*memory.F64Bytes,
+					gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
+			})
 		}, tasking.WithDeps(
 			tasking.In(&keys.block, bidx, bidx+1),
 			tasking.InOut(&keys.sslot, k, k+1)),
@@ -691,13 +692,13 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 			tasking.WithOnReady(func(tk *tasking.Task) {
 				tg.NotifyIwait(tk, segSend, gaspisim.NotificationID(k), nil)
 			}),
-			tasking.WithLabel("pack+write"))
+			tasking.WithLabel("pack+write"), tasking.NonBlocking())
 	}
 	for k, m := range pl.inRemote {
 		rt.Submit(func(tk *tasking.Task) {
 			tg.NotifyIwait(tk, segRecv, gaspisim.NotificationID(k), nil)
 		}, tasking.WithDeps(tasking.Out(&keys.rslot, k, k+1)),
-			tasking.WithLabel("wait data"))
+			tasking.WithLabel("wait data"), tasking.NonBlocking())
 		a.submitUnpack(pl, keys, k, m, true, lastOfEpoch)
 	}
 	a.submitLocalAndCompute(pl, keys)
@@ -714,16 +715,17 @@ func (a *app) submitUnpack(pl *plan, keys *depKeys, k int, m Msg, oneSided, last
 	Q := env.GASPI.Queues()
 	rt.Submit(func(tk *tasking.Task) {
 		nv := m.Elems * p.Vars
-		tk.Compute(env.CostOf(float64(nv) / 2))
-		a.unpack(dst, m, a.recvBytes(pl, k))
-		if oneSided && !lastOfEpoch {
-			must(env.TAGASPI.Notify(tk, gaspisim.Rank(e.Owner[m.Src]), segSend,
-				gaspisim.NotificationID(pl.ackID[k]), 1, k%Q))
-		}
+		tk.Then(env.CostOf(float64(nv)/2), func() {
+			a.unpack(dst, m, a.recvBytes(pl, k))
+			if oneSided && !lastOfEpoch {
+				must(env.TAGASPI.Notify(tk, gaspisim.Rank(e.Owner[m.Src]), segSend,
+					gaspisim.NotificationID(pl.ackID[k]), 1, k%Q))
+			}
+		})
 	}, tasking.WithDeps(
 		tasking.In(&keys.rslot, k, k+1),
 		tasking.Out(&keys.face, fidx, fidx+1)),
-		tasking.WithLabel("unpack"))
+		tasking.WithLabel("unpack"), tasking.NonBlocking())
 }
 
 // submitLocalAndCompute creates the intra-rank halo copies and the stencil
@@ -735,23 +737,21 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 		sidx, fidx := e.Local[m.Src], e.Local[m.Dst]*6+m.Face
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
-			tk.Compute(env.CostOf(float64(nv)))
-			a.copyHalo(src, dst, m)
+			tk.Then(env.CostOf(float64(nv)), func() { a.copyHalo(src, dst, m) })
 		}, tasking.WithDeps(
 			tasking.In(&keys.block, sidx, sidx+1),
 			tasking.Out(&keys.face, fidx, fidx+1)),
-			tasking.WithLabel("local halo"))
+			tasking.WithLabel("local halo"), tasking.NonBlocking())
 	}
 	for _, l := range pl.owned {
 		b := a.blocks[l]
 		bidx := e.Local[l]
 		faces := pl.noNbr[l]
 		rt.Submit(func(tk *tasking.Task) {
-			tk.Compute(env.CostOf(float64(p.InteriorElems())))
-			a.advance(b, faces)
+			tk.Then(env.CostOf(float64(p.InteriorElems())), func() { a.advance(b, faces) })
 		}, tasking.WithDeps(
 			tasking.InOut(&keys.block, bidx, bidx+1),
 			tasking.In(&keys.face, bidx*6, bidx*6+6)),
-			tasking.WithLabel("stencil"))
+			tasking.WithLabel("stencil"), tasking.NonBlocking())
 	}
 }

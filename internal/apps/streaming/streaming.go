@@ -283,9 +283,8 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 				deps = append(deps, tasking.In(&k.recv, j, j+1))
 			}
 			rt.Submit(func(tk *tasking.Task) {
-				tk.Compute(env.CostOf(pi.cost()))
-				pi.computeBlock(c, j)
-			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"))
+				tk.Then(env.CostOf(pi.cost()), func() { pi.computeBlock(c, j) })
+			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"), tasking.NonBlocking())
 			if pi.next >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Isend(pi.blockBytes(pi.sendSeg, j), mpisim.Rank(pi.next), j)
@@ -328,22 +327,24 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segRecv, dataNotif(j), nil)
 				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
-					tasking.WithLabel("wait data"))
+					tasking.WithLabel("wait data"), tasking.NonBlocking())
 			}
 			deps = append(deps[:0], tasking.Out(&k.send, j, j+1))
 			if pi.prev >= 0 {
 				deps = append(deps, tasking.In(&k.recv, j, j+1))
 			}
 			rt.Submit(func(tk *tasking.Task) {
-				tk.Compute(env.CostOf(pi.cost()))
-				pi.computeBlock(c, j)
-				if pi.prev >= 0 {
-					// Ack right after consuming: the previous rank may now
-					// overwrite our receive block (§IV-B optimal placement).
-					must(tg.Notify(tk, gaspisim.Rank(pi.prev), segSend, ackNotif(j, pi.nb),
-						1, j%Q))
-				}
-			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"))
+				tk.Then(env.CostOf(pi.cost()), func() {
+					pi.computeBlock(c, j)
+					if pi.prev >= 0 {
+						// Ack right after consuming: the previous rank may
+						// now overwrite our receive block (§IV-B optimal
+						// placement).
+						must(tg.Notify(tk, gaspisim.Rank(pi.prev), segSend, ackNotif(j, pi.nb),
+							1, j%Q))
+					}
+				})
+			}, tasking.WithDeps(deps...), tasking.WithLabel("compute"), tasking.NonBlocking())
 			if pi.next >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
 					off := j * p.BlockSize * memory.F64Bytes
@@ -354,7 +355,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 						// ack_iwait: wait until the consumer freed the slot.
 						tg.NotifyIwait(tk, segSend, ackNotif(j, pi.nb), nil)
 					}),
-					tasking.WithLabel("write data"))
+					tasking.WithLabel("write data"), tasking.NonBlocking())
 			}
 		}
 		rt.Throttle(4096)

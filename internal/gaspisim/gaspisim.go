@@ -349,33 +349,50 @@ func (p *Proc) queueAt(queueID int) *queue {
 
 // Submit posts one operation to its queue — gaspi_operation_submit of
 // §IV-C. It returns once the operation is handed to the NIC queue; local
-// completion is observed through RequestWait with the operation's Tag.
+// completion is observed through RequestWait with the operation's Tag. It
+// is Book, a Sleep for the time Book returns, and the send.
 func (p *Proc) Submit(op Operation) error {
+	send, d, err := p.Book(op)
+	if err != nil {
+		return err
+	}
+	p.clk.Sleep(d)
+	send()
+	return nil
+}
+
+// Book is the first half of Submit, for callers that cannot block (a step
+// task, tasking.NonBlocking): it validates op, builds its message and
+// reserves the queue's post resource. The caller spends d of modelled time
+// on its core, as Submit sleeps it, and then calls send, which hands the
+// message to the fabric; send is a function value Book keeps bound, so a
+// post allocates no closure. An operation on a queue in the error state
+// fails locally here, and send does nothing.
+func (p *Proc) Book(op Operation) (send func(), d time.Duration, err error) {
 	if op.Queue < 0 || op.Queue >= len(p.queues) {
-		return fmt.Errorf("gaspisim: queue %d out of range", op.Queue)
+		return nil, 0, fmt.Errorf("gaspisim: queue %d out of range", op.Queue)
 	}
 	q := p.queues[op.Queue]
 	if op.Remote < 0 || int(op.Remote) >= p.Size() {
-		return fmt.Errorf("gaspisim: invalid remote rank %d", op.Remote)
+		return nil, 0, fmt.Errorf("gaspisim: invalid remote rank %d", op.Remote)
 	}
 
 	// Validate per type. A read lands its response in its local range, so
 	// that range is checked here, where the caller gets the error, as a
 	// write's is.
-	carries := op.Type == OpWrite || op.Type == OpWriteNotify // local bytes ride the message
 	var buf []byte
 	switch op.Type {
 	case OpWrite, OpWriteNotify, OpRead:
 		seg, err := p.reg.Lookup(op.LocalSeg)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if buf, err = seg.Slice(op.LocalOff, op.Size); err != nil {
-			return err
+			return nil, 0, err
 		}
 	case OpNotify:
 	default:
-		return fmt.Errorf("gaspisim: unknown operation type %d", op.Type)
+		return nil, 0, fmt.Errorf("gaspisim: unknown operation type %d", op.Type)
 	}
 	nreq := 1
 	if op.Type == OpWriteNotify {
@@ -389,10 +406,13 @@ func (p *Proc) Submit(op Operation) error {
 	// a fabric-level failure.
 	q.mu.Lock()
 	errored := q.errored
+	if !errored {
+		q.outstanding += nreq
+	}
 	q.mu.Unlock()
 	if errored {
 		q.completeLocalErr(op.Tag, nreq, false)
-		return nil
+		return sendNothing, 0, nil
 	}
 
 	m := newGMsg()
@@ -402,54 +422,125 @@ func (p *Proc) Submit(op Operation) error {
 	if op.Type == OpRead {
 		m.replySeg, m.replyOff, m.replyQ, m.replyTag = op.LocalSeg, op.LocalOff, q, op.Tag
 	}
-	q.post(op, func() {
-		if p.rec != nil {
-			m.postTs = p.clk.Now()
-		}
-		fm := fabric.NewMessage()
-		fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, op.Remote, fabric.ClassGASPI, op.Queue
-		fm.Payload = m
-		if carries {
-			fm.Size = op.Size
-		} else {
-			fm.Control = true
-		}
-		// A read completes locally when its response lands (deliver's
-		// opReadResp). The response direction carries no hook: like
-		// hardware read completion, it is retransmitted transparently.
-		if op.Type != OpRead {
-			fm.OnInjected = func() {
-				if carries {
-					m.data = p.snap.Take(buf)
-				}
-				q.completeLocal(op.Tag, nreq)
-				p.recComplete(op.Queue, len(buf), m.postTs) // a notify's buf is nil
-			}
-		}
-		fm.OnFailed = func() { q.completeLocalErr(op.Tag, nreq, true) }
-		p.fab.Send(fm)
-	}, nreq)
-	return nil
+	b := newBooking()
+	b.q, b.m, b.dst, b.tag, b.nreq, b.buf = q, m, op.Remote, op.Tag, nreq, buf
+	now := p.clk.Now()
+	start, done := q.res.Reserve(p.jit.Apply(p.prof.RDMAOpOverhead))
+	if p.rec != nil {
+		b.booked, b.waited = now, start-now
+	}
+	return b.sendFn, done - now, nil
 }
 
-// post charges the queue's post resource and runs send, tracking the
-// outstanding low-level request count.
-func (q *queue) post(op Operation, send func(), nreq int) {
-	q.mu.Lock()
-	q.outstanding += nreq
-	q.mu.Unlock()
-	rec := q.p.rec
-	var start time.Duration
-	if rec != nil {
-		start = q.p.clk.Now()
+// sendNothing is the send half of a post that failed locally in Book.
+func sendNothing() {}
+
+// booking is one post between Book and its local completion: the queue and
+// message its send needs, and what its injection or failure hook reports.
+// Pooled: a booking is released by the one hook of its message that runs
+// (the fabric runs OnInjected or OnFailed, never both), and keeps its bound
+// hooks across reuse, so a post allocates no closure.
+type booking struct {
+	q        *queue
+	m        *gMsg
+	dst      Rank
+	tag      any
+	nreq     int
+	buf      []byte        // the local range: a write's payload, a read's destination
+	booked   time.Duration // Book's instant; recorded runs only
+	waited   time.Duration // queueing delay for the post resource; recorded runs only
+	released bool          // set by putBooking, cleared by newBooking (DESIGN.md §6)
+
+	sendFn, injectedFn, failedFn func() // bound once, when the record is made
+}
+
+// bookingPool has no New function: the hooks' method values refer back to
+// the pool through putBooking, so makeBooking fills a miss instead.
+var bookingPool sync.Pool
+
+// newBooking returns a pooled booking with every data field zero.
+//
+//tagalint:hotpath
+func newBooking() *booking {
+	b, _ := bookingPool.Get().(*booking)
+	if b == nil {
+		return makeBooking()
 	}
-	waited := q.res.Use(q.p.jit.Apply(q.p.prof.RDMAOpOverhead))
-	if rec != nil {
-		rec.Latency("gaspi.post_wait", waited)
-		rec.Span(int(q.p.rank), obs.QueueTrack(op.Queue), obs.CatGaspi,
-			opSpanName(op.Type), start, q.p.clk.Now(), int64(op.Size))
+	b.released = false
+	return b
+}
+
+// makeBooking makes a booking and binds its hooks, once per record.
+func makeBooking() *booking {
+	b := new(booking)
+	b.sendFn, b.injectedFn, b.failedFn = b.send, b.injected, b.failed
+	return b
+}
+
+// putBooking zeroes b's data, marks it released and returns it to the pool.
+// A second release panics.
+//
+//tagalint:hotpath
+func putBooking(b *booking) {
+	if b.released {
+		panic("gaspisim: putBooking of a released booking")
 	}
-	send()
+	*b = booking{released: true, sendFn: b.sendFn, injectedFn: b.injectedFn, failedFn: b.failedFn}
+	bookingPool.Put(b)
+}
+
+// send is the second half of a post: its reservation of the queue's post
+// resource has been served, so the message goes to the fabric.
+//
+//tagalint:hotpath
+func (b *booking) send() {
+	if b.released {
+		panic("gaspisim: send of a released booking")
+	}
+	q, m := b.q, b.m
+	p := q.p
+	if rec := p.rec; rec != nil {
+		now := p.clk.Now()
+		rec.Latency("gaspi.post_wait", b.waited)
+		rec.Span(int(p.rank), obs.QueueTrack(q.idx), obs.CatGaspi,
+			opSpanName(m.kind), b.booked, now, int64(m.size))
+		m.postTs = now
+	}
+	fm := fabric.NewMessage()
+	fm.Src, fm.Dst, fm.Class, fm.Lane = p.rank, b.dst, fabric.ClassGASPI, q.idx
+	fm.Payload = m
+	if m.kind == OpWrite || m.kind == OpWriteNotify { // local bytes ride the message
+		fm.Size = m.size
+	} else {
+		fm.Control = true
+	}
+	fm.OnInjected, fm.OnFailed = b.injectedFn, b.failedFn
+	p.fab.Send(fm)
+}
+
+// injected is the OnInjected hook of a post: a write or notify completes
+// locally here, a write taking the snapshot of its payload. A read
+// completes when its response lands (deliver's opReadResp); the response
+// direction carries no hook: like hardware read completion, it is
+// retransmitted transparently.
+//
+//tagalint:hotpath
+func (b *booking) injected() {
+	q, m := b.q, b.m
+	if m.kind != OpRead {
+		if m.kind != OpNotify {
+			m.data = q.p.snap.Take(b.buf)
+		}
+		q.completeLocal(b.tag, b.nreq)
+		q.p.recComplete(q.idx, len(b.buf), m.postTs) // a notify's buf is nil
+	}
+	putBooking(b)
+}
+
+// failed is the OnFailed hook of a post.
+func (b *booking) failed() {
+	b.q.completeLocalErr(b.tag, b.nreq, true)
+	putBooking(b)
 }
 
 // opSpanName is the timeline label of a posted operation.

@@ -19,11 +19,18 @@ var raceEnabled bool
 // message copied the range; the budget is 2x the current figure.
 const UnchangedBufferBytesPerWriteBudget = 1_900
 
-// TestReleaseMark: a released gMsg refuses a second putGMsg.
+// TestReleaseMark: a released gMsg refuses a second putGMsg, and a
+// released booking a second putBooking and a send.
 func TestReleaseMark(t *testing.T) {
 	m := newGMsg()
 	putGMsg(m)
-	pooltest.Panics(t, map[string]func(){"gaspisim: putGMsg of a released gMsg": func() { putGMsg(m) }})
+	b := newBooking()
+	putBooking(b)
+	pooltest.Panics(t, map[string]func(){
+		"gaspisim: putGMsg of a released gMsg":       func() { putGMsg(m) },
+		"gaspisim: putBooking of a released booking": func() { putBooking(b) },
+		"gaspisim: send of a released booking":       func() { b.send() },
+	})
 	pooltest.Size[gMsg](t, 120)
 }
 

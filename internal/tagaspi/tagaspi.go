@@ -11,6 +11,9 @@
 //   - RMA operations are posted through the extended GASPI interface
 //     (gaspi_operation_submit) with the task's event counter as the
 //     operation tag; a write+notify accounts for two low-level requests.
+//     A step task (tasking.NonBlocking) cannot sleep through the post: it
+//     books the post and sends in its next step (Task.Then), so
+//     WriteNotify, Notify and Read must be its step's last call.
 //   - A transparent polling task drains each queue's completed requests
 //     with gaspi_request_wait (non-blocking) and decrements the event
 //     counters codified in the returned tags. The task is event-driven
@@ -232,6 +235,10 @@ func (l *Library) Notify(t *tasking.Task, remote Rank, remoteSeg SegmentID,
 // submit binds op to the calling task's event counter and posts it with a
 // pendingOp tag so the polling task can retire it on success or retry it on
 // failure. nreq is the number of low-level requests the submission spawns.
+// The post is gaspisim's Submit in two halves: a goroutine task sleeps
+// through the post resource's wait, and a step task (tasking.NonBlocking)
+// charges it with Then and sends in its next step, so a post from a step
+// task must be the step's last call.
 //
 //tagalint:hotpath
 func (l *Library) submit(t *tasking.Task, op gaspisim.Operation, nreq int) error {
@@ -240,7 +247,8 @@ func (l *Library) submit(t *tasking.Task, op gaspisim.Operation, nreq int) error
 	po := newPendingOp()
 	po.op, po.counter, po.nreq = op, c, nreq
 	po.op.Tag = po
-	if err := l.p.Submit(po.op); err != nil {
+	send, d, err := l.p.Book(po.op)
+	if err != nil {
 		// An error return means nothing was posted (fast-fails on an errored
 		// queue surface as failed completions instead), so no completion can
 		// still reference po.
@@ -248,6 +256,12 @@ func (l *Library) submit(t *tasking.Task, op gaspisim.Operation, nreq int) error
 		putPendingOp(po)
 		return err
 	}
+	if t.NonBlocking() {
+		t.Then(d, send)
+		return nil
+	}
+	l.p.Clock().Sleep(d)
+	send()
 	return nil
 }
 

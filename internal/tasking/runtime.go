@@ -13,11 +13,20 @@
 //
 // Each simulated rank owns one Runtime with one core slot per core. A ready
 // task takes a slot in ticket order, pays the dispatch overhead, and runs
-// its body on a goroutine of its own that holds the slot until the body
-// returns. The task-aware libraries' polling services (Service, service.go)
-// are spawned service tasks: they take core slots the same way but have no
-// goroutine, run their passes as steps on clock callback events, and yield
-// their slot in wait_for_us between passes.
+// its body, holding the slot until the body is done. A body comes in one of
+// two kinds:
+//
+//   - A goroutine body (the default) runs on a goroutine of its own and may
+//     block: Compute, a TAMPI Iwait's MPI call, a blocking GASPI post.
+//   - A step body (Submit with NonBlocking) never blocks. It runs on the
+//     goroutine or clock callback that started it, spends modelled time
+//     only through Task.Then, and continues in the step Then names, on a
+//     clock callback once that time has passed.
+//
+// The task-aware libraries' polling services (Service, service.go) are
+// spawned service tasks: like step bodies they take core slots and run as
+// steps on clock callback events, and they yield their slot in wait_for_us
+// between passes.
 package tasking
 
 import (
@@ -56,9 +65,9 @@ type Runtime struct {
 	clk   *vclock.VirtualClock
 	cfg   Config
 	cores *coreSched
-	// starts holds granted tasks paying DispatchOverhead; it is pushed
-	// only under cores.mu (granted).
-	starts vclock.Stream[*Task]
+	// starts holds granted tasks paying DispatchOverhead, and steps the
+	// step tasks charging a Then; both are pushed only under cores.mu.
+	starts, steps vclock.Stream[*Task]
 	// running counts started task bodies and services until their last
 	// step has run; Shutdown waits for it.
 	running sync.WaitGroup
@@ -91,6 +100,7 @@ func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 	rt := &Runtime{clk: clk, cfg: cfg, reg: newDepRegistry()}
 	rt.cores = newCoreSched(cfg.Cores, rt.granted)
 	vclock.InitStream(clk, &rt.starts, rt.start)
+	vclock.InitStream(clk, &rt.steps, rt.resume)
 	return rt
 }
 
@@ -103,8 +113,9 @@ func (rt *Runtime) SetRecorder(rec *obs.Collector, rank int) {
 	rt.rank = rank
 }
 
-// Option customises one task: its region dependencies, its label or its
-// onready callback. It is plain data, read once by Submit.
+// Option customises one task: its region dependencies, its label, its
+// onready callback or its body's kind. It is plain data, read once by
+// Submit.
 type Option struct {
 	deps    []Dep
 	label   string
@@ -118,6 +129,7 @@ const (
 	optDeps optionKind = iota
 	optLabel
 	optOnReady
+	optNonBlocking
 )
 
 // WithDeps attaches region dependencies. Submit registers them before it
@@ -136,6 +148,17 @@ func WithLabel(label string) Option { return Option{kind: optLabel, label: label
 // delay the body's execution until they are fulfilled. If several are
 // given, the last wins.
 func WithOnReady(cb func(*Task)) Option { return Option{kind: optOnReady, onready: cb} }
+
+// NonBlocking declares that the body never blocks: it runs as a chain of
+// steps with no goroutine of its own. The body is the first step; it runs
+// on whichever goroutine or clock callback starts the task, once the task
+// holds a core and has paid the dispatch overhead. A step spends modelled
+// time only through Task.Then, which must be its last call and names the
+// next step; the body is done after the first step that calls no Then. A
+// step must not Compute, Sleep, Park, use a vsync.Resource, make an MPI
+// call or a blocking GASPI post (tagalint's taskctx analyzer flags these);
+// the TAGASPI operations detect a step task and post without blocking.
+func NonBlocking() Option { return Option{kind: optNonBlocking} }
 
 // Submit creates a task and registers its dependencies in program order.
 // It returns the task handle; the task runs asynchronously once its
@@ -170,6 +193,8 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 			t.label = o.label
 		case optOnReady:
 			t.onready = o.onready
+		case optNonBlocking:
+			t.steps = true
 		}
 	}
 	satisfied := t.preds == 0
@@ -240,54 +265,114 @@ func (rt *Runtime) recReleaseEdges(t *Task, ready []*Task) {
 // keys the dispatch overhead there, as Service.Start keys its own, so the
 // body's start orders among same-instant timers by the grant, not by when
 // a goroutine gets scheduled. The lock serializes the pushes of grants made
-// on goroutines that run at the same time.
+// on goroutines that run at the same time. It reports whether the caller
+// must start t itself once it has released cs.mu: a step body with no
+// overhead to pay runs its first step at once, and a step may take cores.
 //
 //tagalint:hotpath
-func (rt *Runtime) granted(t *Task) {
+func (rt *Runtime) granted(t *Task) (startUnlocked bool) {
 	if d := rt.cfg.DispatchOverhead; d > 0 {
 		rt.starts.Push(d, t)
-		return
+		return false
+	}
+	if t.steps {
+		return true
 	}
 	rt.start(t)
+	return false
 }
 
-// start runs a granted task whose dispatch overhead has elapsed: the body
-// gets a goroutine of its own, because a body may block (Compute, Iwait).
-// It registers and spawns by hand: VirtualClock.Go would wrap exec in one
-// more closure allocation per task.
+// start runs a granted task whose dispatch overhead has elapsed. It
+// begins the body here, on the granting goroutine or clock callback, so
+// bodies granted at one instant take their timeline lanes in grant order. A
+// step body runs its first step here too. Any other body gets a goroutine
+// of its own, because it may block (Compute, Iwait); start registers and
+// spawns it by hand, since VirtualClock.Go would wrap exec in one more
+// closure allocation per task.
+//
+//tagalint:hotpath
 func (rt *Runtime) start(t *Task) {
 	rt.running.Add(1)
+	rt.begin(t)
+	if t.steps {
+		if body := t.body; body != nil {
+			t.body = nil
+			body(t)
+		}
+		rt.runSteps(t)
+		return
+	}
 	rt.clk.Register()
 	go rt.exec(t)
 }
 
-// exec runs one started task on its own registered goroutine: it runs the
-// body, completes it, returns the core and unregisters.
+// begin marks a started task running and, on instrumented runs, gives it a
+// timeline lane, records its ready-to-run latency and keeps the body's
+// start in t.readyAt. A goroutine body is begun under cs.mu when it has no
+// dispatch overhead to pay; the runtime never takes cs.mu under rt.mu.
+func (rt *Runtime) begin(t *Task) {
+	rt.mu.Lock()
+	t.state = stateRunning
+	rt.mu.Unlock()
+	if rt.rec != nil {
+		start := rt.clk.Now()
+		t.lane = rt.lanes.acquire()
+		rt.rec.Latency("tasking.ready_to_run", start-t.readyAt)
+		t.readyAt = start
+	}
+}
+
+// end closes a body that has run: its span, its completion pseudo-event and
+// its core, in that order.
+func (rt *Runtime) end(t *Task) {
+	if rt.rec != nil {
+		rt.rec.Span(rt.rank, obs.TaskTrack(t.lane), obs.CatTask, t.spanName(),
+			t.readyAt, rt.clk.Now(), t.id)
+		rt.lanes.release(t.lane)
+	}
+	rt.finishBody(t)
+	rt.cores.release()
+}
+
+// runSteps runs the steps a step task's last step named with Then, until
+// one charges time (a clock callback resumes the chain) or one names no
+// next step (the body is done).
+//
+//tagalint:hotpath
+func (rt *Runtime) runSteps(t *Task) {
+	for !t.charging {
+		next := t.next
+		if next == nil {
+			rt.end(t)
+			rt.running.Done()
+			return
+		}
+		t.next = nil
+		next()
+	}
+}
+
+// resume is the steps stream's callback: the time a step charged with Then
+// has passed, so the next step runs.
+//
+//tagalint:hotpath
+func (rt *Runtime) resume(t *Task) {
+	t.charging = false
+	rt.runSteps(t)
+}
+
+// exec runs one begun task on its own registered goroutine: it runs the
+// body, ends it and unregisters.
 //
 //tagalint:hotpath
 func (rt *Runtime) exec(t *Task) {
 	defer rt.clk.Unregister()
 	defer rt.running.Done()
-	rt.mu.Lock()
-	t.state = stateRunning
-	rt.mu.Unlock()
-	var start time.Duration
-	if rt.rec != nil {
-		start = rt.clk.Now()
-		t.lane = rt.lanes.acquire()
-		rt.rec.Latency("tasking.ready_to_run", start-t.readyAt)
-	}
 	if t.body != nil {
 		t.body(t)
 		t.body = nil
 	}
-	if rt.rec != nil {
-		rt.rec.Span(rt.rank, obs.TaskTrack(t.lane), obs.CatTask, t.spanName(),
-			start, rt.clk.Now(), t.id)
-		rt.lanes.release(t.lane)
-	}
-	rt.finishBody(t)
-	rt.cores.release()
+	rt.end(t)
 }
 
 // finishBody marks the body done and releases the execution pseudo-event;
@@ -476,7 +561,9 @@ type coreSched struct {
 	free      int
 	nextTkt   uint64
 	nextGrant uint64
-	granted   func(*Task) // run under mu
+	// granted runs under mu; true asks for the task to be started
+	// (Runtime.start) once mu is released.
+	granted func(*Task) bool
 
 	// waiters is a ring over the ungranted tickets: ticket k waits in slot
 	// k mod len(waiters), and len(waiters) is a power of two that acquire
@@ -490,7 +577,7 @@ type coreWaiter struct {
 	fn func() // a service step, run outside mu
 }
 
-func newCoreSched(n int, granted func(*Task)) *coreSched {
+func newCoreSched(n int, granted func(*Task) bool) *coreSched {
 	return &coreSched{free: n, granted: granted, waiters: make([]coreWaiter, 16)}
 }
 
@@ -528,8 +615,9 @@ func (cs *coreSched) release() {
 }
 
 // grantUnlock hands free cores down the ticket line and releases cs.mu,
-// which the caller holds. A task is granted under cs.mu; a service step is
-// run outside it, after which the line is looked at again.
+// which the caller holds. A task is granted under cs.mu; a service step,
+// and the first step of a step task that starts at once, is run outside
+// it, after which the line is looked at again.
 //
 //tagalint:hotpath
 func (cs *coreSched) grantUnlock() {
@@ -539,12 +627,15 @@ func (cs *coreSched) grantUnlock() {
 		*s = coreWaiter{}
 		cs.free--
 		cs.nextGrant++
-		if w.t != nil {
-			cs.granted(w.t)
+		if w.t != nil && !cs.granted(w.t) {
 			continue
 		}
 		cs.mu.Unlock()
-		w.fn()
+		if w.t != nil {
+			w.t.rt.start(w.t)
+		} else {
+			w.fn()
+		}
 		cs.mu.Lock()
 	}
 	cs.mu.Unlock()

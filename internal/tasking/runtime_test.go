@@ -60,12 +60,13 @@ func TestTaskWaitNoTasks(t *testing.T) {
 }
 
 // TestStuckTaskWaitIsNamed: TaskWait is Throttle(0), and a rank main stuck
-// in it must still read "taskwait" in the clock's deadlock report.
+// in it must still read "taskwait" in the clock's deadlock report. The
+// report reaches the main, which can recover it, even when the body's
+// goroutine is the last to stop and finds the deadlock on its way out.
 func TestStuckTaskWaitIsNamed(t *testing.T) {
 	var report any
 	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
 		rt.Submit(func(tk *Task) { tk.Events().Increase(1) }) // never fulfilled
-		clk.Sleep(time.Microsecond)                           // the body returns first
 		defer func() { report = recover() }()
 		rt.TaskWait()
 	})
@@ -631,9 +632,10 @@ func TestServiceReacquiresCoreInTicketOrder(t *testing.T) {
 func TestCoreGrantsFollowTicketsAcrossRingGrowth(t *testing.T) {
 	var order []int
 	held := false // a granted task holds the core until the test releases it
-	cs := newCoreSched(1, func(tk *Task) {
+	cs := newCoreSched(1, func(tk *Task) bool {
 		order = append(order, int(tk.id))
 		held = true
+		return false
 	})
 	for i := 0; i < 5; i++ {
 		cs.acquire(coreWaiter{fn: func() {}})

@@ -52,6 +52,7 @@ type Task struct {
 	rt      *Runtime
 	body    Body        // nil once it has run
 	onready func(*Task) // nil once it has run
+	next    func()      // a step task's next step (Then), until it runs
 	label   string
 
 	// Guarded by rt.mu.
@@ -59,8 +60,9 @@ type Task struct {
 	relBy int64 // id of the predecessor whose completion made this task ready
 
 	// Trace identity, used only on instrumented runs. id is assigned under
-	// rt.mu at submission; readyAt is written by markReady before dispatch;
-	// lane (below) is written and read only by the body's goroutine.
+	// rt.mu at submission; readyAt is written by markReady before dispatch
+	// and holds the body's start once it runs; lane (below) is written as
+	// the body starts and read as it ends.
 	id      int64
 	readyAt time.Duration
 
@@ -68,10 +70,12 @@ type Task struct {
 	comp EventCounter // gates completion (external events API)
 
 	// The small fields, grouped so that together they pack into two words.
-	preds   int32 // unreleased predecessors; guarded by rt.mu
-	lane    int32
-	state   state // guarded by rt.mu
-	spawned bool
+	preds    int32 // unreleased predecessors; guarded by rt.mu
+	lane     int32
+	state    state // guarded by rt.mu
+	spawned  bool
+	steps    bool // a step task (NonBlocking)
+	charging bool // a step task's Then is charging time; owned by its steps
 }
 
 // spanName is the label of the task's body span in the timeline.
@@ -98,8 +102,38 @@ func (t *Task) Events() *EventCounter {
 
 // Compute occupies the caller's core for d of modelled time: the body's
 // computational work. Under the ideal profile d is zero and this is free.
+// A step task blocks nowhere and charges its time with Then instead.
 func (t *Task) Compute(d time.Duration) {
+	if t.steps {
+		panic("tasking: Compute in a step task; charge the time with Then")
+	}
 	t.rt.clk.Sleep(d)
+}
+
+// NonBlocking reports whether t is a step task, submitted with the
+// NonBlocking option.
+func (t *Task) NonBlocking() bool { return t.steps }
+
+// Then ends the calling step of a step task: it charges d of modelled time
+// on the task's core and then runs next as the task's next step. Like
+// Compute's Sleep, it keys the wake where it is called, and a non-positive
+// d costs nothing and draws no key: next runs as soon as the calling step
+// returns. Then must be the step's last call.
+//
+//tagalint:hotpath
+func (t *Task) Then(d time.Duration, next func()) {
+	if !t.steps {
+		panic("tasking: Then outside a step task")
+	}
+	t.next = next
+	if d <= 0 {
+		return
+	}
+	t.charging = true
+	cs := t.rt.cores
+	cs.mu.Lock()
+	t.rt.steps.Push(d, t)
+	cs.mu.Unlock()
 }
 
 // EventCounter counts outstanding external events bound to one task.

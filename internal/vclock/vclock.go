@@ -18,13 +18,13 @@
 // style of the Go runtime's gopark/goready. Package vsync builds its two
 // primitives on Parkers: Resource, a served resource, and Queue, a FIFO
 // whose consumer parks. Code that only ever waits for time (the polling
-// services of package tasking, every step of the fabric's state machines) does
-// not block at all: it arms an Event, a callback timer the advancing
-// goroutine runs — a heap push instead of a goroutine park. An owner with a
-// run of such callbacks (a fabric link and the messages propagating off it)
-// pushes them onto a Stream instead, which holds one clock entry for all of
-// them. The clock's (deadline, seq) queue is the simulator's only event
-// queue.
+// services and step tasks of package tasking, every step of the fabric's
+// state machines) does not block at all: it arms an Event, a callback timer
+// the advancing goroutine runs — a heap push instead of a goroutine park.
+// An owner with a run of such callbacks (a fabric link and the messages
+// propagating off it) pushes them onto a Stream instead, which holds one
+// clock entry for all of them. The clock's (deadline, seq) queue is the
+// simulator's only event queue.
 //
 // # One lock, one order
 //
@@ -56,8 +56,10 @@ import (
 // currently runnable. Parking (Sleep, Parker.Park) decrements the count;
 // when it reaches zero the clock advances to the earliest pending timer and
 // fires it, waking its owner. If the count reaches zero with no pending
-// timers while goroutines remain parked, the simulation has deadlocked and
-// the clock panics with a diagnostic listing the parked goroutines.
+// timers while goroutines remain parked, the simulation has deadlocked: one
+// parked goroutine is woken and panics in Park with a diagnostic listing
+// them all, so the report surfaces where the caller of a wait can recover
+// it.
 //
 // Sleep and Parker.Park must only be called from goroutines registered with
 // the clock (spawned via Go or Launch, or wrapped in Register/Unregister);
@@ -82,6 +84,10 @@ type VirtualClock struct {
 	// non-external parker. A woken goroutine leaves the count as it leaves
 	// park, so during quiescence the count is exact.
 	waiters int
+	// deadlock is the report of a deadlock the advance step found, handed
+	// to the goroutine parked on deadlockTo, which panics with it.
+	deadlock   string
+	deadlockTo *Parker
 
 	// sleepers recycles the parker (and its embedded timer) of Sleep
 	// calls. Sleep is the hottest allocation site of the whole simulator
@@ -444,8 +450,21 @@ func (p *Parker) park(t *timer) bool {
 		c.waiters--
 	}
 	woke := p.woke
+	if c.deadlockTo == p {
+		c.raiseDeadlockLocked()
+	}
 	c.mu.Unlock()
 	return woke
+}
+
+// raiseDeadlockLocked panics with the deadlock report the advance step
+// handed to the calling goroutine's parker. Callers hold c.mu, which it
+// releases first.
+func (c *VirtualClock) raiseDeadlockLocked() {
+	report := c.deadlock
+	c.deadlockTo, c.deadlock = nil, ""
+	c.mu.Unlock()
+	panic(report)
 }
 
 // Unpark wakes the parked goroutine, or primes the slot if none is parked
@@ -491,17 +510,18 @@ func (p *Parker) Unpark() {
 	}
 }
 
-// advance runs the virtual-time advance step, serialized by c.adv, and
-// panics if the simulation deadlocked. The unlock is deferred so that this
-// panic, and one raised by an event callback, find c.adv free as they
-// unwind: the deferred Unregister of the goroutine they happen to run on
-// re-enters advance, and would otherwise block forever and swallow them.
+// advance runs the virtual-time advance step, serialized by c.adv. A
+// deadlock is not raised here: the goroutine that made the clock quiescent
+// may be one nobody can recover on (a task body's goroutine on its way
+// out), so advanceLocked hands the report to a parked goroutine instead,
+// which panics in Park. The unlock is deferred so that a panic raised by an
+// event callback finds c.adv free as it unwinds: the deferred Unregister of
+// the goroutine it happens to run on re-enters advance, and would otherwise
+// block forever and swallow it.
 func (c *VirtualClock) advance() {
 	c.adv.Lock()
 	defer c.adv.Unlock()
-	if report := c.advanceLocked(); report != "" {
-		panic(report)
-	}
+	c.advanceLocked()
 }
 
 // advanceLocked fires timers in (deadline, seq) order while the clock is
@@ -517,9 +537,9 @@ func (c *VirtualClock) advance() {
 // outside the simulation; it increments active before its wakee can run,
 // and the re-check before each fire plus the !waiting guard keep such races
 // from corrupting virtual time. If no timers remain and non-external
-// parkers are parked, the simulation is deadlocked: the report is returned
-// non-empty and the caller panics with it.
-func (c *VirtualClock) advanceLocked() (deadlock string) {
+// parkers are parked, the simulation is deadlocked: the parked goroutine
+// whose name sorts first is woken with the report and panics with it.
+func (c *VirtualClock) advanceLocked() {
 	for c.active.Load() == 0 {
 		c.mu.Lock()
 		var first timerEnt
@@ -535,16 +555,18 @@ func (c *VirtualClock) advanceLocked() (deadlock string) {
 		}
 		t := first.t
 		if t == nil {
-			deadlock = c.deadlockLocked()
+			// A deadlock, a clean termination, or frozen awaiting
+			// external wakes.
+			c.deadlockLocked()
 			c.mu.Unlock()
-			return deadlock // "": clean termination, or frozen awaiting external wakes
+			return
 		}
 		if t.fn != nil && c.waiters == 0 {
 			// Nobody is waiting on virtual time: the simulation was
 			// abandoned with its services still armed. Leave them
 			// queued instead of firing them forever.
 			c.mu.Unlock()
-			return ""
+			return
 		}
 		if from != nil {
 			from.pop()
@@ -579,18 +601,21 @@ func (c *VirtualClock) advanceLocked() (deadlock string) {
 		t.fn()
 		c.active.Add(-1)
 	}
-	return ""
 }
 
-// deadlockLocked returns the deadlock report if any non-external parker is
-// parked, else "". Callers hold c.mu with adv held during quiescence.
-func (c *VirtualClock) deadlockLocked() string {
-	internal := false
+// deadlockLocked does nothing unless a non-external parker is parked with
+// no timer left to wake it. Then it wakes the non-external parker whose
+// name sorts first and hands it the deadlock report, which names every
+// parked goroutine. Callers hold c.mu with adv held during quiescence.
+func (c *VirtualClock) deadlockLocked() {
+	var to *Parker
 	for p := range c.parked {
-		internal = internal || !p.external
+		if !p.external && p.waiting && !p.waking && (to == nil || p.name < to.name) {
+			to = p
+		}
 	}
-	if !internal {
-		return ""
+	if to == nil {
+		return
 	}
 	names := make([]string, 0, len(c.parked))
 	for p := range c.parked {
@@ -601,8 +626,16 @@ func (c *VirtualClock) deadlockLocked() string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return fmt.Sprintf("vclock: deadlock at t=%v: %d goroutine(s) parked with no pending timers: %v",
+	c.deadlockTo = to
+	c.deadlock = fmt.Sprintf("vclock: deadlock at t=%v: %d goroutine(s) parked with no pending timers: %v",
 		c.Now(), len(names), names)
+	c.active.Add(1)
+	to.waiting = false
+	to.woke = false
+	select {
+	case to.ch <- struct{}{}:
+	default:
+	}
 }
 
 // Event is a reusable callback timer: the event-driven counterpart of a

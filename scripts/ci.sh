@@ -9,8 +9,8 @@
 # invariant analyzers (tagalint), then the test suite under the race
 # detector, then the fuzz, allocation, host-time and bench-smoke gates.
 # The simulator is heavily concurrent (one goroutine per rank main plus one
-# per running task body), so -race is part of the gate, not an optional extra —
-# see EXPERIMENTS.md.
+# per running goroutine task body; step bodies run on clock callbacks), so
+# -race is part of the gate, not an optional extra — see EXPERIMENTS.md.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,13 +34,14 @@ go run ./cmd/tagalint -stale-ignores=error ./...
 
 # A race step the known drift cannot mask, run in both modes: the packages
 # where task bodies, core grants and polling services hand work between
-# goroutines, and the MPI and GASPI layers whose delivery callbacks and
-# rank goroutines share matching and queue state, three times each. The
-# full -race pass below is red on ROADMAP item 1's same-instant drift and
-# is skipped under CI_SHORT=1.
-echo "== go test -race -count=3 (tasking, tagaspi, tampi, cluster, mpisim, gaspisim)"
+# goroutines, the MPI and GASPI layers whose delivery callbacks and rank
+# goroutines share matching and queue state, and the apps, whose step-task
+# kernels run on clock callbacks and granting goroutines, three times
+# each. The full -race pass below is red on ROADMAP item 1's same-instant
+# drift and is skipped under CI_SHORT=1.
+echo "== go test -race -count=3 (tasking, tagaspi, tampi, cluster, mpisim, gaspisim, apps)"
 go test -race -count=3 ./internal/tasking ./internal/tagaspi ./internal/tampi ./internal/cluster \
-    ./internal/mpisim ./internal/gaspisim
+    ./internal/mpisim ./internal/gaspisim ./internal/apps/...
 
 if [ "${CI_SHORT:-0}" = "1" ]; then
     echo "== go test ./... (CI_SHORT=1: race detector skipped)"
