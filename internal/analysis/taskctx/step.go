@@ -12,11 +12,12 @@ import (
 // func-typed arguments run as clock callbacks or steps (of a service or of
 // a step task): on the goroutine advancing the virtual clock (or on one
 // that just granted a core), with virtual time held still until they
-// return. A Submit's body is a step too when the options include
-// tasking.NonBlocking (nonBlockingBody).
+// return. NewService's is the library's nothing-to-poll predicate, which a
+// pass's last step calls. A Submit's body is a step too when the options
+// include tasking.NonBlocking (nonBlockingBody).
 var stepTakers = map[string]map[string]bool{
 	"vclock":  {"InitEvent": true, "InitStream": true},
-	"tasking": {"Start": true, "After": true, "Then": true, "acquire": true},
+	"tasking": {"NewService": true, "Start": true, "After": true, "Then": true, "acquire": true},
 	"fabric":  {"Register": true},
 }
 

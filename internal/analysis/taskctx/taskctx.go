@@ -12,7 +12,8 @@
 //  3. A clock callback (VirtualClock.InitEvent, and the per-item
 //     callback of vclock.InitStream), a fabric delivery handler
 //     (Fabric.Register), a service step (the functions handed to
-//     tasking.Service's Start and After) or a step task's step (the body
+//     tasking.Service's Start and After, and the nothing-to-poll
+//     predicate handed to Runtime.NewService) or a step task's step (the body
 //     of a Submit with tasking.NonBlocking, and the functions handed to
 //     Task.Then) runs on the goroutine that is advancing the virtual
 //     clock, which holds the advance lock, or on one that just granted a

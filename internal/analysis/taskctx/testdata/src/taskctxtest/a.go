@@ -136,8 +136,17 @@ func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Reque
 
 // The pass a polling service starts is a service step itself.
 func blockingPass(rt *tasking.Runtime, done chan int) {
-	rt.NewService("pass", 10).Start(func() {
+	rt.NewService("pass", 10, nil).Start(func() {
 		done <- 1 // want "channel send in a step or clock callback"
+	})
+}
+
+// The nothing-to-poll predicate a library hands its service runs at the
+// end of a pass, as a step.
+func blockingQuiet(rt *tasking.Runtime, p *gaspisim.Proc) {
+	rt.NewService("quiet", 10, func() bool {
+		p.Wait(0) // want "gaspisim.Proc.Wait in a step or clock callback"
+		return true
 	})
 }
 
@@ -151,7 +160,7 @@ type poller struct {
 }
 
 func startPoller(rt *tasking.Runtime, p *gaspisim.Proc) *poller {
-	l := &poller{p: p, svc: rt.NewService("fixture", 10)}
+	l := &poller{p: p, svc: rt.NewService("fixture", 10, nil)}
 	l.drainFn = l.drain
 	l.nextFn = l.blockingNext
 	l.svc.Start(l.poll)

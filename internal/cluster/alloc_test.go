@@ -106,3 +106,59 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestDormancyZeroAlloc is an allocation-regression gate of scripts/ci.sh:
+// a polling service that goes dormant in its rank's epilogue, and wakes
+// from it at Shutdown, allocates nothing on an uninstrumented job. Rank 0
+// drives the other ranks' runtimes: each measured run closes one, sleeps
+// while its idle service ends a pass and goes dormant, and shuts it down,
+// which replays the skipped passes and stops the service. The same run on
+// a runtime left open, whose service polls until Shutdown, is the
+// baseline: the two must allocate the same (Shutdown's own parker).
+func TestDormancyZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	const (
+		poll = 5 * time.Microsecond
+		runs = 10
+	)
+	for _, lib := range []string{"tampi", "tagaspi"} {
+		t.Run(lib, func(t *testing.T) {
+			cfg := Config{
+				Nodes: 1, RanksPerNode: 1 + 2*(runs+1), CoresPerRank: 2,
+				Profile:     fabric.ProfileOmniPath(),
+				WithTasking: true, WithTAMPI: lib == "tampi", WithTAGASPI: lib == "tagaspi",
+				TAMPIPoll: poll, TAGASPIPoll: poll,
+			}
+			envs := make([]*Env, cfg.RanksPerNode)
+			Run(cfg, func(env *Env) {
+				envs[env.Rank] = env
+				if env.Rank != 0 {
+					env.Clk.Sleep(time.Second) // far past the measurement
+					return
+				}
+				env.Clk.Sleep(10 * poll) // every rank has published its env
+				next := 1
+				cycle := func(close bool) func() {
+					return func() {
+						rt := envs[next].RT
+						next++
+						if close {
+							rt.Close()
+						}
+						env.Clk.Sleep(3 * poll)
+						rt.Shutdown()
+					}
+				}
+				open := testing.AllocsPerRun(runs, cycle(false))
+				dormant := testing.AllocsPerRun(runs, cycle(true))
+				if dormant != open {
+					t.Errorf("%s: a dormant service's epilogue allocates %.2f objects, a polling one's %.2f",
+						lib, dormant, open)
+				}
+				t.Logf("%s: %.2f allocs per Shutdown, dormant or not", lib, dormant)
+			})
+		})
+	}
+}

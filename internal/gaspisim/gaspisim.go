@@ -992,6 +992,20 @@ func (p *Proc) RequestTest(queueID, max int, buf []CompletedRequest) []Completed
 	return buf
 }
 
+// QueuesIdle reports that no queue of the process has a request in flight
+// or a completed request not yet taken by RequestWait or RequestTest.
+func (p *Proc) QueuesIdle() bool {
+	for _, q := range p.queues {
+		q.mu.Lock()
+		busy := q.outstanding > 0 || len(q.completed) > 0
+		q.mu.Unlock()
+		if busy {
+			return false
+		}
+	}
+	return true
+}
+
 // takeLocked moves up to max completed requests to buf. A fully drained
 // list keeps its backing array for the completions to come. Callers hold
 // q.mu.

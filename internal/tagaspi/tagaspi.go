@@ -176,7 +176,7 @@ const maxBackoffShift = 10
 func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p}
 	l.drainFn, l.resubmitFn = l.drain, l.resubmit
-	l.svc = rt.NewService("tagaspi-poll", interval)
+	l.svc = rt.NewService("tagaspi-poll", interval, l.quiet)
 	l.svc.Start(l.poll)
 	return l
 }
@@ -397,6 +397,15 @@ func (l *Library) checkNotifications() {
 		l.waiting[i] = nil
 	}
 	l.waiting = keep
+}
+
+// quiet reports that a pass can find nothing: no notification wait is
+// staged or listed, no failed operation awaits resubmission, and no queue
+// has a request in flight or a completion not yet drained. It is the
+// service's dormancy predicate (tasking.NewService); a pass then drains
+// every queue once and finds each empty.
+func (l *Library) quiet() bool {
+	return len(l.waiting) == 0 && l.pending.n.Load() == 0 && len(l.retryQ) == 0 && l.p.QueuesIdle()
 }
 
 // opFailed handles one fully failed attempt: either schedule a backed-off

@@ -49,7 +49,7 @@ const DefaultPollInterval = 150 * time.Microsecond
 func New(p *mpisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p}
 	l.checkFn = l.check
-	l.svc = rt.NewService("tampi-poll", interval)
+	l.svc = rt.NewService("tampi-poll", interval, l.quiet)
 	l.svc.Start(l.poll)
 	return l
 }
@@ -119,6 +119,15 @@ func (l *Library) check() {
 	}
 	l.retire = retire
 	l.svc.Done(len(retire))
+}
+
+// quiet reports that no request is in flight: the service's dormancy
+// predicate (tasking.NewService). A pass then takes no lock and books no
+// Testsome, so it costs no modelled time.
+func (l *Library) quiet() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.requests) == 0
 }
 
 // Snapshot returns the polling service's pass counters in the common

@@ -58,6 +58,10 @@ type Stats struct {
 	Submitted int64 // tasks submitted (excluding spawned services)
 	Completed int64 // submitted tasks fully completed
 	Spawned   int64 // service tasks spawned
+
+	// UndecidedExits counts the dormant services Shutdown woke at an exit
+	// instant it could not decide and had to guess (Service.rouse).
+	UndecidedExits int64
 }
 
 // Runtime is a per-rank tasking runtime.
@@ -81,6 +85,8 @@ type Runtime struct {
 	live      int              // incomplete regular tasks
 	spawnLive int              // incomplete spawned service tasks
 	stopping  atomic.Bool      // set under mu, read per pass without it
+	closed    atomic.Bool      // set under mu by Close: no task will be submitted again
+	services  []*Service       // started polling services, in start order
 	seq       int64            // task ids for trace correlation
 	thWaiters []throttleWaiter // Throttle and TaskWait: woken when live falls to max
 	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
@@ -178,6 +184,10 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 	if rt.stopping.Load() {
 		rt.mu.Unlock()
 		panic("tasking: Submit after Shutdown")
+	}
+	if rt.closed.Load() {
+		rt.mu.Unlock()
+		panic("tasking: Submit after Close")
 	}
 	rt.live++
 	rt.stats.Submitted++
@@ -506,13 +516,34 @@ func (rt *Runtime) Throttle(max int) {
 	p.Park()
 }
 
+// Close declares that no task will be submitted again: a Submit after it
+// panics. From then on a polling service whose library has nothing to poll
+// goes dormant instead of polling until Shutdown (Service.sleep). A rank
+// calls it after its last TaskWait, and Close panics if a task is still
+// incomplete; cluster.Run does so for every rank. Close is idempotent.
+func (rt *Runtime) Close() {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.live > 0 {
+		panic(fmt.Sprintf("tasking: Close with %d incomplete tasks", rt.live))
+	}
+	rt.closed.Store(true)
+}
+
 // Shutdown asks polling services to stop and waits for them and for the
 // task bodies' goroutines to finish. Regular tasks must already be complete
-// (TaskWait). Shutdown is idempotent and safe to call from multiple
-// goroutines — an early-exiting rank and the job teardown may both call it.
+// (TaskWait). A dormant service is woken at the wake its pass would have
+// stopped at (Service.rouse). Shutdown is idempotent and safe to call from
+// multiple goroutines — an early-exiting rank and the job teardown may both
+// call it.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	rt.stopping.Store(true)
+	for _, s := range rt.services {
+		if s.dormant {
+			s.rouse(rt.clk.Resumer())
+		}
+	}
 	if rt.spawnLive > 0 {
 		p := rt.clk.Parker()
 		p.SetName("shutdown")

@@ -31,7 +31,7 @@ func run(cores int, fn func(clk *vclock.VirtualClock, rt *Runtime)) {
 // spawnLoop starts a polling service whose passes call step (if not nil)
 // and then wait d, until the runtime stops.
 func spawnLoop(rt *Runtime, label string, d time.Duration, step func()) {
-	svc := rt.NewService(label, d)
+	svc := rt.NewService(label, d, nil)
 	svc.Start(func() {
 		if step != nil {
 			step()
@@ -558,6 +558,42 @@ func BenchmarkDependencyChain(b *testing.B) {
 		base := new(int)
 		for i := 0; i < b.N; i++ {
 			rt.Submit(func(*Task) {}, WithDeps(InOutVal(base)))
+		}
+		rt.TaskWait()
+	})
+	wg.Wait()
+}
+
+// BenchmarkStepSubmitExecute is BenchmarkSubmitExecute for step bodies
+// (NonBlocking), the kind every compute, wait and TAGASPI post task of the
+// apps runs as: no goroutine per task.
+func BenchmarkStepSubmitExecute(b *testing.B) {
+	clk := vclock.NewVirtual()
+	rt := New(clk, Config{Cores: 4})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	clk.Go(func() {
+		defer wg.Done()
+		for i := 0; i < b.N; i++ {
+			rt.Submit(func(*Task) {}, NonBlocking())
+		}
+		rt.TaskWait()
+	})
+	wg.Wait()
+}
+
+// BenchmarkStepDependencyChain is BenchmarkDependencyChain for step
+// bodies.
+func BenchmarkStepDependencyChain(b *testing.B) {
+	clk := vclock.NewVirtual()
+	rt := New(clk, Config{Cores: 4})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	clk.Go(func() {
+		defer wg.Done()
+		base := new(int)
+		for i := 0; i < b.N; i++ {
+			rt.Submit(func(*Task) {}, WithDeps(InOutVal(base)), NonBlocking())
 		}
 		rt.TaskWait()
 	})

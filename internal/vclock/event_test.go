@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // newEvent returns an Event bound to c that runs fn when it fires.
@@ -257,4 +258,46 @@ func TestEventCallbackPanicIsNotSwallowed(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the panicking goroutine hung in Unregister")
 	}
+}
+
+// TestTimerSizeClass pins timer at 48 bytes, one allocation size class:
+// every parker and event embeds one, and a field more would put it in the
+// 64-byte class.
+func TestTimerSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(timer{}); n != 48 {
+		t.Fatalf("timer is %d bytes, want 48", n)
+	}
+}
+
+// TestResumerKeysTheWake checks the key Resumer reports to a goroutine:
+// the deadline, sequence number and draw instant of the timer whose
+// firing resumed it — its own Sleep, an event whose callback unparked it,
+// and a stream item whose callback did, which keeps no draw instant.
+func TestResumerKeysTheWake(t *testing.T) {
+	c := NewVirtual()
+	join(c, func() {
+		if k := c.Resumer(); k != (Key{}) {
+			t.Errorf("before any timer fired: %+v, want the zero Key", k)
+		}
+		c.Sleep(5)
+		k := c.Resumer()
+		if k.Deadline != 5 || k.Drawn != 0 || k.Seq != c.Seq() {
+			t.Errorf("after Sleep(5) from 0: %+v, want deadline 5 drawn at 0 with the last seq %d", k, c.Seq())
+		}
+		p := c.Parker()
+		newEvent(c, p.Unpark).After(3)
+		seq := c.Seq()
+		p.Park()
+		if k := c.Resumer(); k != (Key{Deadline: 8, Seq: seq, Drawn: 5}) {
+			t.Errorf("after an event armed at 5 for 3 unparked us: %+v, want {8 %d 5}", k, seq)
+		}
+		var s Stream[*Parker]
+		InitStream(c, &s, (*Parker).Unpark)
+		s.Push(4, p)
+		seq = c.Seq()
+		p.Park()
+		if k := c.Resumer(); k != (Key{Deadline: 12, Seq: seq, Drawn: NotDrawn}) {
+			t.Errorf("after a stream item pushed at 8 for 4 unparked us: %+v, want {12 %d %d}", k, seq, NotDrawn)
+		}
+	})
 }

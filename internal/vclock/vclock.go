@@ -88,6 +88,8 @@ type VirtualClock struct {
 	// to the goroutine parked on deadlockTo, which panics with it.
 	deadlock   string
 	deadlockTo *Parker
+	// fired is the key of the timer the advance step fired last.
+	fired Key
 
 	// sleepers recycles the parker (and its embedded timer) of Sleep
 	// calls. Sleep is the hottest allocation site of the whole simulator
@@ -176,13 +178,15 @@ func (c *VirtualClock) Parker() *Parker {
 	return p
 }
 
-// timer wakes a parker, or runs an event callback, at a deadline.
+// timer wakes a parker, or runs an event callback, at a deadline. It is 48
+// bytes, one size class: a field more would put it in the next.
 type timer struct {
 	deadline time.Duration
 	seq      uint64
-	p        *Parker // the goroutine to wake; nil for a callback event
-	fn       func()  // the callback to run; nil for a goroutine timer
-	index    int     // heap position, or unarmed / inLane
+	drawn    time.Duration // the instant seq was drawn
+	p        *Parker       // the goroutine to wake; nil for a callback event
+	fn       func()        // the callback to run; nil for a goroutine timer
+	index    int           // heap position, or unarmed / inLane
 }
 
 const (
@@ -376,7 +380,8 @@ func (p *Parker) SetExternal(external bool) { p.external = external }
 //tagalint:hotpath
 func (p *Parker) timerFor(d time.Duration) *timer {
 	t := p.t
-	t.deadline = p.c.Now() + d
+	t.drawn = p.c.Now()
+	t.deadline = t.drawn + d
 	t.seq = p.c.seq.Add(1)
 	return t
 }
@@ -583,6 +588,7 @@ func (c *VirtualClock) advanceLocked() {
 		if int64(first.deadline) > c.now.Load() {
 			c.now.Store(int64(first.deadline))
 		}
+		c.fired = Key{first.deadline, first.seq, t.drawn}
 		c.active.Add(1)
 		if p != nil {
 			p.waiting = false
@@ -638,6 +644,36 @@ func (c *VirtualClock) deadlockLocked() {
 	}
 }
 
+// Key is the order key of a fired timer: the (Deadline, Seq) pair the
+// clock fires timers in, and Drawn, the instant Seq was drawn, or NotDrawn
+// for a Stream's item. Sequence numbers only grow and virtual time never
+// runs backwards, so of two timers with one deadline, the one drawn at the
+// earlier instant fires first; only draws made at one instant need their
+// Seq to be told apart.
+type Key struct {
+	Deadline time.Duration
+	Seq      uint64
+	Drawn    time.Duration
+}
+
+// NotDrawn is the Drawn of a Key whose draw instant was not kept.
+const NotDrawn time.Duration = -1
+
+// Seq returns the timer sequence number drawn last: a timer armed later
+// draws a larger one.
+func (c *VirtualClock) Seq() uint64 { return c.seq.Load() }
+
+// Resumer returns the key of the timer the clock fired last. No timer fires
+// while a registered goroutine runs, so for a running goroutine this is the
+// timer whose firing resumed the simulation: the one its own wake, or the
+// wake of whatever woke it, followed in the clock's order. It is the zero
+// Key before the first timer fires.
+func (c *VirtualClock) Resumer() Key {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fired
+}
+
 // Event is a reusable callback timer: the event-driven counterpart of a
 // goroutine that loops over Sleep. It is armed at most once at a time; its
 // callback may re-arm it. The callback runs on whichever goroutine is
@@ -674,14 +710,14 @@ func (e *Event) After(d time.Duration) {
 		d = 0
 	}
 	c := e.c
-	deadline := c.Now() + d
+	now := c.Now()
 	seq := c.seq.Add(1)
 	c.mu.Lock()
 	if e.index != unarmed {
 		c.mu.Unlock()
 		panic("vclock: After on an Event that is already armed")
 	}
-	e.deadline, e.seq = deadline, seq
+	e.deadline, e.seq, e.drawn = now+d, seq, now
 	c.pushEventLocked(&e.timer, d)
 	c.mu.Unlock()
 }

@@ -79,7 +79,8 @@ done
 # stream that never drains must stay at its backlog high-water mark, not
 # grow with the message count; a nil-Collector
 # instrumentation site and an idle pass of the TAMPI and TAGASPI polling
-# services must allocate nothing; Tracer.Events must copy N events in one
+# services must allocate nothing, and so must a service's going dormant in
+# its rank's epilogue and waking at Shutdown; Tracer.Events must copy N events in one
 # allocation of N; 256 sends of one unchanged buffer must share one
 # payload snapshot in mpisim and gaspisim; a pending task with five
 # dependencies must keep no more heap than
@@ -93,14 +94,14 @@ done
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestLinkStreamFootprint|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint' ./internal/tasking
 go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
 go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
-go test -run 'TestIdlePollPassZeroAlloc' ./internal/cluster
+go test -run 'TestIdlePollPassZeroAlloc|TestDormancyZeroAlloc' ./internal/cluster
 
 # Host-time regression gate at scale: one paper-scale Gauss-Seidel point
 # (the Fig. 9 Scale-preset TAGASPI run, 256 nodes / 512 hybrid ranks)
