@@ -108,13 +108,17 @@ func TestIdlePollPassZeroAlloc(t *testing.T) {
 }
 
 // TestDormancyZeroAlloc is an allocation-regression gate of scripts/ci.sh:
-// a polling service that goes dormant in its rank's epilogue, and wakes
-// from it at Shutdown, allocates nothing on an uninstrumented job. Rank 0
-// drives the other ranks' runtimes: each measured run closes one, sleeps
-// while its idle service ends a pass and goes dormant, and shuts it down,
-// which replays the skipped passes and stops the service. The same run on
-// a runtime left open, whose service polls until Shutdown, is the
-// baseline: the two must allocate the same (Shutdown's own parker).
+// a polling service that goes dormant, and wakes, allocates nothing on an
+// uninstrumented job. Rank 0 drives the other ranks' runtimes. In the
+// epilogue, each measured run closes one, sleeps while its idle service
+// ends a pass and goes dormant, and shuts it down, which books the skipped
+// passes and stops the service; the same run on a runtime left open is the
+// baseline (TAMPI's service polls there until Shutdown, TAGASPI's goes
+// dormant in the run), and the two must allocate the same (Shutdown's own
+// parker). Inside a run, a TAGASPI service that went dormant is woken by a
+// notification, polls and goes dormant again: rank 0 posts one to a rank
+// whose service is dormant, and as the baseline to a rank whose runtime is
+// shut down, and the two must allocate the same (the post's own).
 func TestDormancyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -161,4 +165,54 @@ func TestDormancyZeroAlloc(t *testing.T) {
 			})
 		})
 	}
+	t.Run("tagaspi-in-run", func(t *testing.T) {
+		cfg := Config{
+			Nodes: 1, RanksPerNode: 1 + 2*(runs+1), CoresPerRank: 2,
+			Profile:     fabric.ProfileOmniPath(),
+			WithTasking: true, WithTAGASPI: true,
+			TAGASPIPoll: poll,
+		}
+		envs := make([]*Env, cfg.RanksPerNode)
+		Run(cfg, func(env *Env) {
+			envs[env.Rank] = env
+			if _, err := env.GASPI.SegmentCreate(0, 64); err != nil {
+				t.Error(err)
+				return
+			}
+			env.MPI.Barrier()
+			if env.Rank > runs+1 {
+				env.RT.Shutdown() // the baseline's targets: no service left to wake
+			}
+			if env.Rank != 0 {
+				env.Clk.Sleep(time.Second) // far past the measurement
+				return
+			}
+			// Rank 0 posts without a task, so its own service, which would
+			// take the completions for task events, must be gone.
+			env.RT.Shutdown()
+			env.Clk.Sleep(10 * poll) // every service is dormant or gone
+			comp := make([]gaspisim.CompletedRequest, 0, 4)
+			next := 1
+			cycle := func() {
+				if err := env.GASPI.Notify(gaspisim.Rank(next), 0, 1, 1, 0, nil); err != nil {
+					t.Error(err)
+				}
+				next++
+				env.Clk.Sleep(3 * poll)
+				comp = env.GASPI.RequestTest(0, cap(comp), comp[:0])
+			}
+			woken := testing.AllocsPerRun(runs, cycle)
+			gone := testing.AllocsPerRun(runs, cycle)
+			if woken != gone {
+				t.Errorf("a notification allocates %.2f objects on a rank whose service it wakes, %.2f on one with none",
+					woken, gone)
+			}
+			t.Logf("%.2f allocs per notification, waking a dormant service or not", woken)
+			for _, e := range envs[1 : runs+2] {
+				if e.RT.Stats().SkippedPasses == 0 {
+					t.Errorf("rank %d: the notification woke no dormant service", e.Rank)
+				}
+			}
+		})
+	})
 }

@@ -57,7 +57,7 @@ func exitPoint(lib string, poll, d time.Duration) (string, int64) {
 	}
 	var undecided int64
 	for _, st := range res.Tasking {
-		undecided += st.UndecidedExits
+		undecided += st.UndecidedWakes
 	}
 	return b.String(), undecided
 }

@@ -1,0 +1,169 @@
+package cluster
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/tasking"
+)
+
+var updateWakes = flag.Bool("update-wakes", false, "rewrite testdata/wake_sweep.txt from this build")
+
+// wakeSweeps are the in-run wake sweeps, each over the sleeps d = from..to
+// ns of rank 0 after the set-up barrier:
+//   - notify: rank 1 awaits a notification that rank 0 posts after d, so
+//     its arrival meets every instant of three grid periods (the 1µs or
+//     5µs interval plus a pass of four 130ns queue drains) of rank 1's
+//     dormant service;
+//   - submit: rank 0 submits a compute task after d, which lands at every
+//     instant of a grid period of its own dormant service, the pass
+//     included; with one core the task waits for the pass it lands in;
+//   - race: rank 0 sets a notification nobody awaits after d, which wakes
+//     rank 1's dormant service at every instant of a grid period. Rank
+//     1's main has a compute task wait for an event that it fulfils at a
+//     grid wake, from a Sleep drawn 40ns before it: if the notification
+//     came in those 40ns, the service's wait, drawn a period earlier, must
+//     still take the one core first.
+var wakeSweeps = []struct {
+	kind     string
+	poll     time.Duration
+	cores    int
+	from, to time.Duration
+}{
+	{"notify", time.Microsecond, 2, 20000, 24600},
+	{"notify", 5 * time.Microsecond, 2, 20000, 36600},
+	{"submit", time.Microsecond, 2, 20000, 21600},
+	{"submit", time.Microsecond, 1, 20000, 21600},
+	{"race", time.Microsecond, 1, 20000, 21600},
+}
+
+// wakePoint runs one point of a wake sweep on two single-rank nodes with
+// TAGASPI and no MPI jitter. It returns when the awaited work retired —
+// the instant of the notification wait or the race's compute task, or the
+// submitted task's less d — the job's elapsed time (but for a race, where
+// rank 0 ends with d), each rank's pass and idle-pass counts, and how many
+// wakes the ranks' runtimes could not decide.
+func wakePoint(kind string, poll time.Duration, cores int, d time.Duration) (string, int64) {
+	prof := fabric.ProfileOmniPath()
+	prof.MPIJitter = 0
+	var retire time.Duration
+	res := Run(Config{
+		Nodes: 2, RanksPerNode: 1, CoresPerRank: cores, Profile: prof,
+		WithTasking: true, WithTAGASPI: true, TAGASPIPoll: poll,
+	}, func(env *Env) {
+		if _, err := env.GASPI.SegmentCreate(0, 64); err != nil {
+			panic(err)
+		}
+		env.MPI.Barrier()
+		switch {
+		case kind == "notify" && env.Rank == 1:
+			var v int64
+			env.RT.Submit(func(tk *tasking.Task) { env.TAGASPI.NotifyIwait(tk, 0, 7, &v) })
+			env.RT.TaskWait()
+			retire = env.Clk.Now()
+		case kind == "notify":
+			env.Clk.Sleep(d)
+			env.RT.Submit(func(tk *tasking.Task) {
+				if err := env.TAGASPI.Notify(tk, 1, 0, 7, 1, 0); err != nil {
+					panic(err)
+				}
+			})
+		case kind == "submit" && env.Rank == 0:
+			env.Clk.Sleep(d)
+			env.RT.Submit(func(tk *tasking.Task) { tk.Compute(700) })
+			env.RT.TaskWait()
+			retire = env.Clk.Now() - d
+		case kind == "race" && env.Rank == 1:
+			var ev *tasking.EventCounter
+			env.RT.Submit(func(tk *tasking.Task) { tk.Compute(700) },
+				tasking.WithOnReady(func(tk *tasking.Task) { ev = tk.Events(); ev.Increase(1) }))
+			// The grid of a lone idle service (TestIdlePollGrid), at its
+			// first wake 23.5µs after the sweep starts.
+			period := poll + queues*(prof.RDMAOpOverhead/2)
+			at := env.Clk.Now() + 23500
+			w := DispatchOverhead + (at-DispatchOverhead+period-1)/period*period
+			env.Clk.Sleep(w - 40 - env.Clk.Now())
+			env.Clk.Sleep(40)
+			ev.Decrease(1)
+			env.RT.TaskWait()
+			retire = env.Clk.Now()
+		case kind == "race":
+			env.Clk.Sleep(d)
+			env.RT.Submit(func(tk *tasking.Task) {
+				if err := env.TAGASPI.Notify(tk, 1, 0, 9, 1, 0); err != nil {
+					panic(err)
+				}
+			})
+		}
+	})
+	var b strings.Builder
+	if kind == "race" {
+		fmt.Fprintf(&b, "%d -", retire)
+	} else {
+		fmt.Fprintf(&b, "%d %d", retire, res.Elapsed)
+	}
+	for _, s := range res.Snapshots {
+		if s.Component == "tagaspi" {
+			fmt.Fprintf(&b, " %g %g", sample(s, "tagaspi_passes"), sample(s, "tagaspi_idle_passes"))
+		}
+	}
+	var undecided int64
+	for _, st := range res.Tasking {
+		undecided += st.UndecidedWakes
+	}
+	return b.String(), undecided
+}
+
+// TestWakeTieSweep pins what a dormant TAGASPI service does when an input
+// wakes it inside a run, against testdata generated while services polled
+// through every idle wait: the retire instant, the elapsed time and the
+// pass counts of every point must be those of the polling run. A wake must
+// re-enter the grid at the step the skipped passes had reached, also when
+// that step falls at the wake's own instant, and arm it with the key it
+// would have drawn. The file holds one line per run of sleeps with the same
+// result: "kind poll cores first-last retire elapsed passes0 idle0 passes1
+// idle1".
+func TestWakeTieSweep(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("sweeps 27,000 jobs; it checks modelled values, which the plain test pass covers")
+	}
+	path := filepath.Join("testdata", "wake_sweep.txt")
+	var got []string
+	for _, sw := range wakeSweeps {
+		first, prev := sw.from, ""
+		flush := func(last time.Duration) {
+			got = append(got, fmt.Sprintf("%s %v %d %d-%d %s", sw.kind, sw.poll, sw.cores, first, last, prev))
+		}
+		for d := sw.from; d <= sw.to; d++ {
+			r, undecided := wakePoint(sw.kind, sw.poll, sw.cores, d)
+			if undecided != 0 {
+				t.Errorf("%s %v %d %d: a wake was undecided", sw.kind, sw.poll, sw.cores, d)
+			}
+			if d > sw.from && r != prev {
+				flush(d - 1)
+				first = d
+			}
+			prev = r
+		}
+		flush(sw.to)
+	}
+	if *updateWakes {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Join(got, "\n") + "\n"; string(data) != want {
+		t.Errorf("wake sweep differs from %s:\n got:\n%s\nwant:\n%s", path, want, data)
+	}
+}

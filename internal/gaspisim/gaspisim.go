@@ -89,6 +89,9 @@ type CompletedRequest struct {
 type World struct {
 	fab   *fabric.Fabric
 	procs []*Proc
+	// queueNames holds the Snapshot sample names of each queue, built once
+	// per world rather than once per queue, rank and snapshot.
+	queueNames [][3]string
 }
 
 // NewWorld creates one Proc per fabric rank with the given queue count —
@@ -97,7 +100,11 @@ func NewWorld(fab *fabric.Fabric, queues int, seed int64) *World {
 	if queues <= 0 {
 		panic(fmt.Sprintf("gaspisim: invalid queue count %d", queues))
 	}
-	w := &World{fab: fab}
+	w := &World{fab: fab, queueNames: make([][3]string, queues)}
+	for i := range w.queueNames {
+		pre := fmt.Sprintf("queue%d.", i)
+		w.queueNames[i] = [3]string{pre + "posts", pre + "busy", pre + "waited"}
+	}
 	n := fab.Topology().Ranks()
 	w.procs = make([]*Proc, n)
 	for r := 0; r < n; r++ {
@@ -165,6 +172,10 @@ type Proc struct {
 	// whose last scan found a slot unset need not look again until the
 	// count moves (NotificationsSet).
 	notifSets atomic.Uint64
+
+	// activity, if set, is called on every input a task-aware poller of
+	// this rank has to see: a notification set here and a post (OnActivity).
+	activity func()
 
 	mu      sync.Mutex
 	segs    map[SegmentID]*segState
@@ -397,6 +408,9 @@ func (p *Proc) Book(op Operation) (send func(), d time.Duration, err error) {
 	nreq := 1
 	if op.Type == OpWriteNotify {
 		nreq = 2 // write + notify, as GPI-2 chains two ibverbs requests
+	}
+	if p.activity != nil {
+		p.activity()
 	}
 
 	// A queue in the error state refuses posts until repaired
@@ -801,6 +815,9 @@ func (p *Proc) setNotification(seg SegmentID, id NotificationID, val int64, flow
 	for _, w := range wake {
 		w.p.Unpark()
 	}
+	if p.activity != nil {
+		p.activity()
+	}
 }
 
 // NotifyReset atomically reads and clears a notification slot, returning
@@ -832,6 +849,12 @@ func (p *Proc) NotifyReset(seg SegmentID, id NotificationID) (int64, bool) {
 	}
 	return v, set
 }
+
+// OnActivity installs fn, which the process calls on every notification
+// set on it and every operation posted from it, before the post touches a
+// queue. A task-aware library hands it its polling service's wake
+// (tasking.Service.Wake). Call it before the job runs.
+func (p *Proc) OnActivity(fn func()) { p.activity = fn }
 
 // NotificationsSet returns how many notifications have been set on this
 // rank so far. A slot turns from unset to set only together with an
@@ -1063,18 +1086,19 @@ func (p *Proc) Drain(queueID int) {
 // operation total ("gaspi_queue_errors") in the common observability
 // shape.
 func (p *Proc) Snapshot() obs.Snapshot {
-	s := obs.Snapshot{Component: "gaspi", Rank: int(p.rank)}
+	s := obs.Snapshot{Component: "gaspi", Rank: int(p.rank),
+		Samples: make([]obs.Sample, 0, 3*len(p.queues)+1)}
 	var errs int64
 	for i, q := range p.queues {
 		st := q.res.Stats()
 		q.mu.Lock()
 		errs += q.errors
 		q.mu.Unlock()
-		pre := fmt.Sprintf("queue%d.", i)
+		names := &p.world.queueNames[i]
 		s.Samples = append(s.Samples,
-			obs.Sample{Name: pre + "posts", Value: float64(st.Uses)},
-			obs.Sample{Name: pre + "busy", Value: st.Busy.Seconds(), Unit: "s"},
-			obs.Sample{Name: pre + "waited", Value: st.Waited.Seconds(), Unit: "s"},
+			obs.Sample{Name: names[0], Value: float64(st.Uses)},
+			obs.Sample{Name: names[1], Value: st.Busy.Seconds(), Unit: "s"},
+			obs.Sample{Name: names[2], Value: st.Waited.Seconds(), Unit: "s"},
 		)
 	}
 	s.Samples = append(s.Samples, obs.Sample{Name: "gaspi_queue_errors", Value: float64(errs)})

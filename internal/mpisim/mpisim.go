@@ -197,18 +197,22 @@ func (r *Request) complete(st Status) {
 	}
 }
 
-// park blocks the caller until the request completes.
+// park blocks the caller until the request completes. Its parker is the
+// clock's pooled one (VirtualClock.PooledParker): complete drops the
+// request's reference to it before it unparks it.
 func (r *Request) park() {
 	r.mu.Lock()
 	if r.done {
 		r.mu.Unlock()
 		return
 	}
-	p := r.p.clk.Parker()
+	clk := r.p.clk
+	p := clk.PooledParker()
 	p.SetName(r.p.waitName)
 	r.waiters = append(r.waiters, p)
 	r.mu.Unlock()
 	p.Park()
+	clk.PutParker(p)
 }
 
 // msgKind discriminates protocol messages.
@@ -393,13 +397,12 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 	if len(buf) <= p.prof.EagerThreshold {
 		m := newInMsg()
 		m.kind, m.src, m.tag, m.size = kindEager, p.rank, tag, len(buf)
+		e := newEagerSend()
+		e.p, e.m, e.req, e.buf = p, m, req, buf
 		fm := fabric.NewMessage()
 		fm.Src, fm.Dst, fm.Class, fm.Size = p.rank, dst, fabric.ClassMPI, len(buf)
 		fm.Payload = m
-		fm.OnInjected = func() {
-			m.data = p.snap.Take(buf)
-			req.complete(Status{Count: len(buf)})
-		}
+		fm.OnInjected = e.injectedFn
 		p.fab.Send(fm)
 		return req
 	}
@@ -412,6 +415,51 @@ func (p *Proc) isend(buf []byte, dst Rank, tag int) *Request {
 	fm.Payload = m
 	p.fab.Send(fm)
 	return req
+}
+
+// eagerSend is one eager send between isend and its injection: what its
+// OnInjected hook needs. Pooled, and the hook is a method value bound once
+// per record, as gaspisim's bookings are, so an eager send allocates no
+// closure. An MPI message has no OnFailed hook, so the fabric retransmits
+// it until it is injected and runs the hook exactly once.
+type eagerSend struct {
+	p          *Proc
+	m          *inMsg
+	req        *Request
+	buf        []byte
+	injectedFn func() // e.injected, bound when the record is made
+}
+
+var eagerSendPool sync.Pool
+
+// newEagerSend returns a pooled record with every data field zero.
+//
+//tagalint:hotpath
+func newEagerSend() *eagerSend {
+	if e, _ := eagerSendPool.Get().(*eagerSend); e != nil {
+		return e
+	}
+	return makeEagerSend()
+}
+
+// makeEagerSend makes a record and binds its hook, once per record.
+func makeEagerSend() *eagerSend {
+	e := new(eagerSend)
+	e.injectedFn = e.injected
+	return e
+}
+
+// injected is the OnInjected hook of an eager send: the payload snapshot
+// rides the message, and the send request completes. It returns the record
+// to the pool first.
+//
+//tagalint:hotpath
+func (e *eagerSend) injected() {
+	p, m, req, buf := e.p, e.m, e.req, e.buf
+	*e = eagerSend{injectedFn: e.injectedFn}
+	eagerSendPool.Put(e)
+	m.data = p.snap.Take(buf)
+	req.complete(Status{Count: len(buf)})
 }
 
 // Irecv starts a non-blocking receive into buf from src with the given

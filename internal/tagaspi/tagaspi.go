@@ -22,6 +22,12 @@
 //     (pendingQueue) and drained by the polling task into a private list;
 //     each pass checks arrival with a non-blocking notify-reset, stores the
 //     notified value through the user's pointer, and fulfils the task event.
+//   - While a pass can find nothing — no staged wait or retry, no request
+//     in flight, no notification set since the last scan — the polling
+//     task goes dormant, also mid-run (tasking.Service.InRun). GASPI wakes
+//     it on every notification set on the rank and every post
+//     (gaspisim.Proc.OnActivity), as does a staged wait; the skipped
+//     passes are booked as if they had run.
 //
 // The standard gaspi_wait is obsoleted: TAGASPI checks local completion of
 // task-aware operations internally, so applications only decide which
@@ -177,6 +183,8 @@ func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library
 	l := &Library{p: p}
 	l.drainFn, l.resubmitFn = l.drain, l.resubmit
 	l.svc = rt.NewService("tagaspi-poll", interval, l.quiet)
+	l.svc.InRun(l.resume)
+	p.OnActivity(l.svc.Wake)
 	l.svc.Start(l.poll)
 	return l
 }
@@ -289,6 +297,7 @@ func (l *Library) stage(t *tasking.Task, seg SegmentID, id NotificationID, out *
 	l.outstanding.Add(1)
 	w := newNotifWait()
 	w.seg, w.id, w.out, w.counter = seg, id, out, c
+	l.svc.Wake()
 	l.pending.push(w)
 }
 
@@ -399,13 +408,25 @@ func (l *Library) checkNotifications() {
 	l.waiting = keep
 }
 
-// quiet reports that a pass can find nothing: no notification wait is
-// staged or listed, no failed operation awaits resubmission, and no queue
-// has a request in flight or a completion not yet drained. It is the
-// service's dormancy predicate (tasking.NewService); a pass then drains
-// every queue once and finds each empty.
+// quiet reports that a pass can find nothing and change nothing: no
+// notification wait is staged, no failed operation awaits resubmission, no
+// queue has a request in flight or a completion not yet drained, and no
+// notification has been set on the rank since the last scan, so the listed
+// waits need no look. It is the service's dormancy predicate
+// (tasking.NewService); a pass then drains every queue once, finds each
+// empty and skips the scan. It holds with tasks running too (InRun): what
+// can break it — a notification set, a post, a staged wait — wakes the
+// service first.
 func (l *Library) quiet() bool {
-	return len(l.waiting) == 0 && l.pending.n.Load() == 0 && len(l.retryQ) == 0 && l.p.QueuesIdle()
+	return l.pending.n.Load() == 0 && len(l.retryQ) == 0 &&
+		l.p.NotificationsSet() == l.scanned && l.p.QueuesIdle()
+}
+
+// resume re-enters an idle pass after its first done queue drains: the
+// pass state those drains leave, and the next drain (tasking.Service.InRun).
+func (l *Library) resume(done int) func() {
+	l.q, l.retired = done, 0
+	return l.drainFn
 }
 
 // opFailed handles one fully failed attempt: either schedule a backed-off

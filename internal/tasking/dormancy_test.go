@@ -52,7 +52,7 @@ func runLone(interval, cost, before, mid, after time.Duration, closed bool) dorm
 		rt.Shutdown()
 		r.exit = clk.Now()
 		r.passes, r.idle = s.Passes(), s.IdlePasses()
-		r.undecided = rt.Stats().UndecidedExits
+		r.undecided = rt.Stats().UndecidedWakes
 	})
 	wg.Wait()
 	var tr, ms bytes.Buffer
@@ -142,7 +142,7 @@ func TestUndecidedExitCounted(t *testing.T) {
 		rt.Shutdown()
 	})
 	wg.Wait()
-	if n := rt.Stats().UndecidedExits; n != 1 {
+	if n := rt.Stats().UndecidedWakes; n != 1 {
 		t.Fatalf("%d exits counted as guessed, want 1", n)
 	}
 }

@@ -26,7 +26,11 @@
 // The task-aware libraries' polling services (Service, service.go) are
 // spawned service tasks: like step bodies they take core slots and run as
 // steps on clock callback events, and they yield their slot in wait_for_us
-// between passes.
+// between passes. A service whose passes would find nothing goes dormant
+// instead: it skips them, drawing no timer and taking no core, until an
+// input that could change a pass wakes it — its library's (Service.Wake),
+// a task's core ticket, or Shutdown — and then re-enters its polling grid
+// exactly where the skipped passes had got to.
 package tasking
 
 import (
@@ -59,9 +63,17 @@ type Stats struct {
 	Completed int64 // submitted tasks fully completed
 	Spawned   int64 // service tasks spawned
 
-	// UndecidedExits counts the dormant services Shutdown woke at an exit
-	// instant it could not decide and had to guess (Service.rouse).
-	UndecidedExits int64
+	// SkippedPasses counts the polling passes dormant services skipped
+	// and booked when they woke (Service.rouse); they are among their
+	// passes too.
+	SkippedPasses int64
+	// UndecidedWakes counts the wakes of dormant services where the clock
+	// could not order the step the service re-entered at: whether a step
+	// due at the wake had already run, against a resuming timer drawn at
+	// its draw instant (Service.pending), or where among the timers due
+	// with it to place it (vclock.Event.AtDrawn). Ranks settle what they
+	// can; a stopping runtime's exit step is not counted.
+	UndecidedWakes int64
 }
 
 // Runtime is a per-rank tasking runtime.
@@ -86,11 +98,12 @@ type Runtime struct {
 	spawnLive int              // incomplete spawned service tasks
 	stopping  atomic.Bool      // set under mu, read per pass without it
 	closed    atomic.Bool      // set under mu by Close: no task will be submitted again
-	services  []*Service       // started polling services, in start order
 	seq       int64            // task ids for trace correlation
 	thWaiters []throttleWaiter // Throttle and TaskWait: woken when live falls to max
 	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
 	stats     Stats
+
+	skipped, undecided atomic.Int64 // Stats.SkippedPasses and UndecidedWakes
 }
 
 type throttleWaiter struct {
@@ -341,7 +354,7 @@ func (rt *Runtime) end(t *Task) {
 		rt.lanes.release(t.lane)
 	}
 	rt.finishBody(t)
-	rt.cores.release()
+	rt.cores.releaseTask()
 }
 
 // runSteps runs the steps a step task's last step named with Then, until
@@ -518,7 +531,8 @@ func (rt *Runtime) Throttle(max int) {
 
 // Close declares that no task will be submitted again: a Submit after it
 // panics. From then on a polling service whose library has nothing to poll
-// goes dormant instead of polling until Shutdown (Service.sleep). A rank
+// goes dormant until Shutdown (Service.sleep), even one whose library
+// cannot wake it inside a run (Service.InRun). A rank
 // calls it after its last TaskWait, and Close panics if a task is still
 // incomplete; cluster.Run does so for every rank. Close is idempotent.
 func (rt *Runtime) Close() {
@@ -532,18 +546,18 @@ func (rt *Runtime) Close() {
 
 // Shutdown asks polling services to stop and waits for them and for the
 // task bodies' goroutines to finish. Regular tasks must already be complete
-// (TaskWait). A dormant service is woken at the wake its pass would have
-// stopped at (Service.rouse). Shutdown is idempotent and safe to call from
-// multiple goroutines — an early-exiting rank and the job teardown may both
-// call it.
+// (TaskWait). A dormant service is woken to exit at the first pass that
+// would have seen the runtime stopping (Service.rouse). Shutdown is
+// idempotent and safe to call from multiple goroutines — an early-exiting
+// rank and the job teardown may both call it.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	rt.stopping.Store(true)
-	for _, s := range rt.services {
-		if s.dormant {
-			s.rouse(rt.clk.Resumer())
-		}
-	}
+	rt.mu.Unlock()
+	rt.cores.mu.Lock()
+	rt.cores.rouseAll()
+	rt.cores.mu.Unlock()
+	rt.mu.Lock()
 	if rt.spawnLive > 0 {
 		p := rt.clk.Parker()
 		p.SetName("shutdown")
@@ -563,7 +577,9 @@ func (rt *Runtime) Shutdown() {
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.stats
+	st := rt.stats
+	st.SkippedPasses, st.UndecidedWakes = rt.skipped.Load(), rt.undecided.Load()
+	return st
 }
 
 // Snapshot returns the runtime counters in the common observability
@@ -587,9 +603,13 @@ func (rt *Runtime) Snapshot() obs.Snapshot {
 // order, which makes scheduling deterministic in virtual time instead of
 // following the host scheduler's interleaving. No waiter blocks: a task
 // is handed to granted, a service step runs as a continuation.
+//
+// The scheduler also keeps what polling-service dormancy needs under its
+// lock: the tasks that hold or wait for a core, the services and how many
+// of them are dormant (Service.sleep).
 type coreSched struct {
 	mu        sync.Mutex
-	free      int
+	n, free   int
 	nextTkt   uint64
 	nextGrant uint64
 	// granted runs under mu; true asks for the task to be started
@@ -600,6 +620,10 @@ type coreSched struct {
 	// k mod len(waiters), and len(waiters) is a power of two that acquire
 	// keeps at least nextTkt−nextGrant.
 	waiters []coreWaiter
+
+	tasks   int        // tasks holding or waiting for a core
+	svcs    []*Service // started polling services, in start order
+	dormant int        // how many of them are dormant
 }
 
 // coreWaiter is one waiting ticket: exactly one of t and fn is set.
@@ -609,16 +633,25 @@ type coreWaiter struct {
 }
 
 func newCoreSched(n int, granted func(*Task) bool) *coreSched {
-	return &coreSched{free: n, granted: granted, waiters: make([]coreWaiter, 16)}
+	return &coreSched{n: n, free: n, granted: granted, waiters: make([]coreWaiter, 16)}
 }
 
 // acquire draws the next ticket for w and grants it once a core is free
 // and every earlier ticket has been granted — at once, on the calling
-// goroutine, if that is already so. It never blocks.
+// goroutine, if that is already so. It never blocks. A ticket that could
+// wait behind a dormant service's skipped pass — a task's, or any once the
+// services outnumber the cores — first wakes every dormant service, which
+// takes the core its pass in progress would hold.
 //
 //tagalint:hotpath
 func (cs *coreSched) acquire(w coreWaiter) {
 	cs.mu.Lock()
+	if w.t != nil {
+		cs.tasks++
+	}
+	if cs.dormant > 0 && (w.t != nil || len(cs.svcs) > cs.n) {
+		cs.rouseAll()
+	}
 	if cs.nextTkt-cs.nextGrant == uint64(len(cs.waiters)) {
 		cs.grow()
 	}
@@ -638,9 +671,26 @@ func (cs *coreSched) grow() {
 	cs.waiters = ring
 }
 
+// rouseAll wakes every dormant service. Callers hold cs.mu.
+func (cs *coreSched) rouseAll() {
+	for _, s := range cs.svcs {
+		if s.dormant {
+			s.rouse()
+		}
+	}
+}
+
 // release returns a core and passes it to the next ticket in line.
 func (cs *coreSched) release() {
 	cs.mu.Lock()
+	cs.free++
+	cs.grantUnlock()
+}
+
+// releaseTask is release for a task's core.
+func (cs *coreSched) releaseTask() {
+	cs.mu.Lock()
+	cs.tasks--
 	cs.free++
 	cs.grantUnlock()
 }

@@ -21,9 +21,13 @@ import (
 // A pass is a chain of steps, each run by a clock callback event or by the
 // goroutine whose core release granted the service a core, and each ending
 // in exactly one of After or Done (or in handing the pass to a goroutine
-// that will make that call). Steps must not block. Once the runtime is
-// closed, a service with nothing to poll goes dormant and skips its passes
-// until Shutdown (sleep).
+// that will make that call). Steps must not block.
+//
+// A service whose passes would find nothing goes dormant (sleep): it skips
+// its passes, drawing no timer and taking no core, until an input that can
+// change a pass wakes it (rouse), and then books the skipped passes and
+// re-enters its polling grid where they had got to (replay). DESIGN.md §11
+// says why the skipped passes cannot be told from polled ones.
 type Service struct {
 	rt   *Runtime
 	t    *Task
@@ -39,14 +43,22 @@ type Service struct {
 	start     time.Duration // body span start (instrumented runs)
 	before    time.Duration // start of the pass in progress
 	waitStart time.Duration // wait entry
+	steps     int           // After calls of the pass in progress
+	stepCost  time.Duration // what each of them charged; -1 if they differ
 
-	// Dormancy (sleep, rouse, replay): a dormant service skips the idle
-	// passes of its grid — the first at w1, then one every period — and
-	// books the skipped ones when it wakes. dormant is guarded by rt.mu.
+	// Dormancy. A dormant service's grid is the schedule its skipped
+	// passes keep: pass k starts at w1 + (k−1)·period and makes steps
+	// steps of stepCost each. dormant is guarded by the core scheduler's
+	// lock; asleep mirrors it for Wake's unlocked check.
+	resume     func(done int) func() // re-enters an idle pass (InRun); nil: dormant only once closed
 	dormant    bool
+	asleep     atomic.Bool
 	w1, period time.Duration
-	mark       uint64 // the clock's last sequence number when the service went dormant
-	skipped    int64  // the passes the exit wake books
+	key1       vclock.Key // the wait for w1, drawn as the service went dormant
+	// What the wake books (replay): passes skipped, their wait spans, and
+	// the step of the pass in progress it re-enters at (0: the wait).
+	booked, waits int64
+	at            int
 
 	reacquireFn, resumedFn, replayFn func() // bound once: arming allocates nothing
 
@@ -69,8 +81,8 @@ const minIdleTick = 200 * time.Nanosecond
 // quiet, if not nil, reports that the library has nothing to poll: no
 // pass can retire anything or change what the next one does, so every pass
 // would cost what the one that just ended did. Once the runtime is closed
-// (Close) such a service goes dormant instead of polling (Done). quiet runs
-// as a step: it must not block.
+// (Close) such a service goes dormant instead of polling (Done), and with
+// InRun also while it runs. quiet runs as a step: it must not block.
 func (rt *Runtime) NewService(name string, interval time.Duration, quiet func() bool) *Service {
 	s := &Service{
 		rt: rt, interval: interval, quiet: quiet,
@@ -103,13 +115,15 @@ func (s *Service) Start(poll func()) {
 	rt.spawnLive++
 	rt.running.Add(1)
 	rt.stats.Spawned++
-	rt.services = append(rt.services, s)
 	rt.seq++
 	t.id = rt.seq
 	t.state = stateQueued
 	rt.mu.Unlock()
+	rt.cores.mu.Lock()
+	rt.cores.svcs = append(rt.cores.svcs, s)
+	rt.cores.mu.Unlock()
 
-	rt.clk.InitEvent(&s.ev, s.fire)
+	rt.clk.InitRankedEvent(&s.ev, s.fire)
 	begin := func() {
 		rt.mu.Lock()
 		t.state = stateRunning
@@ -133,6 +147,7 @@ func (s *Service) pass() {
 		return
 	}
 	s.before = s.rt.clk.Now()
+	s.steps, s.stepCost = 0, 0
 	s.poll()
 }
 
@@ -154,6 +169,11 @@ func (s *Service) After(d time.Duration, fn func()) {
 	if d <= 0 {
 		fn()
 		return
+	}
+	if s.steps++; s.steps == 1 {
+		s.stepCost = d
+	} else if d != s.stepCost {
+		s.stepCost = -1
 	}
 	s.next = fn
 	s.ev.After(d)
@@ -220,101 +240,188 @@ func (s *Service) resumed() {
 	s.pass()
 }
 
-// sleep makes the service dormant after an idle pass, if it may: the
-// runtime is closed and not yet stopping, every service can hold a core at
-// once, and the library has nothing to poll. A dormant service releases
-// its core and arms nothing. Every pass it skips would have run on the
-// grid its wait_for_us draws — the first at w1, one every period (the
-// interval plus the cost of a pass, which nothing can change while the
-// library stays quiet) — and touched nothing but the service's own
-// counters and trace, because the runtime is closed: no task can hand the
-// library work, and no pass waits for a core. Shutdown wakes it (rouse).
+// InRun lets the service go dormant while the runtime runs, not only once
+// it is closed. The library promises two things. Its quiet predicate holds
+// only when a pass would find nothing and change nothing, tasks or no
+// tasks. And it calls Wake at every input that could change that, so a
+// dormant service is woken before any pass would see the input. resume
+// re-enters an idle pass after its first done steps: it sets the library's
+// pass state as those steps would have left it and returns the step that
+// comes next. It runs as a step and must not block.
+func (s *Service) InRun(resume func(done int) func()) { s.resume = resume }
+
+// sleep makes the service dormant after an idle pass, if it may. The
+// library must have nothing to poll (quiet) and the runtime must be closed,
+// unless the library declared InRun; the pass must have charged its time
+// in equal steps. No task may hold or wait for a core, and unless every
+// service can hold a core at once, every other service must be dormant:
+// then no pass of the service would have waited for a core, and any task
+// that draws a ticket wakes it first (coreSched.acquire). A dormant service
+// releases its core and arms nothing. It keeps the grid its wait_for_us
+// would have drawn — w1, then one pass every period (the interval plus the
+// pass's length) — and the key of the wait it did not arm.
 //
 //tagalint:hotpath
 func (s *Service) sleep() bool {
 	rt := s.rt
-	if s.quiet == nil || !rt.closed.Load() || !s.quiet() {
+	if s.quiet == nil || s.resume == nil && !rt.closed.Load() || s.stepCost < 0 {
 		return false
 	}
 	now := rt.clk.Now()
-	rt.mu.Lock()
-	if rt.stopping.Load() || len(rt.services) > rt.cfg.Cores {
-		rt.mu.Unlock()
+	if now-s.before != time.Duration(s.steps)*s.stepCost || !s.quiet() {
+		return false
+	}
+	cs := rt.cores
+	cs.mu.Lock()
+	if rt.stopping.Load() || cs.tasks > 0 || len(cs.svcs) > cs.n && cs.dormant < len(cs.svcs)-1 {
+		cs.mu.Unlock()
 		return false
 	}
 	s.dormant = true
+	s.asleep.Store(true)
+	cs.dormant++
 	s.w1, s.period = now+s.interval, s.interval+now-s.before
-	s.mark = rt.clk.Seq()
-	rt.mu.Unlock()
-	rt.cores.release()
+	s.key1 = rt.clk.Draw(s.interval)
+	cs.free++
+	cs.grantUnlock()
 	return true
 }
 
-// rouse arms a dormant service at its exit instant, the first wake of its
-// grid whose pass would have seen the runtime stopping: the first wake at
-// or after now, unless that wake is at now and fired before r, the timer
-// that resumed Shutdown's caller (wokeFirst) — then its pass ran and the
-// next wake exits. Callers hold rt.mu.
-func (s *Service) rouse(r vclock.Key) {
-	now := s.rt.clk.Now()
-	var k int64 // grid steps from w1 to the exit wake: the passes skipped
-	if now > s.w1 {
-		k = int64((now - s.w1 + s.period - 1) / s.period)
+// Wake tells the service that an input may have changed what its next pass
+// would do: a library calls it on every such input (InRun). A dormant
+// service re-enters its grid (rouse); for any other it costs one atomic
+// load.
+//
+//tagalint:hotpath
+func (s *Service) Wake() {
+	if !s.asleep.Load() {
+		return
 	}
-	w := s.w1 + time.Duration(k)*s.period
-	if w == now && s.wokeFirst(k, w, r) {
-		k++
-		w += s.period
+	cs := s.rt.cores
+	cs.mu.Lock()
+	if s.dormant {
+		s.rouse()
 	}
+	cs.mu.Unlock()
+}
+
+// rouse wakes a dormant service at now. It finds the step its skipped
+// schedule had not yet run (pending) and arms the service's event with the
+// key that step would have drawn; if that step is inside a pass, the
+// service takes the core the pass would hold. Once the runtime is stopping
+// the pass in progress ends idle and the next one exits, so the service
+// skips to that pass's wait. Callers hold cs.mu.
+func (s *Service) rouse() {
+	cs := s.rt.cores
 	s.dormant = false
-	s.skipped = k
-	// Armed even at now: the wake must not run under rt.mu, and it fires
-	// once Shutdown's caller parks, as the wake it stands for would have.
+	s.asleep.Store(false)
+	cs.dormant--
+	k, j, undecided := s.pending()
+	if undecided {
+		s.rt.undecided.Add(1)
+	}
+	stopping := s.rt.stopping.Load()
+	if j > 0 && stopping {
+		k, j = k+1, 0
+	}
+	s.book(k - 1)
+	s.booked, s.waits, s.at = k-1, k-1, j
+	if j > 0 {
+		s.waits = k
+		s.before = s.w1 + time.Duration(k-1)*s.period
+		s.steps = j
+		cs.free--
+	}
+	// Armed even at now: the step must not run under cs.mu, and it fires
+	// once the woken caller parks, as the step it stands for would have.
+	// Where it fires among the timers due with it matters only while the
+	// runtime runs: a stopping one's service only exits, which nothing that
+	// fires beside it can see.
 	s.next = s.replayFn
-	s.ev.After(w - now)
+	if k == 1 && j == 0 {
+		s.ev.At(s.key1)
+	} else if due, drawn := s.step(k, j); s.ev.AtDrawn(due, drawn) && !stopping {
+		s.rt.undecided.Add(1)
+	}
 }
 
-// wokeFirst reports whether the grid wake at w, k periods after w1, would
-// have fired before r, which has the same deadline: whether its sequence
-// number would have been drawn before r's. The wake at w1 would have drawn
-// it where sleep read the clock's last one, so it is smaller than r's if r
-// drew later. A later wake would have drawn it one interval before w, at
-// the end of the skipped pass before it, so it is smaller than r's if r was
-// drawn at a later instant. Two draws at one instant cannot be told apart
-// there, nor can anything from a resumer whose draw instant the clock did
-// not keep (a stream item's; in cluster.Run's epilogue the main is resumed
-// from its barrier, by a fabric event or its own timer): such an exit is
-// decided as a later draw for the wake, and counted
-// (Stats.UndecidedExits). Callers hold rt.mu.
-func (s *Service) wokeFirst(k int64, w time.Duration, r vclock.Key) bool {
-	if k == 0 {
-		return r.Seq > s.mark
+// pending returns the first step of the skipped schedule that has not run
+// by now: step j of pass k, passes counting from 1 at w1, step 0 being the
+// wait that ends as the pass starts and step j ≥ 1 the end of the pass's
+// j-th charge. A step due now has run if its key orders before the timer
+// that resumed the caller (vclock.Fired); where the clock cannot tell, the
+// step is taken as not run and reported undecided (Stats.UndecidedWakes).
+func (s *Service) pending() (k int64, j int, undecided bool) {
+	now := s.rt.clk.Now()
+	if now < s.w1 {
+		return 1, 0, false
 	}
-	switch drawn := w - s.interval; {
-	case r.Drawn == vclock.NotDrawn || drawn == r.Drawn:
-		s.rt.stats.UndecidedExits++
-	case drawn < r.Drawn:
-		return true
+	k = int64((now-s.w1)/s.period) + 1
+	o := (now - s.w1) % s.period
+	if o > s.period-s.interval {
+		return k + 1, 0, false
 	}
-	return false
+	if o > 0 {
+		j = int(o / s.stepCost)
+		if o%s.stepCost != 0 {
+			return k, j + 1, false
+		}
+	}
+	var fired bool
+	if k == 1 && j == 0 {
+		fired = s.rt.clk.Fired(s.key1)
+	} else {
+		fired, undecided = s.ev.FiredDrawn(s.step(k, j))
+	}
+	switch {
+	case !fired:
+		return k, j, undecided
+	case j == s.steps:
+		return k + 1, 0, false
+	}
+	return k, j + 1, false
 }
 
-// replay runs at a roused service's exit wake: it books the passes the
-// service skipped as idle passes, with the counter and the wait spans each
-// would have recorded, and takes up the wait that ends now.
+// step returns when step j of pass k is due and when it would have been
+// drawn: where the step before it ran — the wait as the pass before ended,
+// a charge as the charge before it ended. The wait for w1 alone was drawn
+// for real, as the service went dormant (key1).
+func (s *Service) step(k int64, j int) (due, drawn time.Duration) {
+	due = s.w1 + time.Duration(k-1)*s.period
+	if j == 0 {
+		return due, due - s.interval
+	}
+	due += time.Duration(j) * s.stepCost
+	return due, due - s.stepCost
+}
+
+// book counts k skipped passes as idle passes.
+func (s *Service) book(k int64) {
+	s.passes.Add(k)
+	s.idle.Add(k)
+	s.rt.skipped.Add(k)
+}
+
+// replay runs at the step a roused service re-enters at: it records the
+// counter and the wait spans the passes rouse booked would have recorded,
+// and runs the step.
 //
 //tagalint:hotpath
 func (s *Service) replay() {
-	rt, k := s.rt, s.skipped
-	s.passes.Add(k)
-	s.idle.Add(k)
-	if rec := rt.rec; rec != nil && k > 0 {
-		rec.Count(s.passCtr, k)
-		for i := int64(0); i < k; i++ {
+	rt := s.rt
+	if rec := rt.rec; rec != nil {
+		if s.booked > 0 {
+			rec.Count(s.passCtr, s.booked)
+		}
+		for i := int64(0); i < s.waits; i++ {
 			w := s.w1 + time.Duration(i)*s.period
 			rec.Span(rt.rank, obs.TaskTrack(s.t.lane), obs.CatTask, "task:wait",
 				w-s.interval, w, s.t.id)
 		}
+	}
+	if s.at > 0 {
+		s.resume(s.at - 1)()
+		return
 	}
 	s.waitStart = rt.clk.Now() - s.interval
 	s.reacquire()
@@ -328,13 +435,31 @@ func (s *Service) exit() {
 			s.start, rt.clk.Now(), s.t.id)
 		rt.lanes.release(s.t.lane)
 	}
+	s.ev.Unrank()
 	rt.finishBody(s.t)
 	rt.cores.release()
 	rt.running.Done()
 }
 
-// Passes returns the number of completed polling passes.
-func (s *Service) Passes() int64 { return s.passes.Load() }
+// Passes returns the number of completed polling passes, skipped ones
+// included.
+func (s *Service) Passes() int64 { return s.passes.Load() + s.skippedByNow() }
 
 // IdlePasses returns how many completed passes retired nothing.
-func (s *Service) IdlePasses() int64 { return s.idle.Load() }
+func (s *Service) IdlePasses() int64 { return s.idle.Load() + s.skippedByNow() }
+
+// skippedByNow returns how many passes a dormant service has skipped so
+// far, which its wake has yet to book.
+func (s *Service) skippedByNow() int64 {
+	if !s.asleep.Load() {
+		return 0
+	}
+	cs := s.rt.cores
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if !s.dormant {
+		return 0
+	}
+	k, _, _ := s.pending()
+	return k - 1
+}

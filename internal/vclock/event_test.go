@@ -1,8 +1,10 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,35 +271,83 @@ func TestTimerSizeClass(t *testing.T) {
 	}
 }
 
-// TestResumerKeysTheWake checks the key Resumer reports to a goroutine:
-// the deadline, sequence number and draw instant of the timer whose
+// TestFiredOrdersByKey checks what Fired and FiredDrawn tell a goroutine
+// about a key due at the instant it resumed, against the timer whose
 // firing resumed it — its own Sleep, an event whose callback unparked it,
-// and a stream item whose callback did, which keeps no draw instant.
-func TestResumerKeysTheWake(t *testing.T) {
+// a stream item whose callback did: an earlier deadline or draw instant
+// has fired, a later one has not, and a ranked event drawn at the
+// resumer's instant is undecided unless the resumer is ranked too.
+func TestFiredOrdersByKey(t *testing.T) {
 	c := NewVirtual()
+	var ev Event
+	c.InitRankedEvent(&ev, func() {})
+	check := func(what string, due, drawn time.Duration, fired, undecided bool) {
+		t.Helper()
+		if f, u := ev.FiredDrawn(due, drawn); f != fired || u != undecided {
+			t.Errorf("%s: FiredDrawn(%v, %v) = %v, %v, want %v, %v", what, due, drawn, f, u, fired, undecided)
+		}
+	}
 	join(c, func() {
-		if k := c.Resumer(); k != (Key{}) {
-			t.Errorf("before any timer fired: %+v, want the zero Key", k)
-		}
+		before := c.Draw(5) // drawn at 0, before the Sleep's own draw
 		c.Sleep(5)
-		k := c.Resumer()
-		if k.Deadline != 5 || k.Drawn != 0 || k.Seq != c.Seq() {
-			t.Errorf("after Sleep(5) from 0: %+v, want deadline 5 drawn at 0 with the last seq %d", k, c.Seq())
+		after := c.Draw(0)
+		if !c.Fired(before) || c.Fired(after) {
+			t.Errorf("Fired(%+v), Fired(%+v) = %v, %v: want the draw before the Sleep's fired, the one after not",
+				before, after, c.Fired(before), c.Fired(after))
 		}
+		check("due earlier", 4, 4, true, false)
+		check("due later", 6, 0, false, false)
+		check("drawn at the resumer's instant", 5, 0, false, true)
+
 		p := c.Parker()
 		newEvent(c, p.Unpark).After(3)
-		seq := c.Seq()
 		p.Park()
-		if k := c.Resumer(); k != (Key{Deadline: 8, Seq: seq, Drawn: 5}) {
-			t.Errorf("after an event armed at 5 for 3 unparked us: %+v, want {8 %d 5}", k, seq)
-		}
+		check("drawn before an event drawn at 5", 8, 4, true, false)
+		check("drawn with an event drawn at 5", 8, 5, false, true)
+
 		var s Stream[*Parker]
 		InitStream(c, &s, (*Parker).Unpark)
 		s.Push(4, p)
-		seq = c.Seq()
 		p.Park()
-		if k := c.Resumer(); k != (Key{Deadline: 12, Seq: seq, Drawn: NotDrawn}) {
-			t.Errorf("after a stream item pushed at 8 for 4 unparked us: %+v, want {12 %d %d}", k, seq, NotDrawn)
-		}
+		check("drawn before a stream item drawn at 8", 12, 7, true, false)
+		check("drawn with a stream item drawn at 8", 12, 8, false, true)
+		check("drawn after a stream item drawn at 8", 12, 9, false, false)
 	})
+}
+
+// TestAtDrawnPlacesByRank arms ranked events with keys they did not draw
+// and checks where they fire among timers due with them: after every key
+// drawn at an earlier instant, right after the last armed ranked event
+// drawn at their instant and ranked below them, or right before the first
+// ranked above. A placement among a timer drawn at that instant that is
+// not a ranked event is reported undecided.
+func TestAtDrawnPlacesByRank(t *testing.T) {
+	c := NewVirtual()
+	var order []string
+	var evs [5]Event
+	for i := range evs {
+		name := fmt.Sprintf("rank %d", i+1)
+		c.InitRankedEvent(&evs[i], func() { order = append(order, name) })
+	}
+	mark := func(name string) func() { return func() { order = append(order, name) } }
+	join(c, func() {
+		newEvent(c, mark("drawn at 0")).After(10)
+		c.Sleep(2)
+		evs[1].After(8) // rank 2, drawn at 2
+		evs[3].After(8) // rank 4, drawn at 2
+		for _, i := range []int{2, 0} {
+			if evs[i].AtDrawn(10, 2) {
+				t.Errorf("rank %d: placement undecided", i+1)
+			}
+		}
+		newEvent(c, mark("drawn at 2")).After(8)
+		if !evs[4].AtDrawn(10, 2) {
+			t.Error("rank 5 placed beside an unranked timer drawn at its instant: decided, want undecided")
+		}
+		c.Sleep(9)
+	})
+	want := []string{"drawn at 0", "rank 1", "rank 2", "rank 3", "rank 4", "rank 5", "drawn at 2"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired %q, want %q", order, want)
+	}
 }

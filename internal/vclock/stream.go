@@ -44,7 +44,6 @@ func (a *streamItem[T]) before(b *streamItem[T]) bool {
 // holds items (its event is armed) panics.
 func InitStream[T any](c *VirtualClock, s *Stream[T], fn func(T)) {
 	c.InitEvent(&s.ev, s.fire)
-	s.ev.drawn = NotDrawn // items keep no draw instant: it would widen each by a word
 	s.fn = fn
 }
 

@@ -67,7 +67,7 @@ import (
 type VirtualClock struct {
 	now    atomic.Int64  // current virtual time, ns; written only under adv
 	active atomic.Int64  // registered and runnable goroutines
-	seq    atomic.Uint64 // process-wide timer sequence, breaks deadline ties
+	seq    atomic.Uint64 // the last timer sequence drawn, breaks deadline ties (Key)
 
 	// adv serializes the advance step. Lock order: adv, then mu; nothing
 	// acquires adv while holding mu.
@@ -88,15 +88,23 @@ type VirtualClock struct {
 	// to the goroutine parked on deadlockTo, which panics with it.
 	deadlock   string
 	deadlockTo *Parker
-	// fired is the key of the timer the advance step fired last.
-	fired Key
+	// fired is the key and rank of the timer the advance step fired last
+	// (Fired), kept without the timer, which the clock must not keep alive.
+	fired struct {
+		deadline time.Duration
+		seq      uint64
+		rank     uint32
+	}
+	// ranked holds the ranked events (InitRankedEvent), rank r at r−1.
+	ranked []*Event
 
 	// sleepers recycles the parker (and its embedded timer) of Sleep
-	// calls. Sleep is the hottest allocation site of the whole simulator
-	// (every modelled delay of every resource and rank main passes
-	// through it), so this pool removes the dominant per-event
-	// garbage. Timers are removed from the heap eagerly on wake,
-	// so a recycled parker's timer is never still heap-linked.
+	// calls and of PooledParker's one-shot waits. Sleep is the hottest
+	// allocation site of the whole simulator (every modelled delay of
+	// every resource and rank main passes through it), so this pool
+	// removes the dominant per-event garbage. Timers are removed from the
+	// heap eagerly on wake, so a recycled parker's timer is never still
+	// heap-linked.
 	sleepers sync.Pool
 }
 
@@ -141,16 +149,27 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	var p *Parker
-	if v := c.sleepers.Get(); v != nil {
-		p = v.(*Parker)
-	} else {
-		p = c.Parker()
-	}
-	t := p.timerFor(d)
-	p.park(t)
-	c.sleepers.Put(p)
+	p := c.PooledParker()
+	p.park(p.timerFor(d))
+	c.PutParker(p)
 }
+
+// PooledParker returns a parker from the pool Sleep recycles its own
+// through, for a one-shot wait; PutParker returns it once the wait is
+// over. The waker must drop every reference to the parker before it
+// unparks it: Unpark touches nothing of it after the parked goroutine can
+// see its wake but a token on its channel, which a later Park drains and
+// re-checks. A pooled parker keeps the name its last user gave it.
+func (c *VirtualClock) PooledParker() *Parker {
+	if p, _ := c.sleepers.Get().(*Parker); p != nil {
+		return p
+	}
+	return c.Parker()
+}
+
+// PutParker returns a parker PooledParker handed out, once its wait is
+// over.
+func (c *VirtualClock) PutParker(p *Parker) { c.sleepers.Put(p) }
 
 // Launch registers n goroutines with c in one step and returns the function
 // that starts them, each running body(i) and unregistering when it returns.
@@ -179,14 +198,15 @@ func (c *VirtualClock) Parker() *Parker {
 }
 
 // timer wakes a parker, or runs an event callback, at a deadline. It is 48
-// bytes, one size class: a field more would put it in the next.
+// bytes, one size class: a field more would put it in the next. Its seq
+// also says when it was drawn (Key), so no field records that.
 type timer struct {
 	deadline time.Duration
 	seq      uint64
-	drawn    time.Duration // the instant seq was drawn
-	p        *Parker       // the goroutine to wake; nil for a callback event
-	fn       func()        // the callback to run; nil for a goroutine timer
-	index    int           // heap position, or unarmed / inLane
+	p        *Parker // the goroutine to wake; nil for a callback event
+	fn       func()  // the callback to run; nil for a goroutine timer
+	index    int     // heap position, or unarmed / inLane
+	rank     uint32  // a ranked event's rank (InitRankedEvent); 0 for any other timer
 }
 
 const (
@@ -202,11 +222,17 @@ type timerEnt struct {
 	t        *timer
 }
 
+// before orders two entries by key. Only a ranked event placed after or
+// before another's key (Event.AtDrawn) shares that key, and ranks order the
+// two.
 func (a timerEnt) before(b timerEnt) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
 	}
-	return a.seq < b.seq
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.t.rank < b.t.rank
 }
 
 // timerHeap is a 4-ary min-heap on (deadline, seq). Each queued timer's
@@ -380,8 +406,7 @@ func (p *Parker) SetExternal(external bool) { p.external = external }
 //tagalint:hotpath
 func (p *Parker) timerFor(d time.Duration) *timer {
 	t := p.t
-	t.drawn = p.c.Now()
-	t.deadline = t.drawn + d
+	t.deadline = p.c.Now() + d
 	t.seq = p.c.seq.Add(1)
 	return t
 }
@@ -530,8 +555,8 @@ func (c *VirtualClock) advance() {
 }
 
 // advanceLocked fires timers in (deadline, seq) order while the clock is
-// quiescent (active == 0). Determinism: seq comes from one process-wide
-// counter, each lane is sorted by construction and the heap by definition,
+// quiescent (active == 0). Determinism: seq comes from one counter that
+// only grows (Key), each lane is sorted by construction and the heap by definition,
 // and a stream's heap entry carries its smallest key, so the minimum over
 // the heap top and the lane heads is the timer a single heap holding all of
 // them would pop.
@@ -586,9 +611,9 @@ func (c *VirtualClock) advanceLocked() {
 			continue
 		}
 		if int64(first.deadline) > c.now.Load() {
-			c.now.Store(int64(first.deadline))
+			c.moveTo(first.deadline)
 		}
-		c.fired = Key{first.deadline, first.seq, t.drawn}
+		c.fired.deadline, c.fired.seq, c.fired.rank = first.deadline, first.seq, t.rank
 		c.active.Add(1)
 		if p != nil {
 			p.waiting = false
@@ -644,34 +669,184 @@ func (c *VirtualClock) deadlockLocked() {
 	}
 }
 
-// Key is the order key of a fired timer: the (Deadline, Seq) pair the
-// clock fires timers in, and Drawn, the instant Seq was drawn, or NotDrawn
-// for a Stream's item. Sequence numbers only grow and virtual time never
-// runs backwards, so of two timers with one deadline, the one drawn at the
-// earlier instant fires first; only draws made at one instant need their
-// Seq to be told apart.
+// Key is the order key of a drawn timer: the clock fires timers in
+// (Deadline, Seq) order. Seq packs two numbers: above drawBits, the
+// instant the key was drawn at, and below, the draw's rank among that
+// instant's draws, from 1. Virtual time never runs backwards, so this
+// orders keys exactly as one ever-growing counter would, and every key — a
+// stream item's too — says when it was drawn without a field of its own.
 type Key struct {
 	Deadline time.Duration
 	Seq      uint64
-	Drawn    time.Duration
 }
 
-// NotDrawn is the Drawn of a Key whose draw instant was not kept.
-const NotDrawn time.Duration = -1
+// drawBits is the width of a sequence number's rank part: an instant holds
+// 2^20 − 1 draws before its ranks spill into the instant part, and the
+// instant part holds 2^44 ns (4.8 hours) of virtual time. Past either
+// bound keys still order exactly, since moveTo never lowers the counter;
+// only the draw instants read late.
+const drawBits = 20
 
-// Seq returns the timer sequence number drawn last: a timer armed later
-// draws a larger one.
-func (c *VirtualClock) Seq() uint64 { return c.seq.Load() }
+// drawnAt returns the instant a sequence number was drawn at.
+func drawnAt(seq uint64) time.Duration { return time.Duration(seq >> drawBits) }
 
-// Resumer returns the key of the timer the clock fired last. No timer fires
-// while a registered goroutine runs, so for a running goroutine this is the
-// timer whose firing resumed the simulation: the one its own wake, or the
-// wake of whatever woke it, followed in the clock's order. It is the zero
-// Key before the first timer fires.
-func (c *VirtualClock) Resumer() Key {
+// moveTo advances virtual time to t and restarts the draw ranks. Callers
+// hold c.adv with the clock quiescent, so no draw races it.
+func (c *VirtualClock) moveTo(t time.Duration) {
+	c.now.Store(int64(t))
+	if base := uint64(t) << drawBits; base>>drawBits == uint64(t) && base > c.seq.Load() {
+		c.seq.Store(base)
+	}
+}
+
+// Draw draws the key a timer armed now to fire d from now would take.
+func (c *VirtualClock) Draw(d time.Duration) Key {
+	return Key{c.Now() + max(d, 0), c.seq.Add(1)}
+}
+
+// Fired reports whether a timer keyed k would have fired by now: whether k
+// orders before the timer the clock fired last, which for a running
+// goroutine is the one whose firing resumed the simulation.
+func (c *VirtualClock) Fired(k Key) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fired
+	f := c.fired
+	c.mu.Unlock()
+	if k.Deadline != f.deadline {
+		return k.Deadline < f.deadline
+	}
+	return k.Seq < f.seq
+}
+
+// InitRankedEvent is InitEvent for an event whose owner arms it, now and
+// then, with a key it did not draw (AtDrawn): a dormant polling service's
+// step. Ranks are handed out from 1 in call order, and ranked events due
+// at one deadline and drawn at one instant fire in rank order.
+func (c *VirtualClock) InitRankedEvent(e *Event, fn func()) {
+	c.InitEvent(e, fn)
+	c.mu.Lock()
+	c.ranked = append(c.ranked, e)
+	e.rank = uint32(len(c.ranked))
+	c.mu.Unlock()
+}
+
+// Unrank removes the ranked event e from the clock's ranking once its owner
+// will arm it no more, so that the clock, which a sync.Pool may keep
+// reachable after its job ends, does not keep the owner alive. Its rank is
+// not handed out again.
+func (e *Event) Unrank() {
+	c := e.c
+	c.mu.Lock()
+	c.ranked[e.rank-1] = nil
+	c.mu.Unlock()
+}
+
+// FiredDrawn reports whether the ranked event e, had it been armed at the
+// instant drawn to fire at deadline, would have fired by now (Fired). A
+// key drawn at another instant than the last fired timer's orders by that
+// instant, and against another ranked event drawn at the same instant by
+// rank; against any other timer drawn there it is undecided, and reported
+// as not fired.
+func (e *Event) FiredDrawn(deadline, drawn time.Duration) (fired, undecided bool) {
+	c := e.c
+	c.mu.Lock()
+	f := c.fired
+	c.mu.Unlock()
+	switch {
+	case deadline != f.deadline:
+		return deadline < f.deadline, false
+	case drawn != drawnAt(f.seq):
+		return drawn < drawnAt(f.seq), false
+	case f.rank == 0:
+		return false, true
+	}
+	return e.rank < f.rank, false
+}
+
+// AtDrawn arms the ranked event e to fire at deadline as if drawn at the
+// instant drawn, at or before now. Among the ranked events armed for
+// deadline and drawn at that instant — the steps of polling services that
+// keep one grid, which fire one after another, each drawing its next step,
+// in the order they took when they first shared the grid: rank order, for
+// services that start together — e takes its place by rank: right after
+// the last of those ranked below it, else right before the first of those
+// ranked above it, else before every timer drawn at that instant. The
+// placement is undecided, and reported, if one ranked below fires after
+// one ranked above — then their order is not rank order, and neither may
+// e's be — or if a timer that is not a ranked event is due with e and
+// was drawn at that instant.
+func (e *Event) AtDrawn(deadline, drawn time.Duration) (undecided bool) {
+	c := e.c
+	if deadline < c.Now() {
+		panic("vclock: AtDrawn with a deadline in the past")
+	}
+	seq := uint64(drawn) << drawBits
+	c.mu.Lock()
+	if e.index != unarmed {
+		c.mu.Unlock()
+		panic("vclock: AtDrawn on an Event that is already armed")
+	}
+	var below, above uint64 // the latest key ranked below e, the earliest ranked above
+	anyBelow, anyAbove := false, false
+	for _, r := range c.ranked {
+		if r == nil || r.index == unarmed || r.deadline != deadline || drawnAt(r.seq) != drawn {
+			continue
+		}
+		if r.rank < e.rank {
+			below, anyBelow = max(below, r.seq), true
+		} else if !anyAbove || r.seq < above {
+			above, anyAbove = r.seq, true
+		}
+	}
+	switch {
+	case anyBelow:
+		seq = below
+	case anyAbove:
+		seq = above
+	}
+	undecided = anyBelow && anyAbove && below > above || c.unrankedDueLocked(deadline, drawn)
+	e.deadline, e.seq = deadline, seq
+	c.pushEventLocked(&e.timer, deadline-c.Now())
+	c.mu.Unlock()
+	return undecided
+}
+
+// unrankedDueLocked reports whether a timer other than a ranked event is
+// armed to fire at deadline and was drawn at the instant drawn: a key
+// whose order against a placed one nobody knows. Callers hold c.mu.
+func (c *VirtualClock) unrankedDueLocked(deadline, drawn time.Duration) bool {
+	due := func(e timerEnt) bool {
+		return e.deadline == deadline && drawnAt(e.seq) == drawn && e.t.rank == 0
+	}
+	for _, e := range c.timers {
+		if due(e) {
+			return true
+		}
+	}
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		for _, e := range l.buf[l.head:] {
+			if due(e) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// At arms the event with a key Draw returned, due at or after now.
+func (e *Event) At(k Key) {
+	c := e.c
+	if k.Deadline < c.Now() {
+		panic("vclock: At with a deadline in the past")
+	}
+	c.mu.Lock()
+	if e.index != unarmed {
+		c.mu.Unlock()
+		panic("vclock: At on an Event that is already armed")
+	}
+	e.deadline, e.seq = k.Deadline, k.Seq
+	c.pushEventLocked(&e.timer, k.Deadline-c.Now())
+	c.mu.Unlock()
 }
 
 // Event is a reusable callback timer: the event-driven counterpart of a
@@ -717,7 +892,7 @@ func (e *Event) After(d time.Duration) {
 		c.mu.Unlock()
 		panic("vclock: After on an Event that is already armed")
 	}
-	e.deadline, e.seq, e.drawn = now+d, seq, now
+	e.deadline, e.seq = now+d, seq
 	c.pushEventLocked(&e.timer, d)
 	c.mu.Unlock()
 }

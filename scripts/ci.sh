@@ -37,8 +37,8 @@ go run ./cmd/tagalint -stale-ignores=error ./...
 # goroutines, the MPI and GASPI layers whose delivery callbacks and rank
 # goroutines share matching and queue state, and the apps, whose step-task
 # kernels run on clock callbacks and granting goroutines, three times
-# each. The full -race pass below is red on ROADMAP item 1's same-instant
-# drift and is skipped under CI_SHORT=1.
+# each. The full -race pass below is skipped under CI_SHORT=1; no
+# same-instant drift turns it red any more (ROADMAP item 1).
 echo "== go test -race -count=3 (tasking, tagaspi, tampi, cluster, mpisim, gaspisim, apps)"
 go test -race -count=3 ./internal/tasking ./internal/tagaspi ./internal/tampi ./internal/cluster \
     ./internal/mpisim ./internal/gaspisim ./internal/apps/...
@@ -79,8 +79,9 @@ done
 # stream that never drains must stay at its backlog high-water mark, not
 # grow with the message count; a nil-Collector
 # instrumentation site and an idle pass of the TAMPI and TAGASPI polling
-# services must allocate nothing, and so must a service's going dormant in
-# its rank's epilogue and waking at Shutdown; Tracer.Events must copy N events in one
+# services must allocate nothing, and so must a service's going dormant,
+# in its rank's epilogue or inside a run, and waking at Shutdown or on a
+# notification; Tracer.Events must copy N events in one
 # allocation of N; 256 sends of one unchanged buffer must share one
 # payload snapshot in mpisim and gaspisim; a pending task with five
 # dependencies must keep no more heap than
