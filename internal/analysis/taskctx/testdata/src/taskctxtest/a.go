@@ -206,6 +206,7 @@ func blockingStepTask(rt *tasking.Runtime, clk *vclock.VirtualClock, res *vsync.
 			_ = p.Submit(gaspisim.Operation{})               // want "gaspisim.Proc.Submit in a step or clock callback"
 			_ = mpi.Isend(buf, 1, 0)                         // want "mpisim.Proc.Isend in a step or clock callback"
 			clk.Parker().Park()                              // want "vclock.Parker.Park in a step or clock callback"
+			_ = rt.Now()                                     // want "tasking.Runtime.Now in a step or clock callback"
 			_ = tg.WriteNotify(t, 0, 0, 1, 0, 0, 8, 0, 1, 0) // ok: a step task's post never blocks
 		})
 	}, tasking.WithLabel("steps"), tasking.NonBlocking())

@@ -601,7 +601,8 @@ func runHybrid(env *cluster.Env, p Params, epochs []*Epoch, oneSided bool) Outpu
 			a.agree(pl)
 			a.seedAcks(pl)
 		}
-		a.refine += env.Clk.Now() - t0
+		// rt.Now: the seed task's creation cost ends the refinement stage.
+		a.refine += rt.Now() - t0
 		s0, s1 := a.stepsOf(ei)
 		keys := &depKeys{} // shared across the epoch's steps: the data flow
 		for s := s0; s < s1; s++ {

@@ -11,10 +11,17 @@
 // hook the task-aware communication libraries (packages tampi and tagaspi)
 // use to bind in-flight communication operations to tasks.
 //
-// Each simulated rank owns one Runtime with one core slot per core. A ready
-// task takes a slot in ticket order, pays the dispatch overhead, and runs
-// its body, holding the slot until the body is done. A body comes in one of
-// two kinds:
+// Each simulated rank owns one Runtime, and its rank main is the runtime's
+// one submitter. Submit returns before the task's creation cost
+// (Config.SubmitOverhead) has elapsed: the task is registered at once
+// behind a creation guard, which a chain of clock events releases when a
+// main paying each cost in turn would have created it, and the main's
+// next runtime call (Throttle, TaskWait, Shutdown or Now) waits until the
+// chain has run dry. The main parks once per wait, not once per task.
+//
+// A runtime has one core slot per core. A ready task takes a slot in
+// ticket order, pays the dispatch overhead, and runs its body, holding the
+// slot until the body is done. A body comes in one of two kinds:
 //
 //   - A goroutine body (the default) runs on a goroutine of its own and may
 //     block: Compute, a TAMPI Iwait's MPI call, a blocking GASPI post.
@@ -50,7 +57,9 @@ type Config struct {
 	// SubmitOverhead is modelled time charged to the submitter per task
 	// creation (dependency registration cost). Zero under the ideal
 	// profile; nonzero values reproduce the tasking overheads the paper
-	// observes with small block sizes (Figs. 10 and 12).
+	// observes with small block sizes (Figs. 10 and 12). A Submit returns
+	// before its overhead has elapsed, and the submitter's next runtime
+	// call waits for it (Submit).
 	SubmitOverhead time.Duration
 	// DispatchOverhead is modelled time charged on a core before each
 	// task body runs (scheduling cost).
@@ -103,6 +112,17 @@ type Runtime struct {
 	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
 	stats     Stats
 
+	// The creation chain (Submit): the submitted tasks whose creation
+	// guard is still held, linked through their pre.t (Task.pre) in
+	// submission order from chainHead to chainTail; the event that
+	// creates the head, armed or running exactly while chainBusy is set;
+	// and the submitter parked until the chain has run dry (waitCreated).
+	// All guarded by mu.
+	chainHead, chainTail *Task
+	chainBusy            bool
+	submitter            *vclock.Parker
+	creation             vclock.Event
+
 	skipped, undecided atomic.Int64 // Stats.SkippedPasses and UndecidedWakes
 }
 
@@ -120,6 +140,7 @@ func New(clk *vclock.VirtualClock, cfg Config) *Runtime {
 	rt.cores = newCoreSched(cfg.Cores, rt.granted)
 	vclock.InitStream(clk, &rt.starts, rt.start)
 	vclock.InitStream(clk, &rt.steps, rt.resume)
+	clk.InitEvent(&rt.creation, rt.create)
 	return rt
 }
 
@@ -183,16 +204,28 @@ func NonBlocking() Option { return Option{kind: optNonBlocking} }
 // It returns the task handle; the task runs asynchronously once its
 // dependencies are satisfied and a core is free.
 //
-// Submit must not be called concurrently from multiple goroutines of the
-// same runtime when tasks share regions: like OmpSs-2, the sequential
-// submission order defines the data-flow semantics.
+// A runtime has one submitter, its rank main: like OmpSs-2, the sequential
+// submission order defines the data-flow semantics, so Submit must not be
+// called from several goroutines, nor from task bodies or callbacks.
+//
+// Submit does not wait for the creation cost (Config.SubmitOverhead) to
+// elapse. It registers the task at once behind a creation guard, one extra
+// predecessor, and queues it on the runtime's creation chain: one clock
+// event per task, each SubmitOverhead after the one before, which releases
+// the guard when a submitter that paid each overhead in turn would have
+// created the task. The submitter's next runtime call (Throttle, TaskWait,
+// Shutdown or Now) waits until the chain has run dry; between a
+// Submit and that call it must make no call that reads or spends modelled
+// time.
 func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
-	if rt.cfg.SubmitOverhead > 0 {
-		rt.clk.Sleep(rt.cfg.SubmitOverhead)
-	}
 	t := &Task{rt: rt, body: body}
 	t.pre = EventCounter{t: t, pre: true}
 	t.comp = EventCounter{t: t, n: 1} // the body-execution pseudo-event
+	guarded := rt.cfg.SubmitOverhead > 0
+	if guarded {
+		t.preds = 1   // the creation guard
+		t.pre.t = nil // the chain's link until create
+	}
 	rt.mu.Lock()
 	if rt.stopping.Load() {
 		rt.mu.Unlock()
@@ -220,15 +253,110 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 			t.steps = true
 		}
 	}
+	if guarded {
+		if rt.chainTail != nil {
+			rt.chainTail.pre.t = t
+		} else {
+			rt.chainHead = t
+		}
+		rt.chainTail = t
+		first := !rt.chainBusy
+		rt.chainBusy = true
+		rt.mu.Unlock()
+		if first {
+			// Drawn at the Submit, where a submitter sleeping out the
+			// overhead would draw its wake: the chain's keys must be
+			// those of that model.
+			rt.creation.After(rt.cfg.SubmitOverhead)
+		}
+		return t
+	}
 	satisfied := t.preds == 0
 	rt.mu.Unlock()
+	rt.created(t, satisfied)
+	return t
+}
+
+// create is the creation chain's event: the submission overhead of the
+// chain's head task has elapsed. It releases the head's creation guard,
+// creates the task and arms itself for the next task, drawing its key
+// where a submitter that had just created the head would have drawn its
+// next Sleep. Once the chain is dry it wakes a waiting submitter.
+//
+// An edge registered at Submit to a predecessor that completes before the
+// guard is released only lowers the count of a task still guarded: the
+// registry keeps every predecessor but the completed ones (addEdge), so
+// the task becomes ready when it would have had the edge never existed,
+// with no release edge (relBy 0) if the guard is released last.
+//
+//tagalint:hotpath
+func (rt *Runtime) create() {
+	rt.mu.Lock()
+	t := rt.chainHead
+	rt.chainHead, t.pre.t = t.pre.t, t
+	if rt.chainHead == nil {
+		rt.chainTail = nil
+	}
+	t.preds--
+	satisfied := t.preds == 0
+	rt.mu.Unlock()
+	rt.created(t, satisfied)
+	rt.mu.Lock()
+	more := rt.chainHead != nil
+	var p *vclock.Parker
+	if !more {
+		rt.chainBusy = false
+		p, rt.submitter = rt.submitter, nil
+	}
+	rt.mu.Unlock()
+	if more {
+		rt.creation.After(rt.cfg.SubmitOverhead)
+	} else if p != nil {
+		p.Unpark()
+	}
+}
+
+// created records a registered task's creation and advances it if its
+// dependencies are already satisfied.
+func (rt *Runtime) created(t *Task, satisfied bool) {
 	if rt.rec != nil {
 		rt.rec.Instant(rt.rank, obs.TrackMain, obs.CatTask, "task:create", rt.clk.Now(), t.id)
 	}
 	if satisfied {
 		rt.depsSatisfied(t)
 	}
-	return t
+}
+
+// waitCreated parks the submitter until the creation chain has run dry:
+// every task it submitted has been created, at the instant a submitter
+// paying each overhead in turn would have reached. Throttle, TaskWait,
+// Shutdown and Now wait here first; Close needs not, since a task still
+// in the chain is incomplete.
+func (rt *Runtime) waitCreated() {
+	rt.mu.Lock()
+	if !rt.chainBusy {
+		rt.mu.Unlock()
+		return
+	}
+	if rt.submitter != nil {
+		rt.mu.Unlock()
+		panic("tasking: two goroutines wait for the creation chain; a runtime has one submitter")
+	}
+	p := rt.clk.PooledParker()
+	p.SetName("submit")
+	rt.submitter = p
+	rt.mu.Unlock()
+	p.Park()
+	rt.clk.PutParker(p)
+}
+
+// Now waits until every task submitted so far has been created and reads
+// the clock: the instant a submitter that paid each task's SubmitOverhead
+// in turn would read. A rank main reads the time through it after
+// submitting.
+func (rt *Runtime) Now() time.Duration {
+	rt.waitCreated()
+	return rt.clk.Now()
 }
 
 // depsSatisfied advances a task whose dependencies are all released:
@@ -427,16 +555,20 @@ func (rt *Runtime) completeLocked(t *Task) (ready []*Task) {
 	if t.spawned {
 		rt.spawnLive--
 		if rt.spawnLive == 0 {
-			for _, p := range rt.sdWaiters {
+			// The waiters' parkers are pooled: each slot is cleared
+			// before its parker is woken and recycled.
+			for i, p := range rt.sdWaiters {
+				rt.sdWaiters[i] = nil
 				p.Unpark()
 			}
-			rt.sdWaiters = nil
+			rt.sdWaiters = rt.sdWaiters[:0]
 		}
 	} else {
 		rt.live--
 		if len(rt.thWaiters) > 0 {
 			keep := rt.thWaiters[:0]
-			for _, w := range rt.thWaiters {
+			for i, w := range rt.thWaiters {
+				rt.thWaiters[i] = throttleWaiter{}
 				if rt.live <= w.max {
 					w.p.Unpark()
 				} else {
@@ -504,21 +636,22 @@ func (la *laneAlloc) release(l int32) {
 
 // TaskWait blocks until every submitted task has completed (dependencies
 // released), like #pragma oss taskwait: Throttle(0). It must be called
-// from a non-task goroutine (the rank's main), never from inside a task
-// body.
+// from the submitter (the rank's main), never from inside a task body.
 func (rt *Runtime) TaskWait() { rt.Throttle(0) }
 
-// Throttle blocks until at most max tasks are incomplete. Rank mains call
-// it between iterations to bound the live task window without introducing
-// a barrier (the Nanos6 throttle). Its parker is named "taskwait" when max
+// Throttle blocks until every submitted task has been created
+// (waitCreated) and at most max tasks are incomplete. Rank mains call it
+// between iterations to bound the live task window without introducing a
+// barrier (the Nanos6 throttle). Its parker is named "taskwait" when max
 // is 0, so a deadlock report says which wait a rank is stuck in.
 func (rt *Runtime) Throttle(max int) {
+	rt.waitCreated()
 	rt.mu.Lock()
 	if rt.live <= max {
 		rt.mu.Unlock()
 		return
 	}
-	p := rt.clk.Parker()
+	p := rt.clk.PooledParker()
 	if max == 0 {
 		p.SetName("taskwait")
 	} else {
@@ -527,6 +660,7 @@ func (rt *Runtime) Throttle(max int) {
 	rt.thWaiters = append(rt.thWaiters, throttleWaiter{p: p, max: max})
 	rt.mu.Unlock()
 	p.Park()
+	rt.clk.PutParker(p)
 }
 
 // Close declares that no task will be submitted again: a Submit after it
@@ -534,7 +668,8 @@ func (rt *Runtime) Throttle(max int) {
 // goes dormant until Shutdown (Service.sleep), even one whose library
 // cannot wake it inside a run (Service.InRun). A rank
 // calls it after its last TaskWait, and Close panics if a task is still
-// incomplete; cluster.Run does so for every rank. Close is idempotent.
+// incomplete, one that the creation chain has not yet created included;
+// cluster.Run does so for every rank. Close is idempotent and never waits.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -551,6 +686,7 @@ func (rt *Runtime) Close() {
 // idempotent and safe to call from multiple goroutines — an early-exiting
 // rank and the job teardown may both call it.
 func (rt *Runtime) Shutdown() {
+	rt.waitCreated()
 	rt.mu.Lock()
 	rt.stopping.Store(true)
 	rt.mu.Unlock()
@@ -559,11 +695,12 @@ func (rt *Runtime) Shutdown() {
 	rt.cores.mu.Unlock()
 	rt.mu.Lock()
 	if rt.spawnLive > 0 {
-		p := rt.clk.Parker()
+		p := rt.clk.PooledParker()
 		p.SetName("shutdown")
 		rt.sdWaiters = append(rt.sdWaiters, p)
 		rt.mu.Unlock()
 		p.Park()
+		rt.clk.PutParker(p)
 	} else {
 		rt.mu.Unlock()
 	}

@@ -409,12 +409,44 @@ func TestSubmitAndDispatchOverheads(t *testing.T) {
 		end = clk.Now()
 	})
 	wg.Wait()
-	// 5 submissions at 1µs each (serial on the submitter) plus 5 dispatches
-	// at 2µs each on one core; dispatch of task i overlaps submission of
-	// i+1, so total = submit(1µs) + 5*dispatch(2µs) = 11µs.
+	// The 5 Submits return at once, and the creation chain creates task i
+	// at (i+1)µs, as a submitter paying 1µs per task in turn would; the 5
+	// dispatches take 2µs each on one core, and the dispatch of task i
+	// overlaps the creation of task i+1, so total = submit(1µs) +
+	// 5*dispatch(2µs) = 11µs.
 	if end != 11*time.Microsecond {
 		t.Fatalf("total %v, want 11µs", end)
 	}
+}
+
+// TestSubmitReturnsWithoutParking: a burst of Submits from the rank main
+// spends no modelled time, and the main's next runtime call waits out
+// their creation costs in one park.
+func TestSubmitReturnsWithoutParking(t *testing.T) {
+	const n, overhead = 1000, 150 * time.Nanosecond
+	clk := vclock.NewVirtual()
+	rt := New(clk, Config{Cores: 2, SubmitOverhead: overhead})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	clk.Go(func() {
+		defer wg.Done()
+		base := new(int)
+		for i := 0; i < n; i++ {
+			rt.Submit(func(*Task) {}, WithDeps(InOutVal(base)), NonBlocking())
+			if now := clk.Now(); now != 0 {
+				t.Errorf("Submit %d returned at %v, want 0", i, now)
+				return
+			}
+		}
+		if now := rt.Now(); now != n*overhead {
+			t.Errorf("rt.Now() = %v after %d Submits, want %v", now, n, n*overhead)
+		}
+		rt.TaskWait()
+		if st := rt.Stats(); st.Completed != n {
+			t.Errorf("%d tasks completed, want %d", st.Completed, n)
+		}
+	})
+	wg.Wait()
 }
 
 func TestStats(t *testing.T) {

@@ -66,8 +66,14 @@ type Task struct {
 	id      int64
 	readyAt time.Duration
 
-	pre  EventCounter // gates execution (onready-registered events)
-	comp EventCounter // gates completion (external events API)
+	// pre gates execution (onready-registered events) and comp completion
+	// (external events API). Until the task is created, pre.t is not its
+	// task but its link in the runtime's creation chain (Runtime.create):
+	// nothing reads pre before the dependencies are satisfied, which the
+	// creation guard holds off until then, and the record has no room for
+	// a field of its own.
+	pre  EventCounter
+	comp EventCounter
 
 	// The small fields, grouped so that together they pack into two words.
 	preds    int32 // unreleased predecessors; guarded by rt.mu

@@ -85,7 +85,10 @@ done
 # allocation of N; 256 sends of one unchanged buffer must share one
 # payload snapshot in mpisim and gaspisim; a pending task with five
 # dependencies must keep no more heap than
-# internal/tasking.PendingTaskBudget; a jitterer after 100 draws must keep
+# internal/tasking.PendingTaskBudget; bursts of Submits, each followed by
+# a TaskWait, must allocate only the task records and the bodies'
+# closures (no parker per wait, no per-Submit copy of the options or the
+# dependencies); a jitterer after 100 draws must keep
 # no more than internal/fabric.JitterStateBudget; a 1,024-rank dissemination
 # must release every fabric ordering domain and allocate no more records
 # than internal/fabric.DomainRecordBudget; a timed segment of 1 GiB logical
@@ -95,10 +98,10 @@ done
 # per message. Run without -race on purpose — race instrumentation
 # inflates allocation counts and heap sizes, so the gates skip themselves
 # under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + Submit-burst allocations + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestLinkStreamFootprint|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
-go test -run 'TestPendingTaskFootprint' ./internal/tasking
+go test -run 'TestPendingTaskFootprint|TestSubmitBurstAllocs' ./internal/tasking
 go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
 go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
