@@ -12,14 +12,14 @@ import (
 // func-typed arguments run as clock callbacks or steps (of a service or of
 // a step task): on the goroutine advancing the virtual clock (or on one
 // that just granted a core), with virtual time held still until they
-// return. NewService's is the library's nothing-to-poll predicate, which a
-// pass's last step calls, InRun's re-enters a pass at a dormant service's
-// wake, and OnActivity's is that wake, called from delivery callbacks and
-// posts. A Submit's body is a step too when the options include
+// return. NewService's are the library's nothing-to-poll predicate, which a
+// pass's last step calls, and its resume hook, which re-enters a pass at a
+// dormant service's wake; OnActivity's is that wake, called from delivery
+// callbacks and posts. A Submit's body is a step too when the options include
 // tasking.NonBlocking (nonBlockingBody).
 var stepTakers = map[string]map[string]bool{
 	"vclock":   {"InitEvent": true, "InitRankedEvent": true, "InitStream": true},
-	"tasking":  {"NewService": true, "Start": true, "After": true, "Then": true, "InRun": true, "acquire": true},
+	"tasking":  {"NewService": true, "Start": true, "After": true, "Then": true, "acquire": true},
 	"gaspisim": {"OnActivity": true},
 	"fabric":   {"Register": true},
 }

@@ -136,7 +136,7 @@ func blockingFabricHandler(f *fabric.Fabric, mpi *mpisim.Proc, req *mpisim.Reque
 
 // The pass a polling service starts is a service step itself.
 func blockingPass(rt *tasking.Runtime, done chan int) {
-	rt.NewService("pass", 10, nil).Start(func() {
+	rt.NewService("pass", 10, nil, nil).Start(func() {
 		done <- 1 // want "channel send in a step or clock callback"
 	})
 }
@@ -147,6 +147,14 @@ func blockingQuiet(rt *tasking.Runtime, p *gaspisim.Proc) {
 	rt.NewService("quiet", 10, func() bool {
 		p.Wait(0) // want "gaspisim.Proc.Wait in a step or clock callback"
 		return true
+	}, nil)
+}
+
+// The resume hook re-enters a pass at a dormant service's wake, as a step.
+func blockingResume(rt *tasking.Runtime, p *gaspisim.Proc, next func()) {
+	rt.NewService("resume", 10, nil, func(int) func() {
+		p.Wait(0) // want "gaspisim.Proc.Wait in a step or clock callback"
+		return next
 	})
 }
 
@@ -160,7 +168,7 @@ type poller struct {
 }
 
 func startPoller(rt *tasking.Runtime, p *gaspisim.Proc) *poller {
-	l := &poller{p: p, svc: rt.NewService("fixture", 10, nil)}
+	l := &poller{p: p, svc: rt.NewService("fixture", 10, nil, nil)}
 	l.drainFn = l.drain
 	l.nextFn = l.blockingNext
 	l.svc.Start(l.poll)

@@ -232,7 +232,6 @@ func Run(cfg Config, main func(*Env)) Result {
 		main(env)
 		if env.RT != nil {
 			env.RT.TaskWait()
-			env.RT.Close()
 		}
 		env.MPI.Barrier()
 		if env.RT != nil {

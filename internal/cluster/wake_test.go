@@ -29,7 +29,12 @@ var updateWakes = flag.Bool("update-wakes", false, "rewrite testdata/wake_sweep.
 //     1's main has a compute task wait for an event that it fulfils at a
 //     grid wake, from a Sleep drawn 40ns before it: if the notification
 //     came in those 40ns, the service's wait, drawn a period earlier, must
-//     still take the one core first.
+//     still take the one core first;
+//   - iwait: rank 0 submits after d a task that posts an Irecv and binds it
+//     with TAMPI's Iwait, which lands at every instant of three grid
+//     periods (the 1µs or 5µs interval; an idle TAMPI pass costs nothing)
+//     of its own dormant TAMPI service. Rank 1 sends the matching message
+//     at once, so the request is complete by the first pass that sees it.
 var wakeSweeps = []struct {
 	kind     string
 	poll     time.Duration
@@ -41,21 +46,28 @@ var wakeSweeps = []struct {
 	{"submit", time.Microsecond, 2, 20000, 21600},
 	{"submit", time.Microsecond, 1, 20000, 21600},
 	{"race", time.Microsecond, 1, 20000, 21600},
+	{"iwait", time.Microsecond, 2, 20000, 23000},
+	{"iwait", time.Microsecond, 1, 20000, 23000},
+	{"iwait", 5 * time.Microsecond, 2, 20000, 35000},
+	{"iwait", 5 * time.Microsecond, 1, 20000, 35000},
 }
 
 // wakePoint runs one point of a wake sweep on two single-rank nodes with
-// TAGASPI and no MPI jitter. It returns when the awaited work retired —
-// the instant of the notification wait or the race's compute task, or the
-// submitted task's less d — the job's elapsed time (but for a race, where
-// rank 0 ends with d), each rank's pass and idle-pass counts, and how many
-// wakes the ranks' runtimes could not decide.
-func wakePoint(kind string, poll time.Duration, cores int, d time.Duration) (string, int64) {
+// TAGASPI (TAMPI for an iwait sweep) and no MPI jitter. It returns when
+// the awaited work retired — the instant of the notification wait, the
+// race's compute task or the Iwait's task, or the submitted task's less d
+// — and the job's elapsed time (−1 for a race, where rank 0 ends with d),
+// each rank's pass and idle-pass counts, and how many wakes the ranks'
+// runtimes could not decide.
+func wakePoint(kind string, poll time.Duration, cores int, d time.Duration) (times [2]time.Duration, counts string, undecided int64) {
 	prof := fabric.ProfileOmniPath()
 	prof.MPIJitter = 0
 	var retire time.Duration
+	iwait := kind == "iwait"
 	res := Run(Config{
 		Nodes: 2, RanksPerNode: 1, CoresPerRank: cores, Profile: prof,
-		WithTasking: true, WithTAGASPI: true, TAGASPIPoll: poll,
+		WithTasking: true, WithTAMPI: iwait, WithTAGASPI: !iwait,
+		TAMPIPoll: poll, TAGASPIPoll: poll,
 	}, func(env *Env) {
 		if _, err := env.GASPI.SegmentCreate(0, 64); err != nil {
 			panic(err)
@@ -100,27 +112,33 @@ func wakePoint(kind string, poll time.Duration, cores int, d time.Duration) (str
 					panic(err)
 				}
 			})
+		case iwait && env.Rank == 0:
+			buf := make([]byte, 8)
+			env.Clk.Sleep(d)
+			env.RT.Submit(func(tk *tasking.Task) { env.TAMPI.Iwait(tk, env.MPI.Irecv(buf, 1, 7)) })
+			env.RT.TaskWait()
+			retire = env.Clk.Now()
+		case iwait:
+			env.MPI.Send(make([]byte, 8), 0, 7)
 		}
 	})
-	var b strings.Builder
+	times = [2]time.Duration{retire, res.Elapsed}
 	if kind == "race" {
-		fmt.Fprintf(&b, "%d -", retire)
-	} else {
-		fmt.Fprintf(&b, "%d %d", retire, res.Elapsed)
+		times[1] = -1
 	}
+	var b strings.Builder
 	for _, s := range res.Snapshots {
-		if s.Component == "tagaspi" {
-			fmt.Fprintf(&b, " %g %g", sample(s, "tagaspi_passes"), sample(s, "tagaspi_idle_passes"))
+		if lib := s.Component; lib == "tagaspi" || lib == "tampi" {
+			fmt.Fprintf(&b, " %g %g", sample(s, lib+"_passes"), sample(s, lib+"_idle_passes"))
 		}
 	}
-	var undecided int64
 	for _, st := range res.Tasking {
 		undecided += st.UndecidedWakes
 	}
-	return b.String(), undecided
+	return times, b.String(), undecided
 }
 
-// TestWakeTieSweep pins what a dormant TAGASPI service does when an input
+// TestWakeTieSweep pins what a dormant polling service does when an input
 // wakes it inside a run, against testdata generated while services polled
 // through every idle wait: the retire instant, the elapsed time and the
 // pass counts of every point must be those of the polling run. A wake must
@@ -128,28 +146,55 @@ func wakePoint(kind string, poll time.Duration, cores int, d time.Duration) (str
 // that step falls at the wake's own instant, and arm it with the key it
 // would have drawn. The file holds one line per run of sleeps with the same
 // result: "kind poll cores first-last retire elapsed passes0 idle0 passes1
-// idle1".
+// idle1" ("-" for a race's elapsed time). A time marked "+" is the first
+// sleep's, and it rises with the sleep across the run.
 func TestWakeTieSweep(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("sweeps 27,000 jobs; it checks modelled values, which the plain test pass covers")
+		t.Skip("sweeps 62,000 jobs; it checks modelled values, which the plain test pass covers")
 	}
 	path := filepath.Join("testdata", "wake_sweep.txt")
 	var got []string
 	for _, sw := range wakeSweeps {
-		first, prev := sw.from, ""
+		var (
+			first  time.Duration    // the run's first sleep
+			at     [2]time.Duration // its retire instant and elapsed time
+			rises  [2]bool          // which of them rise with the sleep
+			counts string
+		)
 		flush := func(last time.Duration) {
-			got = append(got, fmt.Sprintf("%s %v %d %d-%d %s", sw.kind, sw.poll, sw.cores, first, last, prev))
+			line := fmt.Sprintf("%s %v %d %d-%d", sw.kind, sw.poll, sw.cores, first, last)
+			for i, v := range at {
+				if v < 0 {
+					line += " -"
+					continue
+				}
+				line += fmt.Sprintf(" %d", v)
+				if rises[i] {
+					line += "+"
+				}
+			}
+			got = append(got, line+counts)
 		}
 		for d := sw.from; d <= sw.to; d++ {
-			r, undecided := wakePoint(sw.kind, sw.poll, sw.cores, d)
+			times, c, undecided := wakePoint(sw.kind, sw.poll, sw.cores, d)
 			if undecided != 0 {
 				t.Errorf("%s %v %d %d: a wake was undecided", sw.kind, sw.poll, sw.cores, d)
 			}
-			if d > sw.from && r != prev {
-				flush(d - 1)
-				first = d
+			if d > sw.from && c == counts {
+				n, same, up := d-first, true, rises
+				for i, v := range times {
+					up[i] = v == at[i]+n && (n == 1 || rises[i])
+					same = same && (up[i] || v == at[i] && (n == 1 || !rises[i]))
+				}
+				if same {
+					rises = up
+					continue
+				}
 			}
-			prev = r
+			if d > sw.from {
+				flush(d - 1)
+			}
+			first, at, rises, counts = d, times, [2]bool{}, c
 		}
 		flush(sw.to)
 	}

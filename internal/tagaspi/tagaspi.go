@@ -24,8 +24,8 @@
 //     notified value through the user's pointer, and fulfils the task event.
 //   - While a pass can find nothing — no staged wait or retry, no request
 //     in flight, no notification set since the last scan — the polling
-//     task goes dormant, also mid-run (tasking.Service.InRun). GASPI wakes
-//     it on every notification set on the rank and every post
+//     task goes dormant (tasking.NewService). GASPI wakes it on every
+//     notification set on the rank and every post
 //     (gaspisim.Proc.OnActivity), as does a staged wait; the skipped
 //     passes are booked as if they had run.
 //
@@ -182,8 +182,7 @@ const maxBackoffShift = 10
 func New(p *gaspisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p}
 	l.drainFn, l.resubmitFn = l.drain, l.resubmit
-	l.svc = rt.NewService("tagaspi-poll", interval, l.quiet)
-	l.svc.InRun(l.resume)
+	l.svc = rt.NewService("tagaspi-poll", interval, l.quiet, l.resume)
 	p.OnActivity(l.svc.Wake)
 	l.svc.Start(l.poll)
 	return l
@@ -414,16 +413,15 @@ func (l *Library) checkNotifications() {
 // notification has been set on the rank since the last scan, so the listed
 // waits need no look. It is the service's dormancy predicate
 // (tasking.NewService); a pass then drains every queue once, finds each
-// empty and skips the scan. It holds with tasks running too (InRun): what
-// can break it — a notification set, a post, a staged wait — wakes the
-// service first.
+// empty and skips the scan. What can break it — a notification set, a
+// post, a staged wait — wakes the service first.
 func (l *Library) quiet() bool {
 	return l.pending.n.Load() == 0 && len(l.retryQ) == 0 &&
 		l.p.NotificationsSet() == l.scanned && l.p.QueuesIdle()
 }
 
 // resume re-enters an idle pass after its first done queue drains: the
-// pass state those drains leave, and the next drain (tasking.Service.InRun).
+// pass state those drains leave, and the next drain (tasking.NewService).
 func (l *Library) resume(done int) func() {
 	l.q, l.retired = done, 0
 	return l.drainFn

@@ -10,7 +10,8 @@
 // A transparent polling task (tasking.Service) checks the in-flight requests
 // with MPI_Testsome — through the same modelled library lock as the
 // application's Isend/Irecv calls, which is exactly the contention the
-// paper measures in §VI-C.
+// paper measures in §VI-C. While no request is listed the polling task
+// goes dormant, and Iwait, the only way a request is listed, wakes it.
 package tampi
 
 import (
@@ -49,7 +50,7 @@ const DefaultPollInterval = 150 * time.Microsecond
 func New(p *mpisim.Proc, rt *tasking.Runtime, interval time.Duration) *Library {
 	l := &Library{p: p}
 	l.checkFn = l.check
-	l.svc = rt.NewService("tampi-poll", interval, l.quiet)
+	l.svc = rt.NewService("tampi-poll", interval, l.quiet, nil)
 	l.svc.Start(l.poll)
 	return l
 }
@@ -66,6 +67,7 @@ func (l *Library) Iwait(t *tasking.Task, req *mpisim.Request) {
 	l.requests = append(l.requests, req)
 	l.counters = append(l.counters, c)
 	l.mu.Unlock()
+	l.svc.Wake()
 }
 
 // poll starts one pass of the transparent polling task: a single Testsome
@@ -122,8 +124,9 @@ func (l *Library) check() {
 }
 
 // quiet reports that no request is in flight: the service's dormancy
-// predicate (tasking.NewService). A pass then takes no lock and books no
-// Testsome, so it costs no modelled time.
+// predicate (tasking.NewService), which only Iwait breaks. A pass then
+// takes no lock and books no Testsome, so it costs no modelled time, and
+// a wake never re-enters one mid-way (no resume).
 func (l *Library) quiet() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -24,10 +24,11 @@ type dormantRun struct {
 }
 
 // runLone runs a lone service on one core with a dispatch overhead: each
-// pass costs cost and retires nothing, and its library always reports
-// nothing to poll. The main sleeps before, then closes the runtime if
-// closed is set, sleeps mid and after and shuts the runtime down.
-func runLone(interval, cost, before, mid, after time.Duration, closed bool) dormantRun {
+// pass costs cost and retires nothing. If dormant is set its library
+// always reports nothing to poll; if not it has no predicate, and the
+// service polls through every wait. The main sleeps before, mid and after
+// and shuts the runtime down.
+func runLone(interval, cost, before, mid, after time.Duration, dormant bool) dormantRun {
 	clk := vclock.NewVirtual()
 	rt := New(clk, Config{Cores: 1, DispatchOverhead: 250})
 	col := obs.NewCollector(1)
@@ -37,16 +38,18 @@ func runLone(interval, cost, before, mid, after time.Duration, closed bool) dorm
 	wg.Add(1)
 	clk.Go(func() {
 		defer wg.Done()
-		s := rt.NewService("lone", interval, func() bool { return true })
+		var s *Service
 		done := func() { s.Done(0) }
+		var quiet func() bool
+		if dormant {
+			quiet = func() bool { return true }
+		}
+		s = rt.NewService("lone", interval, quiet, func(int) func() { return done })
 		s.Start(func() {
 			r.polls++
 			s.After(cost, done)
 		})
 		clk.Sleep(before)
-		if closed {
-			rt.Close()
-		}
 		clk.Sleep(mid)
 		clk.Sleep(after)
 		rt.Shutdown()
@@ -64,27 +67,29 @@ func runLone(interval, cost, before, mid, after time.Duration, closed bool) dorm
 	return r
 }
 
-// TestDormantServiceMatchesPolling runs a lone service with and without
-// Close, which lets it go dormant, and requires the two runs to agree on
-// everything they model: the instant Shutdown returns, the pass counts,
-// the trace and the metrics. Shutdown comes at every instant of three
-// polling periods, so it falls on grid wakes too, where the exit depends
-// on whether the grid wake or the main's own wake fired first. The main's
-// wake is drawn at Close (mid 0), where Close can fall on a pass's start
-// and end, or later (mid > 0), after the dormant service's first or second
-// skipped pass would have drawn its wake; the passes end at 380, 1510,
-// 2640, 3770, 4900 ns (cost 130) or at 250, 1250, ... (cost 0).
+// TestDormantServiceMatchesPolling runs a lone service whose library
+// always has nothing to poll, which goes dormant after its first pass,
+// against one without a predicate, which polls, and requires the two runs
+// to agree on everything they model: the instant Shutdown returns, the
+// pass counts, the trace and the metrics. Shutdown comes at every instant
+// of three polling periods, so it falls on grid wakes too, where the exit
+// depends on whether the grid wake or the main's own wake fired first. The
+// main's last wake is drawn at before+mid: as the first pass starts, as it
+// ends and the service sleeps, or after a skipped pass would have drawn
+// its wake; the passes end at 380, 1510, 2640, 3770, 4900 ns (cost 130) or
+// at 250, 1250, ... (cost 0). A draw at a skipped pass's own start or end
+// is the one exit rouse cannot order (TestUndecidedExitCounted).
 func TestDormantServiceMatchesPolling(t *testing.T) {
 	skipped := 0
 	for _, c := range []struct{ interval, cost, before, mid time.Duration }{
 		{1000, 0, 0, 0},
 		{1000, 130, 2600, 0},
 		{3000, 520, 777, 0},
-		{1000, 130, 2640, 0},    // Close at a pass's end, which sleeps at once
-		{1000, 0, 2250, 0},      // Close at a wake: its pass sleeps at once
-		{1000, 130, 2510, 0},    // Close as a pass starts
-		{1000, 130, 2600, 500},  // the main draws after the service slept
-		{1000, 130, 2600, 1500}, // ... and after its first skipped pass
+		{1000, 130, 380, 0},     // the main draws as the service sleeps
+		{1000, 0, 250, 0},       // ... after a pass of no cost
+		{1000, 130, 250, 0},     // ... as the first pass starts
+		{1000, 130, 2600, 500},  // ... after a skipped pass's end
+		{1000, 130, 2600, 1500}, // ... and after the next one's
 		{1000, 0, 2250, 1700},
 	} {
 		period := c.interval + c.cost
@@ -130,60 +135,18 @@ func TestUndecidedExitCounted(t *testing.T) {
 	wg.Add(1)
 	clk.Go(func() {
 		defer wg.Done()
-		s := rt.NewService("lone", interval, func() bool { return true })
+		var s *Service
 		done := func() { s.Done(0) }
+		s = rt.NewService("lone", interval, func() bool { return true }, func(int) func() { return done })
 		s.Start(func() { s.After(cost, done) })
-		// Passes start at 0, 1130, 2260, ... The one ending at 1130+130
-		// sleeps (D = 1260), so its grid is w1 = 2260, 3390, ...
-		clk.Sleep(1200)
-		rt.Close()
-		clk.Sleep(2260 + cost - 1200) // to the end of the skipped pass at w1
-		clk.Sleep(interval)           // to the wake at 3390
+		// The first pass, 0 to 130, sleeps (D = 130), so its grid is
+		// w1 = 1130, 2260, 3390, ...
+		clk.Sleep(2260 + cost) // to the end of the skipped pass at 2260
+		clk.Sleep(interval)    // to the wake at 3390
 		rt.Shutdown()
 	})
 	wg.Wait()
 	if n := rt.Stats().UndecidedWakes; n != 1 {
 		t.Fatalf("%d exits counted as guessed, want 1", n)
-	}
-}
-
-func TestSubmitAfterClosePanics(t *testing.T) {
-	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Submit(func(tk *Task) { tk.Compute(time.Microsecond) })
-		rt.TaskWait()
-		rt.Close()
-		rt.Close() // idempotent
-		defer func() {
-			if r := recover(); r != "tasking: Submit after Close" {
-				t.Errorf("Submit after Close: recovered %v", r)
-			}
-		}()
-		rt.Submit(func(*Task) {})
-	})
-}
-
-func TestCloseWithIncompleteTaskPanics(t *testing.T) {
-	run(1, func(clk *vclock.VirtualClock, rt *Runtime) {
-		rt.Submit(func(tk *Task) { tk.Compute(time.Microsecond) })
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("Close with a task in flight did not panic")
-				}
-			}()
-			rt.Close()
-		}()
-		rt.TaskWait()
-	})
-}
-
-// TestShutdownWithoutCloseKeepsPolling: a runtime that is never closed
-// keeps its services polling until Shutdown, as tests and examples that
-// call Shutdown directly expect — every pass counted is a pass its library
-// ran.
-func TestShutdownWithoutCloseKeepsPolling(t *testing.T) {
-	r := runLone(1000, 130, 500, 0, 10_000, false)
-	if int64(r.polls) != r.passes || r.passes < 9 {
-		t.Fatalf("%d passes counted, %d run by the library: want the same, at least 9", r.passes, r.polls)
 	}
 }

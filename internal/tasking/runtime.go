@@ -106,7 +106,6 @@ type Runtime struct {
 	live      int              // incomplete regular tasks
 	spawnLive int              // incomplete spawned service tasks
 	stopping  atomic.Bool      // set under mu, read per pass without it
-	closed    atomic.Bool      // set under mu by Close: no task will be submitted again
 	seq       int64            // task ids for trace correlation
 	thWaiters []throttleWaiter // Throttle and TaskWait: woken when live falls to max
 	sdWaiters []*vclock.Parker // Shutdown: woken when spawnLive hits 0
@@ -231,10 +230,6 @@ func (rt *Runtime) Submit(body Body, opts ...Option) *Task {
 		rt.mu.Unlock()
 		panic("tasking: Submit after Shutdown")
 	}
-	if rt.closed.Load() {
-		rt.mu.Unlock()
-		panic("tasking: Submit after Close")
-	}
 	rt.live++
 	rt.stats.Submitted++
 	rt.seq++
@@ -330,8 +325,7 @@ func (rt *Runtime) created(t *Task, satisfied bool) {
 // waitCreated parks the submitter until the creation chain has run dry:
 // every task it submitted has been created, at the instant a submitter
 // paying each overhead in turn would have reached. Throttle, TaskWait,
-// Shutdown and Now wait here first; Close needs not, since a task still
-// in the chain is incomplete.
+// Shutdown and Now wait here first.
 func (rt *Runtime) waitCreated() {
 	rt.mu.Lock()
 	if !rt.chainBusy {
@@ -661,22 +655,6 @@ func (rt *Runtime) Throttle(max int) {
 	rt.mu.Unlock()
 	p.Park()
 	rt.clk.PutParker(p)
-}
-
-// Close declares that no task will be submitted again: a Submit after it
-// panics. From then on a polling service whose library has nothing to poll
-// goes dormant until Shutdown (Service.sleep), even one whose library
-// cannot wake it inside a run (Service.InRun). A rank
-// calls it after its last TaskWait, and Close panics if a task is still
-// incomplete, one that the creation chain has not yet created included;
-// cluster.Run does so for every rank. Close is idempotent and never waits.
-func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.live > 0 {
-		panic(fmt.Sprintf("tasking: Close with %d incomplete tasks", rt.live))
-	}
-	rt.closed.Store(true)
 }
 
 // Shutdown asks polling services to stop and waits for them and for the

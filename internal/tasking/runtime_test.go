@@ -31,7 +31,7 @@ func run(cores int, fn func(clk *vclock.VirtualClock, rt *Runtime)) {
 // spawnLoop starts a polling service whose passes call step (if not nil)
 // and then wait d, until the runtime stops.
 func spawnLoop(rt *Runtime, label string, d time.Duration, step func()) {
-	svc := rt.NewService(label, d, nil)
+	svc := rt.NewService(label, d, nil, nil)
 	svc.Start(func() {
 		if step != nil {
 			step()

@@ -50,7 +50,7 @@ type Service struct {
 	// passes keep: pass k starts at w1 + (k−1)·period and makes steps
 	// steps of stepCost each. dormant is guarded by the core scheduler's
 	// lock; asleep mirrors it for Wake's unlocked check.
-	resume     func(done int) func() // re-enters an idle pass (InRun); nil: dormant only once closed
+	resume     func(done int) func() // re-enters an idle pass; nil: idle passes charge nothing
 	dormant    bool
 	asleep     atomic.Bool
 	w1, period time.Duration
@@ -80,12 +80,20 @@ const minIdleTick = 200 * time.Nanosecond
 //
 // quiet, if not nil, reports that the library has nothing to poll: no
 // pass can retire anything or change what the next one does, so every pass
-// would cost what the one that just ended did. Once the runtime is closed
-// (Close) such a service goes dormant instead of polling (Done), and with
-// InRun also while it runs. quiet runs as a step: it must not block.
-func (rt *Runtime) NewService(name string, interval time.Duration, quiet func() bool) *Service {
+// would cost what the one that just ended did. Such a service goes dormant
+// instead of polling (Done, sleep), and the library promises to call Wake
+// at every input that could break quiet, so that a dormant service is
+// woken before any pass would see the input. quiet runs as a step: it must
+// not block.
+//
+// resume re-enters an idle pass after its first done steps: it sets the
+// library's pass state as those steps would have left it and returns the
+// step that comes next. It runs as a step and must not block. It may be
+// nil only for a library whose idle pass charges no time, which a wake
+// never re-enters mid-way.
+func (rt *Runtime) NewService(name string, interval time.Duration, quiet func() bool, resume func(done int) func()) *Service {
 	s := &Service{
-		rt: rt, interval: interval, quiet: quiet,
+		rt: rt, interval: interval, quiet: quiet, resume: resume,
 		t:          &Task{rt: rt, label: name, spawned: true},
 		track:      obs.PollTrack(name),
 		spanName:   "poll:" + name,
@@ -240,31 +248,21 @@ func (s *Service) resumed() {
 	s.pass()
 }
 
-// InRun lets the service go dormant while the runtime runs, not only once
-// it is closed. The library promises two things. Its quiet predicate holds
-// only when a pass would find nothing and change nothing, tasks or no
-// tasks. And it calls Wake at every input that could change that, so a
-// dormant service is woken before any pass would see the input. resume
-// re-enters an idle pass after its first done steps: it sets the library's
-// pass state as those steps would have left it and returns the step that
-// comes next. It runs as a step and must not block.
-func (s *Service) InRun(resume func(done int) func()) { s.resume = resume }
-
 // sleep makes the service dormant after an idle pass, if it may. The
-// library must have nothing to poll (quiet) and the runtime must be closed,
-// unless the library declared InRun; the pass must have charged its time
-// in equal steps. No task may hold or wait for a core, and unless every
-// service can hold a core at once, every other service must be dormant:
-// then no pass of the service would have waited for a core, and any task
-// that draws a ticket wakes it first (coreSched.acquire). A dormant service
-// releases its core and arms nothing. It keeps the grid its wait_for_us
-// would have drawn — w1, then one pass every period (the interval plus the
-// pass's length) — and the key of the wait it did not arm.
+// library must have nothing to poll (quiet), and the pass must have
+// charged its time in equal steps. No task
+// may hold or wait for a core, and unless every service can hold a core
+// at once, every other service must be dormant: then no pass of the
+// service would have waited for a core, and any task that draws a ticket
+// wakes it first (coreSched.acquire). A dormant service releases its core
+// and arms nothing. It keeps the grid its wait_for_us would have drawn —
+// w1, then one pass every period (the interval plus the pass's length) —
+// and the key of the wait it did not arm.
 //
 //tagalint:hotpath
 func (s *Service) sleep() bool {
 	rt := s.rt
-	if s.quiet == nil || s.resume == nil && !rt.closed.Load() || s.stepCost < 0 {
+	if s.quiet == nil || s.stepCost < 0 {
 		return false
 	}
 	now := rt.clk.Now()
@@ -288,7 +286,7 @@ func (s *Service) sleep() bool {
 }
 
 // Wake tells the service that an input may have changed what its next pass
-// would do: a library calls it on every such input (InRun). A dormant
+// would do: a library calls it on every such input (NewService). A dormant
 // service re-enters its grid (rouse); for any other it costs one atomic
 // load.
 //

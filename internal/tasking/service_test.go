@@ -11,7 +11,7 @@ import (
 // startService starts a service whose passes cost no modelled time and
 // retire what poll returns.
 func startService(rt *Runtime, name string, interval time.Duration, poll func() int) *Service {
-	s := rt.NewService(name, interval, nil)
+	s := rt.NewService(name, interval, nil, nil)
 	s.Start(func() { s.Done(poll()) })
 	return s
 }

@@ -79,9 +79,9 @@ done
 # stream that never drains must stay at its backlog high-water mark, not
 # grow with the message count; a nil-Collector
 # instrumentation site and an idle pass of the TAMPI and TAGASPI polling
-# services must allocate nothing, and so must a service's going dormant,
-# in its rank's epilogue or inside a run, and waking at Shutdown or on a
-# notification; Tracer.Events must copy N events in one
+# services must allocate nothing, and so must a TAMPI service's going
+# dormant inside a run and waking on an Iwait, and a TAGASPI one's beyond
+# the waking notification's own; Tracer.Events must copy N events in one
 # allocation of N; 256 sends of one unchanged buffer must share one
 # payload snapshot in mpisim and gaspisim; a pending task with five
 # dependencies must keep no more heap than
