@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
@@ -65,11 +66,11 @@ func main() {
 		left := (me - 1 + ranks) % ranks
 		right := (me + 1) % ranks
 		for i := 0; i < cells; i++ {
-			v.Set(interior+i, float64(me))
+			v[interior+i] = float64(me)
 		}
 		// Initial halos (parity 0) are the neighbours' initial values.
-		v.Set(leftHalo, float64(left))
-		v.Set(rightHalo, float64(right))
+		v[leftHalo] = float64(left)
+		v[rightHalo] = float64(right)
 		rt, tg, ta := env.RT, env.TAGASPI, env.TAMPI
 		off := func(slot int) int { return slot * memory.F64Bytes }
 
@@ -95,7 +96,7 @@ func main() {
 			// Jacobi smoothing over the interior, reading this parity's
 			// halos; also produces the local residual.
 			rt.Submit(func(t *tasking.Task) {
-				old := v.CopyOut(0, slots)
+				old := slices.Clone(v)
 				at := func(i int) float64 { // logical cell -1..cells
 					switch {
 					case i < 0:
@@ -109,10 +110,10 @@ func main() {
 				r := 0.0
 				for i := 0; i < cells; i++ {
 					x := (at(i-1) + at(i) + at(i+1)) / 3
-					v.Set(interior+i, x)
+					v[interior+i] = x
 					r += math.Abs(x - at(i))
 				}
-				memory.F64Of(residual).Set(0, r)
+				memory.Float64s(residual)[0] = r
 			}, tasking.WithDeps(
 				tasking.InOut(seg, interior, interior+cells),
 				tasking.In(seg, leftHalo+par, leftHalo+par+1),
@@ -150,7 +151,7 @@ func main() {
 					}, tasking.WithDeps(tasking.Out(&buf[0], 0, 8)),
 						tasking.WithLabel("recv residual"))
 					rt.Submit(func(t *tasking.Task) {
-						*acc += memory.F64Of(buf).At(0)
+						*acc += memory.Float64s(buf)[0]
 					}, tasking.WithDeps(tasking.In(&buf[0], 0, 8), tasking.InOutVal(acc)),
 						tasking.WithLabel("reduce"))
 				}
@@ -163,7 +164,7 @@ func main() {
 		rt.TaskWait()
 		if me == 0 {
 			fmt.Printf("final interior of rank 0: %.3f ... %.3f\n",
-				v.At(interior), v.At(interior+cells-1))
+				v[interior], v[interior+cells-1])
 		}
 	})
 }

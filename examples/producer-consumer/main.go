@@ -34,6 +34,13 @@ func must(err error) {
 	}
 }
 
+// fill sets every element of v to x.
+func fill(v []float64, x float64) {
+	for i := range v {
+		v[i] = x
+	}
+}
+
 func main() {
 	fmt.Println("== Figure 5: extra wait-ack task ==")
 	run(false)
@@ -60,7 +67,7 @@ func run(useOnready bool) {
 				if useOnready {
 					// Figure 8: the ack wait rides on the writer task.
 					rt.Submit(func(t *tasking.Task) {
-						v.Fill(float64(i + 1))
+						fill(v, float64(i+1))
 						must(tg.WriteNotify(t, 0, 0, 1, 0, 0, N, dataNotif, int64(i+1), 0))
 					}, tasking.WithDeps(tasking.In(seg, 0, N)),
 						tasking.WithOnReady(func(t *tasking.Task) {
@@ -73,14 +80,14 @@ func run(useOnready bool) {
 						tg.NotifyIwait(t, 0, ackNotif, &ack)
 					}, tasking.WithDeps(tasking.OutVal(&ack)), tasking.WithLabel("wait ack"))
 					rt.Submit(func(t *tasking.Task) {
-						v.Fill(float64(i + 1))
+						fill(v, float64(i+1))
 						must(tg.WriteNotify(t, 0, 0, 1, 0, 0, N, dataNotif, int64(i+1), 0))
 					}, tasking.WithDeps(tasking.In(seg, 0, N), tasking.InVal(&ack)),
 						tasking.WithLabel("write data"))
 				}
 				// The buffer is only reusable once the write completed
 				// locally; the dependency system enforces it.
-				rt.Submit(func(t *tasking.Task) { v.Fill(0) },
+				rt.Submit(func(t *tasking.Task) { clear(v) },
 					tasking.WithDeps(tasking.InOut(seg, 0, N)), tasking.WithLabel("reuse"))
 			}
 		case 1:
@@ -94,7 +101,7 @@ func run(useOnready bool) {
 					tasking.WithLabel("wait data"))
 				last := i == iterations-1
 				rt.Submit(func(t *tasking.Task) {
-					fmt.Printf("  consumer: chunk %d = %v\n", got, v.At(0))
+					fmt.Printf("  consumer: chunk %d = %v\n", got, v[0])
 					if !last {
 						// Ack right after consuming (§IV-B).
 						must(tg.Notify(t, 0, 0, ackNotif, 1, 0))

@@ -20,9 +20,9 @@ func blankTuple(p *gaspisim.Proc) *memory.Segment {
 }
 
 func blankTupleAssign(seg *memory.Segment) {
-	var v memory.F64
+	var v []float64
 	v, _ = memory.F64View(seg, 0, 8) // want "error result of memory.F64View is assigned to the blank identifier"
-	v.Fill(0)
+	clear(v)
 }
 
 func blankSingle(p *gaspisim.Proc, op gaspisim.Operation) {
@@ -41,7 +41,7 @@ func handled(p *gaspisim.Proc) (*memory.Segment, error) {
 	return seg, nil
 }
 
-func handledLater(seg *memory.Segment) memory.F64 {
+func handledLater(seg *memory.Segment) []float64 {
 	v, err := memory.F64View(seg, 0, 8) // ok: error bound to a name
 	_ = err
 	return v

@@ -78,8 +78,8 @@ type grid struct {
 	rank   int
 	rp     int // interior rows owned by this rank
 	seg    *memory.Segment
-	v      memory.F64 // (rp+2) x Cols; Verify only
-	bi, bj int        // block grid dimensions (hybrid)
+	v      []float64 // (rp+2) x Cols, a view of seg; Verify only
+	bi, bj int       // block grid dimensions (hybrid)
 }
 
 // segGrid is the segment id used for the strip.
@@ -116,7 +116,7 @@ func newGrid(env *cluster.Env, p Params, hybrid bool) *grid {
 	// Interior starts at zero (segment is zeroed); set the boundary.
 	if g.rank == 0 {
 		for c := 0; c < p.Cols; c++ {
-			v.Set(g.idx(0, c), boundaryTop)
+			v[g.idx(0, c)] = boundaryTop
 		}
 	}
 	return g
@@ -145,8 +145,7 @@ func (g *grid) sweep(r0, r1, c0, c1 int) {
 		base := r * C
 		for c := lo; c <= hi; c++ {
 			i := base + c
-			x := 0.25 * (v.At(i-C) + v.At(i+C) + v.At(i-1) + v.At(i+1))
-			v.Set(i, x)
+			v[i] = 0.25 * (v[i-C] + v[i+C] + v[i-1] + v[i+1])
 		}
 	}
 }
@@ -176,17 +175,12 @@ func Serial(p Params) []float64 {
 	return u
 }
 
-// Strip extracts this rank's interior rows as a copy (for verification),
-// or returns nil in timed mode, which holds no rows.
+// Strip returns this rank's interior rows (for verification), or nil in
+// timed mode, which holds no rows. It is a view into the rank's segment,
+// not a copy: it is valid until that segment is next written.
 func (g *grid) Strip() []float64 {
 	if !g.p.Verify {
 		return nil
 	}
-	out := make([]float64, g.rp*g.p.Cols)
-	for r := 0; r < g.rp; r++ {
-		for c := 0; c < g.p.Cols; c++ {
-			out[r*g.p.Cols+c] = g.v.At(g.idx(r+1, c))
-		}
-	}
-	return out
+	return g.v[g.idx(1, 0):g.idx(g.rp+1, 0)]
 }

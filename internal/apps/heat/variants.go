@@ -116,6 +116,7 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 	up, down := r > 0, r < P-1
 	T := p.Timesteps
 	keys := &blockKeys{}
+	var deps tasking.DepList // reused: Submit keeps none of a list
 
 	for t := 0; t < T; t++ {
 		if up {
@@ -123,7 +124,7 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(g.rowBytes(0, bj), mpisim.Rank(r-1), 2*bj)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.Out(&keys.top, bj, bj+1)),
+				}, deps.With(tasking.Out(&keys.top, bj, bj+1)),
 					tasking.WithLabel("recv top"))
 			}
 		}
@@ -132,7 +133,7 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(g.rowBytes(g.rp+1, bj), mpisim.Rank(r+1), 2*bj+1)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.Out(&keys.bot, bj, bj+1)),
+				}, deps.With(tasking.Out(&keys.bot, bj, bj+1)),
 					tasking.WithLabel("recv bottom"))
 			}
 		}
@@ -142,7 +143,7 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Isend(g.rowBytes(1, bj), mpisim.Rank(r-1), 2*bj+1)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.In(&keys.blocks, bj, bj+1)),
+				}, deps.With(tasking.In(&keys.blocks, bj, bj+1)),
 					tasking.WithLabel("send top"))
 			}
 			if down {
@@ -150,7 +151,7 @@ func RunTAMPI(env *cluster.Env, p Params) *grid {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Isend(g.rowBytes(g.rp, bj), mpisim.Rank(r+1), 2*bj)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.In(&keys.blocks, last, last+1)),
+				}, deps.With(tasking.In(&keys.blocks, last, last+1)),
 					tasking.WithLabel("send bottom"))
 			}
 		}
@@ -175,6 +176,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 	Q := env.GASPI.Queues()
 	keys := &blockKeys{}
 	rowLen := p.BlockCols * memory.F64Bytes
+	var deps tasking.DepList // reused: Submit keeps none of a list
 
 	// Notification ids: top-halo arrivals use [0, BJ); bottom-halo
 	// arrivals use [BJ, 2BJ).
@@ -183,7 +185,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 			for bj := 0; bj < BJ; bj++ {
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(bj), nil)
-				}, tasking.WithDeps(tasking.Out(&keys.top, bj, bj+1)),
+				}, deps.With(tasking.Out(&keys.top, bj, bj+1)),
 					tasking.WithLabel("wait top"), tasking.NonBlocking())
 			}
 		}
@@ -191,7 +193,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 			for bj := 0; bj < BJ; bj++ {
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segGrid, gaspisim.NotificationID(BJ+bj), nil)
-				}, tasking.WithDeps(tasking.Out(&keys.bot, bj, bj+1)),
+				}, deps.With(tasking.Out(&keys.bot, bj, bj+1)),
 					tasking.WithLabel("wait bottom"), tasking.NonBlocking())
 			}
 		}
@@ -204,7 +206,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 						gaspisim.Rank(r-1), segGrid,
 						g.idx(g.rp+1, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(BJ+bj), int64(t+1), bj%Q))
-				}, tasking.WithDeps(tasking.In(&keys.blocks, bj, bj+1)),
+				}, deps.With(tasking.In(&keys.blocks, bj, bj+1)),
 					tasking.WithLabel("write top"), tasking.NonBlocking())
 			}
 			if down {
@@ -215,7 +217,7 @@ func RunTAGASPI(env *cluster.Env, p Params) *grid {
 						gaspisim.Rank(r+1), segGrid,
 						g.idx(0, bj*p.BlockCols)*memory.F64Bytes, rowLen,
 						gaspisim.NotificationID(bj), int64(t+1), bj%Q))
-				}, tasking.WithDeps(tasking.In(&keys.blocks, last, last+1)),
+				}, deps.With(tasking.In(&keys.blocks, last, last+1)),
 					tasking.WithLabel("write bottom"), tasking.NonBlocking())
 			}
 		}

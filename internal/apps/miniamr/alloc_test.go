@@ -2,6 +2,7 @@ package miniamr
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,5 +51,39 @@ func TestTimedHeapPerMessage(t *testing.T) {
 	if per > HeapBytesPerMessageBudget {
 		t.Fatalf("heap allocated per message %.0f bytes exceeds budget %d: do the timed-mode "+
 			"segments or migration buffers hold every message's bytes again?", per, HeapBytesPerMessageBudget)
+	}
+}
+
+// TestVerifyHaloZeroAlloc is an allocation gate of scripts/ci.sh for the
+// Verify kernels: packing a message into its send bytes and unpacking it
+// from them works on the bytes in place, with no slice of values per
+// message, and fills the halo exactly as the packed values do.
+func TestVerifyHaloZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	p := verifyParams
+	e := p.buildEpoch(1, 3)
+	a := &app{p: p, me: 1}
+	pl := a.plan(e)
+	if len(pl.outRemote) == 0 {
+		t.Fatal("rank 1 sends no remote message")
+	}
+	for _, m := range pl.outRemote {
+		src, dst, want := p.newBlock(m.Src), p.newBlock(m.Dst), p.newBlock(m.Dst)
+		p.initBlock(src)
+		buf := make([]byte, p.msgBytes(m))
+		if n := testing.AllocsPerRun(20, func() {
+			a.pack(src, m, buf)
+			a.unpack(dst, m, buf)
+		}); n != 0 {
+			t.Fatalf("message %v→%v face %d: a Verify pack and unpack allocate %v objects, want 0", m.Src, m.Dst, m.Face, n)
+		}
+		vals := make([]float64, m.Elems*p.Vars)
+		p.packMsg(src, m, vals)
+		p.unpackMsg(want, m, vals)
+		if !slices.Equal(dst.cur, want.cur) {
+			t.Fatalf("message %v→%v face %d: unpacking in place filled another halo", m.Src, m.Dst, m.Face)
+		}
 	}
 }

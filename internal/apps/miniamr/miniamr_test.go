@@ -162,8 +162,8 @@ func TestSlotBoundsInBothModes(t *testing.T) {
 		}},
 		{"remote", func(a *app, pl *plan) {
 			pr := e.Owner[pl.outRemote[0].Dst]
-			rv := memory.I64Of(make([]byte, (2*len(pl.peersOut[pr])+len(pl.peersIn[pr]))*memory.I64Bytes))
-			rv.Set(0, int64(e.InBytes[pr]-a.p.msgBytes(pl.outRemote[0])+1))
+			rv := make([]int64, 2*len(pl.peersOut[pr])+len(pl.peersIn[pr]))
+			rv[0] = int64(e.InBytes[pr] - a.p.msgBytes(pl.outRemote[0]) + 1)
 			a.adopt(pl, pr, rv)
 		}},
 	} {

@@ -82,6 +82,9 @@ type app struct {
 	// Timed mode's migration slots, one interior wide, allocated on first
 	// use; Verify gives every transfer its own buffer instead.
 	migSend, migRecv []byte
+	// deps is the hybrid variants' dependency list, reused by every
+	// Submit of the rank main: Submit keeps none of a list.
+	deps tasking.DepList
 }
 
 // plan is the per-epoch communication plan of one rank.
@@ -203,20 +206,19 @@ func (a *app) initialBlocks(pl *plan) {
 // mode. Otherwise a block holds its leaf alone: nothing reads the cells, and
 // every modelled cost is the caller's Sleep or Compute either way.
 
-// pack writes message m's values from src into the send bytes buf.
+// pack writes message m's values from src into the send bytes buf, in
+// place.
 func (a *app) pack(src *block, m Msg, buf []byte) {
 	if a.p.Verify {
-		vals := make([]float64, m.Elems*a.p.Vars)
-		a.p.packMsg(src, m, vals)
-		memory.F64Of(buf).CopyIn(0, vals)
+		a.p.packMsg(src, m, memory.Float64s(buf))
 	}
 }
 
 // unpack places message m's values from the receive bytes buf into dst's
-// halo.
+// halo, reading them in place.
 func (a *app) unpack(dst *block, m Msg, buf []byte) {
 	if a.p.Verify {
-		a.p.unpackMsg(dst, m, memory.F64Of(buf).CopyOut(0, m.Elems*a.p.Vars))
+		a.p.unpackMsg(dst, m, memory.Float64s(buf))
 	}
 }
 
@@ -283,9 +285,7 @@ func (a *app) migrate(oldE, newE *Epoch, pl *plan) {
 		case tr.From == a.me:
 			buf := a.migBuf(&a.migSend, nbytes)
 			if p.Verify {
-				vals := make([]float64, elems)
-				p.interior(a.blocks[tr.Src], vals)
-				memory.F64Of(buf).CopyIn(0, vals)
+				p.interior(a.blocks[tr.Src], memory.Float64s(buf))
 			}
 			if a.env.RT != nil {
 				a.env.RT.Submit(func(tk *tasking.Task) {
@@ -349,7 +349,7 @@ func (a *app) remap(nl Leaf, srcs []Leaf, inbound map[Leaf][]byte) *block {
 			p.interior(b, data)
 			p.remapInto(nl, ol, data, acc, cnt)
 		} else {
-			p.remapInto(nl, ol, memory.F64Of(inbound[ol]).CopyOut(0, elems), acc, cnt)
+			p.remapInto(nl, ol, memory.Float64s(inbound[ol]), acc, cnt)
 		}
 	}
 	b := p.newBlock(nl)
@@ -384,17 +384,13 @@ func (a *app) agree(pl *plan) {
 		// Payload to pr: (offset, data notif id) for every message pr→me,
 		// then my ack id for every message me→pr.
 		ins, outs := pl.peersIn[pr], pl.peersOut[pr]
-		sendVals := make([]int64, 0, 2*len(ins)+len(outs))
-		for _, k := range ins {
-			sendVals = append(sendVals, int64(pl.inOff[k]), int64(k))
+		sendBuf := make([]byte, (2*len(ins)+len(outs))*8)
+		sv := memory.Int64s(sendBuf)
+		for i, k := range ins {
+			sv[2*i], sv[2*i+1] = int64(pl.inOff[k]), int64(k)
 		}
-		for _, k := range outs {
-			sendVals = append(sendVals, int64(k))
-		}
-		sendBuf := make([]byte, len(sendVals)*8)
-		sv := memory.I64Of(sendBuf)
-		for i, v := range sendVals {
-			sv.Set(i, v)
+		for i, k := range outs {
+			sv[2*len(ins)+i] = int64(k)
 		}
 		recvBuf := make([]byte, (2*len(outs)+len(ins))*8)
 		recvBufs[pr] = recvBuf
@@ -404,26 +400,26 @@ func (a *app) agree(pl *plan) {
 	}
 	mpi.Waitall(reqs)
 	for _, pr := range peers {
-		a.adopt(pl, pr, memory.I64Of(recvBufs[pr]))
+		a.adopt(pl, pr, memory.Int64s(recvBufs[pr]))
 	}
 }
 
 // adopt records the agreement values peer pr sent. The receive offsets pr
 // assigned are the only offsets that arrive from another rank, so each is
 // checked here against pr's receive buffer of this epoch.
-func (a *app) adopt(pl *plan, pr int, rv memory.I64) {
+func (a *app) adopt(pl *plan, pr int, rv []int64) {
 	i := 0
 	for _, k := range pl.peersOut[pr] {
-		off, n, size := int(rv.At(i)), a.p.msgBytes(pl.outRemote[k]), pl.e.InBytes[pr]
+		off, n, size := int(rv[i]), a.p.msgBytes(pl.outRemote[k]), pl.e.InBytes[pr]
 		if off < 0 || off+n > size {
 			panic(fmt.Sprintf("miniamr: rank %d: rank %d assigned bytes [%d,%d) outside its %d-byte receive buffer",
 				a.me, pr, off, off+n, size))
 		}
-		pl.remOff[k], pl.remNotif[k] = off, int(rv.At(i+1))
+		pl.remOff[k], pl.remNotif[k] = off, int(rv[i+1])
 		i += 2
 	}
 	for _, k := range pl.peersIn[pr] {
-		pl.ackID[k] = int(rv.At(i))
+		pl.ackID[k] = int(rv[i])
 		i++
 	}
 }
@@ -652,7 +648,7 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 			buf := a.sendBytes(pl, k)
 			a.pack(src, m, buf)
 			ta.Iwait(tk, mpi.Isend(buf, mpisim.Rank(e.Owner[m.Dst]), m.Tag))
-		}, tasking.WithDeps(
+		}, a.deps.With(
 			tasking.In(&keys.block, bidx, bidx+1),
 			tasking.InOut(&keys.sslot, k, k+1)),
 			tasking.WithLabel("pack+send"))
@@ -660,7 +656,7 @@ func (a *app) tampiStep(pl *plan, keys *depKeys) {
 	for k, m := range pl.inRemote {
 		rt.Submit(func(tk *tasking.Task) {
 			ta.Iwait(tk, mpi.Irecv(a.recvBytes(pl, k), mpisim.Rank(e.Owner[m.Src]), m.Tag))
-		}, tasking.WithDeps(tasking.Out(&keys.rslot, k, k+1)),
+		}, a.deps.With(tasking.Out(&keys.rslot, k, k+1)),
 			tasking.WithLabel("recv"))
 		a.submitUnpack(pl, keys, k, m, false, false)
 	}
@@ -684,7 +680,7 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 					nv*memory.F64Bytes,
 					gaspisim.NotificationID(pl.remNotif[k]), int64(s+1), k%Q))
 			})
-		}, tasking.WithDeps(
+		}, a.deps.With(
 			tasking.In(&keys.block, bidx, bidx+1),
 			tasking.InOut(&keys.sslot, k, k+1)),
 			// Wait for the consumer's ack before writing; on the epoch's
@@ -698,7 +694,7 @@ func (a *app) tagaspiStep(pl *plan, keys *depKeys, s int, lastOfEpoch bool) {
 	for k, m := range pl.inRemote {
 		rt.Submit(func(tk *tasking.Task) {
 			tg.NotifyIwait(tk, segRecv, gaspisim.NotificationID(k), nil)
-		}, tasking.WithDeps(tasking.Out(&keys.rslot, k, k+1)),
+		}, a.deps.With(tasking.Out(&keys.rslot, k, k+1)),
 			tasking.WithLabel("wait data"), tasking.NonBlocking())
 		a.submitUnpack(pl, keys, k, m, true, lastOfEpoch)
 	}
@@ -723,7 +719,7 @@ func (a *app) submitUnpack(pl *plan, keys *depKeys, k int, m Msg, oneSided, last
 					gaspisim.NotificationID(pl.ackID[k]), 1, k%Q))
 			}
 		})
-	}, tasking.WithDeps(
+	}, a.deps.With(
 		tasking.In(&keys.rslot, k, k+1),
 		tasking.Out(&keys.face, fidx, fidx+1)),
 		tasking.WithLabel("unpack"), tasking.NonBlocking())
@@ -739,7 +735,7 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 		rt.Submit(func(tk *tasking.Task) {
 			nv := m.Elems * p.Vars
 			tk.Then(env.CostOf(float64(nv)), func() { a.copyHalo(src, dst, m) })
-		}, tasking.WithDeps(
+		}, a.deps.With(
 			tasking.In(&keys.block, sidx, sidx+1),
 			tasking.Out(&keys.face, fidx, fidx+1)),
 			tasking.WithLabel("local halo"), tasking.NonBlocking())
@@ -750,7 +746,7 @@ func (a *app) submitLocalAndCompute(pl *plan, keys *depKeys) {
 		faces := pl.noNbr[l]
 		rt.Submit(func(tk *tasking.Task) {
 			tk.Then(env.CostOf(float64(p.InteriorElems())), func() { a.advance(b, faces) })
-		}, tasking.WithDeps(
+		}, a.deps.With(
 			tasking.InOut(&keys.block, bidx, bidx+1),
 			tasking.In(&keys.face, bidx*6, bidx*6+6)),
 			tasking.WithLabel("stencil"), tasking.NonBlocking())

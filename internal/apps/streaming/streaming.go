@@ -96,8 +96,8 @@ type pipe struct {
 	next    int // destination rank (-1 for the last stage)
 	recvSeg *memory.Segment
 	sendSeg *memory.Segment
-	recv    memory.F64 // Verify only
-	send    memory.F64
+	recv    []float64 // views of recvSeg and sendSeg; Verify only
+	send    []float64
 	sumMu   sync.Mutex // block tasks of one chunk run on concurrent workers
 	sum     float64    // last stage: checksum accumulator
 }
@@ -184,20 +184,22 @@ func (pi *pipe) computeBlock(c, j int) {
 	off := j * b
 	switch {
 	case pi.node == 0:
-		for i := 0; i < b; i++ {
-			pi.send.Set(off+i, gen(c, pi.elemBase(j)+i))
+		send := pi.send[off : off+b]
+		for i := range send {
+			send[i] = gen(c, pi.elemBase(j)+i)
 		}
 	case pi.next < 0:
 		var sum float64
-		for i := 0; i < b; i++ {
-			sum += stageFn(pi.node, pi.recv.At(off+i))
+		for _, x := range pi.recv[off : off+b] {
+			sum += stageFn(pi.node, x)
 		}
 		pi.sumMu.Lock()
 		pi.sum += sum
 		pi.sumMu.Unlock()
 	default:
-		for i := 0; i < b; i++ {
-			pi.send.Set(off+i, stageFn(pi.node, pi.recv.At(off+i)))
+		send, recv := pi.send[off:off+b], pi.recv[off:off+b]
+		for i, x := range recv {
+			send[i] = stageFn(pi.node, x)
 		}
 	}
 }
@@ -268,14 +270,14 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 	mpi, rt, ta := env.MPI, env.RT, env.TAMPI
 	type keys struct{ recv, send int }
 	k := &keys{}
-	deps := make([]tasking.Dep, 0, 2) // reused: Submit keeps none of the slice
+	var deps tasking.DepList // reused: Submit keeps none of a list
 	for c := 0; c < p.Chunks; c++ {
 		for j := 0; j < pi.nb; j++ {
 			if pi.prev >= 0 {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Irecv(pi.blockBytes(pi.recvSeg, j), mpisim.Rank(pi.prev), j)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
+				}, deps.With(tasking.Out(&k.recv, j, j+1)),
 					tasking.WithLabel("recv"))
 			}
 			deps = append(deps[:0], tasking.Out(&k.send, j, j+1))
@@ -289,7 +291,7 @@ func RunTAMPI(env *cluster.Env, p Params) func() float64 {
 				rt.Submit(func(tk *tasking.Task) {
 					req := mpi.Isend(pi.blockBytes(pi.sendSeg, j), mpisim.Rank(pi.next), j)
 					ta.Iwait(tk, req)
-				}, tasking.WithDeps(tasking.In(&k.send, j, j+1)),
+				}, deps.With(tasking.In(&k.send, j, j+1)),
 					tasking.WithLabel("send"))
 			}
 		}
@@ -308,7 +310,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 	Q := env.GASPI.Queues()
 	type keys struct{ recv, send int }
 	k := &keys{}
-	deps := make([]tasking.Dep, 0, 2) // reused: Submit keeps none of the slice
+	var deps tasking.DepList // reused: Submit keeps none of a list
 
 	// Seed the producer's acks: our receive blocks start out consumable.
 	if pi.prev >= 0 {
@@ -326,7 +328,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 				// wait data: the chunk block landing in our receive buffer.
 				rt.Submit(func(tk *tasking.Task) {
 					tg.NotifyIwait(tk, segRecv, dataNotif(j), nil)
-				}, tasking.WithDeps(tasking.Out(&k.recv, j, j+1)),
+				}, deps.With(tasking.Out(&k.recv, j, j+1)),
 					tasking.WithLabel("wait data"), tasking.NonBlocking())
 			}
 			deps = append(deps[:0], tasking.Out(&k.send, j, j+1))
@@ -350,7 +352,7 @@ func RunTAGASPI(env *cluster.Env, p Params) func() float64 {
 					off := j * p.BlockSize * memory.F64Bytes
 					must(tg.WriteNotify(tk, segSend, off, gaspisim.Rank(pi.next), segRecv, off,
 						p.BlockSize*memory.F64Bytes, dataNotif(j), int64(c+1), j%Q))
-				}, tasking.WithDeps(tasking.In(&k.send, j, j+1)),
+				}, deps.With(tasking.In(&k.send, j, j+1)),
 					tasking.WithOnReady(func(tk *tasking.Task) {
 						// ack_iwait: wait until the consumer freed the slot.
 						tg.NotifyIwait(tk, segSend, ackNotif(j, pi.nb), nil)

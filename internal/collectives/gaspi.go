@@ -18,7 +18,7 @@ import (
 // collectively-agreed maxElems):
 //
 //	[0, 2*steps*chunkMax*8)  ring staging: per parity, one slot per step
-//	[sendOff, +chunkMax*8)   local send slot (packed outgoing chunk)
+//	[sendOff, +chunkMax*8)   local send slot (outgoing chunk)
 
 // segSize returns the reserved segment's byte size: parity-doubled ring
 // staging and the local send slot.
@@ -104,7 +104,7 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op) {
 	phaseStart := opStart
 	for g := 0; g < c.steps; g++ {
 		sc := ringSendChunk(me, n, g)
-		packF64(segB[c.sendOff():], out[sc*chunk:(sc+1)*chunk])
+		copy(memory.Float64s(segB[c.sendOff():][:chunkBytes]), out[sc*chunk:(sc+1)*chunk])
 		nid := c.ringNid(epoch, g)
 		c.flowStart(c.clk.Now(), stepFlowID(epoch, g, int(right)))
 		must(c.g.WriteNotify(Seg, c.sendOff(), right, Seg, c.ringSlotOff(parity, g),
@@ -114,12 +114,12 @@ func (c *Comm) gaspiRing(epoch int, out []float64, op Op) {
 		c.consumeNotification(nid, epoch)
 		c.flowFinish(c.clk.Now(), stepFlowID(epoch, g, me))
 		rc := ringRecvChunk(me, n, g)
-		slot := segB[c.ringSlotOff(parity, g):]
+		slot := memory.Float64s(segB[c.ringSlotOff(parity, g):][:chunkBytes])
 		dst := out[rc*chunk : (rc+1)*chunk]
 		if g < n-1 {
-			combineF64(dst, slot, op)
+			combine(dst, slot, op)
 		} else {
-			copyF64(dst, slot)
+			copy(dst, slot)
 		}
 		c.compute(chunk)
 		if g == n-2 {

@@ -58,7 +58,7 @@ func (c *Comm) mpiRing(epoch int, out []float64, op Op) {
 	for g := 0; g < c.steps; g++ {
 		tag := seq.next()
 		sc := ringSendChunk(me, n, g)
-		packF64(c.sendBuf, out[sc*chunk:(sc+1)*chunk])
+		copy(memory.Float64s(c.sendBuf[:chunkBytes]), out[sc*chunk:(sc+1)*chunk])
 		c.flowStart(c.clk.Now(), stepFlowID(epoch, g, int(right)))
 		sr := c.mpi.CollectiveIsend(c.sendBuf[:chunkBytes], right, tag)
 		c.mpi.CollectiveRecv(c.recvBuf[:chunkBytes], left, tag)
@@ -66,12 +66,12 @@ func (c *Comm) mpiRing(epoch int, out []float64, op Op) {
 		rc := ringRecvChunk(me, n, g)
 		dst := out[rc*chunk : (rc+1)*chunk]
 		if g < n-1 {
-			combineF64(dst, c.recvBuf, op)
+			combine(dst, memory.Float64s(c.recvBuf[:chunkBytes]), op)
 		} else {
-			copyF64(dst, c.recvBuf)
+			copy(dst, memory.Float64s(c.recvBuf[:chunkBytes]))
 		}
 		c.compute(chunk)
-		c.mpi.Wait(sr) // the send buffer is repacked next step
+		c.mpi.Wait(sr) // the send buffer is rewritten next step
 		if g == n-2 {
 			c.span("coll:reduce_scatter", phaseStart, c.clk.Now(), int64(epoch))
 			phaseStart = c.clk.Now()

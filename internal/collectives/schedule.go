@@ -6,11 +6,6 @@
 
 package collectives
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // mod returns a mod n in [0, n) for possibly-negative a.
 //
 //tagalint:hotpath
@@ -43,33 +38,16 @@ func ringRecvChunk(me, n, g int) int {
 	return ringSendChunk(mod(me-1, n), n, g)
 }
 
-// packF64 serialises vals little-endian into dst (8 bytes per element),
-// the wire layout shared with mpisim's collectives.
+// combine folds the incoming chunk src into dst element-wise:
+// dst[i] = op(dst[i], src[i]). The operand order is part of the
+// cross-backend bit-identity contract. A chunk travels as the bytes of a
+// float64 view (memory.Float64s), so sending it is a copy into the send
+// buffer's view and receiving it reads the receive buffer's view in place.
 //
 //tagalint:hotpath
-func packF64(dst []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
-}
-
-// combineF64 folds the packed incoming chunk into dst element-wise:
-// dst[i] = op(dst[i], incoming[i]). The operand order is part of the
-// cross-backend bit-identity contract.
-//
-//tagalint:hotpath
-func combineF64(dst []float64, src []byte, op Op) {
+func combine(dst, src []float64, op Op) {
+	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] = op(dst[i], math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:])))
-	}
-}
-
-// copyF64 unpacks the packed incoming chunk over dst (the allgather
-// phase's copy step).
-//
-//tagalint:hotpath
-func copyF64(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+		dst[i] = op(dst[i], src[i])
 	}
 }

@@ -165,12 +165,12 @@ func (s *taStep) ringRun(t *tasking.Task) {
 		s.checkEvVal(0, s.epoch) // the predecessor chunk's arrival
 		c.flowFinish(c.clk.Now(), stepFlowID(s.epoch, j, me))
 		rc := ringRecvChunk(me, n, j)
-		slot := segB[c.ringSlotOff(parity, j):]
+		slot := memory.Float64s(segB[c.ringSlotOff(parity, j):][:chunkBytes])
 		dst := s.work[rc*chunk : (rc+1)*chunk]
 		if j < n-1 {
-			combineF64(dst, slot, s.op)
+			combine(dst, slot, s.op)
 		} else {
-			copyF64(dst, slot)
+			copy(dst, slot)
 		}
 		if c.elemCost > 0 {
 			t.Compute(c.elemCost * time.Duration(chunk))
@@ -183,7 +183,7 @@ func (s *taStep) ringRun(t *tasking.Task) {
 	if s.g < c.steps {
 		sc := ringSendChunk(me, n, s.g)
 		right := gaspisim.Rank(mod(me+1, n))
-		packF64(segB[c.sendOff():], s.work[sc*chunk:(sc+1)*chunk])
+		copy(memory.Float64s(segB[c.sendOff():][:chunkBytes]), s.work[sc*chunk:(sc+1)*chunk])
 		c.flowStart(c.clk.Now(), stepFlowID(s.epoch, s.g, int(right)))
 		must(c.tg.WriteNotify(t, Seg, c.sendOff(), right, Seg,
 			c.ringSlotOff(parity, s.g), chunkBytes,

@@ -7,9 +7,14 @@
 // actual copy between the two processes' segments, which in the simulator
 // share one address space but are never aliased across ranks.
 //
-// Applications that compute on floating-point data keep it inside segments
-// through the F64 view, which provides bounds-checked element access over
-// the raw bytes without unsafe.
+// Applications compute in place on the bytes the one-sided calls move, as
+// the paper's codes do on their double arrays: Float64s and Int64s view a
+// byte slice as native numbers without copying, and F64View views a
+// segment range. A view uses the host's byte order, and its bytes must
+// start on an 8-byte boundary. Every segment starts on one, so any range
+// at an offset that is a multiple of 8 qualifies. Payloads move
+// between ranks of one host process byte for byte, so no byte order is
+// ever converted.
 //
 // A segment's logical size and its backing store can differ. A timed
 // segment (NewTimedSegment) is addressed by logical offset like any other,
@@ -23,10 +28,9 @@
 package memory
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
+	"unsafe"
 )
 
 // SegmentID identifies a segment within one rank's registry.
@@ -50,7 +54,10 @@ func NewTimedSegment(id SegmentID, size, width int) *Segment {
 	if width < 0 || width > size {
 		panic(fmt.Sprintf("memory: segment %d: width %d outside [0, size %d]", id, width, size))
 	}
-	return &Segment{id: id, size: size, buf: make([]byte, width)}
+	// A capacity that is a whole number of words puts the slot on an
+	// 8-byte boundary even below 16 bytes, where Go's allocator aligns a
+	// 9- to 15-byte object by its size alone.
+	return &Segment{id: id, size: size, buf: make([]byte, width, (width+F64Bytes-1)&^(F64Bytes-1))}
 }
 
 // ID returns the segment's identifier.
@@ -129,94 +136,47 @@ func (r *Registry) Lookup(id SegmentID) (*Segment, error) {
 	return s, nil
 }
 
-// F64 is a bounds-checked float64 view over a byte region, in little-endian
-// layout (8 bytes per element).
-type F64 struct {
-	b []byte
-}
-
-// F64Bytes is the byte size of one F64 element.
+// F64Bytes is the byte size of one element of a native view.
 const F64Bytes = 8
 
-// F64View wraps a segment sub-range [byteOff, byteOff+8*n) as n float64s.
-func F64View(s *Segment, byteOff, n int) (F64, error) {
+// F64View returns the segment sub-range [byteOff, byteOff+8*n) as n
+// float64s (Float64s). It fails if the range leaves the segment or if
+// byteOff is not a multiple of 8.
+func F64View(s *Segment, byteOff, n int) ([]float64, error) {
+	if byteOff%F64Bytes != 0 {
+		return nil, fmt.Errorf("memory: view offset %d in segment %d is not a multiple of 8", byteOff, s.id)
+	}
 	b, err := s.Slice(byteOff, n*F64Bytes)
 	if err != nil {
-		return F64{}, err
+		return nil, err
 	}
-	return F64{b: b}, nil
+	return Float64s(b), nil
 }
 
-// F64Of wraps an existing byte slice; len(b) must be a multiple of 8.
-func F64Of(b []byte) F64 {
+// Float64s returns the bytes b as float64s in the host's byte order. It is
+// a view, not a copy: a write through either slice is a write to both.
+// It panics unless len(b) is a multiple of 8 and b starts on an 8-byte
+// boundary.
+func Float64s(b []byte) []float64 { return unsafe.Slice((*float64)(viewBase(b)), len(b)/F64Bytes) }
+
+// Int64s is Float64s for int64s.
+func Int64s(b []byte) []int64 { return unsafe.Slice((*int64)(viewBase(b)), len(b)/F64Bytes) }
+
+// viewBase returns the address of b's first byte, nil if b is empty, and
+// panics unless b holds whole aligned 8-byte words. Go allocates every
+// byte slice made with a length that is a multiple of 8 on an 8-byte
+// boundary, so only a sub-slice at an offset that is not a multiple of 8
+// fails.
+func viewBase(b []byte) unsafe.Pointer {
 	if len(b)%F64Bytes != 0 {
-		panic(fmt.Sprintf("memory: F64Of over %d bytes, not a multiple of 8", len(b)))
+		panic(fmt.Sprintf("memory: view over %d bytes, not a multiple of 8", len(b)))
 	}
-	return F64{b: b}
-}
-
-// Len returns the number of elements.
-func (v F64) Len() int { return len(v.b) / F64Bytes }
-
-// At returns element i.
-func (v F64) At(i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.b[i*F64Bytes:]))
-}
-
-// Set stores x into element i.
-func (v F64) Set(i int, x float64) {
-	binary.LittleEndian.PutUint64(v.b[i*F64Bytes:], math.Float64bits(x))
-}
-
-// Fill sets every element to x.
-func (v F64) Fill(x float64) {
-	bits := math.Float64bits(x)
-	for i := 0; i < len(v.b); i += F64Bytes {
-		binary.LittleEndian.PutUint64(v.b[i:], bits)
+	if len(b) == 0 {
+		return nil
 	}
-}
-
-// CopyIn copies the Go slice src into the view starting at element off.
-func (v F64) CopyIn(off int, src []float64) {
-	for i, x := range src {
-		v.Set(off+i, x)
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%F64Bytes != 0 {
+		panic(fmt.Sprintf("memory: view over bytes at %p, not 8-byte aligned", p))
 	}
-}
-
-// CopyOut copies n elements starting at off into a new Go slice.
-func (v F64) CopyOut(off, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v.At(off + i)
-	}
-	return out
-}
-
-// I64 is a bounds-checked int64 view over a byte region (little-endian).
-type I64 struct {
-	b []byte
-}
-
-// I64Bytes is the byte size of one I64 element.
-const I64Bytes = 8
-
-// I64Of wraps an existing byte slice; len(b) must be a multiple of 8.
-func I64Of(b []byte) I64 {
-	if len(b)%I64Bytes != 0 {
-		panic(fmt.Sprintf("memory: I64Of over %d bytes, not a multiple of 8", len(b)))
-	}
-	return I64{b: b}
-}
-
-// Len returns the number of elements.
-func (v I64) Len() int { return len(v.b) / I64Bytes }
-
-// At returns element i.
-func (v I64) At(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(v.b[i*I64Bytes:]))
-}
-
-// Set stores x into element i.
-func (v I64) Set(i int, x int64) {
-	binary.LittleEndian.PutUint64(v.b[i*I64Bytes:], uint64(x))
+	return p
 }

@@ -179,23 +179,49 @@ func TestF64ViewRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", v.Len())
+	if len(v) != 8 {
+		t.Fatalf("len = %d, want 8", len(v))
 	}
-	for i := 0; i < 8; i++ {
-		v.Set(i, float64(i)*1.5)
+	for i := range v {
+		v[i] = float64(i) * 1.5
 	}
-	for i := 0; i < 8; i++ {
-		if got := v.At(i); got != float64(i)*1.5 {
-			t.Fatalf("At(%d) = %v, want %v", i, got, float64(i)*1.5)
+	for i := range v {
+		if got := v[i]; got != float64(i)*1.5 {
+			t.Fatalf("v[%d] = %v, want %v", i, got, float64(i)*1.5)
 		}
 	}
-	// The view starts at byte 8: byte 0..7 must be untouched.
+	// The view starts at byte 8: byte 0..7 must be untouched, and its
+	// elements are the segment's own bytes in the host's order.
 	for i := 0; i < 8; i++ {
 		if s.Bytes()[i] != 0 {
 			t.Fatal("view wrote outside its range")
 		}
 	}
+	if got := Float64s(s.Bytes()[16:24])[0]; got != 1.5 {
+		t.Fatalf("segment bytes [16,24) read %v, want the view's element 1, 1.5", got)
+	}
+}
+
+// smallSink keeps the small objects of TestSegmentViewAligned on the heap.
+var smallSink [][]byte
+
+// TestSegmentViewAligned views the first word of segments of 9 to 15
+// bytes, each allocated after small objects of every size. Go's allocator
+// packs objects below 16 bytes by their size alone, so without the
+// segment's rounded capacity such a segment can start 4 bytes into a word
+// and the view panics.
+func TestSegmentViewAligned(t *testing.T) {
+	for n := 9; n < 16; n++ {
+		for pad := 1; pad < 16; pad++ {
+			for range 4 {
+				smallSink = append(smallSink, make([]byte, pad), make([]byte, 4))
+				if _, err := F64View(NewSegment(0, n), 0, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	smallSink = nil
 }
 
 func TestF64ViewOutOfRange(t *testing.T) {
@@ -206,97 +232,117 @@ func TestF64ViewOutOfRange(t *testing.T) {
 	if _, err := F64View(s, 60, 1); err == nil {
 		t.Fatal("misaligned-end view must fail")
 	}
+	if _, err := F64View(s, 56, 2); err == nil {
+		t.Fatal("view past the end must fail")
+	}
+	if _, err := F64View(s, 4, 1); err == nil {
+		t.Fatal("misaligned offset must fail")
+	}
+	if v, err := F64View(s, 64, 0); err != nil || len(v) != 0 {
+		t.Fatalf("empty view at the end = %d elements, %v; want 0, nil", len(v), err)
+	}
 }
 
 func TestF64SpecialValues(t *testing.T) {
-	v := F64Of(make([]byte, 4*F64Bytes))
+	v := Float64s(make([]byte, 4*F64Bytes))
 	specials := []float64{math.Inf(1), math.Inf(-1), 0, math.MaxFloat64}
+	copy(v, specials)
 	for i, x := range specials {
-		v.Set(i, x)
-	}
-	for i, x := range specials {
-		if got := v.At(i); got != x {
-			t.Fatalf("At(%d) = %v, want %v", i, got, x)
+		if got := v[i]; got != x {
+			t.Fatalf("v[%d] = %v, want %v", i, got, x)
 		}
 	}
-	v.Set(0, math.NaN())
-	if !math.IsNaN(v.At(0)) {
+	v[0] = math.NaN()
+	if !math.IsNaN(v[0]) {
 		t.Fatal("NaN did not round-trip")
 	}
 }
 
+// TestF64FillSubCopy checks that a view aliases its bytes: a sub-view's
+// writes land in the enclosing view's elements and nowhere else, and
+// copy moves values in and out.
 func TestF64FillSubCopy(t *testing.T) {
-	v := F64Of(make([]byte, 10*F64Bytes))
-	v.Fill(3.25)
-	for i := 0; i < 10; i++ {
-		if v.At(i) != 3.25 {
-			t.Fatalf("Fill: At(%d) = %v", i, v.At(i))
-		}
+	b := make([]byte, 10*F64Bytes)
+	v := Float64s(b)
+	for i := range v {
+		v[i] = 3.25
 	}
-	F64Of(v.b[2*F64Bytes : 5*F64Bytes]).Fill(-1)
-	for i := 0; i < 10; i++ {
+	sub := Float64s(b[2*F64Bytes : 5*F64Bytes])
+	for i := range sub {
+		sub[i] = -1
+	}
+	for i := range v {
 		want := 3.25
 		if i >= 2 && i < 5 {
 			want = -1
 		}
-		if v.At(i) != want {
-			t.Fatalf("sub-range Fill: At(%d) = %v, want %v", i, v.At(i), want)
+		if v[i] != want {
+			t.Fatalf("sub-range fill: v[%d] = %v, want %v", i, v[i], want)
 		}
 	}
-	v.CopyIn(7, []float64{9, 8, 7})
-	got := v.CopyOut(7, 3)
+	copy(v[7:], []float64{9, 8, 7})
+	got := append([]float64(nil), v[7:10]...)
 	for i, want := range []float64{9, 8, 7} {
 		if got[i] != want {
-			t.Fatalf("CopyOut[%d] = %v, want %v", i, got[i], want)
+			t.Fatalf("copied out [%d] = %v, want %v", i, got[i], want)
 		}
 	}
 }
 
-func TestF64OfMisalignedPanics(t *testing.T) {
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	F64Of(make([]byte, 7))
+	f()
+}
+
+func TestFloat64sMisalignedPanics(t *testing.T) {
+	b := make([]byte, 3*F64Bytes)
+	mustPanic(t, "Float64s over 7 bytes", func() { Float64s(b[:7]) })
+	mustPanic(t, "Float64s over 9 bytes", func() { Float64s(b[:9]) })
+	mustPanic(t, "Float64s at byte 1", func() { Float64s(b[1:17]) })
+	mustPanic(t, "Float64s at byte 4", func() { Float64s(b[4:12]) })
+	if v := Float64s(b[8:8]); len(v) != 0 {
+		t.Errorf("Float64s of no bytes has %d elements", len(v))
+	}
 }
 
 func TestI64RoundTrip(t *testing.T) {
-	v := I64Of(NewSegment(0, 32).Bytes())
+	v := Int64s(NewSegment(0, 32).Bytes())
 	vals := []int64{0, -1, math.MaxInt64, math.MinInt64}
+	copy(v, vals)
 	for i, x := range vals {
-		v.Set(i, x)
-	}
-	for i, x := range vals {
-		if got := v.At(i); got != x {
-			t.Fatalf("At(%d) = %d, want %d", i, got, x)
+		if got := v[i]; got != x {
+			t.Fatalf("v[%d] = %d, want %d", i, got, x)
 		}
 	}
-	if v.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", v.Len())
+	if len(v) != 4 {
+		t.Fatalf("len = %d, want 4", len(v))
 	}
 }
 
-func TestI64OfMisalignedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	I64Of(make([]byte, 12))
+func TestInt64sMisalignedPanics(t *testing.T) {
+	b := make([]byte, 3*F64Bytes)
+	mustPanic(t, "Int64s over 12 bytes", func() { Int64s(b[:12]) })
+	mustPanic(t, "Int64s at byte 2", func() { Int64s(b[2:18]) })
 }
 
-// Property: any float64 round-trips through an F64 view at any valid index.
+// Property: any float64 round-trips bit for bit through a view at any
+// valid index, and the bytes behind it hold its bits in the host's order.
 func TestQuickF64RoundTrip(t *testing.T) {
-	v := F64Of(make([]byte, 64*F64Bytes))
-	f := func(x float64, idx uint8) bool {
+	b := make([]byte, 64*F64Bytes)
+	v := Float64s(b)
+	f := func(bits uint64, idx uint8) bool {
+		x := math.Float64frombits(bits)
 		i := int(idx) % 64
-		v.Set(i, x)
-		got := v.At(i)
-		if math.IsNaN(x) {
-			return math.IsNaN(got)
-		}
-		return got == x
+		v[i] = x
+		return math.Float64bits(v[i]) == bits &&
+			math.Float64bits(Float64s(b[i*F64Bytes:][:F64Bytes])[0]) == bits &&
+			uint64(Int64s(b)[i]) == bits
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -333,16 +379,6 @@ func TestQuickCopyIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkF64SetAt(b *testing.B) {
-	v := F64Of(make([]byte, 1024*F64Bytes))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		j := i % 1024
-		v.Set(j, float64(i))
-		_ = v.At(j)
 	}
 }
 

@@ -202,7 +202,8 @@ func TestSubmitChainMatchesSleep(t *testing.T) {
 // Submits, each burst followed by a TaskWait, allocate the task records and
 // the bodies' closures and nothing else once the runtime's buffers have
 // grown — no parker per wait (the creation-chain wait and the TaskWait take
-// pooled ones) and no per-Submit copy of the options or the dependencies.
+// pooled ones) and no per-Submit copy of the options or the dependencies,
+// whether the list is a reused slice or written inline through a DepList.
 func TestSubmitBurstAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -210,42 +211,55 @@ func TestSubmitBurstAllocs(t *testing.T) {
 	const bursts, n = 50, 20
 	clk := vclock.NewVirtual()
 	rt := New(clk, Config{Cores: 2, SubmitOverhead: 150, DispatchOverhead: 50})
-	slots := new([n]int)
+	slots, keys := new([n]int), new([n]int)
 	deps := make([]Dep, 1) // reused across Submits, as WithDeps allows
+	var list DepList
 	var sum int
-	burst := func() {
+	burst := func(inline bool) {
 		for k := range n {
-			deps[0] = InOut(slots, k, k+1) // no edge: the slot's last writer has completed
-			rt.Submit(func(tk *Task) {
+			body := func(tk *Task) {
 				sum += k // a closure per body, as the apps' bodies are
 				tk.Then(75, func() {})
-			}, WithDeps(deps...), WithLabel("burst"), NonBlocking())
+			}
+			if inline {
+				// No edge: each slot's last writer has completed.
+				rt.Submit(body, list.With(Out(keys, k, k+1), InOut(slots, k, k+1)),
+					WithLabel("burst"), NonBlocking())
+				continue
+			}
+			deps[0] = InOut(slots, k, k+1) // no edge: the slot's last writer has completed
+			rt.Submit(body, WithDeps(deps...), WithLabel("burst"), NonBlocking())
 		}
 		rt.TaskWait()
 	}
-	var allocs uint64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
-		for range 3 {
-			burst() // grows the registry, the chain, the streams and the core ring
+	for _, inline := range []bool{false, true} {
+		var allocs uint64
+		var wg sync.WaitGroup
+		wg.Add(1)
+		clk.Go(func() {
+			defer wg.Done()
+			for range 3 {
+				burst(inline) // grows the registry, the chain, the streams and the core ring
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range bursts {
+				burst(inline)
+			}
+			runtime.ReadMemStats(&after)
+			allocs = after.Mallocs - before.Mallocs
+		})
+		wg.Wait()
+		// Two per task: its record and its body's closure. The slack of half
+		// an allocation per burst covers the pools' refills after a GC; one
+		// parker per wait alone would cost three per wait, and an inline
+		// WithDeps list one per task.
+		budget := uint64(bursts*n*2 + bursts/2)
+		t.Logf("inline list %v: %d bursts of %d Submits + TaskWait: %d allocations (budget %d)",
+			inline, bursts, n, allocs, budget)
+		if allocs > budget {
+			t.Fatalf("inline list %v: %d allocations for %d bursts of %d Submits, budget %d",
+				inline, allocs, bursts, n, budget)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range bursts {
-			burst()
-		}
-		runtime.ReadMemStats(&after)
-		allocs = after.Mallocs - before.Mallocs
-	})
-	wg.Wait()
-	// Two per task: its record and its body's closure. The slack of half
-	// an allocation per burst covers the pools' refills after a GC; one
-	// parker per wait alone would cost three per wait.
-	budget := uint64(bursts*n*2 + bursts/2)
-	t.Logf("%d bursts of %d Submits + TaskWait: %d allocations (budget %d)", bursts, n, allocs, budget)
-	if allocs > budget {
-		t.Fatalf("%d allocations for %d bursts of %d Submits, budget %d", allocs, bursts, n, budget)
 	}
 }

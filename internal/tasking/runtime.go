@@ -177,6 +177,20 @@ const (
 // argument order.
 func WithDeps(deps ...Dep) Option { return Option{kind: optDeps, deps: deps} }
 
+// DepList is a dependency list that a submitter reuses from task to task.
+// Submit stores a task's label and onready callback, so everything its
+// options point at escapes: an inline WithDeps(In(..), Out(..)) list is a
+// heap allocation per Submit. l.With copies the same inline list into l's
+// backing array instead, which the next With overwrites: Submit keeps no
+// reference to a list. One Submit takes at most one With of a given list.
+type DepList []Dep
+
+// With sets the list to deps and attaches it (WithDeps).
+func (l *DepList) With(deps ...Dep) Option {
+	*l = append((*l)[:0], deps...)
+	return WithDeps(*l...)
+}
+
 // WithLabel attaches a diagnostic label. If several are given, the last
 // wins.
 func WithLabel(label string) Option { return Option{kind: optLabel, label: label} }

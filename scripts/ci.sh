@@ -88,22 +88,24 @@ done
 # internal/tasking.PendingTaskBudget; bursts of Submits, each followed by
 # a TaskWait, must allocate only the task records and the bodies'
 # closures (no parker per wait, no per-Submit copy of the options or the
-# dependencies); a jitterer after 100 draws must keep
+# dependencies, reused or written inline through a tasking.DepList); a
+# jitterer after 100 draws must keep
 # no more than internal/fabric.JitterStateBudget; a 1,024-rank dissemination
 # must release every fabric ordering domain and allocate no more records
 # than internal/fabric.DomainRecordBudget; a timed segment of 1 GiB logical
 # size must allocate less than 1 MiB (one slot, the apps' timed mode); and
 # a timed TAGASPI miniAMR job must
 # allocate no more than internal/apps/miniamr.HeapBytesPerMessageBudget
-# per message. Run without -race on purpose — race instrumentation
-# inflates allocation counts and heap sizes, so the gates skip themselves
-# under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + Submit-burst allocations + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message"
+# per message, and a Verify miniAMR pack and unpack of one message must
+# allocate nothing (they work in the message bytes through a view). Run
+# without -race on purpose — race instrumentation inflates allocation
+# counts and heap sizes, so the gates skip themselves under the race build.
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + Submit-burst allocations + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message + zero-alloc Verify halo pack/unpack"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestLinkStreamFootprint|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint|TestSubmitBurstAllocs' ./internal/tasking
 go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
-go test -run 'TestTimedHeapPerMessage' ./internal/apps/miniamr
+go test -run 'TestTimedHeapPerMessage|TestVerifyHaloZeroAlloc' ./internal/apps/miniamr
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc|TestDormancyZeroAlloc' ./internal/cluster
 
