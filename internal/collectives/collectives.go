@@ -29,7 +29,6 @@ package collectives
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/gaspisim"
@@ -48,20 +47,20 @@ import (
 // out of every application segment's namespace.
 const Seg gaspisim.SegmentID = 0xC0
 
-// Op combines two float64 values during a reduction; it is the simulator's
-// rendering of MPI_Op / gaspi_operation_t. It must be associative over the
-// ring's combine order and identical on every rank.
-type Op func(a, b float64) float64
+// Op is a reduction operator, the simulator's rendering of MPI_Op /
+// gaspi_operation_t. Each is associative over the ring's combine order and
+// identical on every rank; combine runs one loop per operator.
+type Op uint8
 
 // Reduction operators (MPI_SUM / MPI_MAX / MPI_MIN, gaspi_operation_t's
 // GASPI_OP_SUM / GASPI_OP_MAX / GASPI_OP_MIN).
-var (
+const (
 	// Sum adds the two operands (MPI_SUM).
-	Sum Op = func(a, b float64) float64 { return a + b }
-	// Max keeps the larger operand (MPI_MAX).
-	Max Op = math.Max
-	// Min keeps the smaller operand (MPI_MIN).
-	Min Op = math.Min
+	Sum Op = iota
+	// Max keeps the larger operand (MPI_MAX), as math.Max does.
+	Max
+	// Min keeps the smaller operand (MPI_MIN), as math.Min does.
+	Min
 )
 
 // backend discriminates the comm's driving library.

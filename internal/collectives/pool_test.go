@@ -14,5 +14,5 @@ func TestReleaseMark(t *testing.T) {
 		"collectives: releaseStep of a released taStep": func() { releaseStep(s) },
 		"collectives: step body on a released taStep":   func() { s.ringRun(nil) },
 	})
-	pooltest.Size[taStep](t, 120)
+	pooltest.Size[taStep](t, 112)
 }

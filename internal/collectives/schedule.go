@@ -6,6 +6,11 @@
 
 package collectives
 
+import (
+	"fmt"
+	"math"
+)
+
 // mod returns a mod n in [0, n) for possibly-negative a.
 //
 //tagalint:hotpath
@@ -39,15 +44,30 @@ func ringRecvChunk(me, n, g int) int {
 }
 
 // combine folds the incoming chunk src into dst element-wise:
-// dst[i] = op(dst[i], src[i]). The operand order is part of the
-// cross-backend bit-identity contract. A chunk travels as the bytes of a
-// float64 view (memory.Float64s), so sending it is a copy into the send
-// buffer's view and receiving it reads the receive buffer's view in place.
+// dst[i] = op(dst[i], src[i]), with math.Max and math.Min themselves for
+// Max and Min, so NaN and −0 behave as they define. The operand order is
+// part of the cross-backend bit-identity contract. A chunk travels as the
+// bytes of a float64 view (memory.Float64s), so sending it is a copy into
+// the send buffer's view and receiving it reads the receive buffer's view
+// in place.
 //
 //tagalint:hotpath
 func combine(dst, src []float64, op Op) {
 	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = op(dst[i], src[i])
+	switch op {
+	case Sum:
+		for i := range dst {
+			dst[i] = dst[i] + src[i]
+		}
+	case Max:
+		for i := range dst {
+			dst[i] = math.Max(dst[i], src[i])
+		}
+	case Min:
+		for i := range dst {
+			dst[i] = math.Min(dst[i], src[i])
+		}
+	default:
+		panic(fmt.Sprintf("collectives: unknown reduction operator %d", op))
 	}
 }

@@ -66,8 +66,11 @@ fi
 #     buffer had when the operation was posted.
 #   FuzzJitterSequence (DESIGN.md §8): the lazily seeded jitter source
 #     (internal/fabric/lfg.go) against math/rand, draw for draw.
+#   FuzzSweepOrder (DESIGN.md §15): heat's wavefront Gauss–Seidel kernel
+#     against the row-major loop, bit for bit, over generated strips and
+#     sub-ranges with NaN payloads, −0, ±Inf and subnormals among the values.
 for target in FuzzMatchOrder:mpisim FuzzTimerOrder:vclock \
-    FuzzPayloadSnapshot:memory FuzzJitterSequence:fabric; do
+    FuzzPayloadSnapshot:memory FuzzJitterSequence:fabric FuzzSweepOrder:apps/heat; do
     echo "== fuzz: ${target%%:*} in internal/${target#*:}, 10 s"
     go test -run '^$' -fuzz "^${target%%:*}\$" -fuzztime 10s "./internal/${target#*:}"
 done
@@ -97,15 +100,17 @@ done
 # a timed TAGASPI miniAMR job must
 # allocate no more than internal/apps/miniamr.HeapBytesPerMessageBudget
 # per message, and a Verify miniAMR pack and unpack of one message must
-# allocate nothing (they work in the message bytes through a view). Run
+# allocate nothing (they work in the message bytes through a view), and
+# so must a Verify heat sweep of cmd/bench's 16x128 and 64x64 blocks. Run
 # without -race on purpose — race instrumentation inflates allocation
 # counts and heap sizes, so the gates skip themselves under the race build.
-echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + Submit-burst allocations + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message + zero-alloc Verify halo pack/unpack"
+echo "== allocation-regression gates: fabric send-path budget (plain + flow-stamped + multi-hop) + link-stream footprint + nil-Collector zero-alloc + one-allocation Events + idle polling pass and dormancy zero-alloc + unchanged-buffer snapshots + pending-task footprint + Submit-burst allocations + jitter-state footprint + domain-record footprint + one-slot timed segment + timed miniAMR heap per message + zero-alloc Verify halo pack/unpack + zero-alloc Verify heat sweep"
 go test -run 'TestCourierAllocBudget|TestCourierAllocBudgetInstrumented|TestCourierAllocBudgetMultiHop|TestLinkStreamFootprint|TestJitterStateFootprint|TestDomainFootprint' ./internal/fabric
 go test -run 'TestUnchangedBufferSnapshotsOnce' ./internal/mpisim ./internal/gaspisim
 go test -run 'TestPendingTaskFootprint|TestSubmitBurstAllocs' ./internal/tasking
 go test -run 'TestTimedSegmentHoldsOneSlot' ./internal/memory
 go test -run 'TestTimedHeapPerMessage|TestVerifyHaloZeroAlloc' ./internal/apps/miniamr
+go test -run 'TestVerifySweepZeroAlloc' ./internal/apps/heat
 go test -run 'TestNilRecorderZeroAlloc|TestNilHalvesCollectorZeroAlloc|TestEventsAllocatesOnce' ./internal/obs
 go test -run 'TestIdlePollPassZeroAlloc|TestDormancyZeroAlloc' ./internal/cluster
 
